@@ -18,15 +18,18 @@ where  w = 2 / (1 + sqrt(1 - rho^2))  is the pole-conjugation factor
 (equal to 2*tan(phi/2)/sin(phi)).
 
 This module provides truncated power series in t = rho^2 with exact
-(Fraction) or complex coefficients, the multiplication/composition rules of
-the jet functionals, the finite triangular matrix of the transposed model
-operator on volume jets, and the unit-triangular change of basis between
-volume jets and the Dirac eigenfunctionals.
+(Fraction) or complex coefficients (the pole factor from its Catalan
+coefficients, real powers by J. C. P. Miller's O(n^2) recurrence), the
+multiplication/composition rules of the jet functionals, the finite
+triangular matrix of the transposed model operator on volume jets, and the
+unit-triangular change of basis between volume jets and the Dirac
+eigenfunctionals.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,14 +84,6 @@ class RadialSeries:
         return RadialSeries.constant(one, order)
 
     @staticmethod
-    def t(order: int, exact: bool = True) -> "RadialSeries":
-        one = Fraction(1) if exact else 1.0
-        c = [one * 0] * (order + 1)
-        if order >= 1:
-            c[1] = one
-        return RadialSeries(tuple(c))
-
-    @staticmethod
     def sqrt_one_minus_t(order: int, exact: bool = True) -> "RadialSeries":
         """(1 - t)^{1/2}: c_0 = 1, c_m = c_{m-1} (2m-3)/(2m)."""
         c = [Fraction(1) if exact else 1.0]
@@ -112,11 +107,13 @@ class RadialSeries:
 
     @staticmethod
     def pole_factor(order: int, exact: bool = True) -> "RadialSeries":
-        """w = 2/(1 + sqrt(1-t)), the conjugating factor; w(0) = 1."""
-        s = RadialSeries.sqrt_one_minus_t(order, exact)
-        half = Fraction(1, 2) if exact else 0.5
-        q = (s + RadialSeries.one(order, exact)) * half
-        return q.power(-1)
+        """w = 2/(1 + sqrt(1-t)) = sum_m Catalan(m) (t/4)^m; w(0) = 1.
+
+        Each coefficient is one correctly rounded (or exact) quotient."""
+        div = Fraction if exact else operator.truediv
+        return RadialSeries(
+            tuple(div(math.comb(2 * m, m), (m + 1) * 4**m) for m in range(order + 1))
+        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -124,12 +121,6 @@ class RadialSeries:
         n = min(self.order, other.order)
         return RadialSeries(
             tuple(self.coeffs[m] + other.coeffs[m] for m in range(n + 1))
-        )
-
-    def __sub__(self, other: "RadialSeries") -> "RadialSeries":
-        n = min(self.order, other.order)
-        return RadialSeries(
-            tuple(self.coeffs[m] - other.coeffs[m] for m in range(n + 1))
         )
 
     def __mul__(self, other):
@@ -146,36 +137,19 @@ class RadialSeries:
 
     __rmul__ = __mul__
 
-    def log(self) -> "RadialSeries":
-        """log of a series with constant term 1."""
-        u = RadialSeries((self.coeffs[0] * 0,) + self.coeffs[1:])
-        acc = RadialSeries.constant(self.coeffs[0] * 0, self.order)
-        term = RadialSeries.one(self.order, isinstance(self.coeffs[0], Fraction))
-        sign = 1
-        for k in range(1, self.order + 1):
-            term = term * u
-            acc = acc + term * (Fraction(sign, k) if isinstance(self.coeffs[0], Fraction) else sign / k)
-            sign = -sign
-        return acc
-
-    def exp(self) -> "RadialSeries":
-        """exp of a series with zero constant term."""
-        acc = RadialSeries.constant(1 + self.coeffs[0] * 0, self.order)
-        term = acc
-        for k in range(1, self.order + 1):
-            term = term * self * (Fraction(1, k) if isinstance(term.coeffs[0], Fraction) else 1.0 / k)
-            acc = acc + term
-        return acc
-
     def power(self, sigma) -> "RadialSeries":
-        """Series of self**sigma (constant term of self must be 1)."""
-        return (self.log() * sigma).exp()
+        """Series of self**sigma (constant term of self must be 1).
 
-    def __call__(self, t):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * t + c
-        return acc
+        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for
+        b = a**sigma:  n b_n = sum_{k=1}^n ((sigma+1) k - n) a_k b_{n-k},
+        O(order^2) operations in the coefficients' own arithmetic.
+        """
+        a = self.coeffs
+        s1 = sigma + 1
+        b = [a[0] * 0 * sigma + 1]
+        for n in range(1, len(a)):
+            b.append(sum((s1 * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
+        return RadialSeries(tuple(b))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is elementary infrastructure shared by the model-operator
 modules: graded-lexicographic multi-index enumeration, product Gauss rules on
 S^0, S^1 and S^2 that integrate polynomials exactly up to a requested degree,
-and the classical closed form for monomial moments over the sphere.
+the classical closed form for monomial moments over the sphere, and
+Gauss-Legendre panels on intervals for the radial integrals.
 
 Conventions
 -----------
@@ -30,6 +31,7 @@ __all__ = [
     "sphere_quadrature",
     "sphere_monomial_integral",
     "homogeneous_dimension",
+    "panel_nodes",
 ]
 
 
@@ -124,6 +126,22 @@ def sphere_quadrature(d: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
     raise UnsupportedDimensionError(
         f"sphere quadrature implemented for ambient d in {{1,2,3}}, got d={d}"
     )
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def panel_nodes(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on consecutive panels [e_k, e_{k+1}]."""
+    t, w = _gauss_legendre(order)
+    edges = np.asarray(edges, float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def sphere_monomial_integral(alpha: tuple[int, ...]) -> float:

@@ -53,8 +53,6 @@ def _canonical(terms):
         p = np.trim_zeros(np.atleast_1d(np.asarray(p, dtype=complex)), "b")
         if p.size == 0:
             continue
-        key = (q, tuple(mu), float(c), p.size)
-        # p length participates in the key only to avoid needless padding
         base = merged.get((q, tuple(mu), float(c)))
         if base is None:
             merged[(q, tuple(mu), float(c))] = p
@@ -76,6 +74,7 @@ class TestFunction:
     def __init__(self, terms, d: int):
         self.d = int(d)
         self.terms = _canonical(terms)
+        self._series = {}  # (term index, with_volume) -> radial coefficients
 
     # -- constructors --------------------------------------------------------
 
@@ -170,18 +169,39 @@ class TestFunction:
 
     # -- exact jets at the pole N ----------------------------------------------
 
+    def _radial_series(self, index: int, order: int, with_volume: bool) -> tuple:
+        """Coefficients of p(sqrt(1-t)) e^{-ct} J^{0/1} of term ``index``, to at
+        least ``order``.  Coefficient r of a truncated product depends only on
+        coefficients <= r, so one long series serves every shorter request bit
+        for bit; it is rebuilt, at twice its order or more, only when too short.
+        """
+        key = (index, with_volume)
+        coeffs = self._series.get(key, ())
+        if len(coeffs) <= order:
+            order = max(order, 2 * len(coeffs))
+            _, _, c, p = self.terms[index]
+            rest = _poly_of_series(p, RadialSeries.sqrt_one_minus_t(order, exact=False))
+            if c != 0.0:
+                rest = rest * _exp_series(c, order)
+            if with_volume:
+                rest = rest * RadialSeries.inv_sqrt_one_minus_t(order, exact=False)
+            coeffs = self._series[key] = rest.coeffs
+        return coeffs
+
     def jet(self, nu, weight: RadialSeries | None = None, with_volume: bool = True):
         """d^nu [ g(t) * J^{0/1} * psi ](x=0) in the chart x = sin(phi) u.
 
         weight: optional extra radial series g(t); with_volume multiplies by
-        J = (1-t)^{-1/2}.  Exact up to float rounding.
+        J = (1-t)^{-1/2}.  Exact up to float rounding.  The weighted
+        coefficient is the truncated product's, summed in the same order.
         """
         nu = tuple(nu)
         total = 0.0 + 0.0j
         nfact = 1.0
         for a in nu:
             nfact *= float(math.factorial(a))
-        for q, mu, c, p in self.terms:
+        wc = None if weight is None else tuple(map(complex, weight.coeffs))
+        for index, (q, mu, c, p) in enumerate(self.terms):
             if any(b > a for a, b in zip(nu, mu)):
                 continue
             w = tuple(a - b for a, b in zip(nu, mu))
@@ -193,18 +213,15 @@ class TestFunction:
             rest_order = m - e
             if rest_order < 0:
                 continue
-            s = RadialSeries.sqrt_one_minus_t(rest_order, exact=False)
-            rest = _poly_of_series(p, s)
-            if c != 0.0:
-                rest = rest * _exp_series(c, rest_order)
-            if with_volume:
-                rest = rest * RadialSeries.inv_sqrt_one_minus_t(rest_order, exact=False)
-            if weight is not None:
-                wser = RadialSeries(tuple(complex(x) for x in weight.coeffs[: rest_order + 1]))
-                if wser.order < rest_order:
+            rest = self._radial_series(index, rest_order, with_volume)
+            if wc is None:
+                g_m = rest[rest_order]
+            else:
+                if len(wc) <= rest_order:
                     raise ValueError("weight series order too small for requested jet")
-                rest = rest * wser
-            g_m = rest.coeffs[rest_order]
+                g_m = rest[0] * wc[rest_order]
+                for i in range(1, rest_order + 1):
+                    g_m = g_m + rest[i] * wc[rest_order - i]
             mult = math.factorial(m)
             for v in w:
                 mult //= math.factorial(v)

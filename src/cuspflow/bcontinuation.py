@@ -51,9 +51,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._sphere import homogeneous_dimension
+from ._sphere import homogeneous_dimension, panel_nodes
 from .errors import (
     ContourOnRootError,
     InvalidEnclosureError,
@@ -101,26 +100,6 @@ _ABSCISSA_GUARD = 1e-6  # abscissa-to-root real-part separation, w units
 _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
 _X_PAIR_SPLIT = 0.85    # split point of the paired channel near the pole
 _RES_GUARD = 5e-4       # particular-series resonance clearance
-
-
-def _gl(order: int):
-    if order not in _gl.cache:
-        _gl.cache[order] = leggauss(order)
-    return _gl.cache[order]
-
-
-_gl.cache = {}
-
-
-def _panel_nodes(edges, order):
-    """Gauss-Legendre nodes/weights on consecutive panels [e_k, e_{k+1}]."""
-    t, w = _gl(order)
-    edges = np.asarray(edges, float)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
 
 
 def _taylor_shift(poly, x0: complex) -> np.ndarray:
@@ -515,7 +494,7 @@ def _solve_mode_profiles(
         f0 = _series_eval(coeff, np.array([1.0 + x0]))[:, 0]
         xr = xs[~left]
         edges = _voc_edges(xr, x0)
-        xi, wq = _panel_nodes(edges, order)
+        xi, wq = panel_nodes(edges, order)
         l1_0, l2_0 = math.log(1.0 - x0), math.log(1.0 + x0)
         dl1 = np.log1p(-xi) - l1_0
         dl2 = np.log1p(xi) - l2_0
@@ -680,7 +659,7 @@ class ContourSpec:
 
     def eta_nodes(self):
         edges = np.linspace(-self.height, self.height, self.panels + 1)
-        return _panel_nodes(edges, 16)
+        return panel_nodes(edges, 16)
 
     def r_window(self) -> float:
         """|r| up to which the panel quadrature resolves e^{i eta r}."""
@@ -725,7 +704,7 @@ def _refined_eta_nodes(op: ModelOperator, s: complex, contour: ContourSpec):
     keep = np.concatenate([[True], np.diff(arr) > 1e-11 * max(H, 1.0)])
     arr = arr[keep]
     arr[-1] = H
-    eta, wq = _panel_nodes(arr, 16)
+    eta, wq = panel_nodes(arr, 16)
     return eta, wq, hpanel
 
 
@@ -1077,7 +1056,7 @@ def _paired_mode_values(
         x_edges.append(1.0 - gap)
     x_edges.append(x_c)
     tau_edges = np.sqrt(1.0 + np.asarray(x_edges))
-    tau, wt = _panel_nodes(tau_edges, order)
+    tau, wt = panel_nodes(tau_edges, order)
     x1 = tau**2 - 1.0
     prof = _solve_mode_profiles(op, s, m, poly, lams, np.minimum(x1, x_c))
     w1 = (2.0 - tau**2) ** beta * tau ** (2.0 * beta + 1.0) * 2.0 * wt
@@ -1090,7 +1069,7 @@ def _paired_mode_values(
 
     # piece 2: [x_c, 1] on the analytic particular series, 1 - x = t^2
     t_hi = math.sqrt(1.0 - x_c)
-    t2, wt2 = _panel_nodes(np.linspace(0.0, t_hi, 4), order)
+    t2, wt2 = panel_nodes(np.linspace(0.0, t_hi, 4), order)
     y2 = t2**2
     powers = y2[None, :] ** np.arange(_N_PART)[:, None]
     fpart_vals = dpart @ powers
@@ -1140,7 +1119,7 @@ def _paired_mode_values(
     hi = t_hi
     for _ in range(levels):
         lo = hi * 0.5
-        tn, wn = _panel_nodes(np.array([lo, hi]), order)
+        tn, wn = panel_nodes(np.array([lo, hi]), order)
         yn = tn**2
         a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * _polyval(
             q_poly, 1.0 - yn
@@ -1312,14 +1291,12 @@ def continue_resolvent(
     # strip patch around the axis roots
     nonaxis = []
     for sign in (-1, 1):
-        t = 0.0  # enumerate |Re| of roots near the axis
         basec = _branch_base(op, s)
         n0 = max(0, math.floor(-basec.real) - 2)
         for n in range(n0, n0 + 5):
             re = (sign * (basec + n)).real
             if abs(re) > _ABSCISSA_GUARD:
                 nonaxis.append(abs(re))
-        del t
     gap = min(nonaxis) if nonaxis else 1.0
     width = min(strip_half_width, 0.5 * gap)
     rho_lo, rho_hi = -width, +width

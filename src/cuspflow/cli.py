@@ -35,9 +35,6 @@ identity wherever it is written.
 
 Exit codes: 0 success, 2 invalid configuration, 3 tolerance failure,
 4 internal error.  Diagnostics are emitted as single-line JSON on stderr.
-The environment variable ``CUSPFLOW_WORKERS`` (positive integer) is
-validated and recorded in the manifest; results are bitwise independent of
-its value.
 """
 
 from __future__ import annotations
@@ -499,19 +496,6 @@ def _write_artifacts(output_dir: str, artifacts: dict) -> None:
         os.replace(tmp, os.path.join(output_dir, name))
 
 
-def _workers_from_env() -> int:
-    text = os.environ.get("CUSPFLOW_WORKERS", "1")
-    try:
-        value = int(text, 10)
-    except ValueError as exc:
-        raise ValidationError(
-            f"CUSPFLOW_WORKERS must be a positive integer, got {text!r}") from exc
-    if value < 1:
-        raise ValidationError(
-            f"CUSPFLOW_WORKERS must be a positive integer, got {value}")
-    return value
-
-
 def _versions() -> dict:
     import platform
 
@@ -531,7 +515,7 @@ def _versions() -> dict:
     }
 
 
-def _build_manifest(config: ExperimentConfig, workers: int, tolerances: dict,
+def _build_manifest(config: ExperimentConfig, tolerances: dict,
                     artifact_names, failures) -> str:
     buf = io.StringIO()
     buf.write("[run]\n")
@@ -543,7 +527,7 @@ def _build_manifest(config: ExperimentConfig, workers: int, tolerances: dict,
     for key in sorted(config.params):
         buf.write(f"{key} = {_FORMATTERS[schema[key].typ](config.params[key])}\n")
     buf.write("\n[manifest]\n")
-    entries = {"config_hash": config.config_hash(), "workers": str(workers)}
+    entries = {"config_hash": config.config_hash()}
     entries.update({k: str(v) for k, v in _versions().items()})
     entries["artifacts"] = " ".join(sorted(artifact_names))
     entries["status"] = ("ok" if not failures
@@ -946,11 +930,9 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> int:
     """Validate, compute, write artifacts atomically; return the exit code."""
-    workers = _workers_from_env()
     config.validate()
     artifacts, tolerances, failures = _RUNNERS[config.subcommand](config)
-    manifest = _build_manifest(config, workers, tolerances,
-                               list(artifacts), failures)
+    manifest = _build_manifest(config, tolerances, list(artifacts), failures)
     artifacts[f"{config.hash_prefix()}-manifest.ini"] = manifest
     _write_artifacts(config.output_dir, artifacts)
     if failures:
@@ -986,8 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subparsers.add_parser(
             name, description=f"run the {name} experiment",
             help=f"{name} experiment")
+        # SUPPRESS: a flag given before the subcommand keeps its value
         for dest, (flag, help_text) in common.items():
-            sp.add_argument(flag, dest=dest, default=None, help=help_text)
+            sp.add_argument(flag, dest=dest, default=argparse.SUPPRESS,
+                            help=help_text)
         for param in schema:
             sp.add_argument(f"--{param.key.replace('_', '-')}",
                             dest=f"param_{param.key}", default=None,

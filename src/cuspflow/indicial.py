@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._jets import delta_in_volume_basis, transpose_matrix_on_volume_jets
 from ._sphere import homogeneous_dimension, multi_indices
@@ -389,6 +388,8 @@ def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingRes
     x0 = -1 + 1e-6 (the endpoints are characteristic, so the integrator
     cannot start exactly there).
     """
+    from scipy.integrate import solve_ivp  # only this cross-check needs it
+
     if m < 0:
         raise ValidationError(f"need mode m >= 0, got {m}")
     h, d = op.h, op.d

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from cuspflow._sphere import homogeneous_dimension, multi_indices, sphere_quadrature
 from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import AwaySupportedFunction, TestFunction, random_test_function
-from cuspflow.errors import PoleError, ValidationError
+from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
     RegularizedPairing,
     jordan_vector,
@@ -18,6 +18,7 @@ from cuspflow.hadamard import (
     pole_location,
     pole_residue,
 )
+from cuspflow.hadamard import quad as panel_quad
 from cuspflow.indicial import ModelOperator, indicial_roots
 
 
@@ -362,3 +363,19 @@ def test_jordan_flag_agreement_with_weak_structure():
             assert r_odd.jordan_index == 1
             with pytest.raises(ValidationError):
                 jordan_vector(k + 1, k, ups, ModelOperator(d=d, h=1.0, lam=0.5))
+
+
+# ---------------------------------------------------------------------------
+# panel quadrature
+# ---------------------------------------------------------------------------
+
+
+def test_quad_matches_closed_form_complex_power():
+    a, b, c = 0.25, math.sin(math.pi / 3.0), -1.7 + 0.9j
+    got = panel_quad(lambda x: x ** (c - 1.0), a, b)
+    assert abs(got - (b**c - a**c) / c) < 1e-12
+
+
+def test_quad_raises_with_error_estimate_on_unresolved_integrand():
+    with pytest.raises(ToleranceError, match=r"error estimate \d\.\d+e-\d+"):
+        panel_quad(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0)
