@@ -32,7 +32,11 @@ monotonically along reduced trajectories, the integrand is nondecreasing along
 every flow line; consequently finite differences of the computed average along
 the flow are nonnegative *exactly* (to roundoff), and at step equal to the
 quadrature step they telescope to endpoint clusters, reproducing the saturated
-values of the smoothed indicators with no quadrature noise.
+values of the smoothed indicators with no quadrature noise (the derivative is
+evaluated from those clusters: six flows).  Averages flow blocks of nodes as
+one ``(k, n, 3)`` array of at most ``_BLOCK_ELEMENTS`` pairs, which bounds the
+memory; the scale factors and the node order of the sum are those of a
+node-by-node loop, so blocking does not change a bit of any average.
 
 The elliptic symbol ``f`` is the log-averaged frame norm glued log-linearly
 with the flow-invariant ``|p|`` near the flow-dual directions, and
@@ -73,10 +77,13 @@ __all__ = [
     "verify",
 ]
 
-# Contraction rate of the decaying dual line in constant curvature -1.  The
-# frame-comparison constant is 1 as well (the frame action is exactly
-# diagonal), and both values are reported in the certificate.
+# Contraction rate of the decaying dual line in constant curvature -1.
 BETA = 1.0
+
+# Frame-comparison constant of the decaying dual line, sup_t e^{beta t} times
+# its contraction factor e^{-t}: the frame action is exactly diagonal and
+# beta = 1, so the supremum is 1 at every t.  Reported in the certificate.
+FRAME_CONSTANT = 1.0
 
 # Flow-average quadrature step, shared by the weight and symbol averages and
 # by the along-flow finite differences (so that the weight's difference
@@ -85,6 +92,10 @@ FLOW_STEP = 0.05
 
 # Default averaging window of the glued symbol.
 DEFAULT_T_PRIME = 2.0
+
+# Largest number of (node, direction) pairs a flow-average block transports
+# at once.
+_BLOCK_ELEMENTS = 1 << 12
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -168,19 +179,29 @@ def _dist_0u(x):
 
 def _sphere_flow(x, t):
     """Projective diagonal flow on unit directions: scale and renormalize."""
-    w = np.empty_like(x)
-    w[..., 0] = x[..., 0]
-    w[..., 1] = x[..., 1] * math.exp(t)
-    w[..., 2] = x[..., 2] * math.exp(-t)
-    n = np.sqrt((w * w).sum(axis=-1))
-    return w / n[..., None]
+    return _scaled_unit(x, math.exp(t), math.exp(-t))
 
 
 def _stretch(x, t):
     """Norm growth factor |diag(1, e^t, e^{-t}) xihat| for unit xihat."""
-    return np.sqrt(x[..., 0] ** 2
-                   + (x[..., 1] * math.exp(t)) ** 2
-                   + (x[..., 2] * math.exp(-t)) ** 2)
+    return _scaled_norm(x, math.exp(t), math.exp(-t))
+
+
+def _scaled_unit(x, grow, decay):
+    """diag(1, grow, decay) x, renormalized.  The factors broadcast against
+    ``x[..., 0]``, so (k, 1) columns of factors give k flowed copies of x."""
+    w = np.empty(np.broadcast_shapes(np.shape(grow), x.shape[:-1]) + (3,))
+    w[..., 0] = x[..., 0]
+    w[..., 1] = x[..., 1] * grow
+    w[..., 2] = x[..., 2] * decay
+    n = np.sqrt((w * w).sum(axis=-1))
+    return w / n[..., None]
+
+
+def _scaled_norm(x, grow, decay):
+    """|diag(1, grow, decay) x|, with the factors broadcast as above."""
+    return np.sqrt(x[..., 0] ** 2 + (x[..., 1] * grow) ** 2
+                   + (x[..., 2] * decay) ** 2)
 
 
 def _advance_angle(alpha, t):
@@ -254,15 +275,8 @@ def lifted_flow(point, covector, t):
     UnsupportedDimensionError
         If the point is not one-dimensional in the cross-section.
     """
-    if point.d != 1:
-        raise UnsupportedDimensionError("the lifted flow is implemented for d = 1")
-    xi = np.asarray(covector, dtype=float)
-    if xi.shape != (3,):
-        raise ValidationError(f"covector must have 3 components, got shape {xi.shape}")
+    comps = _frame_components(point, covector)
     t = float(t)
-    alpha0 = direction_angle(point)
-    flow0, stable0, unstable0 = splitting_frame_at(point.r, alpha0)
-    comps = np.array([xi @ flow0, xi @ stable0, xi @ unstable0])
     comps_t = np.array([comps[0], math.exp(t) * comps[1], math.exp(-t) * comps[2]])
     image = flow_cusp_exact(point, t)
     alpha1 = direction_angle(image)
@@ -271,9 +285,34 @@ def lifted_flow(point, covector, t):
     return image, xi_t
 
 
+def _frame_components(point, covector):
+    """Components of a cusp-coordinate covector on the dual invariant frame
+    (flow-dual, growing, decaying) at a d = 1 phase point."""
+    if point.d != 1:
+        raise UnsupportedDimensionError(
+            "the lifted flow and the escape function are implemented for d = 1")
+    xi = np.asarray(covector, dtype=float)
+    if xi.shape != (3,):
+        raise ValidationError(f"covector must have 3 components, got shape {xi.shape}")
+    f0, st, un = splitting_frame_at(point.r, direction_angle(point))
+    return np.array([xi @ f0, xi @ st, xi @ un])
+
+
 # ---------------------------------------------------------------------------
 # reduced grid
 # ---------------------------------------------------------------------------
+
+def _midpoint_sphere(n_theta, n_phi):
+    """Midpoint latitude-longitude direction set (no point on invariant sets)."""
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = _TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([
+        np.cos(tt).ravel(),
+        (np.sin(tt) * np.cos(pp)).ravel(),
+        (np.sin(tt) * np.sin(pp)).ravel(),
+    ])
+
 
 @dataclass(frozen=True)
 class ReducedPhaseGrid:
@@ -316,14 +355,7 @@ class ReducedPhaseGrid:
         if not (0.0 < self.delta):
             raise ValidationError(f"delta must be positive, got {self.delta}")
         alpha = -np.pi + _TWO_PI * (np.arange(self.n_alpha) + 0.5) / self.n_alpha
-        theta = np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta
-        phi = _TWO_PI * (np.arange(self.n_phi) + 0.5) / self.n_phi
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        xihat = np.column_stack([
-            np.cos(tt).ravel(),
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-        ])
+        xihat = _midpoint_sphere(self.n_theta, self.n_phi)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "xihat", xihat)
         both = self.in_cone_u(xihat) & self.in_cone_0s(xihat)
@@ -422,33 +454,24 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
     """
     x = grid.xihat
     worst = 0.0
-
-    # outside the flow+decaying band, forward into the growing-dual cone
-    sel = ~grid.in_cone_0s(x)
-    if np.any(sel):
-        t = _first_entry_times(x[sel], lambda y: _dist_u(y) < grid.eps,
-                               step, horizon)
-        worst = max(worst, float(t.max()))
-    # outside the growing-dual cone, backward into the flow+decaying band
-    sel = ~grid.in_cone_u(x)
-    if np.any(sel):
-        t = _first_entry_times(_swapped(x[sel]),
-                               lambda y: _dist_0s(_swapped(y)) < grid.eps,
-                               step, horizon)
-        worst = max(worst, float(t.max()))
-    # outside the flow+growing band, backward into the decaying-dual cone
-    sel = ~grid.in_cone_0u(x)
-    if np.any(sel):
-        t = _first_entry_times(_swapped(x[sel]),
-                               lambda y: _dist_s(_swapped(y)) < grid.eps,
-                               step, horizon)
-        worst = max(worst, float(t.max()))
-    # outside the decaying-dual cone, forward into the flow+growing band
-    sel = ~grid.in_cone_s(x)
-    if np.any(sel):
-        t = _first_entry_times(x[sel], lambda y: _dist_0u(y) < grid.eps,
-                               step, horizon)
-        worst = max(worst, float(t.max()))
+    same = lambda y: y
+    legs = (
+        # outside the flow+decaying band, forward into the growing-dual cone
+        (grid.in_cone_0s, _dist_u, same),
+        # outside the growing-dual cone, backward into the flow+decaying band
+        (grid.in_cone_u, _dist_0s, _swapped),
+        # outside the flow+growing band, backward into the decaying-dual cone
+        (grid.in_cone_0u, _dist_s, _swapped),
+        # outside the decaying-dual cone, forward into the flow+growing band
+        (grid.in_cone_s, _dist_0u, same),
+    )
+    for in_start_cone, dist, frame in legs:
+        sel = ~in_start_cone(x)
+        if np.any(sel):
+            t = _first_entry_times(frame(x[sel]),
+                                   lambda y: dist(frame(y)) < grid.eps,
+                                   step, horizon)
+            worst = max(worst, float(t.max()))
     return 2.0 * worst
 
 
@@ -497,13 +520,40 @@ def _cone_integrand(x, eps):
     return 0.5 * (up + down)
 
 
+def _flowed_cone(eps):
+    """The cone integrand of flowed directions, as ``_flow_average`` calls it."""
+    return lambda y, grow, decay: _cone_integrand(_scaled_unit(y, grow, decay), eps)
+
+
+def _flow_average(x, times, weights, integrand):
+    """Sum over j of ``weights[j] * integrand`` at the time-``times[j]`` flow.
+
+    ``integrand(x, grow, decay)`` gets (k, 1) columns of e^{t} and e^{-t} for
+    a block of k nodes and returns (k, n) values; they are accumulated one
+    node at a time, in order.
+    """
+    k = max(1, _BLOCK_ELEMENTS // x.shape[0])
+    acc = np.zeros(x.shape[0])
+    for lo in range(0, len(times), k):
+        block = times[lo:lo + k]
+        grow = np.array([[math.exp(t)] for t in block])
+        decay = np.array([[math.exp(-t)] for t in block])
+        for w_j, v_j in zip(weights[lo:lo + k], integrand(x, grow, decay)):
+            acc += w_j * v_j
+    return acc
+
+
 def _weight_average(x, T, step, eps):
     """Composite-Simpson flow average of the cone integrand over [-T, T]."""
     nodes, weights = _simpson_nodes_weights(T, step)
-    acc = np.zeros(x.shape[0])
-    for t_j, w_j in zip(nodes, weights):
-        acc += w_j * _cone_integrand(_sphere_flow(x, t_j), eps)
-    return acc
+    return _flow_average(x, nodes, weights, _flowed_cone(eps))
+
+
+def _weight_derivative(x, T, step, eps):
+    """Telescoped flow difference quotient (see ``WeightField.derivative``)."""
+    times = (T - step, T, T + step, -T - step, -T, -T + step)
+    return _flow_average(x, times, (1.0, 4.0, 1.0, -1.0, -4.0, -1.0),
+                         _flowed_cone(eps)) / 6.0
 
 
 def _plateau_radii(T, step, eps):
@@ -560,18 +610,18 @@ class WeightField:
                                self.grid.eps)
 
     def derivative(self, xihat):
-        """Finite difference along the reduced flow at the quadrature step.
+        """Finite difference along the reduced flow at the quadrature step h.
 
         At this specific step the two shifted Simpson sums telescope: interior
-        nodes cancel and only endpoint clusters remain, so the result
-        reproduces the saturated endpoint values without quadrature noise.
+        nodes cancel and only endpoint clusters remain, so with I(t) the cone
+        integrand at the time-t flow the difference quotient is exactly
+
+            [I(T-h) + 4I(T) + I(T+h) - I(-T-h) - 4I(-T) - I(-T+h)] / 6,
+
+        which is evaluated directly (six flows, no quadrature noise).
         """
-        x = _as_unit_rows(xihat)
-        fwd = _weight_average(_sphere_flow(x, self.step), self.T, self.step,
-                              self.grid.eps)
-        bwd = _weight_average(_sphere_flow(x, -self.step), self.T, self.step,
-                              self.grid.eps)
-        return (fwd - bwd) / (2.0 * self.step)
+        return _weight_derivative(_as_unit_rows(xihat), self.T, self.step,
+                                  self.grid.eps)
 
     @property
     def plateau_radii(self):
@@ -579,7 +629,7 @@ class WeightField:
         return _plateau_radii(self.T, self.step, self.grid.eps)
 
 
-def _plateau_samples(radii, rng=None):
+def _plateau_samples(radii):
     """Direction samples inside the exact-saturation balls.
 
     For each pole family: the pole itself plus rings at fractions of the
@@ -587,18 +637,8 @@ def _plateau_samples(radii, rng=None):
     worst drift direction is toward the opposite pole; for the flow-dual pole
     all azimuths behave alike).
     """
-    fracs = (0.0, 0.35, 0.9)
-    mixes = ((1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5)))
-    out = {"u": [], "s": [], "0": []}
-    for frac in fracs:
-        for c0, c1 in mixes:
-            d = frac * radii["u"]
-            out["u"].append([math.sin(d) * c0, math.cos(d), math.sin(d) * c1])
-            d = frac * radii["s"]
-            out["s"].append([math.sin(d) * c0, math.sin(d) * c1, math.cos(d)])
-            d = frac * radii["0"]
-            out["0"].append([math.cos(d), math.sin(d) * c0, math.sin(d) * c1])
-    return {k: _as_unit_rows(np.array(v)) for k, v in out.items()}
+    return {k: _deep_cone_samples(k, [f * radii[k] for f in (0.0, 0.35, 0.9)])
+            for k in ("u", "s", "0")}
 
 
 def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
@@ -634,26 +674,27 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
     T = _snap_to_step(T, step)
     x = grid.xihat
     values = _weight_average(x, T, step, grid.eps)
-
-    fwd = _weight_average(_sphere_flow(x, step), T, step, grid.eps)
-    bwd = _weight_average(_sphere_flow(x, -step), T, step, grid.eps)
-    deriv = (fwd - bwd) / (2.0 * step)
-    strict = ~(_in_V_u(x, T, grid.eps) | _in_V_s(x, T, grid.eps)
-               | grid.in_cone_0(x))
+    deriv = _weight_derivative(x, T, step, grid.eps)
+    on_v_u = _in_V_u(x, T, grid.eps)
+    on_v_s = _in_V_s(x, T, grid.eps)
+    strict = ~(on_v_u | on_v_s | grid.in_cone_0(x))
     radii = _plateau_radii(T, step, grid.eps)
     plat = _plateau_samples(radii)
     plat_vals = {k: _weight_average(v, T, step, grid.eps)
                  for k, v in plat.items()}
-    on_v_u = _in_V_u(x, T, grid.eps)
-    on_v_s = _in_V_s(x, T, grid.eps)
     swap_vals = _weight_average(_swapped(x), T, step, grid.eps)
 
     two_T = 2.0 * T
+    v_max = float(np.max(np.abs(values)))
+    plat_err = {"u": float(np.max(np.abs(plat_vals["u"] - two_T))),
+                "s": float(np.max(np.abs(plat_vals["s"] + two_T))),
+                "0": float(np.max(np.abs(plat_vals["0"])))}
+    odd = float(np.max(np.abs(values + swap_vals)))
     properties = {
         "range": {
-            "value": float(np.max(np.abs(values))),
+            "value": v_max,
             "bound": two_T,
-            "passed": bool(np.max(np.abs(values)) <= two_T * (1.0 + 1e-12)),
+            "passed": v_max <= two_T * (1.0 + 1e-12),
         },
         "flow_derivative_min": {
             "value": float(deriv.min()),
@@ -668,14 +709,11 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
         },
         "plateau": {
             "radii": {k: float(v) for k, v in radii.items()},
-            "max_error_u": float(np.max(np.abs(plat_vals["u"] - two_T))),
-            "max_error_s": float(np.max(np.abs(plat_vals["s"] + two_T))),
-            "max_error_0": float(np.max(np.abs(plat_vals["0"]))),
+            "max_error_u": plat_err["u"],
+            "max_error_s": plat_err["s"],
+            "max_error_0": plat_err["0"],
             "threshold": 1e-9 * two_T,
-            "passed": bool(
-                np.max(np.abs(plat_vals["u"] - two_T)) <= 1e-9 * two_T
-                and np.max(np.abs(plat_vals["s"] + two_T)) <= 1e-9 * two_T
-                and np.max(np.abs(plat_vals["0"])) <= 1e-9 * two_T),
+            "passed": max(plat_err.values()) <= 1e-9 * two_T,
         },
         "transported_cone_saturation": {
             "min_on_forward_cone": float(values[on_v_u].min())
@@ -688,10 +726,9 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
                 and (not np.any(on_v_s) or values[on_v_s].max() <= -T + 1e-9)),
         },
         "swap_oddness": {
-            "value": float(np.max(np.abs(values + swap_vals))),
+            "value": odd,
             "threshold": 1e-9 * two_T,
-            "passed": bool(np.max(np.abs(values + swap_vals))
-                           <= 1e-9 * two_T),
+            "passed": odd <= 1e-9 * two_T,
         },
     }
     return WeightField(grid=grid, T=T, step=step, tau_max=tau_max,
@@ -706,9 +743,9 @@ def _log_norm_average(x, T_prime, step):
     """exp of the Simpson average of log |transported direction| over
     [-T', T'], normalized by the window length 2T'."""
     nodes, weights = _simpson_nodes_weights(T_prime, step)
-    acc = np.zeros(x.shape[0])
-    for t_j, w_j in zip(nodes, weights):
-        acc += w_j * np.log(_stretch(x, t_j))
+    acc = _flow_average(
+        x, nodes, weights,
+        lambda y, grow, decay: np.log(_scaled_norm(y, grow, decay)))
     return np.exp(acc / (2.0 * T_prime))
 
 
@@ -720,18 +757,6 @@ def _glued_hat(x, T_prime, step, eps):
     ax0 = np.abs(x[..., 0])
     log_ax0 = np.where(w0 > 0.0, np.log(np.maximum(ax0, 1e-300)), 0.0)
     return np.exp(w0 * log_ax0 + (1.0 - w0) * np.log(f_us))
-
-
-def _measure_frame_constant(step=FLOW_STEP, horizon=10.0):
-    """Measured comparison constant of the decaying dual line.
-
-    Supremum over transport times of e^{beta t} times the contraction factor
-    of the decaying component; the frame action is exactly diagonal here, so
-    this is 1 up to roundoff.  Measured rather than asserted so the window
-    precondition of the symbol average is checked against data.
-    """
-    ts = np.arange(0.0, horizon + step, step)
-    return float(np.max(np.exp(BETA * ts) * np.exp(-ts)))
 
 
 @dataclass(frozen=True)
@@ -788,29 +813,11 @@ def _deep_cone_samples(pole, radii):
     (toward each of the two complementary components and diagonal).
     """
     mixes = ((1.0, 0.0), (0.0, 1.0), (math.sqrt(0.5), math.sqrt(0.5)))
-    rows = []
-    for rad in radii:
-        for c0, c1 in mixes:
-            s, c = math.sin(rad), math.cos(rad)
-            if pole == "u":
-                rows.append([s * c0, c, s * c1])
-            elif pole == "s":
-                rows.append([s * c0, s * c1, c])
-            else:
-                rows.append([c, s * c0, s * c1])
-    return _as_unit_rows(np.array(rows))
-
-
-def _dense_sphere(n_theta, n_phi):
-    """Midpoint latitude-longitude direction set (no point on invariant sets)."""
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    phi = _TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.column_stack([
-        np.cos(tt).ravel(),
-        (np.sin(tt) * np.cos(pp)).ravel(),
-        (np.sin(tt) * np.sin(pp)).ravel(),
-    ])
+    rows = np.array([[math.cos(rad), math.sin(rad) * c0, math.sin(rad) * c1]
+                     for rad in radii for c0, c1 in mixes])
+    # the pole's axis takes the cosine, the other two the mixed sines
+    order = {"u": [1, 0, 2], "s": [1, 2, 0], "0": [0, 1, 2]}[pole]
+    return _as_unit_rows(rows[:, order])
 
 
 def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
@@ -819,7 +826,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     The unglued factor is the exponential of the windowed log average of the
     transported covector norm; near the flow-dual poles it is glued
     log-linearly to the conserved flow-dual component, making the full symbol
-    exactly flow-invariant there.  The window must exceed twice the measured
+    exactly flow-invariant there.  The window must exceed twice the
     frame-comparison constant's log over the contraction rate (that constant
     is 1 here, so any positive window qualifies); the default window 2 puts
     the logarithmic flow derivative within a percent of +-1 deep in the
@@ -833,12 +840,11 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     _require_construction_widths(grid)
     if step <= 0.0:
         raise ValidationError(f"step must be positive, got {step}")
-    frame_constant = _measure_frame_constant(step=step)
-    window_floor = 2.0 * math.log(frame_constant) / BETA
+    window_floor = 2.0 * math.log(FRAME_CONSTANT) / BETA
     if T_prime <= window_floor:
         raise ConfigurationError(
             f"symbol window T' = {T_prime} must exceed {window_floor} "
-            "(twice the measured frame-comparison log over the contraction rate)")
+            "(twice the frame-comparison log over the contraction rate)")
     T_prime = _snap_to_step(T_prime, step)
 
     x = grid.xihat
@@ -846,7 +852,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     values_us = _log_norm_average(x, T_prime, step)
 
     probe = np.vstack([
-        _dense_sphere(max(4 * grid.n_theta, 96), max(4 * grid.n_phi, 96)),
+        _midpoint_sphere(max(4 * grid.n_theta, 96), max(4 * grid.n_phi, 96)),
         x,
     ])
     probe_vals = _glued_hat(probe, T_prime, step, grid.eps)
@@ -854,7 +860,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     c_f = float(probe_vals[i_min])
 
     sym = SymbolField(grid=grid, T_prime=T_prime, step=step,
-                      frame_constant=frame_constant, c_f=c_f,
+                      frame_constant=FRAME_CONSTANT, c_f=c_f,
                       values=values, values_us=values_us, properties={})
 
     # exact 1-homogeneity of the full symbol
@@ -906,7 +912,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
             "n_samples": int(probe.shape[0]),
         },
         "frame_constant": {
-            "value": frame_constant,
+            "value": FRAME_CONSTANT,
             "window_floor": window_floor,
         },
     }
@@ -973,20 +979,18 @@ class EscapeData:
         decomposed on the dual invariant frame at the point, and the value
         depends only on the resulting direction and magnitude.
         """
-        if point.d != 1:
-            raise UnsupportedDimensionError(
-                "the escape function is implemented for d = 1")
-        xi = np.asarray(covector, dtype=float)
-        if xi.shape != (3,):
-            raise ValidationError(
-                f"covector must have 3 components, got shape {xi.shape}")
-        alpha = direction_angle(point)
-        f0, st, un = splitting_frame_at(point.r, alpha)
-        comps = np.array([xi @ f0, xi @ st, xi @ un])
-        rho = float(np.linalg.norm(comps))
-        if rho <= 0.0:
-            raise ValidationError("covector must be nonzero")
-        return float(self.reduced_G(comps / rho, rho)[0])
+        direction, rho = _frame_direction(point, covector)
+        return float(self.reduced_G(direction, rho)[0])
+
+
+def _frame_direction(point, covector):
+    """Dual-frame direction and magnitude of a covector at a phase point, the
+    only data of the covector that G reads."""
+    comps = _frame_components(point, covector)
+    rho = float(np.linalg.norm(comps))
+    if rho <= 0.0:
+        raise ValidationError("covector must be nonzero")
+    return comps / rho, rho
 
 
 _ALLOWED_CONSTANT_KEYS = frozenset({"T", "T_prime", "C_G_prime", "R", "step"})
@@ -1001,7 +1005,7 @@ def _escape_probe_directions(grid: ReducedPhaseGrid):
     """
     eps = grid.eps
     pieces = [
-        _dense_sphere(max(2 * grid.n_theta, 64), max(2 * grid.n_phi, 64)),
+        _midpoint_sphere(max(2 * grid.n_theta, 64), max(2 * grid.n_phi, 64)),
         grid.xihat,
     ]
     az = _TWO_PI * (np.arange(128) + 0.5) / 128
@@ -1214,6 +1218,18 @@ def _transported_cone_samples(T, eps):
     return u_dirs, s_dirs
 
 
+def _scan_margin(fd, dirs, lvl, tol, witnesses):
+    """Smallest sampled flow derivative; the worst four below ``tol`` (at
+    most) are appended to ``witnesses``."""
+    i_min = int(np.argmin(fd))
+    if fd[i_min] < tol:
+        witnesses += [{"magnitude_over_delta": float(lvl),
+                       "xihat": [float(v) for v in dirs[k]],
+                       "flow_derivative": float(fd[k])}
+                      for k in np.argsort(fd)[:4] if fd[k] < tol]
+    return float(fd[i_min])
+
+
 def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     """Sample the escape-function inequalities and emit a certificate.
 
@@ -1231,7 +1247,9 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     iv.  The scaled weight equals ``+C_G``/``-C_G``/``0`` exactly on the
          plateau balls, and G is invariant under the cusp's local isometries
          (exact at the reduced level by representation; spot-checked through
-         the coordinate interface).
+         the coordinate interface: each random point and covector, and its
+         isometric image, goes through G's own frame decomposition, and all
+         of them are evaluated in one ``reduced_G`` batch).
 
     Returns an :class:`EscapeCertificate`; any sampled violation beyond
     tolerance fails the certificate and lists the worst witnesses.
@@ -1295,16 +1313,8 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     margin_ii = math.inf
     witnesses_ii = []
     for lvl in levels_ii:
-        fd = flow_fd(bx, lvl * delta)
-        i_min = int(np.argmin(fd))
-        if fd[i_min] < margin_ii:
-            margin_ii = float(fd[i_min])
-        if fd[i_min] < tol_ii:
-            bad = np.argsort(fd)[:4]
-            witnesses_ii += [{"magnitude_over_delta": float(lvl),
-                              "xihat": [float(v) for v in x[k]],
-                              "flow_derivative": float(fd[k])}
-                             for k in bad if fd[k] < tol_ii]
+        margin_ii = min(margin_ii, _scan_margin(flow_fd(bx, lvl * delta), x,
+                                                lvl, tol_ii, witnesses_ii))
     cond_ii = {
         "description": "flow derivative of G nonnegative at sampled "
                        "magnitudes above the cutoff scale",
@@ -1333,17 +1343,9 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         for dirs, b, mask in ((x, bx, region),
                               (cone_dirs, bc, np.ones(cone_dirs.shape[0],
                                                       dtype=bool))):
-            fd = flow_fd(b, lvl * delta)[mask]
-            kept = dirs[mask]
-            i_min = int(np.argmin(fd))
-            if fd[i_min] < margin_i:
-                margin_i = float(fd[i_min])
-            if fd[i_min] < tol_i:
-                bad = np.argsort(fd)[:4]
-                witnesses_i += [{"magnitude_over_delta": float(lvl),
-                                 "xihat": [float(v) for v in kept[k]],
-                                 "flow_derivative": float(fd[k])}
-                                for k in bad if fd[k] < tol_i]
+            margin_i = min(margin_i, _scan_margin(
+                flow_fd(b, lvl * delta)[mask], dirs[mask], lvl, tol_i,
+                witnesses_i))
     cond_i = {
         "description": "flow derivative of G >= 1 beyond R*delta away from "
                        "the flow-dual cone neighbourhood",
@@ -1366,18 +1368,12 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     slope_dev = 0.0
     slopes = {}
     for fam, sign in (("u", 1.0), ("s", -1.0)):
-        rows = []
-        for d in plat[fam]:
-            gvals = data.reduced_G(np.tile(d, (rhos.size, 1)), rhos)
-            rows.append(float(np.polyfit(np.log(rhos), gvals, 1)[0]))
-        slopes[fam] = rows
-        slope_dev = max(slope_dev,
-                        float(np.max(np.abs(np.array(rows) / (sign * C_G)
-                                            - 1.0))))
-    zero_mag = 0.0
-    for d in plat["0"]:
-        gvals = data.reduced_G(np.tile(d, (rhos.size, 1)), rhos)
-        zero_mag = max(zero_mag, float(np.max(np.abs(gvals))))
+        slopes[fam] = [float(np.polyfit(np.log(rhos), data.reduced_G(
+            np.tile(d, (rhos.size, 1)), rhos), 1)[0]) for d in plat[fam]]
+        slope_dev = max(slope_dev, float(np.max(np.abs(
+            np.array(slopes[fam]) / (sign * C_G) - 1.0))))
+    zero_mag = max(float(np.max(np.abs(data.reduced_G(
+        np.tile(d, (rhos.size, 1)), rhos)))) for d in plat["0"])
     tol_iii = 0.02
     tol_zero = 1e-10 * max(1.0, C_G)
     cond_iii = {
@@ -1404,15 +1400,13 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
                                   "flow_dual_max_abs": zero_mag}]
 
     # -- condition iv: plateau values and isometry invariance --------------
-    plat_err = 0.0
-    for fam, target in (("u", C_G), ("s", -C_G), ("0", 0.0)):
-        vals = data.weight_symbol(plat[fam])
-        plat_err = max(plat_err, float(np.max(np.abs(vals - target))))
+    plat_err = max(float(np.max(np.abs(data.weight_symbol(plat[fam]) - target)))
+                   for fam, target in (("u", C_G), ("s", -C_G), ("0", 0.0)))
     plat_rel = plat_err / max(C_G, 1.0)
 
     rng = np.random.default_rng(seed)
-    iso_dev = 0.0
     n_iso = 48
+    frames = []
     for _ in range(n_iso):
         p = PhasePoint(float(rng.uniform(-2.0, 4.0)),
                        np.array([float(rng.uniform(-3.0, 3.0))]),
@@ -1424,9 +1418,11 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
                                           (p.r, p.theta))
         p2 = PhasePoint(r2, theta2, p.phi, p.u)
         xi2 = np.array([xi[0], math.exp(-tau) * xi[1], xi[2]])
-        g1 = data.G(p, xi)
-        g2 = data.G(p2, xi2)
-        iso_dev = max(iso_dev, abs(g1 - g2) / (1.0 + abs(g1)))
+        frames += [_frame_direction(p, xi), _frame_direction(p2, xi2)]
+    g = data.reduced_G(np.array([d for d, _ in frames]),
+                       np.array([r for _, r in frames]))
+    g1, g2 = g[0::2], g[1::2]
+    iso_dev = float(np.max(np.abs(g1 - g2) / (1.0 + np.abs(g1))))
     tol_iv = 1e-9
     margin_iv = max(plat_rel, iso_dev)
     cond_iv = {

@@ -574,7 +574,7 @@ def _eval_observable(f, z, alpha):
             return out
         if out.shape == ():
             return np.full(z.shape, float(out))
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.fromiter((float(f(zi, ai)) for zi, ai in zip(z, alpha)),
                        dtype=float, count=len(z))

@@ -1,6 +1,7 @@
 """Tests for the command-line runner."""
 
 import configparser
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,18 @@ def test_cli_and_pairing_modules_do_not_import_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
+    config = tmp_path / "escape.ini"
+    config.write_text("[escape]\nn_alpha = 8\nn_theta = 16\nn_phi = 16\n")
+    out = tmp_path / "out"
+    argv = [f"--output-dir={out}", f"--config={config}", "escape"]
+    assert cli.main(argv) == 0
+    assert _manifest(out)["manifest"]["status"] == "ok"
+    (cert_path,) = out.glob("*-certificate.json")
+    first = cert_path.read_bytes()
+    assert json.loads(first)["passed"] is True
+    cert_path.unlink()
+    assert cli.main(argv) == 0
+    assert cert_path.read_bytes() == first

@@ -16,7 +16,9 @@ from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
                              assemble_G, build_f, build_weight,
                              estimate_tau_max, lifted_flow, reduced_flow,
                              verify)
-from cuspflow.escape import _as_unit_rows, _sphere_flow, _stretch
+from cuspflow.escape import (_as_unit_rows, _cone_integrand,
+                             _simpson_nodes_weights, _sphere_flow, _stretch,
+                             _weight_average)
 from cuspflow.geometry import (PhasePoint, direction_angle,
                                splitting_frame_at)
 
@@ -298,6 +300,46 @@ def test_weight_flow_derivative_vanishes_on_plateaus(weight):
     ])
     deriv = weight.derivative(dirs)
     assert np.max(np.abs(deriv)) < 1e-9
+
+
+def _reference_weight_average(x, T, step, eps):
+    """The Simpson flow average as a plain loop, one node at a time."""
+    nodes, weights = _simpson_nodes_weights(T, step)
+    acc = np.zeros(x.shape[0])
+    for t_j, w_j in zip(nodes, weights):
+        acc += w_j * _cone_integrand(_sphere_flow(x, t_j), eps)
+    return acc
+
+
+@pytest.fixture(scope="module", params=["grid", "random"])
+def oracle_dirs(request, small_grid):
+    if request.param == "grid":
+        return small_grid.xihat
+    return _as_unit_rows(np.random.default_rng(17).normal(size=(500, 3)))
+
+
+def test_weight_average_matches_per_node_loop_bitwise(weight, oracle_dirs):
+    eps = weight.grid.eps
+    ref = _reference_weight_average(oracle_dirs, weight.T, weight.step, eps)
+    got = _weight_average(oracle_dirs, weight.T, weight.step, eps)
+    assert np.array_equal(got, ref)
+
+
+def test_weight_values_match_per_node_loop_bitwise(weight):
+    ref = _reference_weight_average(weight.grid.xihat, weight.T, weight.step,
+                                    weight.grid.eps)
+    assert np.array_equal(weight.values, ref)
+
+
+def test_weight_derivative_matches_two_sum_difference(weight, oracle_dirs):
+    """The telescoped endpoint form equals (fwd - bwd)/(2h) of two full
+    Simpson sums over the shifted directions, and is nonnegative."""
+    T, h, eps = weight.T, weight.step, weight.grid.eps
+    fwd = _reference_weight_average(_sphere_flow(oracle_dirs, h), T, h, eps)
+    bwd = _reference_weight_average(_sphere_flow(oracle_dirs, -h), T, h, eps)
+    deriv = weight.derivative(oracle_dirs)
+    assert np.max(np.abs(deriv - (fwd - bwd) / (2.0 * h))) <= 1e-12 * 2.0 * T
+    assert deriv.min() >= 0.0
 
 
 def test_weight_swap_oddness(weight, small_grid):

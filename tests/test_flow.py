@@ -372,6 +372,28 @@ def test_correlate_validates_arguments():
         correlate(one, one, T_max=1.0, dt=0.1, n=0, seed=0)
 
 
+def test_correlate_loops_scalar_only_observables():
+    """``math.cos`` rejects arrays with a TypeError; the scalar loop then
+    gives what the vectorised observable gives."""
+    scalar = lambda z, a: math.cos(a)
+    vector = lambda z, a: np.cos(a)
+    rec_s = correlate(scalar, scalar, T_max=0.5, dt=0.25, n=64, seed=2, surf=SURF)
+    rec_v = correlate(vector, vector, T_max=0.5, dt=0.25, n=64, seed=2, surf=SURF)
+    assert rec_s.values == pytest.approx(rec_v.values, rel=1e-12, abs=1e-12)
+    assert rec_s.stderrs == pytest.approx(rec_v.stderrs, rel=1e-12, abs=1e-12)
+
+
+def test_correlate_propagates_observable_errors():
+    """An error other than an array rejection is not retried point by point."""
+    def fragile(z, a):
+        if np.ndim(z):
+            raise RuntimeError("observable failed on a batch")
+        return 1.0
+
+    with pytest.raises(RuntimeError, match="on a batch"):
+        correlate(fragile, fragile, T_max=0.5, dt=0.25, n=16, seed=0, surf=SURF)
+
+
 # ---------------------------------------------------------------------------
 # correlation records and Laplace transforms
 # ---------------------------------------------------------------------------
