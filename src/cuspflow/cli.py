@@ -844,7 +844,7 @@ def _make_observable(p: dict, side: str):
 
     if p[f"{side}_kind"] == "const":
         value = float(p[f"{side}_value"])
-        return lambda z, alpha: value
+        return lambda z, alpha: np.full(np.shape(z), value)
     return BumpObservable(
         center=complex(p[f"{side}_center_re"], p[f"{side}_center_im"]),
         radius=p[f"{side}_radius"], order=p[f"{side}_order"],
@@ -852,8 +852,8 @@ def _make_observable(p: dict, side: str):
 
 
 def _run_correlate(config: ExperimentConfig):
-    from .flow import (_eval_observable, correlate, estimate_area,
-                       laplace_tail_bound, laplace_transform, sample_liouville)
+    from .flow import (correlate, estimate_area, laplace_tail_bound,
+                       laplace_transform, sample_liouville)
 
     p = config.params
     A = _make_observable(p, "a")
@@ -869,8 +869,8 @@ def _run_correlate(config: ExperimentConfig):
     z = np.array([pt for pt, _ in samples], dtype=complex)
     al = np.array([a for _, a in samples], dtype=float)
     total = 2.0 * math.pi
-    va = _eval_observable(A, z, al)
-    vb = _eval_observable(B, z, al)
+    va = A(z, al)
+    vb = B(z, al)
     mean_a = total * float(np.mean(va))
     mean_b = total * float(np.mean(vb))
     se_a = total * float(np.std(va, ddof=1)) / math.sqrt(p["n"])

@@ -1243,7 +1243,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
          above the cutoff scale ``delta``.
     iii. Along the saturated directions G grows as ``+-C_G log|xi|`` (slope
          fit within 2% over the recorded magnitude range) and vanishes along
-         the flow-dual plateau directions.
+         the flow-dual plateau directions (all in one ``reduced_G`` batch).
     iv.  The scaled weight equals ``+C_G``/``-C_G``/``0`` exactly on the
          plateau balls, and G is invariant under the cusp's local isometries
          (exact at the reduced level by representation; spot-checked through
@@ -1365,15 +1365,17 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     fit_lo = max(100.0, 2.0 * R * delta, 2.0 * delta)
     fit_hi = fit_lo * 1e4
     rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_hi), 9))
+    dirs = np.concatenate([plat["u"], plat["s"], plat["0"]])
+    g_rows = iter(data.reduced_G(np.repeat(dirs, rhos.size, axis=0), np.tile(
+        rhos, len(dirs))).reshape(len(dirs), rhos.size))   # u, s, 0 in order
     slope_dev = 0.0
     slopes = {}
     for fam, sign in (("u", 1.0), ("s", -1.0)):
-        slopes[fam] = [float(np.polyfit(np.log(rhos), data.reduced_G(
-            np.tile(d, (rhos.size, 1)), rhos), 1)[0]) for d in plat[fam]]
+        slopes[fam] = [float(np.polyfit(np.log(rhos), next(g_rows), 1)[0])
+                       for _ in plat[fam]]
         slope_dev = max(slope_dev, float(np.max(np.abs(
             np.array(slopes[fam]) / (sign * C_G) - 1.0))))
-    zero_mag = max(float(np.max(np.abs(data.reduced_G(
-        np.tile(d, (rhos.size, 1)), rhos)))) for d in plat["0"])
+    zero_mag = float(np.max(np.abs(list(g_rows))))
     tol_iii = 0.02
     tol_zero = 1e-10 * max(1.0, C_G)
     cond_iii = {

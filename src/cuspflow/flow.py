@@ -9,14 +9,16 @@ the geodesic equations
 integrate in closed form: ``tan(phi(t)/2) = e^t tan(phi(0)/2)`` and the rest
 by elementary integrals.  On the thrice-punctured sphere (upper half-plane
 modulo the level-2 congruence subgroup, generated by z -> z + 2 and
-z -> z/(2z + 1)) the flow is the Moebius closed form, followed by a greedy
+z -> z/(2z + 1)) the flow is the Moebius closed form, followed by a
 reduction into the fundamental domain ``{|Re z| <= 1, |2z - 1| >= 1,
-|2z + 1| >= 1}``.
+|2z + 1| >= 1}``.  Besides infinity the domain has the cusps 0 and +-1; in
+the chart w = -1/(z - c) of a cusp c the group acts by w -> w + 2, so one
+translation in that chart brings back a point from any depth in the cusp.
 
 The module also provides i.i.d. Liouville sampling on the quotient (horoball
-rejection sampling, counter-based per-sample random streams), correlation
-functions of observables along the flow, and truncated Laplace transforms of
-correlation records.
+rejection sampling on counter-based Philox4x64-10 streams, computed on
+arrays of counters), correlation functions of observables along the flow,
+and truncated Laplace transforms of correlation records.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ __all__ = [
 DEFAULT_DT = 0.1
 #: default correlation horizon
 DEFAULT_T_MAX = 20.0
-#: iteration cap for fundamental-domain reduction (a trip signals a bug)
-REDUCTION_CAP = 10 ** 6
+#: cap on reduction rounds (a trip signals a bug).  Cusp depth costs one round;
+#: the rest grows like the continued-fraction length of Re z at resolution
+#: Im z: at most 142 seen at Im z >= 1e-308.
+REDUCTION_CAP = 256
 #: points this close to the domain boundary count as inside (stops ping-pong
 #: between two boundary representatives of the same orbit)
 CONTAINMENT_SLACK = 1e-12
@@ -73,6 +77,12 @@ _MAX_STREAM_INDEX = 1 << 48
 _REJECTION_CAP = 200_000
 
 _HALF_PI = 0.5 * math.pi
+
+# the one geometry QuotientSurface supports: generators and fundamental domain
+_GENERATORS = (((1, 2), (0, 1)), ((1, 0), (2, 1)))
+_RE_HALFWIDTH = 1.0
+_BUBBLE_CENTERS = (-0.5, 0.5)
+_BUBBLE_RADIUS = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +203,35 @@ class QuotientSurface:
     The group is the level-2 congruence subgroup with the fixed generator set
     ``[[1, 2], [0, 1]]`` (z -> z + 2) and ``[[1, 0], [2, 1]]``
     (z -> z/(2z + 1)); it is torsion-free by construction of this generator
-    set.  The fundamental domain is ``|Re z| <= re_halfwidth`` minus the two
-    open disks of radius ``bubble_radius`` centered at ``bubble_centers``.
-    The reduction algorithm is specific to these defaults; the fields exist
-    so the membership predicate is explicit data, not to support other
-    groups.
+    set.  The fundamental domain is ``|Re z| <= 1`` minus the two open disks
+    of radius 1/2 centered at -1/2 and 1/2.  The reduction's moves are those
+    of this one group, so the geometry fields accept only their defaults;
+    they state the domain as data.  ``reduction_cap`` bounds the reduction
+    rounds.
     """
 
-    generators: tuple = (((1, 2), (0, 1)), ((1, 0), (2, 1)))
-    re_halfwidth: float = 1.0
-    bubble_centers: tuple = (-0.5, 0.5)
-    bubble_radius: float = 0.5
+    generators: tuple = _GENERATORS
+    re_halfwidth: float = _RE_HALFWIDTH
+    bubble_centers: tuple = _BUBBLE_CENTERS
+    bubble_radius: float = _BUBBLE_RADIUS
     reduction_cap: int = REDUCTION_CAP
 
     def __post_init__(self):
-        for m in self.generators:
-            (a, b), (c, d) = m
-            if a * d - b * c != 1:
-                raise ValidationError(f"generator {m} must have determinant 1")
-        if not self.re_halfwidth > 0 or not self.bubble_radius > 0:
-            raise ValidationError("domain parameters must be positive")
+        for name in ("generators", "re_halfwidth", "bubble_centers", "bubble_radius"):
+            value, default = getattr(self, name), getattr(QuotientSurface, name)
+            if value != default:
+                raise ValidationError(
+                    f"QuotientSurface supports only the level-2 congruence "
+                    f"domain: {name} = {value!r}, expected {default!r}")
 
     # -- membership -------------------------------------------------------
     def contains(self, z, slack=CONTAINMENT_SLACK):
         """Fundamental-domain membership (closed conditions, with slack)."""
         z = np.asarray(z, dtype=complex)
         x, y = z.real, z.imag
-        ok = (y > 0.0) & (np.abs(x) <= self.re_halfwidth + slack)
-        r2 = self.bubble_radius ** 2
-        for cx in self.bubble_centers:
+        ok = (y > 0.0) & (np.abs(x) <= _RE_HALFWIDTH + slack)
+        r2 = _BUBBLE_RADIUS ** 2
+        for cx in _BUBBLE_CENTERS:
             ok = ok & ((x - cx) ** 2 + y * y >= r2 - slack)
         return bool(ok) if ok.ndim == 0 else ok
 
@@ -229,79 +239,73 @@ class QuotientSurface:
     def reduce(self, z, v=1.0 + 0.0j):
         """Reduce (z, tangent v) to the fundamental domain.
 
-        Greedy: translate Re z into the strip, then invert at whichever
-        bubble contains the point (either move is the unique one that raises
-        the violated constraint; bubble inversions strictly increase Im z).
-        Returns the reduced pair; v transforms by 1/(cz + d)^2.
+        The one-point case of the array reduction (see ``_reduce_arrays``);
+        v transforms by the derivative 1/(cz + d)^2 of each move.
 
         Raises
         ------
         NonterminationError
-            If the iteration cap is exceeded (signals a bug, not bad input).
+            If ``reduction_cap`` rounds do not settle the point.
         DomainError
             If Im z <= 0.
         """
-        z = complex(z)
-        v = complex(v)
-        if not z.imag > 0.0:
-            raise DomainError(f"reduction needs Im z > 0, got z = {z}")
-        hw = self.re_halfwidth
-        r2 = self.bubble_radius ** 2
-        c_left = min(self.bubble_centers)
-        c_right = max(self.bubble_centers)
-        for _ in range(self.reduction_cap):
-            x = z.real
-            if abs(x) > hw + CONTAINMENT_SLACK:
-                k = math.floor((x + hw) / (2.0 * hw))
-                z = complex(x - 2.0 * hw * k, z.imag)
-                continue
-            y = z.imag
-            if (x - c_left) ** 2 + y * y < r2 - CONTAINMENT_SLACK:
-                den = 2.0 * z + 1.0
-            elif (x - c_right) ** 2 + y * y < r2 - CONTAINMENT_SLACK:
-                den = 1.0 - 2.0 * z
-            else:
-                return z, v
-            v = v / (den * den)
-            z = z / den
-        raise NonterminationError(
-            f"fundamental-domain reduction exceeded {self.reduction_cap} steps")
+        z, v = _reduce_arrays([complex(z)], [complex(v)], self)
+        return complex(z[0]), complex(v[0])
 
 
-def _reduce_arrays(z, v, surf: QuotientSurface, max_rounds=10_000):
+def _reduce_arrays(z, v, surf: QuotientSurface):
     """Vectorized fundamental-domain reduction of (z, v) arrays.
 
-    Each round applies at most one translation and one bubble inversion per
-    point and drops settled points; geodesic segments of length T need O(T)
-    rounds, so the cap is generous.
+    Only points that ``surf.contains`` rejects move.  A round translates
+    Re z into the strip; then a point within distance 1 of its nearest cusp
+    c in {0, 1, -1} sits higher in the chart w = -1/(z - c) than at infinity,
+    and w -> w - 2k, k = floor((Re w + 1)/2), takes it into the chart's strip
+    in one move, written delta -> delta/(1 + 2k delta) in delta = z - c to
+    keep unit speed to roundoff; last, a point inside a bubble is inverted.
+    So cusp depth costs one round.  v transforms by each move's derivative.
+
+    Raises
+    ------
+    DomainError
+        If some Im z <= 0.
+    NonterminationError
+        If points remain outside after ``surf.reduction_cap`` rounds.
     """
     z = np.array(z, dtype=complex)
     v = np.array(v, dtype=complex)
-    hw = surf.re_halfwidth
-    r2 = surf.bubble_radius ** 2
-    c_left = min(surf.bubble_centers)
-    c_right = max(surf.bubble_centers)
-    pending = np.arange(z.size)
-    for _ in range(max_rounds):
+    if not np.all(z.imag > 0.0):
+        bad = z[~(z.imag > 0.0)].flat[0]
+        raise DomainError(f"reduction needs Im z > 0, got z = {bad}")
+    r2 = _BUBBLE_RADIUS ** 2 - CONTAINMENT_SLACK
+    pending = np.flatnonzero(~surf.contains(z))
+    for _ in range(surf.reduction_cap):
         if pending.size == 0:
-            return z, v
-        zz = z[pending]
+            break
+        zz = z.flat[pending]
+        vv = v.flat[pending]
         x = zz.real
-        trans = np.abs(x) > hw + CONTAINMENT_SLACK
-        if trans.any():
-            k = np.where(trans, np.floor((x + hw) / (2.0 * hw)), 0.0)
-            zz = zz - 2.0 * hw * k
-            x = zz.real
-        y = zz.imag
-        in_left = (x - c_left) ** 2 + y * y < r2 - CONTAINMENT_SLACK
-        in_right = ~in_left & ((x - c_right) ** 2 + y * y < r2 - CONTAINMENT_SLACK)
+        trans = np.abs(x) > _RE_HALFWIDTH + CONTAINMENT_SLACK
+        zz = zz - 2.0 * np.where(trans, np.floor((x + 1.0) / 2.0), 0.0)
+        c = np.round(zz.real)
+        delta = zz - c
+        k = np.floor(((-1.0 / delta).real + 1.0) / 2.0)
+        move = (np.abs(delta) < 1.0) & (k != 0.0)
+        den = 1.0 + 2.0 * k[move] * delta[move]
+        zz[move] = c[move] + delta[move] / den
+        vv[move] = vv[move] / (den * den)
+        x, y = zz.real, zz.imag
+        in_left = (x + 0.5) ** 2 + y * y < r2
+        in_right = ~in_left & ((x - 0.5) ** 2 + y * y < r2)
         den = np.where(in_left, 2.0 * zz + 1.0,
                        np.where(in_right, 1.0 - 2.0 * zz, 1.0))
-        z[pending] = zz / den
-        v[pending] = v[pending] / (den * den)
-        pending = pending[trans | in_left | in_right]
-    raise NonterminationError(
-        f"vectorized reduction did not settle within {max_rounds} rounds")
+        z.flat[pending] = zz / den
+        v.flat[pending] = vv / (den * den)
+        pending = pending[~surf.contains(z.flat[pending])]
+    if pending.size:
+        raise NonterminationError(
+            f"reduction left {pending.size} point(s) outside the fundamental "
+            f"domain after {surf.reduction_cap} rounds, e.g. z = {z.flat[pending[0]]}")
+    return z, v
 
 
 def _frame_matrix(z, alpha):
@@ -380,58 +384,102 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
 # mass_k/16 has mixture density m(z)/16 (m = number of pieces containing z),
 # so accepting with probability 1_F(z)/m(z) yields the uniform hyperbolic
 # law on F, and the acceptance rate estimates area(F)/16.
+#
+# Random words: Philox4x64-10 (Salmon et al., SC'11) on arrays.  Stream
+# (seed, tag, index) has key (seed mod 2^64, tag << 48 | index); its block
+# b >= 1 encrypts counter (b, 0, 0, 0), as numpy's Philox(key=...) does.
 
-def _sample_stream(seed, tag, index):
-    """Counter-based generator for one (seed, tag, index) stream."""
-    if not 0 <= index < _MAX_STREAM_INDEX:
-        raise ValidationError(f"stream index out of range: {index}")
-    key = np.array([seed % (1 << 64), (tag << 48) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+#: stream indices per sampler chunk, so working memory does not grow with n
+_SAMPLE_CHUNK = 1 << 15
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x: the low word by
+    wrapping multiplication, the high one by 32-bit limbs."""
+    m_lo, m_hi = m & _LOW32, m >> _U32
+    x_lo, x_hi = x & _LOW32, x >> _U32
+    hi_lo = m_hi * x_lo
+    mid = (m_lo * x_lo >> _U32) + (hi_lo & _LOW32) + m_lo * x_hi   # < 2^64
+    return m_hi * x_hi + (hi_lo >> _U32) + (mid >> _U32), m * x
+
+
+def _philox_block(seed, tag, index, block):
+    """Words 0-3 of counter block ``block`` of the streams (seed, tag, i) for
+    the stream indices i in the uint64 array ``index``."""
+    k0 = seed % (1 << 64)     # the same for every stream
+    k1 = (np.uint64(tag) << np.uint64(48)) | index
+    # one-element counters broadcast: the first round costs no array work
+    c0 = np.full(1, block, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_W[0]) % (1 << 64), k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _unit(word):
+    """Random words as doubles in [0, 1), as numpy's ``Generator.random``."""
+    return (word >> np.uint64(11)) * 2.0 ** -53
+
+
+def _neg_reciprocal(re, im):
+    """Parts of -1/(re + i im) by the steps of CPython's complex division.
+
+    Each value is bitwise the one scalar Python arithmetic gives; numpy's
+    own complex division differs by an ulp on about a tenth of proposals.
+    """
+    wide = np.abs(re) >= np.abs(im)
+    with np.errstate(all="ignore"):   # the branch np.where drops may overflow
+        ratio = np.where(wide, im / re, re / im)
+        denom = np.where(wide, re + im * ratio, re * ratio + im)
+        return (np.where(wide, -1.0 + 0.0 * ratio, -1.0 * ratio + 0.0) / denom,
+                np.where(wide, 0.0 - -1.0 * ratio, 0.0 * ratio - -1.0) / denom)
 
 
 def _propose(u1, u2, u3):
-    """Draw one z from the horoball proposal mixture given three uniforms."""
-    if u1 < 0.5:
-        return complex(-1.0 + 2.0 * u2, 0.25 / (1.0 - u3))
-    if u1 < 0.75:
-        w = complex(-1.0 + 2.0 * u2, 0.5 / (1.0 - u3))
-        return -1.0 / w
-    if u1 < 0.875:
-        w = complex(-1.0 + u2, 0.5 / (1.0 - u3))
-        return -1.0 / w - 1.0
-    w = complex(u2, 0.5 / (1.0 - u3))
-    return -1.0 / w + 1.0
+    """Proposals z from the horoball mixture, given uniform arrays."""
+    piece = np.searchsorted([0.5, 0.75, 0.875], u1, side="right")  # inf, 0, -1, 1
+    # z itself on the infinity piece, the chart point w on the others
+    x = np.choose(piece, [-1.0 + 2.0 * u2, -1.0 + 2.0 * u2, -1.0 + u2, u2])
+    y = np.where(piece == 0, 0.25, 0.5) / (1.0 - u3)
+    w_re, w_im = _neg_reciprocal(x, y)
+    z = np.choose(piece, [x, w_re, w_re - 1.0, w_re + 1.0]).astype(complex)
+    z.imag = np.where(piece == 0, y, w_im)
+    return z
 
 
 def _piece_multiplicity(z):
-    """Number of proposal pieces containing z (>= 1 on the domain)."""
-    m = 0
-    if abs(z.real) <= 1.0 and z.imag >= 0.25:
-        m += 1
-    w = -1.0 / z
-    if abs(w.real) <= 1.0 and w.imag >= 0.5:
-        m += 1
-    w = -1.0 / (z + 1.0)
-    if -1.0 <= w.real <= 0.0 and w.imag >= 0.5:
-        m += 1
-    w = -1.0 / (z - 1.0)
-    if 0.0 <= w.real <= 1.0 and w.imag >= 0.5:
-        m += 1
+    """Number of proposal pieces containing each z (>= 1 on the domain)."""
+    x, y = z.real, z.imag
+    m = ((np.abs(x) <= 1.0) & (y >= 0.25)).astype(int)
+    for re, lo, hi in ((x, -1.0, 1.0), (x + 1.0, -1.0, 0.0), (x - 1.0, 0.0, 1.0)):
+        w_re, w_im = _neg_reciprocal(re, y)
+        m += (lo <= w_re) & (w_re <= hi) & (w_im >= 0.5)
     return m
 
 
-def _draw_liouville_sample(seed, index, surf):
-    gen = _sample_stream(seed, _STREAM_SAMPLE, index)
-    for _ in range(_REJECTION_CAP):
-        u1, u2, u3, u4 = gen.random(4)
-        z = _propose(u1, u2, u3)
-        if not surf.contains(z, slack=0.0):
-            continue
-        if u4 * _piece_multiplicity(z) < 1.0:
-            alpha = 2.0 * math.pi * gen.random()
-            return z, alpha
-    raise NonterminationError(
-        f"rejection sampling failed to accept within {_REJECTION_CAP} rounds")
+def _accept(words, surf):
+    """Proposals from the four words of a block and whether each is accepted."""
+    u1, u2, u3, u4 = map(_unit, words)
+    z = _propose(u1, u2, u3)
+    ok = surf.contains(z, slack=0.0)
+    ok[ok] = u4[ok] * _piece_multiplicity(z[ok]) < 1.0
+    return z, ok
+
+
+def _chunks(n):
+    """uint64 arrays of stream indices 0..n-1, at most _SAMPLE_CHUNK each."""
+    if n > _MAX_STREAM_INDEX:
+        raise ValidationError(f"stream index out of range: {n - 1}")
+    for start in range(0, n, _SAMPLE_CHUNK):
+        yield np.arange(start, min(n, start + _SAMPLE_CHUNK), dtype=np.uint64)
 
 
 def sample_liouville(n, seed, surf: QuotientSurface | None = None):
@@ -439,18 +487,47 @@ def sample_liouville(n, seed, surf: QuotientSurface | None = None):
 
     The base point is uniform in hyperbolic area on the fundamental domain
     (horoball rejection sampling); the fiber angle is uniform on [0, 2 pi).
-    Sample i is drawn from its own counter-based stream keyed by (seed, i),
-    so the result is deterministic in seed and independent of scheduling.
+    Sample i reads its own Philox4x64-10 stream, keyed (seed mod 2^64, i):
+    rejection attempt j = 0, 1, ... takes u1..u4 from counter block
+    (j + 1, 0, 0, 0), the angle is word 0 of the next block, and a word
+    maps to ``(word >> 11) * 2^-53``.  So the result depends on seed only.
 
     Returns
     -------
     list of (z, alpha)
+
+    Raises
+    ------
+    NonterminationError
+        If a sample rejects ``_REJECTION_CAP`` proposals (names the index).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     if surf is None:
         surf = QuotientSurface()
-    return [_draw_liouville_sample(seed, i, surf) for i in range(int(n))]
+    out = []
+    for index in _chunks(int(n)):
+        z = np.empty(index.shape, dtype=complex)
+        alpha = np.empty(index.shape)
+        pending = np.arange(index.size)
+        words = _philox_block(seed, _STREAM_SAMPLE, index, 1)
+        for attempt in range(1, _REJECTION_CAP + 1):
+            # block attempt + 1 holds the angle if this attempt accepts, and
+            # the next attempt's uniforms if it rejects
+            after = _philox_block(seed, _STREAM_SAMPLE, index[pending], attempt + 1)
+            zz, ok = _accept(words, surf)
+            z[pending[ok]] = zz[ok]
+            alpha[pending[ok]] = 2.0 * math.pi * _unit(after[0][ok])
+            pending = pending[~ok]
+            words = [w[~ok] for w in after]
+            if pending.size == 0:
+                break
+        else:
+            raise NonterminationError(
+                f"rejection sampling for sample {index[pending[0]]} failed to "
+                f"accept within {_REJECTION_CAP} rounds")
+        out.extend(zip(z.tolist(), alpha.tolist()))
+    return out
 
 
 def estimate_area(n, seed, surf: QuotientSurface | None = None):
@@ -460,18 +537,15 @@ def estimate_area(n, seed, surf: QuotientSurface | None = None):
     ``(mass * p_hat, mass * sqrt(p_hat (1 - p_hat) / n))`` where p_hat is the
     acceptance fraction.  The exact area is 2 pi (Gauss-Bonnet for the
     thrice-punctured sphere), which makes this an end-to-end sampler check.
+    Proposal i takes u1..u4 from block 1 of the stream (seed, tag 1, i).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 proposals, got {n}")
     if surf is None:
         surf = QuotientSurface()
-    accepted = 0
-    for i in range(int(n)):
-        gen = _sample_stream(seed, _STREAM_AREA, i)
-        u1, u2, u3, u4 = gen.random(4)
-        z = _propose(u1, u2, u3)
-        if surf.contains(z, slack=0.0) and u4 * _piece_multiplicity(z) < 1.0:
-            accepted += 1
+    accepted = sum(int(np.count_nonzero(_accept(_philox_block(seed, _STREAM_AREA, index, 1),
+                                                surf)[1]))
+                   for index in _chunks(int(n)))
     p_hat = accepted / n
     stderr = PROPOSAL_MASS * math.sqrt(p_hat * (1.0 - p_hat) / n)
     return PROPOSAL_MASS * p_hat, stderr
@@ -617,8 +691,9 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
 
     # step incrementally: flow by dt from the previously reduced point (the
     # flow is a one-parameter group, so this composes to the time-k*dt flow
-    # exactly) -- reduction from a just-left point needs O(1) rounds instead
-    # of the O(t) a single shot from t = 0 would.
+    # exactly).  A point flowed by dt from the domain is a few reduction
+    # rounds from it, whichever cusp it entered; one shot from t = 0 would
+    # put it at distance t, through up to O(t) domain copies.
     w = complex(0.0, math.exp(dt))
     values = []
     stderrs = []

@@ -64,3 +64,18 @@ def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
     cert_path.unlink()
     assert cli.main(argv) == 0
     assert cert_path.read_bytes() == first
+
+
+def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path):
+    # sampler seed 1 sends a sample deep into a cusp, where the greedy
+    # reduction gave up (exit 4)
+    out = tmp_path / "out"
+    argv = [f"--output-dir={out}", "--seed=1", "correlate", "--n=20000"]
+    assert cli.main(argv) == 0
+    assert _manifest(out)["manifest"]["status"] == "ok"
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(first) == 3
+    for p in out.iterdir():
+        p.unlink()
+    assert cli.main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first

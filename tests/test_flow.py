@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +169,17 @@ def test_generator_determinants_validated():
         QuotientSurface(generators=(((1, 1), (1, 1)),))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("generators", (((1, 2), (0, 1)), ((1, 0), (4, 1)))),
+    ("re_halfwidth", 2.0),
+    ("bubble_centers", (-0.25, 0.25)),
+    ("bubble_radius", 0.25),
+])
+def test_domain_fields_accept_only_the_level_2_domain(field, value):
+    with pytest.raises(ValidationError, match=rf"{field} = {re.escape(repr(value))}"):
+        QuotientSurface(**{field: value})
+
+
 def test_membership_predicate():
     assert SURF.contains(0.3 + 1.2j)
     assert SURF.contains(2.0j)
@@ -185,6 +198,8 @@ def test_quotient_identity_at_t0():
 def test_quotient_requires_upper_half_plane():
     with pytest.raises(DomainError):
         flow_quotient(0.3 - 0.2j, 0.0, 1.0, SURF)
+    with pytest.raises(DomainError, match=r"0\.2-0\.1j"):
+        fl._reduce_arrays([0.3 + 1.0j, 0.2 - 0.1j], [1.0, 1.0], SURF)
 
 
 @pytest.mark.parametrize("z0,a0,t", [
@@ -253,11 +268,13 @@ def test_unit_speed_along_long_flow():
 
 
 def test_reduction_cap_trips():
+    # 0.3 + 1e-8 i needs three rounds (cusp 0, then cusp 1, then a bubble);
+    # depth alone, as at 1e-4 + 1e-8 i, costs a single round
     tight = QuotientSurface(reduction_cap=2)
     with pytest.raises(NonterminationError):
-        tight.reduce(complex(1e-4, 1e-8))
+        tight.reduce(complex(0.3, 1e-8))
     # the default cap handles the same point easily
-    z, _ = SURF.reduce(complex(1e-4, 1e-8))
+    z, _ = SURF.reduce(complex(0.3, 1e-8))
     assert SURF.contains(z)
 
 
@@ -273,9 +290,113 @@ def test_vectorized_reduction_matches_scalar():
         assert SURF.contains(zr[k])
 
 
+def _greedy_reduce_arrays(z, v, max_rounds=10_000):
+    """The greedy reduction the cusp-aware one replaced, kept as reference:
+    one translation and one bubble inversion per round, so depth in a cusp
+    costs one round per unit of depth."""
+    z = np.array(z, dtype=complex)
+    v = np.array(v, dtype=complex)
+    pending = np.arange(z.size)
+    for _ in range(max_rounds):
+        if pending.size == 0:
+            return z, v
+        zz = z[pending]
+        x = zz.real
+        trans = np.abs(x) > 1.0 + fl.CONTAINMENT_SLACK
+        if trans.any():
+            k = np.where(trans, np.floor((x + 1.0) / 2.0), 0.0)
+            zz = zz - 2.0 * k
+            x = zz.real
+        y = zz.imag
+        in_left = (x + 0.5) ** 2 + y * y < 0.25 - fl.CONTAINMENT_SLACK
+        in_right = ~in_left & ((x - 0.5) ** 2 + y * y < 0.25 - fl.CONTAINMENT_SLACK)
+        den = np.where(in_left, 2.0 * zz + 1.0,
+                       np.where(in_right, 1.0 - 2.0 * zz, 1.0))
+        z[pending] = zz / den
+        v[pending] = v[pending] / (den * den)
+        pending = pending[trans | in_left | in_right]
+    raise NonterminationError("greedy reference did not settle")
+
+
+def _cusp_points(cusp, heights, spread, seed):
+    """Unit tangent vectors at the given heights in a cusp's chart, with Re w
+    uniform in [-spread, spread]."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-spread, spread, len(heights)) + 1j * np.asarray(heights)
+    z = w if cusp is None else cusp - 1.0 / w
+    return z, z.imag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(heights)))
+
+
+def test_reduction_matches_greedy_reference():
+    rng = np.random.default_rng(4)
+    zs = rng.uniform(-8, 8, 50) + 1j * np.exp(rng.uniform(-6, 2, 50))
+    vs = np.exp(1j * rng.uniform(0, 2 * math.pi, 50)) * zs.imag
+    zr, vr = fl._reduce_arrays(zs, vs, SURF)
+    zg, vg = _greedy_reduce_arrays(zs, vs)
+    assert np.all(np.abs(zr - zg) < 1e-12 * np.maximum(1.0, np.abs(zg)))
+    assert np.all(np.abs(vr - vg) < 1e-12 * np.maximum(1.0, np.abs(vg)))
+    # depth costs the greedy reduction one round per unit, so up to 1e2 here
+    for cusp in (None, 0.0, 1.0, -1.0):
+        z, v = _cusp_points(cusp, np.geomspace(1.5, 1e2, 40), 40.0, 5)
+        zr, vr = fl._reduce_arrays(z, v, SURF)
+        zg, vg = _greedy_reduce_arrays(z, v)
+        assert np.max(np.abs(zr - zg)) < 1e-9
+        assert np.max(np.abs(vr - vg)) < 1e-9 * np.max(np.abs(vg))
+
+
+@pytest.mark.parametrize("cusp", [None, 0.0, 1.0, -1.0], ids=["inf", "0", "1", "-1"])
+def test_reduction_rounds_do_not_grow_with_depth(cusp):
+    # a wide Re w range: the move's algebraic form ((1 + 2k) z - 2k) /
+    # (2kz + 1 - 2k) at cusp 1 would lose 1e-10 in unit speed here
+    z, v = _cusp_points(cusp, np.geomspace(1e2, 1e12, 61), 1e3, 6)
+    surf = QuotientSurface(reduction_cap=4)
+    zr, vr = fl._reduce_arrays(z, v, surf)
+    one = [surf.reduce(complex(a), complex(b)) for a, b in zip(z, v)]
+    for zz, vv in ((zr, vr), (np.array([a for a, _ in one]), np.array([b for _, b in one]))):
+        assert np.all(surf.contains(zz))
+        assert np.max(np.abs(np.abs(vv) / zz.imag - 1.0)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Liouville sampling
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,tag,index", [
+    (0, 0, 0), (1, 0, 5), (2 ** 64 - 1, 1, 12_345), (-7, 0, 2 ** 48 - 1), (123_456_789, 1, 99),
+])
+def test_philox_words_match_numpy(seed, tag, index):
+    key = np.array([seed % 2 ** 64, (tag << 48) | index], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(16)
+    idx = np.array([index], dtype=np.uint64)
+    words = [w[0] for block in range(1, 5) for w in fl._philox_block(seed, tag, idx, block)]
+    assert np.array_equal(np.array(words, dtype=np.uint64), raw)
+
+
+# SHA-256 of the little-endian (Re z, Im z, alpha) rows of
+# sample_liouville(2000, seed) as the per-sample numpy Philox generators drew
+# them before the sampler was vectorised
+FROZEN_SAMPLE_DIGESTS = {
+    0: "503cb3ee97731845dd1d9a6374466b62e89715cd2ec4134832a9ac7825e3c70c",
+    1: "e84d9d6623da447fa782bc7fac2ad6b01407c156fb81e9b333fab1a734bfa8b5",
+    2: "26a727d6ac82bb8b7649e88826b52964a7bf20753352783b08a8d5be3567c14e",
+    3: "355e415a24449f2439b32d1e7d922af8f9b536663ebdfa9546c73677a89e0887",
+}
+# estimate_area(20000, seed) from the same per-proposal generators
+FROZEN_AREAS = {
+    0: (6.3296, 0.05532167922252541),
+    1: (6.232, 0.05516981783547958),
+    2: (6.3896, 0.05541056390256284),
+    3: (6.2248, 0.05515825639013619),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_SAMPLE_DIGESTS))
+def test_sampler_is_bitwise_the_per_sample_generator(seed):
+    rows = np.array([(z.real, z.imag, a) for z, a in sample_liouville(2000, seed, SURF)],
+                    dtype="<f8")
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == FROZEN_SAMPLE_DIGESTS[seed]
+    assert estimate_area(20_000, seed, SURF) == FROZEN_AREAS[seed]
+
 
 def test_sampling_is_deterministic_and_in_domain():
     s1 = sample_liouville(64, 42, SURF)
@@ -360,6 +481,13 @@ def test_correlation_decays_to_product_of_means():
     limit = mean_b * mean_b / (2.0 * math.pi)
     se_limit = 2.0 * mean_b * se_b / (2.0 * math.pi)
     assert abs(rec.values[-1] - limit) <= 3.0 * math.hypot(rec.stderrs[-1], se_limit)
+
+
+def test_correlate_completes_on_a_deep_cusp_excursion():
+    # seed 1 sends a sample deep into a cusp; the greedy reduction gave up
+    rec = correlate(BumpObservable(), BumpObservable(center=0.2 + 1.2j),
+                    n=20_000, seed=1)
+    assert len(rec.values) == 201 and np.all(np.isfinite(rec.values))
 
 
 def test_correlate_validates_arguments():
