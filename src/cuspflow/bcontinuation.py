@@ -16,7 +16,10 @@ with ``fhat(w) = \\int e^{-w r} f(r) dr``.  Throughout this module contour
 coordinates (``rho``, ``lambda0``, root positions, returned residue
 locations) use the h-normalized variable ``w = lambda / h``; only
 :func:`solve_indicial` takes the un-normalized ``lambda`` of the displayed
-family.
+family.  Where the roots sit, which coincide, which a circle encloses or a
+strip crosses, and which are visible all come from
+:class:`cuspflow.indicial.RootTable`, the one home of the root geometry;
+this module enumerates no root levels of its own.
 
 Moving the abscissa across an indicial root picks up the residue operator of
 the transform at that root; summing the residues of the *visible* roots (the
@@ -48,11 +51,11 @@ run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._sphere import homogeneous_dimension, panel_nodes
+from ._sphere import panel_nodes
 from .errors import (
     ContourOnRootError,
     InvalidEnclosureError,
@@ -61,7 +64,7 @@ from .errors import (
     ToleranceError,
     ValidationError,
 )
-from .indicial import IndicialRoot, ModelOperator, jordan_partner_level
+from .indicial import ModelOperator, RootTable, mode_exponents
 
 __all__ = [
     "X_MAX",
@@ -122,70 +125,6 @@ def _polyval(poly, x):
     for ck in poly[::-1]:
         out = out * x + ck
     return out
-
-
-# ---------------------------------------------------------------------------
-# Root geometry in the normalized variable w = lambda / h
-# ---------------------------------------------------------------------------
-
-
-def _branch_base(op: ModelOperator, s: complex) -> complex:
-    return complex(s) - complex(op.A) + op.d / 2.0
-
-
-def _root_value(op: ModelOperator, s: complex, sign: int, n: int) -> complex:
-    return sign * (_branch_base(op, s) + n)
-
-
-def _make_root(op: ModelOperator, s: complex, sign: int, n: int) -> IndicialRoot:
-    return IndicialRoot(
-        sign=sign,
-        n=n,
-        a=float(sign * op.h),
-        b=complex(sign * op.h * (op.d / 2.0 + n - complex(op.A))),
-        multiplicity=homogeneous_dimension(op.d, n),
-        jordan_index=2 if jordan_partner_level(op, s, n) is not None else 1,
-    )
-
-
-def _nearest_root(op: ModelOperator, s: complex, w: complex):
-    """(sign, n, value, distance) of the root table point closest to w."""
-    base = _branch_base(op, s)
-    best = None
-    for sign in (-1, 1):
-        t = sign * w - base  # distance |w - sign(base+n)| = |t - n|
-        for n in {0, max(0, math.floor(t.real)), max(0, math.floor(t.real) + 1)}:
-            dist = abs(t - n)
-            if best is None or dist < best[3]:
-                best = (sign, n, _root_value(op, s, sign, n), dist)
-    return best
-
-
-def _roots_in_disc(op: ModelOperator, s: complex, w0: complex, radius: float):
-    """All (sign, n, value) with |value - w0| <= radius."""
-    base = _branch_base(op, s)
-    found = []
-    for sign in (-1, 1):
-        t = sign * w0 - base
-        lo = math.floor(t.real - radius) - 1
-        hi = math.ceil(t.real + radius) + 1
-        for n in range(max(0, lo), max(0, hi) + 1):
-            val = _root_value(op, s, sign, n)
-            if abs(val - w0) <= radius:
-                found.append((sign, n, val))
-    return found
-
-
-def _min_abscissa_gap(op: ModelOperator, s: complex, rho: float) -> float:
-    """min over the root table of |Re root - rho| (w units)."""
-    base_re = _branch_base(op, s).real
-    best = math.inf
-    for sign in (-1, 1):
-        # Re root = sign*(base_re + n); minimize |sign*(base_re+n) - rho|
-        t = sign * rho - base_re
-        for n in {0, max(0, math.floor(t)), max(0, math.floor(t) + 1)}:
-            best = min(best, abs(sign * (base_re + n) - rho))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +344,6 @@ def _json_safe(v) -> bool:
 # ratio form, with Gauss-Legendre panels graded toward x = 1.
 
 
-def _exponents(op: ModelOperator, s: complex, m: int, lams: np.ndarray):
-    c = lams / op.h + op.d / 2.0 + m
-    e = complex(op.A) - complex(s)
-    a_p = -(c + e) / 2.0
-    a_m = (e - c) / 2.0
-    return c, e, a_p, a_m
-
-
 def _clamp_check(expo_real: np.ndarray):
     worst = float(np.max(expo_real)) if expo_real.size else 0.0
     if worst > _EXP_CLAMP:
@@ -481,7 +412,7 @@ def _solve_mode_profiles(
         )
     srt = np.argsort(x_eval)
     xs = x_eval[srt]
-    c, e, a_p, a_m = _exponents(op, s, m, lams)
+    c, e, a_p, a_m = mode_exponents(op, s, m, lams)
     b = _taylor_shift(poly, -1.0)
     coeff = _series_coeffs(op, c, e, a_m, b, _N_SERIES)
     out = np.empty((lams.size, xs.size), complex)
@@ -574,7 +505,7 @@ class SphereSolution:
         c6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
         worst = 0.0
         for i, t in enumerate(self.terms):
-            c, e, _, _ = _exponents(op, s, t.m, np.array([lam], complex))
+            c, e, _, _ = mode_exponents(op, s, t.m, np.array([lam], complex))
             stencil = np.concatenate(
                 [probes + k * delta for k in (-3, -2, -1, 0, 1, 2, 3)]
             )
@@ -606,13 +537,13 @@ def solve_indicial(
         raise ValidationError("g must be a SphereFunction")
     if g.d != op.d:
         raise ValidationError(f"dimension mismatch: g.d={g.d}, op.d={op.d}")
-    w = complex(lam) / op.h
-    sign, n, val, dist = _nearest_root(op, s, w)
+    table = RootTable(op, s)
+    sign, n, val, dist = table.nearest(complex(lam) / op.h)
     if dist * op.h < _ROOT_GUARD:
         raise NearSingularError(
             f"lambda={complex(lam)} lies within {_ROOT_GUARD} of the indicial "
             f"root {val * op.h} (branch {sign:+d}, level {n}) at s={complex(s)}",
-            root=_make_root(op, s, sign, n),
+            root=table.root(sign, n),
         )
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
     profiles = tuple(
@@ -680,18 +611,11 @@ def _refined_eta_nodes(op: ModelOperator, s: complex, contour: ContourSpec):
     H, P = contour.height, contour.panels
     hpanel = 2.0 * H / P
     edges = list(np.linspace(-H, H, P + 1))
-    base = _branch_base(op, s)
-    eta0 = -base.imag  # shared ordinate of every minus root
+    table = RootTable(op, s)
+    eta0 = -table.base.imag  # shared ordinate of every minus root
     if abs(eta0) < H:
-        n_c = -base.real - contour.rho
-        n_lo = max(0, int(math.ceil(n_c - hpanel)))
-        n_hi = int(math.floor(n_c + hpanel))
-        ladder = None
-        for n in range(n_lo, n_hi + 1):
-            dist = abs(-base.real - n - contour.rho)
-            if dist < hpanel:
-                ladder = dist if ladder is None else min(ladder, dist)
-        if ladder is not None:
+        ladder = table.abscissa_gap(contour.rho, signs=(-1,))
+        if ladder < hpanel:
             d = max(ladder / 2.0, 1e-7)
             edges.append(eta0)
             while d < hpanel:
@@ -737,7 +661,7 @@ def resolvent_line(
         raise ValidationError("f must be a CuspFunction")
     if f.d != op.d:
         raise ValidationError(f"dimension mismatch: f.d={f.d}, op.d={op.d}")
-    gap = _min_abscissa_gap(op, s, contour.rho)
+    gap = RootTable(op, s).abscissa_gap(contour.rho)
     if gap < _ABSCISSA_GUARD:
         raise ContourOnRootError(
             f"abscissa rho={contour.rho} passes within {gap:.3e} of an indicial "
@@ -865,35 +789,26 @@ class ResidueOutput:
         return max(m0, m1)
 
 
-def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator):
-    """The circle must cleanly separate at most one root-table point."""
+def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
+    """The circle must cleanly separate at most one root location; returns
+    the (sign, n) of the roots it encloses."""
     w0, eps = complex(res_op.lambda0), res_op.eps
-    near = _roots_in_disc(op, res_op.s, w0, 2.0 * eps)
-    clusters: list[list] = []
-    for item in near:
-        for cl in clusters:
-            if abs(item[2] - cl[0][2]) < 1e-10:
-                cl.append(item)
-                break
-        else:
-            clusters.append([item])
     inside = []
-    for cl in clusters:
-        dist = abs(cl[0][2] - w0)
-        if 0.8 * eps <= dist <= 2.0 * eps:
+    for loc in RootTable(op, res_op.s).in_disc(w0, 2.0 * eps):
+        dist = abs(loc.value - w0)
+        if dist >= 0.8 * eps:
             raise InvalidEnclosureError(
-                f"root at w={cl[0][2]} sits at distance {dist:.3e} from the "
+                f"root at w={loc.value} sits at distance {dist:.3e} from the "
                 f"circle center, within [0.8, 2] x eps={eps}; shrink eps or "
                 "recenter"
             )
-        if dist < 0.8 * eps:
-            inside.append(cl)
+        inside.append(loc)
     if len(inside) > 1:
         raise InvalidEnclosureError(
             f"circle of radius {eps} at w={w0} encloses "
             f"{len(inside)} distinct root locations; shrink eps"
         )
-    return [item for cl in inside for item in cl]
+    return [member for loc in inside for member in loc.members]
 
 
 def residue_apply(
@@ -973,7 +888,7 @@ def residue_apply(
                 meta={
                     "eps": eps,
                     "order": order,
-                    "enclosed": [(sg, n) for sg, n, _ in enclosed],
+                    "enclosed": enclosed,
                     "third_moment_rel": m2_rel,
                     "node_offset": off,
                 },
@@ -1040,7 +955,7 @@ def _paired_mode_values(
     lams = np.asarray(lams, complex).ravel()
     d, h = op.d, op.h
     beta = m + d / 2.0 - 1.0
-    c, e, a_p, a_m = _exponents(op, s, m, lams)
+    c, e, a_p, a_m = mode_exponents(op, s, m, lams)
     x_c = _X_PAIR_SPLIT
     q_poly = tuple(complex(v) for v in q_poly)
 
@@ -1153,30 +1068,20 @@ class VisibleRootSet:
 
 
 def visible_roots(op: ModelOperator, s: complex) -> VisibleRootSet:
-    base = _branch_base(op, s)
-    pos, neg, pos_n, neg_n = [], [], [], []
-    n = 0
-    while base.real + n < 0:
-        pos.append(base + n)
-        pos_n.append(n)
-        neg.append(-(base + n))
-        neg_n.append(n)
-        n += 1
+    table = RootTable(op, s)
+    levels = tuple(table.visible())
     return VisibleRootSet(
-        positive_visible=tuple(pos),
-        negative_visible=tuple(neg),
-        positive_levels=tuple(pos_n),
-        negative_levels=tuple(neg_n),
+        positive_visible=tuple(table.value(+1, n) for n in levels),
+        negative_visible=tuple(table.value(-1, n) for n in levels),
+        positive_levels=levels,
+        negative_levels=levels,
     )
 
 
 def rho_max(op: ModelOperator, s: complex) -> float:
-    """max(0, |Re w|) over the visible roots at s (w units)."""
-    vis = visible_roots(op, s)
-    worst = 0.0
-    for w in vis.positive_visible + vis.negative_visible:
-        worst = max(worst, abs(w.real))
-    return worst
+    """max(0, |Re w|) over the visible roots at s (w units); the level-0
+    roots, at |Re w| = -Re(s - A + d/2), are the farthest out."""
+    return max(0.0, -RootTable(op, s).base.real)
 
 
 def rho_max_prime(op: ModelOperator, tau: float) -> float:
@@ -1185,40 +1090,23 @@ def rho_max_prime(op: ModelOperator, tau: float) -> float:
 
 
 def _crossing_check(op: ModelOperator, s: complex):
-    """Raise PoleError when s sits on an equal-parity branch collision.
-
-    Collisions solve 2(s - A) + d + n + p = 0 with integer levels n, p >= 0;
-    the colliding pair produces a rank-deficient (index-2) point exactly when
-    n - p is even, i.e. when t = -2(s - A) - d is an even integer >= 0.
-    """
-    t = -2.0 * (complex(s) - complex(op.A)) - op.d
-    if abs(t.imag) > _CROSSING_GUARD:
-        return
-    t_even = 2.0 * round(t.real / 2.0)
-    if t_even < 0:
-        return
-    if abs(t.real - t_even) < 2.0 * _CROSSING_GUARD:
+    """Raise PoleError when s sits on an equal-parity branch collision."""
+    j = RootTable(op, s).collision(_CROSSING_GUARD)
+    if j is not None:
         raise PoleError(
             f"s={complex(s)} lies within {_CROSSING_GUARD} of the root-crossing "
-            f"set (branch levels summing to {int(t_even)} collide); the "
+            f"set (branch levels summing to {j} collide); the "
             "continued resolvent has a pole here",
-            j=int(t_even),
+            j=j,
             k=0,
         )
 
 
 def _auto_residue(op: ModelOperator, s: complex, w0: complex) -> ResidueOperator:
     """A safely-enclosing circle at w0, shrunk below half the root gap."""
-    others = [
-        abs(val - w0)
-        for _, _, val in _roots_in_disc(op, s, w0, 1.0)
-        if abs(val - w0) > 1e-10
-    ]
-    eps = 1e-2
-    if others:
-        eps = min(eps, 0.35 * min(others))
-    eps = max(eps, 1e-5)
-    return ResidueOperator(s=s, lambda0=w0, eps=eps, order=24)
+    gaps = [abs(loc.value - w0) for loc in RootTable(op, s).in_disc(w0, 1.0)]
+    eps = min([1e-2] + [0.35 * gap for gap in gaps if gap > 1e-10])
+    return ResidueOperator(s=s, lambda0=w0, eps=max(eps, 1e-5), order=24)
 
 
 def continue_resolvent(
@@ -1254,98 +1142,56 @@ def continue_resolvent(
     _crossing_check(op, s)
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
     base = ContourSpec(rho=0.0) if contour is None else contour
+    table = RootTable(op, s)
     vis = visible_roots(op, s)
-    axis_gap = _min_abscissa_gap(op, s, 0.0)
     meta: dict = {
         "visible_plus": [complex(v) for v in vis.positive_visible],
         "visible_minus": [complex(v) for v in vis.negative_visible],
     }
 
-    def _residue_field(w0: complex) -> CuspField:
+    def _line(rho: float) -> CuspField:
+        line = replace(base, rho=rho)
+        return resolvent_line(op, s, line, f, x_grid=xg, r_span=r_span, n_r=n_r)
+
+    def _corrected(out: CuspField, sign: int, w0: complex) -> CuspField:
+        """out with the residue at w0 added (minus roots) or removed (plus)."""
         res = residue_apply(
             _auto_residue(op, s, w0), op, f, x_grid=xg, r_span=r_span, n_r=n_r
         )
-        return res.field(default_r_grid(r_span, n_r))
+        res_field = res.field(default_r_grid(r_span, n_r))
+        return out + res_field if sign < 0 else out - res_field
 
-    if axis_gap >= _ABSCISSA_GUARD:
-        line = ContourSpec(
-            rho=0.0,
-            height=base.height,
-            panels=base.panels,
-            tail_tol=base.tail_tol,
-        )
-        out = resolvent_line(op, s, line, f, x_grid=xg, r_span=r_span, n_r=n_r)
-        corrections = 0
+    if table.abscissa_gap(0.0) >= _ABSCISSA_GUARD:
+        out = _line(0.0)
         for w0 in vis.positive_visible:
-            out = out - _residue_field(w0)
-            corrections += 1
+            out = _corrected(out, +1, w0)
         for w0 in vis.negative_visible:
-            out = out + _residue_field(w0)
-            corrections += 1
-        meta.update(
-            branch="regular", corrections=corrections, contour_meta=out.meta
-        )
-        out.meta = meta
-        return out
-
-    # strip patch around the axis roots
-    nonaxis = []
-    for sign in (-1, 1):
-        basec = _branch_base(op, s)
-        n0 = max(0, math.floor(-basec.real) - 2)
-        for n in range(n0, n0 + 5):
-            re = (sign * (basec + n)).real
-            if abs(re) > _ABSCISSA_GUARD:
-                nonaxis.append(abs(re))
-    gap = min(nonaxis) if nonaxis else 1.0
-    width = min(strip_half_width, 0.5 * gap)
-    rho_lo, rho_hi = -width, +width
-    basec = _branch_base(op, s)
-    strip_minus, strip_plus = [], []
-    n = 0
-    while True:
-        re_m = (-(basec + n)).real
-        re_p = (basec + n).real
-        hit = False
-        if rho_lo < re_m < rho_hi:
-            strip_minus.append(-(basec + n))
-            hit = True
-        if rho_lo < re_p < rho_hi:
-            strip_plus.append(basec + n)
-            hit = True
-        if not hit and n > abs(basec.real) + 2:
-            break
-        n += 1
-
-    if patch_side == "below":
-        line = ContourSpec(
-            rho=rho_lo, height=base.height, panels=base.panels, tail_tol=base.tail_tol
-        )
-        out = resolvent_line(op, s, line, f, x_grid=xg, r_span=r_span, n_r=n_r)
-        for w0 in strip_minus:
-            out = out + _residue_field(w0)
+            out = _corrected(out, -1, w0)
+        corrections = len(vis.positive_visible) + len(vis.negative_visible)
+        meta.update(branch="regular", corrections=corrections)
     else:
-        line = ContourSpec(
-            rho=rho_hi, height=base.height, panels=base.panels, tail_tol=base.tail_tol
-        )
-        out = resolvent_line(op, s, line, f, x_grid=xg, r_span=r_span, n_r=n_r)
-        for w0 in strip_plus:
-            out = out - _residue_field(w0)
-    corrections = len(strip_minus) if patch_side == "below" else len(strip_plus)
-    for w0 in vis.negative_visible:
-        if w0.real > rho_hi:
-            out = out + _residue_field(w0)
-            corrections += 1
-    for w0 in vis.positive_visible:
-        if w0.real < rho_lo:
-            out = out - _residue_field(w0)
-            corrections += 1
-    meta.update(
-        branch="patched",
-        strip=(rho_lo, rho_hi),
-        patch_side=patch_side,
-        corrections=corrections,
-        contour_meta=out.meta,
-    )
+        # strip patch around the axis roots: the nearest root off the axis
+        # bounds its half-width
+        gap = table.abscissa_gap(0.0, beyond=_ABSCISSA_GUARD)
+        width = min(strip_half_width, 0.5 * gap)
+        rho_lo, rho_hi = -width, +width
+        side = -1 if patch_side == "below" else +1
+        out = _line(rho_lo if side < 0 else rho_hi)
+        corrections = 0
+        for loc in table.strip(rho_lo, rho_hi):
+            if any(sign == side for sign, _ in loc.members):
+                out = _corrected(out, side, loc.value)
+                corrections += 1
+        for w0 in vis.negative_visible:
+            if w0.real > rho_hi:
+                out = _corrected(out, -1, w0)
+                corrections += 1
+        for w0 in vis.positive_visible:
+            if w0.real < rho_lo:
+                out = _corrected(out, +1, w0)
+                corrections += 1
+        meta.update(branch="patched", strip=(rho_lo, rho_hi), patch_side=patch_side,
+                    corrections=corrections)
+    meta["contour_meta"] = out.meta
     out.meta = meta
     return out

@@ -12,7 +12,9 @@ line through a small set of subcommands:
 ``resolvent``
     Mode resolvents on vertical contour lines, optionally checking the
     contour-shift identity (difference of two lines equals the sum of the
-    residues crossed).
+    residues crossed).  Abscissas and the crossed levels written to
+    ``shift_identity.json`` are in w = lambda / h units, and coincident
+    roots count as one crossed level.
 ``residue``
     Regularized-pairing residues compared against their closed forms.
 ``escape``
@@ -129,10 +131,33 @@ _FORMATTERS = {
 
 @dataclass(frozen=True)
 class _Param:
+    """One subcommand parameter; ``bound`` is the interval its value (each
+    entry, for a list) must lie in, written like "(0, 0.2]"."""
+
     key: str
     typ: str
     default: object
     help: str
+    bound: str | None = None
+
+
+_POS = "(0, inf)"
+_NONNEG = "[0, inf)"
+_BOUND_NAMES = {"pi": math.pi, "pi/2": math.pi / 2.0}
+
+
+def _in_bound(bound: str, value) -> bool:
+    ends = (end.strip() for end in bound[1:-1].split(","))
+    lo, hi = (_BOUND_NAMES[end] if end in _BOUND_NAMES else float(end) for end in ends)
+    above = lo < value if bound[0] == "(" else lo <= value
+    below = value < hi if bound[-1] == ")" else value <= hi
+    return above and below
+
+
+def _require(key: str, value, bound: str) -> None:
+    entries = value if isinstance(value, tuple) else (value,)
+    if not all(_in_bound(bound, v) for v in entries):
+        raise ValidationError(f"{key} must lie in {bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,73 +166,75 @@ class _Param:
 
 SCHEMAS: dict[str, tuple[_Param, ...]] = {
     "roots": (
-        _Param("d", "int", 1, "cusp rank (cross-section dimension)"),
-        _Param("h", "float", 1.0, "model scaling constant"),
+        _Param("d", "int", 1, "cusp rank (cross-section dimension)", "[1, inf)"),
+        _Param("h", "float", 1.0, "model scaling constant", _POS),
         _Param("s", "complex", 0.0 + 0.0j, "spectral parameter"),
-        _Param("n_max", "int", 3, "largest root level to enumerate"),
+        _Param("n_max", "int", 3, "largest root level to enumerate", _NONNEG),
         _Param("twist", "float", 0.0, "constant bundle twist added to the operator"),
     ),
     "eigendist": (
-        _Param("d", "int", 1, "cusp rank"),
-        _Param("h", "float", 1.0, "model scaling constant"),
+        _Param("d", "int", 1, "cusp rank", "[1, inf)"),
+        _Param("h", "float", 1.0, "model scaling constant", _POS),
         _Param("s", "complex", 0.3 + 0.0j, "spectral parameter"),
-        _Param("n_max", "int", 2, "largest root level"),
+        _Param("n_max", "int", 2, "largest root level", _NONNEG),
         _Param("twist", "float", 0.0, "constant bundle twist"),
-        _Param("n_test", "int", 3, "number of random test functions"),
+        _Param("n_test", "int", 3, "number of random test functions", "[1, inf)"),
     ),
     "resolvent": (
-        _Param("d", "int", 1, "cusp rank"),
-        _Param("h", "float", 1.0, "model scaling constant"),
+        _Param("d", "int", 1, "cusp rank", "[1, inf)"),
+        _Param("h", "float", 1.0, "model scaling constant", _POS),
         _Param("s", "complex", 1.3 + 0.0j, "spectral parameter"),
         _Param("rho", "float", -2.3, "real part of the first contour line"),
         _Param("rho_prime", "ofloat", -1.3,
                "second contour line for the shift identity (empty to skip)"),
-        _Param("height", "float", 40.0, "contour truncation height"),
-        _Param("panels", "int", 48, "quadrature panels per contour"),
-        _Param("m", "int", 0, "input Fourier mode"),
-        _Param("mu", "ints", (), "input monomial multi-index (default zeros)"),
+        _Param("height", "float", 40.0, "contour truncation height", _POS),
+        _Param("panels", "int", 48, "quadrature panels per contour", "[4, inf)"),
+        _Param("m", "int", 0, "input Fourier mode", _NONNEG),
+        _Param("mu", "ints", (), "input monomial multi-index (default zeros)", _NONNEG),
         _Param("poly", "floats", (1.0,), "input polynomial coefficients"),
         _Param("r0", "float", 0.0, "center of the Gaussian radial factor"),
-        _Param("r_span", "float", 30.0, "radial half-width of the output grid"),
-        _Param("n_r", "int", 4096, "radial output grid size"),
-        _Param("x_lo", "float", -0.9, "lower end of the angular grid (x = cos phi)"),
-        _Param("x_hi", "float", 0.6, "upper end of the angular grid"),
-        _Param("n_x", "int", 41, "angular grid size"),
+        _Param("r_span", "float", 30.0, "radial half-width of the output grid", _POS),
+        _Param("n_r", "int", 4096, "radial output grid size", "[64, inf)"),
+        _Param("x_lo", "float", -0.9, "lower end of the angular grid (x = cos phi)",
+               "(-1, 1)"),
+        _Param("x_hi", "float", 0.6, "upper end of the angular grid", "(-1, 1)"),
+        _Param("n_x", "int", 41, "angular grid size", "[2, inf)"),
     ),
     "residue": (
-        _Param("d", "int", 1, "cusp rank"),
-        _Param("h", "float", 1.0, "model scaling constant"),
-        _Param("k_max", "int", 1, "largest angular degree"),
-        _Param("j_max", "int", 2, "largest radial level"),
-        _Param("eps", "float", 0.01, "contour radius around each pole"),
-        _Param("n_nodes", "int", 24, "contour quadrature nodes"),
+        _Param("d", "int", 1, "cusp rank", "[1, inf)"),
+        _Param("h", "float", 1.0, "model scaling constant", _POS),
+        _Param("k_max", "int", 1, "largest angular degree", _NONNEG),
+        _Param("j_max", "int", 2, "largest radial level", _NONNEG),
+        _Param("eps", "float", 0.01, "contour radius around each pole", "(0, 0.2]"),
+        _Param("n_nodes", "int", 24, "contour quadrature nodes", "[8, inf)"),
     ),
     "escape": (
-        _Param("n_alpha", "int", 64, "circle resolution of the reduced grid"),
-        _Param("n_theta", "int", 32, "sphere colatitude resolution"),
-        _Param("n_phi", "int", 32, "sphere azimuth resolution"),
-        _Param("eps", "float", 0.15, "cone half-width"),
-        _Param("delta", "float", 1e-3, "small-frequency cutoff scale"),
-        _Param("step", "float", 0.05, "flow quadrature step"),
-        _Param("t", "ofloat", None, "averaging window (empty: twice the transition time)"),
-        _Param("t_prime", "float", 2.0, "symbol averaging window"),
-        _Param("c_g_prime", "ofloat", None, "weight prefactor override"),
-        _Param("r_small", "ofloat", None, "small-scale radius override"),
+        _Param("n_alpha", "int", 64, "circle resolution of the reduced grid", "[2, inf)"),
+        _Param("n_theta", "int", 32, "sphere colatitude resolution", "[2, inf)"),
+        _Param("n_phi", "int", 32, "sphere azimuth resolution", "[2, inf)"),
+        _Param("eps", "float", 0.15, "cone half-width", "(0, pi/2)"),
+        _Param("delta", "float", 1e-3, "small-frequency cutoff scale", _POS),
+        _Param("step", "float", 0.05, "flow quadrature step", _POS),
+        _Param("t", "ofloat", None,
+               "averaging window (empty: twice the transition time)", _POS),
+        _Param("t_prime", "float", 2.0, "symbol averaging window", _POS),
+        _Param("c_g_prime", "ofloat", None, "weight prefactor override", _POS),
+        _Param("r_small", "ofloat", None, "small-scale radius override", _POS),
     ),
     "flow": (
-        _Param("d", "int", 1, "cusp rank"),
+        _Param("d", "int", 1, "cusp rank", "[1, inf)"),
         _Param("r0", "float", 0.0, "initial log-height"),
         _Param("theta0", "floats", (), "initial cross-section point (default zeros)"),
-        _Param("phi0", "float", 1.2, "initial polar angle"),
+        _Param("phi0", "float", 1.2, "initial polar angle", "[0, pi]"),
         _Param("u0", "floats", (), "initial azimuthal direction (default first axis)"),
         _Param("t_max", "float", 20.0, "final time"),
-        _Param("dt", "float", 0.1, "output time step"),
+        _Param("dt", "float", 0.1, "output time step", _POS),
     ),
     "correlate": (
-        _Param("n", "int", 1000, "Monte Carlo sample count"),
+        _Param("n", "int", 1000, "Monte Carlo sample count", "[2, inf)"),
         _Param("t_max", "float", 20.0, "final correlation time"),
-        _Param("dt", "float", 0.1, "correlation time step"),
-        _Param("s_probe", "float", 0.05, "Laplace transform probe point"),
+        _Param("dt", "float", 0.1, "correlation time step", _POS),
+        _Param("s_probe", "float", 0.05, "Laplace transform probe point", _POS),
         _Param("a_kind", "str", "bump", "first observable kind: bump or const"),
         _Param("a_center_re", "float", 0.0, "first bump center, real part"),
         _Param("a_center_im", "float", 1.0, "first bump center, imaginary part"),
@@ -251,96 +278,41 @@ def _resolve_params(sub: str, params: dict) -> dict:
     return out
 
 
-def _positive(name, value, strict=True):
-    if (value <= 0) if strict else (value < 0):
-        bound = "positive" if strict else "nonnegative"
-        raise ValidationError(f"{name} must be {bound}, got {value}")
-
-
 def _validate_params(sub: str, p: dict) -> None:
-    if sub in ("roots", "eigendist", "resolvent", "residue", "flow"):
-        if p["d"] < 1:
-            raise ValidationError(f"d must be at least 1, got {p['d']}")
-    if sub in ("roots", "eigendist", "resolvent", "residue"):
-        _positive("h", p["h"])
-    if sub in ("roots", "eigendist"):
-        _positive("n_max", p["n_max"], strict=False)
-    if sub == "eigendist":
-        _positive("n_test", p["n_test"])
+    """Each value against its declared bound, then the checks across fields."""
+    for param in SCHEMAS[sub]:
+        if param.bound is not None and p[param.key] is not None:
+            _require(param.key, p[param.key], param.bound)
+    for key in ("mu", "theta0", "u0"):
+        if key in p and len(p[key]) != p["d"]:
+            raise ValidationError(
+                f"{key} must have length d={p['d']}, got {p[key]!r}")
     if sub == "resolvent":
-        if len(p["mu"]) != p["d"]:
-            raise ValidationError(
-                f"mu must have length d={p['d']}, got {len(p['mu'])}")
-        if any(m < 0 for m in p["mu"]):
-            raise ValidationError("mu entries must be nonnegative")
-        if p["m"] < 0:
-            raise ValidationError("m must be nonnegative")
         if not p["poly"]:
-            raise ValidationError("poly must have at least one coefficient")
-        _positive("height", p["height"])
-        if p["panels"] < 4:
-            raise ValidationError("panels must be at least 4")
-        if p["n_r"] < 64:
-            raise ValidationError("n_r must be at least 64")
-        _positive("r_span", p["r_span"])
-        if p["n_x"] < 2:
-            raise ValidationError("n_x must be at least 2")
-        if not -1.0 < p["x_lo"] < p["x_hi"] < 1.0:
-            raise ValidationError("need -1 < x_lo < x_hi < 1")
-    if sub == "residue":
-        _positive("k_max", p["k_max"], strict=False)
-        _positive("j_max", p["j_max"], strict=False)
-        if not 0.0 < p["eps"] <= 0.2:
-            raise ValidationError(f"eps must be in (0, 0.2], got {p['eps']}")
-        if p["n_nodes"] < 8:
-            raise ValidationError("n_nodes must be at least 8")
-    if sub == "escape":
-        for key in ("n_alpha", "n_theta", "n_phi"):
-            if p[key] < 2:
-                raise ValidationError(f"{key} must be at least 2, got {p[key]}")
-        if not 0.0 < p["eps"] < math.pi / 2.0:
-            raise ValidationError("eps must be in (0, pi/2)")
-        _positive("delta", p["delta"])
-        _positive("step", p["step"])
-        _positive("t_prime", p["t_prime"])
-        for key in ("t", "c_g_prime", "r_small"):
-            if p[key] is not None:
-                _positive(key, p[key])
+            raise ValidationError("poly must have at least one coefficient, got ()")
+        if not p["x_lo"] < p["x_hi"]:
+            raise ValidationError(
+                f"need x_lo < x_hi, got x_lo={p['x_lo']!r}, x_hi={p['x_hi']!r}")
+    if sub in ("flow", "correlate") and p["t_max"] < p["dt"]:
+        raise ValidationError(
+            f"t_max must be at least dt, got t_max={p['t_max']!r}, dt={p['dt']!r}")
     if sub == "flow":
-        if len(p["theta0"]) != p["d"]:
-            raise ValidationError(
-                f"theta0 must have length d={p['d']}, got {len(p['theta0'])}")
-        if len(p["u0"]) != p["d"]:
-            raise ValidationError(
-                f"u0 must have length d={p['d']}, got {len(p['u0'])}")
         norm = math.sqrt(sum(x * x for x in p["u0"]))
         if abs(norm - 1.0) > 1e-9:
             raise ValidationError(f"u0 must be a unit vector, |u0| = {norm}")
-        if not 0.0 <= p["phi0"] <= math.pi:
-            raise ValidationError("phi0 must lie in [0, pi]")
-        _positive("dt", p["dt"])
-        if p["t_max"] < p["dt"]:
-            raise ValidationError("t_max must be at least dt")
         if p["t_max"] / p["dt"] > 2e5:
-            raise ValidationError("too many output steps: t_max/dt > 2e5")
+            raise ValidationError(
+                f"too many output steps: t_max/dt = {p['t_max'] / p['dt']!r} > 2e5")
     if sub == "correlate":
-        if p["n"] < 2:
-            raise ValidationError("n must be at least 2")
-        _positive("dt", p["dt"])
-        if p["t_max"] < p["dt"]:
-            raise ValidationError("t_max must be at least dt")
-        _positive("s_probe", p["s_probe"])
         for side in ("a", "b"):
             kind = p[f"{side}_kind"]
             if kind not in ("bump", "const"):
                 raise ValidationError(
                     f"{side}_kind must be 'bump' or 'const', got {kind!r}")
             if kind == "bump":
-                _positive(f"{side}_radius", p[f"{side}_radius"])
-                _positive(f"{side}_order", p[f"{side}_order"])
-                if p[f"{side}_center_im"] <= 0:
-                    raise ValidationError(
-                        f"{side}_center_im must be positive (upper half-plane)")
+                for key, bound in (("radius", _POS), ("order", "[1, inf)"),
+                                   ("center_im", _POS)):
+                    _require(f"{side}_{key}", p[f"{side}_{key}"], bound)
 
 
 @dataclass(frozen=True)
@@ -573,8 +545,7 @@ def _run_roots(config: ExperimentConfig):
 
     p = config.params
     op = ModelOperator(d=p["d"], h=p["h"], A=p["twist"])
-    roots = sorted(indicial_roots(op, p["s"], p["n_max"]),
-                   key=lambda r: (r.sign, r.n))
+    roots = indicial_roots(op, p["s"], p["n_max"])
     rows = []
     for r in roots:
         lam = complex(r.lambda_at(p["s"]))
@@ -606,8 +577,7 @@ def _run_eigendist(config: ExperimentConfig):
 
     p = config.params
     op0 = ModelOperator(d=p["d"], h=p["h"], A=p["twist"])
-    roots = sorted(indicial_roots(op0, p["s"], p["n_max"]),
-                   key=lambda r: (r.sign, r.n))
+    roots = indicial_roots(op0, p["s"], p["n_max"])
     psis = _test_function_family(p["d"], config.seed, p["n_test"])
     rows = []
     worst = 0.0
@@ -634,21 +604,10 @@ def _run_eigendist(config: ExperimentConfig):
     return {f"{prefix}-pairings.csv": csv}, tolerances, failures
 
 
-def _crossed_levels(d, h, s, lo, hi, n_cap=64):
-    levels = []
-    for n in range(n_cap):
-        for sign in (1, -1):
-            lam = sign * h * (s + d / 2.0 + n)
-            if lo < complex(lam).real < hi:
-                levels.append(complex(lam))
-    levels.sort(key=lambda z: z.real)
-    return levels
-
-
 def _run_resolvent(config: ExperimentConfig):
     from .bcontinuation import (ContourSpec, CuspFunction, CuspTerm,
                                 ResidueOperator, residue_apply, resolvent_line)
-    from .indicial import ModelOperator
+    from .indicial import ModelOperator, RootTable
 
     p = config.params
     op = ModelOperator(d=p["d"], h=p["h"])
@@ -688,7 +647,9 @@ def _run_resolvent(config: ExperimentConfig):
         hi, lo = max(p["rho"], p["rho_prime"]), min(p["rho"], p["rho_prime"])
         U_hi = U if hi == p["rho"] else line(hi)
         U_lo = U if lo == p["rho"] else line(lo)
-        levels = _crossed_levels(p["d"], p["h"], p["s"], lo, hi)
+        # one residue per crossed root location, in w = lambda/h units
+        levels = sorted((loc.value for loc in RootTable(op, p["s"]).strip(lo, hi)),
+                        key=lambda z: z.real)
         residue_sum = None
         for lam0 in levels:
             res = residue_apply(ResidueOperator(s=p["s"], lambda0=lam0), op, f,

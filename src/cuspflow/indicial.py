@@ -11,10 +11,15 @@ by homogeneous distributions anchored at the opposite pole S (handled by the
 :mod:`cuspflow.hadamard` module).  When a plus root and a minus root of equal
 parity collide, the two families merge into an index-2 Jordan block.
 
-This module provides the exact root tables with multiplicities and Jordan
-flags, eigendistribution representations, and two independent numerical
-cross-checks of the root structure: a finite triangular jet matrix and a
-first-order ODE shooting test per angular mode.
+:class:`RootTable` is the one home of this root geometry: every module that
+enumerates, locates or compares indicial roots asks it, in the normalized
+variable w = lambda / h (root (sign, n) at w = sign (s - A + d/2 + n)).
+
+This module also provides eigendistribution representations and two
+independent numerical cross-checks of the root structure: a finite
+triangular jet matrix and a first-order ODE shooting test per angular mode,
+whose endpoint exponents (:func:`mode_exponents`) the resolvent solve in
+:mod:`cuspflow.bcontinuation` shares.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .errors import ValidationError
 __all__ = [
     "ModelOperator",
     "IndicialRoot",
+    "RootLocation",
+    "RootTable",
     "DistributionRep",
     "ShootingResult",
     "apply_P",
@@ -39,9 +46,11 @@ __all__ = [
     "numeric_roots_jet",
     "jet_matrix",
     "numeric_roots_shooting",
+    "mode_exponents",
 ]
 
 _INT_TOL = 1e-12
+_COINCIDENT = 1e-10  # roots closer than this form one location
 
 
 @dataclass(frozen=True)
@@ -171,29 +180,145 @@ def apply_P(op: ModelOperator, f, point) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _jordan_partner(op: ModelOperator, s: complex, n: int) -> int | None:
-    """Level of the opposite-branch root colliding with level n, if any.
+@dataclass(frozen=True)
+class RootLocation:
+    """One point of the root table with every root (sign, n) sitting there.
 
-    The two branches collide at level pair (n, p) exactly when
-    2(s - A) + d + n + p = 0; the collision produces an index-2 block only
-    when additionally n and p have equal parity (odd-gap collisions couple
-    angular factors of opposite parity, whose sphere integrals vanish, and
-    the block stays semisimple).
+    value is in w = lambda / h units (the value of the first member);
+    members lists the (sign, n) pairs in table order, minus branch first.
     """
-    p = -2.0 * (complex(s) - complex(op.A)) - op.d - n
-    if abs(p.imag) > _INT_TOL:
-        return None
-    pr = round(p.real)
-    if abs(p.real - pr) > _INT_TOL or pr < 0:
-        return None
-    if (n - pr) % 2 != 0:
-        return None
-    return int(pr)
+
+    value: complex
+    members: tuple
 
 
-def jordan_partner_level(op: ModelOperator, s: complex, n: int) -> int | None:
-    """Public alias of the collision test (used by the hadamard module)."""
-    return _jordan_partner(op, s, n)
+class RootTable:
+    """The indicial roots at one s: the one home of the root geometry.
+
+    Root (sign, n) sits at  w = sign (s - A + d/2 + n)  in the normalized
+    variable w = lambda / h, the unit of every contour abscissa, circle and
+    residue location in :mod:`cuspflow.bcontinuation`; :meth:`root` gives the
+    affine lambda-form of the displayed family.  Roots closer than 1e-10
+    share one :class:`RootLocation`, since a contour sees them as one point.
+    """
+
+    def __init__(self, op: ModelOperator, s: complex):
+        self.op = op
+        self.base = complex(s) - complex(op.A) + op.d / 2.0
+        # the branches collide at levels (n, p) exactly when n + p = level_sum
+        self.level_sum = -2.0 * (complex(s) - complex(op.A)) - op.d
+
+    def value(self, sign: int, n: int) -> complex:
+        """Root (sign, n) in w units."""
+        return sign * (self.base + n)
+
+    def root(self, sign: int, n: int) -> IndicialRoot:
+        """Root (sign, n) as lambda = a s + b, with multiplicity and Jordan index."""
+        op = self.op
+        return IndicialRoot(
+            sign=sign,
+            n=n,
+            a=float(sign * op.h),
+            b=complex(sign * op.h * (op.d / 2.0 + n - complex(op.A))),
+            multiplicity=homogeneous_dimension(op.d, n),
+            jordan_index=1 if self.partner(n) is None else 2,
+        )
+
+    def roots(self, n_max: int) -> list[IndicialRoot]:
+        """Levels 0..n_max of both branches, sorted by (sign, n)."""
+        return [self.root(sign, n) for sign in (-1, 1) for n in range(n_max + 1)]
+
+    def partner(self, n: int) -> int | None:
+        """Level of the opposite-branch root forming a Jordan block with level n.
+
+        The two branches collide at level pair (n, p) exactly when
+        2(s - A) + d + n + p = 0; the collision produces an index-2 block only
+        when additionally n and p have equal parity (odd-gap collisions couple
+        angular factors of opposite parity, whose sphere integrals vanish, and
+        the block stays semisimple).
+        """
+        p = self.level_sum - n
+        if abs(p.imag) > _INT_TOL:
+            return None
+        pr = round(p.real)
+        if abs(p.real - pr) > _INT_TOL or pr < 0 or (n - pr) % 2 != 0:
+            return None
+        return int(pr)
+
+    def collision(self, guard: float) -> int | None:
+        """The even level sum n + p of an equal-parity branch collision at s.
+
+        Equal-parity collisions need t = -2(s - A) - d to be an even integer
+        >= 0.  Returns that integer when t is within ``guard`` of it (2 guard
+        on the real part), else None.
+        """
+        t = self.level_sum
+        if abs(t.imag) > guard:
+            return None
+        t_even = 2.0 * round(t.real / 2.0)
+        if t_even < 0 or abs(t.real - t_even) >= 2.0 * guard:
+            return None
+        return int(t_even)
+
+    def _levels_near(self, sign: int, x: float, spread: float) -> range:
+        """Levels that can hold a root (sign, n) with |Re w - x| <= spread,
+        or the nearest ones when none can, padded by one against rounding."""
+        t = max(sign * x - self.base.real, 0.0)  # Re w - x = sign (n - t)
+        return range(max(0, math.floor(t - spread) - 1), math.floor(t + spread) + 2)
+
+    def nearest(self, w: complex) -> tuple:
+        """(sign, n, value, distance) of the root closest to w."""
+        best = None
+        for sign in (-1, 1):
+            t = sign * w - self.base  # |w - value| = |t - n|
+            for n in self._levels_near(sign, complex(w).real, 0.5):
+                dist = abs(t - n)
+                if best is None or dist < best[3]:
+                    best = (sign, n, self.value(sign, n), dist)
+        return best
+
+    def _locations(self, x: float, spread: float, keep) -> list[RootLocation]:
+        """The roots near Re w = x whose value passes ``keep``, with roots
+        closer than 1e-10 merged into one location."""
+        groups: list[tuple] = []
+        for sign in (-1, 1):
+            for n in self._levels_near(sign, x, spread):
+                val = self.value(sign, n)
+                if not keep(val):
+                    continue
+                for head, members in groups:
+                    if abs(val - head) < _COINCIDENT:
+                        members.append((sign, n))
+                        break
+                else:
+                    groups.append((val, [(sign, n)]))
+        return [RootLocation(value=v, members=tuple(m)) for v, m in groups]
+
+    def in_disc(self, w0: complex, radius: float) -> list[RootLocation]:
+        """The root locations whose roots satisfy |w - w0| <= radius."""
+        w0 = complex(w0)
+        return self._locations(w0.real, radius, lambda w: abs(w - w0) <= radius)
+
+    def strip(self, lo: float, hi: float) -> list[RootLocation]:
+        """The root locations with lo < Re w < hi."""
+        return self._locations(
+            (lo + hi) / 2.0, (hi - lo) / 2.0, lambda w: lo < w.real < hi
+        )
+
+    def abscissa_gap(self, rho: float, signs=(-1, 1), beyond: float = -1.0) -> float:
+        """Smallest |Re w - rho| over the roots of the branches ``signs``,
+        counting only gaps larger than ``beyond`` (which must be < 1/2)."""
+        best = math.inf
+        for sign in signs:
+            for n in self._levels_near(sign, rho, 1.0):
+                gap = abs(sign * (self.base.real + n) - rho)
+                if beyond < gap < best:
+                    best = gap
+        return best
+
+    def visible(self) -> range:
+        """Levels n whose plus root has Re w < 0 (and so minus root Re w > 0)."""
+        return range(max(0, math.ceil(-self.base.real)))
 
 
 def indicial_roots(op: ModelOperator, s: complex, n_max: int) -> list[IndicialRoot]:
@@ -201,27 +326,11 @@ def indicial_roots(op: ModelOperator, s: complex, n_max: int) -> list[IndicialRo
 
     Returned sorted by (sign, n): the minus branch first.  multiplicity is
     the count of degree-n monomials in d variables; jordan_index is 2 exactly
-    when the opposite branch collides at equal parity (see _jordan_partner).
+    when the opposite branch collides at equal parity (RootTable.partner).
     """
     if n_max < 0:
         raise ValidationError(f"need n_max >= 0, got {n_max}")
-    roots = []
-    for sign in (-1, 1):
-        for n in range(n_max + 1):
-            a = sign * op.h
-            b = sign * op.h * (op.d / 2.0 + n - complex(op.A))
-            jordan = 2 if _jordan_partner(op, s, n) is not None else 1
-            roots.append(
-                IndicialRoot(
-                    sign=sign,
-                    n=n,
-                    a=float(a),
-                    b=complex(b),
-                    multiplicity=homogeneous_dimension(op.d, n),
-                    jordan_index=jordan,
-                )
-            )
-    return sorted(roots, key=lambda r: (r.sign, r.n))
+    return RootTable(op, s).roots(n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +479,19 @@ class ShootingResult:
     details: dict
 
 
+def mode_exponents(op: ModelOperator, s: complex, m: int, lam):
+    """(c, e, a+, a-) of the reduced mode-m equation; ``lam`` may be an array.
+
+    In x = cos(phi) the mode-m equation (P - hs) w = 0 reads
+    -h (1-x^2) w' + h (c x + e) w = 0 with c = lambda/h + d/2 + m and
+    e = A - s; its solution behaves like (1-x)^{a+} near x = 1 and
+    (1+x)^{a-} near x = -1, with a+ = -(c + e)/2 and a- = (e - c)/2.
+    """
+    c = lam / op.h + op.d / 2.0 + m
+    e = complex(op.A) - complex(s)
+    return c, e, -(c + e) / 2.0, (e - c) / 2.0
+
+
 def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingResult:
     """Integrate the reduced mode-m radial ODE and classify (lambda, s).
 
@@ -392,9 +514,8 @@ def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingRes
 
     if m < 0:
         raise ValidationError(f"need mode m >= 0, got {m}")
-    h, d = op.h, op.d
-    c = op.lam / h + d / 2.0 + m
-    e = complex(op.A) - complex(s)
+    d = op.d
+    c, e, a_plus_exact, a_minus_exact = mode_exponents(op, s, m, op.lam)
 
     def rhs(x, y):
         val = (c * x + e) / (1.0 - x * x)
@@ -402,8 +523,6 @@ def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingRes
 
     xi0 = 1e-6
     x0 = -1.0 + xi0
-    a_minus_exact = (e - c) / 2.0
-    a_plus_exact = (-e - c) / 2.0
     k_minus = (e + c) / 4.0
     y0c = a_minus_exact * math.log(xi0) + np.log(1.0 + k_minus * xi0)
     offsets = [1e-4, 1e-5, 1e-6]

@@ -79,3 +79,99 @@ def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path)
         p.unlink()
     assert cli.main(argv) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+# one small run per subcommand
+SMALL_RUNS = {
+    "roots": [],
+    "eigendist": ["--n-test=1"],
+    "residue": ["--j-max=0"],
+    "resolvent": ["--n-r=1024", "--n-x=5"],
+    "escape": ["--n-alpha=8", "--n-theta=16", "--n-phi=16"],
+    "flow": ["--t-max=1"],
+    "correlate": ["--n=200", "--t-max=1"],
+}
+
+
+def _artifacts(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def _diagnostic(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("sub", sorted(SMALL_RUNS))
+def test_manifest_fed_back_as_config_reproduces_every_artifact(tmp_path, sub):
+    out = tmp_path / "out"
+    assert cli.main([sub, *SMALL_RUNS[sub], f"--output-dir={out}"]) == 0
+    assert _manifest(out)["manifest"]["status"] == "ok"
+    first = _artifacts(out)
+    (manifest,) = (name for name in first if name.endswith("-manifest.ini"))
+    config = tmp_path / "rerun.ini"
+    config.write_bytes(first[manifest])
+    for p in out.iterdir():
+        p.unlink()
+    assert cli.main([f"--config={config}"]) == 0
+    assert _artifacts(out) == first
+
+
+def _shift_report(out):
+    (path,) = out.glob("*-shift_identity.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("h", ["0.5", "1", "2"])
+def test_resolvent_shift_identity_holds_for_every_h(tmp_path, h):
+    # the crossed root is the minus root of level 0 at w = -(s + d/2) = -1.8,
+    # whatever h is: abscissas and levels are in w = lambda/h units
+    out = tmp_path / "out"
+    argv = ["resolvent", f"--h={h}", "--n-r=1024", "--n-x=5", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    report = _shift_report(out)
+    assert report["passed"] is True
+    assert report["defect"] <= 1e-6
+    (level,) = report["crossed_levels"]
+    assert level["re"] == pytest.approx(-1.8, abs=1e-14)
+    assert level["im"] == 0.0
+
+
+def test_resolvent_counts_a_coincident_root_pair_once(tmp_path):
+    # s = -1, d = 1: w = 0.5 carries the plus root of level 1 and the minus
+    # root of level 0; the contour crosses one location, so one residue
+    out = tmp_path / "out"
+    argv = ["resolvent", "--s=-1.0", "--rho=0.2", "--rho-prime=0.8",
+            "--n-r=1024", "--n-x=5", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    report = _shift_report(out)
+    assert report["passed"] is True
+    assert report["crossed_levels"] == [{"re": 0.5, "im": 0.0}]
+
+
+def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
+    assert cli.main(["roots", "--h=0", f"--output-dir={tmp_path}"]) == 2
+    diag = _diagnostic(capsys)
+    assert diag["error"] == "validation"
+    assert "h must lie in (0, inf), got 0.0" in diag["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_contour_on_a_root_exits_2(tmp_path, capsys):
+    # rho = -1.8 is the abscissa of the minus root of level 0
+    argv = ["resolvent", "--rho=-1.8", "--n-r=1024", "--n-x=5",
+            f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 2
+    assert _diagnostic(capsys)["type"] == "ContourOnRootError"
+
+
+def test_unresolved_shift_identity_exits_3(tmp_path, capsys):
+    # 512 radial nodes cannot resolve the contour transform to 1e-6: the
+    # defect is about 1.5e-5, a real resolution shortfall
+    out = tmp_path / "out"
+    argv = ["resolvent", "--n-r=512", "--n-x=5", f"--output-dir={out}"]
+    assert cli.main(argv) == 3
+    assert _diagnostic(capsys)["failures"] == ["shift_identity"]
+    assert _manifest(out)["manifest"]["status"] == "tolerance_failure: shift_identity"
+    report = _shift_report(out)
+    assert report["passed"] is False
+    assert 1e-6 < report["defect"] < 1e-4

@@ -16,11 +16,11 @@ from cuspflow.errors import ValidationError
 from cuspflow.indicial import (
     IndicialRoot,
     ModelOperator,
+    RootTable,
     apply_P,
     eigendistribution,
     indicial_roots,
     jet_matrix,
-    jordan_partner_level,
     numeric_roots_jet,
     numeric_roots_shooting,
 )
@@ -170,9 +170,96 @@ def test_jordan_partner_level_formula():
         for k in (0, 1, 2):
             for j in (k, k + 2, k + 4):
                 s = -(j + k + d) / 2.0
-                assert jordan_partner_level(ModelOperator(d=d, h=1.0, lam=0.0), s, k) == j
+                assert RootTable(ModelOperator(d=d, h=1.0, lam=0.0), s).partner(k) == j
             s_odd = -(2 * k + 1 + d) / 2.0  # partner would be k+1: odd gap
-            assert jordan_partner_level(ModelOperator(d=d, h=1.0, lam=0.0), s_odd, k) is None
+            assert RootTable(ModelOperator(d=d, h=1.0, lam=0.0), s_odd).partner(k) is None
+
+
+# ---------------------------------------------------------------------------
+# RootTable: the root geometry in w = lambda / h units
+# ---------------------------------------------------------------------------
+
+
+def _brute_roots(d, A, s, n_top=40):
+    """(sign, n, w) for every root up to level n_top, from the closed form."""
+    base = complex(s) - A + d / 2.0
+    return [(sign, n, sign * (base + n)) for sign in (-1, 1) for n in range(n_top + 1)]
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("A", [0.0, 0.7])
+def test_root_table_values_are_lambda_over_h(h, A):
+    for d in (1, 2, 3):
+        for s in (0.3 + 0.2j, 1.25, -0.4 + 1.1j, -2.6 - 0.7j):
+            op = ModelOperator(d=d, h=h, A=A)
+            table = RootTable(op, s)
+            for r in indicial_roots(op, s, n_max=8):
+                lam = r.lambda_at(s)
+                assert abs(table.value(r.sign, r.n) * h - lam) <= 1e-15 * abs(lam)
+                assert table.root(r.sign, r.n) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    A=st.sampled_from([0.0, 0.7]),
+    s_re=st.floats(-8.0, 8.0),
+    s_im=st.floats(-1.5, 1.5),
+    w_re=st.floats(-8.0, 8.0),
+    w_im=st.floats(-1.5, 1.5),
+    radius=st.floats(0.0, 3.0),
+    rho=st.floats(-8.0, 8.0),
+    width=st.floats(0.0, 4.0),
+)
+def test_root_table_queries_match_enumeration(
+    d, A, s_re, s_im, w_re, w_im, radius, rho, width
+):
+    s, w = complex(s_re, s_im), complex(w_re, w_im)
+    table = RootTable(ModelOperator(d=d, h=1.0, A=A), s)
+    brute = _brute_roots(d, A, s)
+    near = 1e-9  # roots this close to a boundary may fall either way
+
+    sign, n, val, dist = table.nearest(w)
+    best = min(abs(v - w) for _, _, v in brute)
+    assert dist == pytest.approx(best, abs=1e-12)
+    assert abs(val - w) == pytest.approx(best, abs=1e-12)
+    assert val == pytest.approx(sign * (complex(s) - A + d / 2.0 + n), abs=1e-12)
+
+    def check(locations, inside, margin):
+        got = {m for loc in locations for m in loc.members}
+        assert {(sg, k) for sg, k, v in brute if inside(v) and margin(v) > near} <= got
+        assert got <= {(sg, k) for sg, k, v in brute if inside(v) or margin(v) <= near}
+        values = [loc.value for loc in locations]
+        assert all(abs(a - b) >= 1e-10 for i, a in enumerate(values) for b in values[:i])
+        for loc in locations:
+            for sg, k in loc.members:
+                assert abs(table.value(sg, k) - loc.value) < 1e-10
+
+    check(table.in_disc(w, radius), lambda v: abs(v - w) <= radius,
+          lambda v: abs(abs(v - w) - radius))
+    lo, hi = rho - width, rho + width
+    check(table.strip(lo, hi), lambda v: lo < v.real < hi,
+          lambda v: min(abs(v.real - lo), abs(v.real - hi)))
+
+    gap = min(abs(v.real - rho) for _, _, v in brute)
+    assert table.abscissa_gap(rho) == pytest.approx(gap, abs=1e-12)
+    minus_gap = min(abs(v.real - rho) for sg, _, v in brute if sg < 0)
+    assert table.abscissa_gap(rho, signs=(-1,)) == pytest.approx(minus_gap, abs=1e-12)
+    beyond = min(abs(v.real - rho) for _, _, v in brute if abs(v.real - rho) > 0.25)
+    assert table.abscissa_gap(rho, beyond=0.25) == pytest.approx(beyond, abs=1e-12)
+
+    assert list(table.visible()) == [k for sg, k, v in brute if sg > 0 and v.real < 0]
+
+
+def test_root_table_strip_merges_a_coincident_pair():
+    # s = -1, d = 1: w = 0.5 carries the plus root of level 1 and the minus
+    # root of level 0 (an odd-gap collision, so no Jordan block)
+    table = RootTable(ModelOperator(d=1, h=1.0), -1.0)
+    (loc,) = table.strip(0.2, 0.8)
+    assert loc.value == 0.5
+    assert sorted(loc.members) == [(-1, 0), (1, 1)]
+    assert [l.members for l in table.in_disc(0.5, 0.1)] == [loc.members]
+    assert table.partner(0) is None and table.partner(1) is None
 
 
 def test_root_json_fields():
