@@ -439,6 +439,8 @@ def config_from_sources(subcommand=None, config_path=None, output_dir=None,
 
 def _csv_text(header, rows) -> str:
     def cell(v):
+        if type(v) is float:
+            return repr(v)
         if isinstance(v, str):
             return v
         if isinstance(v, (bool, np.bool_)):
@@ -449,7 +451,7 @@ def _csv_text(header, rows) -> str:
 
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(map(cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -632,12 +634,10 @@ def _run_resolvent(config: ExperimentConfig):
     for j in slices:
         tag = _fmt_float(x_grid[j])
         header += [f"re_x={tag}", f"im_x={tag}"]
-    rows = []
-    for idx, r in enumerate(U.r_grid):
-        row = [float(r)]
-        for j in slices:
-            row += [float(scalar[idx, j].real), float(scalar[idx, j].imag)]
-        rows.append(row)
+    columns = [U.r_grid]
+    for j in slices:
+        columns += [scalar[:, j].real, scalar[:, j].imag]
+    rows = np.column_stack(columns).tolist()
     prefix = config.hash_prefix()
     artifacts = {f"{prefix}-resolvent.csv": _csv_text(header, rows)}
     tolerances: dict = {}

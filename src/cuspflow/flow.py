@@ -336,35 +336,35 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
 
     Parameters
     ----------
-    z0 : complex
-        Start point, Im z0 > 0.
-    alpha0 : float
+    z0 : complex or array of complex
+        Start point(s), Im z0 > 0.
+    alpha0 : float or array of float
         Tangent angle: the tangent vector is ``Im(z0) e^{i alpha0}``.
     t : float
     surf : QuotientSurface, optional
 
     Returns
     -------
-    (z, alpha) : complex and float
+    (z, alpha) : complex and float, or arrays for array input
         Reduced endpoint and its tangent angle in (-pi, pi].
 
     Raises
     ------
     DomainError
-        If Im z0 <= 0.
+        If some Im z0 <= 0.
     """
     if surf is None:
         surf = QuotientSurface()
-    z0 = complex(z0)
-    if not z0.imag > 0.0:
-        raise DomainError(f"flow_quotient needs Im z0 > 0, got {z0}")
-    a, b, c, d = _frame_matrix(z0, float(alpha0))
+    z0 = np.asarray(z0, dtype=complex)
+    if not np.all(z0.imag > 0.0):
+        raise DomainError(f"flow_quotient needs Im z0 > 0, got {z0[~(z0.imag > 0.0)].flat[0]}")
+    a, b, c, d = _frame_matrix(z0, alpha0)
     w = complex(0.0, math.exp(float(t)))
-    den = c * w + d
-    z = (a * w + b) / den
-    v = w / (den * den)
-    z, v = surf.reduce(z, v)
-    return z, math.atan2(v.imag, v.real)
+    den = np.atleast_1d(c * w + d)
+    z, v = _reduce_arrays((a * w + b) / den, w / (den * den), surf)
+    if z0.ndim == 0 and np.ndim(alpha0) == 0:
+        return complex(z[0]), math.atan2(v[0].imag, v[0].real)
+    return z, np.arctan2(v.imag, v.real)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuspflow.bcontinuation as bc
 from _fd_helpers import gauss, identity_residual
 from cuspflow.bcontinuation import (
     ContourSpec,
@@ -265,6 +266,152 @@ def test_translation_equivariance_in_r():
         Us.term_values(0)[win]
     ).max()
     assert rel < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the separable contour transform against the dense exp(outer(r, w)) kernel
+# ---------------------------------------------------------------------------
+
+# Per-entry error of _fhat and _synthesis, relative to the sum of the
+# absolute values of the terms, that _R_BLOCK = 64 meets on every grid and
+# abscissa below (measured worst: 5.5e-13 for fhat, 1.5e-13 for the synthesis).
+KERNEL_BOUND = 2e-12
+
+
+def _line_nodes(n_r, rho, h):
+    eta, _, _ = bc._refined_eta_nodes(ModelOperator(d=1, h=h), 1.3, ContourSpec(rho=rho))
+    return default_r_grid(30.0, n_r), rho + 1j * eta
+
+
+def _kernel_errors(n_r, rho):
+    """(fhat error, synthesis error) of the separable kernels against dense
+    exponentials, for random inputs, on every 7th w-node and on the first
+    block, the last two blocks (the short one included) and every 5th row."""
+    r, wl = _line_nodes(n_r, rho, 1.0)
+    rng = np.random.default_rng(n_r)
+    a = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+    coeff = rng.standard_normal((wl.size, 3)) + 1j * rng.standard_normal((wl.size, 3))
+    table = bc._exp_table(r, wl)
+    step = r[1] - r[0]
+    sub = np.arange(0, wl.size, 7)
+    dense = np.exp(-np.outer(wl[sub], r))
+    fh = bc._fhat(CuspTerm(m=0, mu=(0,), poly=(1.0,), radial=lambda _: a), r, table)
+    fh_err = np.abs(fh[sub] - step * dense @ a) / (step * np.abs(dense) @ np.abs(a))
+    L = bc._R_BLOCK
+    rows = np.unique(np.r_[0:L, max(0, n_r - 2 * L) : n_r, 0:n_r:5])
+    dense = np.exp(np.outer(r[rows], wl))
+    syn = bc._synthesis(table, coeff, n_r)[rows]
+    syn_err = np.abs(syn - dense @ coeff) / (np.abs(dense) @ np.abs(coeff))
+    return float(fh_err.max()), float(syn_err.max())
+
+
+@pytest.mark.parametrize("rho", [-2.3, -1.3, 0.0])
+@pytest.mark.parametrize("n_r", [64, 1000, 4096, 4097])
+def test_separable_kernels_match_dense(n_r, rho):
+    # the w-nodes depend on h only through the root table in w units, so the
+    # kernel sees the same nodes at every h; h enters through the profiles
+    # (test_separable_line_matches_dense)
+    for h in (0.5, 1.0, 2.0):
+        np.testing.assert_array_equal(_line_nodes(n_r, rho, h)[1], _line_nodes(n_r, rho, 1.0)[1])
+    fh_err, syn_err = _kernel_errors(n_r, rho)
+    assert fh_err < KERNEL_BOUND
+    assert syn_err < KERNEL_BOUND
+
+
+def test_kernel_check_catches_block_anchor_off_by_one(monkeypatch):
+    # anchoring block b at r0_{b+1} instead of r0_b must fail the check above
+    real = bc._exp_table
+
+    def shifted(r, wl):
+        L = bc._R_BLOCK
+        return real(r, wl)[0], np.exp(np.outer(r[::L] + L * (r[1] - r[0]), wl))
+
+    monkeypatch.setattr(bc, "_exp_table", shifted)
+    fh_err, syn_err = _kernel_errors(1000, -1.3)
+    assert fh_err > 1e6 * KERNEL_BOUND
+    assert syn_err > 1e6 * KERNEL_BOUND
+
+
+@pytest.fixture
+def dense_kernels(monkeypatch):
+    """Swap the separable table for dense exponentials inside resolvent_line
+    and residue_apply: the "table" carries the w-nodes as a 1 x n_w row."""
+    grid = []
+
+    def table(r, wl):
+        grid[:] = [r]
+        return (wl[None, :],)
+
+    def fhat(term, r, tab):
+        return (r[1] - r[0]) * (np.exp(-np.outer(tab[0][0], r)) @ term.radial(r))
+
+    def synthesis(tab, coeff, n_r):
+        return np.exp(np.outer(grid[0][:n_r], tab[0][0])) @ coeff
+
+    monkeypatch.setattr(bc, "_exp_table", table)
+    monkeypatch.setattr(bc, "_fhat", fhat)
+    monkeypatch.setattr(bc, "_synthesis", synthesis)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_separable_line_matches_dense(h, request):
+    op = ModelOperator(d=1, h=h)
+    f = term(1, 0, (0,), gauss(0.2))
+    xg = np.linspace(-0.9, 0.6, 3)
+    sep = resolvent_line(op, 1.3, ContourSpec(rho=-1.3), f, x_grid=xg)
+    request.getfixturevalue("dense_kernels")
+    dense = resolvent_line(op, 1.3, ContourSpec(rho=-1.3), f, x_grid=xg)
+    # towards r = -13 either kernel's e^{rho r} roundoff floor reaches 1e-9 of
+    # the field (the mpmath test below), so the two agree to roundoff only
+    # where that floor is low; measured 6.2e-12 inside |r| <= 8
+    win = np.abs(dense.r_grid) <= 8.0
+    scale = np.abs(dense.term_values(0)[win]).max()
+    assert np.abs((sep - dense).term_values(0)[win]).max() / scale < 5e-11
+    assert sep.meta["tail_ok"] == dense.meta["tail_ok"]
+
+
+@pytest.mark.parametrize("s,w0,psi", [(1.3, -1.8, None), (-1.5, 1.0, (1.0,))])
+def test_separable_residue_circle_matches_dense(s, w0, psi, request):
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    res_op = ResidueOperator(s=s, lambda0=w0)
+    sep = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
+    request.getfixturevalue("dense_kernels")
+    dense = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
+    scale = dense.max_abs()
+    for a, b in zip(sep.H0 + sep.H1, dense.H0 + dense.H1):
+        assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12 * scale
+
+
+def test_separable_synthesis_error_matches_dense_against_mpmath():
+    # the synthesis of one resolvent line at rows across the window, against
+    # a 40-digit sum of the same float nodes and coefficients; errors are
+    # relative to the window maximum and compared as the worst over the rows
+    mpmath = pytest.importorskip("mpmath")
+    op = ModelOperator(d=1)
+    contour = ContourSpec(rho=-1.3)
+    eta, wq, _ = bc._refined_eta_nodes(op, 1.3, contour)
+    r, wl = default_r_grid(), contour.rho + 1j * eta
+    xg = np.linspace(-0.9, 0.6, 2)
+    table = bc._exp_table(r, wl)
+    f = CuspTerm(m=0, mu=(0,), poly=(1.0,), radial=gauss(0.2))
+    coeff = (wq * bc._fhat(f, r, table))[:, None] * bc._solve_mode_profiles(
+        op, 1.3, 0, (1.0,), op.h * wl, xg
+    )
+    sep = bc._synthesis(table, coeff, r.size)
+    scale = np.abs(sep[np.abs(r) <= contour.r_window()]).max()
+    rows = [int(np.argmin(np.abs(r - x))) for x in (-13.0, -11.0, -8.0, 0.0, 8.0, 13.0)]
+    dense = np.exp(np.outer(r[rows], wl)) @ coeff
+    exact = np.empty_like(dense)
+    with mpmath.workdps(40):
+        ws = [mpmath.mpc(w) for w in wl]
+        for i, j in enumerate(rows):
+            ex = [mpmath.exp(mpmath.mpf(r[j]) * w) for w in ws]
+            for c in range(xg.size):
+                exact[i, c] = complex(mpmath.fsum(e * mpmath.mpc(q) for e, q in zip(ex, coeff[:, c])))
+    err_sep = np.abs(sep[rows] - exact).max() / scale
+    err_dense = np.abs(dense - exact).max() / scale
+    assert err_sep <= 4.0 * err_dense
 
 
 # ---------------------------------------------------------------------------
