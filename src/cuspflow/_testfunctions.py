@@ -12,9 +12,8 @@ The family is closed under multiplication by cos(phi) and under the vector
 field sin(phi) d/dphi, so the model operator and its transpose act *exactly*
 within the family.  It is also closed under plain d/dphi (at the cost of
 odd rho-powers), which yields exact higher phi-derivatives for C^k norms.
-All jets at the pole N (flat, volume-weighted, or with an extra radial
-series weight) are computed from truncated series — no numerical
-differentiation anywhere.
+All jets at the pole N (flat or volume-weighted) are computed from
+truncated series — no numerical differentiation anywhere.
 """
 
 from __future__ import annotations
@@ -147,21 +146,33 @@ class TestFunction:
 
     # -- evaluation ------------------------------------------------------------
 
-    def value(self, phi, u):
-        """Evaluate at angles phi (array) and directions u (shape (..., d))."""
+    def _radial_factors(self, phi):
+        """Each term's mu and its factor rho^q p(z0) exp(-c (1 - z0^2)) at phi."""
         phi = np.asarray(phi, dtype=float)
-        u = np.asarray(u, dtype=float)
         z0 = np.cos(phi)
         rho = np.sin(phi)
-        acc = np.zeros(np.broadcast(phi, u[..., 0]).shape, dtype=complex)
         for q, mu, c, p in self.terms:
+            yield mu, npoly.polyval(z0, p) * rho**q * np.exp(-c * (1.0 - z0**2))
+
+    def value(self, phi, u):
+        """Evaluate at angles phi (array) and directions u (shape (..., d))."""
+        u = np.asarray(u, dtype=float)
+        acc = np.zeros(np.broadcast(np.asarray(phi), u[..., 0]).shape, dtype=complex)
+        for mu, radial in self._radial_factors(phi):
             upart = np.ones_like(acc, dtype=float)
             for i, m in enumerate(mu):
                 if m:
                     upart = upart * u[..., i] ** m
-            acc = acc + npoly.polyval(z0, p) * rho**q * upart * np.exp(
-                -c * (1.0 - z0**2)
-            )
+            acc = acc + radial * upart
+        return acc
+
+    def angular_profile(self, phi, moment):
+        """Integral over u in S^{d-1} of Upsilon(u) psi(phi, u), exactly: a term
+        gives a_mu rho^q p(z0) exp(-c (1 - z0^2)), where a_mu = moment(mu)
+        is the moment of Upsilon against u^mu."""
+        acc = np.zeros(np.shape(phi), dtype=complex)
+        for mu, radial in self._radial_factors(phi):
+            acc = acc + moment(mu) * radial
         return acc
 
     def dphi_value(self, phi, u):
@@ -188,19 +199,17 @@ class TestFunction:
             coeffs = self._series[key] = rest.coeffs
         return coeffs
 
-    def jet(self, nu, weight: RadialSeries | None = None, with_volume: bool = True):
-        """d^nu [ g(t) * J^{0/1} * psi ](x=0) in the chart x = sin(phi) u.
+    def jet(self, nu, with_volume: bool = True):
+        """d^nu [ J^{0/1} * psi ](x=0) in the chart x = sin(phi) u.
 
-        weight: optional extra radial series g(t); with_volume multiplies by
-        J = (1-t)^{-1/2}.  Exact up to float rounding.  The weighted
-        coefficient is the truncated product's, summed in the same order.
+        with_volume multiplies by J = (1-t)^{-1/2}.  Exact up to float
+        rounding.
         """
         nu = tuple(nu)
         total = 0.0 + 0.0j
         nfact = 1.0
         for a in nu:
             nfact *= float(math.factorial(a))
-        wc = None if weight is None else tuple(map(complex, weight.coeffs))
         for index, (q, mu, c, p) in enumerate(self.terms):
             if any(b > a for a, b in zip(nu, mu)):
                 continue
@@ -213,20 +222,35 @@ class TestFunction:
             rest_order = m - e
             if rest_order < 0:
                 continue
-            rest = self._radial_series(index, rest_order, with_volume)
-            if wc is None:
-                g_m = rest[rest_order]
-            else:
-                if len(wc) <= rest_order:
-                    raise ValueError("weight series order too small for requested jet")
-                g_m = rest[0] * wc[rest_order]
-                for i in range(1, rest_order + 1):
-                    g_m = g_m + rest[i] * wc[rest_order - i]
+            g_m = self._radial_series(index, rest_order, with_volume)[rest_order]
             mult = math.factorial(m)
             for v in w:
                 mult //= math.factorial(v)
             total += g_m * mult * nfact
         return total
+
+    def profile_coefficient(self, j: int, weight, table):
+        """Coefficient of rho^j in the integral over u in S^{d-1} of
+        Upsilon(u) (g J psi)(rho u), with g(t) = sum_i weight[i] t^i.
+
+        A term is x^mu t^e rest(t), e = (q - |mu|)/2, rest = p(sqrt(1-t))
+        e^{-ct}.  Order j needs j - |mu| even and m = (j - |mu|)/2 >= e, and
+        is table(mu, m) times coefficient m - e of g * (J rest).
+        """
+        acc = 0.0 + 0.0j
+        for index, (q, mu, _, _) in enumerate(self.terms):
+            gap = j - sum(mu)
+            if gap < 0 or gap % 2:
+                continue
+            r = gap // 2 - (q - sum(mu)) // 2
+            if r < 0:
+                continue
+            c_mu = table(mu, gap // 2)
+            if c_mu == 0.0:
+                continue
+            rest = self._radial_series(index, r, True)
+            acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
+        return acc
 
     def volume_jet(self, nu):
         """B_nu[psi] = d^nu[(1-rho^2)^{-1/2} psi](0)."""
@@ -271,19 +295,25 @@ class AwaySupportedFunction:
         self.z_star = float(z_star)
         self.mu = tuple(mu) if mu is not None else (0,) * d
 
+    def _bump(self, phi):
+        """g(cos phi) rho^{|mu|}: the value without its factor u^mu."""
+        gap = self.z_star - np.cos(phi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = np.where(gap > 0, np.exp(-1.0 / np.where(gap > 0, gap, 1.0)), 0.0)
+        return g * np.sin(phi) ** sum(self.mu)
+
     def value(self, phi, u):
         phi = np.asarray(phi, dtype=float)
         u = np.asarray(u, dtype=float)
-        z0 = np.cos(phi)
-        rho = np.sin(phi)
-        gap = self.z_star - z0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = np.where(gap > 0, np.exp(-1.0 / np.where(gap > 0, gap, 1.0)), 0.0)
         upart = np.ones(np.broadcast(phi, u[..., 0]).shape, dtype=float)
         for i, m in enumerate(self.mu):
             if m:
                 upart = upart * u[..., i] ** m
-        return g * rho ** sum(self.mu) * upart
+        return self._bump(phi) * upart
+
+    def angular_profile(self, phi, moment):
+        """Integral over u of Upsilon(u) psi(phi, u): a_mu g(cos phi) rho^{|mu|}."""
+        return moment(self.mu) * self._bump(np.asarray(phi, dtype=float))
 
     def volume_jet(self, nu):
         return 0.0 + 0.0j
@@ -291,7 +321,7 @@ class AwaySupportedFunction:
     def flat_jet(self, nu):
         return 0.0 + 0.0j
 
-    def jet(self, nu, weight=None, with_volume=True):
+    def profile_coefficient(self, j, weight, table):
         return 0.0 + 0.0j
 
     def pair_volume_dict(self, jet_dict: dict):

@@ -13,13 +13,15 @@ meromorphically in lambda with simple poles at  lambda_j = h(j - k)/2,
 j >= 0.  The continuation is computed by subtracting a Taylor polynomial of
 the regular factor in the radial integral (equivalent to iterated integration
 by parts); the subtracted terms integrate in closed form and carry the poles.
+Its coefficients Phi_j(lambda) pair a psi- and lambda-free moment table of
+Upsilon with the radial series of psi convolved with that of w^sigma.
 
-The remaining radial and colatitude integrals use :func:`quad`: eight equal
-Gauss-Legendre panels of 32 nodes, the test function evaluated in one call on
-the (radial node x sphere node) grid.  Panels, because test functions are
-smooth but need not be analytic: on away-supported bumps one 64-node rule
-misses by up to 5e-7 relative, the panels by 1e-15.  The error estimate is
-the difference from 24-node panels; above 1e-12 + 1e-11 |integral| it raises.
+The integral of Upsilon psi over u is exact; the radial and colatitude
+integrals use :func:`quad`: eight equal Gauss-Legendre panels of 32 nodes.
+Panels, because test functions are smooth but need not be analytic: on
+away-supported bumps one 64-node rule misses by up to 5e-7 relative, the
+panels by 1e-15.  The error estimate is the difference from 24-node panels;
+above 1e-12 + 1e-11 |integral| it raises.
 
 Residues are finite combinations of volume jets at N, which is what couples
 this family to the Dirac-jet branch and produces index-2 Jordan blocks at
@@ -39,6 +41,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._jets import (
     RadialSeries,
+    _multinomial,
     delta_in_volume_basis,
     radial_multiply,
     volume_dict_to_delta_basis,
@@ -48,7 +51,6 @@ from ._sphere import (
     multi_indices,
     panel_nodes,
     sphere_monomial_integral,
-    sphere_quadrature,
 )
 from .errors import PoleError, ToleranceError, ValidationError
 from .indicial import DistributionRep, ModelOperator
@@ -124,7 +126,8 @@ class RegularizedPairing:
              (graded-lexicographic order)
     lam    : spectral parameter lambda
     n_reg  : Taylor-subtraction depth (None selects the automatic minimum)
-    psi    : test function with exact pole jets (TestFunction interface)
+    psi    : test function with profile_coefficient(j, weight, table) and
+             angular_profile(phi, moment), as TestFunction has them
     """
 
     d: int
@@ -148,21 +151,6 @@ class RegularizedPairing:
             self.n_reg = auto_regularization_depth(self.lam, self.k, self.h)
 
 
-def _upsilon_value(up: tuple, k: int, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate Upsilon at sphere nodes (shape (M, d))."""
-    d = nodes.shape[-1]
-    out = np.zeros(nodes.shape[:-1], dtype=complex)
-    for c, mu in zip(up, multi_indices(d, k)):
-        if c == 0:
-            continue
-        term = np.ones(nodes.shape[:-1])
-        for i, m in enumerate(mu):
-            if m:
-                term = term * nodes[..., i] ** m
-        out = out + c * term
-    return out
-
-
 @functools.lru_cache(maxsize=65536)
 def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     """a_nu = integral over S^{d-1} of Upsilon(u) u^nu (closed form)."""
@@ -175,34 +163,16 @@ def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     return total
 
 
-def _profile_coefficient(rp: RegularizedPairing, j: int, weight: RadialSeries) -> complex:
-    """Phi_j(lambda): j-th radial Taylor coefficient of the profile, from
-    exact jets of w^sigma J psi against the angular moments of Upsilon."""
-    acc = 0.0 + 0.0j
-    for nu in multi_indices(rp.d, j):
-        a_nu = _angular_moment(rp.upsilon, rp.k, nu)
-        if a_nu == 0.0:
-            continue
-        fact = 1.0
-        for v in nu:
-            fact *= math.factorial(v)
-        acc += (rp.psi.jet(nu, weight=weight, with_volume=True) / fact) * a_nu
-    return acc
-
-
-def _taylor_coefficients(rp: RegularizedPairing, orders: int) -> list:
-    """Phi_j(lambda) for j < orders."""
-    sigma = -(rp.k + rp.d / 2.0 + rp.lam / rp.h)
-    weight = RadialSeries.pole_factor(orders // 2 + 3, exact=False).power(sigma)
-    return [_profile_coefficient(rp, j, weight) for j in range(orders)]
-
-
-def _psi_angular_degree(psi) -> int:
-    terms = getattr(psi, "terms", None)
-    if terms is not None:
-        return max((sum(mu) for _, mu, _, _ in terms), default=0)
-    mu = getattr(psi, "mu", None)
-    return sum(mu) if mu is not None else 0
+@functools.lru_cache(maxsize=65536)
+def _moment_table(up: tuple, k: int, mu: tuple, m: int) -> complex:
+    """C(mu, m) = sum over |w| = m of (m!/w!) a_{mu+2w}, the weight of a
+    term x^mu |x|^{2m} in Phi_j.  It is a_mu in exact arithmetic (|u| = 1);
+    summed over w it rounds as the sum over volume jets d^nu does."""
+    total = 0.0
+    for w in multi_indices(len(mu), m):
+        nu = tuple(a + 2 * b for a, b in zip(mu, w))
+        total += _multinomial(w) * _angular_moment(up, k, nu)
+    return total
 
 
 def pairing(rp: RegularizedPairing) -> complex:
@@ -210,6 +180,8 @@ def pairing(rp: RegularizedPairing) -> complex:
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
+    Phi_j sums C(mu, m) (w^sigma J rest)_{m-e} over the terms of psi, and
+    the integral over u of Upsilon psi is exact.
     Far integral: direct quadrature in the colatitude over [cut, pi] in the
     everywhere-regular form T^sigma sin(phi)^{k+d-1}.  Both integrals use the
     panel rule of :func:`quad` and raise ToleranceError when its error
@@ -236,9 +208,8 @@ def pairing(rp: RegularizedPairing) -> complex:
             )
 
     sigma = -(k + d / 2.0 + lam / h)
-    maxdeg = k + _psi_angular_degree(rp.psi)
-    nodes, weights = sphere_quadrature(d, maxdeg)
-    upsilon_at_nodes = _upsilon_value(rp.upsilon, k, nodes)
+    moment = functools.partial(_angular_moment, rp.upsilon, k)
+    angular = functools.partial(rp.psi.angular_profile, moment=moment)
     rho_c = math.sin(_CUT_ANGLE)
     rho_s = 0.25  # series/quadrature split of the near integral
 
@@ -247,14 +218,16 @@ def pairing(rp: RegularizedPairing) -> complex:
     # coefficients converge geometrically and no cancellation-prone
     # subtraction is ever evaluated at small rho.
     j_cap = n_reg + 64
-    weight = RadialSeries.pole_factor(j_cap // 2 + 3, exact=False).power(sigma)
-    phi_j = [_profile_coefficient(rp, j, weight) for j in range(n_reg)]
+    # Phi_j reads w^sigma to order m - e <= j // 2
+    weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma).coeffs
+    table = functools.partial(_moment_table, rp.upsilon, k)
+    phi_j = [rp.psi.profile_coefficient(j, weight, table) for j in range(n_reg)]
     near = 0.0 + 0.0j
     small_run = 0
     any_nonzero = False
     converged = False
     for j in range(n_reg, j_cap):
-        term = _profile_coefficient(rp, j, weight) * rho_s ** (c_exp + j) / (c_exp + j)
+        term = rp.psi.profile_coefficient(j, weight, table) * rho_s ** (c_exp + j) / (c_exp + j)
         near += term
         if term == 0.0:
             # structural parity zeros carry no convergence information
@@ -272,10 +245,6 @@ def pairing(rp: RegularizedPairing) -> complex:
             "radial Taylor tail did not converge below 1e-16 within "
             f"{j_cap} orders at lambda={lam}"
         )
-
-    def angular(phi: np.ndarray) -> np.ndarray:
-        """Integral of Upsilon(u) psi(phi, u) du at each colatitude."""
-        return rp.psi.value(phi[:, None], nodes[None]) @ (weights * upsilon_at_nodes)
 
     def near_integrand(rho: np.ndarray) -> np.ndarray:
         # Phi(rho) = integral of Upsilon(u) * (w^sigma J psi)(rho u) du,
@@ -314,9 +283,9 @@ def pole_residue(
 ) -> ResiduePair:
     """Residue of lambda -> <F(lambda), psi> at lambda_j = h(j-k)/2, two ways.
 
-    closed_form: -(h/2) Phi_j(lambda_j) from the exact jet of the weighted
-    test function against the angular moments of Upsilon (equivalently the
-    j-th radial derivative display, which it reproduces).
+    closed_form: -(h/2) Phi_j(lambda_j), the one Taylor coefficient of the
+    weighted profile from the moment table of Upsilon (equivalently the j-th
+    radial derivative display, which it reproduces).
     contour: (1/2 pi i) times the circle integral of the pairing on
     |lambda - lambda_j| = eps*h by the trapezoid rule (spectrally accurate;
     the nearest other pole sits at distance h/2 > 3 eps h).
@@ -333,10 +302,10 @@ def pole_residue(
     n_reg = j + 2
 
     # closed form
-    rp0 = RegularizedPairing(d=d, h=h, k=k, upsilon=tuple(upsilon), lam=lam_j + 0j,
-                             psi=psi, n_reg=max(n_reg, auto_regularization_depth(lam_j, k, h)))
-    phi_j = _taylor_coefficients(rp0, j + 1)[j]
-    closed = -(h / 2.0) * phi_j
+    sigma = -(k + d / 2.0 + lam_j / h)
+    table = functools.partial(_moment_table, tuple(upsilon), k)
+    weight = RadialSeries.pole_factor(j // 2, exact=False).power(sigma).coeffs
+    closed = -(h / 2.0) * psi.profile_coefficient(j, weight, table)
 
     # contour
     acc = 0.0 + 0.0j

@@ -1,9 +1,12 @@
 """Tests for the continued homogeneous-distribution pairings and residues."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cuspflow._sphere import homogeneous_dimension, multi_indices, sphere_quadrature
@@ -12,6 +15,8 @@ from cuspflow._testfunctions import AwaySupportedFunction, TestFunction, random_
 from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
     RegularizedPairing,
+    _angular_moment,
+    _moment_table,
     jordan_vector,
     pair_distribution,
     pairing,
@@ -33,13 +38,60 @@ def _coupled_psi(d, seed=0, extra_const=True):
     return psi
 
 
+def _upsilon_value(up: tuple, k: int, nodes: np.ndarray) -> np.ndarray:
+    """Evaluate Upsilon at sphere nodes (shape (M, d))."""
+    d = nodes.shape[-1]
+    out = np.zeros(nodes.shape[:-1], dtype=complex)
+    for c, mu in zip(up, multi_indices(d, k)):
+        if c == 0:
+            continue
+        term = np.ones(nodes.shape[:-1])
+        for i, m in enumerate(mu):
+            if m:
+                term = term * nodes[..., i] ** m
+        out = out + c * term
+    return out
+
+
+def _weighted_jet_terms(psi, nu, weight):
+    """The terms' shares of d^nu [ g(t) J psi ](x=0) for a radial series g:
+    each term's coefficient of the truncated product g * (J rest), times
+    m!/w! nu!."""
+    nu = tuple(nu)
+    shares = []
+    nfact = 1.0
+    for a in nu:
+        nfact *= float(math.factorial(a))
+    wc = tuple(map(complex, weight.coeffs))
+    for index, (q, mu, c, p) in enumerate(psi.terms):
+        if any(b > a for a, b in zip(nu, mu)):
+            continue
+        w = tuple(a - b for a, b in zip(nu, mu))
+        if any(v % 2 for v in w):
+            continue
+        w = tuple(v // 2 for v in w)
+        m = sum(w)
+        e = (q - sum(mu)) // 2
+        rest_order = m - e
+        if rest_order < 0:
+            continue
+        rest = psi._radial_series(index, rest_order, True)
+        assert len(wc) > rest_order, "weight series order too small"
+        g_m = rest[0] * wc[rest_order]
+        for i in range(1, rest_order + 1):
+            g_m = g_m + rest[i] * wc[rest_order - i]
+        mult = math.factorial(m)
+        for v in w:
+            mult //= math.factorial(v)
+        shares.append(g_m * mult * nfact)
+    return shares
+
+
 def _direct_pairing(d, h, k, upsilon, lam, psi):
     """Unregularized integral of T^sigma rho^k Upsilon(u) psi dVol over the
     sphere, legitimate for 2 Re(lam)/h + k < 0 (and for compactly-away psi)."""
     sigma = -(k + d / 2.0 + lam / h)
     nodes, weights = sphere_quadrature(d, k + 6)
-    from cuspflow.hadamard import _upsilon_value
-
     ups = _upsilon_value(upsilon, k, nodes)
 
     def integrand(phi):
@@ -156,7 +208,7 @@ def test_radial_taylor_reconstruction_remainder_order():
         jets = {}
         for order in range(n + 1):
             for nu in multi_indices(d, order):
-                jets[nu] = psi.jet(nu, weight=weight, with_volume=True)
+                jets[nu] = sum(_weighted_jet_terms(psi, nu, weight))
 
         def direct(rho):
             phi = math.asin(rho)
@@ -189,6 +241,63 @@ def test_radial_taylor_reconstruction_remainder_order():
         ]
         assert max(steps) >= n + 0.9
         assert steps[-1] >= n + 0.6
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    k=st.integers(0, 3),
+    n_reg=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    lam_re=st.floats(-2.0, 2.0),
+    lam_im=st.floats(-2.0, 2.0),
+)
+def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, lam_re, lam_im):
+    # Phi_j from the moment table against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
+    # for every order the pairing's tail series can read; the error is measured
+    # against the sum of the absolute (nu, term) shares, since the terms' shares
+    # of one jet can cancel
+    rng = np.random.default_rng(seed)
+    psi = random_test_function(d, rng, n_terms=3, max_deg=2)
+    upsilon = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
+    sigma = -(k + d / 2.0 + complex(lam_re, lam_im))
+    j_cap = n_reg + 64
+    weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma)
+    table = functools.partial(_moment_table, upsilon, k)
+    for j in range(j_cap):
+        terms = []
+        for nu in multi_indices(d, j):
+            a_nu = _angular_moment(upsilon, k, nu)
+            if a_nu != 0.0:
+                fact = math.prod(math.factorial(v) for v in nu)
+                terms += [a_nu / fact * t for t in _weighted_jet_terms(psi, nu, weight)]
+        got = psi.profile_coefficient(j, weight.coeffs, table)
+        assert abs(got - sum(terms)) <= 4e-14 * sum(abs(t) for t in terms), (j, got)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_angular_profile_matches_sphere_quadrature(d):
+    # closed-form integral of Upsilon(u) psi(phi, u) over u against the sphere
+    # rule exact to degree k + max |mu|
+    rng = np.random.default_rng(40 + d)
+    phi = np.linspace(0.0, math.pi, 41)
+    e1 = (1,) + (0,) * (d - 1)
+    for k in range(4):
+        upsilon = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
+        moment = functools.partial(_angular_moment, upsilon, k)
+        psis = [
+            (_coupled_psi(d, seed=d + 10 * k), 2),
+            (AwaySupportedFunction(d, z_star=0.3, mu=e1), 1),
+            (AwaySupportedFunction(d, z_star=-0.2, mu=(2,) + (1,) * (d - 1)), d + 1),
+        ]
+        for psi, mu_max in psis:
+            nodes, weights = sphere_quadrature(d, k + mu_max)
+            ups = _upsilon_value(upsilon, k, nodes)
+            vals = psi.value(phi[:, None], nodes[None])
+            want = vals @ (weights * ups)
+            scale = np.abs(vals) @ np.abs(weights * ups)
+            got = psi.angular_profile(phi, moment)
+            assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale)), (k, psi)
 
 
 # ---------------------------------------------------------------------------
