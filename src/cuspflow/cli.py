@@ -475,11 +475,11 @@ def _versions() -> dict:
 
     import scipy
 
-    try:
-        from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         pkg = version("cuspflow")
-    except Exception:
+    except PackageNotFoundError:
         pkg = "unknown"
     return {
         "package_version": pkg,
@@ -608,7 +608,7 @@ def _run_eigendist(config: ExperimentConfig):
 
 def _run_resolvent(config: ExperimentConfig):
     from .bcontinuation import (ContourSpec, CuspFunction, CuspTerm,
-                                ResidueOperator, residue_apply, resolvent_line)
+                                _auto_residue, residue_apply, resolvent_line)
     from .indicial import ModelOperator, RootTable
 
     p = config.params
@@ -647,12 +647,13 @@ def _run_resolvent(config: ExperimentConfig):
         hi, lo = max(p["rho"], p["rho_prime"]), min(p["rho"], p["rho_prime"])
         U_hi = U if hi == p["rho"] else line(hi)
         U_lo = U if lo == p["rho"] else line(lo)
-        # one residue per crossed root location, in w = lambda/h units
+        # one residue per crossed root location, in w = lambda/h units, on a
+        # circle shrunk below half the gap to the nearest other root
         levels = sorted((loc.value for loc in RootTable(op, p["s"]).strip(lo, hi)),
                         key=lambda z: z.real)
         residue_sum = None
         for lam0 in levels:
-            res = residue_apply(ResidueOperator(s=p["s"], lambda0=lam0), op, f,
+            res = residue_apply(_auto_residue(op, p["s"], lam0), op, f,
                                 x_grid=x_grid, r_span=p["r_span"], n_r=p["n_r"])
             field = res.field(U.r_grid)
             residue_sum = field if residue_sum is None else residue_sum + field

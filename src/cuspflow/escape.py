@@ -33,10 +33,13 @@ every flow line; consequently finite differences of the computed average along
 the flow are nonnegative *exactly* (to roundoff), and at step equal to the
 quadrature step they telescope to endpoint clusters, reproducing the saturated
 values of the smoothed indicators with no quadrature noise (the derivative is
-evaluated from those clusters: six flows).  Averages flow blocks of nodes as
-one ``(k, n, 3)`` array of at most ``_BLOCK_ELEMENTS`` pairs, which bounds the
-memory; the scale factors and the node order of the sum are those of a
-node-by-node loop, so blocking does not change a bit of any average.
+evaluated from those clusters: six flows).  Averages take blocks of k nodes,
+at most ``_BLOCK_ELEMENTS`` (node, direction) pairs, which bounds the memory;
+the scale factors and the node order of the sum are those of a node-by-node
+loop, so blocking does not change a bit of any average.  The weight's average
+transports only the pairs inside the closed-form transition windows of the
+cone profiles and fills the rest with their exact saturated values (see
+``_weight_average``).
 
 The elliptic symbol ``f`` is the log-averaged frame norm glued log-linearly
 with the flow-invariant ``|p|`` near the flow-dual directions, and
@@ -93,9 +96,19 @@ FLOW_STEP = 0.05
 # Default averaging window of the glued symbol.
 DEFAULT_T_PRIME = 2.0
 
-# Largest number of (node, direction) pairs a flow-average block transports
-# at once.
-_BLOCK_ELEMENTS = 1 << 12
+# Largest number of (node, direction) pairs in one flow-average block.
+_BLOCK_ELEMENTS = 1 << 14
+
+# Widening, in quadrature steps, of each closed-form transition window of the
+# cone profiles on both sides (see ``_transition_windows``).
+_WINDOW_MARGIN = 2.0
+
+# Largest |t| at which the saturated fill is used.  Up to here the squared
+# scaled components of ``_scaled_unit`` neither overflow nor lose the norm, so
+# the computed profiles saturate where the closed form says; from about
+# |t| = 354 on they overflow and the evaluated integrand reads 0, so nodes
+# beyond this are evaluated, keeping the averages those of a per-node loop.
+_WINDOW_MAX_TIME = 300.0
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -520,17 +533,99 @@ def _cone_integrand(x, eps):
     return 0.5 * (up + down)
 
 
-def _flowed_cone(eps):
-    """The cone integrand of flowed directions, as ``_flow_average`` calls it."""
-    return lambda y, grow, decay: _cone_integrand(_scaled_unit(y, grow, decay), eps)
+def _crossing_time(la, lb):
+    """Half the log of the positive root of y^2 - A y - B = 0 (A, B >= 0),
+    from ``la = log A`` and ``lb = log B``, evaluated in log space so that no
+    power of a tiny or huge component under- or overflows."""
+    log_y = np.logaddexp(la, 0.5 * np.logaddexp(2.0 * la, math.log(4.0) + lb))
+    return 0.5 * (log_y - math.log(2.0))
+
+
+def _pole_band_windows(l0, l_near, l_far, lc_in, lc_out):
+    """Edge times of the pole profile and of the band profile whose growing
+    component has log-magnitude ``l_near`` (see ``_transition_windows``);
+    ``lc_in`` and ``lc_out`` are log tan^2 of the inner and outer band edges."""
+    a = 2.0 * (l0 - l_near)
+    b = 2.0 * (l_far - l_near)
+    pole = (_crossing_time(a - lc_out, b - lc_out),
+            _crossing_time(a - lc_in, b - lc_in))
+    band = (_crossing_time(a + lc_in, b + lc_in),
+            _crossing_time(a + lc_out, b + lc_out))
+    return pole, band
+
+
+def _transition_windows(x, eps, margin):
+    """Times outside which each cone profile of the flowed x is saturated.
+
+    Returns ``(lo, hi)``, each of shape (4, n), with rows in the order of
+    ``_cone_integrand``: growing-dual poles, flow+decaying band, flow+growing
+    band, decaying-dual poles.  On row p the profile is exactly 0 or 1 at
+    every time outside ``[lo[p], hi[p]]``, and it is 1 past ``hi[p]``
+    exactly for the two profiles that enter ``_cone_integrand`` with a plus
+    sign.  With y = e^{2t} and c = tan^2 of a band edge (1.75 eps or
+    2.25 eps),
+
+        tan^2 dist_u = (x0^2 y + x2^2) / (x1^2 y^2) = c
+            <=>  y^2 - (x0^2 / (c x1^2)) y - x2^2 / (c x1^2) = 0,
+        sin^2 dist_0s = x1^2 y^2 / (x0^2 y + x1^2 y^2 + x2^2) = c / (1 + c)
+            <=>  y^2 - (c x0^2 / x1^2) y - c x2^2 / x1^2 = 0,
+
+    each with one positive root; the other two profiles follow by the
+    growing<->decaying swap, which reverses time.  Each distance is monotone
+    in t, so its two edge times bound its band.  Windows are widened by
+    ``margin`` on both sides, and a direction with a non-finite edge time (a
+    zero growing or decaying component, or a pole) gets unbounded windows.
+    """
+    lc_in = 2.0 * math.log(math.tan(1.75 * eps))
+    lc_out = 2.0 * math.log(math.tan(2.25 * eps))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l0, l1, l2 = np.log(np.abs(x)).T
+        (u_lo, u_hi), (b0s_lo, b0s_hi) = _pole_band_windows(l0, l1, l2,
+                                                            lc_in, lc_out)
+        (s_lo, s_hi), (b0u_lo, b0u_hi) = _pole_band_windows(l0, l2, l1,
+                                                            lc_in, lc_out)
+    # the swapped windows run backward in time
+    lo = np.stack([u_lo, b0s_lo, -b0u_hi, -s_hi]) - margin
+    hi = np.stack([u_hi, b0s_hi, -b0u_lo, -s_lo]) + margin
+    bad = ~np.all(np.isfinite(lo) & np.isfinite(hi), axis=0)
+    lo[:, bad] = -np.inf
+    hi[:, bad] = np.inf
+    return lo, hi
+
+
+def _flowed_cone(x, eps, margin):
+    """The cone integrand of the flowed x, as ``_flow_average`` calls it.
+
+    Only (node, direction) pairs inside a transition window (see
+    ``_transition_windows``) are transported and evaluated; every other pair
+    gets the saturated value, 0.5 * (number of windows passed - 2), which is
+    the value ``_cone_integrand`` computes there.
+    """
+    lo, hi = _transition_windows(x, eps, margin)
+
+    def integrand(times, grow, decay):
+        t = np.asarray(times, dtype=float)[:, None, None]
+        passed = t > hi
+        flagged = ~np.logical_and.reduce(passed | (t < lo), axis=1)
+        if np.max(np.abs(t)) > _WINDOW_MAX_TIME:
+            flagged[:] = True
+        v = 0.5 * (np.add.reduce(passed, axis=1, dtype=np.int8) - 2.0)
+        rows, cols = np.nonzero(flagged)
+        if rows.size:
+            v[rows, cols] = _cone_integrand(
+                _scaled_unit(x[cols], grow[rows, 0], decay[rows, 0]), eps)
+        return v
+
+    return integrand
 
 
 def _flow_average(x, times, weights, integrand):
-    """Sum over j of ``weights[j] * integrand`` at the time-``times[j]`` flow.
+    """Sum over j of ``weights[j] * integrand`` at the time-``times[j]`` flow
+    of the n directions x.
 
-    ``integrand(x, grow, decay)`` gets (k, 1) columns of e^{t} and e^{-t} for
-    a block of k nodes and returns (k, n) values; they are accumulated one
-    node at a time, in order.
+    ``integrand(block, grow, decay)`` gets a block of k times and (k, 1)
+    columns of their e^{t} and e^{-t}, and returns (k, n) values; they are
+    accumulated one node at a time, in order.
     """
     k = max(1, _BLOCK_ELEMENTS // x.shape[0])
     acc = np.zeros(x.shape[0])
@@ -538,22 +633,42 @@ def _flow_average(x, times, weights, integrand):
         block = times[lo:lo + k]
         grow = np.array([[math.exp(t)] for t in block])
         decay = np.array([[math.exp(-t)] for t in block])
-        for w_j, v_j in zip(weights[lo:lo + k], integrand(x, grow, decay)):
+        for w_j, v_j in zip(weights[lo:lo + k], integrand(block, grow, decay)):
             acc += w_j * v_j
     return acc
 
 
 def _weight_average(x, T, step, eps):
-    """Composite-Simpson flow average of the cone integrand over [-T, T]."""
+    """Composite-Simpson flow average of the cone integrand over [-T, T].
+
+    The sum runs node by node in order, with the cone integrand of each
+    (node, direction) pair evaluated exactly as ``_cone_integrand`` of the
+    flowed direction would be, so the result is bitwise that of a plain
+    per-node loop.  Only the pairs inside a transition window are evaluated,
+    though: each of the four cone distances is monotone along the flow, and
+    its band edges (1.75 eps and 2.25 eps) are crossed at closed-form times,
+    the roots of a quadratic in e^{2t} (``_transition_windows``).  Widened by
+    ``_WINDOW_MARGIN`` quadrature steps on both sides, a window contains every
+    node at which the computed distance can fall strictly inside its band:
+    near the band the distance moves at rate at least sin(2 dist)/2, so
+    roundoff of a few ulps in the transported direction shifts a crossing by
+    far less than a step.  Outside every window each profile's computed value
+    is exactly 0 or 1 (``_smoothstep`` clips), so the filled value
+    0.5 * ((P1 - P2) + (P3 - P4)) in {0, +-0.5, +-1} is the one the
+    evaluation would return.  Directions whose windows are not finite, and
+    nodes beyond ``_WINDOW_MAX_TIME``, are evaluated everywhere.
+    """
     nodes, weights = _simpson_nodes_weights(T, step)
-    return _flow_average(x, nodes, weights, _flowed_cone(eps))
+    return _flow_average(x, nodes, weights,
+                         _flowed_cone(x, eps, _WINDOW_MARGIN * step))
 
 
 def _weight_derivative(x, T, step, eps):
-    """Telescoped flow difference quotient (see ``WeightField.derivative``)."""
+    """Telescoped flow difference quotient (see ``WeightField.derivative``),
+    through the same windowed kernel as ``_weight_average``."""
     times = (T - step, T, T + step, -T - step, -T, -T + step)
     return _flow_average(x, times, (1.0, 4.0, 1.0, -1.0, -4.0, -1.0),
-                         _flowed_cone(eps)) / 6.0
+                         _flowed_cone(x, eps, _WINDOW_MARGIN * step)) / 6.0
 
 
 def _plateau_radii(T, step, eps):
@@ -745,7 +860,7 @@ def _log_norm_average(x, T_prime, step):
     nodes, weights = _simpson_nodes_weights(T_prime, step)
     acc = _flow_average(
         x, nodes, weights,
-        lambda y, grow, decay: np.log(_scaled_norm(y, grow, decay)))
+        lambda _, grow, decay: np.log(_scaled_norm(x, grow, decay)))
     return np.exp(acc / (2.0 * T_prime))
 
 

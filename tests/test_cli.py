@@ -148,6 +148,20 @@ def test_resolvent_counts_a_coincident_root_pair_once(tmp_path):
     assert report["crossed_levels"] == [{"re": 0.5, "im": 0.0}]
 
 
+def test_resolvent_encloses_crossed_roots_closer_than_the_default_radius(tmp_path):
+    # s = -1.005, d = 1: the crossed roots sit at w = 0.495 and 0.505, 0.01
+    # apart, so a circle of the default radius 1e-2 would enclose both
+    out = tmp_path / "out"
+    argv = ["resolvent", "--s=-1.005", "--rho=0.2", "--rho-prime=0.8",
+            "--n-r=1024", "--n-x=5", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    report = _shift_report(out)
+    assert report["passed"] is True
+    assert report["defect"] <= 1e-6
+    assert [lvl["re"] for lvl in report["crossed_levels"]] == pytest.approx(
+        [0.495, 0.505], abs=1e-12)
+
+
 def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
     assert cli.main(["roots", "--h=0", f"--output-dir={tmp_path}"]) == 2
     diag = _diagnostic(capsys)

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
 from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
@@ -17,8 +18,10 @@ from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
                              estimate_tau_max, lifted_flow, reduced_flow,
                              verify)
 from cuspflow.escape import (_as_unit_rows, _cone_integrand,
-                             _simpson_nodes_weights, _sphere_flow, _stretch,
-                             _weight_average)
+                             _plateau_samples, _simpson_nodes_weights,
+                             _sphere_flow, _stretch,
+                             _transported_cone_samples, _weight_average,
+                             _weight_derivative)
 from cuspflow.geometry import (PhasePoint, direction_angle,
                                splitting_frame_at)
 
@@ -340,6 +343,137 @@ def test_weight_derivative_matches_two_sum_difference(weight, oracle_dirs):
     deriv = weight.derivative(oracle_dirs)
     assert np.max(np.abs(deriv - (fwd - bwd) / (2.0 * h))) <= 1e-12 * 2.0 * T
     assert deriv.min() >= 0.0
+
+
+def _reference_weight_derivative(x, T, step, eps):
+    """The six-flow difference quotient as a plain loop, one flow at a time."""
+    acc = np.zeros(x.shape[0])
+    for t, w in zip((T - step, T, T + step, -T - step, -T, -T + step),
+                    (1.0, 4.0, 1.0, -1.0, -4.0, -1.0)):
+        acc += w * _cone_integrand(_sphere_flow(x, t), eps)
+    return acc / 6.0
+
+
+def _transported_back(z, times):
+    """Row i of z flowed by -times[i]: whatever row i of z does at time 0,
+    its returned direction does at times[i]."""
+    return _as_unit_rows(np.array([_sphere_flow(row[None], -t)[0]
+                                   for row, t in zip(z, times)]))
+
+
+def _ulp_targets(times, n_ulps):
+    """Each time and its neighbours up to n_ulps floats away."""
+    return [t + k * np.spacing(t) for t in times
+            for k in range(-n_ulps, n_ulps + 1)]
+
+
+def _band_edge_directions(times, eps, n_ulps=2):
+    """Directions that cross a band edge (1.75 eps or 2.25 eps from one of
+    the four cone sets) within n_ulps floats of each of the given times."""
+    z = []
+    for theta in (1.75 * eps, 2.25 * eps):
+        c, s = math.cos(theta), math.sin(theta)
+        for phi in (0.3, 1.1, 2.0):
+            cp, sp = math.cos(phi), math.sin(phi)
+            z += [[s * cp, c, s * sp],    # growing-dual pole
+                  [c * cp, s, c * sp],    # flow+decaying band
+                  [c * cp, c * sp, s],    # flow+growing band
+                  [s * cp, s * sp, c]]    # decaying-dual pole
+    targets = _ulp_targets(times, n_ulps)
+    return _transported_back(np.array(z * len(targets)),
+                             np.repeat(targets, len(z)))
+
+
+def _quiet_edge_directions(times, eps, n_ulps=8):
+    """Directions outside every band until they reach the outer edge of the
+    flow+growing band at (within n_ulps floats of) one of the given times,
+    and their swap mirrors.  While outside every band the cone integrand is
+    exactly 0, so on a window that ends at such a time a misjudged edge
+    shows up in the average even as a 1e-47 smoothstep value."""
+    theta = 2.25 * eps
+    z = [[math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi),
+          math.sin(theta)] for phi in np.linspace(0.6, 1.0, 9)]
+    targets = _ulp_targets(times, n_ulps)
+    x = _transported_back(np.array(z * len(targets)),
+                          np.repeat(targets, len(z)))
+    return np.vstack([x, x[:, [0, 2, 1]]])
+
+
+_POLES_AND_ZEROS = _as_unit_rows(np.array([
+    [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+    [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+    [0.0, 0.6, 0.8], [0.0, -0.8, 0.6], [0.6, 0.0, 0.8],
+    [-0.8, 0.0, -0.6], [0.6, 0.8, 0.0], [0.8, -0.6, 0.0],
+]))
+
+
+def _adversarial_cases(weight):
+    """(directions, T) pairs on which the windowed weight and its derivative
+    are compared with the per-node loops: poles and zero components, band
+    edges landing within ulps of the sampled times of the full window, and
+    quiet directions whose edge is the last sampled time of a short window."""
+    T, h, eps = weight.T, weight.step, weight.grid.eps
+    plateau = np.vstack(list(_plateau_samples(weight.plateau_radii).values()))
+    full = np.vstack([
+        _POLES_AND_ZEROS, plateau, *_transported_cone_samples(T, eps),
+        _band_edge_directions((-T - h, -T, -T + h, 0.0, T - h, T, T + h), eps),
+    ])
+    cases = [(full, T)]
+    for T_short in (2.0 * h, 3.0 * h):
+        nodes, _ = _simpson_nodes_weights(T_short, h)
+        cases.append((np.vstack([
+            _POLES_AND_ZEROS,
+            _band_edge_directions((nodes[0], nodes[-1]), eps),
+            _quiet_edge_directions((nodes[-1], T_short + h), eps),
+        ]), T_short))
+    return cases
+
+
+def _windowed_matches_reference(weight, x, T):
+    h, eps = weight.step, weight.grid.eps
+    return (np.array_equal(_weight_average(x, T, h, eps),
+                           _reference_weight_average(x, T, h, eps))
+            and np.array_equal(_weight_derivative(x, T, h, eps),
+                               _reference_weight_derivative(x, T, h, eps)))
+
+
+def test_windowed_weight_matches_per_node_loops_on_adversarial_set(weight):
+    for x, T in _adversarial_cases(weight):
+        assert _windowed_matches_reference(weight, x, T), T
+
+
+def test_zero_window_margin_changes_a_value_on_adversarial_set(weight,
+                                                               monkeypatch):
+    """Without its margin a closed-form window misses, by a few ulps, a
+    node at which the computed profile is still inside its band; the
+    adversarial set sees that."""
+    monkeypatch.setattr(escape, "_WINDOW_MARGIN", 0.0)
+    assert not all(_windowed_matches_reference(weight, x, T)
+                   for x, T in _adversarial_cases(weight))
+
+
+def test_windowed_derivative_matches_six_flow_loop_beyond_overflow(weight):
+    """From |t| of about 354 on the scaled components overflow and the
+    per-node evaluation reads 0 instead of the saturated value; the windowed
+    kernel evaluates such times and stays equal to the loop."""
+    h, eps = weight.step, weight.grid.eps
+    x = _as_unit_rows(np.random.default_rng(23).normal(size=(50, 3)))
+    with np.errstate(over="ignore"):
+        ref = _reference_weight_derivative(x, 380.0, h, eps)
+        got = _weight_derivative(x, 380.0, h, eps)
+    assert np.array_equal(got, ref)
+
+
+@settings(settings.get_profile("reproducible"), max_examples=30,
+          deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                               st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=8))
+def test_windowed_weight_matches_per_node_loops_hypothesis(weight, rows):
+    rows = [r for r in rows if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 > 0.0]
+    assume(rows)
+    assert _windowed_matches_reference(weight, _as_unit_rows(np.array(rows)),
+                                       weight.T)
 
 
 def test_weight_swap_oddness(weight, small_grid):
