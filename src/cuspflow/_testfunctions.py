@@ -229,13 +229,14 @@ class TestFunction:
             total += g_m * mult * nfact
         return total
 
-    def profile_coefficient(self, j: int, weight, table):
+    def profile_coefficient(self, j: int, weight, moment):
         """Coefficient of rho^j in the integral over u in S^{d-1} of
         Upsilon(u) (g J psi)(rho u), with g(t) = sum_i weight[i] t^i.
 
         A term is x^mu t^e rest(t), e = (q - |mu|)/2, rest = p(sqrt(1-t))
         e^{-ct}.  Order j needs j - |mu| even and m = (j - |mu|)/2 >= e, and
-        is table(mu, m) times coefficient m - e of g * (J rest).
+        is a_mu = moment(mu) (|u| = 1 on the sphere) times coefficient m - e
+        of g * (J rest).
         """
         acc = 0.0 + 0.0j
         for index, (q, mu, _, _) in enumerate(self.terms):
@@ -245,7 +246,7 @@ class TestFunction:
             r = gap // 2 - (q - sum(mu)) // 2
             if r < 0:
                 continue
-            c_mu = table(mu, gap // 2)
+            c_mu = moment(mu)
             if c_mu == 0.0:
                 continue
             rest = self._radial_series(index, r, True)
@@ -321,7 +322,7 @@ class AwaySupportedFunction:
     def flat_jet(self, nu):
         return 0.0 + 0.0j
 
-    def profile_coefficient(self, j, weight, table):
+    def profile_coefficient(self, j, weight, moment):
         return 0.0 + 0.0j
 
     def pair_volume_dict(self, jet_dict: dict):

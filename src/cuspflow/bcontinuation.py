@@ -33,9 +33,10 @@ here:
                        circle in w (with an optional distribution-paired
                        channel that sees the rank concentrated at the north
                        pole and the r e^{w0 r} Jordan component),
-``continue_resolvent`` the visible-root continuation, including the two
-                       equivalent strip-patched expressions when roots sit on
-                       the imaginary axis,
+``shift_identity``     the two lines at abscissae rho_lo <= rho_hi, the
+                       residues of the roots crossed between them and the
+                       defect of R_hi - R_lo = sum of those residues,
+``continue_resolvent`` the visible-root continuation from one abscissa,
 ``rho_max``            the visibility radius at one s,
 ``rho_max_prime``      its supremum over the half-plane Re s >= tau.
 
@@ -89,6 +90,8 @@ __all__ = [
     "solve_indicial",
     "resolvent_line",
     "residue_apply",
+    "ShiftIdentity",
+    "shift_identity",
     "continue_resolvent",
     "visible_roots",
     "rho_max",
@@ -110,6 +113,11 @@ _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
 _X_PAIR_SPLIT = 0.85    # split point of the paired channel near the pole
 _RES_GUARD = 5e-4       # particular-series resonance clearance
 _R_BLOCK = 64           # r-grid rows per block of the e^{r w} table
+_STRIP_HALF_WIDTH = 0.1  # widest strip around the axis roots, w units
+# Roots closer than this share one residue circle, whose two-term expansion
+# drops ~ (r gap)^2; two circles of radius 0.35 gap lose ~ 1e-17/gap instead.
+_CLUSTER_GAP = 2e-6
+_CLUSTER_TOL = 1e-6     # largest third_moment_rel accepted for such a circle
 
 
 def _taylor_shift(poly, x0: complex) -> np.ndarray:
@@ -815,8 +823,9 @@ class ResidueOutput:
 
 
 def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
-    """The circle must cleanly separate at most one root location; returns
-    the (sign, n) of the roots it encloses."""
+    """The circle must cleanly separate one root location, or one cluster of
+    locations closer than _CLUSTER_GAP, from the other roots; returns the
+    (sign, n) of the roots it encloses."""
     w0, eps = complex(res_op.lambda0), res_op.eps
     inside = []
     for loc in RootTable(op, res_op.s).in_disc(w0, 2.0 * eps):
@@ -828,10 +837,11 @@ def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
                 "recenter"
             )
         inside.append(loc)
-    if len(inside) > 1:
+    if max((abs(loc.value - inside[0].value) for loc in inside),
+           default=0.0) >= _CLUSTER_GAP:
         raise InvalidEnclosureError(
-            f"circle of radius {eps} at w={w0} encloses "
-            f"{len(inside)} distinct root locations; shrink eps"
+            f"circle of radius {eps} at w={w0} encloses {len(inside)} distinct "
+            f"root locations at least {_CLUSTER_GAP} apart; shrink eps"
         )
     return [member for loc in inside for member in loc.members]
 
@@ -855,7 +865,9 @@ def residue_apply(
     The circle moments are trapezoid sums over res_op.order nodes, spectrally
     accurate in the node count; H1 is nonzero exactly when the enclosed point
     carries a second-order pole (the Jordan crossings), producing the
-    r e^{w0 r} component.
+    r e^{w0 r} component.  Around a cluster of roots closer than
+    _CLUSTER_GAP the output is the two-term expansion about lambda0, and
+    meta["third_moment_rel"] measures the first term it drops.
     """
     if not isinstance(f, CuspFunction):
         raise ValidationError("f must be a CuspFunction")
@@ -888,7 +900,10 @@ def residue_apply(
                     g_vals = (paired * fh)[:, None]
                 m0, m1, m2 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g_vals, axis=0)
                               for k in (1, 2, 3))
-                scale = max(float(np.abs(m0).max()), float(np.abs(m1).max()), 1e-300)
+                # moments below 1e-12 of eps max |g| are roundoff of the mean
+                # (a residue that vanishes by parity), not a scale for m2
+                scale = max(float(np.abs(m0).max()), float(np.abs(m1).max()),
+                            1e-12 * eps * float(np.abs(g_vals).max()), 1e-300)
                 m2_rel = max(m2_rel, float(np.abs(m2).max()) / scale)
                 if psi is None:
                     H0.append(m0)
@@ -1122,96 +1137,117 @@ def _crossing_check(op: ModelOperator, s: complex):
         )
 
 
-def _auto_residue(op: ModelOperator, s: complex, w0: complex) -> ResidueOperator:
-    """A safely-enclosing circle at w0, shrunk below half the root gap."""
-    gaps = [abs(loc.value - w0) for loc in RootTable(op, s).in_disc(w0, 1.0)]
-    eps = min([1e-2] + [0.35 * gap for gap in gaps if gap > 1e-10])
-    return ResidueOperator(s=s, lambda0=w0, eps=max(eps, 1e-5), order=24)
+def _auto_residue(op: ModelOperator, s: complex, cluster) -> ResidueOperator:
+    """The circle at the mean of the root locations ``cluster`` (one, or a few
+    closer than _CLUSTER_GAP): radius 1e-2, shrunk to 0.35 times the distance
+    to the nearest other root."""
+    w0 = cluster[0] if len(cluster) == 1 else sum(cluster) / len(cluster)
+    gaps = [abs(loc.value - w0) for loc in RootTable(op, s).in_disc(w0, 1.0)
+            if min(abs(loc.value - w) for w in cluster) > 1e-10]
+    return ResidueOperator(s=s, lambda0=w0, eps=min([1e-2] + [0.35 * g for g in gaps]))
 
 
-def continue_resolvent(
-    op: ModelOperator,
-    s: complex,
-    f: CuspFunction,
-    x_grid=None,
-    r_span: float = 30.0,
-    n_r: int = 4096,
-    contour: ContourSpec | None = None,
-    patch_side: str = "below",
-    strip_half_width: float = 0.1,
-) -> CuspField:
-    """The continued resolvent at s, beyond the axis of absolute convergence.
+def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
+    """The summed residue fields of the root locations, one _auto_residue
+    circle per cluster of locations closer than _CLUSTER_GAP; raises
+    ToleranceError naming the roots when a cluster's two-term expansion drops
+    a third moment above _CLUSTER_TOL."""
+    clusters: list = []
+    for w in sorted((loc.value for loc in locations), key=lambda w: w.real):
+        if clusters and abs(w - clusters[-1][-1]) < _CLUSTER_GAP:
+            clusters[-1].append(w)
+        else:
+            clusters.append([w])
+    r = default_r_grid(r_span, n_r)
+    total = CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(
+        (t.m, t.mu, np.zeros((r.size, xg.size), complex)) for t in f.terms))
+    for cluster in clusters:
+        res = residue_apply(_auto_residue(op, s, cluster), op, f, x_grid=xg,
+                            r_span=r_span, n_r=n_r)
+        if len(cluster) > 1 and res.meta["third_moment_rel"] > _CLUSTER_TOL:
+            raise ToleranceError(
+                f"the roots at w={cluster[0]:.12g} and w={cluster[-1]:.12g}, "
+                f"{abs(cluster[-1] - cluster[0]):.3e} apart, share one residue circle "
+                f"whose expansion drops a third moment of {res.meta['third_moment_rel']:.3e}")
+        total = total + res.field(r)
+    return total
 
-    When the imaginary axis is regular (no root with |Re w| < 1e-6) this is
-    the axis transform corrected by the visible residues,
 
-        R(s) = R_0(s) - sum_{plus visible} B + sum_{minus visible} B.
+@dataclass
+class ShiftIdentity:
+    """R_lo and R_hi (one field when the abscissae agree), the RootTable.strip
+    locations crossed between them by real part, their summed residue field,
+    and the defect: max |R_hi - R_lo - residues| over |r| <= min(10, r_span/3)
+    relative to the larger of max |R_hi| and max |residues| there."""
 
-    When roots sit on the axis the strip patch is used instead: with
-    rho < 0 < rho' enclosing only the axis roots,
+    lo: CuspField
+    hi: CuspField
+    crossed: tuple
+    residues: CuspField
+    defect: float
 
-      patch_side='below':  R_rho  + sum_{minus roots in strip} B + tails,
-      patch_side='above':  R_rho' - sum_{plus  roots in strip} B + tails,
 
-    where tails are the visible corrections beyond the strip; the two
-    expressions agree identically.  Raises PoleError when s sits within 1e-8
-    of the root-crossing set, where the continuation itself has a pole.
+def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float,
+                   rho_hi: float, x_grid=None, r_span: float = 30.0, n_r: int = 4096,
+                   contour: ContourSpec | None = None) -> ShiftIdentity:
+    """R_hi - R_lo = sum of the residues at the roots with rho_lo < Re w < rho_hi.
+
+    Each distinct abscissa is transformed once, along ``contour`` (default
+    ContourSpec) with its rho replaced.
     """
-    if patch_side not in ("below", "above"):
-        raise ValidationError(f"patch_side must be 'below' or 'above', got {patch_side}")
+    if not rho_lo <= rho_hi:
+        raise ValidationError(f"need rho_lo <= rho_hi, got {rho_lo} > {rho_hi}")
+    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    base = ContourSpec(rho=rho_lo) if contour is None else contour
+    lines = {rho: resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg,
+                                 r_span=r_span, n_r=n_r)
+             for rho in dict.fromkeys((rho_lo, rho_hi))}
+    lo, hi = lines[rho_lo], lines[rho_hi]
+    crossed = tuple(sorted(RootTable(op, s).strip(rho_lo, rho_hi),
+                           key=lambda loc: loc.value.real))
+    residues = _residue_sum(op, s, f, crossed, xg, r_span, n_r)
+    diff = hi - lo - residues
+    window = np.abs(lo.r_grid) <= min(10.0, r_span / 3.0)
+    num = den = 0.0
+    for i in range(len(f.terms)):
+        num = max(num, float(np.max(np.abs(diff.term_values(i)[window]))))
+        den = max(den, float(np.max(np.abs(hi.term_values(i)[window]))),
+                  float(np.max(np.abs(residues.term_values(i)[window]))))
+    return ShiftIdentity(lo, hi, crossed, residues, num / max(den, 1e-300))
+
+
+def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=None,
+                       r_span: float = 30.0, n_r: int = 4096,
+                       contour: ContourSpec | None = None) -> CuspField:
+    """The continued resolvent at s, beyond the axis of absolute convergence:
+
+        R(s) = R_rho(s) - sum_{plus locations, Re w < rho} B
+                        + sum_{minus locations, Re w > rho} B,
+
+    B the residues.  rho = 0 when no root has |Re w| < 1e-6 (meta branch
+    'regular'); else (branch 'patched') rho = -w for the strip |Re w| < w,
+    w = min(0.1, half the real gap to the nearest root off the axis), which
+    holds only the axis roots.  The same sum from +w differs from this one by
+    the shift-identity defect across the strip (:func:`shift_identity`).
+    ``contour`` (default ContourSpec) sets the line's height and panels.
+    Raises PoleError when s sits within 1e-8 of the root-crossing set, where
+    the continuation itself has a pole.
+    """
     _crossing_check(op, s)
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
-    base = ContourSpec(rho=0.0) if contour is None else contour
     table = RootTable(op, s)
-    vis = visible_roots(op, s)
-    meta: dict = {
-        "visible_plus": [complex(v) for v in vis.positive_visible],
-        "visible_minus": [complex(v) for v in vis.negative_visible],
-    }
-
-    def _line(rho: float) -> CuspField:
-        line = replace(base, rho=rho)
-        return resolvent_line(op, s, line, f, x_grid=xg, r_span=r_span, n_r=n_r)
-
-    def _corrected(out: CuspField, sign: int, w0: complex) -> CuspField:
-        """out with the residue at w0 added (minus roots) or removed (plus)."""
-        res = residue_apply(
-            _auto_residue(op, s, w0), op, f, x_grid=xg, r_span=r_span, n_r=n_r
-        )
-        res_field = res.field(default_r_grid(r_span, n_r))
-        return out + res_field if sign < 0 else out - res_field
-
-    if table.abscissa_gap(0.0) >= _ABSCISSA_GUARD:
-        out = _line(0.0)
-        for w0 in vis.positive_visible:
-            out = _corrected(out, +1, w0)
-        for w0 in vis.negative_visible:
-            out = _corrected(out, -1, w0)
-        corrections = len(vis.positive_visible) + len(vis.negative_visible)
-        meta.update(branch="regular", corrections=corrections)
-    else:
-        # strip patch around the axis roots: the nearest root off the axis
-        # bounds its half-width
+    rho, branch = 0.0, "regular"
+    if table.abscissa_gap(0.0) < _ABSCISSA_GUARD:
         gap = table.abscissa_gap(0.0, beyond=_ABSCISSA_GUARD)
-        width = min(strip_half_width, 0.5 * gap)
-        rho_lo, rho_hi = -width, +width
-        side = -1 if patch_side == "below" else +1
-        out = _line(rho_lo if side < 0 else rho_hi)
-        corrections = 0
-        for loc in table.strip(rho_lo, rho_hi):
-            if any(sign == side for sign, _ in loc.members):
-                out = _corrected(out, side, loc.value)
-                corrections += 1
-        for w0 in vis.negative_visible:
-            if w0.real > rho_hi:
-                out = _corrected(out, -1, w0)
-                corrections += 1
-        for w0 in vis.positive_visible:
-            if w0.real < rho_lo:
-                out = _corrected(out, +1, w0)
-                corrections += 1
-        meta.update(branch="patched", strip=(rho_lo, rho_hi), patch_side=patch_side,
-                    corrections=corrections)
-    meta["contour_meta"] = out.meta
-    out.meta = meta
+        rho, branch = -min(_STRIP_HALF_WIDTH, 0.5 * gap), "patched"
+    # plus roots lie at Re w >= Re base, minus roots at Re w <= -Re base
+    reach = abs(table.base.real) + 1.0
+    plus = [loc for loc in table.strip(-reach, rho) if any(sg > 0 for sg, _ in loc.members)]
+    minus = [loc for loc in table.strip(rho, reach) if any(sg < 0 for sg, _ in loc.members)]
+    base = ContourSpec(rho=rho) if contour is None else contour
+    line = resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg, r_span=r_span, n_r=n_r)
+    out = (line - _residue_sum(op, s, f, plus, xg, r_span, n_r)
+           + _residue_sum(op, s, f, minus, xg, r_span, n_r))
+    out.meta = {"branch": branch, "abscissa": rho,
+                "corrections": len(plus) + len(minus), "contour_meta": line.meta}
     return out

@@ -608,8 +608,8 @@ def _run_eigendist(config: ExperimentConfig):
 
 def _run_resolvent(config: ExperimentConfig):
     from .bcontinuation import (ContourSpec, CuspFunction, CuspTerm,
-                                _auto_residue, residue_apply, resolvent_line)
-    from .indicial import ModelOperator, RootTable
+                                resolvent_line, shift_identity)
+    from .indicial import ModelOperator
 
     p = config.params
     op = ModelOperator(d=p["d"], h=p["h"])
@@ -618,13 +618,15 @@ def _run_resolvent(config: ExperimentConfig):
         radial=_gaussian_radial(p["r0"])),))
 
     x_grid = np.linspace(p["x_lo"], p["x_hi"], p["n_x"])
-
-    def line(rho):
-        return resolvent_line(op, p["s"], ContourSpec(
-            rho=rho, height=p["height"], panels=p["panels"]), f,
-            x_grid=x_grid, r_span=p["r_span"], n_r=p["n_r"])
-
-    U = line(p["rho"])
+    contour = ContourSpec(rho=p["rho"], height=p["height"], panels=p["panels"])
+    grids = {"x_grid": x_grid, "r_span": p["r_span"], "n_r": p["n_r"]}
+    shift = None
+    if p["rho_prime"] is None:
+        U = resolvent_line(op, p["s"], contour, f, **grids)
+    else:
+        lo, hi = sorted((p["rho"], p["rho_prime"]))
+        shift = shift_identity(op, p["s"], f, lo, hi, contour=contour, **grids)
+        U = shift.lo if p["rho"] == lo else shift.hi
     # plot-ready slices of the summed scalar field at three angular nodes,
     # evaluated along the diagonal cross-section direction
     u_dir = np.full(p["d"], 1.0 / math.sqrt(p["d"]))
@@ -643,43 +645,18 @@ def _run_resolvent(config: ExperimentConfig):
     tolerances: dict = {}
     failures: list = []
 
-    if p["rho_prime"] is not None:
-        hi, lo = max(p["rho"], p["rho_prime"]), min(p["rho"], p["rho_prime"])
-        U_hi = U if hi == p["rho"] else line(hi)
-        U_lo = U if lo == p["rho"] else line(lo)
-        # one residue per crossed root location, in w = lambda/h units, on a
-        # circle shrunk below half the gap to the nearest other root
-        levels = sorted((loc.value for loc in RootTable(op, p["s"]).strip(lo, hi)),
-                        key=lambda z: z.real)
-        residue_sum = None
-        for lam0 in levels:
-            res = residue_apply(_auto_residue(op, p["s"], lam0), op, f,
-                                x_grid=x_grid, r_span=p["r_span"], n_r=p["n_r"])
-            field = res.field(U.r_grid)
-            residue_sum = field if residue_sum is None else residue_sum + field
-        diff = U_hi - U_lo
-        if residue_sum is not None:
-            diff = diff - residue_sum
-        window = np.abs(U.r_grid) <= min(10.0, p["r_span"] / 3.0)
-        num = 0.0
-        den = 0.0
-        for i in range(len(U.terms)):
-            num = max(num, float(np.max(np.abs(diff.term_values(i)[window]))))
-            den = max(den, float(np.max(np.abs(U_hi.term_values(i)[window]))))
-            if residue_sum is not None:
-                den = max(den, float(np.max(np.abs(
-                    residue_sum.term_values(i)[window]))))
-        defect = num / max(den, 1e-300)
-        tolerances["shift_identity_defect"] = defect
-        if defect > 1e-6:
+    if shift is not None:
+        tolerances["shift_identity_defect"] = shift.defect
+        if shift.defect > 1e-6:
             failures.append("shift_identity")
         artifacts[f"{prefix}-shift_identity.json"] = _json_text({
             "rho_low": lo,
             "rho_high": hi,
-            "crossed_levels": [{"re": z.real, "im": z.imag} for z in levels],
-            "defect": defect,
+            "crossed_levels": [{"re": loc.value.real, "im": loc.value.imag}
+                               for loc in shift.crossed],
+            "defect": shift.defect,
             "tolerance": 1e-6,
-            "passed": defect <= 1e-6,
+            "passed": shift.defect <= 1e-6,
         })
     return artifacts, tolerances, failures
 

@@ -103,13 +103,6 @@ _BLOCK_ELEMENTS = 1 << 14
 # cone profiles on both sides (see ``_transition_windows``).
 _WINDOW_MARGIN = 2.0
 
-# Largest |t| at which the saturated fill is used.  Up to here the squared
-# scaled components of ``_scaled_unit`` neither overflow nor lose the norm, so
-# the computed profiles saturate where the closed form says; from about
-# |t| = 354 on they overflow and the evaluated integrand reads 0, so nodes
-# beyond this are evaluated, keeping the averages those of a per-node loop.
-_WINDOW_MAX_TIME = 300.0
-
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
@@ -207,6 +200,10 @@ def _scaled_unit(x, grow, decay):
     w[..., 0] = x[..., 0]
     w[..., 1] = x[..., 1] * grow
     w[..., 2] = x[..., 2] * decay
+    if max(np.max(grow), np.max(decay)) > 1e150:
+        # past |t| ~ 345 the squares would over- or underflow; an exact
+        # power-of-two rescale of each row keeps them finite
+        w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
     n = np.sqrt((w * w).sum(axis=-1))
     return w / n[..., None]
 
@@ -607,8 +604,6 @@ def _flowed_cone(x, eps, margin):
         t = np.asarray(times, dtype=float)[:, None, None]
         passed = t > hi
         flagged = ~np.logical_and.reduce(passed | (t < lo), axis=1)
-        if np.max(np.abs(t)) > _WINDOW_MAX_TIME:
-            flagged[:] = True
         v = 0.5 * (np.add.reduce(passed, axis=1, dtype=np.int8) - 2.0)
         rows, cols = np.nonzero(flagged)
         if rows.size:
@@ -655,8 +650,8 @@ def _weight_average(x, T, step, eps):
     far less than a step.  Outside every window each profile's computed value
     is exactly 0 or 1 (``_smoothstep`` clips), so the filled value
     0.5 * ((P1 - P2) + (P3 - P4)) in {0, +-0.5, +-1} is the one the
-    evaluation would return.  Directions whose windows are not finite, and
-    nodes beyond ``_WINDOW_MAX_TIME``, are evaluated everywhere.
+    evaluation would return.  Directions whose windows are not finite are
+    evaluated everywhere.
     """
     nodes, weights = _simpson_nodes_weights(T, step)
     return _flow_average(x, nodes, weights,

@@ -13,8 +13,9 @@ meromorphically in lambda with simple poles at  lambda_j = h(j - k)/2,
 j >= 0.  The continuation is computed by subtracting a Taylor polynomial of
 the regular factor in the radial integral (equivalent to iterated integration
 by parts); the subtracted terms integrate in closed form and carry the poles.
-Its coefficients Phi_j(lambda) pair a psi- and lambda-free moment table of
-Upsilon with the radial series of psi convolved with that of w^sigma.
+Its coefficients Phi_j(lambda) pair the sphere moments a_mu of Upsilon
+(psi- and lambda-free) with the radial series of psi convolved with that of
+w^sigma.
 
 The integral of Upsilon psi over u is exact; the radial and colatitude
 integrals use :func:`quad`: eight equal Gauss-Legendre panels of 32 nodes.
@@ -41,7 +42,6 @@ from numpy.polynomial import polynomial as npoly
 
 from ._jets import (
     RadialSeries,
-    _multinomial,
     delta_in_volume_basis,
     radial_multiply,
     volume_dict_to_delta_basis,
@@ -126,7 +126,7 @@ class RegularizedPairing:
              (graded-lexicographic order)
     lam    : spectral parameter lambda
     n_reg  : Taylor-subtraction depth (None selects the automatic minimum)
-    psi    : test function with profile_coefficient(j, weight, table) and
+    psi    : test function with profile_coefficient(j, weight, moment) and
              angular_profile(phi, moment), as TestFunction has them
     """
 
@@ -163,24 +163,12 @@ def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=65536)
-def _moment_table(up: tuple, k: int, mu: tuple, m: int) -> complex:
-    """C(mu, m) = sum over |w| = m of (m!/w!) a_{mu+2w}, the weight of a
-    term x^mu |x|^{2m} in Phi_j.  It is a_mu in exact arithmetic (|u| = 1);
-    summed over w it rounds as the sum over volume jets d^nu does."""
-    total = 0.0
-    for w in multi_indices(len(mu), m):
-        nu = tuple(a + 2 * b for a, b in zip(mu, w))
-        total += _multinomial(w) * _angular_moment(up, k, nu)
-    return total
-
-
 def pairing(rp: RegularizedPairing) -> complex:
     """The meromorphically continued pairing <F(lambda), psi>.
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
-    Phi_j sums C(mu, m) (w^sigma J rest)_{m-e} over the terms of psi, and
+    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, and
     the integral over u of Upsilon psi is exact.
     Far integral: direct quadrature in the colatitude over [cut, pi] in the
     everywhere-regular form T^sigma sin(phi)^{k+d-1}.  Both integrals use the
@@ -220,14 +208,13 @@ def pairing(rp: RegularizedPairing) -> complex:
     j_cap = n_reg + 64
     # Phi_j reads w^sigma to order m - e <= j // 2
     weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma).coeffs
-    table = functools.partial(_moment_table, rp.upsilon, k)
-    phi_j = [rp.psi.profile_coefficient(j, weight, table) for j in range(n_reg)]
+    phi_j = [rp.psi.profile_coefficient(j, weight, moment) for j in range(n_reg)]
     near = 0.0 + 0.0j
     small_run = 0
     any_nonzero = False
     converged = False
     for j in range(n_reg, j_cap):
-        term = rp.psi.profile_coefficient(j, weight, table) * rho_s ** (c_exp + j) / (c_exp + j)
+        term = rp.psi.profile_coefficient(j, weight, moment) * rho_s ** (c_exp + j) / (c_exp + j)
         near += term
         if term == 0.0:
             # structural parity zeros carry no convergence information
@@ -284,7 +271,7 @@ def pole_residue(
     """Residue of lambda -> <F(lambda), psi> at lambda_j = h(j-k)/2, two ways.
 
     closed_form: -(h/2) Phi_j(lambda_j), the one Taylor coefficient of the
-    weighted profile from the moment table of Upsilon (equivalently the j-th
+    weighted profile from the sphere moments of Upsilon (equivalently the j-th
     radial derivative display, which it reproduces).
     contour: (1/2 pi i) times the circle integral of the pairing on
     |lambda - lambda_j| = eps*h by the trapezoid rule (spectrally accurate;
@@ -303,9 +290,9 @@ def pole_residue(
 
     # closed form
     sigma = -(k + d / 2.0 + lam_j / h)
-    table = functools.partial(_moment_table, tuple(upsilon), k)
+    moment = functools.partial(_angular_moment, tuple(upsilon), k)
     weight = RadialSeries.pole_factor(j // 2, exact=False).power(sigma).coeffs
-    closed = -(h / 2.0) * psi.profile_coefficient(j, weight, table)
+    closed = -(h / 2.0) * psi.profile_coefficient(j, weight, moment)
 
     # contour
     acc = 0.0 + 0.0j

@@ -21,6 +21,7 @@ from cuspflow.bcontinuation import (
     resolvent_line,
     rho_max,
     rho_max_prime,
+    shift_identity,
     solve_indicial,
     visible_roots,
 )
@@ -29,6 +30,7 @@ from cuspflow.errors import (
     InvalidEnclosureError,
     NearSingularError,
     PoleError,
+    ToleranceError,
     ValidationError,
 )
 from cuspflow.indicial import ModelOperator
@@ -582,18 +584,69 @@ def test_continued_resolvent_satisfies_identity():
 
 
 def test_patching_expressions_agree():
+    # the axis carries the roots +-0.3i, so continue_resolvent patches from the
+    # strip's lower edge; the expression from the upper edge differs from it by
+    # the shift-identity defect across the strip
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
-    s = -0.5 + 0.3j  # the axis carries the roots +-0.3i: patched branch
-    Ub = continue_resolvent(op, s, f, x_grid=XG, patch_side="below")
-    Ua = continue_resolvent(op, s, f, x_grid=XG, patch_side="above")
-    assert Ub.meta["branch"] == "patched"
-    assert Ua.meta["branch"] == "patched"
-    win = np.abs(Ub.r_grid) <= 10.0
-    rel = np.abs((Ub - Ua).term_values(0)[win]).max() / np.abs(
-        Ub.term_values(0)[win]
-    ).max()
-    assert rel < 1e-6
+    s = -0.5 + 0.3j
+    U = continue_resolvent(op, s, f, x_grid=XG)
+    assert U.meta["branch"] == "patched"
+    rho = U.meta["abscissa"]
+    shift = shift_identity(op, s, f, rho, -rho, x_grid=XG)
+    crossed = sorted((loc.value for loc in shift.crossed), key=lambda w: w.imag)
+    assert crossed == pytest.approx([-0.3j, 0.3j], abs=1e-14)
+    assert shift.defect < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# shift_identity
+# ---------------------------------------------------------------------------
+
+
+def test_shift_identity_transforms_each_abscissa_once():
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    shift = shift_identity(op, 1.3, f, -2.3, -1.3, x_grid=XG, n_r=1024)
+    for rho, got in ((-2.3, shift.lo), (-1.3, shift.hi)):
+        line = resolvent_line(op, 1.3, ContourSpec(rho=rho), f, x_grid=XG, n_r=1024)
+        assert np.array_equal(got.term_values(0), line.term_values(0))
+    assert [loc.value for loc in shift.crossed] == [-1.8]
+    assert shift.residues.max_abs() > 1e-3
+    assert shift.defect < 1e-9
+    same = shift_identity(op, 1.3, f, -2.3, -2.3, x_grid=XG, n_r=1024)
+    assert same.hi is same.lo and same.crossed == () and same.defect == 0.0
+    with pytest.raises(ValidationError):
+        shift_identity(op, 1.3, f, -1.3, -2.3, x_grid=XG, n_r=1024)
+
+
+# s = s0 - gap/2 puts two crossed roots gap apart around w0: at s0 = -1 the
+# plus root of level 1 and the minus root of level 0 (semisimple) meet at
+# w0 = 1/2, at s0 = -3/2 the plus root of level 2 and the minus root of level 0
+# (a Jordan pair) at w0 = 1, and the level-1 pair, whose residues vanish on
+# this even input, at w0 = 0; gaps on either side of _CLUSTER_GAP = 2e-6
+@pytest.mark.parametrize("s0,w0", [(-1.0, 0.5), (-1.5, 1.0), (-1.5, 0.0)])
+@pytest.mark.parametrize("gap", [1e-9, 1.9e-6, 2.1e-6, 1e-5, 4e-5])
+def test_shift_identity_holds_across_close_roots(s0, w0, gap):
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    shift = shift_identity(op, s0 - gap / 2.0, f, w0 - 0.3, w0 + 0.3, x_grid=XG, n_r=1024)
+    crossed = [loc.value for loc in shift.crossed]
+    assert crossed == pytest.approx([w0 - gap / 2.0, w0 + gap / 2.0], abs=1e-12)
+    assert shift.defect < 1e-9
+
+
+def test_cluster_circle_raises_naming_both_roots_past_its_tolerance(monkeypatch):
+    # one circle around roots 1e-2 apart drops a third moment of (1e-2 / 2)^2
+    # relative, over the 1e-6 accepted; 1e-3 apart it drops 2.5e-7
+    monkeypatch.setattr(bc, "_CLUSTER_GAP", 0.05)
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    with pytest.raises(ToleranceError) as exc:
+        shift_identity(op, -1.005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
+    assert "w=0.495+0j and w=0.505-0j, 1.000e-02 apart" in str(exc.value)
+    shift = shift_identity(op, -1.0005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
+    assert len(shift.crossed) == 2
 
 
 def test_crossing_raises_pole_error_with_datum():
@@ -603,13 +656,6 @@ def test_crossing_raises_pole_error_with_datum():
         continue_resolvent(op, -1.5, f, x_grid=XG)
     assert exc.value.j == 2
     assert exc.value.k == 0
-
-
-def test_invalid_patch_side_raises():
-    op = ModelOperator(d=1)
-    f = term(1, 0, (0,), gauss())
-    with pytest.raises(ValidationError):
-        continue_resolvent(op, 5.0, f, x_grid=XG, patch_side="sideways")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Tests for the command-line runner."""
 
+import ast
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspflow import cli
 
@@ -160,6 +164,47 @@ def test_resolvent_encloses_crossed_roots_closer_than_the_default_radius(tmp_pat
     assert report["defect"] <= 1e-6
     assert [lvl["re"] for lvl in report["crossed_levels"]] == pytest.approx(
         [0.495, 0.505], abs=1e-12)
+
+
+@pytest.mark.parametrize("s", ["-1.00001", "-1.0000075", "-1.000005", "-1.000001"])
+def test_resolvent_crossed_roots_2e_5_to_2e_6_apart_exit_0(tmp_path, s):
+    # the crossed roots sit 2 (1 + s) apart around w = 0.5: 2e-5 down to 2e-6
+    out = tmp_path / "out"
+    argv = ["resolvent", f"--s={s}", "--rho=0.2", "--rho-prime=0.8",
+            "--n-r=1024", "--n-x=5", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    report = _shift_report(out)
+    assert len(report["crossed_levels"]) == 2
+    assert report["defect"] <= 1e-9
+
+
+# d = 1, h = 1: at s0 = -(1 + n + p)/2 the plus root of level n meets the minus
+# root of level p at w0 = (n - p)/2; the contours run 0.3 either side of w0
+_COLLISIONS = [(-1.0, 0.5), (-1.5, 0.0), (-1.5, 1.0), (-2.0, 0.5), (-2.0, 1.5)]
+
+
+@settings(settings.get_profile("reproducible"), max_examples=12, deadline=None)
+@given(collision=st.sampled_from(_COLLISIONS), exponent=st.floats(-10.0, -3.0),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_resolvent_near_root_collisions_exits_0(tmp_path_factory, collision,
+                                                exponent, angle):
+    s0, w0 = collision
+    s = s0 + 10.0**exponent * complex(math.cos(angle), math.sin(angle))
+    out = tmp_path_factory.mktemp("out")
+    argv = ["resolvent", f"--s={s.real!r}{s.imag:+.17g}j", f"--rho={w0 - 0.3}",
+            f"--rho-prime={w0 + 0.3}", "--n-r=1024", "--n-x=5",
+            f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    assert _shift_report(out)["defect"] <= 1e-6
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("cuspflow"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):

@@ -453,15 +453,26 @@ def test_zero_window_margin_changes_a_value_on_adversarial_set(weight,
 
 
 def test_windowed_derivative_matches_six_flow_loop_beyond_overflow(weight):
-    """From |t| of about 354 on the scaled components overflow and the
-    per-node evaluation reads 0 instead of the saturated value; the windowed
-    kernel evaluates such times and stays equal to the loop."""
+    """Past |t| of about 354, where squaring the e^t-scaled components would
+    overflow, the per-node evaluation still reads the saturated value that
+    the windowed kernel fills in."""
     h, eps = weight.step, weight.grid.eps
     x = _as_unit_rows(np.random.default_rng(23).normal(size=(50, 3)))
-    with np.errstate(over="ignore"):
-        ref = _reference_weight_derivative(x, 380.0, h, eps)
-        got = _weight_derivative(x, 380.0, h, eps)
+    ref = _reference_weight_derivative(x, 380.0, h, eps)
+    got = _weight_derivative(x, 380.0, h, eps)
     assert np.array_equal(got, ref)
+
+
+def test_weight_average_saturates_at_T_400():
+    """Beyond |t| = 20 the cone integrand of these directions is +1 forward
+    and -1 backward, so the Simpson tails over [20, 400] and [-400, -20]
+    cancel and the T = 400 average is the T = 20 one."""
+    x = _as_unit_rows(np.array([[0.3, 0.8, 0.5], [0.1, 0.2, 0.97]]))
+    assert np.linalg.norm(_sphere_flow(x, 400.0), axis=1) == pytest.approx(1.0)
+    far = _weight_average(x, 400.0, 0.05, 0.15)
+    assert far == pytest.approx(_weight_average(x, 20.0, 0.05, 0.15), abs=1e-9)
+    assert far == pytest.approx([0.471, -1.579], abs=1e-3)
+    assert np.array_equal(_weight_derivative(x, 400.0, 0.05, 0.15), [2.0, 2.0])
 
 
 @settings(settings.get_profile("reproducible"), max_examples=30,

@@ -16,7 +16,6 @@ from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
     RegularizedPairing,
     _angular_moment,
-    _moment_table,
     jordan_vector,
     pair_distribution,
     pairing,
@@ -253,7 +252,7 @@ def test_radial_taylor_reconstruction_remainder_order():
     lam_im=st.floats(-2.0, 2.0),
 )
 def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, lam_re, lam_im):
-    # Phi_j from the moment table against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
+    # Phi_j from the moments a_mu against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
     # for every order the pairing's tail series can read; the error is measured
     # against the sum of the absolute (nu, term) shares, since the terms' shares
     # of one jet can cancel
@@ -263,7 +262,7 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     sigma = -(k + d / 2.0 + complex(lam_re, lam_im))
     j_cap = n_reg + 64
     weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma)
-    table = functools.partial(_moment_table, upsilon, k)
+    moment = functools.partial(_angular_moment, upsilon, k)
     for j in range(j_cap):
         terms = []
         for nu in multi_indices(d, j):
@@ -271,7 +270,7 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
             if a_nu != 0.0:
                 fact = math.prod(math.factorial(v) for v in nu)
                 terms += [a_nu / fact * t for t in _weighted_jet_terms(psi, nu, weight)]
-        got = psi.profile_coefficient(j, weight.coeffs, table)
+        got = psi.profile_coefficient(j, weight.coeffs, moment)
         assert abs(got - sum(terms)) <= 4e-14 * sum(abs(t) for t in terms), (j, got)
 
 
