@@ -1,12 +1,26 @@
 """cuspflow: spectral and dynamical toolkit for hyperbolic cusp geodesic flow.
 
-Subpackages
------------
+Modules
+-------
 geometry
     Cusp models, phase points, cotangent norms, the exact invariant splitting.
 flow
     Closed-form geodesic flow, the level-2 congruence quotient, Liouville
     sampling, correlation functions and truncated Laplace transforms.
+indicial
+    The transverse model operator: its indicial roots (``RootTable``), the
+    eigendistributions at them and the jet-matrix cross-check.
+hadamard
+    Hadamard-regularised pairings of the homogeneous distributions, their
+    poles, residues and Jordan vectors.
+bcontinuation
+    Contour-deformation continuation of the cusp resolvent: contour lines,
+    residue operators, the shift identity and the visible-root continuation.
+escape
+    The weight, the escape function and its sampled certificate (d = 1).
+cli
+    The ``cuspflow`` command line: one subcommand per stage, each writing its
+    artifacts and a manifest that reproduces the run.
 """
 
 from . import errors, flow, geometry

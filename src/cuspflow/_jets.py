@@ -40,14 +40,9 @@ from ._sphere import multi_indices, multi_indices_upto
 __all__ = [
     "RadialSeries",
     "radial_multiply",
-    "monomial_multiply",
-    "derivative_transpose",
-    "euler_weight",
     "transpose_matrix_on_volume_jets",
     "delta_in_volume_basis",
-    "delta_basis_matrix",
     "volume_dict_to_delta_basis",
-    "jet_eigenvalue",
 ]
 
 
@@ -196,40 +191,9 @@ def radial_multiply(jet: dict, series: RadialSeries) -> dict:
     return out
 
 
-def monomial_multiply(jet: dict, nu: tuple[int, ...]) -> dict:
-    """Functional F |-> L[x^nu F]:  D_mu[x^nu F] = (mu!/(mu-nu)!) D_{mu-nu}[F]."""
-    out: dict = {}
-    for mu, c in jet.items():
-        tgt = tuple(a - b for a, b in zip(mu, nu))
-        if any(v < 0 for v in tgt):
-            continue
-        coeff = c * _falling(mu, tgt)
-        out[tgt] = out.get(tgt, coeff * 0) + coeff
-    return out
-
-
-def derivative_transpose(jet: dict, i: int) -> dict:
-    """Functional F |-> L[d_i F]:  D_mu[d_i F] = D_{mu+e_i}[F]."""
-    out: dict = {}
-    for mu, c in jet.items():
-        tgt = tuple(a + (1 if k == i else 0) for k, a in enumerate(mu))
-        out[tgt] = out.get(tgt, c * 0) + c
-    return out
-
-
-def euler_weight(jet: dict) -> dict:
-    """Functional F |-> L[(x . grad) F]:  D_mu[E F] = |mu| D_mu[F]."""
-    return {mu: c * sum(mu) for mu, c in jet.items()}
-
-
 # ---------------------------------------------------------------------------
 # Transposed model operator on volume jets
 # ---------------------------------------------------------------------------
-
-
-def jet_eigenvalue(d: int, h, lam, A, n: int):
-    """Diagonal entry on jets of order n:  lambda + h*A - h*(n + d/2)."""
-    return lam + h * A - h * (n + Fraction(d, 2) if isinstance(h, Fraction) else n + d / 2.0)
 
 
 def transpose_matrix_on_volume_jets(d: int, h, lam, A, K: int, exact: bool = False):
@@ -305,26 +269,6 @@ def delta_in_volume_basis(d: int, h, lam, mu: tuple[int, ...], exact: bool = Fal
         sigma = lam / h - sum(mu) - d / 2.0
         one = 1.0 + 0.0j
     return radial_multiply({mu: one}, w.power(sigma))
-
-
-def delta_basis_matrix(d: int, h, lam, K: int, exact: bool = False):
-    """Unit upper-triangular change of basis: columns are delta_mu in B-basis."""
-    basis = multi_indices_upto(d, K)
-    index = {mu: i for i, mu in enumerate(basis)}
-    n = len(basis)
-    if exact:
-        U = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-    else:
-        U = np.zeros((n, n), dtype=complex)
-    for mu in basis:
-        col = delta_in_volume_basis(d, h, lam, mu, exact=exact)
-        j = index[mu]
-        for nu, c in col.items():
-            if exact:
-                U[index[nu]][j] += c
-            else:
-                U[index[nu], j] += c
-    return basis, U
 
 
 def volume_dict_to_delta_basis(d: int, h, lam, jet: dict) -> dict:

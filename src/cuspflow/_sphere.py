@@ -26,8 +26,6 @@ from .errors import UnsupportedDimensionError
 __all__ = [
     "multi_indices",
     "multi_indices_upto",
-    "multi_index_position",
-    "sphere_surface_area",
     "sphere_quadrature",
     "sphere_monomial_integral",
     "homogeneous_dimension",
@@ -67,18 +65,6 @@ def multi_indices_upto(d: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     for n in range(n_max + 1):
         out.extend(multi_indices(d, n))
     return tuple(out)
-
-
-def multi_index_position(mu: tuple[int, ...]) -> int:
-    """Position of ``mu`` in the graded-lexicographic enumeration of its d."""
-    d = len(mu)
-    n = sum(mu)
-    return multi_indices_upto(d, n).index(tuple(mu))
-
-
-def sphere_surface_area(d: int) -> float:
-    """Surface measure of S^{d-1} in R^d: 2, 2*pi, 4*pi, ..."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @lru_cache(maxsize=None)

@@ -24,9 +24,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._jets import RadialSeries
-from ._sphere import sphere_quadrature
 
-__all__ = ["TestFunction", "AwaySupportedFunction", "random_test_function"]
+__all__ = ["TestFunction", "random_test_function"]
 
 
 def _poly_of_series(p_coeffs, s: RadialSeries) -> RadialSeries:
@@ -135,10 +134,6 @@ class TestFunction:
                 newp = npoly.polyadd(newp, npoly.polymul([0.0, -2.0 * c], p))
             out.append((q + 1, mu, c, newp))
         return TestFunction(out, self.d)
-
-    def apply_model(self, h, lam, A=0.0) -> "TestFunction":
-        """Apply P = h sin(phi) d_phi + (lam + h d/2 + h A) cos(phi) exactly."""
-        return self.x_gr() * h + self.mult_z0() * (lam + h * self.d / 2.0 + h * A)
 
     def apply_model_transpose(self, h, lam, A=0.0) -> "TestFunction":
         """Apply the volume-pairing transpose  -P_{-lam} + h A cos(phi)."""
@@ -264,70 +259,6 @@ class TestFunction:
     def pair_volume_dict(self, jet_dict: dict):
         """Pair a volume-jet functional {mu: coeff} against this function."""
         return sum(c * self.volume_jet(mu) for mu, c in jet_dict.items())
-
-    # -- norms -------------------------------------------------------------------
-
-    def ck_norm(self, k: int, n_phi: int = 200) -> float:
-        """Surrogate C^k norm: sup over a grid of |d_phi^a psi| for a <= k.
-
-        Angular derivatives are not included; the radial (phi) derivatives
-        dominate for the pole-concentrated functionals this norm calibrates.
-        """
-        phi = np.linspace(0.0, np.pi, n_phi)
-        nodes, _ = sphere_quadrature(self.d, 3)
-        out = 0.0
-        f = self
-        for _ in range(k + 1):
-            vals = f.value(phi[:, None], nodes[None, :, :])
-            out = max(out, float(np.max(np.abs(vals))))
-            f = f.d_phi()
-        return out
-
-
-class AwaySupportedFunction:
-    """Smooth function supported in {cos(phi) < z_star}, away from the pole N.
-
-    value = x^mu * g(cos phi) with g(z) = exp(-1/(z_star - z)) for z < z_star
-    and 0 otherwise.  All jets at N vanish identically.
-    """
-
-    def __init__(self, d: int, z_star: float = 0.0, mu=None):
-        self.d = int(d)
-        self.z_star = float(z_star)
-        self.mu = tuple(mu) if mu is not None else (0,) * d
-
-    def _bump(self, phi):
-        """g(cos phi) rho^{|mu|}: the value without its factor u^mu."""
-        gap = self.z_star - np.cos(phi)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = np.where(gap > 0, np.exp(-1.0 / np.where(gap > 0, gap, 1.0)), 0.0)
-        return g * np.sin(phi) ** sum(self.mu)
-
-    def value(self, phi, u):
-        phi = np.asarray(phi, dtype=float)
-        u = np.asarray(u, dtype=float)
-        upart = np.ones(np.broadcast(phi, u[..., 0]).shape, dtype=float)
-        for i, m in enumerate(self.mu):
-            if m:
-                upart = upart * u[..., i] ** m
-        return self._bump(phi) * upart
-
-    def angular_profile(self, phi, moment):
-        """Integral over u of Upsilon(u) psi(phi, u): a_mu g(cos phi) rho^{|mu|}."""
-        return moment(self.mu) * self._bump(np.asarray(phi, dtype=float))
-
-    def volume_jet(self, nu):
-        return 0.0 + 0.0j
-
-    def flat_jet(self, nu):
-        return 0.0 + 0.0j
-
-    def profile_coefficient(self, j, weight, moment):
-        return 0.0 + 0.0j
-
-    def pair_volume_dict(self, jet_dict: dict):
-        return 0.0 + 0.0j
-
 
 def random_test_function(d: int, rng: np.random.Generator, n_terms: int = 3,
                          max_deg: int = 2) -> TestFunction:

@@ -37,8 +37,7 @@ here:
                        residues of the roots crossed between them and the
                        defect of R_hi - R_lo = sum of those residues,
 ``continue_resolvent`` the visible-root continuation from one abscissa,
-``rho_max``            the visibility radius at one s,
-``rho_max_prime``      its supremum over the half-plane Re s >= tau.
+``rho_max``            the visibility radius at one s.
 
 Both halves of the contour transform, fhat and the synthesis back onto the
 uniform r-grid, take e^{r w} = e^{r0_b w} e^{(r - r0_b) w} from one table
@@ -84,7 +83,6 @@ __all__ = [
     "ContourSpec",
     "ResidueOperator",
     "ResidueOutput",
-    "VisibleRootSet",
     "default_x_grid",
     "default_r_grid",
     "solve_indicial",
@@ -93,9 +91,7 @@ __all__ = [
     "ShiftIdentity",
     "shift_identity",
     "continue_resolvent",
-    "visible_roots",
     "rho_max",
-    "rho_max_prime",
 ]
 
 # Evaluation grids stay a fixed distance below the north pole x = 1, where
@@ -206,10 +202,6 @@ class SphereFunction:
             ang = float(np.prod(u ** np.asarray(t.mu)))
             total += complex(_polyval(t.poly, x)) * sp ** t.m * ang
         return total
-
-    def sup_scale(self) -> float:
-        """A sup-norm scale: max over terms of sum |poly| (|x|,|sin| <= 1)."""
-        return max(float(np.abs(np.asarray(t.poly)).sum()) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -480,9 +472,6 @@ class SphereSolution:
     x_grid: np.ndarray
     profiles: tuple  # per-term arrays (n_x,)
     meta: dict = field(default_factory=dict)
-
-    def term_profile(self, i: int) -> np.ndarray:
-        return self.profiles[i]
 
     def profile_at(self, i: int, x) -> np.ndarray:
         t = self.terms[i]
@@ -804,14 +793,6 @@ class ResidueOutput:
             d=self.d, r_grid=r, x_grid=self.x_grid, terms=tuple(terms), meta={}
         )
 
-    def paired_series(self, r) -> np.ndarray:
-        if not self.paired:
-            raise ValidationError("pointwise residue output has no paired series")
-        r = np.asarray(r, float)
-        h0 = sum(self.H0)
-        h1 = sum(self.H1)
-        return np.exp(self.lambda0 * r) * (h0 + r * h1)
-
     def max_abs(self) -> float:
         if self.paired:
             return max(
@@ -1088,40 +1069,10 @@ def _paired_mode_values(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VisibleRootSet:
-    """The finitely many roots strictly crossed by tempering the weight.
-
-    positive_visible: plus-branch roots with Re w < 0 (each with its level in
-    positive_levels); negative_visible: minus-branch roots with Re w > 0.
-    """
-
-    positive_visible: tuple
-    negative_visible: tuple
-    positive_levels: tuple = ()
-    negative_levels: tuple = ()
-
-
-def visible_roots(op: ModelOperator, s: complex) -> VisibleRootSet:
-    table = RootTable(op, s)
-    levels = tuple(table.visible())
-    return VisibleRootSet(
-        positive_visible=tuple(table.value(+1, n) for n in levels),
-        negative_visible=tuple(table.value(-1, n) for n in levels),
-        positive_levels=levels,
-        negative_levels=levels,
-    )
-
-
 def rho_max(op: ModelOperator, s: complex) -> float:
     """max(0, |Re w|) over the visible roots at s (w units); the level-0
     roots, at |Re w| = -Re(s - A + d/2), are the farthest out."""
     return max(0.0, -RootTable(op, s).base.real)
-
-
-def rho_max_prime(op: ModelOperator, tau: float) -> float:
-    """sup of rho_max over Re s >= tau: max(0, Re A - tau - d/2)."""
-    return max(0.0, complex(op.A).real - float(tau) - op.d / 2.0)
 
 
 def _crossing_check(op: ModelOperator, s: complex):

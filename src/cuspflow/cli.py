@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -470,22 +471,27 @@ def _write_artifacts(output_dir: str, artifacts: dict) -> None:
         os.replace(tmp, os.path.join(output_dir, name))
 
 
-def _versions() -> dict:
-    import platform
-
-    import scipy
-
+@functools.lru_cache(maxsize=None)
+def _installed_version(dist: str) -> str:
+    """Version of an installed distribution, read from its metadata without
+    importing it; "unknown" when it is not installed.  Cached: parsing
+    scipy's metadata takes about 4 ms, and every run writes a manifest."""
     from importlib.metadata import PackageNotFoundError, version
 
     try:
-        pkg = version("cuspflow")
+        return version(dist)
     except PackageNotFoundError:
-        pkg = "unknown"
+        return "unknown"
+
+
+def _versions() -> dict:
+    import platform
+
     return {
-        "package_version": pkg,
+        "package_version": _installed_version("cuspflow"),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": _installed_version("scipy"),
     }
 
 

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedDimensionError, ValidationError
-from .flow import flow_cusp_exact
 from .geometry import (PhasePoint, apply_local_isometry, direction_angle,
                        splitting_frame_at)
 
@@ -71,8 +70,6 @@ __all__ = [
     "SymbolField",
     "EscapeData",
     "EscapeCertificate",
-    "lifted_flow",
-    "reduced_flow",
     "estimate_tau_max",
     "build_weight",
     "build_f",
@@ -102,6 +99,9 @@ _BLOCK_ELEMENTS = 1 << 14
 # Widening, in quadrature steps, of each closed-form transition window of the
 # cone profiles on both sides (see ``_transition_windows``).
 _WINDOW_MARGIN = 2.0
+
+# Largest t with e^t a finite float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -210,89 +210,11 @@ def _scaled_unit(x, grow, decay):
 
 def _scaled_norm(x, grow, decay):
     """|diag(1, grow, decay) x|, with the factors broadcast as above."""
+    if max(np.max(grow), np.max(decay)) > 1e150:
+        # the squares would overflow, as in _scaled_unit; np.hypot squares nothing
+        return np.hypot(np.hypot(x[..., 0], x[..., 1] * grow), x[..., 2] * decay)
     return np.sqrt(x[..., 0] ** 2 + (x[..., 1] * grow) ** 2
                    + (x[..., 2] * decay) ** 2)
-
-
-def _advance_angle(alpha, t):
-    """Closed form of d alpha/dt = sin(alpha) on (-pi, pi].
-
-    ``tan(alpha/2)`` is scaled by ``e^t``; the evaluation is branched on the
-    hemisphere so neither end loses accuracy.  The fixed points 0 and pi are
-    preserved exactly.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    a = np.abs(alpha)
-    sgn = np.where(alpha < 0.0, -1.0, 1.0)
-    north = a <= _HALF_PI
-    with np.errstate(divide="ignore"):
-        ell = np.where(north,
-                       np.log(np.tan(0.5 * a)),
-                       -np.log(np.tan(0.5 * (np.pi - np.minimum(a, np.pi)))))
-    ell = ell + t
-    out = np.where(ell <= 0.0,
-                   2.0 * np.arctan(np.exp(np.minimum(ell, 0.0))),
-                   np.pi - 2.0 * np.arctan(np.exp(np.minimum(-ell, 0.0))))
-    return sgn * out
-
-
-def reduced_flow(alpha, xihat, t):
-    """Time-t reduced flow on (alpha, xihat).
-
-    Parameters
-    ----------
-    alpha : array_like
-        Flow-direction angles in (-pi, pi].
-    xihat : array_like, shape (..., 3)
-        Unit covector directions in the dual frame (flow-dual, growing,
-        decaying components).
-    t : float
-
-    Returns
-    -------
-    (alpha_t, xihat_t)
-        Both transported; the two factors evolve independently.
-    """
-    x = _as_unit_rows(xihat)
-    return _advance_angle(alpha, float(t)), _sphere_flow(x, float(t))
-
-
-def lifted_flow(point, covector, t):
-    """Exact lifted geodesic flow on a cotangent vector of the sphere bundle.
-
-    The base point advances by the exact geodesic flow; the covector is
-    decomposed on the dual invariant frame at the starting point, its
-    components are scaled ``(xi_0, e^t xi_u, e^{-t} xi_s)`` (the flow-dual
-    component is conserved, the component annihilating flow+growing directions
-    grows, the one annihilating flow+decaying directions decays), and the
-    result is re-expressed in coordinates at the image point.
-
-    Parameters
-    ----------
-    point : PhasePoint
-        d = 1 phase point.
-    covector : array_like, shape (3,)
-        Components ``(xi_r, xi_theta, xi_alpha)`` in cusp coordinates.
-    t : float
-
-    Returns
-    -------
-    (PhasePoint, ndarray)
-        The advanced point and the transported covector components.
-
-    Raises
-    ------
-    UnsupportedDimensionError
-        If the point is not one-dimensional in the cross-section.
-    """
-    comps = _frame_components(point, covector)
-    t = float(t)
-    comps_t = np.array([comps[0], math.exp(t) * comps[1], math.exp(-t) * comps[2]])
-    image = flow_cusp_exact(point, t)
-    alpha1 = direction_angle(image)
-    frame1 = np.column_stack(splitting_frame_at(image.r, alpha1))
-    xi_t = np.linalg.solve(frame1.T, comps_t)
-    return image, xi_t
 
 
 def _frame_components(point, covector):
@@ -495,6 +417,10 @@ def _simpson_nodes_weights(T, step):
     Requires 2T to be an (even-count) multiple of the step; callers snap T to
     the step grid, which makes the interval count 2*(T/step), always even.
     """
+    if not T + step <= _LOG_FLOAT_MAX:  # the derivative flows to +-(T + step)
+        raise ValidationError(
+            f"averaging window T = {T} is too long: e^(T + step) must be a "
+            f"finite float, so T + step <= {_LOG_FLOAT_MAX:.6f}")
     n_intervals = int(round(2.0 * T / step))
     if n_intervals < 2 or n_intervals % 2:
         raise ValidationError(
@@ -1329,15 +1255,17 @@ def _transported_cone_samples(T, eps):
 
 
 def _scan_margin(fd, dirs, lvl, tol, witnesses):
-    """Smallest sampled flow derivative; the worst four below ``tol`` (at
-    most) are appended to ``witnesses``."""
-    i_min = int(np.argmin(fd))
-    if fd[i_min] < tol:
+    """Smallest sampled flow derivative, a non-finite sample counting as
+    -inf (it fails); the worst four below ``tol`` (at most) are appended to
+    ``witnesses`` with their sampled values."""
+    key = np.where(np.isfinite(fd), fd, -np.inf)
+    i_min = int(np.argmin(key))
+    if key[i_min] < tol:
         witnesses += [{"magnitude_over_delta": float(lvl),
                        "xihat": [float(v) for v in dirs[k]],
                        "flow_derivative": float(fd[k])}
-                      for k in np.argsort(fd)[:4] if fd[k] < tol]
-    return float(fd[i_min])
+                      for k in np.argsort(key)[:4] if key[k] < tol]
+    return float(key[i_min])
 
 
 def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):

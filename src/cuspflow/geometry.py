@@ -227,16 +227,6 @@ class SplittingFrame:
         """Frame vectors as columns (flow, stable, unstable)."""
         return np.column_stack([self.flow, self.stable, self.unstable])
 
-    def covector_components(self, xi):
-        """Components of a covector (xi_r, xi_theta, xi_alpha) on the dual frame.
-
-        Returns ``(xi_0, xi_u, xi_s)``: the flow-dual component, the component
-        annihilating flow+unstable (it grows like ``e^{t}`` under the lifted
-        flow), and the component annihilating flow+stable (decays ``e^{-t}``).
-        """
-        xi = np.asarray(xi, dtype=float)
-        return np.array([xi @ self.flow, xi @ self.stable, xi @ self.unstable])
-
 
 def direction_angle(p: PhasePoint) -> float:
     """Signed direction angle ``alpha = u * phi`` for a d = 1 phase point."""
@@ -249,8 +239,8 @@ def splitting_frame_at(r, alpha):
     """Raw frame vectors at ``(r, alpha)`` in (r, theta, alpha) components.
 
     Returns (flow, stable, unstable).  Used by :func:`invariant_splitting`
-    and by the lifted-flow machinery, which needs the frame on trajectories
-    without re-wrapping points.
+    and by :mod:`cuspflow.escape`, which takes the raw vectors without
+    building a :class:`SplittingFrame`.
     """
     y = np.exp(r)
     ca, sa = np.cos(alpha), np.sin(alpha)

@@ -15,11 +15,12 @@ parity collide, the two families merge into an index-2 Jordan block.
 enumerates, locates or compares indicial roots asks it, in the normalized
 variable w = lambda / h (root (sign, n) at w = sign (s - A + d/2 + n)).
 
-This module also provides eigendistribution representations and two
-independent numerical cross-checks of the root structure: a finite
-triangular jet matrix and a first-order ODE shooting test per angular mode,
-whose endpoint exponents (:func:`mode_exponents`) the resolvent solve in
-:mod:`cuspflow.bcontinuation` shares.
+This module also provides eigendistribution representations, a numerical
+cross-check of the root structure by a finite triangular jet matrix, and the
+endpoint exponents of the reduced mode-m equation (:func:`mode_exponents`),
+which the resolvent solve in :mod:`cuspflow.bcontinuation` uses.  The second,
+ODE-shooting cross-check per angular mode lives with the test oracles in
+``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,13 +40,10 @@ __all__ = [
     "RootLocation",
     "RootTable",
     "DistributionRep",
-    "ShootingResult",
-    "apply_P",
     "indicial_roots",
     "eigendistribution",
     "numeric_roots_jet",
     "jet_matrix",
-    "numeric_roots_shooting",
     "mode_exponents",
 ]
 
@@ -151,28 +149,6 @@ class DistributionRep:
         from . import hadamard
 
         return hadamard.pair_distribution(self, psi)
-
-
-# ---------------------------------------------------------------------------
-# Operator application
-# ---------------------------------------------------------------------------
-
-
-def apply_P(op: ModelOperator, f, point) -> complex:
-    """Apply the model operator to a test function at one point (phi, u).
-
-    ``f`` may be a TestFunction-like object (attributes ``value`` and
-    ``dphi_value``) or a pair of callables (value(phi, u), dphi(phi, u)).
-    Returns  h sin(phi) f_phi + (lambda + h d/2 + h A) cos(phi) f.
-    """
-    phi, u = point
-    u = np.asarray(u, dtype=float)
-    if isinstance(f, tuple):
-        fval, fphi = f[0](phi, u), f[1](phi, u)
-    else:
-        fval, fphi = f.value(phi, u), f.dphi_value(phi, u)
-    lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
-    return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +390,7 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
 
 
 # ---------------------------------------------------------------------------
-# Numeric cross-check 1: the triangular jet matrix
+# Numeric cross-check: the triangular jet matrix
 # ---------------------------------------------------------------------------
 
 
@@ -447,7 +423,8 @@ def numeric_roots_jet(op: ModelOperator, s: complex, K: int) -> np.ndarray:
 
     The returned values must reproduce  hs = lambda + hA - h(n + d/2) for
     n = 0..K, with multiplicities; ``s`` is accepted for interface symmetry
-    with the shooting check and does not enter the matrix.
+    with the shooting check in ``tests/_oracles.py`` and does not enter the
+    matrix.
     """
     _, M = jet_matrix(op, K, exact=False)
     eig = np.linalg.eigvals(M)
@@ -455,28 +432,9 @@ def numeric_roots_jet(op: ModelOperator, s: complex, K: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Numeric cross-check 2: mode-by-mode shooting
+# Endpoint exponents of the reduced mode equation (numeric cross-check 2,
+# the mode-by-mode shooting, is in tests/_oracles.py)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShootingResult:
-    """Outcome of the mode-m ODE shot.
-
-    exponent_minus / exponent_plus: measured local growth exponents of the
-    solution at x = -1 / x = +1 in the variables (1+x) / (1-x).
-    branches: list of (sign, level) memberships detected; is_root iff
-    nonempty.
-    """
-
-    is_root: bool
-    branches: tuple
-    exponent_minus: complex
-    exponent_plus: complex
-    expected_minus: complex
-    expected_plus: complex
-    mode: int
-    details: dict
 
 
 def mode_exponents(op: ModelOperator, s: complex, m: int, lam):
@@ -490,94 +448,3 @@ def mode_exponents(op: ModelOperator, s: complex, m: int, lam):
     c = lam / op.h + op.d / 2.0 + m
     e = complex(op.A) - complex(s)
     return c, e, -(c + e) / 2.0, (e - c) / 2.0
-
-
-def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingResult:
-    """Integrate the reduced mode-m radial ODE and classify (lambda, s).
-
-    In x = cos(phi) the mode-m equation (P - hs) w = 0 reduces to
-        -h (1-x^2) w' + [(lambda + h(d/2+m)) x + h(A - s)] w = 0,
-    whose (unique up to scale) solution behaves like (1+x)^{a-} near -1 and
-    (1-x)^{a+} near +1 with
-        a- = (A - s - lambda/h - d/2 - m)/2,
-        a+ = (s - A - lambda/h - d/2 - m)/2.
-    Membership:
-        minus branch: a- a non-negative integer  -> level n = m + 2 a-;
-        plus  branch: a+ + d/2 + m a non-positive integer -ell
-                      -> level n = m + 2 ell.
-    The exponents are measured by log-distance slope fits with Richardson
-    extrapolation, integrating log w with a 2-term local series seed at
-    x0 = -1 + 1e-6 (the endpoints are characteristic, so the integrator
-    cannot start exactly there).
-    """
-    from scipy.integrate import solve_ivp  # only this cross-check needs it
-
-    if m < 0:
-        raise ValidationError(f"need mode m >= 0, got {m}")
-    d = op.d
-    c, e, a_plus_exact, a_minus_exact = mode_exponents(op, s, m, op.lam)
-
-    def rhs(x, y):
-        val = (c * x + e) / (1.0 - x * x)
-        return [val.real, val.imag]
-
-    xi0 = 1e-6
-    x0 = -1.0 + xi0
-    k_minus = (e + c) / 4.0
-    y0c = a_minus_exact * math.log(xi0) + np.log(1.0 + k_minus * xi0)
-    offsets = [1e-4, 1e-5, 1e-6]
-    probes = [-1.0 + 1e-5, -1.0 + 1e-4, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6]
-    sol = solve_ivp(
-        rhs,
-        (x0, probes[-1]),
-        [y0c.real, y0c.imag],
-        t_eval=probes,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"shooting integration failed: {sol.message}")
-    yv = sol.y[0] + 1j * sol.y[1]
-    y_at = dict(zip(probes, yv))
-    y_at[x0] = complex(y0c)
-
-    def _slope_fit(samples):
-        # samples: [(log-distance, y)] at offsets 1e-4, 1e-5, 1e-6
-        (l1, y1), (l2, y2), (l3, y3) = samples
-        s1 = (y2 - y1) / (l2 - l1)
-        s2 = (y3 - y2) / (l3 - l2)
-        return s2 + (s2 - s1) / 9.0, abs(s2 - s1)
-
-    minus_samples = [(math.log(t), y_at[-1.0 + t]) for t in offsets]
-    plus_samples = [(math.log(t), y_at[1.0 - t]) for t in offsets]
-    a_minus, dm = _slope_fit(minus_samples)
-    a_plus, dp = _slope_fit(plus_samples)
-
-    branches = []
-    int_tol = 1e-6
-    am = a_minus
-    if abs(am.imag) < int_tol:
-        r = round(am.real)
-        if abs(am.real - r) < int_tol and r >= 0:
-            branches.append((-1, int(m + 2 * r)))
-    ap = a_plus + d / 2.0 + m
-    if abs(ap.imag) < int_tol:
-        r = round(ap.real)
-        if abs(ap.real - r) < int_tol and r <= 0:
-            branches.append((+1, int(m - 2 * r)))
-
-    return ShootingResult(
-        is_root=bool(branches),
-        branches=tuple(branches),
-        exponent_minus=complex(a_minus),
-        exponent_plus=complex(a_plus),
-        expected_minus=complex(a_minus_exact),
-        expected_plus=complex(a_plus_exact),
-        mode=m,
-        details={
-            "fit_spread_minus": float(dm),
-            "fit_spread_plus": float(dp),
-            "x0": x0,
-        },
-    )

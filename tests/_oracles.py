@@ -1,0 +1,323 @@
+"""Independent oracles that only the tests use.
+
+Each one checks a stage of the package by another route than the one the
+package takes:
+
+* :func:`apply_P` applies the model operator pointwise, and
+  :func:`numeric_roots_shooting` classifies a root by integrating the reduced
+  mode-m ODE with scipy (the package's roots are closed forms);
+* :class:`AwaySupportedFunction` is a smooth test function whose jets at the
+  pole N all vanish, and :func:`ck_norm` is a surrogate C^k norm of a
+  :class:`~cuspflow._testfunctions.TestFunction`;
+* :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
+  cotangent vectors by the closed-form flow, with no blocking or windowing;
+* :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from cuspflow._sphere import sphere_quadrature
+from cuspflow.errors import ValidationError
+from cuspflow.escape import (_HALF_PI, _as_unit_rows, _frame_components,
+                             _sphere_flow)
+from cuspflow.flow import flow_cusp_exact
+from cuspflow.geometry import direction_angle, splitting_frame_at
+from cuspflow.indicial import ModelOperator, mode_exponents
+
+
+# ---------------------------------------------------------------------------
+# model operator: pointwise application and mode-by-mode shooting
+# ---------------------------------------------------------------------------
+
+
+def apply_P(op: ModelOperator, f, point) -> complex:
+    """Apply the model operator to a test function at one point (phi, u).
+
+    ``f`` may be a TestFunction-like object (attributes ``value`` and
+    ``dphi_value``) or a pair of callables (value(phi, u), dphi(phi, u)).
+    Returns  h sin(phi) f_phi + (lambda + h d/2 + h A) cos(phi) f.
+    """
+    phi, u = point
+    u = np.asarray(u, dtype=float)
+    if isinstance(f, tuple):
+        fval, fphi = f[0](phi, u), f[1](phi, u)
+    else:
+        fval, fphi = f.value(phi, u), f.dphi_value(phi, u)
+    lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
+    return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
+
+
+@dataclass(frozen=True)
+class ShootingResult:
+    """Outcome of the mode-m ODE shot.
+
+    exponent_minus / exponent_plus: measured local growth exponents of the
+    solution at x = -1 / x = +1 in the variables (1+x) / (1-x).
+    branches: list of (sign, level) memberships detected; is_root iff
+    nonempty.
+    """
+
+    is_root: bool
+    branches: tuple
+    exponent_minus: complex
+    exponent_plus: complex
+    expected_minus: complex
+    expected_plus: complex
+    mode: int
+    details: dict
+
+
+def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingResult:
+    """Integrate the reduced mode-m radial ODE and classify (lambda, s).
+
+    In x = cos(phi) the mode-m equation (P - hs) w = 0 reduces to
+        -h (1-x^2) w' + [(lambda + h(d/2+m)) x + h(A - s)] w = 0,
+    whose (unique up to scale) solution behaves like (1+x)^{a-} near -1 and
+    (1-x)^{a+} near +1 with
+        a- = (A - s - lambda/h - d/2 - m)/2,
+        a+ = (s - A - lambda/h - d/2 - m)/2.
+    Membership:
+        minus branch: a- a non-negative integer  -> level n = m + 2 a-;
+        plus  branch: a+ + d/2 + m a non-positive integer -ell
+                      -> level n = m + 2 ell.
+    The exponents are measured by log-distance slope fits with Richardson
+    extrapolation, integrating log w with a 2-term local series seed at
+    x0 = -1 + 1e-6 (the endpoints are characteristic, so the integrator
+    cannot start exactly there).
+    """
+    if m < 0:
+        raise ValidationError(f"need mode m >= 0, got {m}")
+    d = op.d
+    c, e, a_plus_exact, a_minus_exact = mode_exponents(op, s, m, op.lam)
+
+    def rhs(x, y):
+        val = (c * x + e) / (1.0 - x * x)
+        return [val.real, val.imag]
+
+    xi0 = 1e-6
+    x0 = -1.0 + xi0
+    k_minus = (e + c) / 4.0
+    y0c = a_minus_exact * math.log(xi0) + np.log(1.0 + k_minus * xi0)
+    offsets = [1e-4, 1e-5, 1e-6]
+    probes = [-1.0 + 1e-5, -1.0 + 1e-4, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6]
+    sol = solve_ivp(
+        rhs,
+        (x0, probes[-1]),
+        [y0c.real, y0c.imag],
+        t_eval=probes,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    if not sol.success:
+        raise RuntimeError(f"shooting integration failed: {sol.message}")
+    yv = sol.y[0] + 1j * sol.y[1]
+    y_at = dict(zip(probes, yv))
+    y_at[x0] = complex(y0c)
+
+    def _slope_fit(samples):
+        # samples: [(log-distance, y)] at offsets 1e-4, 1e-5, 1e-6
+        (l1, y1), (l2, y2), (l3, y3) = samples
+        s1 = (y2 - y1) / (l2 - l1)
+        s2 = (y3 - y2) / (l3 - l2)
+        return s2 + (s2 - s1) / 9.0, abs(s2 - s1)
+
+    minus_samples = [(math.log(t), y_at[-1.0 + t]) for t in offsets]
+    plus_samples = [(math.log(t), y_at[1.0 - t]) for t in offsets]
+    a_minus, dm = _slope_fit(minus_samples)
+    a_plus, dp = _slope_fit(plus_samples)
+
+    branches = []
+    int_tol = 1e-6
+    am = a_minus
+    if abs(am.imag) < int_tol:
+        r = round(am.real)
+        if abs(am.real - r) < int_tol and r >= 0:
+            branches.append((-1, int(m + 2 * r)))
+    ap = a_plus + d / 2.0 + m
+    if abs(ap.imag) < int_tol:
+        r = round(ap.real)
+        if abs(ap.real - r) < int_tol and r <= 0:
+            branches.append((+1, int(m - 2 * r)))
+
+    return ShootingResult(
+        is_root=bool(branches),
+        branches=tuple(branches),
+        exponent_minus=complex(a_minus),
+        exponent_plus=complex(a_plus),
+        expected_minus=complex(a_minus_exact),
+        expected_plus=complex(a_plus_exact),
+        mode=m,
+        details={
+            "fit_spread_minus": float(dm),
+            "fit_spread_plus": float(dp),
+            "x0": x0,
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# test functions
+# ---------------------------------------------------------------------------
+
+
+def ck_norm(psi, k: int, n_phi: int = 200) -> float:
+    """Surrogate C^k norm: sup over a grid of |d_phi^a psi| for a <= k.
+
+    Angular derivatives are not included; the radial (phi) derivatives
+    dominate for the pole-concentrated functionals this norm calibrates.
+    """
+    phi = np.linspace(0.0, np.pi, n_phi)
+    nodes, _ = sphere_quadrature(psi.d, 3)
+    out = 0.0
+    f = psi
+    for _ in range(k + 1):
+        vals = f.value(phi[:, None], nodes[None, :, :])
+        out = max(out, float(np.max(np.abs(vals))))
+        f = f.d_phi()
+    return out
+
+
+class AwaySupportedFunction:
+    """Smooth function supported in {cos(phi) < z_star}, away from the pole N.
+
+    value = x^mu * g(cos phi) with g(z) = exp(-1/(z_star - z)) for z < z_star
+    and 0 otherwise.  All jets at N vanish identically.
+    """
+
+    def __init__(self, d: int, z_star: float = 0.0, mu=None):
+        self.d = int(d)
+        self.z_star = float(z_star)
+        self.mu = tuple(mu) if mu is not None else (0,) * d
+
+    def _bump(self, phi):
+        """g(cos phi) rho^{|mu|}: the value without its factor u^mu."""
+        gap = self.z_star - np.cos(phi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = np.where(gap > 0, np.exp(-1.0 / np.where(gap > 0, gap, 1.0)), 0.0)
+        return g * np.sin(phi) ** sum(self.mu)
+
+    def value(self, phi, u):
+        phi = np.asarray(phi, dtype=float)
+        u = np.asarray(u, dtype=float)
+        upart = np.ones(np.broadcast(phi, u[..., 0]).shape, dtype=float)
+        for i, m in enumerate(self.mu):
+            if m:
+                upart = upart * u[..., i] ** m
+        return self._bump(phi) * upart
+
+    def angular_profile(self, phi, moment):
+        """Integral over u of Upsilon(u) psi(phi, u): a_mu g(cos phi) rho^{|mu|}."""
+        return moment(self.mu) * self._bump(np.asarray(phi, dtype=float))
+
+    def volume_jet(self, nu):
+        return 0.0 + 0.0j
+
+    def flat_jet(self, nu):
+        return 0.0 + 0.0j
+
+    def profile_coefficient(self, j, weight, moment):
+        return 0.0 + 0.0j
+
+    def pair_volume_dict(self, jet_dict: dict):
+        return 0.0 + 0.0j
+
+
+# ---------------------------------------------------------------------------
+# escape: the reduced and lifted flows
+# ---------------------------------------------------------------------------
+
+
+def _advance_angle(alpha, t):
+    """Closed form of d alpha/dt = sin(alpha) on (-pi, pi].
+
+    ``tan(alpha/2)`` is scaled by ``e^t``; the evaluation is branched on the
+    hemisphere so neither end loses accuracy.  The fixed points 0 and pi are
+    preserved exactly.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    a = np.abs(alpha)
+    sgn = np.where(alpha < 0.0, -1.0, 1.0)
+    north = a <= _HALF_PI
+    with np.errstate(divide="ignore"):
+        ell = np.where(north,
+                       np.log(np.tan(0.5 * a)),
+                       -np.log(np.tan(0.5 * (np.pi - np.minimum(a, np.pi)))))
+    ell = ell + t
+    out = np.where(ell <= 0.0,
+                   2.0 * np.arctan(np.exp(np.minimum(ell, 0.0))),
+                   np.pi - 2.0 * np.arctan(np.exp(np.minimum(-ell, 0.0))))
+    return sgn * out
+
+
+def reduced_flow(alpha, xihat, t):
+    """Time-t reduced flow on (alpha, xihat).
+
+    Parameters
+    ----------
+    alpha : array_like
+        Flow-direction angles in (-pi, pi].
+    xihat : array_like, shape (..., 3)
+        Unit covector directions in the dual frame (flow-dual, growing,
+        decaying components).
+    t : float
+
+    Returns
+    -------
+    (alpha_t, xihat_t)
+        Both transported; the two factors evolve independently.
+    """
+    x = _as_unit_rows(xihat)
+    return _advance_angle(alpha, float(t)), _sphere_flow(x, float(t))
+
+
+def lifted_flow(point, covector, t):
+    """Exact lifted geodesic flow on a cotangent vector of the sphere bundle.
+
+    The base point advances by the exact geodesic flow; the covector is
+    decomposed on the dual invariant frame at the starting point, its
+    components are scaled ``(xi_0, e^t xi_u, e^{-t} xi_s)`` (the flow-dual
+    component is conserved, the component annihilating flow+growing directions
+    grows, the one annihilating flow+decaying directions decays), and the
+    result is re-expressed in coordinates at the image point.
+
+    Parameters
+    ----------
+    point : PhasePoint
+        d = 1 phase point.
+    covector : array_like, shape (3,)
+        Components ``(xi_r, xi_theta, xi_alpha)`` in cusp coordinates.
+    t : float
+
+    Returns
+    -------
+    (PhasePoint, ndarray)
+        The advanced point and the transported covector components.
+
+    Raises
+    ------
+    UnsupportedDimensionError
+        If the point is not one-dimensional in the cross-section.
+    """
+    comps = _frame_components(point, covector)
+    t = float(t)
+    comps_t = np.array([comps[0], math.exp(t) * comps[1], math.exp(-t) * comps[2]])
+    image = flow_cusp_exact(point, t)
+    alpha1 = direction_angle(image)
+    frame1 = np.column_stack(splitting_frame_at(image.r, alpha1))
+    xi_t = np.linalg.solve(frame1.T, comps_t)
+    return image, xi_t
+
+
+# ---------------------------------------------------------------------------
+# continuation: the visibility radius over a half-plane
+# ---------------------------------------------------------------------------
+
+
+def rho_max_prime(op: ModelOperator, tau: float) -> float:
+    """sup of rho_max over Re s >= tau: max(0, Re A - tau - d/2)."""
+    return max(0.0, complex(op.A).real - float(tau) - op.d / 2.0)

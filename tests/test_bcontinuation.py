@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cuspflow.bcontinuation as bc
 from _fd_helpers import gauss, identity_residual
+from _oracles import rho_max_prime
 from cuspflow.bcontinuation import (
     ContourSpec,
     CuspFunction,
@@ -20,10 +21,8 @@ from cuspflow.bcontinuation import (
     residue_apply,
     resolvent_line,
     rho_max,
-    rho_max_prime,
     shift_identity,
     solve_indicial,
-    visible_roots,
 )
 from cuspflow.errors import (
     ContourOnRootError,
@@ -33,7 +32,7 @@ from cuspflow.errors import (
     ToleranceError,
     ValidationError,
 )
-from cuspflow.indicial import ModelOperator
+from cuspflow.indicial import ModelOperator, RootTable
 
 XG = np.linspace(-0.9, 0.6, 41)
 
@@ -665,15 +664,18 @@ def test_crossing_raises_pole_error_with_datum():
 
 def test_visible_root_halfplane_conditions():
     op = ModelOperator(d=1)
-    vis = visible_roots(op, -2.2 + 0.4j)
-    assert len(vis.positive_visible) == len(vis.negative_visible) == 2
-    for w in vis.positive_visible:
+    vis = RootTable(op, -2.2 + 0.4j)
+    positive_visible = tuple(vis.value(+1, n) for n in vis.visible())
+    negative_visible = tuple(vis.value(-1, n) for n in vis.visible())
+    assert len(positive_visible) == len(negative_visible) == 2
+    for w in positive_visible:
         assert w.real < 0
-    for w in vis.negative_visible:
+    for w in negative_visible:
         assert w.real > 0
     # on the invertible half-plane nothing is visible
-    empty = visible_roots(op, 5.0)
-    assert empty.positive_visible == () and empty.negative_visible == ()
+    empty = RootTable(op, 5.0)
+    assert tuple(empty.value(+1, n) for n in empty.visible()) == ()
+    assert tuple(empty.value(-1, n) for n in empty.visible()) == ()
 
 
 def test_rho_max_closed_form_examples():

@@ -41,11 +41,17 @@ def test_global_flags_on_either_side_of_the_subcommand(tmp_path, monkeypatch, be
 
 
 def test_cli_and_pairing_modules_do_not_import_scipy_integrate():
+    # every module of the package, and the manifest's version record, run
+    # on numpy alone: scipy is a test dependency
     code = (
-        "import sys\n"
-        "import cuspflow.cli, cuspflow.hadamard, cuspflow.indicial\n"
-        "import cuspflow.bcontinuation, cuspflow._testfunctions\n"
+        "import importlib, pkgutil, sys\n"
+        "import cuspflow\n"
+        "for mod in pkgutil.iter_modules(cuspflow.__path__):\n"
+        "    importlib.import_module('cuspflow.' + mod.name)\n"
+        "assert 'cuspflow.escape' in sys.modules\n"
+        "assert cuspflow.cli._versions()['scipy_version']\n"
         "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -213,6 +219,28 @@ def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
     assert diag["error"] == "validation"
     assert "h must lie in (0, inf), got 0.0" in diag["message"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--t=800", "--t-prime=800"])
+def test_escape_window_past_the_float_range_exits_2(tmp_path, capsys, flag):
+    argv = ["escape", "--n-alpha=8", "--n-theta=16", "--n-phi=16", flag,
+            f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 2
+    diag = _diagnostic(capsys)
+    assert diag["type"] == "ValidationError"
+    assert "T = 800.0" in diag["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_escape_symbol_window_400_gives_finite_constants(tmp_path):
+    # e^400 is a float but its square is not
+    out = tmp_path / "out"
+    argv = ["escape", "--n-alpha=8", "--n-theta=16", "--n-phi=16",
+            "--t-prime=400", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    (cert_path,) = out.glob("*-certificate.json")
+    constants = json.loads(cert_path.read_text())["constants"]
+    assert math.isfinite(constants["c_f"]) and math.isfinite(constants["R"])
 
 
 def test_contour_on_a_root_exits_2(tmp_path, capsys):

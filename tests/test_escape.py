@@ -1,5 +1,6 @@
 """Tests for the weight / escape-function construction on the cusp (d = 1)."""
 
+import dataclasses
 import json
 import math
 
@@ -9,14 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from _oracles import lifted_flow, reduced_flow
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
 from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
                              ReducedPhaseGrid, SymbolField, WeightField,
                              assemble_G, build_f, build_weight,
-                             estimate_tau_max, lifted_flow, reduced_flow,
-                             verify)
+                             estimate_tau_max, verify)
 from cuspflow.escape import (_as_unit_rows, _cone_integrand,
                              _plateau_samples, _simpson_nodes_weights,
                              _sphere_flow, _stretch,
@@ -755,3 +756,23 @@ def test_verify_requires_matching_cone_width(small_grid, data):
         verify(other, data)
     with pytest.raises(ValidationError):
         verify(small_grid, "not escape data")
+
+
+@pytest.mark.parametrize("key", ["T", "T_prime"])
+def test_window_past_the_float_range_raises_naming_T(small_grid, key):
+    # e^800 is no float; both windows take their nodes from one routine
+    with pytest.raises(ValidationError, match="T = 800.0 is too long"):
+        assemble_G(small_grid, constants={key: 800.0})
+
+
+def test_verify_fails_conditions_i_and_ii_on_nan_samples(small_grid, data):
+    """A NaN flow derivative fails its condition: min(inf, nan) is inf, so
+    a NaN that entered the margin as a number would pass with margin inf."""
+    cert = verify(small_grid, dataclasses.replace(data, c_f=math.nan))
+    assert not cert.passed
+    for key in ("i", "ii"):
+        cond = cert.conditions[key]
+        assert not cond["passed"]
+        assert cond["margin"] == -math.inf
+        assert cond["witnesses"]
+        assert all(math.isnan(w["flow_derivative"]) for w in cond["witnesses"])
