@@ -572,7 +572,7 @@ def _run_roots(config: ExperimentConfig):
             continue
         op_r = ModelOperator(d=p["d"], h=p["h"], lam=complex(r.lambda_at(p["s"])),
                              A=p["twist"])
-        eigs = numeric_roots_jet(op_r, p["s"], K=p["n_max"])
+        eigs = numeric_roots_jet(op_r, K=p["n_max"])
         deviation = max(deviation, float(np.min(np.abs(eigs - hs))))
     tolerances = {"jet_deviation_max": deviation}
     failures = [] if deviation <= 1e-9 else ["jet_deviation"]

@@ -9,11 +9,11 @@ the geodesic equations
 integrate in closed form: ``tan(phi(t)/2) = e^t tan(phi(0)/2)`` and the rest
 by elementary integrals.  On the thrice-punctured sphere (upper half-plane
 modulo the level-2 congruence subgroup, generated by z -> z + 2 and
-z -> z/(2z + 1)) the flow is the Moebius closed form, followed by a
-reduction into the fundamental domain ``{|Re z| <= 1, |2z - 1| >= 1,
-|2z + 1| >= 1}``.  Besides infinity the domain has the cusps 0 and +-1; in
-the chart w = -1/(z - c) of a cusp c the group acts by w -> w + 2, so one
-translation in that chart brings back a point from any depth in the cusp.
+z -> z/(2z + 1)) the flow is a real closed form on (z, u = e^{i alpha}),
+then the points that left the fundamental domain ``{|Re z| <= 1,
+|2z - 1| >= 1, |2z + 1| >= 1}`` are reduced into it.  Besides infinity the
+domain has the cusps 0 and +-1; in the chart w = -1/(z - c) of a cusp c the
+group acts by w -> w + 2, so one move there brings back any cusp depth.
 
 The module also provides i.i.d. Liouville sampling on the quotient (horoball
 rejection sampling on counter-based Philox4x64-10 streams, computed on
@@ -190,10 +190,21 @@ def hyperbolic_distance(z1, z2):
     ``cosh d = 1 + |z1 - z2|^2 / (2 Im z1 Im z2)``.  Accepts scalars or
     arrays; both imaginary parts must be positive.
     """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    q = np.abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
-    return np.arccosh(1.0 + q)
+    return np.arccosh(1.0 + _cosh_distance_minus_1(z1, z2))
+
+
+def _cosh_distance_minus_1(z1, z2):
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    return np.abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
+
+
+def _inside(x, y, slack=CONTAINMENT_SLACK):
+    """Fundamental-domain membership of the points x + iy (real arrays)."""
+    ok = (y > 0.0) & (np.abs(x) <= _RE_HALFWIDTH + slack)
+    r2 = _BUBBLE_RADIUS ** 2
+    for cx in _BUBBLE_CENTERS:
+        ok = ok & ((x - cx) ** 2 + y * y >= r2 - slack)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -228,11 +239,7 @@ class QuotientSurface:
     def contains(self, z, slack=CONTAINMENT_SLACK):
         """Fundamental-domain membership (closed conditions, with slack)."""
         z = np.asarray(z, dtype=complex)
-        x, y = z.real, z.imag
-        ok = (y > 0.0) & (np.abs(x) <= _RE_HALFWIDTH + slack)
-        r2 = _BUBBLE_RADIUS ** 2
-        for cx in _BUBBLE_CENTERS:
-            ok = ok & ((x - cx) ** 2 + y * y >= r2 - slack)
+        ok = _inside(z.real, z.imag, slack)
         return bool(ok) if ok.ndim == 0 else ok
 
     # -- reduction --------------------------------------------------------
@@ -271,68 +278,74 @@ def _reduce_arrays(z, v, surf: QuotientSurface):
     NonterminationError
         If points remain outside after ``surf.reduction_cap`` rounds.
     """
-    z = np.array(z, dtype=complex)
-    v = np.array(v, dtype=complex)
+    shape = np.shape(z)
+    z = np.array(z, dtype=complex).ravel()
+    v = np.array(v, dtype=complex).ravel()
     if not np.all(z.imag > 0.0):
-        bad = z[~(z.imag > 0.0)].flat[0]
+        bad = z[~(z.imag > 0.0)][0]
         raise DomainError(f"reduction needs Im z > 0, got z = {bad}")
     r2 = _BUBBLE_RADIUS ** 2 - CONTAINMENT_SLACK
     pending = np.flatnonzero(~surf.contains(z))
     for _ in range(surf.reduction_cap):
         if pending.size == 0:
             break
-        zz = z.flat[pending]
-        vv = v.flat[pending]
-        x = zz.real
-        trans = np.abs(x) > _RE_HALFWIDTH + CONTAINMENT_SLACK
-        zz = zz - 2.0 * np.where(trans, np.floor((x + 1.0) / 2.0), 0.0)
-        c = np.round(zz.real)
+        zz = z[pending]
+        vv = v[pending]
+        x = zz.real                      # a view: writes move zz
+        far = np.flatnonzero(np.abs(x) > _RE_HALFWIDTH + CONTAINMENT_SLACK)
+        x[far] -= 2.0 * np.floor((x[far] + 1.0) / 2.0)
+        c = np.round(x)
         delta = zz - c
         k = np.floor(((-1.0 / delta).real + 1.0) / 2.0)
-        move = (np.abs(delta) < 1.0) & (k != 0.0)
+        move = np.flatnonzero((np.abs(delta) < 1.0) & (k != 0.0))
         den = 1.0 + 2.0 * k[move] * delta[move]
         zz[move] = c[move] + delta[move] / den
-        vv[move] = vv[move] / (den * den)
-        x, y = zz.real, zz.imag
-        in_left = (x + 0.5) ** 2 + y * y < r2
-        in_right = ~in_left & ((x - 0.5) ** 2 + y * y < r2)
-        den = np.where(in_left, 2.0 * zz + 1.0,
-                       np.where(in_right, 1.0 - 2.0 * zz, 1.0))
-        z.flat[pending] = zz / den
-        v.flat[pending] = vv / (den * den)
-        pending = pending[~surf.contains(z.flat[pending])]
+        vv[move] /= den * den
+        in_left = (x + 0.5) ** 2 + zz.imag ** 2 < r2
+        left = np.flatnonzero(in_left)
+        right = np.flatnonzero(~in_left & ((x - 0.5) ** 2 + zz.imag ** 2 < r2))
+        for idx, den in ((left, 2.0 * zz[left] + 1.0), (right, 1.0 - 2.0 * zz[right])):
+            zz[idx] /= den
+            vv[idx] /= den * den
+        z[pending] = zz
+        v[pending] = vv
+        pending = pending[~surf.contains(zz)]
     if pending.size:
         raise NonterminationError(
             f"reduction left {pending.size} point(s) outside the fundamental "
-            f"domain after {surf.reduction_cap} rounds, e.g. z = {z.flat[pending[0]]}")
-    return z, v
+            f"domain after {surf.reduction_cap} rounds, e.g. z = {z[pending[0]]}")
+    return z.reshape(shape), v.reshape(shape)
 
 
-def _frame_matrix(z, alpha):
-    """SL(2, R) matrix g with g(i) = z and tangent angle alpha at z.
+def _geodesic_step(x, y, ux, uy, t):
+    """Time-t geodesic flow of the tangent vectors y u at z = x + iy, with
+    u = ux + i uy = e^{i alpha}, on the upper half-plane (arrays, 1-d out):
 
-    The tangent angle parametrizes unit tangent vectors as ``v = y e^{i
-    alpha}`` (alpha = pi/2 points straight up).  Works on scalars or arrays;
-    returns the entries (a, b, c, d).
+        z(t) = x + y (ux sinh t + i) / D,   D = cosh t - uy sinh t,
+        u(t) = (ux + i (uy cosh t - sinh t)) / D.
+
+    D and uy cosh t - sinh t are the sum and difference of e^-t p / 2 and
+    e^t m / 2, p = 1 + uy, m = 1 - uy, the smaller of p and m written as
+    ux^2 / the larger: cosh and sinh would cancel for large |t| and u near
+    +-i.  Then D^2 - (uy cosh t - sinh t)^2 = p m = ux^2, so |u(t)| = 1.
     """
-    z = np.asarray(z, dtype=complex)
-    alpha = np.asarray(alpha, dtype=float)
-    y = z.imag
-    sy = np.sqrt(y)
-    half_psi = 0.5 * (alpha - _HALF_PI)
-    c_, s_ = np.cos(half_psi), np.sin(half_psi)
-    a = sy * c_ - z.real / sy * s_
-    b = sy * s_ + z.real / sy * c_
-    c = -s_ / sy
-    d = c_ / sy
-    return a, b, c, d
+    uy = np.atleast_1d(uy)
+    p = 1.0 + np.abs(uy)       # 1 + uy where uy >= 0, else 1 - uy
+    m = ux * ux / p            # the other one of the two
+    down = np.nonzero(uy < 0.0)
+    p[down], m[down] = m[down], p[down]
+    grow = 0.5 * math.exp(t) * m
+    decay = 0.5 * math.exp(-t) * p
+    den = grow + decay
+    y_t = y / den
+    return x + y_t * ux * math.sinh(t), y_t, ux / den, (decay - grow) / den
 
 
 def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     """Geodesic flow on the quotient surface, reduced to the fundamental domain.
 
     Flows the unit tangent vector (z0, angle alpha0) for time t along the
-    exact hyperbolic geodesic (Moebius closed form), then reduces.
+    exact hyperbolic geodesic (``_geodesic_step``), then reduces.
 
     Parameters
     ----------
@@ -358,10 +371,8 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     z0 = np.asarray(z0, dtype=complex)
     if not np.all(z0.imag > 0.0):
         raise DomainError(f"flow_quotient needs Im z0 > 0, got {z0[~(z0.imag > 0.0)].flat[0]}")
-    a, b, c, d = _frame_matrix(z0, alpha0)
-    w = complex(0.0, math.exp(float(t)))
-    den = np.atleast_1d(c * w + d)
-    z, v = _reduce_arrays((a * w + b) / den, w / (den * den), surf)
+    x, y, ux, uy = _geodesic_step(z0.real, z0.imag, np.cos(alpha0), np.sin(alpha0), float(t))
+    z, v = _reduce_arrays(x + 1j * y, y * (ux + 1j * uy), surf)
     if z0.ndim == 0 and np.ndim(alpha0) == 0:
         return complex(z[0]), math.atan2(v[0].imag, v[0].real)
     return z, np.arctan2(v.imag, v.real)
@@ -576,10 +587,17 @@ class BumpObservable:
             raise ValidationError("bump needs radius > 0 and order >= 1")
 
     def __call__(self, z, alpha=None):
-        d = hyperbolic_distance(z, self.center)
-        q = 1.0 - (d / self.radius) ** 2
-        bump = np.where(q > 0.0, q, 0.0) ** self.order
-        return self.baseline + self.amplitude * bump
+        # arccosh and the power only where cosh d < cosh(radius) (1 + 1e-9):
+        # the bump is 0 beyond, and the 1e-9 keeps every point whose rounded
+        # distance is under the radius.  The bound is on 1 + q, which
+        # arccosh reads, as 1 + q rounds q off at small radii.
+        cosh_d = 1.0 + _cosh_distance_minus_1(z, self.center)
+        flat = cosh_d.ravel()
+        out = np.full(flat.shape, self.baseline + self.amplitude * 0.0)
+        near = np.flatnonzero(flat < math.cosh(self.radius) * (1.0 + 1e-9))
+        q = 1.0 - (np.arccosh(flat[near]) / self.radius) ** 2
+        out[near] = self.baseline + self.amplitude * np.where(q > 0.0, q, 0.0) ** self.order
+        return out.reshape(cosh_d.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -693,19 +711,23 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     # flow is a one-parameter group, so this composes to the time-k*dt flow
     # exactly).  A point flowed by dt from the domain is a few reduction
     # rounds from it, whichever cusp it entered; one shot from t = 0 would
-    # put it at distance t, through up to O(t) domain copies.
-    w = complex(0.0, math.exp(dt))
+    # put it at distance t, through up to O(t) domain copies.  Each step
+    # moves (x, y, u) and reduces only the points that left the domain.
+    x, y = z_cur.real, z_cur.imag
+    ux, uy = np.cos(al_cur), np.sin(al_cur)
     values = []
     stderrs = []
     root_n = math.sqrt(n)
     for k in range(steps + 1):
         if k > 0:
-            a_, b_, c_, d_ = _frame_matrix(z_cur, al_cur)
-            den = c_ * w + d_
-            z_new = (a_ * w + b_) / den
-            v_new = w / (den * den)
-            z_cur, v_cur = _reduce_arrays(z_new, v_new, surf)
-            al_cur = np.angle(v_cur)
+            x, y, ux, uy = _geodesic_step(x, y, ux, uy, dt)
+            out = np.flatnonzero(~_inside(x, y))
+            z_out, v_out = _reduce_arrays(x[out] + 1j * y[out],
+                                          y[out] * (ux[out] + 1j * uy[out]), surf)
+            x[out], y[out] = z_out.real, z_out.imag
+            ux[out], uy[out] = v_out.real / y[out], v_out.imag / y[out]
+            z_cur = x + 1j * y
+            al_cur = np.arctan2(uy, ux)
         prod = _eval_observable(A, z_cur, al_cur) * b_vals
         values.append(SURFACE_AREA * float(np.mean(prod)))
         if n > 1:

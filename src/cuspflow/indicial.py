@@ -418,13 +418,11 @@ def jet_matrix(op: ModelOperator, K: int, exact: bool = False):
     return transpose_matrix_on_volume_jets(op.d, op.h, op.lam, op.A, K, exact=False)
 
 
-def numeric_roots_jet(op: ModelOperator, s: complex, K: int) -> np.ndarray:
+def numeric_roots_jet(op: ModelOperator, K: int) -> np.ndarray:
     """Eigenvalues of the finite jet matrix (values of hs hit by jets).
 
     The returned values must reproduce  hs = lambda + hA - h(n + d/2) for
-    n = 0..K, with multiplicities; ``s`` is accepted for interface symmetry
-    with the shooting check in ``tests/_oracles.py`` and does not enter the
-    matrix.
+    n = 0..K, with multiplicities.
     """
     _, M = jet_matrix(op, K, exact=False)
     eig = np.linalg.eigvals(M)

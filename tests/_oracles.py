@@ -11,7 +11,10 @@ package takes:
   :class:`~cuspflow._testfunctions.TestFunction`;
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
-* :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane.
+* :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
+* :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
+  of the upper half-plane, the reference step of the quotient flow: the
+  time-t flow maps ``i e^t`` through it.
 """
 
 import math
@@ -321,3 +324,29 @@ def lifted_flow(point, covector, t):
 def rho_max_prime(op: ModelOperator, tau: float) -> float:
     """sup of rho_max over Re s >= tau: max(0, Re A - tau - d/2)."""
     return max(0.0, complex(op.A).real - float(tau) - op.d / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# quotient flow: the frame-based reference step
+# ---------------------------------------------------------------------------
+
+
+def _frame_matrix(z, alpha):
+    """SL(2, R) matrix g with g(i) = z and tangent angle alpha at z.
+
+    The tangent angle parametrizes unit tangent vectors as ``v = y e^{i
+    alpha}`` (alpha = pi/2 points straight up).  Works on scalars or arrays;
+    returns the entries (a, b, c, d).  The time-t flow of (z, alpha) is
+    ``(a w + b) / (c w + d)`` with w = i e^t, with tangent ``w / (c w + d)^2``.
+    """
+    z = np.asarray(z, dtype=complex)
+    alpha = np.asarray(alpha, dtype=float)
+    y = z.imag
+    sy = np.sqrt(y)
+    half_psi = 0.5 * (alpha - _HALF_PI)
+    c_, s_ = np.cos(half_psi), np.sin(half_psi)
+    a = sy * c_ - z.real / sy * s_
+    b = sy * s_ + z.real / sy * c_
+    c = -s_ / sy
+    d = c_ / sy
+    return a, b, c, d

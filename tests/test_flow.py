@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cuspflow.flow as fl
+from _oracles import _frame_matrix
 from cuspflow import (
     BumpObservable,
     CorrelationRecord,
@@ -240,7 +241,7 @@ def test_unit_speed_and_distance():
     z0, a0 = 0.05 + 0.9j, 0.4
     t = 1.5
     # unreduced lift moves at unit speed: dist == t
-    a, b, c, d = fl._frame_matrix(z0, a0)
+    a, b, c, d = _frame_matrix(z0, a0)
     w = complex(0.0, math.exp(t))
     den = c * w + d
     z_lift = (a * w + b) / den
@@ -257,7 +258,7 @@ def test_unit_speed_and_distance():
 
 def test_unit_speed_along_long_flow():
     z0, a0 = 0.3 + 0.9j, 0.7
-    a, b, c, d = fl._frame_matrix(z0, a0)
+    a, b, c, d = _frame_matrix(z0, a0)
     for t in np.linspace(-15, 15, 31):
         w = complex(0.0, math.exp(t))
         den = c * w + d
@@ -265,6 +266,95 @@ def test_unit_speed_along_long_flow():
         v = w / (den * den)
         z, v = SURF.reduce(z, v)
         assert abs(v) / z.imag == pytest.approx(1.0, abs=1e-10)
+
+
+def _exact_flow(mpmath, x, y, ux, uy, t):
+    """Time-t flow of (x + iy, direction (ux, uy)) at the working precision:
+    ``(z(t), u(t))`` from the closed form, u taken as the unit vector along
+    (ux, uy)."""
+    x, y, ux, uy, t = map(mpmath.mpf, (x, y, ux, uy, t))
+    norm = mpmath.sqrt(ux * ux + uy * uy)
+    c, s = ux / norm, uy / norm
+    ch, sh = mpmath.cosh(t), mpmath.sinh(t)
+    den = ch - s * sh
+    return mpmath.mpc(x + y * c * sh / den, y / den), mpmath.mpc(c, s * ch - sh) / den
+
+
+def test_geodesic_step_is_no_less_accurate_than_the_frame_step():
+    # 64 Liouville samples flowed to T = 20 as correlate flows them; at each
+    # step both steps start from the same float state and are judged
+    # against the 40-digit closed form: z relative to Im z, u absolutely
+    mpmath = pytest.importorskip("mpmath")
+    dt = 0.1
+    w = complex(0.0, math.exp(dt))
+    smp = sample_liouville(64, 0, SURF)
+    x = np.array([z.real for z, _ in smp])
+    y = np.array([z.imag for z, _ in smp])
+    al = np.array([a for _, a in smp])
+    ux, uy = np.cos(al), np.sin(al)
+    worst = {"step": 0.0, "frame": 0.0}
+    with mpmath.workdps(40):
+        for _ in range(200):
+            nx, ny, nux, nuy = fl._geodesic_step(x, y, ux, uy, dt)
+            a, b, c, d = _frame_matrix(x + 1j * y, np.arctan2(uy, ux))
+            den = c * w + d
+            fz = (a * w + b) / den
+            fu = w / (den * den) / fz.imag
+            for i in range(x.size):
+                z_ref, u_ref = _exact_flow(mpmath, x[i], y[i], ux[i], uy[i], dt)
+                for name, z, u in (("step", complex(nx[i], ny[i]), complex(nux[i], nuy[i])),
+                                   ("frame", fz[i], fu[i])):
+                    err = max(abs(mpmath.mpc(z) - z_ref) / z_ref.imag, abs(mpmath.mpc(u) - u_ref))
+                    worst[name] = max(worst[name], float(err))
+            x, y, ux, uy = nx, ny, nux, nuy
+            out = np.flatnonzero(~fl._inside(x, y))
+            zr, vr = fl._reduce_arrays(x[out] + 1j * y[out],
+                                       y[out] * (ux[out] + 1j * uy[out]), SURF)
+            x[out], y[out] = zr.real, zr.imag
+            ux[out], uy[out] = vr.real / y[out], vr.imag / y[out]
+    assert worst["step"] <= worst["frame"]
+    assert worst["step"] < 1e-13
+
+
+def _exact_reduce(mpmath, z, v):
+    """The reduction's moves (translation, cusp-chart move, bubble
+    inversion) at the working precision, without slack."""
+    for _ in range(64):
+        x, y = z.real, z.imag
+        if abs(x) <= 1 and min((x - 0.5) ** 2, (x + 0.5) ** 2) + y * y >= 0.25:
+            return z, v
+        if abs(x) > 1:
+            z -= 2 * mpmath.floor((x + 1) / 2)
+            continue
+        c = mpmath.nint(x)
+        delta = z - c
+        k = mpmath.floor(((-1 / delta).real + 1) / 2)
+        if abs(delta) < 1 and k != 0:
+            den = 1 + 2 * k * delta
+            z = c + delta / den
+        else:
+            den = 2 * z + 1 if (x + 0.5) ** 2 + y * y < 0.25 else 1 - 2 * z
+            z = z / den
+        v /= den * den
+    raise AssertionError("reference reduction did not settle")
+
+
+@pytest.mark.parametrize("t", [13.0, -13.0])
+@pytest.mark.parametrize("a0", [0.5 * math.pi + 1e-8, 0.5 * math.pi - 1e-8,
+                                -0.5 * math.pi + 1e-8])
+def test_quotient_flow_near_vertical_at_long_times(a0, t):
+    # 1 - sin(a0) is below the resolution of sin(a0), so the plain
+    # cosh t - sin(a0) sinh t loses the leading term when the vector rises;
+    # z0 on the imaginary axis keeps the descending endpoints exact enough
+    # for the cusp-0 reduction not to amplify their rounding
+    mpmath = pytest.importorskip("mpmath")
+    z0 = 0.9j
+    with mpmath.workdps(40):
+        z_ref, u_ref = _exact_flow(mpmath, z0.real, z0.imag, mpmath.cos(a0), mpmath.sin(a0), t)
+        z_ref, v_ref = _exact_reduce(mpmath, z_ref, u_ref * z_ref.imag)
+        z, a = flow_quotient(z0, a0, t, SURF)
+        assert abs(mpmath.mpc(z) - z_ref) <= 1e-14 * abs(z_ref)
+        assert abs(a - mpmath.arg(v_ref)) <= 1e-14 * abs(mpmath.arg(v_ref))
 
 
 def test_reduction_cap_trips():
@@ -436,6 +526,46 @@ def test_monte_carlo_rate():
         assert abs(m - ref) <= 4.0 * math.hypot(se, ref_se)
 
 
+def _full_array_bump(bump, z):
+    """BumpObservable's value as it was computed on every point, before it
+    took arccosh and the power only on the bump's support."""
+    z = np.asarray(z, dtype=complex)
+    c = np.asarray(bump.center, dtype=complex)
+    q = np.abs(z - c) ** 2 / (2.0 * z.imag * c.imag)
+    q = 1.0 - (np.arccosh(1.0 + q) / bump.radius) ** 2
+    return bump.baseline + bump.amplitude * np.where(q > 0.0, q, 0.0) ** bump.order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_support_only_bump_is_bitwise_the_full_formula_on_samples(seed):
+    z = np.array([p for p, _ in sample_liouville(5000, seed, SURF)])
+    for bump in (BumpObservable(),
+                 BumpObservable(center=0.2 + 1.4j, radius=0.6, order=1, baseline=0.1),
+                 BumpObservable(center=-0.4 + 0.7j, radius=2.0, amplitude=-0.5, baseline=1.0)):
+        assert bump(z).tobytes() == _full_array_bump(bump, z).tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.1, 0.8, 3.0])
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("baseline,amplitude", [(0.25, 1.5), (0.0, -0.75)])
+def test_support_only_bump_is_bitwise_the_full_formula_at_the_rim(radius, order,
+                                                                    baseline, amplitude):
+    # Points a few ulps either side of distance = radius, above and below the
+    # center, so 1 + q runs over the float values next to cosh(radius).  At
+    # radius 0.1 cosh rounds down: 1 + q equal to the rounded cosh(radius)
+    # still gives a positive bump, which the 1e-9 widening of the support
+    # test keeps.
+    bump = BumpObservable(center=0.2 + 1.3j, radius=radius, order=order,
+                          amplitude=amplitude, baseline=baseline)
+    c = bump.center
+    ys = [c.imag * math.exp(s * radius) for s in (1.0, -1.0)]
+    z = c.real + 1j * np.concatenate([y + np.arange(-64, 65) * np.spacing(y) for y in ys])
+    cosh_d = 1.0 + np.abs(z - c) ** 2 / (2.0 * z.imag * c.imag)
+    assert np.any(cosh_d < math.cosh(radius)) and np.any(cosh_d > math.cosh(radius))
+    assert bump(z).tobytes() == _full_array_bump(bump, z).tobytes()
+    assert bump(complex(z[0])) == _full_array_bump(bump, z[0])
+
+
 def test_time_1_flow_preserves_liouville():
     bump = BumpObservable()
     smp = sample_liouville(20_000, 1, SURF)
@@ -470,6 +600,23 @@ def test_rho_at_time_zero_is_plain_monte_carlo():
     al = np.array([a for _, a in smp])
     direct = 2.0 * math.pi * float(np.mean(A(z, al) * B(z, al)))
     assert rec.values[0] == pytest.approx(direct, rel=1e-13)
+
+
+# repr of the t = 0 row of correlate(n=20000) with the two bumps below, as
+# the sampler and observables gave it before the (z, u) step; the row is
+# plain Monte Carlo over the sampler's draws
+PINNED_T0_ROWS = {
+    0: ("0.11001559110280687", "0.0034091391743730167"),
+    1: ("0.11407581111956513", "0.003455593297866282"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_T0_ROWS))
+def test_correlate_time_zero_row_is_pinned(seed):
+    A = BumpObservable()
+    B = BumpObservable(center=0.2 + 1.4j, radius=0.6)
+    rec = correlate(A, B, T_max=0.1, dt=0.1, n=20_000, seed=seed, surf=SURF)
+    assert (repr(rec.values[0]), repr(rec.stderrs[0])) == PINNED_T0_ROWS[seed]
 
 
 def test_correlation_decays_to_product_of_means():

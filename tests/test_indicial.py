@@ -412,7 +412,7 @@ def test_eigendistribution_selector_mismatch():
 
 def test_jet_matrix_k0_single_eigenvalue():
     op = ModelOperator(d=1, h=1.0, lam=0.0)
-    eigs = numeric_roots_jet(op, s=0.0, K=0)
+    eigs = numeric_roots_jet(op, K=0)
     assert len(eigs) == 1
     assert eigs[0] == pytest.approx(-0.5)
 
@@ -439,7 +439,7 @@ def test_jet_matrix_exact_vs_float_and_eigenvalues():
     for i, row in enumerate(M_exact):
         for j, entry in enumerate(row):
             assert abs(complex(entry) - M_float[i, j]) < 1e-12
-    eigs = numeric_roots_jet(op, s=0.0, K=K)
+    eigs = numeric_roots_jet(op, K=K)
     expected = sorted(
         (0.25 - (n + 1.0) for n in range(K + 1) for _ in multi_indices(2, n)),
         reverse=True,
