@@ -48,6 +48,7 @@ from .flow import (
     hyperbolic_distance,
     laplace_tail_bound,
     laplace_transform,
+    liouville_samples,
     sample_liouville,
 )
 from .geometry import (

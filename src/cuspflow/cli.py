@@ -798,7 +798,7 @@ def _make_observable(p: dict, side: str):
 
 def _run_correlate(config: ExperimentConfig):
     from .flow import (correlate, estimate_area, laplace_tail_bound,
-                       laplace_transform, sample_liouville)
+                       laplace_transform, liouville_samples)
 
     p = config.params
     A = _make_observable(p, "a")
@@ -810,9 +810,7 @@ def _run_correlate(config: ExperimentConfig):
                      zip(rec.times, rec.values, rec.stderrs)])
 
     area, area_se = estimate_area(p["n"], config.seed + 1)
-    samples = sample_liouville(p["n"], config.seed + 2)
-    z = np.array([pt for pt, _ in samples], dtype=complex)
-    al = np.array([a for _, a in samples], dtype=float)
+    z, al = liouville_samples(p["n"], config.seed + 2)
     total = 2.0 * math.pi
     va = A(z, al)
     vb = B(z, al)

@@ -14,6 +14,9 @@ then the points that left the fundamental domain ``{|Re z| <= 1,
 |2z - 1| >= 1, |2z + 1| >= 1}`` are reduced into it.  Besides infinity the
 domain has the cusps 0 and +-1; in the chart w = -1/(z - c) of a cusp c the
 group acts by w -> w + 2, so one move there brings back any cusp depth.
+Step, containment test and reduction all work on the real arrays
+(Re z, Im z, Re u, Im u); ``correlate`` keeps them in preallocated arrays
+that each step updates in place.
 
 The module also provides i.i.d. Liouville sampling on the quotient (horoball
 rejection sampling on counter-based Philox4x64-10 streams, computed on
@@ -40,6 +43,7 @@ __all__ = [
     "flow_cusp_exact",
     "flow_quotient",
     "sample_liouville",
+    "liouville_samples",
     "estimate_area",
     "correlate",
     "laplace_transform",
@@ -54,9 +58,10 @@ __all__ = [
 DEFAULT_DT = 0.1
 #: default correlation horizon
 DEFAULT_T_MAX = 20.0
-#: cap on reduction rounds (a trip signals a bug).  Cusp depth costs one round;
-#: the rest grows like the continued-fraction length of Re z at resolution
-#: Im z: at most 142 seen at Im z >= 1e-308.
+#: cap on reduction rounds (a trip signals a bug).  A round is a translation,
+#: a cusp move and a translation, so cusp depth costs one round; the rest
+#: grows like the continued-fraction length of Re z at resolution Im z: at
+#: most 145 seen for 10^5 points with Im z >= 1e-308.
 REDUCTION_CAP = 256
 #: points this close to the domain boundary count as inside (stops ping-pong
 #: between two boundary representatives of the same orbit)
@@ -77,6 +82,8 @@ _MAX_STREAM_INDEX = 1 << 48
 _REJECTION_CAP = 200_000
 
 _HALF_PI = 0.5 * math.pi
+# largest |t| with e^|t| a finite float
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # the one geometry QuotientSurface supports: generators and fundamental domain
 _GENERATORS = (((1, 2), (0, 1)), ((1, 0), (2, 1)))
@@ -173,12 +180,6 @@ class FlowState:
         """Flow by dt (exact closed form) and accumulate time."""
         return FlowState(flow_cusp_exact(self.point, dt), self.time + float(dt))
 
-    def velocity(self):
-        """Right-hand side (dr/dt, dtheta/dt, dphi/dt) of the geodesic field."""
-        p = self.point
-        sp = math.sin(p.phi)
-        return (math.cos(p.phi), math.exp(p.r) * sp * p.u, sp)
-
 
 # ---------------------------------------------------------------------------
 # the level-2 congruence quotient
@@ -198,13 +199,30 @@ def _cosh_distance_minus_1(z1, z2):
     return np.abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
 
 
-def _inside(x, y, slack=CONTAINMENT_SLACK):
-    """Fundamental-domain membership of the points x + iy (real arrays)."""
-    ok = (y > 0.0) & (np.abs(x) <= _RE_HALFWIDTH + slack)
-    r2 = _BUBBLE_RADIUS ** 2
-    for cx in _BUBBLE_CENTERS:
-        ok = ok & ((x - cx) ** 2 + y * y >= r2 - slack)
+def _inside(x, y, slack=CONTAINMENT_SLACK, work=None):
+    """Fundamental-domain membership of the points x + iy (real arrays).
+
+    Only the bubble on the side of x can hold x + iy, and (|x| - 1/2)^2 is
+    (x -+ 1/2)^2 to the bit.  ``work``: two scratch arrays shaped like x.
+    """
+    a, b = (None, None) if work is None else work
+    a = np.abs(x, out=a)
+    ok = a <= _RE_HALFWIDTH + slack
+    a -= _BUBBLE_CENTERS[1]
+    np.square(a, out=a)
+    a += np.multiply(y, y, out=b)
+    ok &= a >= _BUBBLE_RADIUS ** 2 - slack
+    ok &= y > 0.0
     return ok
+
+
+def _flow_time(t, name):
+    """t as a float for the step, which needs e^|t| to be a finite float."""
+    t = float(t)
+    if not abs(t) <= _LOG_FLOAT_MAX:
+        raise ValidationError(f"{name} = {t!r}: e^|{name}| must be a finite float, "
+                              f"so |{name}| <= {_LOG_FLOAT_MAX:.6f}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -239,15 +257,15 @@ class QuotientSurface:
     def contains(self, z, slack=CONTAINMENT_SLACK):
         """Fundamental-domain membership (closed conditions, with slack)."""
         z = np.asarray(z, dtype=complex)
-        ok = _inside(z.real, z.imag, slack)
-        return bool(ok) if ok.ndim == 0 else ok
+        ok = _inside(np.atleast_1d(z.real), np.atleast_1d(z.imag), slack)
+        return bool(ok[0]) if z.ndim == 0 else ok
 
     # -- reduction --------------------------------------------------------
     def reduce(self, z, v=1.0 + 0.0j):
         """Reduce (z, tangent v) to the fundamental domain.
 
-        The one-point case of the array reduction (see ``_reduce_arrays``);
-        v transforms by the derivative 1/(cz + d)^2 of each move.
+        The one-point case of ``_reduce``: v transforms by the derivative
+        1/(cz + d)^2 of each move.  A point inside is returned as given.
 
         Raises
         ------
@@ -256,70 +274,84 @@ class QuotientSurface:
         DomainError
             If Im z <= 0.
         """
-        z, v = _reduce_arrays([complex(z)], [complex(v)], self)
-        return complex(z[0]), complex(v[0])
+        z, v = complex(z), complex(v)
+        if self.contains(z):
+            return z, v
+        if not z.imag > 0.0:
+            raise DomainError(f"reduction needs Im z > 0, got z = {z}")
+        x, y, ux, uy = (np.array([a]) for a in (z.real, z.imag, v.real / z.imag,
+                                                v.imag / z.imag))
+        _reduce(x, y, ux, uy, np.zeros(1, dtype=int), self.reduction_cap)
+        return complex(x[0], y[0]), complex(y[0] * ux[0], y[0] * uy[0])
 
 
-def _reduce_arrays(z, v, surf: QuotientSurface):
-    """Vectorized fundamental-domain reduction of (z, v) arrays.
+def _translate(x):
+    """Re z taken into the strip by z -> z - 2m where |Re z| > 1 (+ slack)."""
+    shift = np.floor((x + 1.0) / 2.0)
+    shift *= np.abs(x) > _RE_HALFWIDTH + CONTAINMENT_SLACK
+    return x - 2.0 * shift
 
-    Only points that ``surf.contains`` rejects move.  A round translates
-    Re z into the strip; then a point within distance 1 of its nearest cusp
-    c in {0, 1, -1} sits higher in the chart w = -1/(z - c) than at infinity,
-    and w -> w - 2k, k = floor((Re w + 1)/2), takes it into the chart's strip
-    in one move, written delta -> delta/(1 + 2k delta) in delta = z - c to
-    keep unit speed to roundoff; last, a point inside a bubble is inverted.
-    So cusp depth costs one round.  v transforms by each move's derivative.
+
+def _chart_move(c, d, y, ux, uy, k):
+    """The move w -> w - 2k in the chart w = -1/(z - c) of the cusp c:
+    d + iy = z - c goes to (d + iy)/D, D = 1 + 2k (d + iy) = a + ib, and u
+    turns by conj(D)^2/|D|^2, the phase of the derivative 1/D^2.  At k = 0
+    it is the identity to the bit, as d = Re z - c is exact."""
+    two_k = 2.0 * k
+    a = 1.0 + two_k * d
+    b = two_k * y
+    aa = a * a
+    bb = b * b
+    n2 = aa + bb
+    e = aa - bb                # conj(D)^2 = e - i f
+    f = 2.0 * a * b
+    return (c + (d * a + y * b) / n2, y / n2,
+            (ux * e + uy * f) / n2, (uy * e - ux * f) / n2)
+
+
+def _reduce(x, y, ux, uy, live, cap):
+    """Reduce the points at the indices ``live``, which lie outside the
+    fundamental domain, into it, in place on z = x + iy and the direction
+    u = ux + i uy of the tangent vector y u (of any length).
+
+    A round translates Re z into the strip; then a point within distance 1
+    of its nearest cusp c in {0, 1, -1} sits higher in the chart
+    w = -1/(z - c) than at infinity, and w -> w - 2k, k = floor((Re w + 1)/2),
+    takes it into the chart's strip in one move (a point in a bubble moves
+    by the cusp on its side), so cusp depth costs one round; last, Re z is
+    translated again.  Only the points still outside go to the next round.
 
     Raises
     ------
     DomainError
         If some Im z <= 0.
     NonterminationError
-        If points remain outside after ``surf.reduction_cap`` rounds.
+        If points remain outside after ``cap`` rounds.
     """
-    shape = np.shape(z)
-    z = np.array(z, dtype=complex).ravel()
-    v = np.array(v, dtype=complex).ravel()
-    if not np.all(z.imag > 0.0):
-        bad = z[~(z.imag > 0.0)][0]
-        raise DomainError(f"reduction needs Im z > 0, got z = {bad}")
-    r2 = _BUBBLE_RADIUS ** 2 - CONTAINMENT_SLACK
-    pending = np.flatnonzero(~surf.contains(z))
-    for _ in range(surf.reduction_cap):
-        if pending.size == 0:
-            break
-        zz = z[pending]
-        vv = v[pending]
-        x = zz.real                      # a view: writes move zz
-        far = np.flatnonzero(np.abs(x) > _RE_HALFWIDTH + CONTAINMENT_SLACK)
-        x[far] -= 2.0 * np.floor((x[far] + 1.0) / 2.0)
-        c = np.round(x)
-        delta = zz - c
-        k = np.floor(((-1.0 / delta).real + 1.0) / 2.0)
-        move = np.flatnonzero((np.abs(delta) < 1.0) & (k != 0.0))
-        den = 1.0 + 2.0 * k[move] * delta[move]
-        zz[move] = c[move] + delta[move] / den
-        vv[move] /= den * den
-        in_left = (x + 0.5) ** 2 + zz.imag ** 2 < r2
-        left = np.flatnonzero(in_left)
-        right = np.flatnonzero(~in_left & ((x - 0.5) ** 2 + zz.imag ** 2 < r2))
-        for idx, den in ((left, 2.0 * zz[left] + 1.0), (right, 1.0 - 2.0 * zz[right])):
-            zz[idx] /= den
-            vv[idx] /= den * den
-        z[pending] = zz
-        v[pending] = vv
-        pending = pending[~surf.contains(zz)]
-    if pending.size:
+    bad = live[~(y[live] > 0.0)]
+    if bad.size:
+        raise DomainError(f"reduction needs Im z > 0, got z = {complex(x[bad[0]], y[bad[0]])}")
+    for _ in range(cap):
+        if live.size == 0:
+            return
+        xs, ys = _translate(x[live]), y[live]
+        c = np.rint(xs)
+        d = xs - c
+        k = np.floor((1.0 - d / (d * d + ys * ys)) * 0.5)
+        xs, ys, ux[live], uy[live] = _chart_move(c, d, ys, ux[live], uy[live], k)
+        x[live] = xs = _translate(xs)
+        y[live] = ys
+        live = live[~_inside(xs, ys)]
+    if live.size:
         raise NonterminationError(
-            f"reduction left {pending.size} point(s) outside the fundamental "
-            f"domain after {surf.reduction_cap} rounds, e.g. z = {z[pending[0]]}")
-    return z.reshape(shape), v.reshape(shape)
+            f"reduction left {live.size} point(s) outside the fundamental domain "
+            f"after {cap} rounds, e.g. z = {complex(x[live[0]], y[live[0]])}")
 
 
-def _geodesic_step(x, y, ux, uy, t):
+def _geodesic_step(x, y, ux, uy, t, work):
     """Time-t geodesic flow of the tangent vectors y u at z = x + iy, with
-    u = ux + i uy = e^{i alpha}, on the upper half-plane (arrays, 1-d out):
+    u = ux + i uy = e^{i alpha}, on the upper half-plane, in place on the
+    1-d arrays x, y, ux, uy:
 
         z(t) = x + y (ux sinh t + i) / D,   D = cosh t - uy sinh t,
         u(t) = (ux + i (uy cosh t - sinh t)) / D.
@@ -328,17 +360,33 @@ def _geodesic_step(x, y, ux, uy, t):
     e^t m / 2, p = 1 + uy, m = 1 - uy, the smaller of p and m written as
     ux^2 / the larger: cosh and sinh would cancel for large |t| and u near
     +-i.  Then D^2 - (uy cosh t - sinh t)^2 = p m = ux^2, so |u(t)| = 1.
+    ``work`` is four scratch arrays shaped like x; |t| must pass
+    ``_flow_time``.
     """
-    uy = np.atleast_1d(uy)
-    p = 1.0 + np.abs(uy)       # 1 + uy where uy >= 0, else 1 - uy
-    m = ux * ux / p            # the other one of the two
-    down = np.nonzero(uy < 0.0)
-    p[down], m[down] = m[down], p[down]
-    grow = 0.5 * math.exp(t) * m
-    decay = 0.5 * math.exp(-t) * p
-    den = grow + decay
-    y_t = y / den
-    return x + y_t * ux * math.sinh(t), y_t, ux / den, (decay - grow) / den
+    p, m, s, q = work
+    np.abs(uy, out=p)
+    p += 1.0                   # 1 + uy where uy >= 0, else 1 - uy
+    np.multiply(ux, ux, out=m)
+    m /= p                     # the other one of the two
+    # swap them where uy < 0: times the indicator s in {0, 1} every product
+    # and sum is exact, so this selects with no gather or scatter
+    np.less(uy, 0.0, out=s)
+    np.multiply(p, s, out=q)
+    s *= m
+    m -= s
+    m += q
+    p -= q
+    p += s
+    m *= 0.5 * math.exp(t)     # the growing term
+    p *= 0.5 * math.exp(-t)    # the decaying term
+    np.add(m, p, out=s)        # D
+    y /= s
+    np.multiply(y, ux, out=q)
+    q *= math.sinh(t)
+    x += q
+    ux /= s
+    np.subtract(p, m, out=uy)
+    uy /= s
 
 
 def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
@@ -354,6 +402,7 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     alpha0 : float or array of float
         Tangent angle: the tangent vector is ``Im(z0) e^{i alpha0}``.
     t : float
+        Flow time; e^|t| must be a finite float.
     surf : QuotientSurface, optional
 
     Returns
@@ -365,17 +414,23 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     ------
     DomainError
         If some Im z0 <= 0.
+    ValidationError
+        If e^|t| overflows.
     """
     if surf is None:
         surf = QuotientSurface()
+    t = _flow_time(t, "t")
     z0 = np.asarray(z0, dtype=complex)
     if not np.all(z0.imag > 0.0):
         raise DomainError(f"flow_quotient needs Im z0 > 0, got {z0[~(z0.imag > 0.0)].flat[0]}")
-    x, y, ux, uy = _geodesic_step(z0.real, z0.imag, np.cos(alpha0), np.sin(alpha0), float(t))
-    z, v = _reduce_arrays(x + 1j * y, y * (ux + 1j * uy), surf)
-    if z0.ndim == 0 and np.ndim(alpha0) == 0:
-        return complex(z[0]), math.atan2(v[0].imag, v[0].real)
-    return z, np.arctan2(v.imag, v.real)
+    shape = np.broadcast(z0, alpha0).shape
+    x, y, ux, uy = (np.array(np.broadcast_to(a, shape), dtype=float).ravel()
+                    for a in (z0.real, z0.imag, np.cos(alpha0), np.sin(alpha0)))
+    _geodesic_step(x, y, ux, uy, t, [np.empty(x.size) for _ in range(4)])
+    _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y)), surf.reduction_cap)
+    if not shape:
+        return complex(x[0], y[0]), math.atan2(uy[0], ux[0])
+    return (x + 1j * y).reshape(shape), np.arctan2(uy, ux).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +496,49 @@ def _unit(word):
 
 
 def _neg_reciprocal(re, im):
-    """Parts of -1/(re + i im) by the steps of CPython's complex division.
+    """Parts of -1/(re + i im), im > 0, by the steps of CPython's complex
+    division.
 
     Each value is bitwise the one scalar Python arithmetic gives; numpy's
     own complex division differs by an ulp on about a tenth of proposals.
+    Each branch runs on its own index subset; with im > 0 the constant
+    terms of the numerators drop out exactly.
     """
-    wide = np.abs(re) >= np.abs(im)
-    with np.errstate(all="ignore"):   # the branch np.where drops may overflow
-        ratio = np.where(wide, im / re, re / im)
-        denom = np.where(wide, re + im * ratio, re * ratio + im)
-        return (np.where(wide, -1.0 + 0.0 * ratio, -1.0 * ratio + 0.0) / denom,
-                np.where(wide, 0.0 - -1.0 * ratio, 0.0 * ratio - -1.0) / denom)
+    w_re, w_im = np.empty_like(re), np.empty_like(re)
+    wide = np.abs(re) >= im
+    i = np.flatnonzero(wide)
+    ratio = im[i] / re[i]
+    denom = re[i] + im[i] * ratio
+    w_re[i], w_im[i] = -1.0 / denom, ratio / denom
+    i = np.flatnonzero(~wide)
+    ratio = re[i] / im[i]
+    denom = re[i] * ratio + im[i]
+    w_re[i], w_im[i] = (0.0 - ratio) / denom, 1.0 / denom
+    return w_re, w_im
 
 
 def _propose(u1, u2, u3):
-    """Proposals z from the horoball mixture, given uniform arrays."""
-    piece = np.searchsorted([0.5, 0.75, 0.875], u1, side="right")  # inf, 0, -1, 1
-    # z itself on the infinity piece, the chart point w on the others
-    x = np.choose(piece, [-1.0 + 2.0 * u2, -1.0 + 2.0 * u2, -1.0 + u2, u2])
-    y = np.where(piece == 0, 0.25, 0.5) / (1.0 - u3)
-    w_re, w_im = _neg_reciprocal(x, y)
-    z = np.choose(piece, [x, w_re, w_re - 1.0, w_re + 1.0]).astype(complex)
-    z.imag = np.where(piece == 0, y, w_im)
-    return z
+    """Proposals x + iy from the horoball mixture, given uniform arrays."""
+    # pieces infinity, 0, -1, 1 split u1 at 1/2, 3/4, 7/8.  Built from 0/1
+    # comparisons, x and y are each piece's formula to the bit: x = -1 + 2 u2,
+    # -1 + 2 u2, -1 + u2, u2 and y = 0.25, 0.5, 0.5, 0.5 over 1 - u3
+    chart = u1 >= 0.5
+    minus = u1 >= 0.75
+    plus = u1 >= 0.875
+    x = (2.0 - minus) * u2
+    x -= ~plus
+    y = (0.25 + 0.25 * chart) / (1.0 - u3)
+    # z itself on the infinity piece, w -> -1/w + c from the chart point w
+    # on the others, c = 0, -1, 1
+    i = np.flatnonzero(chart)
+    w_re, w_im = _neg_reciprocal(x[i], y[i])
+    x[i] = w_re + (2.0 * plus[i] - minus[i])
+    y[i] = w_im
+    return x, y
 
 
-def _piece_multiplicity(z):
-    """Number of proposal pieces containing each z (>= 1 on the domain)."""
-    x, y = z.real, z.imag
+def _piece_multiplicity(x, y):
+    """Number of proposal pieces containing each x + iy (>= 1 on the domain)."""
     m = ((np.abs(x) <= 1.0) & (y >= 0.25)).astype(int)
     for re, lo, hi in ((x, -1.0, 1.0), (x + 1.0, -1.0, 0.0), (x - 1.0, 0.0, 1.0)):
         w_re, w_im = _neg_reciprocal(re, y)
@@ -476,13 +546,15 @@ def _piece_multiplicity(z):
     return m
 
 
-def _accept(words, surf):
-    """Proposals from the four words of a block and whether each is accepted."""
+def _accept(words):
+    """Proposals x + iy from the four words of a block, and whether each is
+    accepted."""
     u1, u2, u3, u4 = map(_unit, words)
-    z = _propose(u1, u2, u3)
-    ok = surf.contains(z, slack=0.0)
-    ok[ok] = u4[ok] * _piece_multiplicity(z[ok]) < 1.0
-    return z, ok
+    x, y = _propose(u1, u2, u3)
+    ok = _inside(x, y, slack=0.0)
+    i = np.flatnonzero(ok)
+    ok[i] = u4[i] * _piece_multiplicity(x[i], y[i]) < 1.0
+    return x, y, ok
 
 
 def _chunks(n):
@@ -493,7 +565,7 @@ def _chunks(n):
         yield np.arange(start, min(n, start + _SAMPLE_CHUNK), dtype=np.uint64)
 
 
-def sample_liouville(n, seed, surf: QuotientSurface | None = None):
+def liouville_samples(n, seed, surf: QuotientSurface | None = None):
     """Draw n i.i.d. samples from normalized Liouville measure on the quotient.
 
     The base point is uniform in hyperbolic area on the fundamental domain
@@ -505,7 +577,7 @@ def sample_liouville(n, seed, surf: QuotientSurface | None = None):
 
     Returns
     -------
-    list of (z, alpha)
+    (z, alpha) : complex and float arrays of length n
 
     Raises
     ------
@@ -514,31 +586,38 @@ def sample_liouville(n, seed, surf: QuotientSurface | None = None):
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    if surf is None:
-        surf = QuotientSurface()
-    out = []
+    z = np.empty(int(n), dtype=complex)
+    alpha = np.empty(int(n))
     for index in _chunks(int(n)):
-        z = np.empty(index.shape, dtype=complex)
-        alpha = np.empty(index.shape)
+        start = int(index[0])
         pending = np.arange(index.size)
         words = _philox_block(seed, _STREAM_SAMPLE, index, 1)
         for attempt in range(1, _REJECTION_CAP + 1):
             # block attempt + 1 holds the angle if this attempt accepts, and
             # the next attempt's uniforms if it rejects
             after = _philox_block(seed, _STREAM_SAMPLE, index[pending], attempt + 1)
-            zz, ok = _accept(words, surf)
-            z[pending[ok]] = zz[ok]
-            alpha[pending[ok]] = 2.0 * math.pi * _unit(after[0][ok])
-            pending = pending[~ok]
-            words = [w[~ok] for w in after]
+            x, y, ok = _accept(words)
+            i = np.flatnonzero(ok)
+            at = start + pending[i]
+            z.real[at] = x[i]
+            z.imag[at] = y[i]
+            alpha[at] = 2.0 * math.pi * _unit(after[0][i])
+            i = np.flatnonzero(~ok)
+            pending = pending[i]
             if pending.size == 0:
                 break
+            words = [w[i] for w in after]
         else:
             raise NonterminationError(
                 f"rejection sampling for sample {index[pending[0]]} failed to "
                 f"accept within {_REJECTION_CAP} rounds")
-        out.extend(zip(z.tolist(), alpha.tolist()))
-    return out
+    return z, alpha
+
+
+def sample_liouville(n, seed, surf: QuotientSurface | None = None):
+    """:func:`liouville_samples` as a list of (z, alpha) pairs."""
+    z, alpha = liouville_samples(n, seed, surf)
+    return list(zip(z.tolist(), alpha.tolist()))
 
 
 def estimate_area(n, seed, surf: QuotientSurface | None = None):
@@ -552,10 +631,7 @@ def estimate_area(n, seed, surf: QuotientSurface | None = None):
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 proposals, got {n}")
-    if surf is None:
-        surf = QuotientSurface()
-    accepted = sum(int(np.count_nonzero(_accept(_philox_block(seed, _STREAM_AREA, index, 1),
-                                                surf)[1]))
+    accepted = sum(int(np.count_nonzero(_accept(_philox_block(seed, _STREAM_AREA, index, 1))[2]))
                    for index in _chunks(int(n)))
     p_hat = accepted / n
     stderr = PROPOSAL_MASS * math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -604,8 +680,8 @@ class BumpObservable:
 class CorrelationRecord:
     """Sampled correlation function with standard errors.
 
-    Serializes to CSV with exactly the columns ``t, rho, stderr`` and to
-    JSON with those keys plus ``sample_count`` and ``seed``.
+    Serializes to JSON with the keys ``t, rho, stderr, sample_count, seed``;
+    the CLI writes the columns ``t, rho, stderr`` as ``correlation.csv``.
     """
 
     times: tuple
@@ -628,13 +704,6 @@ class CorrelationRecord:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stderrs", stderrs)
 
-    def to_csv(self, path):
-        """Write columns t, rho, stderr (full float precision)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,rho,stderr\n")
-            for t, v, e in zip(self.times, self.values, self.stderrs):
-                fh.write(f"{t!r},{v!r},{e!r}\n")
-
     def to_json(self, path=None):
         """Serialize to a JSON string; also write it to path when given."""
         text = json.dumps({
@@ -648,14 +717,6 @@ class CorrelationRecord:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(times=tuple(data["t"]), values=tuple(data["rho"]),
-                   stderrs=tuple(data["stderr"]),
-                   sample_count=int(data["sample_count"]),
-                   seed=int(data["seed"]))
 
 
 def _eval_observable(f, z, alpha):
@@ -694,41 +755,41 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
         raise ValidationError(f"T_max must be > 0, got {T_max}")
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
+    dt = _flow_time(dt, "dt")
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     if surf is None:
         surf = QuotientSurface()
 
-    samples = sample_liouville(n, seed, surf)
-    z_cur = np.array([z for z, _ in samples], dtype=complex)
-    al_cur = np.array([al for _, al in samples], dtype=float)
-    b_vals = _eval_observable(B, z_cur, al_cur)
+    z, alpha = liouville_samples(n, seed, surf)
+    b_vals = _eval_observable(B, z, alpha)
 
     steps = int(math.floor(T_max / dt + 1e-9))
     times = [k * dt for k in range(steps + 1)]
 
     # step incrementally: flow by dt from the previously reduced point (the
     # flow is a one-parameter group, so this composes to the time-k*dt flow
-    # exactly).  A point flowed by dt from the domain is a few reduction
-    # rounds from it, whichever cusp it entered; one shot from t = 0 would
-    # put it at distance t, through up to O(t) domain copies.  Each step
-    # moves (x, y, u) and reduces only the points that left the domain.
-    x, y = z_cur.real, z_cur.imag
-    ux, uy = np.cos(al_cur), np.sin(al_cur)
+    # exactly).  A point flowed by a short dt from the domain is one or a
+    # few reduction rounds from it, whichever cusp it entered; one shot from
+    # t = 0 would put it at distance t, through up to O(t) domain copies.
+    # Each step moves (x, y, u) in place, tests containment once and reduces
+    # only the points that left the domain; z and alpha are rewritten in
+    # place for the observable.
+    x, y = z.real.copy(), z.imag.copy()
+    ux, uy = np.cos(alpha), np.sin(alpha)
+    work = [np.empty(x.size) for _ in range(4)]
     values = []
     stderrs = []
     root_n = math.sqrt(n)
     for k in range(steps + 1):
         if k > 0:
-            x, y, ux, uy = _geodesic_step(x, y, ux, uy, dt)
-            out = np.flatnonzero(~_inside(x, y))
-            z_out, v_out = _reduce_arrays(x[out] + 1j * y[out],
-                                          y[out] * (ux[out] + 1j * uy[out]), surf)
-            x[out], y[out] = z_out.real, z_out.imag
-            ux[out], uy[out] = v_out.real / y[out], v_out.imag / y[out]
-            z_cur = x + 1j * y
-            al_cur = np.arctan2(uy, ux)
-        prod = _eval_observable(A, z_cur, al_cur) * b_vals
+            _geodesic_step(x, y, ux, uy, dt, work)
+            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])),
+                    surf.reduction_cap)
+            np.copyto(z.real, x)
+            np.copyto(z.imag, y)
+            np.arctan2(uy, ux, out=alpha)
+        prod = _eval_observable(A, z, alpha) * b_vals
         values.append(SURFACE_AREA * float(np.mean(prod)))
         if n > 1:
             stderrs.append(SURFACE_AREA * float(np.std(prod, ddof=1)) / root_n)

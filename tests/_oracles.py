@@ -14,9 +14,17 @@ package takes:
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
-  time-t flow maps ``i e^t`` through it.
+  time-t flow maps ``i e^t`` through it;
+* :func:`reference_step` is the quotient flow's step as it was written on
+  fresh arrays, and :func:`reference_reduce` the reduction as it was
+  written on complex (z, v) arrays, one translation, cusp move and bubble
+  inversion per round;
+* :func:`geodesic_velocity` is the right-hand side of the cusp geodesic
+  system, and :func:`record_from_json` reads
+  :meth:`~cuspflow.flow.CorrelationRecord.to_json` back.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -24,10 +32,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from cuspflow._sphere import sphere_quadrature
-from cuspflow.errors import ValidationError
+from cuspflow.errors import DomainError, NonterminationError, ValidationError
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _frame_components,
                              _sphere_flow)
-from cuspflow.flow import flow_cusp_exact
+from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
+                           flow_cusp_exact)
 from cuspflow.geometry import direction_angle, splitting_frame_at
 from cuspflow.indicial import ModelOperator, mode_exponents
 
@@ -350,3 +359,91 @@ def _frame_matrix(z, alpha):
     c = -s_ / sy
     d = c_ / sy
     return a, b, c, d
+
+
+def reference_step(x, y, ux, uy, t):
+    """Time-t geodesic flow of the tangent vectors y u at z = x + iy, with
+    u = ux + i uy = e^{i alpha}, on the upper half-plane (arrays, 1-d out):
+    ``z(t) = x + y (ux sinh t + i) / D``, ``D = cosh t - uy sinh t``,
+    ``u(t) = (ux + i (uy cosh t - sinh t)) / D``, with the smaller of
+    1 +- uy written as ux^2 / the larger."""
+    uy = np.atleast_1d(uy)
+    p = 1.0 + np.abs(uy)       # 1 + uy where uy >= 0, else 1 - uy
+    m = ux * ux / p            # the other one of the two
+    down = np.nonzero(uy < 0.0)
+    p[down], m[down] = m[down], p[down]
+    grow = 0.5 * math.exp(t) * m
+    decay = 0.5 * math.exp(-t) * p
+    den = grow + decay
+    y_t = y / den
+    return x + y_t * ux * math.sinh(t), y_t, ux / den, (decay - grow) / den
+
+
+def _reference_inside(z):
+    x, y = z.real, z.imag
+    ok = (y > 0.0) & (np.abs(x) <= 1.0 + CONTAINMENT_SLACK)
+    for cx in (-0.5, 0.5):
+        ok = ok & ((x - cx) ** 2 + y * y >= 0.25 - CONTAINMENT_SLACK)
+    return ok
+
+
+def reference_reduce(z, v, cap=REDUCTION_CAP):
+    """Fundamental-domain reduction of (z, tangent v) arrays in complex
+    arithmetic.
+
+    Only points outside the domain move.  A round translates Re z into the
+    strip; a point within distance 1 of its nearest cusp c in {0, 1, -1}
+    then moves by delta -> delta/(1 + 2k delta), delta = z - c, k =
+    floor((Re(-1/delta) + 1)/2); last, a point inside a bubble is inverted.
+    v transforms by each move's derivative.
+    """
+    shape = np.shape(z)
+    z = np.array(z, dtype=complex).ravel()
+    v = np.array(v, dtype=complex).ravel()
+    if not np.all(z.imag > 0.0):
+        raise DomainError(f"reduction needs Im z > 0, got z = {z[~(z.imag > 0.0)][0]}")
+    r2 = 0.25 - CONTAINMENT_SLACK
+    pending = np.flatnonzero(~_reference_inside(z))
+    for _ in range(cap):
+        if pending.size == 0:
+            break
+        zz = z[pending]
+        vv = v[pending]
+        x = zz.real                      # a view: writes move zz
+        far = np.flatnonzero(np.abs(x) > 1.0 + CONTAINMENT_SLACK)
+        x[far] -= 2.0 * np.floor((x[far] + 1.0) / 2.0)
+        c = np.round(x)
+        delta = zz - c
+        k = np.floor(((-1.0 / delta).real + 1.0) / 2.0)
+        move = np.flatnonzero((np.abs(delta) < 1.0) & (k != 0.0))
+        den = 1.0 + 2.0 * k[move] * delta[move]
+        zz[move] = c[move] + delta[move] / den
+        vv[move] /= den * den
+        in_left = (x + 0.5) ** 2 + zz.imag ** 2 < r2
+        left = np.flatnonzero(in_left)
+        right = np.flatnonzero(~in_left & ((x - 0.5) ** 2 + zz.imag ** 2 < r2))
+        for idx, den in ((left, 2.0 * zz[left] + 1.0), (right, 1.0 - 2.0 * zz[right])):
+            zz[idx] /= den
+            vv[idx] /= den * den
+        z[pending] = zz
+        v[pending] = vv
+        pending = pending[~_reference_inside(zz)]
+    if pending.size:
+        raise NonterminationError(f"reference reduction left {pending.size} point(s)")
+    return z.reshape(shape), v.reshape(shape)
+
+
+def geodesic_velocity(p):
+    """Right-hand side (dr/dt, dtheta/dt, dphi/dt) of the cusp geodesic
+    system at the phase point p."""
+    sp = math.sin(p.phi)
+    return (math.cos(p.phi), math.exp(p.r) * sp * p.u, sp)
+
+
+def record_from_json(text):
+    """The CorrelationRecord that ``CorrelationRecord.to_json`` wrote."""
+    data = json.loads(text)
+    return CorrelationRecord(times=tuple(data["t"]), values=tuple(data["rho"]),
+                             stderrs=tuple(data["stderr"]),
+                             sample_count=int(data["sample_count"]),
+                             seed=int(data["seed"]))

@@ -91,6 +91,43 @@ def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
+# The t = 0 row of correlation.csv and four laplace.json fields of
+# ``correlate --n=2000`` at seeds 0 and 1, as written before the sampler and
+# the flow loop were rewritten.  None of them goes through the reduction.
+PINNED_CORRELATE = {
+    0: ("0.0,0.23677887363977196,0.01798757639582483",
+        {"area": "6.344", "area_stderr": "0.1750109482289608",
+         "mixing_limit": "0.039131843625039416",
+         "mixing_limit_stderr": "0.0030142585860674616"}),
+    1: ("0.0,0.22449583339144774,0.017229903512911315",
+        {"area": "6.232", "area_stderr": "0.17446228245669607",
+         "mixing_limit": "0.04220050906268049",
+         "mixing_limit_stderr": "0.003254538009956343"}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_CORRELATE))
+def test_correlate_sampler_outputs_are_pinned(tmp_path, seed):
+    out = tmp_path / "out"
+    assert cli.main(["correlate", "--n=2000", f"--output-dir={out}", f"--seed={seed}"]) == 0
+    (csv_path,) = out.glob("*-correlation.csv")
+    header, row0 = csv_path.read_text().splitlines()[:2]
+    (json_path,) = out.glob("*-laplace.json")
+    probe = json.loads(json_path.read_text())
+    row, fields = PINNED_CORRELATE[seed]
+    assert (header, row0) == ("t,rho,stderr", row)
+    assert {key: repr(probe[key]) for key in fields} == fields
+
+
+def test_correlate_step_past_the_float_range_exits_2(tmp_path, capsys):
+    argv = ["correlate", "--n=10", "--dt=800", "--t-max=800", f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 2
+    diag = _diagnostic(capsys)
+    assert diag["type"] == "ValidationError"
+    assert diag["message"].startswith("dt = 800.0")
+    assert not any(tmp_path.iterdir())
+
+
 # one small run per subcommand
 SMALL_RUNS = {
     "roots": [],

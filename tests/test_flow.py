@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cuspflow.flow as fl
-from _oracles import _frame_matrix
+from _oracles import (_frame_matrix, geodesic_velocity, record_from_json,
+                      reference_reduce, reference_step)
 from cuspflow import (
     BumpObservable,
     CorrelationRecord,
@@ -153,7 +154,7 @@ def test_flow_state():
     direct = flow_cusp_exact(p0, 1.0)
     assert s.point.r == pytest.approx(direct.r, abs=1e-12)
     # velocity is the right-hand side of the geodesic system
-    dr, dth, dphi = FlowState(p0).velocity()
+    dr, dth, dphi = geodesic_velocity(p0)
     eps = 1e-7
     q = flow_cusp_exact(p0, eps)
     assert (q.r - p0.r) / eps == pytest.approx(dr, abs=1e-6)
@@ -200,7 +201,7 @@ def test_quotient_requires_upper_half_plane():
     with pytest.raises(DomainError):
         flow_quotient(0.3 - 0.2j, 0.0, 1.0, SURF)
     with pytest.raises(DomainError, match=r"0\.2-0\.1j"):
-        fl._reduce_arrays([0.3 + 1.0j, 0.2 - 0.1j], [1.0, 1.0], SURF)
+        _reduce_zv([0.3 + 1.0j, 0.2 - 0.1j], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("z0,a0,t", [
@@ -216,6 +217,21 @@ def test_quotient_reversibility(z0, a0, t):
     z2, a2 = flow_quotient(z1, a1, -t, SURF)
     assert abs(z2 - z0r) < 1e-9
     assert math.remainder(a2 - a0r, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+def _reduce_zv(z, v, surf=SURF):
+    """``fl._reduce`` on complex (z, tangent v) arrays: the points outside
+    the domain move, as ``QuotientSurface.reduce`` moves one point."""
+    z = np.array(z, dtype=complex)
+    v = np.array(v, dtype=complex)
+    x, y = z.real.copy(), z.imag.copy()
+    with np.errstate(all="ignore"):
+        ux, uy = v.real / y, v.imag / y
+    out = np.flatnonzero(~fl._inside(x, y))
+    fl._reduce(x, y, ux, uy, out, surf.reduction_cap)
+    z[out] = x[out] + 1j * y[out]
+    v[out] = y[out] * (ux[out] + 1j * uy[out])
+    return z, v
 
 
 def _word_ball(radius):
@@ -293,9 +309,11 @@ def test_geodesic_step_is_no_less_accurate_than_the_frame_step():
     al = np.array([a for _, a in smp])
     ux, uy = np.cos(al), np.sin(al)
     worst = {"step": 0.0, "frame": 0.0}
+    work = [np.empty(x.size) for _ in range(4)]
     with mpmath.workdps(40):
         for _ in range(200):
-            nx, ny, nux, nuy = fl._geodesic_step(x, y, ux, uy, dt)
+            nx, ny, nux, nuy = x.copy(), y.copy(), ux.copy(), uy.copy()
+            fl._geodesic_step(nx, ny, nux, nuy, dt, work)
             a, b, c, d = _frame_matrix(x + 1j * y, np.arctan2(uy, ux))
             den = c * w + d
             fz = (a * w + b) / den
@@ -307,11 +325,7 @@ def test_geodesic_step_is_no_less_accurate_than_the_frame_step():
                     err = max(abs(mpmath.mpc(z) - z_ref) / z_ref.imag, abs(mpmath.mpc(u) - u_ref))
                     worst[name] = max(worst[name], float(err))
             x, y, ux, uy = nx, ny, nux, nuy
-            out = np.flatnonzero(~fl._inside(x, y))
-            zr, vr = fl._reduce_arrays(x[out] + 1j * y[out],
-                                       y[out] * (ux[out] + 1j * uy[out]), SURF)
-            x[out], y[out] = zr.real, zr.imag
-            ux[out], uy[out] = vr.real / y[out], vr.imag / y[out]
+            fl._reduce(x, y, ux, uy, np.flatnonzero(~fl._inside(x, y)), fl.REDUCTION_CAP)
     assert worst["step"] <= worst["frame"]
     assert worst["step"] < 1e-13
 
@@ -358,13 +372,18 @@ def test_quotient_flow_near_vertical_at_long_times(a0, t):
 
 
 def test_reduction_cap_trips():
-    # 0.3 + 1e-8 i needs three rounds (cusp 0, then cusp 1, then a bubble);
-    # depth alone, as at 1e-4 + 1e-8 i, costs a single round
+    # 0.123 + 1e-8 i needs three rounds, each a cusp move and a translation;
+    # 0.3 + 1e-8 i needs two, as the translation after the cusp-0 move comes
+    # in the same round; depth alone, as at 1e-4 + 1e-8 i, costs one round
     tight = QuotientSurface(reduction_cap=2)
     with pytest.raises(NonterminationError):
-        tight.reduce(complex(0.3, 1e-8))
+        tight.reduce(complex(0.123, 1e-8))
+    z, _ = tight.reduce(complex(0.3, 1e-8))
+    assert SURF.contains(z)
+    z, _ = QuotientSurface(reduction_cap=1).reduce(complex(1e-4, 1e-8))
+    assert SURF.contains(z)
     # the default cap handles the same point easily
-    z, _ = SURF.reduce(complex(0.3, 1e-8))
+    z, _ = SURF.reduce(complex(0.123, 1e-8))
     assert SURF.contains(z)
 
 
@@ -372,7 +391,7 @@ def test_vectorized_reduction_matches_scalar():
     rng = np.random.default_rng(4)
     zs = rng.uniform(-8, 8, 50) + 1j * np.exp(rng.uniform(-6, 2, 50))
     vs = np.exp(1j * rng.uniform(0, 2 * math.pi, 50)) * zs.imag
-    zr, vr = fl._reduce_arrays(zs, vs, SURF)
+    zr, vr = _reduce_zv(zs, vs)
     for k in range(50):
         z1, v1 = SURF.reduce(complex(zs[k]), complex(vs[k]))
         assert abs(z1 - zr[k]) < 1e-12 * max(1.0, abs(z1))
@@ -421,14 +440,14 @@ def test_reduction_matches_greedy_reference():
     rng = np.random.default_rng(4)
     zs = rng.uniform(-8, 8, 50) + 1j * np.exp(rng.uniform(-6, 2, 50))
     vs = np.exp(1j * rng.uniform(0, 2 * math.pi, 50)) * zs.imag
-    zr, vr = fl._reduce_arrays(zs, vs, SURF)
+    zr, vr = _reduce_zv(zs, vs)
     zg, vg = _greedy_reduce_arrays(zs, vs)
     assert np.all(np.abs(zr - zg) < 1e-12 * np.maximum(1.0, np.abs(zg)))
     assert np.all(np.abs(vr - vg) < 1e-12 * np.maximum(1.0, np.abs(vg)))
     # depth costs the greedy reduction one round per unit, so up to 1e2 here
     for cusp in (None, 0.0, 1.0, -1.0):
         z, v = _cusp_points(cusp, np.geomspace(1.5, 1e2, 40), 40.0, 5)
-        zr, vr = fl._reduce_arrays(z, v, SURF)
+        zr, vr = _reduce_zv(z, v)
         zg, vg = _greedy_reduce_arrays(z, v)
         assert np.max(np.abs(zr - zg)) < 1e-9
         assert np.max(np.abs(vr - vg)) < 1e-9 * np.max(np.abs(vg))
@@ -440,11 +459,104 @@ def test_reduction_rounds_do_not_grow_with_depth(cusp):
     # (2kz + 1 - 2k) at cusp 1 would lose 1e-10 in unit speed here
     z, v = _cusp_points(cusp, np.geomspace(1e2, 1e12, 61), 1e3, 6)
     surf = QuotientSurface(reduction_cap=4)
-    zr, vr = fl._reduce_arrays(z, v, surf)
+    zr, vr = _reduce_zv(z, v, surf)
     one = [surf.reduce(complex(a), complex(b)) for a, b in zip(z, v)]
     for zz, vv in ((zr, vr), (np.array([a for a, _ in one]), np.array([b for _, b in one]))):
         assert np.all(surf.contains(zz))
         assert np.max(np.abs(np.abs(vv) / zz.imag - 1.0)) < 1e-12
+
+
+def test_step_is_bitwise_the_reference_step():
+    # Liouville samples plus the directions where the swap of 1 +- uy and
+    # the signs matter: straight up and down, horizontal, -0.0
+    rng = np.random.default_rng(7)
+    z, alpha = fl.liouville_samples(4000, 3)
+    alpha = np.concatenate([alpha, [0.5 * math.pi, -0.5 * math.pi, 0.0, math.pi],
+                            rng.uniform(-math.pi, math.pi, 96)])
+    z = np.concatenate([z, np.full(100, 0.3 + 0.8j)])
+    ux, uy = np.cos(alpha), np.sin(alpha)
+    uy[-1] = -0.0
+    work = [np.empty(z.size) for _ in range(4)]
+    for t in (0.1, -0.1, 3.0, -25.0, 700.0):
+        ref = reference_step(z.real, z.imag, ux, uy, t)
+        got = [z.real.copy(), z.imag.copy(), ux.copy(), uy.copy()]
+        fl._geodesic_step(*got, t, work)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def _reduction_points(n, seed):
+    """n random, n deep-cusp and n near-boundary points outside or on the
+    edge of the domain, with unit tangent vectors v = Im z e^{i a}."""
+    rng = np.random.default_rng(seed)
+    random = rng.uniform(-8, 8, n) + 1j * np.exp(rng.uniform(-6, 2, n))
+    deep = []
+    for cusp in (None, 0.0, 1.0, -1.0):
+        w = rng.uniform(-1e3, 1e3, n // 4) + 1j * np.exp(rng.uniform(0.4, 27.6, n // 4))
+        deep.append(w if cusp is None else cusp - 1.0 / w)
+    # outside by eps: across the lines Re z = +-1 or inside a bubble
+    eps = np.exp(rng.uniform(math.log(1e-9), math.log(1e-2), n))
+    side = rng.integers(0, 4, n)
+    edge = np.exp(1j * rng.uniform(0.02, math.pi - 0.02, n))
+    y = np.exp(rng.uniform(-4, 1.5, n))
+    near = np.select([side == 0, side == 1, side == 2],
+                     [1 + eps + 1j * y, -1 - eps + 1j * y, 0.5 + 0.5 * (1 - eps) * edge],
+                     -0.5 + 0.5 * (1 - eps) * edge)
+    z = np.concatenate([random, *deep, near])
+    return z, z.imag * np.exp(1j * rng.uniform(0, 2 * math.pi, z.size))
+
+
+def test_reduction_reaches_the_reference_representative():
+    z, v = _reduction_points(9000, 11)
+    zr, vr = reference_reduce(z, v)
+    zn, vn = _reduce_zv(z, v)
+    assert np.all(SURF.contains(zn))
+    assert np.max(np.abs(zn - zr) / np.abs(zr)) <= 1e-13
+    assert np.max(np.abs(vn - vr) / np.abs(vr)) <= 1e-13
+
+
+def test_reduction_is_no_less_accurate_than_the_reference():
+    # judged against the moves at 40 digits: z relative to Im z, v relative
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-8, 8, 300) + 1j * np.exp(rng.uniform(-6, 2, 300))
+    v = z.imag * np.exp(1j * rng.uniform(0, 2 * math.pi, 300))
+    worst = {}
+    with mpmath.workdps(40):
+        exact = [_exact_reduce(mpmath, mpmath.mpc(a), mpmath.mpc(b)) for a, b in zip(z, v)]
+        for name, (zz, vv) in (("new", _reduce_zv(z, v)), ("reference", reference_reduce(z, v))):
+            worst[name] = max(max(float(abs(mpmath.mpc(a) - ze) / ze.imag),
+                                  float(abs(mpmath.mpc(b) - ve) / abs(ve)))
+                              for a, b, (ze, ve) in zip(zz, vv, exact))
+    assert worst["new"] <= worst["reference"]
+    assert worst["new"] < 1e-13
+
+
+def test_reduce_and_flow_quotient_keep_their_interface():
+    z, v = SURF.reduce(1.7 + 0.05j, 0.05j)
+    assert type(z) is complex and type(v) is complex and SURF.contains(z)
+    inside = (0.1 + 1.3j, 0.2 - 0.7j)
+    assert SURF.reduce(*inside) == inside
+    z, a = flow_quotient(0.1 + 1.3j, 0.7, 2.0, SURF)
+    assert type(z) is complex and type(a) is float
+    zs, al = flow_quotient(np.full((2, 3), 0.1 + 1.3j), np.linspace(-3, 3, 6).reshape(2, 3),
+                           2.0, SURF)
+    assert zs.shape == al.shape == (2, 3) and zs.dtype == complex and al.dtype == float
+    with pytest.raises(DomainError, match=r"0\.2-0\.1j"):
+        SURF.reduce(0.2 - 0.1j)
+    with pytest.raises(DomainError):
+        flow_quotient(np.array([0.1 + 1.3j, 0.2 - 0.1j]), 0.0, 1.0, SURF)
+    one_round = QuotientSurface(reduction_cap=1)
+    with pytest.raises(NonterminationError):
+        one_round.reduce(complex(0.123, 1e-8))
+    with pytest.raises(NonterminationError):
+        flow_quotient(complex(0.123, 1e-8), 0.4, 0.0, one_round)
+
+
+@pytest.mark.parametrize("t", [710.0, -710.0, math.inf, math.nan])
+def test_flow_quotient_past_the_float_range_raises_naming_t(t):
+    with pytest.raises(ValidationError, match=r"^t = "):
+        flow_quotient(0.9j, 0.3, t, SURF)
+    assert flow_quotient(0.9j, 0.3, 700.0, SURF)[0].imag > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +572,17 @@ def test_philox_words_match_numpy(seed, tag, index):
     idx = np.array([index], dtype=np.uint64)
     words = [w[0] for block in range(1, 5) for w in fl._philox_block(seed, tag, idx, block)]
     assert np.array_equal(np.array(words, dtype=np.uint64), raw)
+
+
+def test_neg_reciprocal_is_bitwise_python_division():
+    rng = np.random.default_rng(9)
+    im = np.concatenate([np.exp(rng.uniform(-40, 40, 2000)), [0.5, 0.5, 0.5, 0.5, 2.0, 1e-300]])
+    re = np.concatenate([rng.uniform(-3, 3, 1000) * im[:1000],
+                         rng.uniform(-3, 3, 1000), [0.0, -0.0, 0.5, -0.5, 3.0, 1.0]])
+    w_re, w_im = fl._neg_reciprocal(re, im)
+    ref = [-1.0 / complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+    assert w_re.tobytes() == np.array([w.real for w in ref]).tobytes()
+    assert w_im.tobytes() == np.array([w.imag for w in ref]).tobytes()
 
 
 # SHA-256 of the little-endian (Re z, Im z, alpha) rows of
@@ -683,17 +806,12 @@ def test_record_validation():
         CorrelationRecord((0.0, 1.0), (1.0, 1.0), (0.0, 0.0), 0, 0)
 
 
-def test_record_csv_and_json(tmp_path):
+def test_record_json(tmp_path):
     rec = CorrelationRecord((0.0, 0.5, 1.0), (6.1, 6.2, 6.3), (0.01, 0.02, 0.03), 10, 5)
-    path = tmp_path / "rec.csv"
-    rec.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,rho,stderr"
-    assert lines[1] == "0.0,6.1,0.01"
-    assert CorrelationRecord.from_json(rec.to_json()) == rec
+    assert record_from_json(rec.to_json()) == rec
     jpath = tmp_path / "rec.json"
     rec.to_json(jpath)
-    assert CorrelationRecord.from_json(jpath.read_text()) == rec
+    assert record_from_json(jpath.read_text()) == rec
 
 
 def test_laplace_of_constant_record():
