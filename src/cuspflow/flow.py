@@ -565,7 +565,7 @@ def _chunks(n):
         yield np.arange(start, min(n, start + _SAMPLE_CHUNK), dtype=np.uint64)
 
 
-def liouville_samples(n, seed, surf: QuotientSurface | None = None):
+def liouville_samples(n, seed):
     """Draw n i.i.d. samples from normalized Liouville measure on the quotient.
 
     The base point is uniform in hyperbolic area on the fundamental domain
@@ -615,8 +615,11 @@ def liouville_samples(n, seed, surf: QuotientSurface | None = None):
 
 
 def sample_liouville(n, seed, surf: QuotientSurface | None = None):
-    """:func:`liouville_samples` as a list of (z, alpha) pairs."""
-    z, alpha = liouville_samples(n, seed, surf)
+    """:func:`liouville_samples` as a list of (z, alpha) pairs.
+
+    ``surf`` is not read: the sampler draws on the one fixed domain.
+    """
+    z, alpha = liouville_samples(n, seed)
     return list(zip(z.tolist(), alpha.tolist()))
 
 
@@ -628,6 +631,7 @@ def estimate_area(n, seed, surf: QuotientSurface | None = None):
     acceptance fraction.  The exact area is 2 pi (Gauss-Bonnet for the
     thrice-punctured sphere), which makes this an end-to-end sampler check.
     Proposal i takes u1..u4 from block 1 of the stream (seed, tag 1, i).
+    ``surf`` is not read: the sampler draws on the one fixed domain.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 proposals, got {n}")
@@ -761,8 +765,10 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     if surf is None:
         surf = QuotientSurface()
 
-    z, alpha = liouville_samples(n, seed, surf)
-    b_vals = _eval_observable(B, z, alpha)
+    z, alpha = liouville_samples(n, seed)
+    # a copy: B may return z or alpha, or a view of them, and the loop
+    # rewrites both in place
+    b_vals = np.array(_eval_observable(B, z, alpha), dtype=float)
 
     steps = int(math.floor(T_max / dt + 1e-9))
     times = [k * dt for k in range(steps + 1)]

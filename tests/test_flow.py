@@ -782,6 +782,20 @@ def test_correlate_loops_scalar_only_observables():
     assert rec_s.stderrs == pytest.approx(rec_v.stderrs, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("view, copy", [
+    (lambda z, a: z.imag, lambda z, a: np.array(z.imag)),
+    (lambda z, a: z.real, lambda z, a: np.array(z.real)),
+    (lambda z, a: a, lambda z, a: np.array(a)),
+], ids=["imag", "real", "alpha"])
+def test_correlate_holds_b_at_time_zero_when_b_returns_a_view(view, copy):
+    """B(x(0)) stays fixed even when B hands back its input or a view of it."""
+    A = BumpObservable()
+    rec_view = correlate(A, view, T_max=1.0, dt=0.25, n=500, seed=4, surf=SURF)
+    rec_copy = correlate(A, copy, T_max=1.0, dt=0.25, n=500, seed=4, surf=SURF)
+    assert rec_view.values == rec_copy.values
+    assert rec_view.stderrs == rec_copy.stderrs
+
+
 def test_correlate_propagates_observable_errors():
     """An error other than an array rejection is not retried point by point."""
     def fragile(z, a):
