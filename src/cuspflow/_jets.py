@@ -17,19 +17,20 @@ and the Dirac-type eigenfunctionals are weighted volume jets
 where  w = 2 / (1 + sqrt(1 - rho^2))  is the pole-conjugation factor
 (equal to 2*tan(phi/2)/sin(phi)).
 
-This module provides truncated power series in t = rho^2 with exact
-(Fraction) or complex coefficients (the pole factor from its Catalan
-coefficients, real powers by J. C. P. Miller's O(n^2) recurrence), the
-multiplication/composition rules of the jet functionals, the finite
-triangular matrix of the transposed model operator on volume jets, and the
-unit-triangular change of basis between volume jets and the Dirac
-eigenfunctionals.
+Every radial factor involved has a closed form in t = rho^2: J and
+cos(phi) are binomial series (1 - t)^a, w is the Catalan series, and its
+real powers come from J. C. P. Miller's O(n^2) recurrence.  This module
+provides those truncated series (exact Fraction coefficients from a Fraction
+exponent, else floats or complex), the one composition rule
+D_mu[g(t) F] of the jet functionals with a radial series, the finite
+triangular matrix of the transposed model operator on volume jets built from
+that rule, and the unit-triangular change of basis between volume jets and
+the Dirac eigenfunctionals.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +56,9 @@ __all__ = [
 class RadialSeries:
     """Truncated power series sum_m c_m t^m in the radial variable t = rho^2.
 
-    Coefficients may be Fractions (exact path) or floats/complex; arithmetic
-    is duck-typed. All operations truncate at the fixed ``order`` (the highest
-    retained power of t).
+    The coefficients are whatever the constructor computed them in: Fractions
+    from a Fraction exponent, else floats or complex.  ``order`` is the
+    highest retained power of t.
     """
 
     coeffs: tuple
@@ -66,71 +67,23 @@ class RadialSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    # -- constructors -------------------------------------------------------
-
     @staticmethod
-    def constant(value, order: int) -> "RadialSeries":
-        zero = value * 0
-        return RadialSeries((value,) + (zero,) * order)
-
-    @staticmethod
-    def one(order: int, exact: bool = True) -> "RadialSeries":
-        one = Fraction(1) if exact else 1.0
-        return RadialSeries.constant(one, order)
-
-    @staticmethod
-    def sqrt_one_minus_t(order: int, exact: bool = True) -> "RadialSeries":
-        """(1 - t)^{1/2}: c_0 = 1, c_m = c_{m-1} (2m-3)/(2m)."""
-        c = [Fraction(1) if exact else 1.0]
+    def binomial(a, order: int) -> "RadialSeries":
+        """(1 - t)^a: c_0 = 1, c_m = c_{m-1} (m - 1 - a)/m, in the arithmetic
+        of ``a`` (a Fraction gives exact coefficients)."""
+        c = [a * 0 + 1]
         for m in range(1, order + 1):
-            if exact:
-                c.append(c[-1] * Fraction(2 * m - 3, 2 * m))
-            else:
-                c.append(c[-1] * (2 * m - 3) / (2 * m))
+            c.append(c[-1] * (m - 1 - a) / m)
         return RadialSeries(tuple(c))
 
     @staticmethod
-    def inv_sqrt_one_minus_t(order: int, exact: bool = True) -> "RadialSeries":
-        """(1 - t)^{-1/2}: c_0 = 1, c_m = c_{m-1} (2m-1)/(2m)."""
-        c = [Fraction(1) if exact else 1.0]
-        for m in range(1, order + 1):
-            if exact:
-                c.append(c[-1] * Fraction(2 * m - 1, 2 * m))
-            else:
-                c.append(c[-1] * (2 * m - 1) / (2 * m))
-        return RadialSeries(tuple(c))
-
-    @staticmethod
-    def pole_factor(order: int, exact: bool = True) -> "RadialSeries":
+    def pole_factor(order: int) -> "RadialSeries":
         """w = 2/(1 + sqrt(1-t)) = sum_m Catalan(m) (t/4)^m; w(0) = 1.
 
-        Each coefficient is one correctly rounded (or exact) quotient."""
-        div = Fraction if exact else operator.truediv
+        Each coefficient is one correctly rounded quotient of integers."""
         return RadialSeries(
-            tuple(div(math.comb(2 * m, m), (m + 1) * 4**m) for m in range(order + 1))
+            tuple(math.comb(2 * m, m) / ((m + 1) * 4**m) for m in range(order + 1))
         )
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "RadialSeries") -> "RadialSeries":
-        n = min(self.order, other.order)
-        return RadialSeries(
-            tuple(self.coeffs[m] + other.coeffs[m] for m in range(n + 1))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, RadialSeries):
-            n = min(self.order, other.order)
-            out = []
-            for m in range(n + 1):
-                acc = self.coeffs[0] * other.coeffs[m]
-                for i in range(1, m + 1):
-                    acc = acc + self.coeffs[i] * other.coeffs[m - i]
-                out.append(acc)
-            return RadialSeries(tuple(out))
-        return RadialSeries(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
 
     def power(self, sigma) -> "RadialSeries":
         """Series of self**sigma (constant term of self must be 1).
@@ -196,56 +149,42 @@ def radial_multiply(jet: dict, series: RadialSeries) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def transpose_matrix_on_volume_jets(d: int, h, lam, A, K: int, exact: bool = False):
+def transpose_matrix_on_volume_jets(d: int, h, lam, A, K: int):
     """Matrix of the distributional model-operator action on volume jets.
 
     With P f = h sin(phi) d_phi f + (lambda + h d/2 + h A) cos(phi) f and the
     transpose taken against the sphere volume pairing, the action on the
     functionals B_mu (|mu| <= K) is upper triangular in graded-ascending
-    order with parity-preserving couplings:
+    order with parity-preserving couplings: column mu is the functional
+    F |-> D_mu[g F] of the radial series
 
-        M[nu, mu] = (|w|!/w!) (mu!/nu!) *
-                    [ (lambda + hA) s_{|w|} - h (a_{|w|} + s_{|w|} (|nu| + d/2)) ]
+        g_m = (lambda + hA) s_m - h (a_m + s_m (|mu| - 2m + d/2)),
 
-    for mu - nu = 2w >= 0, where s_m are the coefficients of sqrt(1-t) and
-    a_m those of -t (1-t)^{-1/2}.  Diagonal entries: lambda + hA - h(|mu| + d/2).
+    where s_m are the coefficients of sqrt(1-t) and a_m those of
+    -t (1-t)^{-1/2}.  Diagonal entries: lambda + hA - h(|mu| + d/2).
 
-    Returns (basis, M) with basis = multi_indices_upto(d, K); M is a list of
-    lists (exact path, Fraction/complex entries) or a complex ndarray.
+    Returns (basis, M) with basis = multi_indices_upto(d, K).  M is an
+    object array of exact entries when h is a Fraction (lambda and A then
+    Fractions too), else a complex array.
     """
+    exact = isinstance(h, Fraction)
+    half = Fraction(1, 2) if exact else 0.5
+    order = K // 2
+    s = RadialSeries.binomial(half, order).coeffs
+    inv = RadialSeries.binomial(-half, order).coeffs
+    # a(t) = -t (1-t)^{-1/2}:  a_0 = 0, a_m = -inv_{m-1}
+    a = [s[0] * 0] + [-inv[m - 1] for m in range(1, order + 1)]
+
     basis = multi_indices_upto(d, K)
     index = {mu: i for i, mu in enumerate(basis)}
-    order = K // 2
-    s = RadialSeries.sqrt_one_minus_t(order, exact=exact)
-    inv = RadialSeries.inv_sqrt_one_minus_t(order, exact=exact)
-    # a(t) = -t (1-t)^{-1/2}:  a_0 = 0, a_m = -inv_{m-1}
-    a = [s.coeffs[0] * 0] + [-inv.coeffs[m - 1] for m in range(1, order + 1)]
-
-    half_d = Fraction(d, 2) if exact else d / 2.0
-    n = len(basis)
-    if exact:
-        M = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-    else:
-        M = np.zeros((n, n), dtype=complex)
-    for mu in basis:
-        j = index[mu]
-        for m in range(0, sum(mu) // 2 + 1):
-            if m > order:
-                break
-            for w in multi_indices(d, m):
-                nu = tuple(p - 2 * q for p, q in zip(mu, w))
-                if any(v < 0 for v in nu):
-                    continue
-                i = index[nu]
-                coeff = _multinomial(w) * _falling(mu, nu)
-                val = coeff * (
-                    (lam + h * A) * s.coeffs[m]
-                    - h * (a[m] + s.coeffs[m] * (sum(nu) + half_d))
-                )
-                if exact:
-                    M[i][j] += val
-                else:
-                    M[i, j] += val
+    M = np.zeros((len(basis),) * 2, dtype=object if exact else complex)
+    for j, mu in enumerate(basis):
+        g = RadialSeries(tuple(
+            (lam + h * A) * s[m] - h * (a[m] + s[m] * (sum(mu) - 2 * m + d * half))
+            for m in range(min(order, sum(mu) // 2) + 1)
+        ))
+        for nu, val in radial_multiply({mu: 1}, g).items():
+            M[index[nu], j] = val
     return basis, M
 
 
@@ -254,21 +193,15 @@ def transpose_matrix_on_volume_jets(d: int, h, lam, A, K: int, exact: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def delta_in_volume_basis(d: int, h, lam, mu: tuple[int, ...], exact: bool = False) -> dict:
+def delta_in_volume_basis(d: int, h, lam, mu: tuple[int, ...]) -> dict:
     """The order-mu Dirac eigenfunctional as a volume-jet dict.
 
     delta_mu(lambda)[psi] = D_mu[w^sigma J psi] with sigma = lambda/h - |mu| - d/2,
     expanded as  sum_nu U[nu] B_nu  via the radial multiplication rule.
     """
-    order = sum(mu) // 2
-    w = RadialSeries.pole_factor(order, exact=exact)
-    if exact:
-        sigma = Fraction(lam) / Fraction(h) - sum(mu) - Fraction(d, 2)
-        one = Fraction(1)
-    else:
-        sigma = lam / h - sum(mu) - d / 2.0
-        one = 1.0 + 0.0j
-    return radial_multiply({mu: one}, w.power(sigma))
+    sigma = lam / h - sum(mu) - d / 2.0
+    w = RadialSeries.pole_factor(sum(mu) // 2)
+    return radial_multiply({mu: 1.0 + 0.0j}, w.power(sigma))
 
 
 def volume_dict_to_delta_basis(d: int, h, lam, jet: dict) -> dict:
@@ -287,7 +220,7 @@ def volume_dict_to_delta_basis(d: int, h, lam, jet: dict) -> dict:
             if c == 0:
                 continue
             out[mu] = out.get(mu, c * 0) + c
-            expansion = delta_in_volume_basis(d, h, lam, mu, exact=False)
+            expansion = delta_in_volume_basis(d, h, lam, mu)
             for nu, u in expansion.items():
                 if nu == mu:
                     continue

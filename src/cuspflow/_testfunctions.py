@@ -12,8 +12,10 @@ The family is closed under multiplication by cos(phi) and under the vector
 field sin(phi) d/dphi, so the model operator and its transpose act *exactly*
 within the family.  It is also closed under plain d/dphi (at the cost of
 odd rho-powers), which yields exact higher phi-derivatives for C^k norms.
-All jets at the pole N (flat or volume-weighted) are computed from
-truncated series — no numerical differentiation anywhere.
+All jets at the pole N (flat or volume-weighted) are read off closed-form
+radial series in t = rho^2: with z0 = (1 - t)^{1/2}, a term's p(z0) J e^{-ct}
+is a sum of binomial series (1 - t)^{k/2 - 1/2} times the exponential series,
+so no numerical differentiation happens anywhere.
 """
 
 from __future__ import annotations
@@ -26,23 +28,6 @@ from numpy.polynomial import polynomial as npoly
 from ._jets import RadialSeries
 
 __all__ = ["TestFunction", "random_test_function"]
-
-
-def _poly_of_series(p_coeffs, s: RadialSeries) -> RadialSeries:
-    """Evaluate the polynomial p at a radial series argument (Horner)."""
-    order = s.order
-    acc = RadialSeries.constant(complex(p_coeffs[-1]), order)
-    for c in reversed(p_coeffs[:-1]):
-        acc = acc * s + RadialSeries.constant(complex(c), order)
-    return acc
-
-
-def _exp_series(c: float, order: int) -> RadialSeries:
-    """Series of exp(-c t)."""
-    coeffs = [1.0 + 0.0j]
-    for m in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (-c) / m)
-    return RadialSeries(tuple(coeffs))
 
 
 def _canonical(terms):
@@ -177,21 +162,23 @@ class TestFunction:
 
     def _radial_series(self, index: int, order: int, with_volume: bool) -> tuple:
         """Coefficients of p(sqrt(1-t)) e^{-ct} J^{0/1} of term ``index``, to at
-        least ``order``.  Coefficient r of a truncated product depends only on
-        coefficients <= r, so one long series serves every shorter request bit
-        for bit; it is rebuilt, at twice its order or more, only when too short.
+        least ``order``: sum_k p_k (1-t)^{k/2 - 1/2} (k/2 without the volume
+        factor J), times e^{-ct} by one convolution.  Coefficient r depends
+        only on coefficients <= r, so one long series serves every shorter
+        request; it is rebuilt, at twice its order or more, only when too short.
         """
         key = (index, with_volume)
         coeffs = self._series.get(key, ())
         if len(coeffs) <= order:
             order = max(order, 2 * len(coeffs))
             _, _, c, p = self.terms[index]
-            rest = _poly_of_series(p, RadialSeries.sqrt_one_minus_t(order, exact=False))
+            shift = 0.5 if with_volume else 0.0
+            rest = sum(pk * np.array(RadialSeries.binomial(k / 2 - shift, order).coeffs)
+                       for k, pk in enumerate(p))
             if c != 0.0:
-                rest = rest * _exp_series(c, order)
-            if with_volume:
-                rest = rest * RadialSeries.inv_sqrt_one_minus_t(order, exact=False)
-            coeffs = self._series[key] = rest.coeffs
+                exp = np.cumprod(np.r_[1.0, -c / np.arange(1, order + 1)])
+                rest = np.convolve(rest, exp)[: order + 1]
+            coeffs = self._series[key] = tuple(rest.tolist())
         return coeffs
 
     def jet(self, nu, with_volume: bool = True):

@@ -347,28 +347,22 @@ def _require_construction_widths(grid: ReducedPhaseGrid):
 # transition-time estimate
 # ---------------------------------------------------------------------------
 
-def _first_entry_times(x, target, step, horizon):
-    """First t > 0 (in multiples of step) with target(flowed x) true, per row."""
-    n = x.shape[0]
-    times = np.full(n, np.nan)
-    pending = np.ones(n, dtype=bool)
-    t = 0.0
-    while np.any(pending) and t < horizon:
-        t += step
-        hit = np.zeros(n, dtype=bool)
-        hit[pending] = target(_sphere_flow(x[pending], t))
-        times[hit] = t
-        pending &= ~hit
-    if np.any(pending):
-        raise ConfigurationError(
-            f"{int(pending.sum())} sampled directions did not reach the target "
-            f"cone within transport time {horizon}")
-    return times
-
-
 def _swapped(y):
     """Exchange the growing and decaying dual-frame components."""
     return y[..., [0, 2, 1]]
+
+
+def _entry_time(y, lc, band):
+    """Time at which the forward flow of y enters the level-eps neighbourhood
+    of the growing-dual poles, or with ``band`` of the flow+growing circle;
+    ``lc = log tan^2 eps``.  In Y = e^{-2t}, sin^2 of the distance to that
+    circle has the band form of ``_transition_windows`` with the growing and
+    decaying components exchanged, so its crossing time is the negated one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l0, l1, l2 = np.log(np.abs(y)).T
+        if band:
+            return -_crossing_time(2.0 * (l0 - l2) + lc, 2.0 * (l1 - l2) + lc)
+        return _crossing_time(2.0 * (l0 - l1) - lc, 2.0 * (l2 - l1) - lc)
 
 
 def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
@@ -382,28 +376,48 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
 
     Backward transports are run as forward transports of the swapped data:
     exchanging the growing and decaying components conjugates the sphere flow
-    to its time reversal.
+    to its time reversal.  Times are counted in steps, t_k being k steps
+    summed one at a time; the first entry step k comes from the closed-form
+    crossing (``_entry_time``) and is confirmed by the membership of the
+    flowed direction at t_{k-1} and t_k.
     """
     x = grid.xihat
+    lc = 2.0 * math.log(math.tan(grid.eps))
+    times = np.add.accumulate(np.full(int(horizon / step) + 2, step))
+    n_steps = int(np.searchsorted(times, horizon)) + 1  # up to the first t_k >= horizon
     worst = 0.0
     same = lambda y: y
     legs = (
         # outside the flow+decaying band, forward into the growing-dual cone
-        (grid.in_cone_0s, _dist_u, same),
+        (grid.in_cone_0s, _dist_u, same, False),
         # outside the growing-dual cone, backward into the flow+decaying band
-        (grid.in_cone_u, _dist_0s, _swapped),
+        (grid.in_cone_u, _dist_0s, _swapped, True),
         # outside the flow+growing band, backward into the decaying-dual cone
-        (grid.in_cone_0u, _dist_s, _swapped),
+        (grid.in_cone_0u, _dist_s, _swapped, False),
         # outside the decaying-dual cone, forward into the flow+growing band
-        (grid.in_cone_s, _dist_0u, same),
+        (grid.in_cone_s, _dist_0u, same, True),
     )
-    for in_start_cone, dist, frame in legs:
-        sel = ~in_start_cone(x)
-        if np.any(sel):
-            t = _first_entry_times(frame(x[sel]),
-                                   lambda y: dist(frame(y)) < grid.eps,
-                                   step, horizon)
-            worst = max(worst, float(t.max()))
+    for in_start_cone, dist, frame, band in legs:
+        y = frame(x[~in_start_cone(x)])
+        if not y.size:
+            continue
+
+        def entered(k):
+            t = times[k - 1]
+            return dist(frame(_scaled_unit(y, np.exp(t), np.exp(-t)))) < grid.eps
+
+        k = np.minimum(np.searchsorted(times, _entry_time(y, lc, band), "right") + 1,
+                       n_steps)
+        while np.any(late := (k > 1) & entered(np.maximum(k - 1, 1))):
+            k -= late
+        while np.any(early := ~entered(k) & (k < n_steps)):
+            k += early
+        missed = int(np.count_nonzero(~entered(k)))
+        if missed:
+            raise ConfigurationError(
+                f"{missed} sampled directions did not reach the target cone "
+                f"within transport time {horizon}")
+        worst = max(worst, float(times[k.max() - 1]))
     return 2.0 * worst
 
 

@@ -614,16 +614,13 @@ def liouville_samples(n, seed):
     return z, alpha
 
 
-def sample_liouville(n, seed, surf: QuotientSurface | None = None):
-    """:func:`liouville_samples` as a list of (z, alpha) pairs.
-
-    ``surf`` is not read: the sampler draws on the one fixed domain.
-    """
+def sample_liouville(n, seed):
+    """:func:`liouville_samples` as a list of (z, alpha) pairs."""
     z, alpha = liouville_samples(n, seed)
     return list(zip(z.tolist(), alpha.tolist()))
 
 
-def estimate_area(n, seed, surf: QuotientSurface | None = None):
+def estimate_area(n, seed):
     """Monte Carlo estimate of the hyperbolic area of the fundamental domain.
 
     Runs n proposals of the sampling mixture and returns
@@ -631,7 +628,6 @@ def estimate_area(n, seed, surf: QuotientSurface | None = None):
     acceptance fraction.  The exact area is 2 pi (Gauss-Bonnet for the
     thrice-punctured sphere), which makes this an end-to-end sampler check.
     Proposal i takes u1..u4 from block 1 of the stream (seed, tag 1, i).
-    ``surf`` is not read: the sampler draws on the one fixed domain.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 proposals, got {n}")

@@ -15,7 +15,9 @@ the regular factor in the radial integral (equivalent to iterated integration
 by parts); the subtracted terms integrate in closed form and carry the poles.
 Its coefficients Phi_j(lambda) pair the sphere moments a_mu of Upsilon
 (psi- and lambda-free) with the radial series of psi convolved with that of
-w^sigma.
+w^sigma.  Both series come from closed forms in t = rho^2: the test
+function's is a sum of binomial series (1 - t)^a times e^{-ct}, and w^sigma
+is Miller's power of the Catalan series of w = 2/(1 + sqrt(1 - t)).
 
 The integral of Upsilon psi over u is exact; the radial and colatitude
 integrals use :func:`quad`: eight equal Gauss-Legendre panels of 32 nodes.
@@ -207,7 +209,7 @@ def pairing(rp: RegularizedPairing) -> complex:
     # subtraction is ever evaluated at small rho.
     j_cap = n_reg + 64
     # Phi_j reads w^sigma to order m - e <= j // 2
-    weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma).coeffs
+    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma).coeffs
     phi_j = [rp.psi.profile_coefficient(j, weight, moment) for j in range(n_reg)]
     near = 0.0 + 0.0j
     small_run = 0
@@ -291,7 +293,7 @@ def pole_residue(
     # closed form
     sigma = -(k + d / 2.0 + lam_j / h)
     moment = functools.partial(_angular_moment, tuple(upsilon), k)
-    weight = RadialSeries.pole_factor(j // 2, exact=False).power(sigma).coeffs
+    weight = RadialSeries.pole_factor(j // 2).power(sigma).coeffs
     closed = -(h / 2.0) * psi.profile_coefficient(j, weight, moment)
 
     # contour
@@ -365,9 +367,8 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
         )
 
     # w = Q A_j = -(1 + cos phi) R, as a volume-jet functional
-    one_plus_cos = RadialSeries.one(j + 1, exact=False) + RadialSeries.sqrt_one_minus_t(
-        j + 1, exact=False
-    )
+    s = RadialSeries.binomial(0.5, j + 1).coeffs
+    one_plus_cos = RadialSeries((1.0 + s[0],) + s[1:])
     w_dict = {mu: -c for mu, c in radial_multiply(r_dict, one_plus_cos).items()}
 
     # expand w in the Dirac eigenfunctional basis at lam0 and solve Q e = -w_low

@@ -413,9 +413,8 @@ def jet_matrix(op: ModelOperator, K: int, exact: bool = False):
             Fraction(complex(op.lam).real).limit_denominator(10**12),
             Fraction(complex(op.A).real).limit_denominator(10**12),
             K,
-            exact=True,
         )
-    return transpose_matrix_on_volume_jets(op.d, op.h, op.lam, op.A, K, exact=False)
+    return transpose_matrix_on_volume_jets(op.d, float(op.h), op.lam, op.A, K)
 
 
 def numeric_roots_jet(op: ModelOperator, K: int) -> np.ndarray:

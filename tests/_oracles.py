@@ -11,6 +11,8 @@ package takes:
   :class:`~cuspflow._testfunctions.TestFunction`;
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
+* :func:`stepped_tau_max` finds each transition time by stepping the sphere
+  flow until the cone membership flips (the package solves for the crossing);
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
@@ -32,9 +34,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from cuspflow._sphere import sphere_quadrature
-from cuspflow.errors import DomainError, NonterminationError, ValidationError
-from cuspflow.escape import (_HALF_PI, _as_unit_rows, _frame_components,
-                             _sphere_flow)
+from cuspflow.errors import (ConfigurationError, DomainError,
+                             NonterminationError, ValidationError)
+from cuspflow.escape import (_HALF_PI, _as_unit_rows, _dist_0s, _dist_0u,
+                             _dist_s, _dist_u, _frame_components,
+                             _sphere_flow, _swapped)
 from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
                            flow_cusp_exact)
 from cuspflow.geometry import direction_angle, splitting_frame_at
@@ -237,6 +241,48 @@ class AwaySupportedFunction:
 
     def pair_volume_dict(self, jet_dict: dict):
         return 0.0 + 0.0j
+
+
+# ---------------------------------------------------------------------------
+# escape: the stepped transition-time search
+# ---------------------------------------------------------------------------
+
+
+def _first_entry_times(x, target, step, horizon):
+    """First t > 0 (in multiples of step) with target(flowed x) true, per row."""
+    n = x.shape[0]
+    times = np.full(n, np.nan)
+    pending = np.ones(n, dtype=bool)
+    t = 0.0
+    while np.any(pending) and t < horizon:
+        t += step
+        hit = np.zeros(n, dtype=bool)
+        hit[pending] = target(_sphere_flow(x[pending], t))
+        times[hit] = t
+        pending &= ~hit
+    if np.any(pending):
+        raise ConfigurationError(
+            f"{int(pending.sum())} sampled directions did not reach the target "
+            f"cone within transport time {horizon}")
+    return times
+
+
+def stepped_tau_max(grid, step, horizon=200.0):
+    """:func:`cuspflow.escape.estimate_tau_max` by stepping each leg's sphere
+    flow ``step`` by ``step`` until the direction enters the target cone."""
+    x = grid.xihat
+    worst = 0.0
+    same = lambda y: y
+    legs = ((grid.in_cone_0s, _dist_u, same), (grid.in_cone_u, _dist_0s, _swapped),
+            (grid.in_cone_0u, _dist_s, _swapped), (grid.in_cone_s, _dist_0u, same))
+    for in_start_cone, dist, frame in legs:
+        sel = ~in_start_cone(x)
+        if np.any(sel):
+            t = _first_entry_times(frame(x[sel]),
+                                   lambda y: dist(frame(y)) < grid.eps,
+                                   step, horizon)
+            worst = max(worst, float(t.max()))
+    return 2.0 * worst
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import ast
 import configparser
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -117,6 +119,42 @@ def test_correlate_sampler_outputs_are_pinned(tmp_path, seed):
     row, fields = PINNED_CORRELATE[seed]
     assert (header, row0) == ("t,rho,stderr", row)
     assert {key: repr(probe[key]) for key in fields} == fields
+
+
+# ``eigendist --d 1`` (re_pairing per row) and ``residue --d 1`` (re_closed,
+# re_contour per row) at their defaults, as written before the radial series
+# became closed forms; every imaginary part is 0 or roundoff.
+PINNED_JETS = {
+    "eigendist": ("pairings", ("re_pairing",), (
+        5.967920264874818, 5.010803841146069, 2.2398739185384, 2.5772196038990196,
+        2.9540626802707224, 2.440218369858695, 3.2829649623014605, 2.553218348385307,
+        0.6291643017389603, 1.4, 1.4, 1.4, 0.6000000000000001, -0.3727201554209737,
+        0.6000000000000001, 0.18064553519264337, -0.14776379160729392,
+        -1.9556991489030446)),
+    "residue": ("residues", ("re_closed", "re_contour"), (
+        -1.4, -1.3999999999999997, -0.0, 2.220446049250313e-18, 1.6414767449135939,
+        1.641476744913592, -0.0, -3.7007434154171887e-19, -0.6000000000000001,
+        -0.5999999999999998, -0.0, 1.1102230246251566e-18)),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PINNED_JETS))
+def test_jet_series_outputs_are_pinned(tmp_path, sub):
+    # relative to max(|value|, 1), as residue's own check guards exact zeros
+    out = tmp_path / "out"
+    assert cli.main([sub, "--d=1", f"--output-dir={out}"]) == 0
+    name, columns, pinned = PINNED_JETS[sub]
+    (csv_path,) = out.glob(f"*-{name}.csv")
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
+    got = [float(row.split(",")[header.index(col)]) for row in lines[1:] for col in columns]
+    assert len(got) == len(pinned)
+    for value, ref in zip(got, pinned):
+        assert abs(value - ref) <= 1e-13 * max(abs(ref), 1.0)
+    for row in lines[1:]:
+        cells = dict(zip(header, row.split(",")))
+        for col in ("im_pairing", "im_closed", "im_contour"):
+            assert abs(float(cells.get(col, 0.0))) <= 1e-13
 
 
 def test_correlate_step_past_the_float_range_exits_2(tmp_path, capsys):
@@ -248,6 +286,22 @@ def test_cli_imports_no_private_name_from_the_package():
                and (node.level > 0 or (node.module or "").startswith("cuspflow"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_perfbench_span_targets_resolve():
+    # the traced benchmark run wraps these attributes by name; a rename in the
+    # package must fail here, not only in the benchmark's own smoke test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attr_path, _ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{module}.{attr_path}"
 
 
 def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from _oracles import lifted_flow, reduced_flow
+from _oracles import lifted_flow, reduced_flow, stepped_tau_max
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -253,6 +253,31 @@ def test_estimate_tau_max(small_grid):
     base = 2.0 * math.log(1.0 / math.tan(small_grid.eps))
     assert 1.5 * base < tau < 2.5 * base
     assert tau == pytest.approx(7.4, abs=0.2)
+
+
+@pytest.mark.parametrize("shape, eps", [((32, 32), 0.15), ((12, 20), 0.2),
+                                        ((40, 64), 0.1), ((8, 8), 0.3)])
+def test_tau_max_is_bitwise_the_stepped_search(shape, eps):
+    # the closed-form crossing must land on the step the stepping loop finds
+    grid = ReducedPhaseGrid(n_alpha=4, n_theta=shape[0], n_phi=shape[1], eps=eps)
+    assert estimate_tau_max(grid) == stepped_tau_max(grid, FLOW_STEP)
+    if (shape, eps) == ((32, 32), 0.15):
+        assert estimate_tau_max(grid) == 7.499999999999989
+
+
+@pytest.mark.parametrize("band, dist", [(False, escape._dist_u), (True, escape._dist_0u)])
+def test_entry_time_lands_on_the_cone_edge(band, dist):
+    eps = 0.15
+    y = _as_unit_rows(np.random.default_rng(3).normal(size=(200, 3)))
+    tau = escape._entry_time(y, 2.0 * math.log(math.tan(eps)), band)
+    flowed = escape._scaled_unit(y, np.exp(tau), np.exp(-tau))
+    assert np.max(np.abs(dist(flowed) - eps)) < 1e-12
+
+
+def test_tau_max_beyond_the_horizon_raises(small_grid):
+    # the worst leg needs 3.7 to enter its cone
+    with pytest.raises(ConfigurationError, match="within transport time 2.0"):
+        estimate_tau_max(small_grid, horizon=2.0)
 
 
 def test_weight_window_too_short_raises(small_grid):

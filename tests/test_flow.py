@@ -303,7 +303,7 @@ def test_geodesic_step_is_no_less_accurate_than_the_frame_step():
     mpmath = pytest.importorskip("mpmath")
     dt = 0.1
     w = complex(0.0, math.exp(dt))
-    smp = sample_liouville(64, 0, SURF)
+    smp = sample_liouville(64, 0)
     x = np.array([z.real for z, _ in smp])
     y = np.array([z.imag for z, _ in smp])
     al = np.array([a for _, a in smp])
@@ -605,30 +605,30 @@ FROZEN_AREAS = {
 
 @pytest.mark.parametrize("seed", sorted(FROZEN_SAMPLE_DIGESTS))
 def test_sampler_is_bitwise_the_per_sample_generator(seed):
-    rows = np.array([(z.real, z.imag, a) for z, a in sample_liouville(2000, seed, SURF)],
+    rows = np.array([(z.real, z.imag, a) for z, a in sample_liouville(2000, seed)],
                     dtype="<f8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == FROZEN_SAMPLE_DIGESTS[seed]
-    assert estimate_area(20_000, seed, SURF) == FROZEN_AREAS[seed]
+    assert estimate_area(20_000, seed) == FROZEN_AREAS[seed]
 
 
 def test_sampling_is_deterministic_and_in_domain():
-    s1 = sample_liouville(64, 42, SURF)
-    s2 = sample_liouville(64, 42, SURF)
+    s1 = sample_liouville(64, 42)
+    s2 = sample_liouville(64, 42)
     assert s1 == s2
     for z, alpha in s1:
         assert SURF.contains(z)
         assert 0.0 <= alpha < 2.0 * math.pi
     # different seeds decorrelate
-    assert sample_liouville(64, 43, SURF) != s1
+    assert sample_liouville(64, 43) != s1
 
 
 def test_sampling_validates_count():
     with pytest.raises(ValidationError):
-        sample_liouville(0, 1, SURF)
+        sample_liouville(0, 1)
 
 
 def test_area_estimate_within_3_stderr():
-    area, se = estimate_area(100_000, 7, SURF)
+    area, se = estimate_area(100_000, 7)
     assert abs(area - 2.0 * math.pi) <= 3.0 * se
     assert se < 0.03
 
@@ -639,7 +639,7 @@ def test_monte_carlo_rate():
     bump = BumpObservable()
 
     def bump_mean(n, seed):
-        smp = sample_liouville(n, seed, SURF)
+        smp = sample_liouville(n, seed)
         vals = bump(np.array([z for z, _ in smp]), None)
         return float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n)
 
@@ -661,7 +661,7 @@ def _full_array_bump(bump, z):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_support_only_bump_is_bitwise_the_full_formula_on_samples(seed):
-    z = np.array([p for p, _ in sample_liouville(5000, seed, SURF)])
+    z = np.array([p for p, _ in sample_liouville(5000, seed)])
     for bump in (BumpObservable(),
                  BumpObservable(center=0.2 + 1.4j, radius=0.6, order=1, baseline=0.1),
                  BumpObservable(center=-0.4 + 0.7j, radius=2.0, amplitude=-0.5, baseline=1.0)):
@@ -691,12 +691,12 @@ def test_support_only_bump_is_bitwise_the_full_formula_at_the_rim(radius, order,
 
 def test_time_1_flow_preserves_liouville():
     bump = BumpObservable()
-    smp = sample_liouville(20_000, 1, SURF)
+    smp = sample_liouville(20_000, 1)
     pushed, _ = flow_quotient(np.array([z for z, _ in smp]),
                               np.array([a for _, a in smp]), 1.0, SURF)
     v1 = bump(pushed, None)
     m1, se1 = float(np.mean(v1)), float(np.std(v1, ddof=1)) / math.sqrt(len(v1))
-    fresh = sample_liouville(20_000, 2, SURF)
+    fresh = sample_liouville(20_000, 2)
     v0 = bump(np.array([z for z, _ in fresh]), None)
     m0, se0 = float(np.mean(v0)), float(np.std(v0, ddof=1)) / math.sqrt(len(v0))
     assert abs(m1 - m0) <= 3.0 * math.hypot(se0, se1)
@@ -718,7 +718,7 @@ def test_rho_at_time_zero_is_plain_monte_carlo():
     A = BumpObservable()
     B = BumpObservable(center=0.2 + 1.4j, radius=0.6)
     rec = correlate(A, B, T_max=0.5, dt=0.5, n=400, seed=9, surf=SURF)
-    smp = sample_liouville(400, 9, SURF)
+    smp = sample_liouville(400, 9)
     z = np.array([p for p, _ in smp])
     al = np.array([a for _, a in smp])
     direct = 2.0 * math.pi * float(np.mean(A(z, al) * B(z, al)))
@@ -745,7 +745,7 @@ def test_correlate_time_zero_row_is_pinned(seed):
 def test_correlation_decays_to_product_of_means():
     bump = BumpObservable()
     rec = correlate(bump, bump, T_max=20.0, dt=0.1, n=20_000, seed=11, surf=SURF)
-    smp = sample_liouville(20_000, 12, SURF)
+    smp = sample_liouville(20_000, 12)
     vals = bump(np.array([z for z, _ in smp]), None)
     mean_b = 2.0 * math.pi * float(np.mean(vals))
     se_b = 2.0 * math.pi * float(np.std(vals, ddof=1)) / math.sqrt(20_000)
@@ -877,7 +877,7 @@ def test_pole_residue_at_zero_from_small_s():
     late = [v for t, v in zip(rec.times, rec.values) if t >= 15.0]
     rho_late = sum(late) / len(late)
     s_rho = s * laplace_transform(rec, s).real + rho_late * math.exp(-s * rec.times[-1])
-    smp = sample_liouville(20_000, 6, SURF)
+    smp = sample_liouville(20_000, 6)
     z = np.array([p for p, _ in smp])
     al = np.array([a for _, a in smp])
     mean_a = 2.0 * math.pi * float(np.mean(A(z, al)))

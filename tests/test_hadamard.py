@@ -200,7 +200,7 @@ def test_radial_taylor_reconstruction_remainder_order():
         lam = 0.17
         k = 0
         sigma = -(k + d / 2.0 + lam)
-        weight = RadialSeries.pole_factor(n + 4, exact=False).power(sigma)
+        weight = RadialSeries.pole_factor(n + 4).power(sigma)
         u0 = np.zeros(d)
         u0[0] = 1.0
         if d > 1:
@@ -262,7 +262,7 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     upsilon = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
     sigma = -(k + d / 2.0 + complex(lam_re, lam_im))
     j_cap = n_reg + 64
-    weight = RadialSeries.pole_factor((j_cap - 1) // 2, exact=False).power(sigma)
+    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma)
     moment = functools.partial(_angular_moment, upsilon, k)
     for j in range(j_cap):
         terms = []

@@ -431,6 +431,19 @@ def test_jet_matrix_zero_pattern():
                 assert M[i, j] == 0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_jet_matrix_is_the_transpose_action_on_volume_jets(d):
+    # B_mu[P^T psi] = sum_nu M[nu, mu] B_nu[psi], every entry checked against
+    # the test function's exact transpose
+    op = ModelOperator(d=d, h=0.7, lam=0.3 + 0.2j, A=0.4)
+    basis, M = jet_matrix(op, K=5)
+    psi = random_test_function(d, np.random.default_rng(1), n_terms=4, max_deg=3)
+    moved = psi.apply_model_transpose(op.h, op.lam, op.A)
+    lhs = np.array([moved.volume_jet(mu) for mu in basis])
+    rhs = np.array([psi.volume_jet(nu) for nu in basis]) @ M
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
 def test_jet_matrix_exact_vs_float_and_eigenvalues():
     op = ModelOperator(d=2, h=1.0, lam=0.25)
     K = 4

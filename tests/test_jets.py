@@ -1,4 +1,4 @@
-"""Oracle tests for the radial series algebra of ``cuspflow._jets``."""
+"""Oracle tests for the closed-form radial series of ``cuspflow._jets``."""
 
 from fractions import Fraction
 
@@ -7,6 +7,13 @@ import pytest
 import sympy
 
 from cuspflow._jets import RadialSeries
+from cuspflow._testfunctions import TestFunction
+
+
+def _exact_pole_factor(order):
+    # w = 2 (1 - sqrt(1-t)) / t, so w_m = -2 s_{m+1} for the exact sqrt(1-t)
+    s = RadialSeries.binomial(Fraction(1, 2), order + 1).coeffs
+    return RadialSeries(tuple(-2 * c for c in s[1:]))
 
 
 @pytest.mark.parametrize("a", [0.7, -2.3 + 0.4j, 3, -3])
@@ -14,7 +21,7 @@ def test_power_of_pole_factor_matches_binomial_closed_form(a):
     # w = 2/(1 + sqrt(1-t)) is the Catalan generating function at t/4, so
     # w^a has coefficients a/(2n+a) binom(2n+a, n) 4^-n
     order = 40
-    got = RadialSeries.pole_factor(order, exact=False).power(a).coeffs
+    got = RadialSeries.pole_factor(order).power(a).coeffs
     assert len(got) == order + 1
     with mpmath.workdps(40):
         av = mpmath.mpmathify(a)
@@ -31,15 +38,57 @@ def test_exact_power_of_pole_factor_matches_sympy_series(a):
     expr = ((1 + sympy.sqrt(1 - t)) / 2) ** sympy.Rational(-a.numerator, a.denominator)
     poly = sympy.series(expr, t, 0, order + 1).removeO()
     ref = [Fraction(int(c.p), int(c.q)) for c in (poly.coeff(t, n) for n in range(order + 1))]
-    got = RadialSeries.pole_factor(order, exact=True).power(a).coeffs
+    got = _exact_pole_factor(order).power(a).coeffs
     assert list(got) == ref
 
 
 def test_pole_factor_coefficients_are_catalan_numbers():
     order = 40
-    exact = RadialSeries.pole_factor(order, exact=True).coeffs
-    rounded = RadialSeries.pole_factor(order, exact=False).coeffs
+    exact = _exact_pole_factor(order).coeffs
+    rounded = RadialSeries.pole_factor(order).coeffs
     for k in range(order + 1):
         ref = Fraction(int(sympy.catalan(k)), 4**k)
         assert exact[k] == ref
         assert rounded[k] == float(ref)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(-5, 2)])
+def test_binomial_series_is_exact(a):
+    order = 16
+    t = sympy.symbols("t")
+    poly = sympy.series((1 - t) ** sympy.Rational(a.numerator, a.denominator),
+                        t, 0, order + 1).removeO()
+    ref = [Fraction(int(c.p), int(c.q)) for c in (poly.coeff(t, n) for n in range(order + 1))]
+    assert list(RadialSeries.binomial(a, order).coeffs) == ref
+
+
+def test_binomial_series_at_complex_exponent_matches_mpmath():
+    a, order = -1.3 + 0.8j, 40
+    got = RadialSeries.binomial(a, order).coeffs
+    with mpmath.workdps(40):
+        av = mpmath.mpmathify(a)
+        for m, c in enumerate(got):
+            ref = complex((-1) ** m * mpmath.binomial(av, m))
+            assert abs(c - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("with_volume", [True, False])
+def test_test_function_radial_series_matches_sympy(with_volume):
+    # term coefficients of p(sqrt(1-t)) (1-t)^{-1/2} e^{-ct}, and without the
+    # volume factor (1-t)^{-1/2}, against sympy's series
+    order = 12
+    p = (Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), Fraction(1, 3))
+    terms = ((Fraction(7, 10), p), (Fraction(0), p[:2]))
+    psi = TestFunction([(0, (0,), float(c), [float(v) for v in q]) for c, q in terms], 1)
+    t = sympy.symbols("t")
+    z = sympy.sqrt(1 - t)
+    for index, (c, q) in enumerate(terms):
+        expr = sum(sympy.Rational(v.numerator, v.denominator) * z**k for k, v in enumerate(q))
+        expr *= sympy.exp(-sympy.Rational(c.numerator, c.denominator) * t)
+        if with_volume:
+            expr /= z
+        poly = sympy.expand(expr).series(t, 0, order + 1).removeO()
+        ref = [complex(poly.coeff(t, m)) for m in range(order + 1)]
+        got = psi._radial_series(index, order, with_volume)[: order + 1]
+        scale = max(abs(r) for r in ref)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-14 * scale
