@@ -62,10 +62,9 @@ class TestFunction:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_monomial(d: int, mu, c: float = 0.0, p=(1.0,), extra_t_power: int = 0):
+    def from_monomial(d: int, mu, c: float = 0.0, p=(1.0,)):
         mu = tuple(mu)
-        q = sum(mu) + 2 * extra_t_power
-        return TestFunction([(q, mu, c, np.asarray(p, dtype=complex))], d)
+        return TestFunction([(sum(mu), mu, c, np.asarray(p, dtype=complex))], d)
 
     @staticmethod
     def constant(d: int, value=1.0):
@@ -155,9 +154,6 @@ class TestFunction:
             acc = acc + moment(mu) * radial
         return acc
 
-    def dphi_value(self, phi, u):
-        return self.d_phi().value(phi, u)
-
     # -- exact jets at the pole N ----------------------------------------------
 
     def _radial_series(self, index: int, order: int, with_volume: bool) -> tuple:
@@ -238,10 +234,6 @@ class TestFunction:
     def volume_jet(self, nu):
         """B_nu[psi] = d^nu[(1-rho^2)^{-1/2} psi](0)."""
         return self.jet(nu, with_volume=True)
-
-    def flat_jet(self, nu):
-        """D_nu[psi] = d^nu psi(0)."""
-        return self.jet(nu, with_volume=False)
 
     def pair_volume_dict(self, jet_dict: dict):
         """Pair a volume-jet functional {mu: coeff} against this function."""

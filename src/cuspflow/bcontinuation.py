@@ -109,6 +109,7 @@ _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
 _X_PAIR_SPLIT = 0.85    # split point of the paired channel near the pole
 _RES_GUARD = 5e-4       # particular-series resonance clearance
 _R_BLOCK = 64           # r-grid rows per block of the e^{r w} table
+_PANEL_ORDER = 24       # Gauss-Legendre nodes per panel of the mode quadratures
 _STRIP_HALF_WIDTH = 0.1  # widest strip around the axis roots, w units
 # Roots closer than this share one residue circle, whose two-term expansion
 # drops ~ (r gap)^2; two circles of radius 0.35 gap lose ~ 1e-17/gap instead.
@@ -269,9 +270,6 @@ class CuspField:
             out += vals * (sx**m)[None, :] * ang
         return out
 
-    def max_abs(self) -> float:
-        return max(float(np.abs(v).max()) for _, _, v in self.terms)
-
     def _binary(self, other: "CuspField", sign: float) -> "CuspField":
         if not isinstance(other, CuspField):
             raise ValidationError("can only combine with another CuspField")
@@ -303,36 +301,6 @@ class CuspField:
 
     def __sub__(self, other):
         return self._binary(other, -1.0)
-
-    def scaled(self, alpha: complex) -> "CuspField":
-        return CuspField(
-            d=self.d,
-            r_grid=self.r_grid,
-            x_grid=self.x_grid,
-            terms=tuple((m, mu, alpha * v) for m, mu, v in self.terms),
-            meta=dict(self.meta),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "r_grid": [float(v) for v in self.r_grid],
-            "x_grid": [float(v) for v in self.x_grid],
-            "terms": [
-                {
-                    "m": m,
-                    "mu": list(mu),
-                    "re": np.real(v).tolist(),
-                    "im": np.imag(v).tolist(),
-                }
-                for m, mu, v in self.terms
-            ],
-            "meta": {k: v for k, v in self.meta.items() if _json_safe(v)},
-        }
-
-
-def _json_safe(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +370,6 @@ def _solve_mode_profiles(
     poly,
     lams,
     x_eval,
-    order: int = 24,
 ) -> np.ndarray:
     """Tempered mode profiles F(x) at x_eval, shape (n_lam, n_x).
 
@@ -432,7 +399,7 @@ def _solve_mode_profiles(
         f0 = _series_eval(coeff, np.array([1.0 + x0]))[:, 0]
         xr = xs[~left]
         edges = _voc_edges(xr, x0)
-        xi, wq = panel_nodes(edges, order)
+        xi, wq = panel_nodes(edges, _PANEL_ORDER)
         l1_0, l2_0 = math.log(1.0 - x0), math.log(1.0 + x0)
         dl1 = np.log1p(-xi) - l1_0
         dl2 = np.log1p(xi) - l2_0
@@ -487,12 +454,7 @@ class SphereSolution:
             total += complex(self.profile_at(i, [x])[0]) * sp ** t.m * ang
         return total
 
-    def sup_norm(self) -> float:
-        if not self.profiles:
-            return 0.0
-        return max(float(np.abs(p).max()) for p in self.profiles)
-
-    def residual(self, n_probe: int = 24, delta: float = 1e-3) -> float:
+    def residual(self) -> float:
         """sup of |(I - hs)f - g| over interior probes, via 7-point FD.
 
         An independent check of the solve: the mode ODE is re-applied with
@@ -504,7 +466,8 @@ class SphereSolution:
         )
         # the profile oscillates on the x-scale 1/|lam/h|, so the probe step
         # shrinks accordingly to keep the stencil truncation term flat in lam
-        delta = delta / (1.0 + abs(complex(lam)) / (4.0 * op.h))
+        n_probe = 24
+        delta = 1e-3 / (1.0 + abs(complex(lam)) / (4.0 * op.h))
         probes = np.linspace(-0.92, 0.79, n_probe)
         c6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
         worst = 0.0
@@ -591,10 +554,6 @@ class ContourSpec:
             raise ValidationError(f"need panels >= 4, got {self.panels}")
         if not self.tail_tol > 0:
             raise ValidationError(f"need tail_tol > 0, got {self.tail_tol}")
-
-    def eta_nodes(self):
-        edges = np.linspace(-self.height, self.height, self.panels + 1)
-        return panel_nodes(edges, 16)
 
     def r_window(self) -> float:
         """|r| up to which the panel quadrature resolves e^{i eta r}."""
@@ -793,15 +752,6 @@ class ResidueOutput:
             d=self.d, r_grid=r, x_grid=self.x_grid, terms=tuple(terms), meta={}
         )
 
-    def max_abs(self) -> float:
-        if self.paired:
-            return max(
-                max(abs(v) for v in self.H0), max(abs(v) for v in self.H1)
-            )
-        m0 = max(float(np.abs(v).max()) for v in self.H0)
-        m1 = max(float(np.abs(v).max()) for v in self.H1)
-        return max(m0, m1)
-
 
 def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
     """The circle must cleanly separate one root location, or one cluster of
@@ -956,7 +906,6 @@ def _paired_mode_values(
     poly,
     lams: np.ndarray,
     q_poly: tuple,
-    order: int = 24,
 ) -> np.ndarray:
     """<F_lam, Q>_beta = int_{-1}^{1} F_lam Q (1-x^2)^beta dx, continued.
 
@@ -987,7 +936,7 @@ def _paired_mode_values(
         x_edges.append(1.0 - gap)
     x_edges.append(x_c)
     tau_edges = np.sqrt(1.0 + np.asarray(x_edges))
-    tau, wt = panel_nodes(tau_edges, order)
+    tau, wt = panel_nodes(tau_edges, _PANEL_ORDER)
     x1 = tau**2 - 1.0
     prof = _solve_mode_profiles(op, s, m, poly, lams, np.minimum(x1, x_c))
     w1 = (2.0 - tau**2) ** beta * tau ** (2.0 * beta + 1.0) * 2.0 * wt
@@ -1000,7 +949,7 @@ def _paired_mode_values(
 
     # piece 2: [x_c, 1] on the analytic particular series, 1 - x = t^2
     t_hi = math.sqrt(1.0 - x_c)
-    t2, wt2 = panel_nodes(np.linspace(0.0, t_hi, 4), order)
+    t2, wt2 = panel_nodes(np.linspace(0.0, t_hi, 4), _PANEL_ORDER)
     y2 = t2**2
     powers = y2[None, :] ** np.arange(_N_PART)[:, None]
     fpart_vals = dpart @ powers
@@ -1050,7 +999,7 @@ def _paired_mode_values(
     hi = t_hi
     for _ in range(levels):
         lo = hi * 0.5
-        tn, wn = panel_nodes(np.array([lo, hi]), order)
+        tn, wn = panel_nodes(np.array([lo, hi]), _PANEL_ORDER)
         yn = tn**2
         a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * _polyval(
             q_poly, 1.0 - yn

@@ -297,11 +297,6 @@ class ReducedPhaseGrid:
                 f"{self.eps} put {int(both.sum())} sampled directions in both "
                 "the growing-dual and flow+decaying neighbourhoods")
 
-    @property
-    def n_points(self):
-        """Total number of reduced grid points (angle x sphere)."""
-        return self.n_alpha * self.n_theta * self.n_phi
-
     # -- cone neighbourhood memberships (on unit direction rows) -----------
     def in_cone_u(self, x):
         """Membership in the eps-neighbourhood of the growing-dual poles."""
@@ -310,10 +305,6 @@ class ReducedPhaseGrid:
     def in_cone_s(self, x):
         """Membership in the eps-neighbourhood of the decaying-dual poles."""
         return _dist_s(_as_unit_rows(x)) < self.eps
-
-    def in_cone_0(self, x):
-        """Membership in the eps-neighbourhood of the flow-dual poles."""
-        return _dist_0(_as_unit_rows(x)) < self.eps
 
     def in_cone_0s(self, x):
         """Membership in the eps-neighbourhood of the flow+decaying circle."""
@@ -641,10 +632,10 @@ class WeightField:
     ``values`` samples the field on ``grid.xihat``; calling the field
     evaluates it at arbitrary directions.  The field is odd under the
     growing<->decaying component swap, takes values in [-2T, 2T], saturates
-    exactly on the plateau balls (see ``plateau_radii``), and its finite
-    differences along the reduced flow at the quadrature step are
-    nonnegative everywhere and >= 1 outside the transported cones and the
-    flow-dual neighbourhood.
+    exactly on the plateau balls (see ``plateau_radii``) and beyond +-T on
+    the transported cones, and its finite differences along the reduced flow
+    at the quadrature step are nonnegative everywhere and >= 1 outside the
+    transported cones and the flow-dual neighbourhood.
     """
 
     grid: ReducedPhaseGrid
@@ -652,7 +643,6 @@ class WeightField:
     step: float
     tau_max: float
     values: np.ndarray = field(repr=False, compare=False)
-    properties: dict = field(repr=False, compare=False)
 
     def __call__(self, xihat):
         """Evaluate the averaged weight at unit directions."""
@@ -699,11 +689,8 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
     to twice the (already safety-doubled) empirical transition time and must
     be at least that; it is snapped up to the quadrature step grid.
 
-    Returns a :class:`WeightField` whose ``properties`` record the measured
-    construction guarantees: range bound 2T, nonnegative flow derivative,
-    derivative >= 1 outside the transported cones and the flow-dual
-    neighbourhood, exact plateau values, saturation beyond +-T on the
-    transported cones, and oddness under the growing<->decaying swap.
+    Returns a :class:`WeightField` with the field sampled on ``grid.xihat``;
+    ``verify`` samples its guarantees (see :class:`WeightField`) through G.
 
     Raises
     ------
@@ -722,67 +709,8 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
             f"averaging window T = {T} is below twice the measured "
             f"transition time 2*tau_max = {2.0 * tau_max}")
     T = _snap_to_step(T, step)
-    x = grid.xihat
-    values = _weight_average(x, T, step, grid.eps)
-    deriv = _weight_derivative(x, T, step, grid.eps)
-    on_v_u = _in_V_u(x, T, grid.eps)
-    on_v_s = _in_V_s(x, T, grid.eps)
-    strict = ~(on_v_u | on_v_s | grid.in_cone_0(x))
-    radii = _plateau_radii(T, step, grid.eps)
-    plat = _plateau_samples(radii)
-    plat_vals = {k: _weight_average(v, T, step, grid.eps)
-                 for k, v in plat.items()}
-    swap_vals = _weight_average(_swapped(x), T, step, grid.eps)
-
-    two_T = 2.0 * T
-    v_max = float(np.max(np.abs(values)))
-    plat_err = {"u": float(np.max(np.abs(plat_vals["u"] - two_T))),
-                "s": float(np.max(np.abs(plat_vals["s"] + two_T))),
-                "0": float(np.max(np.abs(plat_vals["0"])))}
-    odd = float(np.max(np.abs(values + swap_vals)))
-    properties = {
-        "range": {
-            "value": v_max,
-            "bound": two_T,
-            "passed": v_max <= two_T * (1.0 + 1e-12),
-        },
-        "flow_derivative_min": {
-            "value": float(deriv.min()),
-            "threshold": -1e-6,
-            "passed": bool(deriv.min() >= -1e-6),
-        },
-        "flow_derivative_strict_min": {
-            "value": float(deriv[strict].min()) if np.any(strict) else None,
-            "threshold": 1.0 - 1e-3,
-            "n_samples": int(strict.sum()),
-            "passed": bool(np.all(deriv[strict] >= 1.0 - 1e-3)),
-        },
-        "plateau": {
-            "radii": {k: float(v) for k, v in radii.items()},
-            "max_error_u": plat_err["u"],
-            "max_error_s": plat_err["s"],
-            "max_error_0": plat_err["0"],
-            "threshold": 1e-9 * two_T,
-            "passed": max(plat_err.values()) <= 1e-9 * two_T,
-        },
-        "transported_cone_saturation": {
-            "min_on_forward_cone": float(values[on_v_u].min())
-            if np.any(on_v_u) else None,
-            "max_on_backward_cone": float(values[on_v_s].max())
-            if np.any(on_v_s) else None,
-            "threshold": T,
-            "passed": bool(
-                (not np.any(on_v_u) or values[on_v_u].min() >= T - 1e-9)
-                and (not np.any(on_v_s) or values[on_v_s].max() <= -T + 1e-9)),
-        },
-        "swap_oddness": {
-            "value": odd,
-            "threshold": 1e-9 * two_T,
-            "passed": odd <= 1e-9 * two_T,
-        },
-    }
     return WeightField(grid=grid, T=T, step=step, tau_max=tau_max,
-                       values=values, properties=properties)
+                       values=_weight_average(grid.xihat, T, step, grid.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +746,8 @@ class SymbolField:
     construction.  Near the flow-dual poles the symbol equals the conserved
     flow-dual component exactly, so it is flow-invariant there; deep in the
     growing (resp. decaying) dual cones its logarithmic flow derivative
-    approaches +1 (resp. -1).
+    approaches +1 (resp. -1).  ``c_f`` is the infimum of ``hat`` measured
+    by ``build_f``; the certificate's constants record it.
     """
 
     grid: ReducedPhaseGrid
@@ -826,18 +755,11 @@ class SymbolField:
     step: float
     frame_constant: float
     c_f: float
-    values: np.ndarray = field(repr=False, compare=False)
-    values_us: np.ndarray = field(repr=False, compare=False)
-    properties: dict = field(repr=False, compare=False)
 
     def hat(self, xihat):
         """Glued 0-homogeneous factor at unit directions."""
         return _glued_hat(_as_unit_rows(xihat), self.T_prime, self.step,
                           self.grid.eps)
-
-    def us(self, xihat):
-        """Unglued log-averaged transported-norm factor."""
-        return _log_norm_average(_as_unit_rows(xihat), self.T_prime, self.step)
 
     def __call__(self, xihat, rho):
         """Full 1-homogeneous symbol at directions ``xihat`` and radii ``rho``."""
@@ -882,10 +804,10 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     the logarithmic flow derivative within a percent of +-1 deep in the
     growing/decaying dual cones.
 
-    Returns a :class:`SymbolField` with the measured infimum ``c_f`` of the
-    glued factor over the direction sphere and a property report: exact
-    1-homogeneity, cone log-derivative bounds, decaying-pole value, and
-    flow invariance (zero flow derivative) on the flow-dual neighbourhood.
+    Returns a :class:`SymbolField` with the infimum ``c_f`` of the glued
+    factor, measured on a refined midpoint sphere plus the grid directions.
+    The symbol's homogeneity, cone log-derivatives and flow invariance enter
+    the flow derivative of G that ``verify`` samples.
     """
     _require_construction_widths(grid)
     if step <= 0.0:
@@ -897,77 +819,13 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
             "(twice the frame-comparison log over the contraction rate)")
     T_prime = _snap_to_step(T_prime, step)
 
-    x = grid.xihat
-    values = _glued_hat(x, T_prime, step, grid.eps)
-    values_us = _log_norm_average(x, T_prime, step)
-
     probe = np.vstack([
         _midpoint_sphere(max(4 * grid.n_theta, 96), max(4 * grid.n_phi, 96)),
-        x,
+        grid.xihat,
     ])
-    probe_vals = _glued_hat(probe, T_prime, step, grid.eps)
-    i_min = int(np.argmin(probe_vals))
-    c_f = float(probe_vals[i_min])
-
-    sym = SymbolField(grid=grid, T_prime=T_prime, step=step,
-                      frame_constant=FRAME_CONSTANT, c_f=c_f,
-                      values=values, values_us=values_us, properties={})
-
-    # exact 1-homogeneity of the full symbol
-    hom = sym(probe[:64], 2.0) / sym(probe[:64], 1.0)
-    hom_err = float(np.max(np.abs(hom - 2.0)))
-
-    # log-derivative bounds deep in the growing/decaying dual cones (the
-    # assembled transported cones live at angular scale e^{-T} and below)
-    deep_radii = (0.0, 1e-12, 1e-9, 1e-7, 1e-6)
-    du = sym.log_derivative(_deep_cone_samples("u", deep_radii))
-    ds = sym.log_derivative(_deep_cone_samples("s", deep_radii))
-    s_pole = float(sym.log_derivative(np.array([[0.0, 0.0, 1.0]]))[0])
-
-    # flow invariance on the flow-dual neighbourhood: the full symbol equals
-    # the conserved component there, so its flow derivative vanishes
-    inv_dirs = _deep_cone_samples("0", (0.0, 0.3 * grid.eps, 0.6 * grid.eps,
-                                        0.99 * grid.eps))
-    inv_fd = np.abs(sym.log_derivative(inv_dirs))
-
-    properties = {
-        "one_homogeneous": {
-            "value": hom_err,
-            "threshold": 1e-10,
-            "passed": bool(hom_err <= 1e-10),
-        },
-        "log_derivative_growing_cone": {
-            "value": float(du.min()),
-            "threshold": 0.5 * BETA - 1e-3,
-            "passed": bool(du.min() >= 0.5 * BETA - 1e-3),
-        },
-        "log_derivative_decaying_cone": {
-            "value": float(ds.max()),
-            "threshold": -0.5 * BETA + 1e-3,
-            "passed": bool(ds.max() <= -0.5 * BETA + 1e-3),
-        },
-        "log_derivative_decaying_pole": {
-            "value": s_pole,
-            "threshold": -0.75 * BETA + 1e-3,
-            "passed": bool(s_pole <= -0.75 * BETA + 1e-3),
-        },
-        "invariant_cone_flow_derivative": {
-            "value": float(inv_fd.max()),
-            "threshold": 1e-8,
-            "passed": bool(inv_fd.max() <= 1e-8),
-        },
-        "unit_infimum": {
-            "value": c_f,
-            "attained_at": [float(v) for v in probe[i_min]],
-            "n_samples": int(probe.shape[0]),
-        },
-        "frame_constant": {
-            "value": FRAME_CONSTANT,
-            "window_floor": window_floor,
-        },
-    }
-    object.__setattr__(sym, "properties", properties)
-    return sym
+    c_f = float(_glued_hat(probe, T_prime, step, grid.eps).min())
+    return SymbolField(grid=grid, T_prime=T_prime, step=step,
+                       frame_constant=FRAME_CONSTANT, c_f=c_f)
 
 
 # ---------------------------------------------------------------------------
@@ -1303,8 +1161,12 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
          isometric image, goes through G's own frame decomposition, and all
          of them are evaluated in one ``reduced_G`` batch).
 
-    Returns an :class:`EscapeCertificate`; any sampled violation beyond
-    tolerance fails the certificate and lists the worst witnesses.
+    This is the construction's one verification path: ``build_weight`` and
+    ``build_f`` validate their inputs and compute data, and every guarantee
+    is sampled here, through G.  The flow derivative of G reads the weight
+    and the symbol at the step-shifted directions only.  Returns an
+    :class:`EscapeCertificate`; any sampled violation beyond tolerance fails
+    the certificate and lists the worst witnesses.
 
     Parameters
     ----------
@@ -1330,14 +1192,12 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     R = data.R
 
     def bundle(dirs):
-        """Weight, symbol and stretch data at dirs and their step shifts."""
+        """Weight, symbol and stretch data at the step shifts of dirs."""
         fwd = _sphere_flow(dirs, h)
         bwd = _sphere_flow(dirs, -h)
         return {
-            "m0": data.weight(dirs),
             "mf": data.weight(fwd),
             "mb": data.weight(bwd),
-            "f0": data.symbol.hat(dirs),
             "ff": data.symbol.hat(fwd),
             "fb": data.symbol.hat(bwd),
             "nf": _stretch(dirs, h),

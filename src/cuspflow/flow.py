@@ -85,8 +85,7 @@ _HALF_PI = 0.5 * math.pi
 # largest |t| with e^|t| a finite float
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
-# the one geometry QuotientSurface supports: generators and fundamental domain
-_GENERATORS = (((1, 2), (0, 1)), ((1, 0), (2, 1)))
+# the fundamental domain of QuotientSurface
 _RE_HALFWIDTH = 1.0
 _BUBBLE_CENTERS = (-0.5, 0.5)
 _BUBBLE_RADIUS = 0.5
@@ -233,25 +232,11 @@ class QuotientSurface:
     ``[[1, 2], [0, 1]]`` (z -> z + 2) and ``[[1, 0], [2, 1]]``
     (z -> z/(2z + 1)); it is torsion-free by construction of this generator
     set.  The fundamental domain is ``|Re z| <= 1`` minus the two open disks
-    of radius 1/2 centered at -1/2 and 1/2.  The reduction's moves are those
-    of this one group, so the geometry fields accept only their defaults;
-    they state the domain as data.  ``reduction_cap`` bounds the reduction
-    rounds.
+    of radius 1/2 centered at -1/2 and 1/2; the reduction's moves are those
+    of this one group.  ``reduction_cap`` bounds the reduction rounds.
     """
 
-    generators: tuple = _GENERATORS
-    re_halfwidth: float = _RE_HALFWIDTH
-    bubble_centers: tuple = _BUBBLE_CENTERS
-    bubble_radius: float = _BUBBLE_RADIUS
     reduction_cap: int = REDUCTION_CAP
-
-    def __post_init__(self):
-        for name in ("generators", "re_halfwidth", "bubble_centers", "bubble_radius"):
-            value, default = getattr(self, name), getattr(QuotientSurface, name)
-            if value != default:
-                raise ValidationError(
-                    f"QuotientSurface supports only the level-2 congruence "
-                    f"domain: {name} = {value!r}, expected {default!r}")
 
     # -- membership -------------------------------------------------------
     def contains(self, z, slack=CONTAINMENT_SLACK):

@@ -111,12 +111,13 @@ def pole_location(j: int, k: int, h: float = 1.0) -> float:
     return h * (j - k) / 2.0
 
 
-def auto_regularization_depth(lam: complex, k: int, h: float, margin: int = 2) -> int:
+def auto_regularization_depth(lam: complex, k: int, h: float) -> int:
     """Smallest safe Taylor-subtraction depth for the given lambda.
 
-    Finiteness needs Re(lambda) < h (N - k)/2, i.e. N > 2 Re(lambda)/h + k.
+    Finiteness needs Re(lambda) < h (N - k)/2, i.e. N > 2 Re(lambda)/h + k;
+    the depth is that minimum plus a margin of two orders.
     """
-    return max(1, math.floor(2.0 * complex(lam).real / h + k) + 1 + margin)
+    return max(1, math.floor(2.0 * complex(lam).real / h + k) + 3)
 
 
 @dataclass

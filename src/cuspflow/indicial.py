@@ -143,9 +143,8 @@ class DistributionRep:
     meta: dict = field(default_factory=dict)
 
     def pair(self, psi) -> complex:
-        """Pair against a test function (exact for jets, quadrature at S)."""
-        if self.kind == "dirac_jet":
-            return complex(psi.pair_volume_dict(self.jet_dict))
+        """Pair against a test function through ``hadamard.pair_distribution``
+        (exact for jets, quadrature at S)."""
         from . import hadamard
 
         return hadamard.pair_distribution(self, psi)

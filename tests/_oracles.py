@@ -54,7 +54,7 @@ def apply_P(op: ModelOperator, f, point) -> complex:
     """Apply the model operator to a test function at one point (phi, u).
 
     ``f`` may be a TestFunction-like object (attributes ``value`` and
-    ``dphi_value``) or a pair of callables (value(phi, u), dphi(phi, u)).
+    ``d_phi``) or a pair of callables (value(phi, u), dphi(phi, u)).
     Returns  h sin(phi) f_phi + (lambda + h d/2 + h A) cos(phi) f.
     """
     phi, u = point
@@ -62,7 +62,7 @@ def apply_P(op: ModelOperator, f, point) -> complex:
     if isinstance(f, tuple):
         fval, fphi = f[0](phi, u), f[1](phi, u)
     else:
-        fval, fphi = f.value(phi, u), f.dphi_value(phi, u)
+        fval, fphi = f.value(phi, u), f.d_phi().value(phi, u)
     lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
     return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
 
@@ -231,9 +231,6 @@ class AwaySupportedFunction:
         return moment(self.mu) * self._bump(np.asarray(phi, dtype=float))
 
     def volume_jet(self, nu):
-        return 0.0 + 0.0j
-
-    def flat_jet(self, nu):
         return 0.0 + 0.0j
 
     def profile_coefficient(self, j, weight, moment):

@@ -32,6 +32,7 @@ from cuspflow.errors import (
     ToleranceError,
     ValidationError,
 )
+from cuspflow._sphere import panel_nodes
 from cuspflow.indicial import ModelOperator, RootTable
 
 XG = np.linspace(-0.9, 0.6, 41)
@@ -39,6 +40,16 @@ XG = np.linspace(-0.9, 0.6, 41)
 
 def term(d, m, mu, radial, poly=(1.0,)):
     return CuspFunction(d=d, terms=(CuspTerm(m=m, mu=mu, poly=poly, radial=radial),))
+
+
+def sup_norm(sol):
+    """Largest |profile value| of a SphereSolution over its grid."""
+    return max(float(np.abs(p).max()) for p in sol.profiles)
+
+
+def residue_max_abs(res):
+    """Largest |H0| or |H1| entry of a ResidueOutput, paired or pointwise."""
+    return max(float(np.abs(v).max()) for v in res.H0 + res.H1)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +61,7 @@ def test_zero_input_gives_zero_solution():
     op = ModelOperator(d=1)
     g = SphereFunction.monomial(1, m=0, poly=(0.0,))
     sol = solve_indicial(op, 0.3, 1.1 + 0.2j, g)
-    assert sol.sup_norm() == 0.0
+    assert sup_norm(sol) == 0.0
 
 
 @pytest.mark.parametrize("d,h,m,A", [(1, 1.0, 0, 0.0), (2, 0.5, 1, 0.3), (3, 1.0, 2, 0.0)])
@@ -98,7 +109,7 @@ def test_solution_operator_stays_bounded_along_contour():
         op = ModelOperator(d=1, h=h)
         g = SphereFunction.monomial(1, m=0, poly=(1.0, 0.5))
         sups = [
-            solve_indicial(op, 10.0, h * (1j * im), g).sup_norm()
+            sup_norm(solve_indicial(op, 10.0, h * (1j * im), g))
             for im in (0.0, 10.0, 35.0)
         ]
         assert sups[1] < 2 * sups[0] + 1
@@ -115,7 +126,7 @@ def test_near_root_raises_with_datum():
     assert root.n == 0
     # slightly outside the guard the solve succeeds
     sol = solve_indicial(op, 1.3, -1.8 + 1e-6, g)
-    assert np.isfinite(sol.sup_norm())
+    assert np.isfinite(sup_norm(sol))
 
 
 @settings(max_examples=10, deadline=None)
@@ -162,7 +173,7 @@ def test_contour_spec_invalid(kwargs):
 
 def test_contour_spec_nodes_and_window():
     spec = ContourSpec(rho=0.3, height=20.0, panels=10)
-    eta, wq = spec.eta_nodes()
+    eta, wq = panel_nodes(np.linspace(-spec.height, spec.height, spec.panels + 1), 16)
     assert eta.size == 10 * 16
     assert abs(float(wq.sum()) - 40.0) < 1e-10
     assert spec.r_window() > 0
@@ -249,7 +260,7 @@ def test_linearity_in_f():
     u2 = resolvent_line(op, 5.0, spec, f2, x_grid=XG)
     u12 = resolvent_line(op, 5.0, spec, f12, x_grid=XG)
     win = np.abs(u1.r_grid) <= 10.0
-    diff = (u12 - (u1.scaled(alpha) + u2)).term_values(0)[win]
+    diff = (u12.term_values(0) - (alpha * u1.term_values(0) + u2.term_values(0)))[win]
     assert np.abs(diff).max() / np.abs(u12.term_values(0)[win]).max() < 1e-12
 
 
@@ -379,7 +390,7 @@ def test_separable_residue_circle_matches_dense(s, w0, psi, request):
     sep = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
     request.getfixturevalue("dense_kernels")
     dense = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
-    scale = dense.max_abs()
+    scale = residue_max_abs(dense)
     for a, b in zip(sep.H0 + sep.H1, dense.H0 + dense.H1):
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12 * scale
 
@@ -425,7 +436,7 @@ def test_empty_enclosure_gives_zero():
     f = term(1, 0, (0,), gauss())
     U = resolvent_line(op, 1.3, ContourSpec(rho=0.2), f, x_grid=XG)
     res = residue_apply(ResidueOperator(s=1.3, lambda0=-2.5 + 0.3j), op, f, x_grid=XG)
-    assert res.max_abs() < 1e-10 * np.abs(U.term_values(0)).max()
+    assert residue_max_abs(res) < 1e-10 * np.abs(U.term_values(0)).max()
 
 
 def test_rank_matches_multiplicity():
@@ -550,7 +561,7 @@ def test_plus_root_residue_concentrates_at_north_pole():
     paired = residue_apply(ResidueOperator(s=-1.3, lambda0=-0.8), op, f, psi=(1.0,))
     pointwise = residue_apply(ResidueOperator(s=-1.3, lambda0=-0.8), op, f, x_grid=XG)
     assert abs(paired.H0[0]) > 1e-12
-    assert pointwise.max_abs() < 1e-9 * abs(paired.H0[0])
+    assert residue_max_abs(pointwise) < 1e-9 * abs(paired.H0[0])
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +622,7 @@ def test_shift_identity_transforms_each_abscissa_once():
         line = resolvent_line(op, 1.3, ContourSpec(rho=rho), f, x_grid=XG, n_r=1024)
         assert np.array_equal(got.term_values(0), line.term_values(0))
     assert [loc.value for loc in shift.crossed] == [-1.8]
-    assert shift.residues.max_abs() > 1e-3
+    assert np.abs(shift.residues.term_values(0)).max() > 1e-3
     assert shift.defect < 1e-9
     same = shift_identity(op, 1.3, f, -2.3, -2.3, x_grid=XG, n_r=1024)
     assert same.hi is same.lo and same.crossed == () and same.defect == 0.0
@@ -693,29 +704,6 @@ def test_rho_max_prime_matches_enumeration():
                     for tt in np.linspace(tau, tau + 6, 241)
                 )
                 assert abs(brute - rho_max_prime(op, tau)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_field_serializes_to_gridded_json():
-    import json
-
-    op = ModelOperator(d=1)
-    f = term(1, 0, (0,), gauss())
-    U = resolvent_line(op, 5.0, ContourSpec(rho=0.0), f, x_grid=XG)
-    doc = U.to_json_dict()
-    text = json.dumps(doc)  # must be JSON-clean
-    back = json.loads(text)
-    assert back["d"] == 1
-    assert len(back["r_grid"]) == U.r_grid.size
-    t0 = back["terms"][0]
-    assert t0["m"] == 0 and t0["mu"] == [0]
-    re = np.array(t0["re"])
-    im = np.array(t0["im"])
-    assert np.allclose(re + 1j * im, U.term_values(0))
 
 
 def test_mode_cap_enforced():

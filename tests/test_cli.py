@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,33 @@ def test_cli_imports_no_private_name_from_the_package():
                and (node.level > 0 or (node.module or "").startswith("cuspflow"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# Definitions that nothing in src/ calls and that stay, with the reason.
+_UNCALLED_BY_DESIGN = {
+    "advance": "FlowState.advance is library API: it is the only behaviour "
+               "of the exported FlowState",
+}
+
+
+def test_every_package_definition_is_used_in_src_or_exported():
+    # a function, class or method whose name occurs in src/ only at its
+    # definition, and that no __all__ exports, is run by tests alone; it
+    # belongs in tests/ (or nowhere), not in the package
+    texts = [p.read_text() for p in sorted(Path(cli.__file__).parent.glob("*.py"))]
+    exported, defined = set(), set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    src = "\n".join(texts)
+    unused = sorted(name for name in defined - exported
+                    if not re.fullmatch(r"__\w+__", name)
+                    and len(re.findall(rf"\b{name}\b", src)) == 1)
+    assert unused == sorted(_UNCALLED_BY_DESIGN)
 
 
 def test_perfbench_span_targets_resolve():

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -165,22 +164,6 @@ def test_flow_state():
 # ---------------------------------------------------------------------------
 # quotient surface
 # ---------------------------------------------------------------------------
-
-def test_generator_determinants_validated():
-    with pytest.raises(ValidationError):
-        QuotientSurface(generators=(((1, 1), (1, 1)),))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("generators", (((1, 2), (0, 1)), ((1, 0), (4, 1)))),
-    ("re_halfwidth", 2.0),
-    ("bubble_centers", (-0.25, 0.25)),
-    ("bubble_radius", 0.25),
-])
-def test_domain_fields_accept_only_the_level_2_domain(field, value):
-    with pytest.raises(ValidationError, match=rf"{field} = {re.escape(repr(value))}"):
-        QuotientSurface(**{field: value})
-
 
 def test_membership_predicate():
     assert SURF.contains(0.3 + 1.2j)

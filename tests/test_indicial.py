@@ -354,8 +354,9 @@ def test_radial_scaling_of_dirac_jets_weak():
                     deul = euler_expr
                     for x, m in zip(xs, mu):
                         deul = sp.diff(deul, x, m)
-                    lhs = -(d * psi_pkg.flat_jet(mu) + complex(deul.subs(subs0)))
-                    rhs = -(order + d) * psi_pkg.flat_jet(mu)
+                    flat = psi_pkg.jet(mu, with_volume=False)
+                    lhs = -(d * flat + complex(deul.subs(subs0)))
+                    rhs = -(order + d) * flat
                     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
