@@ -114,7 +114,7 @@ _STRIP_HALF_WIDTH = 0.1  # widest strip around the axis roots, w units
 # Roots closer than this share one residue circle, whose two-term expansion
 # drops ~ (r gap)^2; two circles of radius 0.35 gap lose ~ 1e-17/gap instead.
 _CLUSTER_GAP = 2e-6
-_CLUSTER_TOL = 1e-6     # largest third_moment_rel accepted for such a circle
+_CLUSTER_TOL = 1e-6     # largest third_moment_rel * r^2/2 accepted for such a circle
 
 
 def _taylor_shift(poly, x0: complex) -> np.ndarray:
@@ -1051,7 +1051,8 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
     """The summed residue fields of the root locations, one _auto_residue
     circle per cluster of locations closer than _CLUSTER_GAP; raises
     ToleranceError naming the roots when a cluster's two-term expansion drops
-    a third moment above _CLUSTER_TOL."""
+    a term whose field error, third_moment_rel * r^2/2 on the defect window
+    of :func:`shift_identity`, is above _CLUSTER_TOL."""
     clusters: list = []
     for w in sorted((loc.value for loc in locations), key=lambda w: w.real):
         if clusters and abs(w - clusters[-1][-1]) < _CLUSTER_GAP:
@@ -1059,16 +1060,19 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
         else:
             clusters.append([w])
     r = default_r_grid(r_span, n_r)
+    r_edge = min(10.0, r_span / 3.0)
     total = CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(
         (t.m, t.mu, np.zeros((r.size, xg.size), complex)) for t in f.terms))
     for cluster in clusters:
         res = residue_apply(_auto_residue(op, s, cluster), op, f, x_grid=xg,
                             r_span=r_span, n_r=n_r)
-        if len(cluster) > 1 and res.meta["third_moment_rel"] > _CLUSTER_TOL:
+        dropped = 0.5 * r_edge**2 * res.meta["third_moment_rel"]
+        if len(cluster) > 1 and dropped > _CLUSTER_TOL:
             raise ToleranceError(
                 f"the roots at w={cluster[0]:.12g} and w={cluster[-1]:.12g}, "
                 f"{abs(cluster[-1] - cluster[0]):.3e} apart, share one residue circle "
-                f"whose expansion drops a third moment of {res.meta['third_moment_rel']:.3e}")
+                f"whose expansion drops a third moment of {res.meta['third_moment_rel']:.3e}, "
+                f"a field error of {dropped:.3e} at |r| = {r_edge:g}")
         total = total + res.field(r)
     return total
 

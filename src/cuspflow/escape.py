@@ -33,13 +33,12 @@ every flow line; consequently finite differences of the computed average along
 the flow are nonnegative *exactly* (to roundoff), and at step equal to the
 quadrature step they telescope to endpoint clusters, reproducing the saturated
 values of the smoothed indicators with no quadrature noise (the derivative is
-evaluated from those clusters: six flows).  Averages take blocks of k nodes,
-at most ``_BLOCK_ELEMENTS`` (node, direction) pairs, which bounds the memory;
-the scale factors and the node order of the sum are those of a node-by-node
-loop, so blocking does not change a bit of any average.  The weight's average
-transports only the pairs inside the closed-form transition windows of the
-cone profiles and fills the rest with their exact saturated values (see
-``_weight_average``).
+evaluated from those clusters: six flows).  Each of the four cone profiles is
+exactly 0 or 1 outside a closed-form transition window, so its sum over the
+nodes outside the window is a prefix sum of the Simpson weights; only the
+(node, direction) pairs inside are transported, in blocks that bound the
+memory (see ``_weight_average``).  The sum runs profile by profile, so it
+agrees with a node-by-node loop to roundoff, not bitwise.
 
 The elliptic symbol ``f`` is the log-averaged frame norm glued log-linearly
 with the flow-invariant ``|p|`` near the flow-dual directions, and
@@ -175,12 +174,12 @@ def _dist_0(x):
 
 def _dist_0s(x):
     """Angle to the great circle {xi_u = 0} (flow-dual + decaying plane)."""
-    return np.arcsin(np.clip(np.abs(x[..., 1]), 0.0, 1.0))
+    return np.arctan2(np.abs(x[..., 1]), np.hypot(x[..., 0], x[..., 2]))
 
 
 def _dist_0u(x):
     """Angle to the great circle {xi_s = 0} (flow-dual + growing plane)."""
-    return np.arcsin(np.clip(np.abs(x[..., 2]), 0.0, 1.0))
+    return np.arctan2(np.abs(x[..., 2]), np.hypot(x[..., 0], x[..., 1]))
 
 
 def _sphere_flow(x, t):
@@ -416,8 +415,10 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
 # flow-averaged weight
 # ---------------------------------------------------------------------------
 
-def _simpson_nodes_weights(T, step):
-    """Composite-Simpson nodes and weights on [-T, T].
+def _simpson_rule(T, step):
+    """Composite-Simpson nodes on [-T, T] and the weight pattern
+    1, 4, 2, 4, ..., 4, 1: the weights are step/3 times the pattern, whose
+    prefix sums are exact integers.
 
     Requires 2T to be an (even-count) multiple of the step; callers snap T to
     the step grid, which makes the interval count 2*(T/step), always even.
@@ -434,11 +435,10 @@ def _simpson_nodes_weights(T, step):
         raise ValidationError(
             f"averaging window T = {T} must be a multiple of the step {step}")
     nodes = -T + step * np.arange(n_intervals + 1)
-    weights = np.full(n_intervals + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= step / 3.0
-    return nodes, weights
+    pattern = np.full(n_intervals + 1, 2.0)
+    pattern[1::2] = 4.0
+    pattern[0] = pattern[-1] = 1.0
+    return nodes, pattern
 
 
 def _snap_to_step(T, step):
@@ -446,19 +446,12 @@ def _snap_to_step(T, step):
     return step * math.ceil(T / step - 1e-9)
 
 
-def _cone_integrand(x, eps):
-    """Average of the two smoothed cone indicators at unit directions x.
-
-    The first tracks approach to the growing-dual poles against escape from
-    the flow+decaying band; the second tracks the flow+growing band against
-    the decaying-dual poles.  Every distance involved evolves monotonically
-    along reduced trajectories, so this integrand is nondecreasing along
-    every flow line; it equals +1 at the growing-dual poles, -1 at the
-    decaying-dual poles and 0 at the flow-dual poles.
-    """
-    up = _band_profile(_dist_u(x), eps) - _band_profile(_dist_0s(x), eps)
-    down = _band_profile(_dist_0u(x), eps) - _band_profile(_dist_s(x), eps)
-    return 0.5 * (up + down)
+# Distances read by the cone profiles P_p = _band_profile(dist_p), in the row
+# order of ``_transition_windows``; each is an angle, so its argument need not
+# be normalized.  The cone integrand 0.5 * ((P_0 - P_1) + (P_2 - P_3)) is
+# nondecreasing along every flow line (each distance is monotone), +1 at the
+# growing-dual poles, -1 at the decaying-dual poles and 0 at the flow-dual ones.
+_PROFILE_DISTANCES = (_dist_u, _dist_0s, _dist_0u, _dist_s)
 
 
 def _crossing_time(la, lb):
@@ -486,12 +479,12 @@ def _transition_windows(x, eps, margin):
     """Times outside which each cone profile of the flowed x is saturated.
 
     Returns ``(lo, hi)``, each of shape (4, n), with rows in the order of
-    ``_cone_integrand``: growing-dual poles, flow+decaying band, flow+growing
-    band, decaying-dual poles.  On row p the profile is exactly 0 or 1 at
-    every time outside ``[lo[p], hi[p]]``, and it is 1 past ``hi[p]``
-    exactly for the two profiles that enter ``_cone_integrand`` with a plus
-    sign.  With y = e^{2t} and c = tan^2 of a band edge (1.75 eps or
-    2.25 eps),
+    ``_PROFILE_DISTANCES``: growing-dual poles, flow+decaying band,
+    flow+growing band, decaying-dual poles.  On row p the profile is exactly
+    0 or 1 at every time outside ``[lo[p], hi[p]]``: the even rows, which
+    enter the cone integrand with a plus sign, are 1 past ``hi[p]``, and the
+    odd rows are 1 before ``lo[p]``.  With y = e^{2t} and c = tan^2 of a band
+    edge (1.75 eps or 2.25 eps),
 
         tan^2 dist_u = (x0^2 y + x2^2) / (x1^2 y^2) = c
             <=>  y^2 - (x0^2 / (c x1^2)) y - x2^2 / (c x1^2) = 0,
@@ -521,80 +514,76 @@ def _transition_windows(x, eps, margin):
     return lo, hi
 
 
-def _flowed_cone(x, eps, margin):
-    """The cone integrand of the flowed x, as ``_flow_average`` calls it.
+def _windowed_average(x, times, pattern, eps, margin):
+    """0.5 * ((S_0 - S_1) + (S_2 - S_3)) at the n directions x, where S_p
+    sums ``pattern[j]`` times cone profile p of the time-``times[j]`` flow
+    of x over ascending ``times``.
 
-    Only (node, direction) pairs inside a transition window (see
-    ``_transition_windows``) are transported and evaluated; every other pair
-    gets the saturated value, 0.5 * (number of windows passed - 2), which is
-    the value ``_cone_integrand`` computes there.
+    Outside its window (``_transition_windows``) a profile is a step, so its
+    sum there is a difference of prefix sums of the pattern, read at the
+    window edges.  Only the (direction, node) pairs inside are transported,
+    for one distance each, in blocks of about ``_BLOCK_ELEMENTS / 4`` pairs
+    (which bounds the memory), and summed per direction with ``bincount``.
     """
-    lo, hi = _transition_windows(x, eps, margin)
-
-    def integrand(times, grow, decay):
-        t = np.asarray(times, dtype=float)[:, None, None]
-        passed = t > hi
-        flagged = ~np.logical_and.reduce(passed | (t < lo), axis=1)
-        v = 0.5 * (np.add.reduce(passed, axis=1, dtype=np.int8) - 2.0)
-        rows, cols = np.nonzero(flagged)
-        if rows.size:
-            v[rows, cols] = _cone_integrand(
-                _scaled_unit(x[cols], grow[rows, 0], decay[rows, 0]), eps)
-        return v
-
-    return integrand
-
-
-def _flow_average(x, times, weights, integrand):
-    """Sum over j of ``weights[j] * integrand`` at the time-``times[j]`` flow
-    of the n directions x.
-
-    ``integrand(block, grow, decay)`` gets a block of k times and (k, 1)
-    columns of their e^{t} and e^{-t}, and returns (k, n) values; they are
-    accumulated one node at a time, in order.
-    """
-    k = max(1, _BLOCK_ELEMENTS // x.shape[0])
-    acc = np.zeros(x.shape[0])
-    for lo in range(0, len(times), k):
-        block = times[lo:lo + k]
-        grow = np.array([[math.exp(t)] for t in block])
-        decay = np.array([[math.exp(-t)] for t in block])
-        for w_j, v_j in zip(weights[lo:lo + k], integrand(block, grow, decay)):
-            acc += w_j * v_j
-    return acc
+    # nodes before each window, and nodes up to its end
+    first, stop = (np.searchsorted(times, edge, side) for edge, side in
+                   zip(_transition_windows(x, eps, margin), ("left", "right")))
+    prefix = np.concatenate(([0.0], np.cumsum(pattern)))
+    grow = np.array([math.exp(t) for t in times])
+    decay = np.array([math.exp(-t) for t in times])
+    sums = []
+    for p, dist in enumerate(_PROFILE_DISTANCES):
+        # the even rows are 1 past their windows, the odd rows before them
+        s = prefix[-1] - prefix[stop[p]] if p % 2 == 0 else prefix[first[p]]
+        count = stop[p] - first[p]
+        ends = np.cumsum(count)
+        offset = first[p] + count - ends   # node index minus flat pair index
+        # direction blocks of a quarter of _BLOCK_ELEMENTS pairs (plus one
+        # direction's): a pair holds about four times a log average's temporaries
+        block = _BLOCK_ELEMENTS // 4
+        cuts = np.searchsorted(ends, np.arange(block, count.sum(), block), "right")
+        for d0, d1 in zip([0, *cuts], [*cuts, len(x)]):
+            d = np.repeat(np.arange(d0, d1), count[d0:d1])
+            if not d.size:
+                continue
+            j = offset[d]
+            j += np.arange(ends[d0] - count[d0], ends[d1 - 1])
+            y = x[d]
+            y[:, 1] *= grow[j]
+            y[:, 2] *= decay[j]
+            v = _band_profile(dist(y), eps)
+            s += np.bincount(d, pattern[j] * v, minlength=len(x))
+        sums.append(s)
+    return 0.5 * ((sums[0] - sums[1]) + (sums[2] - sums[3]))
 
 
 def _weight_average(x, T, step, eps):
     """Composite-Simpson flow average of the cone integrand over [-T, T].
 
-    The sum runs node by node in order, with the cone integrand of each
-    (node, direction) pair evaluated exactly as ``_cone_integrand`` of the
-    flowed direction would be, so the result is bitwise that of a plain
-    per-node loop.  Only the pairs inside a transition window are evaluated,
-    though: each of the four cone distances is monotone along the flow, and
-    its band edges (1.75 eps and 2.25 eps) are crossed at closed-form times,
-    the roots of a quadratic in e^{2t} (``_transition_windows``).  Widened by
-    ``_WINDOW_MARGIN`` quadrature steps on both sides, a window contains every
+    Each cone distance is monotone along the flow and crosses its band edges
+    (1.75 eps, 2.25 eps) at closed-form times (``_transition_windows``).
+    Widened by ``_WINDOW_MARGIN`` steps on both sides, a window holds every
     node at which the computed distance can fall strictly inside its band:
-    near the band the distance moves at rate at least sin(2 dist)/2, so
-    roundoff of a few ulps in the transported direction shifts a crossing by
-    far less than a step.  Outside every window each profile's computed value
-    is exactly 0 or 1 (``_smoothstep`` clips), so the filled value
-    0.5 * ((P1 - P2) + (P3 - P4)) in {0, +-0.5, +-1} is the one the
-    evaluation would return.  Directions whose windows are not finite are
-    evaluated everywhere.
+    there it moves at rate at least sin(2 dist)/2, so a few ulps of roundoff
+    shift a crossing by far less than a step.  Outside its window a profile
+    is exactly 0 or 1 (``_smoothstep`` clips), so only the nodes inside are
+    evaluated (``_windowed_average``); directions with non-finite windows
+    are evaluated everywhere.  The sum runs profile by profile, so it agrees
+    with a per-node loop to roundoff, not bitwise.
     """
-    nodes, weights = _simpson_nodes_weights(T, step)
-    return _flow_average(x, nodes, weights,
-                         _flowed_cone(x, eps, _WINDOW_MARGIN * step))
+    nodes, pattern = _simpson_rule(T, step)
+    return (step / 3.0) * _windowed_average(x, nodes, pattern, eps,
+                                            _WINDOW_MARGIN * step)
 
 
 def _weight_derivative(x, T, step, eps):
     """Telescoped flow difference quotient (see ``WeightField.derivative``),
-    through the same windowed kernel as ``_weight_average``."""
-    times = (T - step, T, T + step, -T - step, -T, -T + step)
-    return _flow_average(x, times, (1.0, 4.0, 1.0, -1.0, -4.0, -1.0),
-                         _flowed_cone(x, eps, _WINDOW_MARGIN * step)) / 6.0
+    through the same windowed sum as ``_weight_average``; the six times
+    below, with their weights, ascend for every T >= step."""
+    times = np.array([-T - step, -T, -T + step, T - step, T, T + step])
+    pattern = np.array([-1.0, -4.0, -1.0, 1.0, 4.0, 1.0])
+    return _windowed_average(x, times, pattern, eps,
+                             _WINDOW_MARGIN * step) / 6.0
 
 
 def _plateau_radii(T, step, eps):
@@ -629,20 +618,18 @@ def _in_V_s(x, T, eps):
 class WeightField:
     """Flow-averaged weight on covector directions.
 
-    ``values`` samples the field on ``grid.xihat``; calling the field
-    evaluates it at arbitrary directions.  The field is odd under the
-    growing<->decaying component swap, takes values in [-2T, 2T], saturates
-    exactly on the plateau balls (see ``plateau_radii``) and beyond +-T on
-    the transported cones, and its finite differences along the reduced flow
-    at the quadrature step are nonnegative everywhere and >= 1 outside the
-    transported cones and the flow-dual neighbourhood.
+    Calling the field evaluates it at unit directions.  The field is odd
+    under the growing<->decaying component swap, takes values in [-2T, 2T],
+    saturates exactly on the plateau balls (see ``plateau_radii``) and
+    beyond +-T on the transported cones, and its finite differences along
+    the reduced flow at the quadrature step are nonnegative everywhere and
+    >= 1 outside the transported cones and the flow-dual neighbourhood.
     """
 
     grid: ReducedPhaseGrid
     T: float
     step: float
     tau_max: float
-    values: np.ndarray = field(repr=False, compare=False)
 
     def __call__(self, xihat):
         """Evaluate the averaged weight at unit directions."""
@@ -689,8 +676,9 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
     to twice the (already safety-doubled) empirical transition time and must
     be at least that; it is snapped up to the quadrature step grid.
 
-    Returns a :class:`WeightField` with the field sampled on ``grid.xihat``;
-    ``verify`` samples its guarantees (see :class:`WeightField`) through G.
+    Returns a :class:`WeightField`, which evaluates the average where it is
+    called; ``verify`` samples its guarantees (see :class:`WeightField`)
+    through G.
 
     Raises
     ------
@@ -709,8 +697,8 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
             f"averaging window T = {T} is below twice the measured "
             f"transition time 2*tau_max = {2.0 * tau_max}")
     T = _snap_to_step(T, step)
-    return WeightField(grid=grid, T=T, step=step, tau_max=tau_max,
-                       values=_weight_average(grid.xihat, T, step, grid.eps))
+    _simpson_rule(T, step)   # raises for a window past the float range
+    return WeightField(grid=grid, T=T, step=step, tau_max=tau_max)
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +707,19 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
 
 def _log_norm_average(x, T_prime, step):
     """exp of the Simpson average of log |transported direction| over
-    [-T', T'], normalized by the window length 2T'."""
-    nodes, weights = _simpson_nodes_weights(T_prime, step)
-    acc = _flow_average(
-        x, nodes, weights,
-        lambda _, grow, decay: np.log(_scaled_norm(x, grow, decay)))
+    [-T', T'], normalized by the window length 2T'.  The sum runs node by
+    node in blocks of at most ``_BLOCK_ELEMENTS`` (node, direction) pairs."""
+    nodes, pattern = _simpson_rule(T_prime, step)
+    weights = pattern * (step / 3.0)
+    k = max(1, _BLOCK_ELEMENTS // x.shape[0])
+    acc = np.zeros(x.shape[0])
+    for lo in range(0, len(nodes), k):
+        block = nodes[lo:lo + k]
+        grow = np.array([[math.exp(t)] for t in block])
+        decay = np.array([[math.exp(-t)] for t in block])
+        for w_j, v_j in zip(weights[lo:lo + k],
+                            np.log(_scaled_norm(x, grow, decay))):
+            acc += w_j * v_j
     return np.exp(acc / (2.0 * T_prime))
 
 
@@ -836,20 +832,19 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
 class EscapeData:
     """Assembled escape function and its auditable constants.
 
-    ``m`` samples the 0-homogeneous weight symbol (the scaled flow average)
-    on ``grid.xihat``; it equals ``+C_G`` on the growing-dual plateau,
-    ``-C_G`` on the decaying-dual plateau and 0 on the flow-dual plateau
-    exactly.  ``G`` evaluates the escape function on a phase point and a
-    covector in cusp coordinates; it depends on the covector only through its
-    dual-frame direction and magnitude, which is what makes it invariant
-    under the cusp's local isometries by representation.
+    ``weight_symbol`` evaluates the 0-homogeneous weight symbol (the scaled
+    flow average); it equals ``+C_G`` on the growing-dual plateau, ``-C_G``
+    on the decaying-dual plateau and 0 on the flow-dual plateau.  ``G``
+    evaluates the escape function on a phase point and a covector in cusp
+    coordinates; it depends on the covector only through its dual-frame
+    direction and magnitude, which is what makes it invariant under the
+    cusp's local isometries by representation.
     """
 
     grid: ReducedPhaseGrid
     delta: float
     weight: WeightField
     symbol: SymbolField
-    m: np.ndarray = field(repr=False, compare=False)
     C_G: float = 0.0
     C_G_prime: float = 0.0
     T: float = 0.0
@@ -1043,8 +1038,7 @@ def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
                           for k, v in weight.plateau_radii.items()},
     }
     return EscapeData(grid=grid, delta=delta, weight=weight, symbol=symbol,
-                      m=C_G_prime * weight.values, C_G=C_G,
-                      C_G_prime=C_G_prime, T=T, T_prime=symbol.T_prime,
+                      C_G=C_G, C_G_prime=C_G_prime, T=T, T_prime=symbol.T_prime,
                       R=R, beta=beta, c_f=symbol.c_f, constants=record)
 
 

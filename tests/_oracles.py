@@ -13,6 +13,9 @@ package takes:
   cotangent vectors by the closed-form flow, with no blocking or windowing;
 * :func:`stepped_tau_max` finds each transition time by stepping the sphere
   flow until the cone membership flips (the package solves for the crossing);
+* :func:`cone_integrand` evaluates the weight's integrand at every
+  direction, all four cone profiles at once (the package sums each profile
+  in closed form outside its transition window);
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
@@ -36,9 +39,9 @@ from scipy.integrate import solve_ivp
 from cuspflow._sphere import sphere_quadrature
 from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, ValidationError)
-from cuspflow.escape import (_HALF_PI, _as_unit_rows, _dist_0s, _dist_0u,
-                             _dist_s, _dist_u, _frame_components,
-                             _sphere_flow, _swapped)
+from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
+                             _dist_0s, _dist_0u, _dist_s, _dist_u,
+                             _frame_components, _sphere_flow, _swapped)
 from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
                            flow_cusp_exact)
 from cuspflow.geometry import direction_angle, splitting_frame_at
@@ -262,6 +265,16 @@ def _first_entry_times(x, target, step, horizon):
             f"{int(pending.sum())} sampled directions did not reach the target "
             f"cone within transport time {horizon}")
     return times
+
+
+def cone_integrand(x, eps):
+    """Average of the two smoothed cone indicators at unit directions x: the
+    growing-dual poles against the flow+decaying band, and the flow+growing
+    band against the decaying-dual poles; +1 at the growing-dual poles, -1 at
+    the decaying-dual poles and 0 at the flow-dual poles."""
+    up = _band_profile(_dist_u(x), eps) - _band_profile(_dist_0s(x), eps)
+    down = _band_profile(_dist_0u(x), eps) - _band_profile(_dist_s(x), eps)
+    return 0.5 * (up + down)
 
 
 def stepped_tau_max(grid, step, horizon=200.0):

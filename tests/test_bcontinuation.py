@@ -648,15 +648,31 @@ def test_shift_identity_holds_across_close_roots(s0, w0, gap):
 
 def test_cluster_circle_raises_naming_both_roots_past_its_tolerance(monkeypatch):
     # one circle around roots 1e-2 apart drops a third moment of (1e-2 / 2)^2
-    # relative, over the 1e-6 accepted; 1e-3 apart it drops 2.5e-7
+    # relative, a field error 50 times that at |r| = 10, over the 1e-6
+    # accepted; 1e-4 apart it drops 2.5e-9, a field error of 1.25e-7
     monkeypatch.setattr(bc, "_CLUSTER_GAP", 0.05)
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
     with pytest.raises(ToleranceError) as exc:
         shift_identity(op, -1.005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
     assert "w=0.495+0j and w=0.505-0j, 1.000e-02 apart" in str(exc.value)
-    shift = shift_identity(op, -1.0005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
+    shift = shift_identity(op, -1.00005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
     assert len(shift.crossed) == 2
+
+
+def test_cluster_check_weighs_the_dropped_moment_by_the_defect_window(monkeypatch):
+    # roots 1e-3 apart drop a third moment of only 2.5e-7 relative, but the
+    # field error it stands for is r^2/2 = 50 times that at the edge |r| = 10
+    # of the defect window, and the shift identity's defect is that large
+    monkeypatch.setattr(bc, "_CLUSTER_GAP", 0.05)
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    with pytest.raises(ToleranceError) as exc:
+        shift_identity(op, -1.0005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
+    assert "a field error of 1.250e-05 at |r| = 10" in str(exc.value)
+    monkeypatch.setattr(bc, "_CLUSTER_TOL", math.inf)
+    shift = shift_identity(op, -1.0005, f, 0.2, 0.8, x_grid=XG, n_r=1024)
+    assert shift.defect == pytest.approx(1.25e-5, rel=0.05)
 
 
 def test_crossing_raises_pole_error_with_datum():

@@ -79,6 +79,22 @@ def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
     assert cert_path.read_bytes() == first
 
 
+# Margins i and ii of the escape certificate at the default grid, as the seed
+# commit computed them.  The seed drives only the isometry spot-check.
+DEFAULT_GRID_MARGINS = {"i": 1.5062363858669765, "ii": 1.5088685732341078}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_escape_default_grid_certificate_is_pinned(tmp_path, seed):
+    out = tmp_path / "out"
+    assert cli.main([f"--output-dir={out}", f"--seed={seed}", "escape"]) == 0
+    (cert_path,) = out.glob("*-certificate.json")
+    cond = json.loads(cert_path.read_text())["conditions"]
+    for key, want in DEFAULT_GRID_MARGINS.items():
+        assert cond[key]["margin"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert cond["iii"]["passed"] and cond["iv"]["passed"]
+
+
 def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path):
     # sampler seed 1 sends a sample deep into a cusp, where the greedy
     # reduction gave up (exit 4)

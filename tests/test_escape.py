@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from _oracles import lifted_flow, reduced_flow, stepped_tau_max
+from _oracles import cone_integrand, lifted_flow, reduced_flow, stepped_tau_max
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -18,11 +18,11 @@ from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
                              ReducedPhaseGrid, SymbolField, WeightField,
                              assemble_G, build_f, build_weight,
                              estimate_tau_max, verify)
-from cuspflow.escape import (_as_unit_rows, _cone_integrand, _in_V_s,
-                             _in_V_u, _log_norm_average, _plateau_samples,
-                             _simpson_nodes_weights, _sphere_flow, _stretch,
-                             _transported_cone_samples, _weight_average,
-                             _weight_derivative)
+from cuspflow.escape import (_as_unit_rows, _band_profile, _in_V_s, _in_V_u,
+                             _log_norm_average, _plateau_samples,
+                             _simpson_rule, _sphere_flow, _stretch,
+                             _transition_windows, _transported_cone_samples,
+                             _weight_average, _weight_derivative)
 from cuspflow.geometry import (PhasePoint, direction_angle,
                                splitting_frame_at)
 
@@ -285,8 +285,14 @@ def test_weight_window_too_short_raises(small_grid):
         build_weight(small_grid, T=5.0)
 
 
+def test_build_weight_rejects_a_window_past_the_float_range(small_grid):
+    with pytest.raises(ValidationError, match="T = 800.0 is too long"):
+        build_weight(small_grid, T=800.0)
+
+
 def test_weight_range_and_report(weight):
-    assert np.max(np.abs(weight.values)) <= 2.0 * weight.T * (1.0 + 1e-12)
+    values = weight(weight.grid.xihat)
+    assert np.max(np.abs(values)) <= 2.0 * weight.T * (1.0 + 1e-12)
     assert weight.T >= 2.0 * weight.tau_max - 1e-9
 
 
@@ -343,12 +349,59 @@ def test_weight_flow_derivative_vanishes_on_plateaus(weight):
 
 
 def _reference_weight_average(x, T, step, eps):
-    """The Simpson flow average as a plain loop, one node at a time."""
-    nodes, weights = _simpson_nodes_weights(T, step)
-    acc = np.zeros(x.shape[0])
-    for t_j, w_j in zip(nodes, weights):
-        acc += w_j * _cone_integrand(_sphere_flow(x, t_j), eps)
-    return acc
+    """The Simpson flow average as a plain loop, one node at a time, with the
+    per-node values summed exactly (math.fsum) per direction."""
+    nodes, pattern = _simpson_rule(T, step)
+    terms = [w_j * cone_integrand(_sphere_flow(x, t_j), eps)
+             for t_j, w_j in zip(nodes, pattern * (step / 3.0))]
+    return np.array([math.fsum(col) for col in np.transpose(terms)])
+
+
+def _reference_weight_derivative(x, T, step, eps):
+    """The six-flow difference quotient as a plain loop, one flow at a time,
+    summed exactly per direction."""
+    terms = [w * cone_integrand(_sphere_flow(x, t), eps)
+             for t, w in zip((T - step, T, T + step, -T - step, -T, -T + step),
+                             (1.0, 4.0, 1.0, -1.0, -4.0, -1.0))]
+    return np.array([math.fsum(col) for col in np.transpose(terms)]) / 6.0
+
+
+def _window_fill_is_exact(x, times, step, eps):
+    """At each of the times, every cone profile of the per-node flow of x
+    that lies outside its transition window is bitwise the 0/1 value the
+    windowed sum counts there: 1 past the window on the even rows, 1 before
+    it on the odd rows."""
+    lo, hi = _transition_windows(x, eps, escape._WINDOW_MARGIN * step)
+    for t in times:
+        y = _sphere_flow(x, t)
+        for p, dist in enumerate(escape._PROFILE_DISTANCES):
+            outside = (t < lo[p]) | (t > hi[p])
+            fill = t > hi[p] if p % 2 == 0 else t < lo[p]
+            if not np.array_equal(_band_profile(dist(y), eps)[outside],
+                                  fill[outside].astype(float)):
+                return False
+    return True
+
+
+def _average_and_derivative_times(T, step):
+    """The Simpson nodes of [-T, T] and the two extra times of the six-flow
+    derivative."""
+    nodes, _ = _simpson_rule(T, step)
+    return np.concatenate([nodes, [-T - step, T + step]])
+
+
+def _windowed_matches_reference(x, T, step, eps):
+    """The window check above at every time the average and the derivative
+    read, and their values within 1e-13 * 2T and 1e-14 of the exactly summed
+    per-node loops."""
+    return (_window_fill_is_exact(x, _average_and_derivative_times(T, step),
+                                  step, eps)
+            and np.max(np.abs(_weight_average(x, T, step, eps)
+                              - _reference_weight_average(x, T, step, eps)))
+            <= 1e-13 * 2.0 * T
+            and np.max(np.abs(_weight_derivative(x, T, step, eps)
+                              - _reference_weight_derivative(x, T, step, eps)))
+            <= 1e-14)
 
 
 @pytest.fixture(scope="module", params=["grid", "random"])
@@ -358,17 +411,17 @@ def oracle_dirs(request, small_grid):
     return _as_unit_rows(np.random.default_rng(17).normal(size=(500, 3)))
 
 
-def test_weight_average_matches_per_node_loop_bitwise(weight, oracle_dirs):
-    eps = weight.grid.eps
-    ref = _reference_weight_average(oracle_dirs, weight.T, weight.step, eps)
-    got = _weight_average(oracle_dirs, weight.T, weight.step, eps)
-    assert np.array_equal(got, ref)
-
-
-def test_weight_values_match_per_node_loop_bitwise(weight):
-    ref = _reference_weight_average(weight.grid.xihat, weight.T, weight.step,
-                                    weight.grid.eps)
-    assert np.array_equal(weight.values, ref)
+def test_weight_average_matches_per_node_loop(weight, oracle_dirs):
+    """The field's values, called as a WeightField, on the grid and on
+    random directions: the window fill is exact and the sums agree with the
+    exactly summed per-node loops."""
+    T, h, eps = weight.T, weight.step, weight.grid.eps
+    x = _as_unit_rows(oracle_dirs)
+    assert _window_fill_is_exact(x, _average_and_derivative_times(T, h), h, eps)
+    ref = _reference_weight_average(x, T, h, eps)
+    assert np.max(np.abs(weight(oracle_dirs) - ref)) <= 1e-13 * 2.0 * T
+    ref = _reference_weight_derivative(x, T, h, eps)
+    assert np.max(np.abs(weight.derivative(oracle_dirs) - ref)) <= 1e-14
 
 
 def test_weight_derivative_matches_two_sum_difference(weight, oracle_dirs):
@@ -380,15 +433,6 @@ def test_weight_derivative_matches_two_sum_difference(weight, oracle_dirs):
     deriv = weight.derivative(oracle_dirs)
     assert np.max(np.abs(deriv - (fwd - bwd) / (2.0 * h))) <= 1e-12 * 2.0 * T
     assert deriv.min() >= 0.0
-
-
-def _reference_weight_derivative(x, T, step, eps):
-    """The six-flow difference quotient as a plain loop, one flow at a time."""
-    acc = np.zeros(x.shape[0])
-    for t, w in zip((T - step, T, T + step, -T - step, -T, -T + step),
-                    (1.0, 4.0, 1.0, -1.0, -4.0, -1.0)):
-        acc += w * _cone_integrand(_sphere_flow(x, t), eps)
-    return acc / 6.0
 
 
 def _transported_back(z, times):
@@ -457,7 +501,7 @@ def _adversarial_cases(weight):
     ])
     cases = [(full, T)]
     for T_short in (2.0 * h, 3.0 * h):
-        nodes, _ = _simpson_nodes_weights(T_short, h)
+        nodes, _ = _simpson_rule(T_short, h)
         cases.append((np.vstack([
             _POLES_AND_ZEROS,
             _band_edge_directions((nodes[0], nodes[-1]), eps),
@@ -466,38 +510,35 @@ def _adversarial_cases(weight):
     return cases
 
 
-def _windowed_matches_reference(weight, x, T):
-    h, eps = weight.step, weight.grid.eps
-    return (np.array_equal(_weight_average(x, T, h, eps),
-                           _reference_weight_average(x, T, h, eps))
-            and np.array_equal(_weight_derivative(x, T, h, eps),
-                               _reference_weight_derivative(x, T, h, eps)))
-
-
 def test_windowed_weight_matches_per_node_loops_on_adversarial_set(weight):
+    h, eps = weight.step, weight.grid.eps
     for x, T in _adversarial_cases(weight):
-        assert _windowed_matches_reference(weight, x, T), T
+        assert _windowed_matches_reference(x, T, h, eps), T
 
 
 def test_zero_window_margin_changes_a_value_on_adversarial_set(weight,
                                                                monkeypatch):
     """Without its margin a closed-form window misses, by a few ulps, a
     node at which the computed profile is still inside its band; the
-    adversarial set sees that."""
+    window check on the adversarial set sees that."""
     monkeypatch.setattr(escape, "_WINDOW_MARGIN", 0.0)
-    assert not all(_windowed_matches_reference(weight, x, T)
-                   for x, T in _adversarial_cases(weight))
+    h, eps = weight.step, weight.grid.eps
+    assert not all(
+        _window_fill_is_exact(x, _average_and_derivative_times(T, h), h, eps)
+        for x, T in _adversarial_cases(weight))
 
 
 def test_windowed_derivative_matches_six_flow_loop_beyond_overflow(weight):
     """Past |t| of about 354, where squaring the e^t-scaled components would
     overflow, the per-node evaluation still reads the saturated value that
-    the windowed kernel fills in."""
+    the windowed sum counts."""
     h, eps = weight.step, weight.grid.eps
     x = _as_unit_rows(np.random.default_rng(23).normal(size=(50, 3)))
+    times = (-380.0 - h, -380.0, -380.0 + h, 380.0 - h, 380.0, 380.0 + h)
+    assert _window_fill_is_exact(x, times, h, eps)
     ref = _reference_weight_derivative(x, 380.0, h, eps)
     got = _weight_derivative(x, 380.0, h, eps)
-    assert np.array_equal(got, ref)
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_weight_average_saturates_at_T_400():
@@ -520,8 +561,8 @@ def test_weight_average_saturates_at_T_400():
 def test_windowed_weight_matches_per_node_loops_hypothesis(weight, rows):
     rows = [r for r in rows if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 > 0.0]
     assume(rows)
-    assert _windowed_matches_reference(weight, _as_unit_rows(np.array(rows)),
-                                       weight.T)
+    assert _windowed_matches_reference(_as_unit_rows(np.array(rows)),
+                                       weight.T, weight.step, weight.grid.eps)
 
 
 def test_weight_swap_oddness(weight, small_grid):
@@ -636,9 +677,9 @@ def test_assemble_constants(data):
         2.0, abs=1e-6)
     assert data.R == pytest.approx(0.5 * math.exp(0.75), rel=1e-3)
     assert data.delta == data.grid.delta
-    assert data.m.shape == (data.grid.n_theta * data.grid.n_phi,)
-    assert np.allclose(data.m, data.C_G_prime * data.weight.values)
-    assert np.max(np.abs(data.m)) <= data.C_G * (1.0 + 1e-12)
+    m = data.weight_symbol(data.grid.xihat)
+    assert m.shape == (data.grid.n_theta * data.grid.n_phi,)
+    assert np.max(np.abs(m)) <= data.C_G * (1.0 + 1e-12)
 
 
 def test_assemble_validations(small_grid):
