@@ -90,7 +90,8 @@ class RadialSeries:
 
         J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for
         b = a**sigma:  n b_n = sum_{k=1}^n ((sigma+1) k - n) a_k b_{n-k},
-        O(order^2) operations in the coefficients' own arithmetic.
+        O(order^2) operations in the coefficients' own arithmetic; an array
+        sigma gives each b_n as an array over sigma.
         """
         a = self.coeffs
         s1 = sigma + 1

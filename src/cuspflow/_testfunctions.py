@@ -30,23 +30,19 @@ from ._jets import RadialSeries
 __all__ = ["TestFunction", "random_test_function"]
 
 
+def _trim(p) -> np.ndarray:
+    """np.trim_zeros(p, "b") of ``p`` as a complex array, at about 1/20 of its cost."""
+    nonzero = np.flatnonzero(p := np.atleast_1d(np.asarray(p, dtype=complex)))
+    return p[: nonzero[-1] + 1 if nonzero.size else 0]
+
+
 def _canonical(terms):
     merged = {}
     for q, mu, c, p in terms:
-        p = np.trim_zeros(np.atleast_1d(np.asarray(p, dtype=complex)), "b")
-        if p.size == 0:
-            continue
-        base = merged.get((q, tuple(mu), float(c)))
-        if base is None:
-            merged[(q, tuple(mu), float(c))] = p
-        else:
-            merged[(q, tuple(mu), float(c))] = npoly.polyadd(base, p)
-    out = []
-    for (q, mu, c), p in merged.items():
-        p = np.trim_zeros(np.atleast_1d(p), "b")
+        p, key = _trim(p), (q, tuple(mu), float(c))
         if p.size:
-            out.append((q, mu, c, p))
-    return out
+            merged[key] = npoly.polyadd(merged[key], p) if key in merged else p
+    return [(q, mu, c, kept) for (q, mu, c), p in merged.items() if (kept := _trim(p)).size]
 
 
 class TestFunction:
@@ -57,6 +53,7 @@ class TestFunction:
     def __init__(self, terms, d: int):
         self.d = int(d)
         self.terms = _canonical(terms)
+        self._degrees = [(sum(mu), (q - sum(mu)) // 2) for q, mu, _, _ in self.terms]  # |mu|, e
         self._series = {}  # (term index, with_volume) -> radial coefficients
 
     # -- constructors --------------------------------------------------------
@@ -214,21 +211,20 @@ class TestFunction:
         A term is x^mu t^e rest(t), e = (q - |mu|)/2, rest = p(sqrt(1-t))
         e^{-ct}.  Order j needs j - |mu| even and m = (j - |mu|)/2 >= e, and
         is a_mu = moment(mu) (|u| = 1 on the sphere) times coefficient m - e
-        of g * (J rest).
+        of g * (J rest).  ``weight`` may be an (order, L) array, one series
+        per column; the coefficient is then one value per column, each
+        coefficient of g * (J rest) one np.dot.
         """
         acc = 0.0 + 0.0j
-        for index, (q, mu, _, _) in enumerate(self.terms):
-            gap = j - sum(mu)
-            if gap < 0 or gap % 2:
-                continue
-            r = gap // 2 - (q - sum(mu)) // 2
-            if r < 0:
-                continue
-            c_mu = moment(mu)
-            if c_mu == 0.0:
+        for index, (deg, e) in enumerate(self._degrees):
+            r = (j - deg) // 2 - e
+            if (j - deg) % 2 or r < 0 or (c_mu := moment(self.terms[index][1])) == 0.0:
                 continue
             rest = self._radial_series(index, r, True)
-            acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
+            if isinstance(weight, np.ndarray):
+                acc += c_mu * np.dot(rest[r::-1], weight[: r + 1])
+            else:
+                acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
         return acc
 
     def volume_jet(self, nu):

@@ -294,6 +294,14 @@ def _validate_params(sub: str, p: dict) -> None:
         if not p["x_lo"] < p["x_hi"]:
             raise ValidationError(
                 f"need x_lo < x_hi, got x_lo={p['x_lo']!r}, x_hi={p['x_hi']!r}")
+        # the r-grid aliases frequency 2 pi/step onto the contour, where the Gaussian input's
+        # transform is e^{-(2 pi/step - height)^2/4a} of its peak (rho, r0 scale both alike)
+        alias = math.sqrt(4 * _GAUSSIAN_A * math.log(1e12))
+        n_min = math.ceil(p["r_span"] * (p["height"] + alias) / math.pi)
+        if p["n_r"] < n_min:
+            raise ValidationError(
+                f"n_r={p['n_r']} under-resolves the radial transform (step 2 r_span/n_r = "
+                f"{2 * p['r_span'] / p['n_r']!r}); the smallest n_r that works is {n_min}")
     if sub in ("flow", "correlate") and p["t_max"] < p["dt"]:
         raise ValidationError(
             f"t_max must be at least dt, got t_max={p['t_max']!r}, dt={p['dt']!r}")
@@ -530,8 +538,11 @@ def _build_manifest(config: ExperimentConfig, tolerances: dict,
 # subcommand runners: each returns (artifacts, tolerances, failures)
 # ---------------------------------------------------------------------------
 
+_GAUSSIAN_A = 4.0  # the resolvent input's radial factor e^{-a (r - r0)^2}
+
+
 def _gaussian_radial(center: float):
-    return lambda rr: np.exp(-4.0 * (np.asarray(rr) - center) ** 2)
+    return lambda rr: np.exp(-_GAUSSIAN_A * (np.asarray(rr) - center) ** 2)
 
 
 def _test_function_family(d: int, seed: int, count: int):

@@ -19,12 +19,15 @@ w^sigma.  Both series come from closed forms in t = rho^2: the test
 function's is a sum of binomial series (1 - t)^a times e^{-ct}, and w^sigma
 is Miller's power of the Catalan series of w = 2/(1 + sqrt(1 - t)).
 
-The integral of Upsilon psi over u is exact; the radial and colatitude
-integrals use :func:`quad`: eight equal Gauss-Legendre panels of 32 nodes.
-Panels, because test functions are smooth but need not be analytic: on
-away-supported bumps one 64-node rule misses by up to 5e-7 relative, the
-panels by 1e-15.  The error estimate is the difference from 24-node panels;
-above 1e-12 + 1e-11 |integral| it raises.
+:func:`pairings` evaluates the family for one (psi, Upsilon, k) at an array
+of lambda, as a residue circle needs it, or its finite part at a pole: the
+angular profile once, w^sigma by Miller's recurrence over the sigma array,
+and the radial and colatitude integrals over lambda at once by :func:`quad`,
+eight equal Gauss-Legendre panels of 32 nodes.  Panels, because test
+functions are smooth but need not be analytic: on away-supported bumps one
+64-node rule misses by up to 5e-7 relative, the panels by 1e-15.  Each
+lambda's error estimate is the difference from 24-node panels; above 1e-12 +
+1e-11 |integral| it raises.
 
 Residues are finite combinations of volume jets at N, which is what couples
 this family to the Dirac-jet branch and produces index-2 Jordan blocks at
@@ -61,6 +64,7 @@ __all__ = [
     "RegularizedPairing",
     "ResiduePair",
     "pairing",
+    "pairings",
     "pole_residue",
     "jordan_vector",
     "pair_distribution",
@@ -73,6 +77,7 @@ _CUT_ANGLE = math.pi / 3.0  # matching split angle of the near/far integrals
 _PANELS = 8  # equal Gauss-Legendre panels per integral
 _ORDERS = (32, 24)  # nodes per panel: the rule, and the rule it is checked against
 _QUAD_ABS, _QUAD_REL = 1e-12, 1e-11  # error bound: abs + rel * |integral|
+_TAIL_BLOCK = 28  # tail orders per block past n_reg: terms fall ~4x an order to 1e-16
 
 
 @functools.lru_cache(maxsize=16)
@@ -86,22 +91,27 @@ def _panel_rule(a: float, b: float):
     return nodes, w_hi, w_lo
 
 
-def quad(fn, a: float, b: float) -> complex:
-    """Integral of ``fn`` over [a, b] by fixed Gauss-Legendre panels.
+def quad(fn, a: float, b: float, rows=None):
+    """Integral of ``fn`` over [a, b] by fixed Gauss-Legendre panels, along
+    the last axis: ``fn`` maps a 1-D array of nodes to values whose last axis
+    runs over them, and is called once, on the nodes of both panel orders.
 
-    ``fn`` maps a 1-D array of nodes to values and is called once, on the
-    nodes of both panel orders.  The value is the higher-order rule; its
-    difference from the lower-order rule is the error estimate, and an
-    estimate above 1e-12 + 1e-11 |value| raises ToleranceError that states it.
+    The value is the higher-order rule, one per row (a scalar for a 1-D
+    ``fn``); its difference from the lower-order rule is each row's error
+    estimate, and an estimate above 1e-12 + 1e-11 |value| raises
+    ToleranceError that states it and names the row (``rows[i]``, if given).
     """
     nodes, w_hi, w_lo = _panel_rule(a, b)
     vals = fn(nodes)
-    value = complex(w_hi @ vals[: w_hi.size])
-    err = abs(value - complex(w_lo @ vals[w_hi.size:]))
-    if err > _QUAD_ABS + _QUAD_REL * abs(value):
+    value = vals[..., : w_hi.size] @ w_hi
+    err = np.abs(value - vals[..., w_hi.size:] @ w_lo)
+    bad = np.flatnonzero(err > _QUAD_ABS + _QUAD_REL * np.abs(value))
+    if bad.size:
+        i = bad[0]
+        row = "" if np.ndim(value) == 0 else f" for {f'row {i}' if rows is None else rows[i]}"
         raise ToleranceError(
-            f"panel quadrature on [{a}, {b}] did not resolve the integrand: "
-            f"error estimate {err:.3e} for value {value:.6e}"
+            f"panel quadrature on [{a}, {b}] did not resolve the integrand{row}: "
+            f"error estimate {err.flat[i]:.3e} for value {value.flat[i]:.6e}"
         )
     return value
 
@@ -130,7 +140,10 @@ class RegularizedPairing:
     lam    : spectral parameter lambda
     n_reg  : Taylor-subtraction depth (None selects the automatic minimum)
     psi    : test function with profile_coefficient(j, weight, moment) and
-             angular_profile(phi, moment), as TestFunction has them
+             angular_profile(phi, moment), as TestFunction has them.  The
+             weight may be an (order, L) array, one column per lambda of a
+             batch; profile_coefficient is linear in it and returns one value
+             per column, or a scalar that broadcasts over them.
     """
 
     d: int
@@ -142,14 +155,6 @@ class RegularizedPairing:
     n_reg: int | None = None
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError(f"need k >= 0, got {self.k}")
-        dim = homogeneous_dimension(self.d, self.k)
-        if len(self.upsilon) != dim:
-            raise ValidationError(
-                f"upsilon has {len(self.upsilon)} coefficients, need {dim} "
-                f"(degree-{self.k} monomials in {self.d} variables)"
-            )
         if self.n_reg is None:
             self.n_reg = auto_regularization_depth(self.lam, self.k, self.h)
 
@@ -166,94 +171,129 @@ def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     return total
 
 
-def pairing(rp: RegularizedPairing) -> complex:
-    """The meromorphically continued pairing <F(lambda), psi>.
+def _tail_sum(terms: list) -> tuple:
+    """The radial Taylor tail summed in order, and whether three consecutive nonzero
+    terms fell below 1e-16 (1 + |sum|); parity zeros carry no information."""
+    near, run = 0j, 0
+    for term in terms:
+        near += term
+        if term != 0.0:
+            run = run + 1 if abs(term) < 1e-16 * (1.0 + abs(near)) else 0
+            if run == 3:
+                return near, True
+    return near, False
+
+
+def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
+             finite_part: bool = False) -> np.ndarray:
+    """The continued pairings <F(lambda), psi> at every lambda of ``lams``,
+    with Taylor-subtraction depths ``n_regs`` (one per lambda, or one for all).
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
-    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, and
-    the integral over u of Upsilon psi is exact.
-    Far integral: direct quadrature in the colatitude over [cut, pi] in the
-    everywhere-regular form T^sigma sin(phi)^{k+d-1}.  Both integrals use the
-    panel rule of :func:`quad` and raise ToleranceError when its error
-    estimate exceeds 1e-12 + 1e-11 |integral|.
+    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, for every
+    lambda at once, and the integral over u of Upsilon psi is exact.  Far
+    integral: direct quadrature in the colatitude over [cut, pi] in the
+    everywhere-regular form T^sigma sin(phi)^{k+d-1}.  A lambda at a pole,
+    too deep for its n_reg, or whose tail or integral is unresolved raises
+    the typed error that names it; with ``finite_part``, a lambda at a pole
+    lambda_j gives the 0th Laurent coefficient there.
     """
-    d, h, k, lam = rp.d, rp.h, rp.k, rp.lam
-    n_reg = rp.n_reg
-    c_exp = -2.0 * lam / h - k  # radial exponent offset: integrand rho^{c-1}...
-    # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
-    if not (complex(c_exp).real + n_reg > 0):
+    if k < 0:
+        raise ValidationError(f"need k >= 0, got {k}")
+    dim = homogeneous_dimension(d, k)
+    if len(upsilon) != dim:
         raise ValidationError(
-            f"regularization depth n_reg={n_reg} too small for lambda={lam} "
-            f"(need Re(lambda) < h (n_reg - k)/2); increase n_reg"
+            f"upsilon has {len(upsilon)} coefficients, need {dim} "
+            f"(degree-{k} monomials in {d} variables)"
         )
-    # pole proximity guard
-    for j in range(n_reg):
-        lam_j = pole_location(j, k, h)
-        if abs(lam - lam_j) <= _POLE_GUARD:
-            raise PoleError(
-                f"lambda={lam} is within {_POLE_GUARD} of the pole "
-                f"lambda_{j} = {lam_j}",
-                j,
-                k,
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    n_regs = np.full(lams.shape, n_regs, dtype=int)
+    c_exp = -2.0 * lams / h - k  # radial exponent offset: integrand rho^{c-1}...
+    for lam, n_reg, c in zip(lams.tolist(), n_regs.tolist(), c_exp.tolist()):
+        # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
+        if not (c.real + n_reg > 0):
+            raise ValidationError(
+                f"regularization depth n_reg={n_reg} too small for lambda={lam} "
+                f"(need Re(lambda) < h (n_reg - k)/2); increase n_reg"
             )
+        for j in range(n_reg):  # pole proximity guard
+            if abs(lam - pole_location(j, k, h)) <= _POLE_GUARD and not finite_part:
+                raise PoleError(
+                    f"lambda={lam} is within {_POLE_GUARD} of the pole "
+                    f"lambda_{j} = {pole_location(j, k, h)}", j, k)
 
-    sigma = -(k + d / 2.0 + lam / h)
-    moment = functools.partial(_angular_moment, rp.upsilon, k)
-    angular = functools.partial(rp.psi.angular_profile, moment=moment)
+    sigma = -(k + d / 2.0 + lams / h)
+    moment = functools.partial(_angular_moment, tuple(upsilon), k)
+    angular = functools.partial(psi.angular_profile, moment=moment)
     rho_c = math.sin(_CUT_ANGLE)
     rho_s = 0.25  # series/quadrature split of the near integral
 
     # Taylor-subtracted remainder on [0, rho_s] by the tail series: the
     # radial profile Phi(rho) is analytic with radius 1, so extra exact
     # coefficients converge geometrically and no cancellation-prone
-    # subtraction is ever evaluated at small rho.
-    j_cap = n_reg + 64
-    # Phi_j reads w^sigma to order m - e <= j // 2
-    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma).coeffs
-    phi_j = [rp.psi.profile_coefficient(j, weight, moment) for j in range(n_reg)]
-    near = 0.0 + 0.0j
-    small_run = 0
-    any_nonzero = False
-    converged = False
-    for j in range(n_reg, j_cap):
-        term = rp.psi.profile_coefficient(j, weight, moment) * rho_s ** (c_exp + j) / (c_exp + j)
-        near += term
-        if term == 0.0:
-            # structural parity zeros carry no convergence information
-            continue
-        any_nonzero = True
-        if abs(term) < 1e-16 * (1.0 + abs(near)):
-            small_run += 1
-            if small_run >= 3:
-                converged = True
-                break
-        else:
-            small_run = 0
-    if any_nonzero and not converged:
-        raise ToleranceError(
-            "radial Taylor tail did not converge below 1e-16 within "
-            f"{j_cap} orders at lambda={lam}"
-        )
+    # subtraction is ever evaluated at small rho.  Phi_j reads w^sigma to
+    # order m - e <= j // 2, each block's as far as it goes: an (order, L)
+    # array by Miller's recurrence over the sigma array; for one lambda the
+    # tuple of its Python scalars, which keeps profile_coefficient's sequential sum.
+    n_max = int(n_regs.max())
+    j_cap = n_max + 64  # a tail not converged by order n_reg + 64 raises
+    blocks, terms, tails = [], [[] for _ in lams], [None] * lams.size
+    while None in tails:  # blocks of orders; terms[i][j] = Phi_j rho_s^{c+j}/(c+j)
+        start = len(terms[0])
+        js = np.arange(start, min(max(start, n_max) + _TAIL_BLOCK, j_cap))
+        power = RadialSeries.pole_factor(int(js[-1]) // 2).power
+        weight = np.array(power(sigma).coeffs) if sigma.size > 1 else power(sigma.item()).coeffs
+        block = np.empty((js.size, lams.size), complex)
+        for row, j in enumerate(js.tolist()):
+            block[row] = psi.profile_coefficient(j, weight, moment)
+        blocks.append(block)
+        x = np.where(js[:, None] < n_regs, 1.0, c_exp + js[:, None])  # tail orders only
+        factor = rho_s ** c_exp * (rho_s ** js)[:, None] / x
+        for row_terms, col in zip(terms, (block * factor).T.tolist()):
+            row_terms.extend(col)
+        for i, n_reg in enumerate(n_regs.tolist()):
+            if tails[i] is None:
+                near, converged = _tail_sum(terms[i][n_reg:n_reg + 64])
+                ended = len(terms[i]) >= n_reg + 64
+                if ended and not converged and any(terms[i][n_reg:n_reg + 64]):
+                    raise ToleranceError("radial Taylor tail did not converge below 1e-16 "
+                                         f"within {n_reg + 64} orders at lambda={lams[i]}")
+                tails[i] = near if converged or ended else None
+    js = np.arange(n_max)[:, None]
+    sub = np.where(js < n_regs, np.concatenate(blocks)[:n_max], 0.0)  # first n_reg Phi_j
 
     def near_integrand(rho: np.ndarray) -> np.ndarray:
         # Phi(rho) = integral of Upsilon(u) * (w^sigma J psi)(rho u) du,
         # less its first n_reg Taylor terms
-        w = 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
-        profile = angular(np.arcsin(rho)) * w**sigma / np.sqrt(1.0 - rho * rho)
-        return rho ** (c_exp - 1.0) * (profile - npoly.polyval(rho, phi_j))
+        root = np.sqrt(1.0 - rho * rho)
+        w_sigma = np.exp(np.multiply.outer(sigma, np.log(2.0 / (1.0 + root))))
+        rho_c1 = np.exp(np.multiply.outer(c_exp - 1.0, np.log(rho)))
+        return rho_c1 * (angular(np.arcsin(rho)) / root * w_sigma - npoly.polyval(rho, sub))
 
-    near += quad(near_integrand, rho_s, rho_c)
-    # closed-form continuation of the subtracted monomials
-    for j in range(n_reg):
-        near += phi_j[j] * rho_c ** (c_exp + j) / (c_exp + j)
+    labels = [f"lambda={lam}" for lam in lams.tolist()]
+    near = np.array(tails) + quad(near_integrand, rho_s, rho_c, labels)
+    # closed-form continuation of the subtracted monomials; at a pole, x = c + j = 0,
+    # the 0th Laurent coefficient of Phi_j rho_c^x / x is Phi_j ln(rho_c) - (h/2) Phi_j',
+    # and d(w^sigma)/d(lambda) = -(w^sigma ln w)/h, ln w = sum_n C(2n, n) (t/4)^n / 2n
+    pole = np.abs(x := c_exp + js) <= 2.0 * _POLE_GUARD / h
+    near += (sub * np.where(pole, math.log(rho_c), rho_c**x / np.where(pole, 1.0, x))).sum(axis=0)
+    for j, i in zip(*np.nonzero(pole)):  # with finite_part only
+        log_w = [0.0] + [math.comb(2 * n, n) / (2 * n * 4.0**n) for n in range(1, len(weight))]
+        w_log_w = np.convolve(np.array(weight).reshape(len(weight), -1)[:, i], log_w)
+        near[i] += 0.5 * psi.profile_coefficient(j, w_log_w[: len(weight)], moment)
 
     def far_integrand(phi: np.ndarray) -> np.ndarray:
-        t_fac = 2.0 * (1.0 - np.cos(phi))
-        return t_fac**sigma * np.sin(phi) ** (k + d - 1) * angular(phi)
+        t_sigma = np.exp(np.multiply.outer(sigma, np.log(2.0 * (1.0 - np.cos(phi)))))
+        return t_sigma * (np.sin(phi) ** (k + d - 1) * angular(phi))
 
-    far = quad(far_integrand, _CUT_ANGLE, math.pi)
-    return complex(near + far)
+    return near + quad(far_integrand, _CUT_ANGLE, math.pi, labels)
+
+
+def pairing(rp: RegularizedPairing) -> complex:
+    """The meromorphically continued pairing <F(lambda), psi> of one
+    RegularizedPairing: :func:`pairings` at its one lambda."""
+    return complex(pairings(rp.d, rp.h, rp.k, rp.upsilon, rp.psi, rp.lam, rp.n_reg)[0])
 
 
 class ResiduePair(NamedTuple):
@@ -278,7 +318,8 @@ def pole_residue(
     radial derivative display, which it reproduces).
     contour: (1/2 pi i) times the circle integral of the pairing on
     |lambda - lambda_j| = eps*h by the trapezoid rule (spectrally accurate;
-    the nearest other pole sits at distance h/2 > 3 eps h).
+    the nearest other pole sits at distance h/2 > 3 eps h), all nodes in one
+    :func:`pairings` call.
     """
     if j < 0 or k < 0:
         raise ValidationError("need j >= 0 and k >= 0")
@@ -298,16 +339,12 @@ def pole_residue(
     closed = -(h / 2.0) * psi.profile_coefficient(j, weight, moment)
 
     # contour
-    acc = 0.0 + 0.0j
-    for m in range(n_nodes):
-        theta = 2.0 * math.pi * m / n_nodes
-        lam = lam_j + radius * complex(math.cos(theta), math.sin(theta))
-        rp = RegularizedPairing(
-            d=d, h=h, k=k, upsilon=tuple(upsilon), lam=lam, psi=psi,
-            n_reg=max(n_reg, auto_regularization_depth(lam, k, h)),
-        )
-        acc += pairing(rp) * complex(math.cos(theta), math.sin(theta))
-    contour = acc * radius / n_nodes
+    units = np.array([complex(math.cos(2.0 * math.pi * m / n_nodes),
+                              math.sin(2.0 * math.pi * m / n_nodes)) for m in range(n_nodes)])
+    lams = lam_j + radius * units
+    n_regs = [max(n_reg, auto_regularization_depth(lam, k, h)) for lam in lams.tolist()]
+    vals = pairings(d, h, k, upsilon, psi, lams, n_regs)
+    contour = (vals * units).sum() * radius / n_nodes
     return ResiduePair(closed_form=complex(closed), contour=complex(contour))
 
 
@@ -407,22 +444,11 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
 
 
 def _finite_part_pairing(rep: DistributionRep, psi) -> complex:
-    """0th Laurent coefficient of the pairing at the crossing, by 4th-order
-    central differencing of g(lambda) = (lambda - lambda_0) <F(lambda), psi>."""
+    """0th Laurent coefficient of the pairing at the crossing lambda_0, in
+    closed form by one :func:`pairings` call."""
     lam0 = rep.meta["lambda0"]
-    delta = 1e-3 * rep.h
     n_reg = max(rep.n_reg or 0, rep.j + 2, auto_regularization_depth(lam0, rep.k, rep.h))
-
-    def g(lam: complex) -> complex:
-        rp = RegularizedPairing(
-            d=rep.d, h=rep.h, k=rep.k, upsilon=rep.upsilon, lam=lam, psi=psi,
-            n_reg=n_reg,
-        )
-        return (lam - lam0) * pairing(rp)
-
-    return (
-        g(lam0 - 2 * delta) - 8.0 * g(lam0 - delta) + 8.0 * g(lam0 + delta) - g(lam0 + 2 * delta)
-    ) / (12.0 * delta)
+    return complex(pairings(rep.d, rep.h, rep.k, rep.upsilon, psi, lam0, n_reg, True)[0])
 
 
 def pair_distribution(rep: DistributionRep, psi) -> complex:

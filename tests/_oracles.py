@@ -9,6 +9,8 @@ package takes:
 * :class:`AwaySupportedFunction` is a smooth test function whose jets at the
   pole N all vanish, and :func:`ck_norm` is a surrogate C^k norm of a
   :class:`~cuspflow._testfunctions.TestFunction`;
+* :func:`reference_pairing` is the regularized pairing at one lambda as it
+  was written before the package evaluated a batch of lambdas at once;
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
 * :func:`stepped_tau_max` finds each transition time by stepping the sphere
@@ -29,21 +31,27 @@ package takes:
   :meth:`~cuspflow.flow.CorrelationRecord.to_json` back.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
+from cuspflow._jets import RadialSeries
 from cuspflow._sphere import sphere_quadrature
 from cuspflow.errors import (ConfigurationError, DomainError,
-                             NonterminationError, ValidationError)
+                             NonterminationError, PoleError, ToleranceError,
+                             ValidationError)
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0s, _dist_0u, _dist_s, _dist_u,
                              _frame_components, _sphere_flow, _swapped)
 from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
                            flow_cusp_exact)
+from cuspflow.hadamard import (_CUT_ANGLE, _POLE_GUARD, RegularizedPairing,
+                               _angular_moment, pole_location, quad)
 from cuspflow.geometry import direction_angle, splitting_frame_at
 from cuspflow.indicial import ModelOperator, mode_exponents
 
@@ -241,6 +249,101 @@ class AwaySupportedFunction:
 
     def pair_volume_dict(self, jet_dict: dict):
         return 0.0 + 0.0j
+
+
+# ---------------------------------------------------------------------------
+# regularized pairings: the one-lambda evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_pairing(rp: RegularizedPairing) -> complex:
+    """The meromorphically continued pairing <F(lambda), psi>.
+
+    Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
+    to depth n_reg, closed-form continuation of the subtracted monomials.
+    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, and
+    the integral over u of Upsilon psi is exact.
+    Far integral: direct quadrature in the colatitude over [cut, pi] in the
+    everywhere-regular form T^sigma sin(phi)^{k+d-1}.  Both integrals use the
+    panel rule of :func:`quad` and raise ToleranceError when its error
+    estimate exceeds 1e-12 + 1e-11 |integral|.
+    """
+    d, h, k, lam = rp.d, rp.h, rp.k, rp.lam
+    n_reg = rp.n_reg
+    c_exp = -2.0 * lam / h - k  # radial exponent offset: integrand rho^{c-1}...
+    # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
+    if not (complex(c_exp).real + n_reg > 0):
+        raise ValidationError(
+            f"regularization depth n_reg={n_reg} too small for lambda={lam} "
+            f"(need Re(lambda) < h (n_reg - k)/2); increase n_reg"
+        )
+    # pole proximity guard
+    for j in range(n_reg):
+        lam_j = pole_location(j, k, h)
+        if abs(lam - lam_j) <= _POLE_GUARD:
+            raise PoleError(
+                f"lambda={lam} is within {_POLE_GUARD} of the pole "
+                f"lambda_{j} = {lam_j}",
+                j,
+                k,
+            )
+
+    sigma = -(k + d / 2.0 + lam / h)
+    moment = functools.partial(_angular_moment, rp.upsilon, k)
+    angular = functools.partial(rp.psi.angular_profile, moment=moment)
+    rho_c = math.sin(_CUT_ANGLE)
+    rho_s = 0.25  # series/quadrature split of the near integral
+
+    # Taylor-subtracted remainder on [0, rho_s] by the tail series: the
+    # radial profile Phi(rho) is analytic with radius 1, so extra exact
+    # coefficients converge geometrically and no cancellation-prone
+    # subtraction is ever evaluated at small rho.
+    j_cap = n_reg + 64
+    # Phi_j reads w^sigma to order m - e <= j // 2
+    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma).coeffs
+    phi_j = [rp.psi.profile_coefficient(j, weight, moment) for j in range(n_reg)]
+    near = 0.0 + 0.0j
+    small_run = 0
+    any_nonzero = False
+    converged = False
+    for j in range(n_reg, j_cap):
+        term = rp.psi.profile_coefficient(j, weight, moment) * rho_s ** (c_exp + j) / (c_exp + j)
+        near += term
+        if term == 0.0:
+            # structural parity zeros carry no convergence information
+            continue
+        any_nonzero = True
+        if abs(term) < 1e-16 * (1.0 + abs(near)):
+            small_run += 1
+            if small_run >= 3:
+                converged = True
+                break
+        else:
+            small_run = 0
+    if any_nonzero and not converged:
+        raise ToleranceError(
+            "radial Taylor tail did not converge below 1e-16 within "
+            f"{j_cap} orders at lambda={lam}"
+        )
+
+    def near_integrand(rho: np.ndarray) -> np.ndarray:
+        # Phi(rho) = integral of Upsilon(u) * (w^sigma J psi)(rho u) du,
+        # less its first n_reg Taylor terms
+        w = 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
+        profile = angular(np.arcsin(rho)) * w**sigma / np.sqrt(1.0 - rho * rho)
+        return rho ** (c_exp - 1.0) * (profile - npoly.polyval(rho, phi_j))
+
+    near += quad(near_integrand, rho_s, rho_c)
+    # closed-form continuation of the subtracted monomials
+    for j in range(n_reg):
+        near += phi_j[j] * rho_c ** (c_exp + j) / (c_exp + j)
+
+    def far_integrand(phi: np.ndarray) -> np.ndarray:
+        t_fac = 2.0 * (1.0 - np.cos(phi))
+        return t_fac**sigma * np.sin(phi) ** (k + d - 1) * angular(phi)
+
+    far = quad(far_integrand, _CUT_ANGLE, math.pi)
+    return complex(near + far)
 
 
 # ---------------------------------------------------------------------------

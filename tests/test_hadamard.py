@@ -2,14 +2,16 @@
 
 import functools
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import AwaySupportedFunction, ck_norm
+from _oracles import AwaySupportedFunction, ck_norm, reference_pairing
 from cuspflow._sphere import homogeneous_dimension, multi_indices, sphere_quadrature
 from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction, random_test_function
@@ -17,9 +19,12 @@ from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
     RegularizedPairing,
     _angular_moment,
+    _finite_part_pairing,
+    auto_regularization_depth,
     jordan_vector,
     pair_distribution,
     pairing,
+    pairings,
     pole_location,
     pole_residue,
 )
@@ -53,10 +58,11 @@ def _upsilon_value(up: tuple, k: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_jet_terms(psi, nu, weight):
+def _weighted_jet_terms(psi, nu, weight, magnitude=False):
     """The terms' shares of d^nu [ g(t) J psi ](x=0) for a radial series g:
     each term's coefficient of the truncated product g * (J rest), times
-    m!/w! nu!."""
+    m!/w! nu!.  With ``magnitude``, each share's sum of absolute products
+    |rest_i g_{m-i}| instead: the scale of its rounding in any order."""
     nu = tuple(nu)
     shares = []
     nfact = 1.0
@@ -80,6 +86,8 @@ def _weighted_jet_terms(psi, nu, weight):
         g_m = rest[0] * wc[rest_order]
         for i in range(1, rest_order + 1):
             g_m = g_m + rest[i] * wc[rest_order - i]
+        if magnitude:
+            g_m = sum(abs(rest[i] * wc[rest_order - i]) for i in range(rest_order + 1))
         mult = math.factorial(m)
         for v in w:
             mult //= math.factorial(v)
@@ -256,7 +264,12 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     # Phi_j from the moments a_mu against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
     # for every order the pairing's tail series can read; the error is measured
     # against the sum of the absolute (nu, term) shares, since the terms' shares
-    # of one jet can cancel
+    # of one jet can cancel.  An (order, L) weight, as a batch of pairings passes
+    # it, takes each term's convolution as one np.dot, whose summation order
+    # differs from the sequential one that the shares repeat: by Higham's bound
+    # (Accuracy and Stability of Numerical Algorithms, 3.1) the two differ by at
+    # most 2 gamma_{r+3} sum_i |rest_i w_{r-i}| for r = m - e <= j // 2, which
+    # the absolute products of every (nu, term) share bound from above.
     rng = np.random.default_rng(seed)
     psi = random_test_function(d, rng, n_terms=3, max_deg=2)
     upsilon = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
@@ -264,15 +277,23 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     j_cap = n_reg + 64
     weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma)
     moment = functools.partial(_angular_moment, upsilon, k)
+    columns = np.array(weight.coeffs)[:, None] * np.array([1.0, 2.0])  # exact multiples
     for j in range(j_cap):
-        terms = []
+        terms, scale = [], 0.0
         for nu in multi_indices(d, j):
             a_nu = _angular_moment(upsilon, k, nu)
             if a_nu != 0.0:
                 fact = math.prod(math.factorial(v) for v in nu)
                 terms += [a_nu / fact * t for t in _weighted_jet_terms(psi, nu, weight)]
+                scale += sum(abs(a_nu / fact) * t
+                             for t in _weighted_jet_terms(psi, nu, weight, magnitude=True))
         got = psi.profile_coefficient(j, weight.coeffs, moment)
-        assert abs(got - sum(terms)) <= 4e-14 * sum(abs(t) for t in terms), (j, got)
+        floor = 4e-14 * sum(abs(t) for t in terms)
+        assert abs(got - sum(terms)) <= floor, (j, got)
+        gamma = (j // 2 + 3) * 2.0**-53 / (1.0 - (j // 2 + 3) * 2.0**-53)
+        cols = np.broadcast_to(psi.profile_coefficient(j, columns, moment), (2,))
+        for c, col in zip((1.0, 2.0), cols):
+            assert abs(col - c * sum(terms)) <= c * (floor + 2.0 * gamma * scale), (j, c, col)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -298,6 +319,124 @@ def test_angular_profile_matches_sphere_quadrature(d):
             scale = np.abs(vals) @ np.abs(weights * ups)
             got = psi.angular_profile(phi, moment)
             assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale)), (k, psi)
+
+
+# ---------------------------------------------------------------------------
+# batched pairings
+# ---------------------------------------------------------------------------
+
+
+def _circle(j, k, h=1.0, eps=1e-2, n_nodes=24):
+    """The residue circle's nodes and their depths, as pole_residue sets them."""
+    units = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    lams = pole_location(j, k, h) + eps * h * units
+    return lams, [max(j + 2, auto_regularization_depth(lam, k, h)) for lam in lams.tolist()]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairings_match_the_one_lambda_reference_on_residue_circles(d):
+    # every (k, j) circle with k <= 3, j <= 5, against the pairing as it was
+    # written for one lambda; where Re(lambda) passes h (j + 2 - k)/2 - 1 the
+    # depth rises to j + 3, so most circles mix two depths
+    mixed = 0
+    for k in range(4):
+        ups = tuple(1.0 - 0.3 * i for i in range(homogeneous_dimension(d, k)))
+        for j in range(6):
+            psi = _coupled_psi(d, seed=20 + 6 * k + j)
+            lams, n_regs = _circle(j, k)
+            mixed += len(set(n_regs)) > 1
+            got = pairings(d, 1.0, k, ups, psi, lams, n_regs)
+            for lam, n_reg, value in zip(lams.tolist(), n_regs, got):
+                ref = reference_pairing(RegularizedPairing(d, 1.0, k, ups, lam, psi, n_reg))
+                assert abs(value - ref) <= 1e-13 * max(abs(ref), 1.0), (k, j, lam)
+    assert mixed >= 12
+
+
+def _mp_angular(psi, moment, phi):
+    """The angular profile of a TestFunction in mpmath arithmetic."""
+    z0, rho = mpmath.cos(phi), mpmath.sin(phi)
+    total = mpmath.mpc(0)
+    for q, mu, c, p in psi.terms:
+        poly = mpmath.polyval([mpmath.mpc(complex(x)) for x in p[::-1]], z0)
+        total += moment(mu) * rho**q * poly * mpmath.exp(-c * (1 - z0**2))
+    return total
+
+
+@pytest.mark.parametrize("d,k,lams", [
+    (1, 0, (-0.3, -0.8 + 0.4j, -1.6 - 0.2j)),
+    (2, 1, (-0.7, -0.9 + 0.3j, -1.4 - 0.5j)),
+])
+def test_pairings_match_a_30_digit_direct_integral_in_the_l1_regime(d, k, lams):
+    # for k + 2 Re(lambda)/h < 0 the pairing is the plain integral
+    # of T^sigma sin(phi)^{k+d-1} times the angular profile over [0, pi]
+    ups = tuple(1.0 + 0.25 * i for i in range(homogeneous_dimension(d, k)))
+    psi = _coupled_psi(d, seed=30 + d)
+    moment = functools.partial(_angular_moment, ups, k)
+    got = pairings(d, 1.0, k, ups, psi, lams, [3, 3, 4])
+    with mpmath.workdps(30):
+        for lam, value in zip(lams, got):
+            assert k + 2 * complex(lam).real < 0
+            sigma = -(k + mpmath.mpf(d) / 2 + mpmath.mpc(lam))
+
+            def integrand(phi):
+                t_fac = 4 * mpmath.sin(phi / 2) ** 2  # 2 (1 - cos phi), no cancellation
+                return t_fac**sigma * mpmath.sin(phi) ** (k + d - 1) * _mp_angular(psi, moment, phi)
+
+            ref = complex(mpmath.quad(integrand, [0, mpmath.pi / 3, mpmath.pi]))
+            assert abs(value - ref) <= 1e-12 * abs(ref), lam
+
+
+def test_pairings_pole_error_names_the_one_lambda_at_a_pole():
+    psi = _coupled_psi(1, seed=3)
+    bad = pole_location(2, 0, 1.0) + 5e-9
+    with pytest.raises(PoleError) as exc:
+        pairings(1, 1.0, 0, (1.0,), psi, [0.3 + 0.2j, bad, 1.4 - 0.1j], 5)
+    assert (exc.value.j, exc.value.k) == (2, 0)
+    assert f"lambda={complex(bad)}" in str(exc.value)
+
+
+class _UndecayingTail:
+    """A psi whose radial Taylor tail does not decay at one exponent sigma:
+    Phi_j = 4^j where the t-coefficient sigma/4 of w^sigma is sigma_bad/4,
+    and 0 elsewhere; the angular profile vanishes."""
+
+    def __init__(self, sigma_bad):
+        self.sigma_bad = sigma_bad
+
+    def angular_profile(self, phi, moment):
+        return np.zeros(np.shape(phi), complex)
+
+    def profile_coefficient(self, j, weight, moment):
+        return 4.0**j * np.isclose(weight[1], self.sigma_bad / 4.0)
+
+
+def test_pairings_tolerance_error_names_the_one_unresolved_lambda():
+    d, k, h = 1, 0, 1.0
+    lams = [0.3 + 0.2j, -0.6 + 0.1j, 1.4 - 0.1j]
+    psi = _UndecayingTail(sigma_bad=-(k + d / 2 + lams[1] / h))
+    with pytest.raises(ToleranceError, match=rf"at lambda={re.escape(str(lams[1]))}"):
+        pairings(d, h, k, (1.0,), psi, lams, 5)
+    # without the undecaying row the other two resolve
+    assert np.all(np.isfinite(pairings(d, h, k, (1.0,), psi, lams[::2], 5)))
+
+
+def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
+    # the 0th Laurent coefficient at lambda_0 is the mean of the pairing over a
+    # circle about it, here 64 trapezoid nodes at radius h/10 (the next pole is
+    # h/2 away, so the rule errs by about 5^-64); the closed form must agree
+    # within 1e-14 relative, widened by the mean's own rounding, about 1e-16
+    # of the largest pairing on the circle
+    units = np.exp(2j * np.pi * np.arange(64) / 64)
+    for d, k, j in [(1, 0, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 0, 2), (1, 0, 0), (1, 2, 4)]:
+        lam0 = pole_location(j, k, 1.0)
+        ups = tuple(1.0 + 0.2 * i for i in range(homogeneous_dimension(d, k)))
+        rep = jordan_vector(j, k, ups, ModelOperator(d=d, h=1.0, lam=lam0))
+        psi = _coupled_psi(d, seed=100 + d + k)
+        vals = [reference_pairing(RegularizedPairing(d, 1.0, k, rep.upsilon, lam, psi, j + 2))
+                for lam in (lam0 + 0.1 * units).tolist()]
+        ref = sum(vals) / len(vals)
+        bound = 1e-14 * abs(ref) + 1e-15 * max(abs(v) for v in vals)
+        assert abs(_finite_part_pairing(rep, psi) - ref) <= bound, (d, k, j)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +622,16 @@ def test_quad_matches_closed_form_complex_power():
     a, b, c = 0.25, math.sin(math.pi / 3.0), -1.7 + 0.9j
     got = panel_quad(lambda x: x ** (c - 1.0), a, b)
     assert abs(got - (b**c - a**c) / c) < 1e-12
+
+
+def test_quad_checks_each_row_and_names_the_unresolved_one():
+    def rows(x):
+        return np.stack([x**2, np.abs(x - 0.3) ** 0.5, np.cos(x)])
+
+    with pytest.raises(ToleranceError, match=r"integrand for b: error estimate"):
+        panel_quad(rows, 0.0, 1.0, rows=("a", "b", "c"))
+    got = panel_quad(lambda x: np.stack([x**2, np.cos(x)]), 0.0, 1.0)
+    assert got == pytest.approx([1.0 / 3.0, math.sin(1.0)], abs=1e-14)
 
 
 def test_quad_raises_with_error_estimate_on_unresolved_integrand():
