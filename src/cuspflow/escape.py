@@ -494,8 +494,11 @@ def _transition_windows(x, eps, margin):
     each with one positive root; the other two profiles follow by the
     growing<->decaying swap, which reverses time.  Each distance is monotone
     in t, so its two edge times bound its band.  Windows are widened by
-    ``margin`` on both sides, and a direction with a non-finite edge time (a
-    zero growing or decaying component, or a pole) gets unbounded windows.
+    ``margin`` on both sides; infinite edges are exact.  A NaN edge is
+    inf - inf from a zero near component (growing on rows 0-1, decaying on
+    rows 2-3): that distance is constant, the profile exactly 0 (pole rows)
+    or 1 (band rows), and both edges take the never-crossing limit, +inf
+    before the swap.
     """
     lc_in = 2.0 * math.log(math.tan(1.75 * eps))
     lc_out = 2.0 * math.log(math.tan(2.25 * eps))
@@ -505,13 +508,12 @@ def _transition_windows(x, eps, margin):
                                                             lc_in, lc_out)
         (s_lo, s_hi), (b0u_lo, b0u_hi) = _pole_band_windows(l0, l2, l1,
                                                             lc_in, lc_out)
-    # the swapped windows run backward in time
-    lo = np.stack([u_lo, b0s_lo, -b0u_hi, -s_hi]) - margin
-    hi = np.stack([u_hi, b0s_hi, -b0u_lo, -s_lo]) + margin
-    bad = ~np.all(np.isfinite(lo) & np.isfinite(hi), axis=0)
-    lo[:, bad] = -np.inf
-    hi[:, bad] = np.inf
-    return lo, hi
+    edges = np.stack([u_lo, b0s_lo, b0u_hi, s_hi, u_hi, b0s_hi, b0u_lo, s_lo])
+    edges[np.isnan(edges)] = np.inf
+    edges[[2, 3, 6, 7]] *= -1.0   # the swapped windows run backward in time
+    edges[:4] -= margin
+    edges[4:] += margin
+    return edges[:4], edges[4:]
 
 
 def _windowed_average(x, times, pattern, eps, margin):
@@ -567,9 +569,9 @@ def _weight_average(x, T, step, eps):
     there it moves at rate at least sin(2 dist)/2, so a few ulps of roundoff
     shift a crossing by far less than a step.  Outside its window a profile
     is exactly 0 or 1 (``_smoothstep`` clips), so only the nodes inside are
-    evaluated (``_windowed_average``); directions with non-finite windows
-    are evaluated everywhere.  The sum runs profile by profile, so it agrees
-    with a per-node loop to roundoff, not bitwise.
+    evaluated (``_windowed_average``), and none for a profile that a zero
+    near component keeps constant.  The sum runs profile by profile, so it
+    agrees with a per-node loop to roundoff, not bitwise.
     """
     nodes, pattern = _simpson_rule(T, step)
     return (step / 3.0) * _windowed_average(x, nodes, pattern, eps,
@@ -711,7 +713,7 @@ def _log_norm_average(x, T_prime, step):
     node in blocks of at most ``_BLOCK_ELEMENTS`` (node, direction) pairs."""
     nodes, pattern = _simpson_rule(T_prime, step)
     weights = pattern * (step / 3.0)
-    k = max(1, _BLOCK_ELEMENTS // x.shape[0])
+    k = max(1, _BLOCK_ELEMENTS // max(1, x.shape[0]))
     acc = np.zeros(x.shape[0])
     for lo in range(0, len(nodes), k):
         block = nodes[lo:lo + k]
@@ -869,11 +871,8 @@ class EscapeData:
         rho = np.broadcast_to(np.asarray(rho, dtype=float), x.shape[:-1])
         if np.any(rho <= 0.0):
             raise ValidationError("covector magnitude must be positive")
-        cut = 1.0 - _chi_cutoff(rho / self.delta)
-        mval = self.C_G_prime * self.weight(x)
-        fhat = self.symbol.hat(x)
-        log_factor = np.log(2.0 * rho * fhat / (self.c_f * self.delta))
-        return cut * mval * log_factor
+        return _escape_values(rho, self.weight_symbol(x), self.symbol.hat(x),
+                              self.c_f, self.delta)
 
     def G(self, point, covector):
         """Escape function at a phase point and covector in cusp coordinates.
@@ -884,6 +883,13 @@ class EscapeData:
         """
         direction, rho = _frame_direction(point, covector)
         return float(self.reduced_G(direction, rho)[0])
+
+
+def _escape_values(rho, mval, fhat, c_f, delta):
+    """G from its factors, broadcast together: magnitudes ``rho``, scaled
+    weight ``mval`` and symbol factor ``fhat`` at the directions."""
+    cut = 1.0 - _chi_cutoff(rho / delta)
+    return cut * mval * np.log(2.0 * rho * fhat / (c_f * delta))
 
 
 def _frame_direction(point, covector):
@@ -1147,13 +1153,15 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
          above the cutoff scale ``delta``.
     iii. Along the saturated directions G grows as ``+-C_G log|xi|`` (slope
          fit within 2% over the recorded magnitude range) and vanishes along
-         the flow-dual plateau directions (all in one ``reduced_G`` batch).
+         the flow-dual plateau directions (the weight and the symbol once
+         per direction, G broadcast over the magnitudes).
     iv.  The scaled weight equals ``+C_G``/``-C_G``/``0`` exactly on the
-         plateau balls, and G is invariant under the cusp's local isometries
-         (exact at the reduced level by representation; spot-checked through
-         the coordinate interface: each random point and covector, and its
-         isometric image, goes through G's own frame decomposition, and all
-         of them are evaluated in one ``reduced_G`` batch).
+         plateau balls (the values iii read), and G is invariant under the
+         cusp's local isometries (exact at the reduced level by
+         representation; spot-checked through the coordinate interface:
+         each random point and covector, and its isometric image, goes
+         through G's own frame decomposition, and all of them are evaluated
+         in one ``reduced_G`` batch).
 
     This is the construction's one verification path: ``build_weight`` and
     ``build_f`` validate their inputs and compute data, and every guarantee
@@ -1180,7 +1188,6 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     delta = data.delta
     h = data.weight.step
     T = data.T
-    Cp = data.C_G_prime
     C_G = data.C_G
     cf = data.c_f
     R = data.R
@@ -1190,21 +1197,17 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         fwd = _sphere_flow(dirs, h)
         bwd = _sphere_flow(dirs, -h)
         return {
-            "mf": data.weight(fwd),
-            "mb": data.weight(bwd),
+            "mf": data.weight_symbol(fwd),
+            "mb": data.weight_symbol(bwd),
             "ff": data.symbol.hat(fwd),
             "fb": data.symbol.hat(bwd),
             "nf": _stretch(dirs, h),
             "nb": _stretch(dirs, -h),
         }
 
-    def g_of(rho, m, fh):
-        cut = 1.0 - _chi_cutoff(rho / delta)
-        return Cp * cut * m * np.log(2.0 * rho * fh / (cf * delta))
-
     def flow_fd(b, rho):
-        gf = g_of(rho * b["nf"], b["mf"], b["ff"])
-        gb = g_of(rho * b["nb"], b["mb"], b["fb"])
+        gf = _escape_values(rho * b["nf"], b["mf"], b["ff"], cf, delta)
+        gb = _escape_values(rho * b["nb"], b["mb"], b["fb"], cf, delta)
         return (gf - gb) / (2.0 * h)
 
     x = grid.xihat
@@ -1271,9 +1274,12 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     fit_lo = max(100.0, 2.0 * R * delta, 2.0 * delta)
     fit_hi = fit_lo * 1e4
     rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_hi), 9))
-    dirs = np.concatenate([plat["u"], plat["s"], plat["0"]])
-    g_rows = iter(data.reduced_G(np.repeat(dirs, rhos.size, axis=0), np.tile(
-        rhos, len(dirs))).reshape(len(dirs), rhos.size))   # u, s, 0 in order
+    dirs = _as_unit_rows(np.concatenate([plat["u"], plat["s"], plat["0"]]))
+    # m and f-hat do not depend on rho: each direction is evaluated once, and
+    # its row of G over the magnitudes follows (rows u, s, 0 in order)
+    m_plat = data.weight_symbol(dirs)
+    g_rows = iter(_escape_values(rhos, m_plat[:, None],
+                                 data.symbol.hat(dirs)[:, None], cf, delta))
     slope_dev = 0.0
     slopes = {}
     for fam, sign in (("u", 1.0), ("s", -1.0)):
@@ -1296,10 +1302,8 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "mean_slope_growing": float(np.mean(slopes["u"])),
         "mean_slope_decaying": float(np.mean(slopes["s"])),
         "C_G": float(C_G),
-        "n_samples": (len(plat["u"]) + len(plat["s"]) + len(plat["0"]))
-        * rhos.size * n_fiber,
-        "n_distinct_directions": len(plat["u"]) + len(plat["s"])
-        + len(plat["0"]),
+        "n_samples": len(dirs) * rhos.size * n_fiber,
+        "n_distinct_directions": len(dirs),
         "witnesses": [],
     }
     if not cond_iii["passed"]:
@@ -1308,8 +1312,8 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
                                   "flow_dual_max_abs": zero_mag}]
 
     # -- condition iv: plateau values and isometry invariance --------------
-    plat_err = max(float(np.max(np.abs(data.weight_symbol(plat[fam]) - target)))
-                   for fam, target in (("u", C_G), ("s", -C_G), ("0", 0.0)))
+    targets = np.repeat([C_G, -C_G, 0.0], [len(plat[k]) for k in "us0"])
+    plat_err = float(np.max(np.abs(m_plat - targets)))
     plat_rel = plat_err / max(C_G, 1.0)
 
     rng = np.random.default_rng(seed)
@@ -1342,8 +1346,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "plateau_error_relative": float(plat_rel),
         "isometry_deviation_relative": float(iso_dev),
         "reduced_representation_exact": True,
-        "n_samples": n_iso + (len(plat["u"]) + len(plat["s"])
-                              + len(plat["0"])) * n_fiber,
+        "n_samples": n_iso + len(dirs) * n_fiber,
         "witnesses": [],
     }
 

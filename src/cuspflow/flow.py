@@ -651,14 +651,20 @@ class BumpObservable:
         # arccosh and the power only where cosh d < cosh(radius) (1 + 1e-9):
         # the bump is 0 beyond, and the 1e-9 keeps every point whose rounded
         # distance is under the radius.  The bound is on 1 + q, which
-        # arccosh reads, as 1 + q rounds q off at small radii.
-        cosh_d = 1.0 + _cosh_distance_minus_1(z, self.center)
-        flat = cosh_d.ravel()
-        out = np.full(flat.shape, self.baseline + self.amplitude * 0.0)
+        # arccosh reads, as 1 + q rounds q off at small radii.  1 + q is
+        # _cosh_distance_minus_1's arithmetic, in place.
+        z = np.asarray(z, dtype=complex)
+        flat = np.abs(z.ravel() - self.center)
+        np.square(flat, out=flat)
+        out = np.multiply(z.imag, 2.0).ravel()
+        out *= complex(self.center).imag
+        flat /= out
+        flat += 1.0
+        out.fill(self.baseline + self.amplitude * 0.0)
         near = np.flatnonzero(flat < math.cosh(self.radius) * (1.0 + 1e-9))
         q = 1.0 - (np.arccosh(flat[near]) / self.radius) ** 2
         out[near] = self.baseline + self.amplitude * np.where(q > 0.0, q, 0.0) ** self.order
-        return out.reshape(cosh_d.shape)[()]
+        return out.reshape(z.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ package takes:
 * :func:`cone_integrand` evaluates the weight's integrand at every
   direction, all four cone profiles at once (the package sums each profile
   in closed form outside its transition window);
+* :func:`tiled_plateau_conditions` computes the certificate's conditions
+  iii and iv from one ``reduced_G`` batch with every plateau direction
+  repeated per magnitude (the package evaluates each direction once);
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
@@ -47,7 +50,8 @@ from cuspflow.errors import (ConfigurationError, DomainError,
                              ValidationError)
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0s, _dist_0u, _dist_s, _dist_u,
-                             _frame_components, _sphere_flow, _swapped)
+                             _frame_components, _plateau_samples,
+                             _sphere_flow, _swapped)
 from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
                            flow_cusp_exact)
 from cuspflow.hadamard import (_CUT_ANGLE, _POLE_GUARD, RegularizedPairing,
@@ -347,7 +351,7 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# escape: the stepped transition-time search
+# escape: the stepped transition-time search and the tiled plateau batch
 # ---------------------------------------------------------------------------
 
 
@@ -396,6 +400,33 @@ def stepped_tau_max(grid, step, horizon=200.0):
                                    step, horizon)
             worst = max(worst, float(t.max()))
     return 2.0 * worst
+
+
+def tiled_plateau_conditions(data):
+    """The values of conditions iii and iv that ``verify`` reports, as it
+    computed them: G on the plateau directions from one ``reduced_G`` batch,
+    each direction repeated once per magnitude, and the plateau error from
+    ``weight_symbol`` family by family."""
+    plat = _plateau_samples(data.weight.plateau_radii)
+    fit_lo = max(100.0, 2.0 * data.R * data.delta, 2.0 * data.delta)
+    rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_lo * 1e4), 9))
+    dirs = np.concatenate([plat["u"], plat["s"], plat["0"]])
+    g = data.reduced_G(np.repeat(dirs, rhos.size, axis=0),
+                       np.tile(rhos, len(dirs))).reshape(len(dirs), rhos.size)
+    n_u, n_s = len(plat["u"]), len(plat["s"])
+    slopes = {fam: np.array([np.polyfit(np.log(rhos), row, 1)[0] for row in rows])
+              for fam, rows in (("u", g[:n_u]), ("s", g[n_u:n_u + n_s]))}
+    plat_err = max(float(np.max(np.abs(data.weight_symbol(plat[fam]) - target)))
+                   for fam, target in (("u", data.C_G), ("s", -data.C_G),
+                                       ("0", 0.0)))
+    return {
+        "margin": max(float(np.max(np.abs(slopes[fam] / (sign * data.C_G) - 1.0)))
+                      for fam, sign in (("u", 1.0), ("s", -1.0))),
+        "mean_slope_growing": float(np.mean(slopes["u"])),
+        "mean_slope_decaying": float(np.mean(slopes["s"])),
+        "flow_dual_max_abs": float(np.max(np.abs(g[n_u + n_s:]))),
+        "plateau_error_relative": plat_err / max(data.C_G, 1.0),
+    }
 
 
 # ---------------------------------------------------------------------------

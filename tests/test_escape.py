@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from _oracles import cone_integrand, lifted_flow, reduced_flow, stepped_tau_max
+from _oracles import (cone_integrand, lifted_flow, reduced_flow,
+                      stepped_tau_max, tiled_plateau_conditions)
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -22,7 +23,8 @@ from cuspflow.escape import (_as_unit_rows, _band_profile, _in_V_s, _in_V_u,
                              _log_norm_average, _plateau_samples,
                              _simpson_rule, _sphere_flow, _stretch,
                              _transition_windows, _transported_cone_samples,
-                             _weight_average, _weight_derivative)
+                             _weight_average, _weight_derivative,
+                             _windowed_average)
 from cuspflow.geometry import (PhasePoint, direction_angle,
                                splitting_frame_at)
 
@@ -510,6 +512,42 @@ def _adversarial_cases(weight):
     return cases
 
 
+def _profile_evaluations(x, times, pattern, eps, margin):
+    """Number of (direction, time) pairs at which ``_windowed_average``
+    evaluates each of the four cone profiles of x."""
+    counts = [0, 0, 0, 0]
+
+    def counted(p, dist):
+        def dist_counted(y):
+            counts[p] += len(y)
+            return dist(y)
+        return dist_counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(escape, "_PROFILE_DISTANCES", tuple(
+            counted(p, dist) for p, dist in enumerate(escape._PROFILE_DISTANCES)))
+        _windowed_average(x, times, pattern, eps, margin)
+    return counts
+
+
+def test_constant_profiles_are_evaluated_at_no_node(weight):
+    """A zero near component (growing on profiles 0-1, decaying on 2-3)
+    keeps that profile's distance constant along the flow.  Its window edges
+    are then inf - inf in log space; they must come back as the limit, not
+    NaN, and the profile must be evaluated at no Simpson node.  At the poles
+    that holds for all four profiles."""
+    nodes, pattern = _simpson_rule(weight.T, weight.step)
+    eps, margin = weight.grid.eps, escape._WINDOW_MARGIN * weight.step
+    for edges in _transition_windows(_POLES_AND_ZEROS, eps, margin):
+        assert not np.any(np.isnan(edges))
+    assert _profile_evaluations(_POLES_AND_ZEROS[:6], nodes, pattern, eps,
+                                margin) == [0, 0, 0, 0]
+    for row in _POLES_AND_ZEROS[6:]:
+        counts = _profile_evaluations(row[None], nodes, pattern, eps, margin)
+        near_zero = [row[1] == 0.0] * 2 + [row[2] == 0.0] * 2
+        assert [c for c, z in zip(counts, near_zero) if z] == [0] * sum(near_zero)
+
+
 def test_windowed_weight_matches_per_node_loops_on_adversarial_set(weight):
     h, eps = weight.step, weight.grid.eps
     for x, T in _adversarial_cases(weight):
@@ -553,16 +591,29 @@ def test_weight_average_saturates_at_T_400():
     assert np.array_equal(_weight_derivative(x, 400.0, 0.05, 0.15), [2.0, 2.0])
 
 
+_DIRECTION_ROWS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                     st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=8)
+
+
 @settings(settings.get_profile("reproducible"), max_examples=30,
           deadline=None)
-@given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-                               st.floats(-1.0, 1.0)),
-                     min_size=1, max_size=8))
+@given(rows=_DIRECTION_ROWS)
 def test_windowed_weight_matches_per_node_loops_hypothesis(weight, rows):
     rows = [r for r in rows if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 > 0.0]
     assume(rows)
     assert _windowed_matches_reference(_as_unit_rows(np.array(rows)),
                                        weight.T, weight.step, weight.grid.eps)
+
+
+@settings(settings.get_profile("reproducible"), max_examples=200,
+          deadline=None)
+@given(rows=_DIRECTION_ROWS)
+def test_transition_windows_are_never_nan_hypothesis(rows):
+    rows = [r for r in rows if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 > 0.0]
+    assume(rows)
+    for edges in _transition_windows(_as_unit_rows(np.array(rows)), 0.15, 0.1):
+        assert not np.any(np.isnan(edges))
 
 
 def test_weight_swap_oddness(weight, small_grid):
@@ -802,6 +853,32 @@ def test_certificate_json_roundtrip(tmp_path, certificate):
     out = tmp_path / "certificate.json"
     certificate.to_json(path=out)
     assert json.loads(out.read_text()) == parsed
+
+
+@pytest.fixture(scope="module")
+def default_data():
+    return assemble_G(ReducedPhaseGrid())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_plateau_conditions_are_bitwise_the_tiled_batch(default_data, seed):
+    """Conditions iii and iv evaluate the weight and the symbol once per
+    plateau direction and broadcast G over the magnitudes; at the default
+    grid what they report is bitwise what the tiled reduced_G batch gives."""
+    cond = verify(default_data.grid, default_data, seed=seed).conditions
+    want = tiled_plateau_conditions(default_data)
+    got = {key: cond["iv" if key == "plateau_error_relative" else "iii"][key]
+           for key in want}
+    assert {k: float(v).hex() for k, v in got.items()} == \
+        {k: float(v).hex() for k, v in want.items()}
+
+
+def test_empty_direction_batches_give_empty_arrays(data):
+    none = np.empty((0, 3))
+    for values in (data.weight(none), data.weight.derivative(none),
+                   data.symbol.hat(none), data.symbol.log_derivative(none),
+                   data.reduced_G(none, 1.0)):
+        assert values.shape == (0,)
 
 
 def test_certificate_deterministic(small_grid, data):
