@@ -545,7 +545,7 @@ def test_constant_profiles_are_evaluated_at_no_node(weight):
     for row in _POLES_AND_ZEROS[6:]:
         counts = _profile_evaluations(row[None], nodes, pattern, eps, margin)
         near_zero = [row[1] == 0.0] * 2 + [row[2] == 0.0] * 2
-        assert [c for c, z in zip(counts, near_zero) if z] == [0] * sum(near_zero)
+        assert all(c == 0 for c, zero in zip(counts, near_zero) if zero)
 
 
 def test_windowed_weight_matches_per_node_loops_on_adversarial_set(weight):
