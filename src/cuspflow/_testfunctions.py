@@ -79,9 +79,6 @@ class TestFunction:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "TestFunction") -> "TestFunction":
-        return self + other * (-1.0)
-
     # -- exact operator algebra ----------------------------------------------
 
     def mult_z0(self) -> "TestFunction":

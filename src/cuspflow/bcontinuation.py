@@ -39,6 +39,14 @@ here:
 ``continue_resolvent`` the visible-root continuation from one abscissa,
 ``rho_max``            the visibility radius at one s.
 
+``cuspflow resolvent`` calls ``resolvent_line`` and ``shift_identity``; the
+other four are library API.  ``continue_resolvent`` is the paper's continued
+resolvent, built from the residue sum whose shift identity the subcommand
+checks; ``solve_indicial`` is the per-mode solve at one lambda, with its own
+residual, so the solve can be tested alone; ``residue_apply`` gives one
+root's residue and the paired channel that the sums do not expose; and
+``rho_max`` is the visibility bound of the paper's continuation statement.
+
 Both halves of the contour transform, fhat and the synthesis back onto the
 uniform r-grid, take e^{r w} = e^{r0_b w} e^{(r - r0_b) w} from one table
 per (r-grid, w-nodes) over blocks of L rows starting at r0_b: (L + n_r/L) n_w
@@ -115,6 +123,8 @@ _STRIP_HALF_WIDTH = 0.1  # widest strip around the axis roots, w units
 # drops ~ (r gap)^2; two circles of radius 0.35 gap lose ~ 1e-17/gap instead.
 _CLUSTER_GAP = 2e-6
 _CLUSTER_TOL = 1e-6     # largest third_moment_rel * r^2/2 accepted for such a circle
+_TAIL_TOL = 1e-9        # contour_tail_rel up to which a line reports tail_ok
+_CIRCLE_NODES = 24      # trapezoid nodes on a residue circle
 
 
 def _taylor_shift(poly, x0: complex) -> np.ndarray:
@@ -193,16 +203,6 @@ class SphereFunction:
         if mu is None:
             mu = (0,) * d
         return cls(d=d, terms=(ModeTerm(m=m, mu=tuple(mu), poly=tuple(poly)),))
-
-    def value(self, phi: float, u) -> complex:
-        u = np.atleast_1d(np.asarray(u, float))
-        x = math.cos(phi)
-        sp = math.sin(phi)
-        total = 0.0 + 0.0j
-        for t in self.terms:
-            ang = float(np.prod(u ** np.asarray(t.mu)))
-            total += complex(_polyval(t.poly, x)) * sp ** t.m * ang
-        return total
 
 
 @dataclass(frozen=True)
@@ -444,16 +444,6 @@ class SphereSolution:
         t = self.terms[i]
         return _solve_mode_profiles(self.op, self.s, t.m, t.poly, [self.lam], x)[0]
 
-    def value(self, phi: float, u) -> complex:
-        u = np.atleast_1d(np.asarray(u, float))
-        x = math.cos(phi)
-        sp = math.sin(phi)
-        total = 0.0 + 0.0j
-        for i, t in enumerate(self.terms):
-            ang = float(np.prod(u ** np.asarray(t.mu)))
-            total += complex(self.profile_at(i, [x])[0]) * sp ** t.m * ang
-        return total
-
     def residual(self) -> float:
         """sup of |(I - hs)f - g| over interior probes, via 7-point FD.
 
@@ -539,21 +529,17 @@ class ContourSpec:
     rho      : abscissa (w units)
     height   : truncation half-height of the eta-integral
     panels   : number of Gauss-Legendre panels (order 16 each) on [-H, H]
-    tail_tol : reporting threshold for the truncation-tail estimate
     """
 
     rho: float
     height: float = 40.0
     panels: int = 48
-    tail_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.height > 0:
             raise ValidationError(f"need height > 0, got {self.height}")
         if self.panels < 4:
             raise ValidationError(f"need panels >= 4, got {self.panels}")
-        if not self.tail_tol > 0:
-            raise ValidationError(f"need tail_tol > 0, got {self.tail_tol}")
 
     def r_window(self) -> float:
         """|r| up to which the panel quadrature resolves e^{i eta r}."""
@@ -678,7 +664,7 @@ def resolvent_line(
     meta = {
         "abscissa": contour.rho,
         "contour_tail_rel": tail_rel,
-        "tail_ok": tail_rel <= contour.tail_tol,
+        "tail_ok": tail_rel <= _TAIL_TOL,
         "r_window": contour.r_window(),
         "root_gap": gap,
     }
@@ -697,19 +683,15 @@ class ResidueOperator:
     s       : spectral parameter the root table is evaluated at
     lambda0 : circle center (w units)
     eps     : circle radius
-    order   : trapezoid node count on the circle
     """
 
     s: complex
     lambda0: complex
     eps: float = 1e-2
-    order: int = 24
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValidationError(f"need eps > 0, got {self.eps}")
-        if self.order < 8:
-            raise ValidationError(f"need order >= 8, got {self.order}")
 
 
 class _ResonanceError(Exception):
@@ -793,7 +775,7 @@ def residue_apply(
                     per-term weight (1-x^2)^{m + d/2 - 1}, meromorphically
                     continued across the north pole; H0/H1 scalars per term.
 
-    The circle moments are trapezoid sums over res_op.order nodes, spectrally
+    The circle moments are trapezoid sums over _CIRCLE_NODES nodes, spectrally
     accurate in the node count; H1 is nonzero exactly when the enclosed point
     carries a second-order pole (the Jordan crossings), producing the
     r e^{w0 r} component.  Around a cluster of roots closer than
@@ -805,14 +787,14 @@ def residue_apply(
     if f.d != op.d:
         raise ValidationError(f"dimension mismatch: f.d={f.d}, op.d={op.d}")
     enclosed = _validate_enclosure(op, res_op)
-    s, w0, eps, order = res_op.s, complex(res_op.lambda0), res_op.eps, res_op.order
+    s, w0, eps = res_op.s, complex(res_op.lambda0), res_op.eps
     r = default_r_grid(r_span, n_r)
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
 
     offsets = (0.37, 0.11, 0.64, 0.89)
     last_err: Exception | None = None
     for off in offsets:
-        theta = 2.0 * math.pi * (np.arange(order) + off) / order
+        theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + off) / _CIRCLE_NODES
         wl = w0 + eps * np.exp(1j * theta)
         table = _exp_table(r, wl)
         try:
@@ -853,7 +835,7 @@ def residue_apply(
                 x_grid=None if psi is not None else xg,
                 meta={
                     "eps": eps,
-                    "order": order,
+                    "order": _CIRCLE_NODES,
                     "enclosed": enclosed,
                     "third_moment_rel": m2_rel,
                     "node_offset": off,

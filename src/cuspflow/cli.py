@@ -98,21 +98,11 @@ def _fmt_complex(v) -> str:
     return f"{_fmt_float(c.real)}{sign}{_fmt_float(abs(c.imag))}j"
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _PARSERS = {
     "int": lambda t: int(t.strip(), 10),
     "float": lambda t: float(t),
     "complex": lambda t: complex(t.replace(" ", "")),
     "str": lambda t: t.strip(),
-    "bool": _parse_bool,
     "ofloat": lambda t: None if t.strip() == "" else float(t),
     "floats": lambda t: tuple(float(tok) for tok in t.split(",") if tok.strip() != ""),
     "ints": lambda t: tuple(int(tok, 10) for tok in t.split(",") if tok.strip() != ""),
@@ -123,7 +113,6 @@ _FORMATTERS = {
     "float": _fmt_float,
     "complex": _fmt_complex,
     "str": str,
-    "bool": lambda v: "true" if v else "false",
     "ofloat": lambda v: "" if v is None else _fmt_float(v),
     "floats": lambda v: ",".join(_fmt_float(x) for x in v),
     "ints": lambda v: ",".join(str(int(x)) for x in v),
@@ -726,9 +715,7 @@ def _run_escape(config: ExperimentConfig):
         constants["R"] = p["r_small"]
     data = assemble_G(grid, constants=constants)
     cert = verify(grid, data, seed=config.seed)
-    text = cert.to_json()
-    if not text.endswith("\n"):
-        text += "\n"
+    text = cert.to_json() + "\n"
     tolerances = {"certificate_passed": cert.passed}
     for name, cond in sorted(cert.conditions.items()):
         tolerances[f"margin_{name}"] = float(cond["margin"])

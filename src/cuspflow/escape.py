@@ -49,13 +49,19 @@ with the flow-invariant ``|p|`` near the flow-dual directions, and
 emits a JSON-serializable certificate with margins, witnesses and all
 constants, so the quantifier structure (which constant depends on which) is
 auditable.
+
+Directions are validated and normalized once, where they enter: in the public
+methods and where this module builds its own samples.  The kernels
+(``_weight_average``, ``_weight_derivative``, ``_glued_hat``,
+``_symbol_log_derivative``) take unit rows as given, such as the step-shifted
+rows that ``_sphere_flow`` returns normalized.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -254,8 +260,9 @@ class ReducedPhaseGrid:
     midpoint values so no grid point lies exactly on an invariant set.  The
     angle fiber is exactly degenerate for every quantity built here (the
     constructions read only ``xihat``), which is what makes the isometry
-    invariance exact by representation; it is kept as part of the grid so
-    certificates sample the full reduced space.
+    invariance exact by representation; the grid keeps only its node count
+    ``n_alpha``, by which the certificates count each sampled direction.
+    ``xihat`` holds the (n_theta * n_phi, 3) unit directions.
 
     Parameters
     ----------
@@ -273,8 +280,7 @@ class ReducedPhaseGrid:
     n_phi: int = 32
     eps: float = 0.15
     delta: float = 1e-3
-    alpha: np.ndarray = field(default=None, repr=False, compare=False)
-    xihat: np.ndarray = field(default=None, repr=False, compare=False)
+    xihat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_alpha", "n_theta", "n_phi"):
@@ -285,9 +291,7 @@ class ReducedPhaseGrid:
             raise ValidationError(f"eps must lie in (0, pi/2), got {self.eps}")
         if not (0.0 < self.delta):
             raise ValidationError(f"delta must be positive, got {self.delta}")
-        alpha = -np.pi + _TWO_PI * (np.arange(self.n_alpha) + 0.5) / self.n_alpha
         xihat = _midpoint_sphere(self.n_theta, self.n_phi)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "xihat", xihat)
         both = self.in_cone_u(xihat) & self.in_cone_0s(xihat)
         if np.any(both):
@@ -324,13 +328,16 @@ class ReducedPhaseGrid:
         }
 
 
-def _require_construction_widths(grid: ReducedPhaseGrid):
+def _require_construction(grid: ReducedPhaseGrid, step):
     """The mollified bands (up to 2.25 eps) around the growing-dual poles and
-    the flow+decaying circle must not meet; they are pi/2 apart."""
+    the flow+decaying circle must not meet, being pi/2 apart, and the flow
+    step must be positive."""
     if 4.5 * grid.eps >= _HALF_PI:
         raise ConfigurationError(
             f"cone neighbourhoods overlap: eps = {grid.eps} needs 4.5*eps < pi/2 "
             "for the mollified indicators to have disjoint supports")
+    if step <= 0.0:
+        raise ValidationError(f"step must be positive, got {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +695,7 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
         If the mollified cone neighbourhoods would overlap at this ``eps``,
         or if ``T`` is below twice the measured transition time.
     """
-    _require_construction_widths(grid)
-    if step <= 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
+    _require_construction(grid, step)
     tau_max = estimate_tau_max(grid, step=step)
     if T is None:
         T = 2.0 * tau_max
@@ -735,6 +740,15 @@ def _glued_hat(x, T_prime, step, eps):
     return np.exp(w0 * log_ax0 + (1.0 - w0) * np.log(f_us))
 
 
+def _symbol_log_derivative(x, T_prime, step, eps):
+    """Central step difference of log(symbol) along the lifted flow at unit
+    rows x (see ``SymbolField.log_derivative``)."""
+    fwd, bwd = (np.log(_stretch(x, t))
+                + np.log(_glued_hat(_sphere_flow(x, t), T_prime, step, eps))
+                for t in (step, -step))
+    return (fwd - bwd) / (2.0 * step)
+
+
 @dataclass(frozen=True)
 class SymbolField:
     """Glued 1-homogeneous elliptic symbol on covectors.
@@ -751,7 +765,6 @@ class SymbolField:
     grid: ReducedPhaseGrid
     T_prime: float
     step: float
-    frame_constant: float
     c_f: float
 
     def hat(self, xihat):
@@ -769,11 +782,8 @@ class SymbolField:
     def log_derivative(self, xihat):
         """Finite difference of log(symbol) along the lifted flow (step-sized,
         radius-independent by homogeneity)."""
-        x = _as_unit_rows(xihat)
-        h = self.step
-        fwd = np.log(_stretch(x, h)) + np.log(self.hat(_sphere_flow(x, h)))
-        bwd = np.log(_stretch(x, -h)) + np.log(self.hat(_sphere_flow(x, -h)))
-        return (fwd - bwd) / (2.0 * h)
+        return _symbol_log_derivative(_as_unit_rows(xihat), self.T_prime,
+                                      self.step, self.grid.eps)
 
 
 def _deep_cone_samples(pole, radii):
@@ -807,9 +817,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     The symbol's homogeneity, cone log-derivatives and flow invariance enter
     the flow derivative of G that ``verify`` samples.
     """
-    _require_construction_widths(grid)
-    if step <= 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
+    _require_construction(grid, step)
     window_floor = 2.0 * math.log(FRAME_CONSTANT) / BETA
     if T_prime <= window_floor:
         raise ConfigurationError(
@@ -822,8 +830,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
         grid.xihat,
     ])
     c_f = float(_glued_hat(probe, T_prime, step, grid.eps).min())
-    return SymbolField(grid=grid, T_prime=T_prime, step=step,
-                       frame_constant=FRAME_CONSTANT, c_f=c_f)
+    return SymbolField(grid=grid, T_prime=T_prime, step=step, c_f=c_f)
 
 
 # ---------------------------------------------------------------------------
@@ -840,21 +847,21 @@ class EscapeData:
     evaluates the escape function on a phase point and a covector in cusp
     coordinates; it depends on the covector only through its dual-frame
     direction and magnitude, which is what makes it invariant under the
-    cusp's local isometries by representation.
+    cusp's local isometries by representation.  Its windows, ``c_f`` and the
+    cutoff scale are those of ``weight``, ``symbol`` and ``grid``.
     """
 
     grid: ReducedPhaseGrid
-    delta: float
     weight: WeightField
     symbol: SymbolField
-    C_G: float = 0.0
-    C_G_prime: float = 0.0
-    T: float = 0.0
-    T_prime: float = 0.0
-    R: float = 0.0
-    beta: float = BETA
-    c_f: float = 0.0
-    constants: dict = field(default_factory=dict, repr=False, compare=False)
+    C_G_prime: float
+    R: float
+    constants: dict = field(repr=False, compare=False)
+
+    @property
+    def C_G(self):
+        """Plateau value of the scaled weight, 2 C_G' T."""
+        return 2.0 * self.C_G_prime * self.weight.T
 
     def weight_symbol(self, xihat):
         """Scaled 0-homogeneous weight at unit directions (values in
@@ -871,8 +878,15 @@ class EscapeData:
         rho = np.broadcast_to(np.asarray(rho, dtype=float), x.shape[:-1])
         if np.any(rho <= 0.0):
             raise ValidationError("covector magnitude must be positive")
-        return _escape_values(rho, self.weight_symbol(x), self.symbol.hat(x),
-                              self.c_f, self.delta)
+        return _escape_values(rho, *self._factors(x), self.symbol.c_f,
+                              self.grid.delta)
+
+    def _factors(self, x):
+        """Scaled weight and symbol factor at unit rows x, which are passed
+        to the kernels as they are."""
+        w, f = self.weight, self.symbol
+        return (self.C_G_prime * _weight_average(x, w.T, w.step, w.grid.eps),
+                _glued_hat(x, f.T_prime, f.step, f.grid.eps))
 
     def G(self, point, covector):
         """Escape function at a phase point and covector in cusp coordinates.
@@ -936,7 +950,7 @@ def _escape_probe_directions(grid: ReducedPhaseGrid):
     return _as_unit_rows(np.vstack(pieces))
 
 
-def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
+def assemble_G(grid: ReducedPhaseGrid, constants=None):
     """Assemble the escape function from the weight and the glued symbol.
 
     ``G = C_G' [1 - chi(|xi|/delta)] m(direction) log(2 f / (c_f delta))``
@@ -960,8 +974,7 @@ def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
     Parameters
     ----------
     grid : ReducedPhaseGrid
-    delta : float, optional
-        Cutoff scale; defaults to ``grid.delta``.
+        Construction grid; its ``delta`` is the cutoff scale.
     constants : mapping, optional
         Expert overrides: ``T`` (weight window), ``T_prime`` (symbol window),
         ``C_G_prime`` (prefactor; must be at least its floor), ``R``
@@ -981,28 +994,23 @@ def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
         raise ValidationError(
             f"unknown constant overrides: {sorted(unknown)}; "
             f"allowed: {sorted(_ALLOWED_CONSTANT_KEYS)}")
-    delta = grid.delta if delta is None else float(delta)
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta}")
     step = float(constants.get("step", FLOW_STEP))
 
     weight = build_weight(grid, T=constants.get("T"), step=step)
     symbol = build_f(grid, T_prime=constants.get("T_prime", DEFAULT_T_PRIME),
                      step=step)
     T = weight.T
-    beta = BETA
-    floor = max(2.0 / (beta * T), 1.0)
+    floor = max(2.0 / (BETA * T), 1.0)
     C_G_prime = float(constants.get("C_G_prime", floor))
     if C_G_prime < floor - 1e-12:
         raise ConfigurationError(
             f"C_G_prime = {C_G_prime} is below its floor {floor} "
             "= max(2/(beta*T), 1)")
-    C_G = 2.0 * C_G_prime * T
 
     probe = _escape_probe_directions(grid)
-    m_probe = weight(probe)
-    xm_probe = weight.derivative(probe)
-    xlogf_probe = symbol.log_derivative(probe)
+    m_probe = _weight_average(probe, T, step, grid.eps)
+    xm_probe = _weight_derivative(probe, T, step, grid.eps)
+    xlogf_probe = _symbol_log_derivative(probe, symbol.T_prime, step, grid.eps)
     off_invariant = _dist_0(probe) >= grid.eps
     strict = off_invariant & ~(_in_V_u(probe, T, grid.eps)
                                | _in_V_s(probe, T, grid.eps))
@@ -1022,20 +1030,20 @@ def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
         raise ValidationError(f"R must be positive, got {R}")
 
     record = {
-        "C_G": C_G,
+        "C_G": 2.0 * C_G_prime * T,
         "C_G_prime": C_G_prime,
         "C_G_prime_floor": floor,
         "T": T,
         "T_prime": symbol.T_prime,
         "R": R,
         "R_derived": R_derived,
-        "beta": beta,
+        "beta": BETA,
         "c_f": symbol.c_f,
-        "delta": delta,
-        "eps": grid.eps,
+        "delta": float(grid.delta),
+        "eps": float(grid.eps),
         "step": step,
         "tau_max": weight.tau_max,
-        "frame_constant": symbol.frame_constant,
+        "frame_constant": FRAME_CONSTANT,
         "product_bound": product_bound,
         "weight_derivative_floor": xm_floor,
         "slack": slack,
@@ -1043,26 +1051,8 @@ def assemble_G(grid: ReducedPhaseGrid, delta=None, constants=None):
         "plateau_radii": {k: float(v)
                           for k, v in weight.plateau_radii.items()},
     }
-    return EscapeData(grid=grid, delta=delta, weight=weight, symbol=symbol,
-                      C_G=C_G, C_G_prime=C_G_prime, T=T, T_prime=symbol.T_prime,
-                      R=R, beta=beta, c_f=symbol.c_f, constants=record)
-
-
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays to plain JSON-ready data."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+    return EscapeData(grid=grid, weight=weight, symbol=symbol,
+                      C_G_prime=C_G_prime, R=R, constants=record)
 
 
 @dataclass(frozen=True)
@@ -1083,21 +1073,16 @@ class EscapeCertificate:
     conditions: dict
     constants: dict
     grid: dict
-    notes: tuple
+    notes: list
 
     def as_dict(self):
-        """Plain-data form of the certificate."""
-        return _jsonify({
-            "passed": self.passed,
-            "conditions": self.conditions,
-            "constants": self.constants,
-            "grid": self.grid,
-            "notes": list(self.notes),
-        })
+        """Plain-data form of the certificate: its fields hold only str,
+        int, float, bool, list and dict values."""
+        return asdict(self)
 
-    def to_json(self, path=None, indent=2):
+    def to_json(self, path=None):
         """Serialize to JSON; optionally also write to ``path``."""
-        text = json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        text = json.dumps(self.as_dict(), indent=2, sort_keys=True)
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -1185,34 +1170,28 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
             "sampling grid must share the cone width eps with the data "
             f"(got {grid.eps} vs {data.grid.eps})")
     eps = grid.eps
-    delta = data.delta
+    delta = data.grid.delta
     h = data.weight.step
-    T = data.T
+    T = data.weight.T
     C_G = data.C_G
-    cf = data.c_f
+    cf = data.symbol.c_f
     R = data.R
 
     def bundle(dirs):
-        """Weight, symbol and stretch data at the step shifts of dirs."""
-        fwd = _sphere_flow(dirs, h)
-        bwd = _sphere_flow(dirs, -h)
-        return {
-            "mf": data.weight_symbol(fwd),
-            "mb": data.weight_symbol(bwd),
-            "ff": data.symbol.hat(fwd),
-            "fb": data.symbol.hat(bwd),
-            "nf": _stretch(dirs, h),
-            "nb": _stretch(dirs, -h),
-        }
+        """Scaled weight, symbol factor and stretch at the step shifts of
+        dirs: (weight, factor, stretch) forward, then backward."""
+        return [(*data._factors(_sphere_flow(dirs, t)), _stretch(dirs, t))
+                for t in (h, -h)]
 
     def flow_fd(b, rho):
-        gf = _escape_values(rho * b["nf"], b["mf"], b["ff"], cf, delta)
-        gb = _escape_values(rho * b["nb"], b["mb"], b["fb"], cf, delta)
+        (mf, ff, nf), (mb, fb, nb) = b
+        gf = _escape_values(rho * nf, mf, ff, cf, delta)
+        gb = _escape_values(rho * nb, mb, fb, cf, delta)
         return (gf - gb) / (2.0 * h)
 
     x = grid.xihat
     bx = bundle(x)
-    n_fiber = grid.n_alpha
+    n_fiber = int(grid.n_alpha)
 
     # -- condition ii: nonnegative flow derivative above the cutoff scale --
     levels_ii = sorted({1.06, 1.3, 2.0, 4.0, 10.0}
@@ -1274,12 +1253,12 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     fit_lo = max(100.0, 2.0 * R * delta, 2.0 * delta)
     fit_hi = fit_lo * 1e4
     rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_hi), 9))
-    dirs = _as_unit_rows(np.concatenate([plat["u"], plat["s"], plat["0"]]))
+    dirs = np.concatenate([plat["u"], plat["s"], plat["0"]])
     # m and f-hat do not depend on rho: each direction is evaluated once, and
     # its row of G over the magnitudes follows (rows u, s, 0 in order)
-    m_plat = data.weight_symbol(dirs)
-    g_rows = iter(_escape_values(rhos, m_plat[:, None],
-                                 data.symbol.hat(dirs)[:, None], cf, delta))
+    m_plat, f_plat = data._factors(dirs)
+    g_rows = iter(_escape_values(rhos, m_plat[:, None], f_plat[:, None], cf,
+                                 delta))
     slope_dev = 0.0
     slopes = {}
     for fam, sign in (("u", 1.0), ("s", -1.0)):
@@ -1352,7 +1331,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
 
     conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv}
     passed = all(c["passed"] for c in conditions.values())
-    notes = (
+    notes = [
         "All reduced quantities depend on the covector only through its "
         "dual-frame direction and magnitude; the direction-angle fiber is "
         "exactly degenerate, so sampled values replicate exactly across the "
@@ -1363,7 +1342,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "R is derived from the measured product bound and weight-derivative "
         "floor recorded in constants; the certificate is a sampled statement "
         "at the recorded directions and magnitudes.",
-    )
+    ]
     return EscapeCertificate(passed=passed, conditions=conditions,
                              constants=dict(data.constants),
                              grid=grid.as_dict(), notes=notes)

@@ -408,7 +408,7 @@ def tiled_plateau_conditions(data):
     each direction repeated once per magnitude, and the plateau error from
     ``weight_symbol`` family by family."""
     plat = _plateau_samples(data.weight.plateau_radii)
-    fit_lo = max(100.0, 2.0 * data.R * data.delta, 2.0 * data.delta)
+    fit_lo = max(100.0, 2.0 * data.R * data.grid.delta, 2.0 * data.grid.delta)
     rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_lo * 1e4), 9))
     dirs = np.concatenate([plat["u"], plat["s"], plat["0"]])
     g = data.reduced_G(np.repeat(dirs, rhos.size, axis=0),

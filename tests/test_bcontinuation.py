@@ -163,7 +163,6 @@ def test_solve_linearity(p1, p2):
         {"rho": 0.0, "height": 0.0},
         {"rho": 0.0, "height": -3.0},
         {"rho": 0.0, "panels": 3},
-        {"rho": 0.0, "tail_tol": 0.0},
     ],
 )
 def test_contour_spec_invalid(kwargs):

@@ -15,7 +15,8 @@ from _oracles import (cone_integrand, lifted_flow, reduced_flow,
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
-from cuspflow.escape import (BETA, FLOW_STEP, EscapeCertificate, EscapeData,
+from cuspflow.escape import (BETA, FLOW_STEP, FRAME_CONSTANT,
+                             EscapeCertificate, EscapeData,
                              ReducedPhaseGrid, SymbolField, WeightField,
                              assemble_G, build_f, build_weight,
                              estimate_tau_max, verify)
@@ -213,7 +214,7 @@ def test_lifted_flow_rejects_bad_covector():
 
 def test_grid_counts_and_membership_disjointness(small_grid):
     g = small_grid
-    assert g.alpha.size * g.xihat.shape[0] == 8 * 16 * 16
+    assert g.n_alpha * g.xihat.shape[0] == 8 * 16 * 16
     assert g.xihat.shape == (16 * 16, 3)
     assert np.allclose(np.linalg.norm(g.xihat, axis=1), 1.0, atol=1e-14)
     # midpoint parametrization keeps samples off every invariant set
@@ -699,7 +700,7 @@ def test_symbol_window_floor_raises(small_grid):
 def test_symbol_infimum_and_frame_constant(symbol):
     assert 0.5 < symbol.c_f <= 1.0 + 1e-12
     assert symbol.c_f == pytest.approx(0.9727, abs=5e-4)
-    assert symbol.frame_constant == pytest.approx(1.0, abs=1e-12)
+    assert FRAME_CONSTANT == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symbol_dominates_components(symbol):
@@ -717,17 +718,16 @@ def test_symbol_dominates_components(symbol):
 
 def test_assemble_constants(data):
     assert data.C_G_prime == pytest.approx(1.0)
-    assert data.C_G == pytest.approx(2.0 * data.T)
-    assert data.beta == BETA
-    assert data.T >= 2.0 * data.weight.tau_max - 1e-9
-    assert data.T_prime == pytest.approx(2.0)
+    assert data.C_G == pytest.approx(2.0 * data.weight.T)
+    assert data.constants["beta"] == BETA
+    assert data.weight.T >= 2.0 * data.weight.tau_max - 1e-9
+    assert data.symbol.T_prime == pytest.approx(2.0)
     # derived small-scale radius: product bound is roundoff-small by the
     # swap alignment, the derivative floor saturates at 2
     assert data.constants["product_bound"] < 1e-9
     assert data.constants["weight_derivative_floor"] == pytest.approx(
         2.0, abs=1e-6)
     assert data.R == pytest.approx(0.5 * math.exp(0.75), rel=1e-3)
-    assert data.delta == data.grid.delta
     m = data.weight_symbol(data.grid.xihat)
     assert m.shape == (data.grid.n_theta * data.grid.n_phi,)
     assert np.max(np.abs(m)) <= data.C_G * (1.0 + 1e-12)
@@ -738,8 +738,6 @@ def test_assemble_validations(small_grid):
         assemble_G(small_grid, constants={"bogus": 1.0})
     with pytest.raises(ConfigurationError):
         assemble_G(small_grid, constants={"C_G_prime": 0.5})
-    with pytest.raises(ValidationError):
-        assemble_G(small_grid, delta=0.0)
 
 
 def test_escape_function_coordinate_interface(data):
@@ -751,7 +749,7 @@ def test_escape_function_coordinate_interface(data):
     g_s = data.G(p, xi_s)
     g_0 = data.G(p, xi_0)
     # growing plateau: +C_G log(2 rho fhat / (c_f delta)) with fhat = 1
-    expected = data.C_G * math.log(2e4 / (data.c_f * data.delta))
+    expected = data.C_G * math.log(2e4 / (data.symbol.c_f * data.grid.delta))
     assert g_u == pytest.approx(expected, rel=1e-12)
     assert g_s == pytest.approx(-expected, rel=1e-12)
     assert g_0 == pytest.approx(0.0, abs=1e-9)
@@ -760,7 +758,7 @@ def test_escape_function_coordinate_interface(data):
 def test_escape_function_vanishes_below_half_cutoff(data):
     p = PhasePoint(0.0, np.array([0.0]), 1.0, np.array([1.0]))
     xi = _dual_frame_covector(p, [0.2, 0.7, 0.4])
-    xi *= 0.4 * data.delta / np.linalg.norm(_frame_components(p, xi))
+    xi *= 0.4 * data.grid.delta / np.linalg.norm(_frame_components(p, xi))
     assert data.G(p, xi) == 0.0
 
 
@@ -794,13 +792,13 @@ def test_escape_monotone_along_lifted_trajectories(data):
     above the cutoff scale."""
     rng = np.random.default_rng(9)
     x = _as_unit_rows(rng.normal(size=(25, 3)))
-    rho0 = 5.0 * data.delta
+    rho0 = 5.0 * data.grid.delta
     ts = np.arange(-2.4, 2.4 + 1e-9, 0.3)
     rows = []
     for t in ts:
         xt = _sphere_flow(x, t)
         rt = rho0 * _stretch(x, t)
-        assert np.all(rt > data.delta)
+        assert np.all(rt > data.grid.delta)
         rows.append(data.reduced_G(xt, rt))
     rows = np.column_stack(rows)
     assert np.min(np.diff(rows, axis=1)) >= -1e-9
@@ -873,6 +871,21 @@ def test_plateau_conditions_are_bitwise_the_tiled_batch(default_data, seed):
         {k: float(v).hex() for k, v in want.items()}
 
 
+def test_reduced_G_normalizes_its_batch_once(data, monkeypatch):
+    """The batch is normalized where it enters; the weight and the symbol
+    factor get those unit rows as they are."""
+    calls = []
+
+    def counting(xihat):
+        calls.append(np.shape(xihat))
+        return _as_unit_rows(xihat)
+
+    monkeypatch.setattr(escape, "_as_unit_rows", counting)
+    x = np.random.default_rng(31).normal(size=(40, 3))
+    data.reduced_G(x, 10.0)
+    assert calls == [(40, 3)]
+
+
 def test_empty_direction_batches_give_empty_arrays(data):
     none = np.empty((0, 3))
     for values in (data.weight(none), data.weight.derivative(none),
@@ -917,7 +930,8 @@ def test_window_past_the_float_range_raises_naming_T(small_grid, key):
 def test_verify_fails_conditions_i_and_ii_on_nan_samples(small_grid, data):
     """A NaN flow derivative fails its condition: min(inf, nan) is inf, so
     a NaN that entered the margin as a number would pass with margin inf."""
-    cert = verify(small_grid, dataclasses.replace(data, c_f=math.nan))
+    cert = verify(small_grid, dataclasses.replace(
+        data, symbol=dataclasses.replace(data.symbol, c_f=math.nan)))
     assert not cert.passed
     for key in ("i", "ii"):
         cond = cert.conditions[key]
