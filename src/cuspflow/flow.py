@@ -733,6 +733,9 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     times 0, dt, ..., T_max.  The estimator is ``2 pi * mean_i A(x_i(t))
     B(x_i(0))`` over n Liouville samples, with the per-time standard error of
     the mean; for constant observables it is exact with zero variance.
+    Samples with B(x_i(0)) = 0 are not flowed, as their products are 0: A
+    is read only on B's support, and a reduction error (``DomainError``,
+    ``NonterminationError``) can come only from a flowed sample.
 
     Observables are callables ``f(z, alpha)`` (alpha is passed in (-pi, pi]
     for flowed points, so they must be 2 pi-periodic in alpha); vectorized
@@ -753,9 +756,11 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
         surf = QuotientSurface()
 
     z, alpha = liouville_samples(n, seed)
-    # a copy: B may return z or alpha, or a view of them, and the loop
-    # rewrites both in place
-    b_vals = np.array(_eval_observable(B, z, alpha), dtype=float)
+    b_vals = _eval_observable(B, z, alpha)
+    # off B's support A * B is the 0 that B forces: flow only the support (a
+    # NaN of B is flowed); indexing copies, so B may return a view of z or alpha
+    live = np.flatnonzero(b_vals != 0.0)
+    z, alpha, b_vals = z[live], alpha[live], b_vals[live]
 
     steps = int(math.floor(T_max / dt + 1e-9))
     times = [k * dt for k in range(steps + 1)]
@@ -767,10 +772,11 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     # t = 0 would put it at distance t, through up to O(t) domain copies.
     # Each step moves (x, y, u) in place, tests containment once and reduces
     # only the points that left the domain; z and alpha are rewritten in
-    # place for the observable.
+    # place for the observable, whose products fill the support of prod.
     x, y = z.real.copy(), z.imag.copy()
     ux, uy = np.cos(alpha), np.sin(alpha)
     work = [np.empty(x.size) for _ in range(4)]
+    prod = np.zeros(n)
     values = []
     stderrs = []
     root_n = math.sqrt(n)
@@ -782,7 +788,7 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
             np.copyto(z.real, x)
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)
-        prod = _eval_observable(A, z, alpha) * b_vals
+        prod[live] = _eval_observable(A, z, alpha) * b_vals
         values.append(SURFACE_AREA * float(np.mean(prod)))
         if n > 1:
             stderrs.append(SURFACE_AREA * float(np.std(prod, ddof=1)) / root_n)

@@ -29,6 +29,9 @@ package takes:
   fresh arrays, and :func:`reference_reduce` the reduction as it was
   written on complex (z, v) arrays, one translation, cusp move and bubble
   inversion per round;
+* :func:`reference_correlate` is the correlation loop as it was written
+  before it flowed only B's support: every sample is flowed and every
+  product formed;
 * :func:`geodesic_velocity` is the right-hand side of the cusp geodesic
   system, and :func:`record_from_json` reads
   :meth:`~cuspflow.flow.CorrelationRecord.to_json` back.
@@ -52,8 +55,9 @@ from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0s, _dist_0u, _dist_s, _dist_u,
                              _frame_components, _plateau_samples,
                              _sphere_flow, _swapped)
-from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, CorrelationRecord,
-                           flow_cusp_exact)
+from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, SURFACE_AREA,
+                           CorrelationRecord, _eval_observable, _geodesic_step,
+                           _inside, _reduce, flow_cusp_exact, liouville_samples)
 from cuspflow.hadamard import (_CUT_ANGLE, _POLE_GUARD, RegularizedPairing,
                                _angular_moment, pole_location, quad)
 from cuspflow.geometry import direction_angle, splitting_frame_at
@@ -621,6 +625,29 @@ def reference_reduce(z, v, cap=REDUCTION_CAP):
     if pending.size:
         raise NonterminationError(f"reference reduction left {pending.size} point(s)")
     return z.reshape(shape), v.reshape(shape)
+
+
+def reference_correlate(A, B, T_max, dt, n, seed, cap=REDUCTION_CAP):
+    """(values, stderrs) of ``correlate`` with every one of the n Liouville
+    samples flowed, reduced and read by A at every time."""
+    z, alpha = liouville_samples(n, seed)
+    b_vals = np.array(_eval_observable(B, z, alpha), dtype=float)
+    x, y = z.real.copy(), z.imag.copy()
+    ux, uy = np.cos(alpha), np.sin(alpha)
+    work = [np.empty(n) for _ in range(4)]
+    values, stderrs = [], []
+    for k in range(int(math.floor(T_max / dt + 1e-9)) + 1):
+        if k > 0:
+            _geodesic_step(x, y, ux, uy, dt, work)
+            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])), cap)
+            np.copyto(z.real, x)
+            np.copyto(z.imag, y)
+            np.arctan2(uy, ux, out=alpha)
+        prod = _eval_observable(A, z, alpha) * b_vals
+        values.append(SURFACE_AREA * float(np.mean(prod)))
+        stderrs.append(SURFACE_AREA * float(np.std(prod, ddof=1)) / math.sqrt(n)
+                       if n > 1 else 0.0)
+    return tuple(values), tuple(stderrs)
 
 
 def geodesic_velocity(p):

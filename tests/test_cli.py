@@ -138,6 +138,18 @@ def test_correlate_sampler_outputs_are_pinned(tmp_path, seed):
     assert {key: repr(probe[key]) for key in fields} == fields
 
 
+def test_correlate_of_constant_observables_is_exact(tmp_path):
+    # B = 2 is nonzero on every sample, so every sample is flowed
+    out = tmp_path / "out"
+    argv = ["correlate", "--n=200", "--a-kind=const", "--b-kind=const",
+            "--a-value=0.5", "--b-value=2", f"--output-dir={out}"]
+    assert cli.main(argv) == 0
+    (csv_path,) = out.glob("*-correlation.csv")
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 201
+    assert {(float(rho), float(err)) for _, rho, err in rows} == {(2.0 * math.pi, 0.0)}
+
+
 # ``eigendist --d 1`` (re_pairing per row) and ``residue --d 1`` (re_closed,
 # re_contour per row) at their defaults, as written before the radial series
 # became closed forms; every imaginary part is 0 or roundoff.
@@ -236,6 +248,20 @@ def test_resolvent_shift_identity_holds_for_every_h(tmp_path, h):
     (level,) = report["crossed_levels"]
     assert level["re"] == pytest.approx(-1.8, abs=1e-14)
     assert level["im"] == 0.0
+
+
+def test_resolvent_without_rho_prime_writes_the_same_line(tmp_path):
+    # the default run evaluates the rho line inside shift_identity; an empty
+    # --rho-prime evaluates it alone and skips the identity
+    lines = {}
+    for name, extra in (("default", []), ("alone", ["--rho-prime="])):
+        out = tmp_path / name
+        assert cli.main(["resolvent", *extra, f"--output-dir={out}"]) == 0
+        (csv_path,) = out.glob("*-resolvent.csv")
+        lines[name] = csv_path.read_bytes()
+        reports = list(out.glob("*-shift_identity.json"))
+        assert len(reports) == (name == "default")
+    assert lines["alone"] == lines["default"]
 
 
 def test_resolvent_counts_a_coincident_root_pair_once(tmp_path):

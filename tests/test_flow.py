@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 import cuspflow.flow as fl
 from _oracles import (_frame_matrix, geodesic_velocity, record_from_json,
-                      reference_reduce, reference_step)
+                      reference_correlate, reference_reduce, reference_step)
 from cuspflow import (
     BumpObservable,
     CorrelationRecord,
@@ -742,6 +742,66 @@ def test_correlate_completes_on_a_deep_cusp_excursion():
     rec = correlate(BumpObservable(), BumpObservable(center=0.2 + 1.2j),
                     n=20_000, seed=1)
     assert len(rec.values) == 201 and np.all(np.isfinite(rec.values))
+
+
+# bumps centred inside the ranges the perfbench mixing workload draws from
+BENCH_LIKE = (BumpObservable(center=0.1 + 1.0j), BumpObservable(center=-0.1 + 1.2j))
+
+
+def _recording_step(monkeypatch):
+    """Wrap ``flow._geodesic_step``; the list gets the stepped arrays'
+    size and largest Im z after each step."""
+    seen = []
+    step = fl._geodesic_step
+
+    def recorded(x, y, ux, uy, t, work):
+        step(x, y, ux, uy, t, work)
+        seen.append((x.size, float(y.max(initial=0.0))))
+
+    monkeypatch.setattr(fl, "_geodesic_step", recorded)
+    return seen
+
+
+def test_correlate_flows_every_sample_deep_into_a_cusp(monkeypatch):
+    # a constant B flows every sample, so the seed-1 samples that reach far
+    # up a cusp still go through the step and the reduction; the bump B of
+    # test_correlate_completes_on_a_deep_cusp_excursion is 0 at all but one
+    # of them, and correlate flows only B's support
+    seen = _recording_step(monkeypatch)
+    rec = correlate(BumpObservable(), lambda z, a: 1.0, n=20_000, seed=1)
+    assert len(rec.values) == 201 and np.all(np.isfinite(rec.values))
+    assert {size for size, _ in seen} == {20_000}
+    assert max(top for _, top in seen) > 1e5
+
+
+def test_correlate_flows_only_the_support_of_b(monkeypatch):
+    A, B = BENCH_LIKE
+    seen = _recording_step(monkeypatch)
+    correlate(A, B, T_max=1.0, dt=0.1, n=2000, seed=0, surf=SURF)
+    z, alpha = fl.liouville_samples(2000, 0)
+    support = np.count_nonzero(B(z, alpha))
+    assert 0 < support < 2000
+    assert [size for size, _ in seen] == [support] * 10
+
+
+@pytest.mark.parametrize("A, B, n, seed", [
+    (*BENCH_LIKE, 20_000, 0),
+    (*BENCH_LIKE, 20_000, 1),
+    (BENCH_LIKE[0], BumpObservable(center=-0.1 + 1.2j, baseline=0.25), 2000, 2),
+    (BENCH_LIKE[0], lambda z, a: np.zeros(np.shape(z)), 2000, 3),
+    (lambda z, a: math.cos(a), BENCH_LIKE[1], 500, 4),
+], ids=["bumps-seed0", "bumps-seed1", "baseline", "zero-b", "scalar-a"])
+def test_correlate_is_bitwise_the_every_sample_loop(A, B, n, seed):
+    """Flowing only B's support leaves every value and standard error
+    bitwise as flowing all samples gives them."""
+    rec = correlate(A, B, n=n, seed=seed, surf=SURF)
+    assert (rec.values, rec.stderrs) == reference_correlate(A, B, 20.0, 0.1, n, seed)
+
+
+def test_correlate_of_a_zero_b_is_zero():
+    rec = correlate(BumpObservable(), lambda z, a: np.zeros(np.shape(z)),
+                    T_max=1.0, dt=0.5, n=100, seed=0, surf=SURF)
+    assert rec.values == (0.0,) * 3 and rec.stderrs == (0.0,) * 3
 
 
 def test_correlate_validates_arguments():
