@@ -10,12 +10,10 @@ coordinates (z0, rho*u) times a radial Gaussian factor, hence smooth on S^d).
 
 The family is closed under multiplication by cos(phi) and under the vector
 field sin(phi) d/dphi, so the model operator and its transpose act *exactly*
-within the family.  It is also closed under plain d/dphi (at the cost of
-odd rho-powers), which yields exact higher phi-derivatives for C^k norms.
-All jets at the pole N (flat or volume-weighted) are read off closed-form
-radial series in t = rho^2: with z0 = (1 - t)^{1/2}, a term's p(z0) J e^{-ct}
-is a sum of binomial series (1 - t)^{k/2 - 1/2} times the exponential series,
-so no numerical differentiation happens anywhere.
+within the family.  All jets at the pole N (flat or volume-weighted) are read
+off closed-form radial series in t = rho^2: with z0 = (1 - t)^{1/2}, a term's
+p(z0) J e^{-ct} is a sum of binomial series (1 - t)^{k/2 - 1/2} times the
+exponential series, so no numerical differentiation happens anywhere.
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ class TestFunction:
         mu = tuple(mu)
         return TestFunction([(sum(mu), mu, c, np.asarray(p, dtype=complex))], d)
 
-    @staticmethod
-    def constant(d: int, value=1.0):
-        return TestFunction([(0, (0,) * d, 0.0, np.array([value], dtype=complex))], d)
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
@@ -99,18 +93,6 @@ class TestFunction:
                     newp, npoly.polymul([0.0, -2.0 * c, 0.0, 2.0 * c], p)
                 )
             out.append((q, mu, c, newp))
-        return TestFunction(out, self.d)
-
-    def d_phi(self) -> "TestFunction":
-        """Apply d/dphi exactly (leaves the smooth subfamily)."""
-        out = []
-        for q, mu, c, p in self.terms:
-            if q >= 1:
-                out.append((q - 1, mu, c, npoly.polymul([0.0, float(q)], p)))
-            newp = npoly.polyder(p) * (-1.0)
-            if c != 0.0:
-                newp = npoly.polyadd(newp, npoly.polymul([0.0, -2.0 * c], p))
-            out.append((q + 1, mu, c, newp))
         return TestFunction(out, self.d)
 
     def apply_model_transpose(self, h, lam, A=0.0) -> "TestFunction":

@@ -68,7 +68,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
+from ._jets import RadialSeries
 from ._sphere import panel_nodes
 from .errors import (
     ContourOnRootError,
@@ -137,15 +139,6 @@ def _taylor_shift(poly, x0: complex) -> np.ndarray:
             continue
         for j in range(k + 1):
             out[j] += ck * math.comb(k, j) * x0 ** (k - j)
-    return out
-
-
-def _polyval(poly, x):
-    poly = np.asarray(poly, complex).ravel()
-    x = np.asarray(x)
-    out = np.zeros(np.broadcast(x, 0.0).shape, complex)
-    for ck in poly[::-1]:
-        out = out * x + ck
     return out
 
 
@@ -329,7 +322,7 @@ def _clamp_check(expo_real: np.ndarray):
         )
 
 
-def _series_coeffs(op: ModelOperator, c, e, a_m, b, n_terms: int) -> np.ndarray:
+def _series_coeffs(op: ModelOperator, c, a_m, b, n_terms: int) -> np.ndarray:
     """Taylor coefficients in y = 1 + x of the south-regular solution."""
     h = op.h
     n_lam = c.size
@@ -386,9 +379,9 @@ def _solve_mode_profiles(
         )
     srt = np.argsort(x_eval)
     xs = x_eval[srt]
-    c, e, a_p, a_m = mode_exponents(op, s, m, lams)
+    c, _, a_p, a_m = mode_exponents(op, s, m, lams)
     b = _taylor_shift(poly, -1.0)
-    coeff = _series_coeffs(op, c, e, a_m, b, _N_SERIES)
+    coeff = _series_coeffs(op, c, a_m, b, _N_SERIES)
     out = np.empty((lams.size, xs.size), complex)
 
     left = xs <= _SERIES_EDGE
@@ -403,7 +396,7 @@ def _solve_mode_profiles(
         l1_0, l2_0 = math.log(1.0 - x0), math.log(1.0 + x0)
         dl1 = np.log1p(-xi) - l1_0
         dl2 = np.log1p(xi) - l2_0
-        src = -_polyval(poly, xi) / (op.h * (1.0 - xi**2))
+        src = -polyval(xi, poly) / (op.h * (1.0 - xi**2))
         expo = -(a_p[:, None] * dl1[None, :] + a_m[:, None] * dl2[None, :])
         _clamp_check(expo.real)
         integ = np.exp(expo) * (src * wq)[None, :]
@@ -472,7 +465,7 @@ class SphereSolution:
             lhs = -op.h * (1 - probes**2) * dfx + op.h * (
                 c[0] * probes + e
             ) * fx
-            res = lhs - _polyval(t.poly, probes)
+            res = lhs - polyval(probes, t.poly)
             worst = max(worst, float(np.abs(res).max()))
         return worst / scale
 
@@ -872,15 +865,6 @@ def _npart_coeffs(op: ModelOperator, c, a_p, gcoef, n_terms: int) -> np.ndarray:
     return coeff
 
 
-def _binom_series(p: np.ndarray, n_terms: int) -> np.ndarray:
-    """Coefficients of (2 - y)^p = sum_j coef_j y^j, per row of p."""
-    coef = np.zeros((p.size, n_terms), complex)
-    coef[:, 0] = np.exp(p * math.log(2.0))
-    for j in range(1, n_terms):
-        coef[:, j] = coef[:, j - 1] * (p - (j - 1)) / j * (-0.5)
-    return coef
-
-
 def _paired_mode_values(
     op: ModelOperator,
     s: complex,
@@ -902,7 +886,7 @@ def _paired_mode_values(
     lams = np.asarray(lams, complex).ravel()
     d, h = op.d, op.h
     beta = m + d / 2.0 - 1.0
-    c, e, a_p, a_m = mode_exponents(op, s, m, lams)
+    c, _, a_p, a_m = mode_exponents(op, s, m, lams)
     x_c = _X_PAIR_SPLIT
     q_poly = tuple(complex(v) for v in q_poly)
 
@@ -922,7 +906,7 @@ def _paired_mode_values(
     x1 = tau**2 - 1.0
     prof = _solve_mode_profiles(op, s, m, poly, lams, np.minimum(x1, x_c))
     w1 = (2.0 - tau**2) ** beta * tau ** (2.0 * beta + 1.0) * 2.0 * wt
-    I1 = prof @ (w1 * _polyval(q_poly, x1))
+    I1 = prof @ (w1 * polyval(x1, q_poly))
 
     # north-side split pieces
     g1 = _taylor_shift(poly, 1.0)
@@ -940,7 +924,7 @@ def _paired_mode_values(
         * (2.0 - y2) ** beta
         * 2.0
         * wt2
-        * _polyval(q_poly, 1.0 - y2)
+        * polyval(1.0 - y2, q_poly)
     )
     I2 = fpart_vals @ w2
 
@@ -955,7 +939,10 @@ def _paired_mode_values(
     j_terms = int(max(0.0, math.ceil(-2.0 * float(np.max(gamma.real)) - 1.0)) + 6)
     qa = _taylor_shift(q_poly, 1.0)
     qa = qa * ((-1.0) ** np.arange(qa.size))
-    bin_ser = _binom_series(a_m + beta, j_terms)
+    p_ang = a_m + beta
+    # (2 - y)^p = 2^p (1 - y/2)^p, one row of coefficients per lambda
+    bin_ser = (np.exp(p_ang * math.log(2.0))[:, None] * 0.5 ** np.arange(j_terms)
+               * np.array(RadialSeries.binomial(p_ang, j_terms - 1).coeffs).T)
     atil = np.zeros((lams.size, j_terms), complex)
     for j in range(j_terms):
         kmax = min(j, qa.size - 1)
@@ -974,7 +961,6 @@ def _paired_mode_values(
     # integrand is roundoff noise amplified by t^{2 Re gamma + 1} < 0, and the
     # neglected genuine tail is below 1e-17 by construction.
     rem = np.zeros(lams.size, complex)
-    p_ang = a_m + beta
     kappa = 2.0 * float(np.min(gamma.real)) + 1.0 + 2.0 * j_terms
     t_star = 10.0 ** (-17.0 / (kappa + 1.0))
     levels = max(1, int(math.ceil(math.log2(t_hi / min(t_star, t_hi / 2.0)))))
@@ -983,8 +969,8 @@ def _paired_mode_values(
         lo = hi * 0.5
         tn, wn = panel_nodes(np.array([lo, hi]), _PANEL_ORDER)
         yn = tn**2
-        a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * _polyval(
-            q_poly, 1.0 - yn
+        a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * polyval(
+            1.0 - yn, q_poly
         )
         a_tail = a_full - atil @ (yn[None, :] ** np.arange(j_terms)[:, None])
         t_fac = np.exp((2.0 * gamma[:, None] + 1.0) * np.log(tn)[None, :])

@@ -45,7 +45,6 @@ import argparse
 import configparser
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -435,21 +434,23 @@ def config_from_sources(subcommand=None, config_path=None, output_dir=None,
 # artifact helpers
 # ---------------------------------------------------------------------------
 
-def _csv_text(header, rows) -> str:
-    def cell(v):
-        if type(v) is float:
-            return repr(v)
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return _fmt_float(v)
+def _cell(v) -> str:
+    """One CSV cell or manifest tolerance value."""
+    if type(v) is float:
+        return repr(v)
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return _fmt_float(v)
 
+
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(map(cell, row)))
+        lines.append(",".join(map(_cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -494,37 +495,21 @@ def _versions() -> dict:
 
 def _build_manifest(config: ExperimentConfig, tolerances: dict,
                     artifact_names, failures) -> str:
-    buf = io.StringIO()
-    buf.write("[run]\n")
-    buf.write(f"output_dir = {config.output_dir}\n")
-    buf.write(f"seed = {config.seed}\n")
-    buf.write(f"subcommand = {config.subcommand}\n\n")
-    schema = _schema_map(config.subcommand)
-    buf.write(f"[{config.subcommand}]\n")
-    for key in sorted(config.params):
-        buf.write(f"{key} = {_FORMATTERS[schema[key].typ](config.params[key])}\n")
-    buf.write("\n[manifest]\n")
-    entries = {"config_hash": config.config_hash()}
-    entries.update({k: str(v) for k, v in _versions().items()})
+    """The hashed config with its output directory, then the [manifest]
+    section: hash, versions, artifacts, status and tolerance values."""
+    entries = {"config_hash": config.config_hash(), **_versions()}
     entries["artifacts"] = " ".join(sorted(artifact_names))
     entries["status"] = ("ok" if not failures
                          else "tolerance_failure: " + " ".join(sorted(failures)))
-    for name in sorted(tolerances):
-        value = tolerances[name]
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, (int, np.integer)):
-            text = str(int(value))
-        else:
-            text = _fmt_float(value)
-        entries[f"tolerance_{name}"] = text
-    for key in sorted(entries):
-        buf.write(f"{key} = {entries[key]}\n")
-    return buf.getvalue()
+    entries.update({f"tolerance_{name}": _cell(v) for name, v in tolerances.items()})
+    text = config.canonical_text().replace(
+        "[run]\n", f"[run]\noutput_dir = {config.output_dir}\n", 1)
+    return text + "\n[manifest]\n" + "".join(f"{k} = {entries[k]}\n" for k in sorted(entries))
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (artifacts, tolerances, failures)
+# subcommand runners: each returns (artifacts, tolerances, failures), the
+# artifacts keyed by bare file name
 # ---------------------------------------------------------------------------
 
 _GAUSSIAN_A = 4.0  # the resolvent input's radial factor e^{-a (r - r0)^2}
@@ -576,8 +561,7 @@ def _run_roots(config: ExperimentConfig):
         deviation = max(deviation, float(np.min(np.abs(eigs - hs))))
     tolerances = {"jet_deviation_max": deviation}
     failures = [] if deviation <= 1e-9 else ["jet_deviation"]
-    prefix = config.hash_prefix()
-    return {f"{prefix}-roots.csv": csv}, tolerances, failures
+    return {"roots.csv": csv}, tolerances, failures
 
 
 def _run_eigendist(config: ExperimentConfig):
@@ -608,8 +592,7 @@ def _run_eigendist(config: ExperimentConfig):
          "im_pairing", "eigen_residual"], rows)
     tolerances = {"eigen_residual_max": worst}
     failures = [] if worst <= 1e-6 else ["eigen_residual"]
-    prefix = config.hash_prefix()
-    return {f"{prefix}-pairings.csv": csv}, tolerances, failures
+    return {"pairings.csv": csv}, tolerances, failures
 
 
 def _run_resolvent(config: ExperimentConfig):
@@ -646,8 +629,7 @@ def _run_resolvent(config: ExperimentConfig):
     for j in slices:
         columns += [scalar[:, j].real, scalar[:, j].imag]
     rows = np.column_stack(columns).tolist()
-    prefix = config.hash_prefix()
-    artifacts = {f"{prefix}-resolvent.csv": _csv_text(header, rows)}
+    artifacts = {"resolvent.csv": _csv_text(header, rows)}
     tolerances: dict = {}
     failures: list = []
 
@@ -655,7 +637,7 @@ def _run_resolvent(config: ExperimentConfig):
         tolerances["shift_identity_defect"] = shift.defect
         if shift.defect > 1e-6:
             failures.append("shift_identity")
-        artifacts[f"{prefix}-shift_identity.json"] = _json_text({
+        artifacts["shift_identity.json"] = _json_text({
             "rho_low": lo,
             "rho_high": hi,
             "crossed_levels": [{"re": loc.value.real, "im": loc.value.imag}
@@ -696,8 +678,7 @@ def _run_residue(config: ExperimentConfig):
          "re_contour", "im_contour", "abs_diff", "rel_diff"], rows)
     tolerances = {"residue_rel_diff_max": worst}
     failures = [] if worst <= 1e-6 else ["residue_match"]
-    prefix = config.hash_prefix()
-    return {f"{prefix}-residues.csv": csv}, tolerances, failures
+    return {"residues.csv": csv}, tolerances, failures
 
 
 def _run_escape(config: ExperimentConfig):
@@ -720,8 +701,7 @@ def _run_escape(config: ExperimentConfig):
     for name, cond in sorted(cert.conditions.items()):
         tolerances[f"margin_{name}"] = float(cond["margin"])
     failures = [] if cert.passed else ["escape_certificate"]
-    prefix = config.hash_prefix()
-    return {f"{prefix}-certificate.json": text}, tolerances, failures
+    return {"certificate.json": text}, tolerances, failures
 
 
 def _run_flow(config: ExperimentConfig):
@@ -776,9 +756,8 @@ def _run_flow(config: ExperimentConfig):
         failures.append("semigroup_defect")
     if height_defect > 1e-9:
         failures.append("log_height_defect")
-    prefix = config.hash_prefix()
-    return ({f"{prefix}-trajectory.csv": csv,
-             f"{prefix}-conservation.json": _json_text(report)},
+    return ({"trajectory.csv": csv,
+             "conservation.json": _json_text(report)},
             tolerances, failures)
 
 
@@ -848,9 +827,8 @@ def _run_correlate(config: ExperimentConfig):
         "final_gap_z_score": z_score,
         "area_gap_z_score": probe["area_gap_z_score"],
     }
-    prefix = config.hash_prefix()
-    return ({f"{prefix}-correlation.csv": csv,
-             f"{prefix}-laplace.json": _json_text(probe)},
+    return ({"correlation.csv": csv,
+             "laplace.json": _json_text(probe)},
             tolerances, [])
 
 
@@ -872,9 +850,11 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Validate, compute, write artifacts atomically; return the exit code."""
     config.validate()
-    artifacts, tolerances, failures = _RUNNERS[config.subcommand](config)
+    named, tolerances, failures = _RUNNERS[config.subcommand](config)
+    prefix = config.hash_prefix()
+    artifacts = {f"{prefix}-{name}": data for name, data in named.items()}
     manifest = _build_manifest(config, tolerances, list(artifacts), failures)
-    artifacts[f"{config.hash_prefix()}-manifest.ini"] = manifest
+    artifacts[f"{prefix}-manifest.ini"] = manifest
     _write_artifacts(config.output_dir, artifacts)
     if failures:
         print(json.dumps({"error": "tolerance", "failures": sorted(failures),

@@ -349,19 +349,6 @@ def _swapped(y):
     return y[..., [0, 2, 1]]
 
 
-def _entry_time(y, lc, band):
-    """Time at which the forward flow of y enters the level-eps neighbourhood
-    of the growing-dual poles, or with ``band`` of the flow+growing circle;
-    ``lc = log tan^2 eps``.  In Y = e^{-2t}, sin^2 of the distance to that
-    circle has the band form of ``_transition_windows`` with the growing and
-    decaying components exchanged, so its crossing time is the negated one."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l0, l1, l2 = np.log(np.abs(y)).T
-        if band:
-            return -_crossing_time(2.0 * (l0 - l2) + lc, 2.0 * (l1 - l2) + lc)
-        return _crossing_time(2.0 * (l0 - l1) - lc, 2.0 * (l2 - l1) - lc)
-
-
 def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
     """Empirical maximal transition time between the cone neighbourhoods.
 
@@ -375,7 +362,7 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
     exchanging the growing and decaying components conjugates the sphere flow
     to its time reversal.  Times are counted in steps, t_k being k steps
     summed one at a time; the first entry step k comes from the closed-form
-    crossing (``_entry_time``) and is confirmed by the membership of the
+    crossing (``_cone_crossing``) and is confirmed by the membership of the
     flowed direction at t_{k-1} and t_k.
     """
     x = grid.xihat
@@ -403,8 +390,9 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
             t = times[k - 1]
             return dist(frame(_scaled_unit(y, np.exp(t), np.exp(-t)))) < grid.eps
 
-        k = np.minimum(np.searchsorted(times, _entry_time(y, lc, band), "right") + 1,
-                       n_steps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entry = _cone_crossing(np.log(np.abs(y)).T, lc, band, band)
+        k = np.minimum(np.searchsorted(times, entry, "right") + 1, n_steps)
         while np.any(late := (k > 1) & entered(np.maximum(k - 1, 1))):
             k -= late
         while np.any(early := ~entered(k) & (k < n_steps)):
@@ -469,17 +457,19 @@ def _crossing_time(la, lb):
     return 0.5 * (log_y - math.log(2.0))
 
 
-def _pole_band_windows(l0, l_near, l_far, lc_in, lc_out):
-    """Edge times of the pole profile and of the band profile whose growing
-    component has log-magnitude ``l_near`` (see ``_transition_windows``);
-    ``lc_in`` and ``lc_out`` are log tan^2 of the inner and outer band edges."""
-    a = 2.0 * (l0 - l_near)
-    b = 2.0 * (l_far - l_near)
-    pole = (_crossing_time(a - lc_out, b - lc_out),
-            _crossing_time(a - lc_in, b - lc_in))
-    band = (_crossing_time(a + lc_in, b + lc_in),
-            _crossing_time(a + lc_out, b + lc_out))
-    return pole, band
+def _cone_crossing(logs, lc, band, swap):
+    """Time at which the flow of directions with component log-magnitudes
+    ``logs = (l0, l1, l2)`` crosses the level ``lc = log tan^2`` of a cone edge
+    around the growing-dual poles, or with ``band`` around the flow+decaying
+    circle (see ``_transition_windows``).  With ``swap`` the growing and
+    decaying components are exchanged, which reverses time: the decaying-dual
+    poles and the flow+growing circle.  A NaN time takes the never-crossing
+    limit, +inf before the swap (see ``_transition_windows``)."""
+    l0, near, far = (logs[0], logs[2], logs[1]) if swap else logs
+    lc = lc if band else -lc
+    t = _crossing_time(2.0 * (l0 - near) + lc, 2.0 * (far - near) + lc)
+    t[np.isnan(t)] = np.inf
+    return -t if swap else t
 
 
 def _transition_windows(x, eps, margin):
@@ -509,18 +499,16 @@ def _transition_windows(x, eps, margin):
     """
     lc_in = 2.0 * math.log(math.tan(1.75 * eps))
     lc_out = 2.0 * math.log(math.tan(2.25 * eps))
+    # (band, swap, level of the lo edge, level of the hi edge) per row: a pole
+    # profile meets its outer edge first, a band profile its inner one, and a
+    # swapped row runs backward in time, so its edges trade places
+    rows = ((False, False, lc_out, lc_in), (True, False, lc_in, lc_out),
+            (True, True, lc_out, lc_in), (False, True, lc_in, lc_out))
     with np.errstate(divide="ignore", invalid="ignore"):
-        l0, l1, l2 = np.log(np.abs(x)).T
-        (u_lo, u_hi), (b0s_lo, b0s_hi) = _pole_band_windows(l0, l1, l2,
-                                                            lc_in, lc_out)
-        (s_lo, s_hi), (b0u_lo, b0u_hi) = _pole_band_windows(l0, l2, l1,
-                                                            lc_in, lc_out)
-    edges = np.stack([u_lo, b0s_lo, b0u_hi, s_hi, u_hi, b0s_hi, b0u_lo, s_lo])
-    edges[np.isnan(edges)] = np.inf
-    edges[[2, 3, 6, 7]] *= -1.0   # the swapped windows run backward in time
-    edges[:4] -= margin
-    edges[4:] += margin
-    return edges[:4], edges[4:]
+        logs = np.log(np.abs(x)).T
+        lo = np.stack([_cone_crossing(logs, lc, band, swap) for band, swap, lc, _ in rows])
+        hi = np.stack([_cone_crossing(logs, lc, band, swap) for band, swap, _, lc in rows])
+    return lo - margin, hi + margin
 
 
 def _windowed_average(x, times, pattern, eps, margin):

@@ -113,8 +113,9 @@ def flow_cusp_exact(p0: PhasePoint, t) -> PhasePoint:
     - ``theta(t) = theta0 + u e^(r0) T0 (1 - e^(-2t)) / (T0^2 + e^(-2t))``.
 
     The evaluation branches on ``phi0 <= pi/2`` (parametrize by ``T0``) versus
-    ``phi0 > pi/2`` (parametrize by ``cot(phi0/2)``) and on the sign of t, so
-    no intermediate overflows for |t| up to several hundred.
+    ``phi0 > pi/2`` (parametrize by ``cot(phi0/2)``), and the drift is written
+    in ``e^(-2|t|) <= 1``, so no intermediate overflows for |t| up to several
+    hundred.
 
     Parameters
     ----------
@@ -149,21 +150,12 @@ def flow_cusp_exact(p0: PhasePoint, t) -> PhasePoint:
 
     r = p0.r + t - _log1p_exp2(ell) + _log1p_exp2(ell0)
 
-    # cross-section drift integral e^{r0} * int_0^t e^{r(s)-r0} sin(phi(s)) ds
-    if north_side:
-        if t >= 0.0:
-            em = math.exp(-2.0 * t)
-            drift = half * (1.0 - em) / (half * half + em)
-        else:
-            ep = math.exp(2.0 * t)
-            drift = half * (ep - 1.0) / (half * half * ep + 1.0)
-    else:
-        if t >= 0.0:
-            em = math.exp(-2.0 * t)
-            drift = half * (1.0 - em) / (1.0 + half * half * em)
-        else:
-            ep = math.exp(2.0 * t)
-            drift = half * (ep - 1.0) / (ep + half * half)
+    # cross-section drift integral e^{r0} * int_0^t e^{r(s)-r0} sin(phi(s)) ds,
+    # odd in t: half (1 - e) / (half^2 + e) toward the far hemisphere, else
+    # half (1 - e) / (half^2 e + 1), with e = e^{-2|t|} <= 1
+    e = math.exp(-2.0 * abs(t))
+    den = half * half + e if north_side == (t >= 0.0) else half * half * e + 1.0
+    drift = math.copysign(half * (1.0 - e) / den, t)
     theta = p0.theta + (math.exp(p0.r) * drift) * p0.u
     return PhasePoint(r, theta, phi, p0.u)
 

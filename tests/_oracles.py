@@ -33,8 +33,13 @@ package takes:
   before it flowed only B's support: every sample is flowed and every
   product formed;
 * :func:`geodesic_velocity` is the right-hand side of the cusp geodesic
-  system, and :func:`record_from_json` reads
-  :meth:`~cuspflow.flow.CorrelationRecord.to_json` back.
+  system, :func:`four_branch_theta` is the exact flow's cross-section drift
+  as it was written in four overflow branches (the package writes one
+  expression in e^{-2|t|}), and :func:`record_from_json` reads
+  :meth:`~cuspflow.flow.CorrelationRecord.to_json` back;
+* :func:`sphere_quadrature` is a product Gauss rule on S^0, S^1 and S^2,
+  and :func:`constant_test_function` and :func:`d_phi` extend the
+  package's test-function family with the constants and exact d/dphi.
 """
 
 import functools
@@ -47,10 +52,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from cuspflow._jets import RadialSeries
-from cuspflow._sphere import sphere_quadrature
+from cuspflow._testfunctions import TestFunction
 from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, PoleError, ToleranceError,
-                             ValidationError)
+                             UnsupportedDimensionError, ValidationError)
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0s, _dist_0u, _dist_s, _dist_u,
                              _frame_components, _plateau_samples,
@@ -72,8 +77,8 @@ from cuspflow.indicial import ModelOperator, mode_exponents
 def apply_P(op: ModelOperator, f, point) -> complex:
     """Apply the model operator to a test function at one point (phi, u).
 
-    ``f`` may be a TestFunction-like object (attributes ``value`` and
-    ``d_phi``) or a pair of callables (value(phi, u), dphi(phi, u)).
+    ``f`` may be a TestFunction or a pair of callables (value(phi, u),
+    dphi(phi, u)).
     Returns  h sin(phi) f_phi + (lambda + h d/2 + h A) cos(phi) f.
     """
     phi, u = point
@@ -81,7 +86,7 @@ def apply_P(op: ModelOperator, f, point) -> complex:
     if isinstance(f, tuple):
         fval, fphi = f[0](phi, u), f[1](phi, u)
     else:
-        fval, fphi = f.value(phi, u), f.d_phi().value(phi, u)
+        fval, fphi = f.value(phi, u), d_phi(f).value(phi, u)
     lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
     return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
 
@@ -200,6 +205,72 @@ def numeric_roots_shooting(op: ModelOperator, s: complex, m: int) -> ShootingRes
 # ---------------------------------------------------------------------------
 
 
+def constant_test_function(d: int, value=1.0) -> TestFunction:
+    """The constant ``value`` on S^d as a TestFunction."""
+    return TestFunction([(0, (0,) * d, 0.0, np.array([value], dtype=complex))], d)
+
+
+def d_phi(f: TestFunction) -> TestFunction:
+    """d/dphi of a TestFunction, exactly.  The family is closed under it at
+    the cost of odd rho-powers, which leave the smooth subfamily."""
+    out = []
+    for q, mu, c, p in f.terms:
+        if q >= 1:
+            out.append((q - 1, mu, c, npoly.polymul([0.0, float(q)], p)))
+        newp = npoly.polyder(p) * (-1.0)
+        if c != 0.0:
+            newp = npoly.polyadd(newp, npoly.polymul([0.0, -2.0 * c], p))
+        out.append((q + 1, mu, c, newp))
+    return TestFunction(out, f.d)
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_quadrature(d: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights on S^{d-1} subset R^d.
+
+    Exact for all polynomials on the sphere of total degree
+    <= 2*maxdeg + 2, enough for angular integrals of products of
+    degree-``maxdeg`` data.
+
+    Returns
+    -------
+    (nodes, weights) : nodes of shape (M, d), weights of shape (M,),
+    with weights summing to the sphere's surface measure.
+    """
+    if maxdeg < 0:
+        raise ValueError(f"maxdeg must be >= 0, got {maxdeg}")
+    target = 2 * maxdeg + 2
+    if d == 1:
+        nodes = np.array([[1.0], [-1.0]])
+        weights = np.array([1.0, 1.0])
+        return nodes, weights
+    if d == 2:
+        m = 2 * target + 4
+        theta = 2.0 * math.pi * np.arange(m) / m
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        weights = np.full(m, 2.0 * math.pi / m)
+        return nodes, weights
+    if d == 3:
+        n_gl = target // 2 + 2
+        z, wz = np.polynomial.legendre.leggauss(n_gl)
+        m = 2 * target + 4
+        phi = 2.0 * math.pi * np.arange(m) / m
+        r = np.sqrt(1.0 - z**2)
+        cz, sz = np.cos(phi), np.sin(phi)
+        nodes = np.column_stack(
+            [
+                np.outer(r, cz).ravel(),
+                np.outer(r, sz).ravel(),
+                np.repeat(z, m),
+            ]
+        )
+        weights = np.repeat(wz * (2.0 * math.pi / m), m)
+        return nodes, weights
+    raise UnsupportedDimensionError(
+        f"sphere quadrature implemented for ambient d in {{1,2,3}}, got d={d}"
+    )
+
+
 def ck_norm(psi, k: int, n_phi: int = 200) -> float:
     """Surrogate C^k norm: sup over a grid of |d_phi^a psi| for a <= k.
 
@@ -213,7 +284,7 @@ def ck_norm(psi, k: int, n_phi: int = 200) -> float:
     for _ in range(k + 1):
         vals = f.value(phi[:, None], nodes[None, :, :])
         out = max(out, float(np.max(np.abs(vals))))
-        f = f.d_phi()
+        f = d_phi(f)
     return out
 
 
@@ -655,6 +726,29 @@ def geodesic_velocity(p):
     system at the phase point p."""
     sp = math.sin(p.phi)
     return (math.cos(p.phi), math.exp(p.r) * sp * p.u, sp)
+
+
+def four_branch_theta(p0, t):
+    """Cross-section point theta(t) of the exact cusp flow from p0, with the
+    drift written as four branches: hemisphere of phi0 times sign of t."""
+    t = float(t)
+    north_side = p0.phi <= 0.5 * math.pi
+    half = math.tan(0.5 * p0.phi) if north_side else math.tan(0.5 * (math.pi - p0.phi))
+    if north_side:
+        if t >= 0.0:
+            em = math.exp(-2.0 * t)
+            drift = half * (1.0 - em) / (half * half + em)
+        else:
+            ep = math.exp(2.0 * t)
+            drift = half * (ep - 1.0) / (half * half * ep + 1.0)
+    else:
+        if t >= 0.0:
+            em = math.exp(-2.0 * t)
+            drift = half * (1.0 - em) / (1.0 + half * half * em)
+        else:
+            ep = math.exp(2.0 * t)
+            drift = half * (ep - 1.0) / (ep + half * half)
+    return p0.theta + (math.exp(p0.r) * drift) * p0.u
 
 
 def record_from_json(text):

@@ -333,10 +333,9 @@ def test_cli_imports_no_private_name_from_the_package():
 
 # Definitions that no code in src/ references and that stay, with the reason.
 _UNREFERENCED_BY_DESIGN = {
-    "TestFunction.constant": "library API: the constant member of the exported "
-                             "test-function family",
-    "TestFunction.d_phi": "library API: d/dphi is part of the exact operator "
-                          "algebra the family documents (C^k norms use it)",
+    "SphereSolution.residual": "library API: solve_indicial comes 'with its own "
+                               "residual, so the solve can be tested alone' "
+                               "(bcontinuation's docstring)",
     "SphereFunction.monomial": "library API: the one-term constructor of the "
                                "exported sphere input",
     "SplittingFrame.matrix": "library API: the splitting frame as one matrix",
@@ -358,35 +357,43 @@ _UNREFERENCED_BY_DESIGN = {
 }
 
 
-def _code_references(tree) -> set:
-    """Identifiers that code refers to: names, attributes, imported names, and
-    string constants passed to getattr, setattr, hasattr or delattr.  Words in
+def _code_references(tree) -> tuple:
+    """(names, attributes) that code refers to.  Names are bare identifiers
+    and imported names; attributes are ``obj.name`` references and string
+    constants passed to getattr, setattr, hasattr or delattr.  Words in
     docstrings, comments and other strings do not count."""
-    refs = set()
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            refs.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None)) in (
                 "getattr", "setattr", "hasattr", "delattr", "__setattr__"):
-            refs.update(arg.value for arg in node.args
-                        if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
-    return refs
+            attrs.update(arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return names, attrs
 
 
 def test_every_package_definition_is_used_in_src_or_exported():
     # a function, class or method that no code in src/ references and that no
-    # __all__ exports is run by tests alone; it belongs in tests/ (or nowhere),
-    # not in the package.  This also keeps any helper of a replaced code path
-    # (such as the one-lambda pairing in hadamard) from staying behind.
-    trees = [ast.parse(p.read_text()) for p in sorted(Path(cli.__file__).parent.glob("*.py"))]
-    exported, defined, refs = set(), {}, set()
-    for tree in trees:
-        refs |= _code_references(tree)
+    # public module's __all__ exports is run by tests alone; it belongs in
+    # tests/ (or nowhere), not in the package.  This also keeps any helper of
+    # a replaced code path (such as the one-lambda pairing in hadamard) from
+    # staying behind.  A method is referenced only as an attribute (obj.name):
+    # a local variable of the same name does not use it.  A private module's
+    # __all__ lists what the package shares between its modules, not library
+    # API, so it exports nothing here.
+    exported, defined, names, attrs = set(), {}, set(), set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        public = path.stem == "__init__" or not path.stem.startswith("_")
+        tree_names, tree_attrs = _code_references(tree)
+        names |= tree_names
+        attrs |= tree_attrs
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
@@ -394,11 +401,12 @@ def test_every_package_definition_is_used_in_src_or_exported():
                         defined[item] = f"{node.name}.{item.name}"
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node, node.name)
-            elif isinstance(node, ast.Assign) and any(
+            elif public and isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 exported.update(ast.literal_eval(node.value))
     unused = sorted(qualname for node, qualname in defined.items()
-                    if node.name not in refs and node.name not in exported
+                    if node.name not in (attrs if "." in qualname else names | attrs)
+                    and node.name not in exported
                     and not re.fullmatch(r"__\w+__", node.name))
     assert unused == sorted(_UNREFERENCED_BY_DESIGN)
 

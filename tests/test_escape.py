@@ -272,7 +272,8 @@ def test_tau_max_is_bitwise_the_stepped_search(shape, eps):
 def test_entry_time_lands_on_the_cone_edge(band, dist):
     eps = 0.15
     y = _as_unit_rows(np.random.default_rng(3).normal(size=(200, 3)))
-    tau = escape._entry_time(y, 2.0 * math.log(math.tan(eps)), band)
+    tau = escape._cone_crossing(np.log(np.abs(y)).T, 2.0 * math.log(math.tan(eps)),
+                                band, swap=band)
     flowed = escape._scaled_unit(y, np.exp(tau), np.exp(-tau))
     assert np.max(np.abs(dist(flowed) - eps)) < 1e-12
 

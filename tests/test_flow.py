@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cuspflow.flow as fl
-from _oracles import (_frame_matrix, geodesic_velocity, record_from_json,
-                      reference_correlate, reference_reduce, reference_step)
+from _oracles import (_frame_matrix, four_branch_theta, geodesic_velocity,
+                      record_from_json, reference_correlate, reference_reduce,
+                      reference_step)
 from cuspflow import (
     BumpObservable,
     CorrelationRecord,
@@ -88,6 +89,20 @@ def test_pole_axes_are_exact():
     q = flow_cusp_exact(south, 7.25)
     assert (q.r, q.phi) == (0.3 - 7.25, math.pi)
     assert q.theta[0] == 0.1
+
+
+def test_drift_is_bitwise_the_four_branch_formula():
+    # the one expression in e = e^{-2|t|} must equal each overflow branch
+    # exactly: both hemispheres, t = +0.0 and -0.0, and |t| from 1e-12 to
+    # past 355, where e^{2|t|} itself overflows
+    mags = np.concatenate(([0.0], np.geomspace(1e-12, 400.0, 240)))
+    points = [PhasePoint(r0, theta0, phi0, u0)
+              for phi0 in (1e-9, 0.3, 1.2, 0.5 * math.pi, 2.0, 3.1, math.pi - 1e-9)
+              for r0, theta0, u0 in ((0.0, (0.0,), (1.0,)), (-1.7, (0.4,), (-1.0,)),
+                                     (2.5, (-3.0, 0.25), (0.6, -0.8)))]
+    for p0 in points:
+        for t in np.concatenate((mags, -mags)):
+            assert np.array_equal(flow_cusp_exact(p0, t).theta, four_branch_theta(p0, t))
 
 
 def test_max_height():

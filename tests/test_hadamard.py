@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import AwaySupportedFunction, ck_norm, reference_pairing
-from cuspflow._sphere import homogeneous_dimension, multi_indices, sphere_quadrature
+from _oracles import AwaySupportedFunction, ck_norm, reference_pairing, sphere_quadrature
+from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import PoleError, ToleranceError, ValidationError

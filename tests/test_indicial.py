@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import apply_P, ck_norm, numeric_roots_shooting
+from _oracles import apply_P, ck_norm, constant_test_function, numeric_roots_shooting
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import ValidationError
@@ -302,7 +302,7 @@ def test_dirac_zeroth_jet_is_point_evaluation():
             rng = np.random.default_rng(3)
             for _ in range(3):
                 psi = random_test_function(d, rng, n_terms=3, max_deg=2)
-                psi = psi + TestFunction.constant(d, 0.7)
+                psi = psi + constant_test_function(d, 0.7)
                 assert rep.pair(psi) == pytest.approx(_pole_value(psi), abs=1e-12)
 
 
