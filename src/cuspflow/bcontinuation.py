@@ -53,6 +53,20 @@ per (r-grid, w-nodes) over blocks of L rows starting at r0_b: (L + n_r/L) n_w
 exponentials instead of n_r n_w.  L = 32, 64 and 128 ran equally fast; the
 phase error of a factor grows with L step |Im w|, so L = 64 (_R_BLOCK).
 
+A line of real input is folded onto eta > 0.  When s - A is real, and every
+poly coefficient and every radial sample of f is real, the mode equation,
+fhat and e^{r w} all have real coefficients, so the integrand at conj(w) is
+the conjugate of the integrand at w.  The refined eta-nodes are symmetric
+about eta = 0, since the minus roots sit at ordinate -Im(s - A) = 0 and
+every panel holds an even number of nodes.  The line is therefore 2 Re of
+the sum over its eta > 0 nodes: :func:`resolvent_line` keeps that half with
+doubled weights and keeps the real part of the synthesis, which halves the
+profile solves, fhat and the synthesis, and makes the field exactly real.
+The half defines its mirror image, so the symmetry does not depend on the
+roundoff of the panel edges.  Any other input (complex s - A, poly or radial
+samples) takes every node and the complex synthesis; the choice reads the
+input and has no option.
+
 Inputs live on the sphere as finite sums of separated terms
 ``P(cos phi) sin(phi)^m u^mu`` (:class:`SphereFunction`), or on the cylinder
 with an additional radial amplitude per term (:class:`CuspFunction`).
@@ -581,15 +595,25 @@ def _exp_table(r: np.ndarray, wl: np.ndarray) -> tuple:
             np.exp(np.outer(r[::_R_BLOCK], wl)))
 
 
-def _fhat(term: CuspTerm, r: np.ndarray, table: tuple) -> np.ndarray:
-    """Trapezoid transform fhat(w) = int e^{-w r} a(r) dr on the r-grid.
+def _radial_samples(term: CuspTerm, r: np.ndarray) -> np.ndarray:
+    """term.radial on the r-grid: one complex sample per grid point."""
+    a = np.asarray(term.radial(r), complex)
+    if a.shape != r.shape:
+        raise ValidationError(
+            f"CuspTerm.radial returned shape {a.shape} on an r-grid of {r.size} "
+            "points; it must return one value per point")
+    return a
+
+
+def _fhat(a: np.ndarray, r: np.ndarray, table: tuple) -> np.ndarray:
+    """Trapezoid transform fhat(w) = int e^{-w r} a(r) dr of the samples a
+    of a radial amplitude on the r-grid.
 
     The one transform of the contour lines and the residue circles: with
     e^{-r_j w} = T[L-1-i] / (E[b] T[L-1]), each block of a, zero-padded to
     L rows and reversed, meets the _exp_table factor T once.
     """
     T, E = table
-    a = np.asarray(term.radial(r), complex)
     a = np.concatenate([a, np.zeros(-a.size % _R_BLOCK, complex)])
     blocks = a.reshape(-1, _R_BLOCK)[:, ::-1]
     return (r[1] - r[0]) * ((blocks @ T) / E).sum(axis=0) / T[-1]
@@ -617,7 +641,11 @@ def resolvent_line(
     """The weighted resolvent along a regular abscissa, as a gridded field.
 
     fhat, the synthesis and, on its columns, the truncation-tail estimate
-    share one _exp_table.
+    share one _exp_table.  Real input (s - A, every poly coefficient and
+    every radial sample real) is transformed on the eta > 0 nodes alone and
+    gives a real field (the fold of the module docstring).  Raises
+    ValidationError when a radial amplitude does not return one value per
+    r-grid point.
 
     Raises ContourOnRootError when some indicial root has Re within 1e-6 of
     contour.rho, where the line ceases to separate the root set.
@@ -626,7 +654,8 @@ def resolvent_line(
         raise ValidationError("f must be a CuspFunction")
     if f.d != op.d:
         raise ValidationError(f"dimension mismatch: f.d={f.d}, op.d={op.d}")
-    gap = RootTable(op, s).abscissa_gap(contour.rho)
+    roots = RootTable(op, s)
+    gap = roots.abscissa_gap(contour.rho)
     if gap < _ABSCISSA_GUARD:
         raise ContourOnRootError(
             f"abscissa rho={contour.rho} passes within {gap:.3e} of an indicial "
@@ -634,19 +663,29 @@ def resolvent_line(
         )
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
     r = default_r_grid(r_span, n_r)
+    samples = [_radial_samples(term, r) for term in f.terms]
     eta, wq, base_panel = _refined_eta_nodes(op, s, contour)
+    # real input: the eta < 0 nodes give the conjugates of the eta > 0 ones
+    fold = (roots.base.imag == 0.0
+            and all(c.imag == 0.0 for term in f.terms for c in term.poly)
+            and all(not a.imag.any() for a in samples))
+    if fold:
+        keep = eta > 0.0
+        eta, wq = eta[keep], 2.0 * wq[keep]
     wl = contour.rho + 1j * eta
     tail_sel = np.abs(eta) >= contour.height - base_panel - 1e-12
     tail_rel = 0.0
     terms_out = []
     table = _exp_table(r, wl)
     tail_table = tuple(x[:, tail_sel] for x in table)
-    for term in f.terms:
-        fh = _fhat(term, r, table)
+    for term, a in zip(f.terms, samples):
+        fh = _fhat(a, r, table)
         prof = _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg)
         coeff = (wq * fh)[:, None] * prof  # (n_q, n_x)
         vals = _synthesis(table, coeff, r.size) / (2.0 * math.pi)
         tails = _synthesis(tail_table, coeff[tail_sel], r.size) / (2.0 * math.pi)
+        if fold:
+            vals, tails = vals.real.astype(complex), tails.real
         # estimate the truncation tail inside the window where the panel
         # quadrature resolves e^{i eta r}; beyond it both numerator and
         # denominator are dominated by the e^{rho r} roundoff floor
@@ -784,6 +823,7 @@ def residue_apply(
     r = default_r_grid(r_span, n_r)
     xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
 
+    samples = [_radial_samples(term, r) for term in f.terms]
     offsets = (0.37, 0.11, 0.64, 0.89)
     last_err: Exception | None = None
     for off in offsets:
@@ -792,8 +832,8 @@ def residue_apply(
         table = _exp_table(r, wl)
         try:
             H0, H1, m2_rel = [], [], 0.0
-            for term in f.terms:
-                fh = _fhat(term, r, table)
+            for term, a in zip(f.terms, samples):
+                fh = _fhat(a, r, table)
                 if psi is None:
                     g_vals = (
                         _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg)

@@ -612,10 +612,12 @@ def _run_resolvent(config: ExperimentConfig):
     shift = None
     if p["rho_prime"] is None:
         U = resolvent_line(op, p["s"], contour, f, **grids)
+        lines = {"rho": U}
     else:
         lo, hi = sorted((p["rho"], p["rho_prime"]))
         shift = shift_identity(op, p["s"], f, lo, hi, contour=contour, **grids)
-        U = shift.lo if p["rho"] == lo else shift.hi
+        U, other = (shift.lo, shift.hi) if p["rho"] == lo else (shift.hi, shift.lo)
+        lines = {"rho": U, "rho_prime": other}
     # plot-ready slices of the summed scalar field at three angular nodes,
     # evaluated along the diagonal cross-section direction
     u_dir = np.full(p["d"], 1.0 / math.sqrt(p["d"]))
@@ -630,7 +632,10 @@ def _run_resolvent(config: ExperimentConfig):
         columns += [scalar[:, j].real, scalar[:, j].imag]
     rows = np.column_stack(columns).tolist()
     artifacts = {"resolvent.csv": _csv_text(header, rows)}
-    tolerances: dict = {}
+    # each line's quadrature resolution: the |r| its panels resolve and the
+    # truncation tail they estimate
+    tolerances = {f"{name}_{key}": line.meta[key] for name, line in lines.items()
+                  for key in ("r_window", "contour_tail_rel", "tail_ok")}
     failures: list = []
 
     if shift is not None:

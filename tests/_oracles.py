@@ -21,7 +21,9 @@ package takes:
 * :func:`tiled_plateau_conditions` computes the certificate's conditions
   iii and iv from one ``reduced_G`` batch with every plateau direction
   repeated per magnitude (the package evaluates each direction once);
-* :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane;
+* :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane,
+  and :func:`full_node_line` is the contour line on every eta-node, as it
+  was written before real input was folded onto eta > 0;
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
   time-t flow maps ``i e^t`` through it;
@@ -51,6 +53,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
+from cuspflow import bcontinuation as bc
 from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction
 from cuspflow.errors import (ConfigurationError, DomainError,
@@ -598,6 +601,29 @@ def lifted_flow(point, covector, t):
 def rho_max_prime(op: ModelOperator, tau: float) -> float:
     """sup of rho_max over Re s >= tau: max(0, Re A - tau - d/2)."""
     return max(0.0, complex(op.A).real - float(tau) - op.d / 2.0)
+
+
+def full_node_line(op: ModelOperator, s, contour, f, x_grid, r_span=30.0, n_r=4096):
+    """The term values of ``resolvent_line`` and its contour_tail_rel, from
+    the complex transform on every eta-node of the line."""
+    r = bc.default_r_grid(r_span, n_r)
+    eta, wq, base_panel = bc._refined_eta_nodes(op, s, contour)
+    wl = contour.rho + 1j * eta
+    tail_sel = np.abs(eta) >= contour.height - base_panel - 1e-12
+    table = bc._exp_table(r, wl)
+    tail_table = tuple(x[:, tail_sel] for x in table)
+    rwin = np.abs(r) <= contour.r_window()
+    values, tail_rel = [], 0.0
+    for term in f.terms:
+        fh = bc._fhat(np.asarray(term.radial(r), complex), r, table)
+        prof = bc._solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, x_grid)
+        coeff = (wq * fh)[:, None] * prof
+        vals = bc._synthesis(table, coeff, r.size) / (2.0 * math.pi)
+        tails = bc._synthesis(tail_table, coeff[tail_sel], r.size) / (2.0 * math.pi)
+        tail_rel = max(tail_rel, float(np.abs(tails[rwin]).max())
+                       / (float(np.abs(vals[rwin]).max()) or 1.0))
+        values.append(vals)
+    return values, tail_rel
 
 
 # ---------------------------------------------------------------------------

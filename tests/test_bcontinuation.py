@@ -1,6 +1,7 @@
 """Tests for contour inversion, residue operators, and resolvent continuation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import cuspflow.bcontinuation as bc
 from _fd_helpers import gauss, identity_residual
-from _oracles import rho_max_prime
+from _oracles import full_node_line, rho_max_prime
 from cuspflow.bcontinuation import (
     ContourSpec,
     CuspFunction,
@@ -263,6 +264,90 @@ def test_linearity_in_f():
     assert np.abs(diff).max() / np.abs(u12.term_values(0)[win]).max() < 1e-12
 
 
+def test_linearity_in_poly():
+    # a complex profile polynomial keeps the full-node line: dropping the
+    # poly condition from the fold would return a real field here
+    op = ModelOperator(d=1)
+    spec = ContourSpec(rho=0.0)
+    u1, ux, uc = (resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss(), poly), x_grid=XG)
+                  for poly in ((1.0,), (0.0, 1.0), (1.0, 0.4j)))
+    win = np.abs(u1.r_grid) <= 10.0
+    diff = (uc.term_values(0) - (u1.term_values(0) + 0.4j * ux.term_values(0)))[win]
+    assert np.abs(diff).max() / np.abs(uc.term_values(0)[win]).max() < 1e-12
+
+
+@pytest.mark.parametrize("A,s,s_alone", [(0.2j, 1.3, 1.3 - 0.2j), (0.2j, 1.3 + 0.2j, 1.3)])
+def test_line_reads_s_and_A_through_s_minus_A(A, s, s_alone):
+    # the fold is chosen from s - A, not from s: a complex A at real s keeps
+    # the full-node line, and s - A real folds whatever A is
+    f = term(1, 0, (0,), gauss())
+    spec = ContourSpec(rho=-1.3)
+    U = resolvent_line(ModelOperator(d=1, A=A), s, spec, f, x_grid=XG)
+    V = resolvent_line(ModelOperator(d=1), s_alone, spec, f, x_grid=XG)
+    np.testing.assert_array_equal(U.term_values(0), V.term_values(0))
+    assert U.term_values(0).imag.any() == bool(complex(s_alone).imag)
+
+
+def _two_term(d):
+    return CuspFunction(d=d, terms=(
+        CuspTerm(m=0, mu=(0,) * d, poly=(1.0,), radial=gauss(0.2)),
+        CuspTerm(m=2, mu=(1,) + (0,) * (d - 1), poly=(1.0, 0.3, -0.5), radial=gauss(-0.3))))
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.0])
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_folded_line_matches_full_node_line(d, h, rho):
+    # s = -1.7 - d/2 puts the level-2 minus root, the first that both the
+    # m = 0 and the m = 2 profiles have a pole at, at w = -0.3, between the
+    # two abscissas; measured worst 5.1e-15
+    op, s = ModelOperator(d=d, h=h), -1.7 - d / 2.0
+    spec = ContourSpec(rho=rho)
+    U = resolvent_line(op, s, spec, _two_term(d), x_grid=XG)
+    values, _ = full_node_line(op, s, spec, _two_term(d), XG)
+    win = np.abs(U.r_grid) <= 10.0
+    for i, want in enumerate(values):
+        got = U.term_values(i)
+        assert not got.imag.any()
+        assert np.abs(got - want)[win].max() < 1e-13 * np.abs(want[win]).max()
+
+
+def test_folded_tail_estimate_matches_full_node_line():
+    # at height 20 the truncation tail (3.5e-4) stands far above roundoff,
+    # and the eta > 0 half of the tail columns estimates it as both ends do
+    op, spec, f = ModelOperator(d=1), ContourSpec(rho=-1.3, height=20.0, panels=24), _two_term(1)
+    U = resolvent_line(op, 1.3, spec, f, x_grid=XG)
+    _, tail_rel = full_node_line(op, 1.3, spec, f, XG)
+    assert U.meta["contour_tail_rel"] == pytest.approx(tail_rel, rel=1e-6)
+    assert tail_rel > 1e-4 and U.meta["tail_ok"] is False
+
+
+@pytest.mark.parametrize("A,s,poly,radial", [
+    (0.0, 1.3 + 0.25j, (1.0,), gauss()),
+    (0.2j, 1.3, (1.0,), gauss()),
+    (0.0, 1.3, (1.0, 0.4j), gauss()),
+    (0.0, 1.3, (1.0,), lambda rr: (1.0 - 0.5j) * gauss()(rr)),
+], ids=["s", "A", "poly", "radial"])
+def test_non_real_line_is_the_full_node_line(A, s, poly, radial):
+    op, spec = ModelOperator(d=1, A=A), ContourSpec(rho=-1.3)
+    f = term(1, 0, (0,), radial, poly)
+    U = resolvent_line(op, s, spec, f, x_grid=XG)
+    (want,), tail_rel = full_node_line(op, s, spec, f, XG)
+    np.testing.assert_array_equal(U.term_values(0), want)
+    assert U.meta["contour_tail_rel"] == tail_rel
+
+
+@pytest.mark.parametrize("radial,shape", [(lambda rr: 1.0, "()"),
+                                          (lambda rr: np.ones(10), "(10,)")])
+def test_radial_of_the_wrong_shape_raises(radial, shape):
+    op, f = ModelOperator(d=1), term(1, 0, (0,), radial)
+    for call in (lambda: resolvent_line(op, 1.3, ContourSpec(rho=-1.3), f, x_grid=XG),
+                 lambda: residue_apply(ResidueOperator(s=1.3, lambda0=-1.8), op, f, x_grid=XG)):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"shape {shape} on an r-grid of 4096")):
+            call()
+
+
 def test_translation_equivariance_in_r():
     op = ModelOperator(d=1)
     r = default_r_grid()
@@ -306,7 +391,7 @@ def _kernel_errors(n_r, rho):
     step = r[1] - r[0]
     sub = np.arange(0, wl.size, 7)
     dense = np.exp(-np.outer(wl[sub], r))
-    fh = bc._fhat(CuspTerm(m=0, mu=(0,), poly=(1.0,), radial=lambda _: a), r, table)
+    fh = bc._fhat(a, r, table)
     fh_err = np.abs(fh[sub] - step * dense @ a) / (step * np.abs(dense) @ np.abs(a))
     L = bc._R_BLOCK
     rows = np.unique(np.r_[0:L, max(0, n_r - 2 * L) : n_r, 0:n_r:5])
@@ -353,8 +438,8 @@ def dense_kernels(monkeypatch):
         grid[:] = [r]
         return (wl[None, :],)
 
-    def fhat(term, r, tab):
-        return (r[1] - r[0]) * (np.exp(-np.outer(tab[0][0], r)) @ term.radial(r))
+    def fhat(a, r, tab):
+        return (r[1] - r[0]) * (np.exp(-np.outer(tab[0][0], r)) @ a)
 
     def synthesis(tab, coeff, n_r):
         return np.exp(np.outer(grid[0][:n_r], tab[0][0])) @ coeff
@@ -405,8 +490,8 @@ def test_separable_synthesis_error_matches_dense_against_mpmath():
     r, wl = default_r_grid(), contour.rho + 1j * eta
     xg = np.linspace(-0.9, 0.6, 2)
     table = bc._exp_table(r, wl)
-    f = CuspTerm(m=0, mu=(0,), poly=(1.0,), radial=gauss(0.2))
-    coeff = (wq * bc._fhat(f, r, table))[:, None] * bc._solve_mode_profiles(
+    a = np.asarray(gauss(0.2)(r), complex)
+    coeff = (wq * bc._fhat(a, r, table))[:, None] * bc._solve_mode_profiles(
         op, 1.3, 0, (1.0,), op.h * wl, xg
     )
     sep = bc._synthesis(table, coeff, r.size)

@@ -250,6 +250,47 @@ def test_resolvent_shift_identity_holds_for_every_h(tmp_path, h):
     assert level["im"] == 0.0
 
 
+def _resolvent_csv(out):
+    (path,) = out.glob("*-resolvent.csv")
+    header, *rows = path.read_text().splitlines()
+    im = [i for i, name in enumerate(header.split(",")) if name.startswith("im_x=")]
+    return [[row.split(",")[i] for i in im] for row in rows]
+
+
+@pytest.mark.parametrize("h", ["0.5", "1", "2"])
+def test_resolvent_at_the_benchmark_grid_writes_real_columns(tmp_path, h):
+    # n_r = 4096 and n_x = 41 are the defaults the benchmark runs at; the
+    # real input folds each line onto eta > 0, whose field is real
+    out = tmp_path / "out"
+    assert cli.main(["resolvent", f"--h={h}", f"--output-dir={out}"]) == 0
+    assert _shift_report(out)["defect"] <= 1e-12
+    im = _resolvent_csv(out)
+    assert len(im) == 4096 and len(im[0]) == 3
+    assert all(cell == "0.0" for row in im for cell in row)
+
+
+def test_resolvent_at_complex_s_writes_imaginary_columns(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["resolvent", "--s=1.3+0.25j", f"--output-dir={out}"]) == 0
+    assert any(cell != "0.0" for row in _resolvent_csv(out) for cell in row)
+
+
+def test_resolvent_manifest_records_each_line_resolution(tmp_path):
+    # r_window = 11.2 panels / height = 13.44 at the defaults, where both
+    # lines resolve their truncation tail
+    for extra, names in (([], ("rho", "rho_prime")), (["--rho-prime="], ("rho",))):
+        out = tmp_path / str(len(names))
+        assert cli.main(["resolvent", *extra, f"--output-dir={out}"]) == 0
+        man = _manifest(out)["manifest"]
+        keys = {k for k in man if k.endswith(("_r_window", "_contour_tail_rel", "_tail_ok"))}
+        assert keys == {f"tolerance_{name}_{key}" for name in names
+                        for key in ("r_window", "contour_tail_rel", "tail_ok")}
+        for name in names:
+            assert float(man[f"tolerance_{name}_r_window"]) == pytest.approx(13.44, rel=1e-12)
+            assert float(man[f"tolerance_{name}_contour_tail_rel"]) <= 1e-9
+            assert man[f"tolerance_{name}_tail_ok"] == "true"
+
+
 def test_resolvent_without_rho_prime_writes_the_same_line(tmp_path):
     # the default run evaluates the rho line inside shift_identity; an empty
     # --rho-prime evaluates it alone and skips the identity
