@@ -778,9 +778,17 @@ def _make_observable(p: dict, side: str):
         amplitude=p[f"{side}_amplitude"], baseline=p[f"{side}_baseline"])
 
 
+def _integral(p: dict, side: str, f):
+    """The integral of an observable against Liouville measure (mass 2 pi)
+    and a bound on its error."""
+    if p[f"{side}_kind"] == "const":
+        return 2.0 * math.pi * float(p[f"{side}_value"]), 0.0
+    return f.integral()
+
+
 def _run_correlate(config: ExperimentConfig):
     from .flow import (correlate, estimate_area, laplace_tail_bound,
-                       laplace_transform, liouville_samples)
+                       laplace_transform)
 
     p = config.params
     A = _make_observable(p, "a")
@@ -792,21 +800,21 @@ def _run_correlate(config: ExperimentConfig):
                      zip(rec.times, rec.values, rec.stderrs)])
 
     area, area_se = estimate_area(p["n"], config.seed + 1)
-    z, al = liouville_samples(p["n"], config.seed + 2)
     total = 2.0 * math.pi
-    va = A(z, al)
-    vb = B(z, al)
-    mean_a = total * float(np.mean(va))
-    mean_b = total * float(np.mean(vb))
-    se_a = total * float(np.std(va, ddof=1)) / math.sqrt(p["n"])
-    se_b = total * float(np.std(vb, ddof=1)) / math.sqrt(p["n"])
+    (mean_a, err_a), (mean_b, err_b) = _integral(p, "a", A), _integral(p, "b", B)
     limit = mean_a * mean_b / total
-    limit_se = math.hypot(mean_b * se_a, mean_a * se_b) / total
+    limit_err = (abs(mean_b) * err_a + abs(mean_a) * err_b + err_a * err_b) / total
+    # a bump's integral must hold to 1e-9 of its scale 2 pi |amplitude|
+    # (NaN fails); at order 3 the bound first exceeds it at radius 18.27
+    failures = ["mixing_limit_error"] if any(
+        not err <= 1e-9 * total * abs(p[f"{side}_amplitude"])
+        for side, err in (("a", err_a), ("b", err_b))
+        if p[f"{side}_kind"] == "bump") else []
 
     final = float(rec.values[-1])
     final_se = float(rec.stderrs[-1])
     gap = final - limit
-    spread = math.hypot(final_se, limit_se)
+    spread = math.hypot(final_se, limit_err)
     z_score = 0.0 if gap == 0.0 else (math.inf if spread == 0.0
                                       else gap / spread)
 
@@ -817,8 +825,9 @@ def _run_correlate(config: ExperimentConfig):
         "laplace_value": lap.real,
         "s_times_laplace": p["s_probe"] * lap.real,
         "tail_bound": tail,
+        "tail_bound_kind": "heuristic",
         "mixing_limit": limit,
-        "mixing_limit_stderr": limit_se,
+        "mixing_limit_error": limit_err,
         "final_value": final,
         "final_stderr": final_se,
         "final_gap_z_score": z_score,
@@ -831,10 +840,11 @@ def _run_correlate(config: ExperimentConfig):
     tolerances = {
         "final_gap_z_score": z_score,
         "area_gap_z_score": probe["area_gap_z_score"],
+        "mixing_limit_error": limit_err,
     }
     return ({"correlation.csv": csv,
              "laplace.json": _json_text(probe)},
-            tolerances, [])
+            tolerances, failures)
 
 
 _RUNNERS = {

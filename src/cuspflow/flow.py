@@ -438,6 +438,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 #: stream indices per sampler chunk, so working memory does not grow with n
 _SAMPLE_CHUNK = 1 << 15
+#: pending streams below which one Philox call draws several rejection
+#: attempts per stream (a call costs about 0.5 ms below this size, whatever it is)
+_TAIL_STREAMS = 1000
 
 
 def _mulhilo(m, x):
@@ -452,11 +455,12 @@ def _mulhilo(m, x):
 
 def _philox_block(seed, tag, index, block):
     """Words 0-3 of counter block ``block`` of the streams (seed, tag, i) for
-    the stream indices i in the uint64 array ``index``."""
+    the stream indices i in the uint64 array ``index``; an array of blocks
+    broadcasts against ``index``."""
     k0 = seed % (1 << 64)     # the same for every stream
     k1 = (np.uint64(tag) << np.uint64(48)) | index
-    # one-element counters broadcast: the first round costs no array work
-    c0 = np.full(1, block, dtype=np.uint64)
+    # the counters broadcast: the first round costs no stream-sized array work
+    c0 = np.array(block, dtype=np.uint64, ndmin=1)
     c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
     for rnd in range(10):
         if rnd:
@@ -542,6 +546,18 @@ def _chunks(n):
         yield np.arange(start, min(n, start + _SAMPLE_CHUNK), dtype=np.uint64)
 
 
+def _attempts_per_call(pending, left):
+    """Rejection attempts per stream that one Philox call draws for
+    ``pending`` streams, of the ``left`` that the cap allows: one while
+    ``_TAIL_STREAMS`` or more are pending; below that, enough that all of them
+    accept with probability about 15/16, as an attempt rejects with
+    probability 1 - area/mass."""
+    if pending >= _TAIL_STREAMS:
+        return 1
+    per_attempt = -math.log1p(-SURFACE_AREA / PROPOSAL_MASS)
+    return min(left, math.ceil(math.log(16 * pending) / per_attempt))
+
+
 def liouville_samples(n, seed):
     """Draw n i.i.d. samples from normalized Liouville measure on the quotient.
 
@@ -551,6 +567,12 @@ def liouville_samples(n, seed):
     rejection attempt j = 0, 1, ... takes u1..u4 from counter block
     (j + 1, 0, 0, 0), the angle is word 0 of the next block, and a word
     maps to ``(word >> 11) * 2^-53``.  So the result depends on seed only.
+
+    The streams run in lockstep, one attempt per Philox call, until fewer
+    than ``_TAIL_STREAMS`` are pending; then one call draws the next several
+    attempts of every pending stream, and each keeps its first acceptance.
+    A word is a function of its stream and block alone, so the batching
+    changes no sample.
 
     Returns
     -------
@@ -569,25 +591,36 @@ def liouville_samples(n, seed):
         start = int(index[0])
         pending = np.arange(index.size)
         words = _philox_block(seed, _STREAM_SAMPLE, index, 1)
-        for attempt in range(1, _REJECTION_CAP + 1):
-            # block attempt + 1 holds the angle if this attempt accepts, and
-            # the next attempt's uniforms if it rejects
-            after = _philox_block(seed, _STREAM_SAMPLE, index[pending], attempt + 1)
-            x, y, ok = _accept(words)
-            i = np.flatnonzero(ok)
-            at = start + pending[i]
-            z.real[at] = x[i]
-            z.imag[at] = y[i]
-            alpha[at] = 2.0 * math.pi * _unit(after[0][i])
-            i = np.flatnonzero(~ok)
+        attempt = 1                # the attempt whose uniforms ``words`` holds
+        while pending.size:
+            if attempt > _REJECTION_CAP:
+                raise NonterminationError(
+                    f"rejection sampling for sample {index[pending[0]]} failed to "
+                    f"accept within {_REJECTION_CAP} rounds")
+            k = _attempts_per_call(pending.size, _REJECTION_CAP - attempt + 1)
+            # blocks attempt + 1 .. attempt + k, a row per pending stream:
+            # block b holds the angle if attempt b - 1 accepts, and the
+            # uniforms of attempt b if it rejects
+            after = _philox_block(seed, _STREAM_SAMPLE, index[pending, None],
+                                  np.arange(attempt + 1, attempt + k + 1))
+            x, y, ok = _accept(words if k == 1 else
+                               [np.concatenate((w[:, None], a[:, :-1]), axis=1).ravel()
+                                for w, a in zip(words, after)])
+            hit = np.flatnonzero(ok)
+            row = hit // k
+            first = np.ones(hit.size, dtype=bool)     # each stream's first acceptance
+            first[1:] = row[1:] != row[:-1]
+            hit, row = hit[first], row[first]
+            at = start + pending[row]
+            z.real[at] = x[hit]
+            z.imag[at] = y[hit]
+            alpha[at] = 2.0 * math.pi * _unit(after[0].ravel()[hit])
+            left = np.ones(pending.size, dtype=bool)
+            left[row] = False
+            i = np.flatnonzero(left)
             pending = pending[i]
-            if pending.size == 0:
-                break
-            words = [w[i] for w in after]
-        else:
-            raise NonterminationError(
-                f"rejection sampling for sample {index[pending[0]]} failed to "
-                f"accept within {_REJECTION_CAP} rounds")
+            words = [a[i, -1] for a in after]
+            attempt += k
     return z, alpha
 
 
@@ -619,6 +652,12 @@ def estimate_area(n, seed):
 # correlation functions
 # ---------------------------------------------------------------------------
 
+#: tanh-sinh rule of BumpObservable.integral: step 1/32 for |t| <= 3.5, past
+#: which the weights are below 1e-21
+_TS_STEP = 1.0 / 32.0
+_TS_NODES = 112
+
+
 @dataclass(frozen=True)
 class BumpObservable:
     """Smooth compactly supported bump on the unit tangent bundle.
@@ -636,8 +675,8 @@ class BumpObservable:
     baseline: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0 or self.order < 1:
-            raise ValidationError("bump needs radius > 0 and order >= 1")
+        if not (self.radius > 0 and self.order >= 1 and complex(self.center).imag > 0):
+            raise ValidationError("bump needs radius > 0, order >= 1 and Im center > 0")
 
     def __call__(self, z, alpha=None):
         # arccosh and the power only where cosh d < cosh(radius) (1 + 1e-9):
@@ -657,6 +696,54 @@ class BumpObservable:
         q = 1.0 - (np.arccosh(flat[near]) / self.radius) ** 2
         out[near] = self.baseline + self.amplitude * np.where(q > 0.0, q, 0.0) ** self.order
         return out.reshape(z.shape)[()]
+
+    def integral(self):
+        """``(value, error)``: the integral of f against Liouville measure
+        (mass 2 pi), i.e. over the fundamental domain F in hyperbolic area,
+        and a bound on the error of the value.
+
+        The half-planes beyond F's four sides are disjoint, so the ball
+        meets F in the ball minus one cap per side, wherever the center
+        lies.  About the center, a side at signed distance D (D < 0 beyond
+        it) cuts ``2 atan2(sqrt(sinh(r - |D|) sinh(r + |D|)), sinh D cosh r)``
+        off the circle of radius r > |D|, and all of it at r < -D.  Each
+        piece is a tanh-sinh integral in r of bump(r) sinh r times an angle.
+        The bound adds the embedded half rule's difference and 8 ulp of the
+        terms' magnitudes: the ball and the caps grow like e^radius, so
+        their difference loses about eps e^radius to roundoff.
+        """
+        R, k = float(self.radius), self.order
+        x0, y0 = complex(self.center).real, complex(self.center).imag
+        t = np.arange(-_TS_NODES, _TS_NODES + 1) * _TS_STEP
+        u = _HALF_PI * np.sinh(t)
+        node = 1.0 / (1.0 + np.exp(-2.0 * u))      # in (0, 1), exact near 0
+        weight = _TS_STEP * _HALF_PI * np.cosh(t) / (2.0 * np.cosh(u) ** 2)
+
+        def radial(lo, hi):
+            """r - lo and r at the nodes of [lo, hi], and the weights times
+            bump(r) sinh r there."""
+            off = (hi - lo) * node
+            r = lo + off
+            return off, r, (hi - lo) * weight * (1.0 - (r / R) ** 2) ** k * np.sinh(r)
+
+        two_pi = 2.0 * math.pi
+        rows = [two_pi * radial(0.0, R)[2]]
+        # sinh D for the sides Re z = 1, Re z = -1, |z - 1/2| = 1/2, |z + 1/2| = 1/2
+        for s in ((1.0 - x0) / y0, (1.0 + x0) / y0,
+                  (x0 * x0 - x0 + y0 * y0) / y0, (x0 * x0 + x0 + y0 * y0) / y0):
+            d = math.asinh(abs(s))
+            if s < 0.0:
+                rows.append(-two_pi * radial(0.0, min(d, R))[2])
+            if d < R:
+                off, r, g = radial(d, R)
+                rows.append(-2.0 * g * np.arctan2(np.sqrt(np.sinh(off) * np.sinh(r + d)),
+                                                  s * np.cosh(r)))
+        terms = np.array(rows)
+        embedded = terms.sum(axis=1) - 2.0 * terms[:, ::2].sum(axis=1)
+        error = (float(np.abs(embedded).sum())
+                 + 8.0 * float(np.finfo(float).eps) * float(np.abs(terms).sum()))
+        return (two_pi * self.baseline + self.amplitude * float(terms.sum()),
+                abs(self.amplitude) * error)
 
 
 @dataclass(frozen=True)
@@ -769,6 +856,7 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     ux, uy = np.cos(alpha), np.sin(alpha)
     work = [np.empty(x.size) for _ in range(4)]
     prod = np.zeros(n)
+    dev = np.empty(n)
     values = []
     stderrs = []
     root_n = math.sqrt(n)
@@ -781,9 +869,13 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)
         prod[live] = _eval_observable(A, z, alpha) * b_vals
-        values.append(SURFACE_AREA * float(np.mean(prod)))
+        # np.mean and np.std(ddof=1) to the bit, from one sum of prod
+        mean = np.add.reduce(prod) / n
+        values.append(SURFACE_AREA * float(mean))
         if n > 1:
-            stderrs.append(SURFACE_AREA * float(np.std(prod, ddof=1)) / root_n)
+            np.subtract(prod, mean, out=dev)
+            np.multiply(dev, dev, out=dev)
+            stderrs.append(SURFACE_AREA * math.sqrt(np.add.reduce(dev) / (n - 1)) / root_n)
         else:
             stderrs.append(0.0)
     return CorrelationRecord(times=tuple(times), values=tuple(values),

@@ -34,6 +34,14 @@ package takes:
 * :func:`reference_correlate` is the correlation loop as it was written
   before it flowed only B's support: every sample is flowed and every
   product formed;
+* :func:`lockstep_liouville_samples` is the sampler as it was written before
+  it batched the rejection tail: one attempt per pending stream per Philox
+  call;
+* :func:`disc_bump_integral` and :func:`cusp_chart_bump_integral` integrate
+  a bump over the fundamental domain in two dimensions, on the bump's
+  Euclidean disc and on the domain's core and cusp strips (the package
+  takes a ball minus caps in geodesic polar coordinates), with the
+  Newton-refined nodes of :func:`gauss_legendre`;
 * :func:`geodesic_velocity` is the right-hand side of the cusp geodesic
   system, :func:`four_branch_theta` is the exact flow's cross-section drift
   as it was written in four overflow branches (the package writes one
@@ -63,9 +71,11 @@ from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0s, _dist_0u, _dist_s, _dist_u,
                              _frame_components, _plateau_samples,
                              _sphere_flow, _swapped)
-from cuspflow.flow import (CONTAINMENT_SLACK, REDUCTION_CAP, SURFACE_AREA,
-                           CorrelationRecord, _eval_observable, _geodesic_step,
-                           _inside, _reduce, flow_cusp_exact, liouville_samples)
+from cuspflow.flow import (_REJECTION_CAP, _STREAM_SAMPLE, CONTAINMENT_SLACK,
+                           REDUCTION_CAP, SURFACE_AREA, CorrelationRecord, _accept,
+                           _chunks, _eval_observable, _geodesic_step, _inside,
+                           _philox_block, _reduce, _unit, flow_cusp_exact,
+                           liouville_samples)
 from cuspflow.hadamard import (_CUT_ANGLE, _POLE_GUARD, RegularizedPairing,
                                _angular_moment, pole_location, quad)
 from cuspflow.geometry import direction_angle, splitting_frame_at
@@ -745,6 +755,144 @@ def reference_correlate(A, B, T_max, dt, n, seed, cap=REDUCTION_CAP):
         stderrs.append(SURFACE_AREA * float(np.std(prod, ddof=1)) / math.sqrt(n)
                        if n > 1 else 0.0)
     return tuple(values), tuple(stderrs)
+
+
+def lockstep_liouville_samples(n, seed, cap=_REJECTION_CAP):
+    """``liouville_samples(n, seed)`` with every pending stream making one
+    rejection attempt per Philox call until it accepts."""
+    z = np.empty(int(n), dtype=complex)
+    alpha = np.empty(int(n))
+    for index in _chunks(int(n)):
+        start = int(index[0])
+        pending = np.arange(index.size)
+        words = _philox_block(seed, _STREAM_SAMPLE, index, 1)
+        for attempt in range(1, cap + 1):
+            # block attempt + 1 holds the angle if this attempt accepts, and
+            # the next attempt's uniforms if it rejects
+            after = _philox_block(seed, _STREAM_SAMPLE, index[pending], attempt + 1)
+            x, y, ok = _accept(words)
+            i = np.flatnonzero(ok)
+            at = start + pending[i]
+            z.real[at] = x[i]
+            z.imag[at] = y[i]
+            alpha[at] = 2.0 * math.pi * _unit(after[0][i])
+            i = np.flatnonzero(~ok)
+            pending = pending[i]
+            if pending.size == 0:
+                break
+            words = [w[i] for w in after]
+        else:
+            raise NonterminationError(
+                f"rejection sampling for sample {index[pending[0]]} failed to "
+                f"accept within {cap} rounds")
+    return z, alpha
+
+
+# ---------------------------------------------------------------------------
+# the integral of a bump over the fundamental domain, in two dimensions
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on
+    the Legendre recurrence: to a few ulp, where the eigenvalue nodes of
+    ``numpy.polynomial.legendre.leggauss`` shift a 2-D rule by ~1e-14."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-17:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _unit_bump(bump, x, y):
+    """The bump's formula at x + iy with amplitude 1 and baseline 0."""
+    c = complex(bump.center)
+    d = np.arccosh(1.0 + ((x - c.real) ** 2 + (y - c.imag) ** 2) / (2.0 * y * c.imag))
+    q = 1.0 - (d / bump.radius) ** 2
+    return np.where(q > 0.0, q, 0.0) ** bump.order
+
+
+def _on(a, b, n):
+    """Gauss-Legendre nodes and weights on [a, b] (arrays broadcast)."""
+    t, w = gauss_legendre(n)
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * w
+
+
+def _circle_hits(cx, cy, rho, a, r):
+    """x of the points where |z - (cx + i cy)| = rho meets |z - a| = r."""
+    dx, dy = a - cx, -cy
+    dist = math.hypot(dx, dy)
+    if not abs(rho - r) < dist < rho + r:
+        return []
+    along = (rho * rho - r * r + dist * dist) / (2.0 * dist)
+    across = math.sqrt(rho * rho - along * along)
+    return [cx + (along * dx + s * across * dy) / dist for s in (1.0, -1.0)]
+
+
+def disc_bump_integral(bump, n=64):
+    """The integral of the bump (not its baseline) over the fundamental
+    domain, as a 2-D rule on its support: the Euclidean disc with center
+    Re c + i Im c cosh R and radius Im c sinh R, in x = Re center - radius
+    cos(phi), cut at x = -1, 0, 1 and where the disc meets a bubble, and in
+    y between the disc and the bubble on each piece.  For supports that
+    stay out of the cusps."""
+    c = complex(bump.center)
+    cx, cy = c.real, c.imag * math.cosh(bump.radius)
+    rho = c.imag * math.sinh(bump.radius)
+    cuts = [-1.0, 0.0, 1.0] + _circle_hits(cx, cy, rho, 0.5, 0.5) + _circle_hits(cx, cy, rho, -0.5, 0.5)
+    phis = sorted({0.0, math.pi} | {math.acos((cx - x) / rho) for x in cuts if abs(cx - x) < rho})
+    parts = []
+    for lo, hi in zip(phis, phis[1:]):
+        phi, w_phi = _on(lo, hi, n)
+        x = cx - rho * np.cos(phi)
+        bottom = np.maximum(cy - rho * np.sin(phi), np.sqrt(np.maximum(np.abs(x) - x * x, 0.0)))
+        top = cy + rho * np.sin(phi)
+        keep = (np.abs(x) <= 1.0) & (top > bottom)
+        y, w_y = _on(np.where(keep, bottom, 0.0), np.where(keep, top, 1.0), n)
+        inner = np.sum(_unit_bump(bump, x[..., None], y) / y ** 2 * w_y, axis=-1)
+        parts.append(np.sum(np.where(keep, inner * rho * np.sin(phi) * w_phi, 0.0)))
+    return math.fsum(parts)
+
+
+def cusp_chart_bump_integral(bump, n=96):
+    """The integral of a bump centered at i (not its baseline) over the
+    fundamental domain F, for radii at which the ball holds F's core.
+
+    z -> -1/z and z -> (z - 1)/(z + 1) map F onto F and fix i, so each of
+    F's four cusp neighbourhoods -- y >= 2 at infinity, the horodiscs of
+    diameter 1/2 at 0 and 1 at +-1 -- carries the integral over the strip
+    |x| <= 1, y >= 2, taken in log y.  The core left over lies between the
+    horodiscs or bubbles below and y = 2, cut at x = +-1/5 (horodisc at 0
+    meets bubble) and x = +-1/2 (bubble meets horodisc at +-1, an arc in its
+    own angle).  The bump is even in x, so the core is twice its x >= 0
+    half."""
+    assert complex(bump.center) == 1j and bump.radius >= 5.0
+
+    def column(x, bottom, top, w_x):
+        y, w_y = _on(bottom, top, n)
+        return np.sum(_unit_bump(bump, x[:, None], y) / y ** 2 * w_y, axis=1) @ w_x
+
+    x, w = _on(0.0, 0.2, n)
+    core = [column(x, 0.25 + np.sqrt(1.0 / 16.0 - x * x), 2.0, w)]
+    x, w = _on(0.2, 0.5, n)
+    core.append(column(x, np.sqrt(x - x * x), 2.0, w))
+    theta, w = _on(0.0, 0.5 * math.pi, n)
+    core.append(column(1.0 - 0.5 * np.cos(theta), 0.5 + 0.5 * np.sin(theta), 2.0,
+                       0.5 * np.sin(theta) * w))
+    x, w_x = _on(-1.0, 1.0, n)
+    top = np.log(math.cosh(bump.radius) + np.sqrt(math.sinh(bump.radius) ** 2 - x * x))
+    s, w_s = _on(math.log(2.0), top, n)
+    y = np.exp(s)
+    strip = np.sum(_unit_bump(bump, x[:, None], y) / y * w_s, axis=1) @ w_x
+    return 2.0 * math.fsum(core) + 4.0 * strip
 
 
 def geodesic_velocity(p):

@@ -110,18 +110,18 @@ def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
-# The t = 0 row of correlation.csv and four laplace.json fields of
+# The t = 0 row of correlation.csv and two laplace.json fields of
 # ``correlate --n=2000`` at seeds 0 and 1, as written before the sampler and
-# the flow loop were rewritten.  None of them goes through the reduction.
+# the flow loop were rewritten; none of them goes through the reduction.
+# Then the limit from the bumps' exact integrals and its error bound, the
+# same at every seed.
+EXACT_LIMIT = {"mixing_limit": "0.04187767420579243",
+               "mixing_limit_error": "1.6723583670434174e-16"}
 PINNED_CORRELATE = {
     0: ("0.0,0.23677887363977196,0.01798757639582483",
-        {"area": "6.344", "area_stderr": "0.1750109482289608",
-         "mixing_limit": "0.039131843625039416",
-         "mixing_limit_stderr": "0.0030142585860674616"}),
+        {"area": "6.344", "area_stderr": "0.1750109482289608", **EXACT_LIMIT}),
     1: ("0.0,0.22449583339144774,0.017229903512911315",
-        {"area": "6.232", "area_stderr": "0.17446228245669607",
-         "mixing_limit": "0.04220050906268049",
-         "mixing_limit_stderr": "0.003254538009956343"}),
+        {"area": "6.232", "area_stderr": "0.17446228245669607", **EXACT_LIMIT}),
 }
 
 
@@ -148,6 +148,34 @@ def test_correlate_of_constant_observables_is_exact(tmp_path):
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
     assert len(rows) == 201
     assert {(float(rho), float(err)) for _, rho, err in rows} == {(2.0 * math.pi, 0.0)}
+    (json_path,) = out.glob("*-laplace.json")
+    probe = json.loads(json_path.read_text())
+    assert (probe["mixing_limit"], probe["mixing_limit_error"]) == (2.0 * math.pi, 0.0)
+    assert probe["final_gap_z_score"] == 0.0
+
+
+def test_correlate_draws_liouville_samples_once(tmp_path, monkeypatch):
+    import cuspflow.flow as fl
+
+    calls = []
+    draw = fl.liouville_samples
+    monkeypatch.setattr(fl, "liouville_samples",
+                        lambda n, seed: calls.append((n, seed)) or draw(n, seed))
+    argv = ["correlate", "--n=200", "--t-max=1", "--seed=3", f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 0
+    assert calls == [(200, 3)]
+
+
+@pytest.mark.parametrize("radius, code", [(18.0, 0), (18.5, 3)])
+def test_correlate_exits_3_where_the_limit_error_passes_1e_9(tmp_path, radius, code):
+    # at order 3 the integral's roundoff bound first exceeds 1e-9 * 2 pi at
+    # radius 18.27; the artifacts are written either way
+    out = tmp_path / "out"
+    argv = ["correlate", "--n=200", "--t-max=1", f"--a-radius={radius}", f"--output-dir={out}"]
+    assert cli.main(argv) == code
+    status = _manifest(out)["manifest"]["status"]
+    assert status == ("ok" if code == 0 else "tolerance_failure: mixing_limit_error")
+    assert len(list(out.iterdir())) == 3
 
 
 # ``eigendist --d 1`` (re_pairing per row) and ``residue --d 1`` (re_closed,

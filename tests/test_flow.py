@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cuspflow.flow as fl
-from _oracles import (_frame_matrix, four_branch_theta, geodesic_velocity,
-                      record_from_json, reference_correlate, reference_reduce,
-                      reference_step)
+from _oracles import (_frame_matrix, cusp_chart_bump_integral, disc_bump_integral,
+                      four_branch_theta, geodesic_velocity,
+                      lockstep_liouville_samples, record_from_json,
+                      reference_correlate, reference_reduce, reference_step)
 from cuspflow import (
     BumpObservable,
     CorrelationRecord,
@@ -609,6 +610,54 @@ def test_sampler_is_bitwise_the_per_sample_generator(seed):
     assert estimate_area(20_000, seed) == FROZEN_AREAS[seed]
 
 
+def _philox_calls(monkeypatch):
+    """Wrap ``flow._philox_block``; the list gets each call's block count."""
+    blocks = []
+    philox = fl._philox_block
+
+    def recorded(seed, tag, index, block):
+        blocks.append(np.size(block))
+        return philox(seed, tag, index, block)
+
+    monkeypatch.setattr(fl, "_philox_block", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sampler_is_bitwise_the_lockstep_loop_across_a_chunk(monkeypatch, seed):
+    # 40,000 streams fill one 32,768-stream chunk and part of a second, and
+    # each chunk ends in a batched tail
+    blocks = _philox_calls(monkeypatch)
+    z, alpha = fl.liouville_samples(40_000, seed)
+    assert sum(k > 1 for k in blocks) >= 2
+    z0, alpha0 = lockstep_liouville_samples(40_000, seed)
+    assert z.tobytes() == z0.tobytes() and alpha.tobytes() == alpha0.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sampler_draws_20000_samples_in_nine_philox_calls(monkeypatch, seed):
+    # block 1, then one call per attempt while 1,000 or more streams are
+    # pending (attempts 1-7), then one batch
+    blocks = _philox_calls(monkeypatch)
+    fl.liouville_samples(20_000, seed)
+    assert len(blocks) == 9
+
+
+@pytest.mark.parametrize("cap", [12, 16])
+def test_rejection_cap_inside_a_batch_names_the_lockstep_sample(monkeypatch, cap):
+    # at n = 20,000, seed 0, 603 streams are pending at attempt 8, and the
+    # batch for them would draw 19 attempts: the cap cuts it to cap - 7
+    with pytest.raises(NonterminationError) as want:
+        lockstep_liouville_samples(20_000, 0, cap=cap)
+    blocks = _philox_calls(monkeypatch)
+    monkeypatch.setattr(fl, "_REJECTION_CAP", cap)
+    with pytest.raises(NonterminationError) as got:
+        fl.liouville_samples(20_000, 0)
+    assert str(got.value) == str(want.value)
+    assert blocks == [1] * 8 + [cap - 7]
+    assert fl._attempts_per_call(603, 1_000) == 19
+
+
 def test_sampling_is_deterministic_and_in_domain():
     s1 = sample_liouville(64, 42)
     s2 = sample_liouville(64, 42)
@@ -685,6 +734,44 @@ def test_support_only_bump_is_bitwise_the_full_formula_at_the_rim(radius, order,
     assert np.any(cosh_d < math.cosh(radius)) and np.any(cosh_d > math.cosh(radius))
     assert bump(z).tobytes() == _full_array_bump(bump, z).tobytes()
     assert bump(complex(z[0])) == _full_array_bump(bump, z[0])
+
+
+EXACT_MEAN_BUMPS = {
+    "default-a": BumpObservable(),                      # inside F
+    "default-b": BumpObservable(center=0.2 + 1.2j),     # crosses Re z = 1
+    "two-sides": BumpObservable(center=0.9 + 0.5j),     # Re z = 1 and |z - 1/2| = 1/2
+    "outside": BumpObservable(center=1.3 + 1.0j),       # center beyond Re z = 1
+    "order-1": BumpObservable(center=0.9 + 0.5j, order=1),
+    "order-5": BumpObservable(center=-0.3 + 0.6j, radius=1.0, order=5, amplitude=-2.0),
+    "baseline": BumpObservable(center=0.2 + 1.2j, baseline=0.25, amplitude=1.5),
+}
+
+
+@pytest.mark.parametrize("bump", EXACT_MEAN_BUMPS.values(), ids=EXACT_MEAN_BUMPS)
+def test_bump_integral_is_a_2d_rule_on_its_disc(bump):
+    value, error = bump.integral()
+    want = 2.0 * math.pi * bump.baseline + bump.amplitude * disc_bump_integral(bump)
+    assert abs(value - want) <= 1e-12
+    assert error <= 1e-14
+
+
+@pytest.mark.parametrize("kwargs", [dict(radius=0.0), dict(order=0), dict(center=0.5),
+                                    dict(center=0.5 - 1.0j)])
+def test_bump_validates_its_parameters(kwargs):
+    # a center off the upper half-plane gave zeros from the bump and a
+    # ZeroDivisionError or a finite wrong value from its integral
+    with pytest.raises(ValidationError):
+        BumpObservable(**kwargs)
+
+
+@pytest.mark.parametrize("radius", [0.8, 5.0, 20.0])
+def test_bump_integral_error_bound_holds_at_any_radius(radius):
+    # past radius ~5 the ball reaches into every cusp, and the ball and its
+    # caps grow like e^radius while their difference stays below 2 pi
+    bump = BumpObservable(radius=radius)
+    value, error = bump.integral()
+    want = disc_bump_integral(bump) if radius < 1.0 else cusp_chart_bump_integral(bump)
+    assert abs(value - want) <= error < 1e-7
 
 
 def test_time_1_flow_preserves_liouville():
