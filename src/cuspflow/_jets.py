@@ -18,10 +18,10 @@ where  w = 2 / (1 + sqrt(1 - rho^2))  is the pole-conjugation factor
 (equal to 2*tan(phi/2)/sin(phi)).
 
 Every radial factor involved has a closed form in t = rho^2: J and
-cos(phi) are binomial series (1 - t)^a, w is the Catalan series, and its
-real powers come from J. C. P. Miller's O(n^2) recurrence.  This module
+cos(phi) are binomial series (1 - t)^a, and every power w^sigma is the
+generalized binomial series of the Catalan generating function.  This module
 provides those truncated series (exact Fraction coefficients from a Fraction
-exponent, else floats or complex), the one composition rule
+exponent, else floats, complex or arrays), the one composition rule
 D_mu[g(t) F] of the jet functionals with a radial series, the finite
 triangular matrix of the transposed model operator on volume jets built from
 that rule, and the unit-triangular change of basis between volume jets and
@@ -30,7 +30,9 @@ the Dirac eigenfunctionals.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,8 +59,8 @@ class RadialSeries:
     """Truncated power series sum_m c_m t^m in the radial variable t = rho^2.
 
     The coefficients are whatever the constructor computed them in: Fractions
-    from a Fraction exponent, else floats or complex.  ``order`` is the
-    highest retained power of t.
+    from a Fraction exponent, else floats, complex or arrays over an array
+    exponent.  ``order`` is the highest retained power of t.
     """
 
     coeffs: tuple
@@ -77,28 +79,24 @@ class RadialSeries:
         return RadialSeries(tuple(c))
 
     @staticmethod
-    def pole_factor(order: int) -> "RadialSeries":
-        """w = 2/(1 + sqrt(1-t)) = sum_m Catalan(m) (t/4)^m; w(0) = 1.
+    def power(sigma, order: int) -> "RadialSeries":
+        """w^sigma for the pole-conjugation factor w = 2/(1 + sqrt(1-t)).
 
-        Each coefficient is one correctly rounded quotient of integers."""
-        return RadialSeries(
-            tuple(math.comb(2 * m, m) / ((m + 1) * 4**m) for m in range(order + 1))
-        )
+        The generalized binomial series (Graham, Knuth & Patashnik, Concrete
+        Mathematics, eq. 5.60): c_0 = 1 and, for n >= 1,
 
-    def power(self, sigma) -> "RadialSeries":
-        """Series of self**sigma (constant term of self must be 1).
+            c_n = sigma (sigma+n+1) (sigma+n+2) ... (sigma+2n-1) / (n! 4^n),
 
-        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for
-        b = a**sigma:  n b_n = sum_{k=1}^n ((sigma+1) k - n) a_k b_{n-k},
-        O(order^2) operations in the coefficients' own arithmetic; an array
-        sigma gives each b_n as an array over sigma.
+        in the arithmetic of ``sigma``: a Fraction gives exact coefficients,
+        an int one correctly rounded integer quotient each (sigma = 1 gives
+        w itself, Catalan(n)/4^n), and an array each c_n over its entries.
+        No factor is divided out, so a negative integer sigma is exact too.
+        In floats n! 4^n leaves the float range past order 133.
         """
-        a = self.coeffs
-        s1 = sigma + 1
-        b = [a[0] * 0 * sigma + 1]
-        for n in range(1, len(a)):
-            b.append(sum((s1 * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
-        return RadialSeries(tuple(b))
+        shifted = [sigma + i for i in range(2 * order)]
+        return RadialSeries((sigma * 0 + 1,) + tuple(
+            functools.reduce(operator.mul, shifted[n + 1:2 * n], sigma)
+            / (math.factorial(n) * 4**n) for n in range(1, order + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,7 @@ def delta_in_volume_basis(d: int, h, lam, mu: tuple[int, ...]) -> dict:
     expanded as  sum_nu U[nu] B_nu  via the radial multiplication rule.
     """
     sigma = lam / h - sum(mu) - d / 2.0
-    w = RadialSeries.pole_factor(sum(mu) // 2)
-    return radial_multiply({mu: 1.0 + 0.0j}, w.power(sigma))
+    return radial_multiply({mu: 1.0 + 0.0j}, RadialSeries.power(sigma, sum(mu) // 2))
 
 
 def volume_dict_to_delta_basis(d: int, h, lam, jet: dict) -> dict:

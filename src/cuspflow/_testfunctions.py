@@ -183,16 +183,16 @@ class TestFunction:
             total += g_m * mult * nfact
         return total
 
-    def profile_coefficient(self, j: int, weight, moment):
+    def profile_coefficient(self, j: int, weight: np.ndarray, moment):
         """Coefficient of rho^j in the integral over u in S^{d-1} of
         Upsilon(u) (g J psi)(rho u), with g(t) = sum_i weight[i] t^i.
 
         A term is x^mu t^e rest(t), e = (q - |mu|)/2, rest = p(sqrt(1-t))
         e^{-ct}.  Order j needs j - |mu| even and m = (j - |mu|)/2 >= e, and
         is a_mu = moment(mu) (|u| = 1 on the sphere) times coefficient m - e
-        of g * (J rest).  ``weight`` may be an (order, L) array, one series
-        per column; the coefficient is then one value per column, each
-        coefficient of g * (J rest) one np.dot.
+        of g * (J rest), one np.dot.  ``weight`` is an array of shape (order,)
+        or (order, L), one series per column; the coefficient is then one
+        value per column.
         """
         acc = 0.0 + 0.0j
         for index, (deg, e) in enumerate(self._degrees):
@@ -200,10 +200,7 @@ class TestFunction:
             if (j - deg) % 2 or r < 0 or (c_mu := moment(self.terms[index][1])) == 0.0:
                 continue
             rest = self._radial_series(index, r, True)
-            if isinstance(weight, np.ndarray):
-                acc += c_mu * np.dot(rest[r::-1], weight[: r + 1])
-            else:
-                acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
+            acc += c_mu * np.dot(rest[r::-1], weight[: r + 1])
         return acc
 
     def volume_jet(self, nu):

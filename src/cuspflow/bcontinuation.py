@@ -1055,6 +1055,11 @@ def _auto_residue(op: ModelOperator, s: complex, cluster) -> ResidueOperator:
     return ResidueOperator(s=s, lambda0=w0, eps=min([1e-2] + [0.35 * g for g in gaps]))
 
 
+def _defect_window(r_span: float) -> float:
+    """Half-width in r of the window where :func:`shift_identity` reads its defect."""
+    return min(10.0, r_span / 3.0)
+
+
 def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
     """The summed residue fields of the root locations, one _auto_residue
     circle per cluster of locations closer than _CLUSTER_GAP; raises
@@ -1068,7 +1073,7 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
         else:
             clusters.append([w])
     r = default_r_grid(r_span, n_r)
-    r_edge = min(10.0, r_span / 3.0)
+    r_edge = _defect_window(r_span)
     total = CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(
         (t.m, t.mu, np.zeros((r.size, xg.size), complex)) for t in f.terms))
     for cluster in clusters:
@@ -1119,7 +1124,7 @@ def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float
                            key=lambda loc: loc.value.real))
     residues = _residue_sum(op, s, f, crossed, xg, r_span, n_r)
     diff = hi - lo - residues
-    window = np.abs(lo.r_grid) <= min(10.0, r_span / 3.0)
+    window = np.abs(lo.r_grid) <= _defect_window(r_span)
     num = den = 0.0
     for i in range(len(f.terms)):
         num = max(num, float(np.max(np.abs(diff.term_values(i)[window]))))

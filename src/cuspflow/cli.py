@@ -781,13 +781,15 @@ def _make_observable(p: dict, side: str):
 def _integral(p: dict, side: str, f):
     """The integral of an observable against Liouville measure (mass 2 pi)
     and a bound on its error."""
+    from .flow import SURFACE_AREA
+
     if p[f"{side}_kind"] == "const":
-        return 2.0 * math.pi * float(p[f"{side}_value"]), 0.0
+        return SURFACE_AREA * float(p[f"{side}_value"]), 0.0
     return f.integral()
 
 
 def _run_correlate(config: ExperimentConfig):
-    from .flow import (correlate, estimate_area, laplace_tail_bound,
+    from .flow import (SURFACE_AREA, correlate, estimate_area, laplace_tail_bound,
                        laplace_transform)
 
     p = config.params
@@ -800,7 +802,7 @@ def _run_correlate(config: ExperimentConfig):
                      zip(rec.times, rec.values, rec.stderrs)])
 
     area, area_se = estimate_area(p["n"], config.seed + 1)
-    total = 2.0 * math.pi
+    total = SURFACE_AREA
     (mean_a, err_a), (mean_b, err_b) = _integral(p, "a", A), _integral(p, "b", B)
     limit = mean_a * mean_b / total
     limit_err = (abs(mean_b) * err_a + abs(mean_a) * err_b + err_a * err_b) / total
@@ -922,9 +924,14 @@ def _diagnostic(kind: str, exc: BaseException) -> None:
                       "message": str(exc)}, sort_keys=True), file=sys.stderr)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         overrides = {key[len("param_"):]: value
                      for key, value in vars(args).items()

@@ -16,18 +16,19 @@ by parts); the subtracted terms integrate in closed form and carry the poles.
 Its coefficients Phi_j(lambda) pair the sphere moments a_mu of Upsilon
 (psi- and lambda-free) with the radial series of psi convolved with that of
 w^sigma.  Both series come from closed forms in t = rho^2: the test
-function's is a sum of binomial series (1 - t)^a times e^{-ct}, and w^sigma
-is Miller's power of the Catalan series of w = 2/(1 + sqrt(1 - t)).
+function's is a sum of binomial series (1 - t)^a times e^{-ct}, and w^sigma,
+for w = 2/(1 + sqrt(1 - t)), is the generalized binomial series
+(:meth:`RadialSeries.power <cuspflow._jets.RadialSeries.power>`).
 
 :func:`pairings` evaluates the family for one (psi, Upsilon, k) at an array
 of lambda, as a residue circle needs it, or its finite part at a pole: the
-angular profile once, w^sigma by Miller's recurrence over the sigma array,
-and the radial and colatitude integrals over lambda at once by :func:`quad`,
-eight equal Gauss-Legendre panels of 32 nodes.  Panels, because test
-functions are smooth but need not be analytic: on away-supported bumps one
-64-node rule misses by up to 5e-7 relative, the panels by 1e-15.  Each
-lambda's error estimate is the difference from 24-node panels; above 1e-12 +
-1e-11 |integral| it raises.
+angular profile once, w^sigma over the sigma array, each Phi_j as one value
+per lambda, and the radial and colatitude integrals over lambda at once by
+:func:`quad`, eight equal Gauss-Legendre panels of 32 nodes.  Panels,
+because test functions are smooth but need not be analytic: on
+away-supported bumps one 64-node rule misses by up to 5e-7 relative, the
+panels by 1e-15.  Each lambda's error estimate is the difference from
+24-node panels; above 1e-12 + 1e-11 |integral| it raises.
 
 Residues are finite combinations of volume jets at N, which is what couples
 this family to the Dirac-jet branch and produces index-2 Jordan blocks at
@@ -141,9 +142,9 @@ class RegularizedPairing:
     n_reg  : Taylor-subtraction depth (None selects the automatic minimum)
     psi    : test function with profile_coefficient(j, weight, moment) and
              angular_profile(phi, moment), as TestFunction has them.  The
-             weight may be an (order, L) array, one column per lambda of a
-             batch; profile_coefficient is linear in it and returns one value
-             per column, or a scalar that broadcasts over them.
+             weight is an (order,) or (order, L) array, one column per lambda
+             of a batch; profile_coefficient is linear in it and returns one
+             value per column, or a scalar that broadcasts over them.
     """
 
     d: int
@@ -191,8 +192,9 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
-    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, for every
-    lambda at once, and the integral over u of Upsilon psi is exact.  Far
+    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, each one
+    np.dot for every lambda at once, with w^sigma in closed form over the
+    lambda array; the integral over u of Upsilon psi is exact.  Far
     integral: direct quadrature in the colatitude over [cut, pi] in the
     everywhere-regular form T^sigma sin(phi)^{k+d-1}.  A lambda at a pole,
     too deep for its n_reg, or whose tail or integral is unresolved raises
@@ -233,17 +235,14 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     # radial profile Phi(rho) is analytic with radius 1, so extra exact
     # coefficients converge geometrically and no cancellation-prone
     # subtraction is ever evaluated at small rho.  Phi_j reads w^sigma to
-    # order m - e <= j // 2, each block's as far as it goes: an (order, L)
-    # array by Miller's recurrence over the sigma array; for one lambda the
-    # tuple of its Python scalars, which keeps profile_coefficient's sequential sum.
+    # order m - e <= j // 2, each block's as far as it goes, as an (order, L) array.
     n_max = int(n_regs.max())
     j_cap = n_max + 64  # a tail not converged by order n_reg + 64 raises
     blocks, terms, tails = [], [[] for _ in lams], [None] * lams.size
     while None in tails:  # blocks of orders; terms[i][j] = Phi_j rho_s^{c+j}/(c+j)
         start = len(terms[0])
         js = np.arange(start, min(max(start, n_max) + _TAIL_BLOCK, j_cap))
-        power = RadialSeries.pole_factor(int(js[-1]) // 2).power
-        weight = np.array(power(sigma).coeffs) if sigma.size > 1 else power(sigma.item()).coeffs
+        weight = np.array(RadialSeries.power(sigma, int(js[-1]) // 2).coeffs)
         block = np.empty((js.size, lams.size), complex)
         for row, j in enumerate(js.tolist()):
             block[row] = psi.profile_coefficient(j, weight, moment)
@@ -280,7 +279,7 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     near += (sub * np.where(pole, math.log(rho_c), rho_c**x / np.where(pole, 1.0, x))).sum(axis=0)
     for j, i in zip(*np.nonzero(pole)):  # with finite_part only
         log_w = [0.0] + [math.comb(2 * n, n) / (2 * n * 4.0**n) for n in range(1, len(weight))]
-        w_log_w = np.convolve(np.array(weight).reshape(len(weight), -1)[:, i], log_w)
+        w_log_w = np.convolve(weight[:, i], log_w)
         near[i] += 0.5 * psi.profile_coefficient(j, w_log_w[: len(weight)], moment)
 
     def far_integrand(phi: np.ndarray) -> np.ndarray:
@@ -335,7 +334,7 @@ def pole_residue(
     # closed form
     sigma = -(k + d / 2.0 + lam_j / h)
     moment = functools.partial(_angular_moment, tuple(upsilon), k)
-    weight = RadialSeries.pole_factor(j // 2).power(sigma).coeffs
+    weight = np.array(RadialSeries.power(sigma, j // 2).coeffs)
     closed = -(h / 2.0) * psi.profile_coefficient(j, weight, moment)
 
     # contour
@@ -362,8 +361,8 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
     h(j - |nu|), the correction e_j removing all jet orders < j is solvable,
     and Q(A_j + e_j) lands in ker Q: an exact index-2 block.
 
-    Returns a DistributionRep of kind 'jordan_vector'; its pairing combines
-    the lambda-derivative of the regularized pairing (finite part) with the
+    Returns a DistributionRep of kind 'jordan_vector' at lam = lambda_0; its
+    pairing combines the finite part of the regularized pairing with the
     exact jet pairing of e_j.
     """
     if j < 0 or k < 0:
@@ -386,7 +385,6 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
 
     # Residue distribution R = -(h/2) sum_{|nu|=j} (a_nu / nu!) delta_nu(lam0)
     r_dict: dict = {}
-    top_data = {}
     for nu in multi_indices(d, j):
         a_nu = _angular_moment(upsilon, k, nu)
         if a_nu == 0.0:
@@ -395,10 +393,9 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
         for v in nu:
             fact *= math.factorial(v)
         coeff = -(h / 2.0) * a_nu / fact
-        top_data[nu] = coeff
         for mu, c in delta_in_volume_basis(d, h, lam0, nu).items():
             r_dict[mu] = r_dict.get(mu, 0.0 + 0.0j) + coeff * c
-    if not top_data:
+    if not r_dict:  # every a_nu vanished
         raise ValidationError(
             f"the residue vanishes identically for this upsilon at "
             f"(j={j}, k={k}); no index-2 block to construct"
@@ -412,12 +409,10 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
     # expand w in the Dirac eigenfunctional basis at lam0 and solve Q e = -w_low
     w_delta = volume_dict_to_delta_basis(d, h, lam0, w_dict)
     e_dict: dict = {}
-    e_delta = {}
     for nu, c in w_delta.items():
         if sum(nu) == j:
             continue  # kernel directions: the nilpotent output Q(A_j + e_j)
         gain = -c / (h * (j - sum(nu)))
-        e_delta[nu] = gain
         for mu, cc in delta_in_volume_basis(d, h, lam0, nu).items():
             e_dict[mu] = e_dict.get(mu, 0.0 + 0.0j) + gain * cc
 
@@ -427,42 +422,24 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
         h=h,
         lam=lam0,
         eigenvalue=-h * (k + j + d) / 2.0,
-        prefactor_exponent=-(k + d / 2.0 + lam0 / h),
-        pole="S",
         k=k,
-        j=j,
         upsilon=upsilon,
-        n_reg=j + 2,
         jet_dict=e_dict,
-        meta={
-            "lambda0": lam0,
-            "residue_top": top_data,
-            "e_delta": e_delta,
-            "w_top": {nu: c for nu, c in w_delta.items() if sum(nu) == j},
-        },
     )
 
 
-def _finite_part_pairing(rep: DistributionRep, psi) -> complex:
-    """0th Laurent coefficient of the pairing at the crossing lambda_0, in
-    closed form by one :func:`pairings` call."""
-    lam0 = rep.meta["lambda0"]
-    n_reg = max(rep.n_reg or 0, rep.j + 2, auto_regularization_depth(lam0, rep.k, rep.h))
-    return complex(pairings(rep.d, rep.h, rep.k, rep.upsilon, psi, lam0, n_reg, True)[0])
-
-
 def pair_distribution(rep: DistributionRep, psi) -> complex:
-    """Pair any DistributionRep against a test function."""
+    """Pair any DistributionRep against a test function.  A Jordan vector
+    pairs as the finite part at its crossing lambda_0 = rep.lam (the 0th
+    Laurent coefficient, in closed form by one :func:`pairings` call) plus
+    the jet pairing of its correction."""
     if rep.kind == "dirac_jet":
         return complex(psi.pair_volume_dict(rep.jet_dict))
     if rep.kind == "homogeneous_south":
-        rp = RegularizedPairing(
-            d=rep.d, h=rep.h, k=rep.k, upsilon=rep.upsilon, lam=rep.lam, psi=psi,
-            n_reg=rep.n_reg,
-        )
-        return pairing(rp)
+        return pairing(RegularizedPairing(d=rep.d, h=rep.h, k=rep.k, upsilon=rep.upsilon,
+                                          lam=rep.lam, psi=psi))
     if rep.kind == "jordan_vector":
-        finite = _finite_part_pairing(rep, psi)
-        jets = psi.pair_volume_dict(rep.jet_dict)
-        return complex(finite + jets)
+        n_reg = auto_regularization_depth(rep.lam, rep.k, rep.h)
+        finite = complex(pairings(rep.d, rep.h, rep.k, rep.upsilon, psi, rep.lam, n_reg, True)[0])
+        return complex(finite + psi.pair_volume_dict(rep.jet_dict))
     raise ValidationError(f"unknown distribution kind {rep.kind!r}")

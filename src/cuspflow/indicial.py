@@ -26,7 +26,7 @@ ODE-shooting cross-check per angular mode lives with the test oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,11 +119,9 @@ class DistributionRep:
                                with angular polynomial ``upsilon``; pairings
                                go through the regularized radial integral in
                                :mod:`cuspflow.hadamard`.
-    kind 'jordan_vector':      finite part of the south family at a crossing
-                               plus a jet correction at N (fields of both).
-
-    prefactor_exponent records the power of the conjugating factor
-    2 tan(phi/2)/sin(phi) at N, or 2 tan(phi/2) * sin(phi) at S.
+    kind 'jordan_vector':      finite part of the south family at the
+                               crossing ``lam`` plus a jet correction at N
+                               (fields of both).
     """
 
     kind: str
@@ -131,16 +129,9 @@ class DistributionRep:
     h: float
     lam: complex
     eigenvalue: complex
-    prefactor_exponent: complex
-    pole: str
-    mu: tuple | None = None
     jet_dict: dict | None = None
     k: int | None = None
-    j: int | None = None
     upsilon: tuple | None = None
-    n_reg: int | None = None
-    finite_part_shift: complex = 0.0
-    meta: dict = field(default_factory=dict)
 
     def pair(self, psi) -> complex:
         """Pair against a test function through ``hadamard.pair_distribution``
@@ -337,9 +328,6 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
             h=h,
             lam=op.lam,
             eigenvalue=lam_eff - h * (n + d / 2.0),
-            prefactor_exponent=lam_eff / h - n - d / 2.0,
-            pole="N",
-            mu=mu,
             jet_dict=delta_in_volume_basis(d, h, lam_eff, mu),
         )
 
@@ -380,11 +368,8 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
         h=h,
         lam=op.lam,
         eigenvalue=-op.lam - h * (k + d / 2.0),
-        prefactor_exponent=-(k + d / 2.0 + op.lam / h),
-        pole="S",
         k=k,
         upsilon=upsilon,
-        n_reg=None,
     )
 
 

@@ -10,7 +10,10 @@ package takes:
   pole N all vanish, and :func:`ck_norm` is a surrogate C^k norm of a
   :class:`~cuspflow._testfunctions.TestFunction`;
 * :func:`reference_pairing` is the regularized pairing at one lambda as it
-  was written before the package evaluated a batch of lambdas at once;
+  was written before the package evaluated a batch of lambdas at once, with
+  w^sigma by :func:`miller_power` (the package takes the generalized
+  binomial closed form) and each Phi_j by the sequential sum of
+  :func:`sequential_profile_coefficient` (the package takes one np.dot);
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
 * :func:`stepped_tau_max` finds each transition time by stepping the sphere
@@ -62,7 +65,6 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from cuspflow import bcontinuation as bc
-from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction
 from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, PoleError, ToleranceError,
@@ -348,8 +350,36 @@ class AwaySupportedFunction:
 # ---------------------------------------------------------------------------
 
 
+def miller_power(a, sigma) -> tuple:
+    """Coefficients of the series a**sigma (a[0] = 1), to the order of ``a``.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for b = a**sigma:
+    n b_n = sum_{k=1}^n ((sigma+1) k - n) a_k b_{n-k}, in the coefficients'
+    own arithmetic.
+    """
+    s1 = sigma + 1
+    b = [a[0] * 0 * sigma + 1]
+    for n in range(1, len(a)):
+        b.append(sum((s1 * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
+    return tuple(b)
+
+
+def sequential_profile_coefficient(psi: TestFunction, j, weight, moment):
+    """TestFunction.profile_coefficient for a sequence ``weight`` of scalars,
+    each coefficient of g * (J rest) summed in order of the index of rest."""
+    acc = 0.0 + 0.0j
+    for index, (deg, e) in enumerate(psi._degrees):
+        r = (j - deg) // 2 - e
+        if (j - deg) % 2 or r < 0 or (c_mu := moment(psi.terms[index][1])) == 0.0:
+            continue
+        rest = psi._radial_series(index, r, True)
+        acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
+    return acc
+
+
 def reference_pairing(rp: RegularizedPairing) -> complex:
-    """The meromorphically continued pairing <F(lambda), psi>.
+    """The meromorphically continued pairing <F(lambda), psi> of a
+    TestFunction psi.
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
@@ -392,14 +422,16 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
     # subtraction is ever evaluated at small rho.
     j_cap = n_reg + 64
     # Phi_j reads w^sigma to order m - e <= j // 2
-    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma).coeffs
-    phi_j = [rp.psi.profile_coefficient(j, weight, moment) for j in range(n_reg)]
+    catalan = [math.comb(2 * m, m) / ((m + 1) * 4**m) for m in range((j_cap - 1) // 2 + 1)]
+    weight = miller_power(catalan, sigma)
+    phi_j = [sequential_profile_coefficient(rp.psi, j, weight, moment) for j in range(n_reg)]
     near = 0.0 + 0.0j
     small_run = 0
     any_nonzero = False
     converged = False
     for j in range(n_reg, j_cap):
-        term = rp.psi.profile_coefficient(j, weight, moment) * rho_s ** (c_exp + j) / (c_exp + j)
+        term = (sequential_profile_coefficient(rp.psi, j, weight, moment)
+                * rho_s ** (c_exp + j) / (c_exp + j))
         near += term
         if term == 0.0:
             # structural parity zeros carry no convergence information

@@ -480,6 +480,50 @@ def test_every_package_definition_is_used_in_src_or_exported():
     assert unused == sorted(_UNREFERENCED_BY_DESIGN)
 
 
+# Dataclass fields that no code in src/ or tests/ reads by attribute and that
+# stay, with the reason.
+_UNREAD_FIELDS_BY_DESIGN = {
+    "EscapeCertificate.notes": "dataclasses.asdict writes it to certificate.json",
+}
+
+
+def _attribute_reads(tree) -> set:
+    """Names that code reads as attributes: ``obj.name`` in a load, and string
+    constants passed to getattr or hasattr."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr"):
+            reads.update(arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return reads
+
+
+def _dataclass_fields(tree) -> list:
+    """(Class.field, field) of every annotated field of a @dataclass class."""
+    return [(f"{node.name}.{item.target.id}", item.target.id)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and any(
+                getattr(dec, "id", getattr(getattr(dec, "func", None), "id", None)) == "dataclass"
+                for dec in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads by attribute is data carried for no one; a
+    # write or a constructor keyword does not read it
+    package = Path(cli.__file__).parent
+    fields, reads = [], set()
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads |= _attribute_reads(tree)
+        if path.parent == package:
+            fields += _dataclass_fields(tree)
+    unread = sorted(qualname for qualname, name in fields if name not in reads)
+    assert unread == sorted(_UNREAD_FIELDS_BY_DESIGN)
+
+
 def test_perfbench_span_targets_resolve():
     # the traced benchmark run wraps these attributes by name; a rename in the
     # package must fail here, not only in the benchmark's own smoke test

@@ -19,7 +19,6 @@ from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
     RegularizedPairing,
     _angular_moment,
-    _finite_part_pairing,
     auto_regularization_depth,
     jordan_vector,
     pair_distribution,
@@ -208,7 +207,7 @@ def test_radial_taylor_reconstruction_remainder_order():
         lam = 0.17
         k = 0
         sigma = -(k + d / 2.0 + lam)
-        weight = RadialSeries.pole_factor(n + 4).power(sigma)
+        weight = RadialSeries.power(sigma, n + 4)
         u0 = np.zeros(d)
         u0[0] = 1.0
         if d > 1:
@@ -264,9 +263,9 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     # Phi_j from the moments a_mu against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
     # for every order the pairing's tail series can read; the error is measured
     # against the sum of the absolute (nu, term) shares, since the terms' shares
-    # of one jet can cancel.  An (order, L) weight, as a batch of pairings passes
-    # it, takes each term's convolution as one np.dot, whose summation order
-    # differs from the sequential one that the shares repeat: by Higham's bound
+    # of one jet can cancel.  An (order,) or (order, L) weight takes each term's
+    # convolution as one np.dot, whose summation order differs from the
+    # sequential one that the shares repeat: by Higham's bound
     # (Accuracy and Stability of Numerical Algorithms, 3.1) the two differ by at
     # most 2 gamma_{r+3} sum_i |rest_i w_{r-i}| for r = m - e <= j // 2, which
     # the absolute products of every (nu, term) share bound from above.
@@ -275,9 +274,10 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     upsilon = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
     sigma = -(k + d / 2.0 + complex(lam_re, lam_im))
     j_cap = n_reg + 64
-    weight = RadialSeries.pole_factor((j_cap - 1) // 2).power(sigma)
+    weight = RadialSeries.power(sigma, (j_cap - 1) // 2)
     moment = functools.partial(_angular_moment, upsilon, k)
-    columns = np.array(weight.coeffs)[:, None] * np.array([1.0, 2.0])  # exact multiples
+    series = np.array(weight.coeffs)
+    columns = series[:, None] * np.array([1.0, 2.0])  # exact multiples
     for j in range(j_cap):
         terms, scale = [], 0.0
         for nu in multi_indices(d, j):
@@ -287,12 +287,11 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
                 terms += [a_nu / fact * t for t in _weighted_jet_terms(psi, nu, weight)]
                 scale += sum(abs(a_nu / fact) * t
                              for t in _weighted_jet_terms(psi, nu, weight, magnitude=True))
-        got = psi.profile_coefficient(j, weight.coeffs, moment)
         floor = 4e-14 * sum(abs(t) for t in terms)
-        assert abs(got - sum(terms)) <= floor, (j, got)
         gamma = (j // 2 + 3) * 2.0**-53 / (1.0 - (j // 2 + 3) * 2.0**-53)
-        cols = np.broadcast_to(psi.profile_coefficient(j, columns, moment), (2,))
-        for c, col in zip((1.0, 2.0), cols):
+        cols = [psi.profile_coefficient(j, series, moment),
+                *np.broadcast_to(psi.profile_coefficient(j, columns, moment), (2,))]
+        for c, col in zip((1.0, 1.0, 2.0), cols):
             assert abs(col - c * sum(terms)) <= c * (floor + 2.0 * gamma * scale), (j, c, col)
 
 
@@ -425,7 +424,8 @@ def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
     # circle about it, here 64 trapezoid nodes at radius h/10 (the next pole is
     # h/2 away, so the rule errs by about 5^-64); the closed form must agree
     # within 1e-14 relative, widened by the mean's own rounding, about 1e-16
-    # of the largest pairing on the circle
+    # of the largest pairing on the circle.  pair_distribution returns the
+    # finite part plus the jet pairing of the correction e_j.
     units = np.exp(2j * np.pi * np.arange(64) / 64)
     for d, k, j in [(1, 0, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 0, 2), (1, 0, 0), (1, 2, 4)]:
         lam0 = pole_location(j, k, 1.0)
@@ -436,7 +436,8 @@ def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
                 for lam in (lam0 + 0.1 * units).tolist()]
         ref = sum(vals) / len(vals)
         bound = 1e-14 * abs(ref) + 1e-15 * max(abs(v) for v in vals)
-        assert abs(_finite_part_pairing(rep, psi) - ref) <= bound, (d, k, j)
+        finite = pair_distribution(rep, psi) - psi.pair_volume_dict(rep.jet_dict)
+        assert abs(finite - ref) <= bound, (d, k, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from _oracles import apply_P, ck_norm, constant_test_function, numeric_roots_sho
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import ValidationError
+from cuspflow.hadamard import jordan_vector
 from cuspflow.indicial import (
     IndicialRoot,
     ModelOperator,
@@ -404,6 +405,25 @@ def test_eigendistribution_selector_mismatch():
     r_plus = next(r for r in roots if r.sign == 1 and r.n == 1)
     with pytest.raises(ValidationError):
         eigendistribution(r_plus, ModelOperator(d=2, h=1.0, lam=r_plus.lambda_at(0.1)), (3, 0))
+
+
+@pytest.mark.parametrize("d,s,j", [(1, -0.5, 0), (1, -1.5, 2), (2, -2.0, 2)])
+def test_eigendistribution_at_a_jordan_root_is_the_jordan_vector(d, s, j):
+    # the minus n = 0 root meets a plus root of equal parity at lambda_0 =
+    # h j / 2: jordan_index 2, and the rep is the (j, k = 0) Jordan vector
+    root = next(r for r in indicial_roots(ModelOperator(d=d), s=s, n_max=0) if r.sign == -1)
+    assert root.jordan_index == 2
+    lam = root.lambda_at(s)
+    op = ModelOperator(d=d, h=1.0, lam=lam)
+    rep = eigendistribution(root, op, (0,) * d)
+    ref = jordan_vector(j, 0, (1.0,), op)
+    assert (rep.kind, rep.lam) == ("jordan_vector", j / 2.0)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        psi = random_test_function(d, rng, n_terms=3, max_deg=2)
+        assert rep.pair(psi) == ref.pair(psi)
+    with pytest.raises(ValidationError, match="is not at the crossing value"):
+        eigendistribution(root, ModelOperator(d=d, h=1.0, lam=lam + 1e-6), (0,) * d)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 
@@ -16,18 +17,31 @@ def _exact_pole_factor(order):
     return RadialSeries(tuple(-2 * c for c in s[1:]))
 
 
-@pytest.mark.parametrize("a", [0.7, -2.3 + 0.4j, 3, -3])
+@pytest.mark.parametrize("a", [0.7, -2.3 + 0.4j, 3, -3, -25.5 + 3j, 40.2])
 def test_power_of_pole_factor_matches_binomial_closed_form(a):
     # w = 2/(1 + sqrt(1-t)) is the Catalan generating function at t/4, so
-    # w^a has coefficients a/(2n+a) binom(2n+a, n) 4^-n
+    # w^a has coefficients a/(2n+a) binom(2n+a, n) 4^-n, here in mpmath
     order = 40
-    got = RadialSeries.pole_factor(order).power(a).coeffs
+    got = RadialSeries.power(a, order).coeffs
     assert len(got) == order + 1
     with mpmath.workdps(40):
         av = mpmath.mpmathify(a)
-        for n, c in enumerate(got):
-            ref = complex(av / (2 * n + av) * mpmath.binomial(2 * n + av, n) / mpmath.mpf(4) ** n)
-            assert abs(c - ref) <= 1e-13 * abs(ref)
+        ref = [complex(av / (2 * n + av) * mpmath.binomial(2 * n + av, n) / mpmath.mpf(4) ** n)
+               for n in range(order + 1)]
+    scale = max(map(abs, ref))
+    for c, r in zip(got, ref):
+        assert abs(c - r) <= 1e-13 * abs(r)
+        assert abs(c - r) <= 1e-15 * scale
+
+
+def test_power_over_an_array_is_the_power_at_each_entry():
+    # numpy's complex products and quotients round apart from Python's
+    # by an ulp, so each entry agrees with its scalar series to a few ulps
+    sigmas = [0.7, -2.3 + 0.4j, -25.5 + 3j, 40.2, -4.0]
+    got = RadialSeries.power(np.array(sigmas), 30).coeffs
+    for i, a in enumerate(sigmas):
+        for c, r in zip(got, RadialSeries.power(a, 30).coeffs):
+            assert abs(c[i] - r) <= 1e-15 * abs(r)
 
 
 @pytest.mark.parametrize("a", [Fraction(-5, 2), Fraction(-4)])
@@ -38,14 +52,15 @@ def test_exact_power_of_pole_factor_matches_sympy_series(a):
     expr = ((1 + sympy.sqrt(1 - t)) / 2) ** sympy.Rational(-a.numerator, a.denominator)
     poly = sympy.series(expr, t, 0, order + 1).removeO()
     ref = [Fraction(int(c.p), int(c.q)) for c in (poly.coeff(t, n) for n in range(order + 1))]
-    got = _exact_pole_factor(order).power(a).coeffs
+    got = RadialSeries.power(a, order).coeffs
     assert list(got) == ref
 
 
 def test_pole_factor_coefficients_are_catalan_numbers():
     order = 40
     exact = _exact_pole_factor(order).coeffs
-    rounded = RadialSeries.pole_factor(order).coeffs
+    assert RadialSeries.power(Fraction(1), order).coeffs == exact
+    rounded = RadialSeries.power(1, order).coeffs
     for k in range(order + 1):
         ref = Fraction(int(sympy.catalan(k)), 4**k)
         assert exact[k] == ref
