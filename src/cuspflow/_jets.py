@@ -39,6 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._sphere import multi_indices, multi_indices_upto
+from .errors import ValidationError
 
 __all__ = [
     "RadialSeries",
@@ -47,6 +48,15 @@ __all__ = [
     "delta_in_volume_basis",
     "volume_dict_to_delta_basis",
 ]
+
+#: Largest n with n! a finite float (171! > 1.8e308): the highest jet order
+#: of float arithmetic.  Exact (Fraction or int) arithmetic has no limit.
+FLOAT_ORDER_MAX = 170
+
+
+def float_order_error(order: int) -> ValidationError:
+    return ValidationError(f"jet order {order} is past {FLOAT_ORDER_MAX}, the largest whose "
+                           "factorial a float holds; only exact (Fraction) arithmetic reaches it")
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +101,16 @@ class RadialSeries:
         an int one correctly rounded integer quotient each (sigma = 1 gives
         w itself, Catalan(n)/4^n), and an array each c_n over its entries.
         No factor is divided out, so a negative integer sigma is exact too.
-        In floats n! 4^n leaves the float range past order 133.
+        In floats n! 4^n leaves the float range past order 133 (ValidationError).
         """
         shifted = [sigma + i for i in range(2 * order)]
-        return RadialSeries((sigma * 0 + 1,) + tuple(
-            functools.reduce(operator.mul, shifted[n + 1:2 * n], sigma)
-            / (math.factorial(n) * 4**n) for n in range(1, order + 1)))
+        try:
+            return RadialSeries((sigma * 0 + 1,) + tuple(
+                functools.reduce(operator.mul, shifted[n + 1:2 * n], sigma)
+                / (math.factorial(n) * 4**n) for n in range(1, order + 1)))
+        except OverflowError:
+            raise ValidationError(f"w^sigma to order {order} needs n! 4^n past the float range; "
+                                  "a Fraction sigma is exact at any order") from None
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +139,13 @@ def radial_multiply(jet: dict, series: RadialSeries) -> dict:
     """Functional F |-> L[g(t) F] for a radial series g.
 
     Rule:  D_mu[t^m F] = sum_{|w|=m, 2w<=mu} (m!/w!) (mu!/(mu-2w)!) D_{mu-2w}[F].
+    Past ``FLOAT_ORDER_MAX`` only exact (Fraction or int) values are accepted.
     """
     out: dict = {}
     for mu, c in jet.items():
         d = len(mu)
+        if sum(mu) > FLOAT_ORDER_MAX and not isinstance(c * series.coeffs[0], (int, Fraction)):
+            raise float_order_error(sum(mu))
         max_m = min(series.order, sum(mu) // 2)
         for m in range(max_m + 1):
             g = series.coeffs[m]

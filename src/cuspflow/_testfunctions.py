@@ -10,10 +10,10 @@ coordinates (z0, rho*u) times a radial Gaussian factor, hence smooth on S^d).
 
 The family is closed under multiplication by cos(phi) and under the vector
 field sin(phi) d/dphi, so the model operator and its transpose act *exactly*
-within the family.  All jets at the pole N (flat or volume-weighted) are read
-off closed-form radial series in t = rho^2: with z0 = (1 - t)^{1/2}, a term's
-p(z0) J e^{-ct} is a sum of binomial series (1 - t)^{k/2 - 1/2} times the
-exponential series, so no numerical differentiation happens anywhere.
+within the family.  The volume jets at the pole N are read off closed-form
+radial series in t = rho^2: with z0 = (1 - t)^{1/2}, a term's p(z0) J e^{-ct}
+is a sum of binomial series (1 - t)^{k/2 - 1/2} times the exponential series,
+so no numerical differentiation happens anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._jets import RadialSeries
+from ._jets import FLOAT_ORDER_MAX, RadialSeries, float_order_error
 
 __all__ = ["TestFunction", "random_test_function"]
 
@@ -44,7 +44,8 @@ def _canonical(terms):
 
 
 class TestFunction:
-    """A finite sum of smooth terms, closed under the operator algebra."""
+    """A finite sum of smooth terms, closed under the operator algebra; pairings
+    read its volume jets and radial profile coefficients, exact up to rounding."""
 
     __test__ = False  # not a pytest collection target
 
@@ -52,7 +53,7 @@ class TestFunction:
         self.d = int(d)
         self.terms = _canonical(terms)
         self._degrees = [(sum(mu), (q - sum(mu)) // 2) for q, mu, _, _ in self.terms]  # |mu|, e
-        self._series = {}  # (term index, with_volume) -> radial coefficients
+        self._series = {}  # term index -> radial coefficients
 
     # -- constructors --------------------------------------------------------
 
@@ -132,34 +133,32 @@ class TestFunction:
 
     # -- exact jets at the pole N ----------------------------------------------
 
-    def _radial_series(self, index: int, order: int, with_volume: bool) -> tuple:
-        """Coefficients of p(sqrt(1-t)) e^{-ct} J^{0/1} of term ``index``, to at
-        least ``order``: sum_k p_k (1-t)^{k/2 - 1/2} (k/2 without the volume
-        factor J), times e^{-ct} by one convolution.  Coefficient r depends
-        only on coefficients <= r, so one long series serves every shorter
-        request; it is rebuilt, at twice its order or more, only when too short.
+    def _radial_series(self, index: int, order: int) -> tuple:
+        """Coefficients of p(sqrt(1-t)) e^{-ct} J of term ``index``, to at
+        least ``order``: sum_k p_k (1-t)^{k/2 - 1/2}, times e^{-ct} by one
+        convolution.  Coefficient r depends only on coefficients <= r, so one
+        long series serves every shorter request; it is rebuilt, at twice its
+        order or more, only when too short.
         """
-        key = (index, with_volume)
-        coeffs = self._series.get(key, ())
+        coeffs = self._series.get(index, ())
         if len(coeffs) <= order:
             order = max(order, 2 * len(coeffs))
             _, _, c, p = self.terms[index]
-            shift = 0.5 if with_volume else 0.0
-            rest = sum(pk * np.array(RadialSeries.binomial(k / 2 - shift, order).coeffs)
+            rest = sum(pk * np.array(RadialSeries.binomial(k / 2 - 0.5, order).coeffs)
                        for k, pk in enumerate(p))
             if c != 0.0:
                 exp = np.cumprod(np.r_[1.0, -c / np.arange(1, order + 1)])
                 rest = np.convolve(rest, exp)[: order + 1]
-            coeffs = self._series[key] = tuple(rest.tolist())
+            coeffs = self._series[index] = tuple(rest.tolist())
         return coeffs
 
-    def jet(self, nu, with_volume: bool = True):
-        """d^nu [ J^{0/1} * psi ](x=0) in the chart x = sin(phi) u.
-
-        with_volume multiplies by J = (1-t)^{-1/2}.  Exact up to float
-        rounding.
-        """
+    def volume_jet(self, nu):
+        """B_nu[psi] = d^nu[(1-rho^2)^{-1/2} psi](0) in the chart
+        x = sin(phi) u.  Exact up to float rounding; an order |nu| past
+        ``FLOAT_ORDER_MAX`` raises ValidationError."""
         nu = tuple(nu)
+        if sum(nu) > FLOAT_ORDER_MAX:
+            raise float_order_error(sum(nu))
         total = 0.0 + 0.0j
         nfact = 1.0
         for a in nu:
@@ -176,7 +175,7 @@ class TestFunction:
             rest_order = m - e
             if rest_order < 0:
                 continue
-            g_m = self._radial_series(index, rest_order, with_volume)[rest_order]
+            g_m = self._radial_series(index, rest_order)[rest_order]
             mult = math.factorial(m)
             for v in w:
                 mult //= math.factorial(v)
@@ -199,13 +198,9 @@ class TestFunction:
             r = (j - deg) // 2 - e
             if (j - deg) % 2 or r < 0 or (c_mu := moment(self.terms[index][1])) == 0.0:
                 continue
-            rest = self._radial_series(index, r, True)
+            rest = self._radial_series(index, r)
             acc += c_mu * np.dot(rest[r::-1], weight[: r + 1])
         return acc
-
-    def volume_jet(self, nu):
-        """B_nu[psi] = d^nu[(1-rho^2)^{-1/2} psi](0)."""
-        return self.jet(nu, with_volume=True)
 
     def pair_volume_dict(self, jet_dict: dict):
         """Pair a volume-jet functional {mu: coeff} against this function."""

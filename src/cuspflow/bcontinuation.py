@@ -241,8 +241,13 @@ class CuspFunction:
         object.__setattr__(self, "terms", tuple(fixed))
 
 
-def default_x_grid(n: int = 64, lo: float = -1.0, hi: float = X_MAX) -> np.ndarray:
-    return np.linspace(lo, min(hi, X_MAX), n)
+def default_x_grid() -> np.ndarray:
+    return np.linspace(-1.0, X_MAX, 64)
+
+
+def _x_grid(x_grid) -> np.ndarray:
+    """The angular grid of a solve: ``x_grid`` as floats, or the default."""
+    return default_x_grid() if x_grid is None else np.asarray(x_grid, float)
 
 
 def default_r_grid(span: float = 30.0, n: int = 4096) -> np.ndarray:
@@ -336,8 +341,11 @@ def _clamp_check(expo_real: np.ndarray):
         )
 
 
-def _series_coeffs(op: ModelOperator, c, a_m, b, n_terms: int) -> np.ndarray:
-    """Taylor coefficients in y = 1 + x of the south-regular solution."""
+def _series_coeffs(op: ModelOperator, c, a, b, n_terms: int) -> np.ndarray:
+    """Taylor coefficients in the distance y to a pole of the mode solution
+    analytic there, b those of the source: c_i = (b_i - h (i - 1 + c) c_{i-1})
+    / (2 h (a - i)).  At S (y = 1 + x, a = a-) the south-regular solution; at
+    N (y = 1 - x, a = a+) the signs mirror, so minus it is the particular one."""
     h = op.h
     n_lam = c.size
     coeff = np.zeros((n_lam, n_terms), complex)
@@ -345,7 +353,7 @@ def _series_coeffs(op: ModelOperator, c, a_m, b, n_terms: int) -> np.ndarray:
     for i in range(n_terms):
         bi = b[i] if i < b.size else 0.0
         num = bi - h * (i - 1 + c) * prev if i > 0 else np.full(n_lam, bi, complex)
-        prev = num / (2.0 * h * (a_m - i))
+        prev = num / (2.0 * h * (a - i))
         coeff[:, i] = prev
     return coeff
 
@@ -509,7 +517,7 @@ def solve_indicial(
             f"root {val * op.h} (branch {sign:+d}, level {n}) at s={complex(s)}",
             root=table.root(sign, n),
         )
-    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    xg = _x_grid(x_grid)
     profiles = tuple(
         _solve_mode_profiles(op, s, t.m, t.poly, [lam], xg)[0] for t in g.terms
     )
@@ -661,7 +669,7 @@ def resolvent_line(
             f"abscissa rho={contour.rho} passes within {gap:.3e} of an indicial "
             f"root's real part at s={complex(s)}; move the contour"
         )
-    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    xg = _x_grid(x_grid)
     r = default_r_grid(r_span, n_r)
     samples = [_radial_samples(term, r) for term in f.terms]
     eta, wq, base_panel = _refined_eta_nodes(op, s, contour)
@@ -821,7 +829,7 @@ def residue_apply(
     enclosed = _validate_enclosure(op, res_op)
     s, w0, eps = res_op.s, complex(res_op.lambda0), res_op.eps
     r = default_r_grid(r_span, n_r)
-    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    xg = _x_grid(x_grid)
 
     samples = [_radial_samples(term, r) for term in f.terms]
     offsets = (0.37, 0.11, 0.64, 0.89)
@@ -885,26 +893,6 @@ def residue_apply(
 # -- the paired (distribution) channel --------------------------------------
 
 
-def _npart_coeffs(op: ModelOperator, c, a_p, gcoef, n_terms: int) -> np.ndarray:
-    """Taylor coefficients in y = 1 - x of the particular solution at N.
-
-    d_i = (g_i + h (c + i - 1) d_{i-1}) / (2 h (i - a+)); resonances at
-    a+ = i >= 0 (not indicial roots) abort to a node rotation.
-    """
-    h = op.h
-    coeff = np.zeros((c.size, n_terms), complex)
-    prev = np.zeros(c.size, complex)
-    for i in range(n_terms):
-        den = 2.0 * h * (i - a_p)
-        if float(np.min(np.abs(den))) < _RES_GUARD * h:
-            raise _ResonanceError(f"resonance a+ ~ {i} on a circle node")
-        gi = gcoef[i] if i < len(gcoef) else 0.0
-        num = gi + h * (c + i - 1) * prev if i > 0 else np.full(c.size, gi, complex)
-        prev = num / den
-        coeff[:, i] = prev
-    return coeff
-
-
 def _paired_mode_values(
     op: ModelOperator,
     s: complex,
@@ -948,17 +936,19 @@ def _paired_mode_values(
     w1 = (2.0 - tau**2) ** beta * tau ** (2.0 * beta + 1.0) * 2.0 * wt
     I1 = prof @ (w1 * polyval(x1, q_poly))
 
-    # north-side split pieces
-    g1 = _taylor_shift(poly, 1.0)
-    g1 = g1 * ((-1.0) ** np.arange(g1.size))  # coefficients in y = 1 - x
-    dpart = _npart_coeffs(op, c, a_p, g1, _N_PART)
+    # north-side split pieces; a node near a resonance a+ = i >= 0 of the
+    # particular series (not an indicial root) aborts to a node rotation
+    dist = np.abs(np.arange(_N_PART)[:, None] - a_p)
+    if dist.min() < 0.5 * _RES_GUARD:
+        raise _ResonanceError(f"resonance a+ ~ {dist.argmin() // a_p.size} on a circle node")
+    g1 = _taylor_shift(poly, 1.0) * (-1.0) ** np.arange(len(poly))  # in y = 1 - x
+    dpart = -_series_coeffs(op, c, a_p, g1, _N_PART)
 
     # piece 2: [x_c, 1] on the analytic particular series, 1 - x = t^2
     t_hi = math.sqrt(1.0 - x_c)
     t2, wt2 = panel_nodes(np.linspace(0.0, t_hi, 4), _PANEL_ORDER)
     y2 = t2**2
-    powers = y2[None, :] ** np.arange(_N_PART)[:, None]
-    fpart_vals = dpart @ powers
+    fpart_vals = _series_eval(dpart, y2)
     w2 = (
         t2 ** (2.0 * beta + 1.0)
         * (2.0 - y2) ** beta
@@ -977,17 +967,12 @@ def _paired_mode_values(
     gamma = a_p + beta
     # Taylor of Atil(y) = (2-y)^{a- + beta} Q(1-y) to J terms
     j_terms = int(max(0.0, math.ceil(-2.0 * float(np.max(gamma.real)) - 1.0)) + 6)
-    qa = _taylor_shift(q_poly, 1.0)
-    qa = qa * ((-1.0) ** np.arange(qa.size))
+    qa = _taylor_shift(q_poly, 1.0) * (-1.0) ** np.arange(len(q_poly))
     p_ang = a_m + beta
     # (2 - y)^p = 2^p (1 - y/2)^p, one row of coefficients per lambda
     bin_ser = (np.exp(p_ang * math.log(2.0))[:, None] * 0.5 ** np.arange(j_terms)
                * np.array(RadialSeries.binomial(p_ang, j_terms - 1).coeffs).T)
-    atil = np.zeros((lams.size, j_terms), complex)
-    for j in range(j_terms):
-        kmax = min(j, qa.size - 1)
-        for k in range(kmax + 1):
-            atil[:, j] += bin_ser[:, j - k] * qa[k]
+    atil = np.array([np.convolve(row, qa)[:j_terms] for row in bin_ser])
     jj = np.arange(j_terms)
     mom_den = 2.0 * gamma[:, None] + 2.0 * jj[None, :] + 2.0
     tc_pow = np.exp((2.0 * gamma[:, None] + 2.0 * jj[None, :] + 2.0) * math.log(t_hi))
@@ -1012,7 +997,7 @@ def _paired_mode_values(
         a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * polyval(
             1.0 - yn, q_poly
         )
-        a_tail = a_full - atil @ (yn[None, :] ** np.arange(j_terms)[:, None])
+        a_tail = a_full - _series_eval(atil, yn)
         t_fac = np.exp((2.0 * gamma[:, None] + 1.0) * np.log(tn)[None, :])
         panel = 2.0 * np.sum(a_tail * t_fac * wn[None, :], axis=1)
         rem += panel
@@ -1114,7 +1099,7 @@ def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float
     """
     if not rho_lo <= rho_hi:
         raise ValidationError(f"need rho_lo <= rho_hi, got {rho_lo} > {rho_hi}")
-    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    xg = _x_grid(x_grid)
     base = ContourSpec(rho=rho_lo) if contour is None else contour
     lines = {rho: resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg,
                                  r_span=r_span, n_r=n_r)
@@ -1151,7 +1136,7 @@ def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=No
     the continuation itself has a pole.
     """
     _crossing_check(op, s)
-    xg = default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    xg = _x_grid(x_grid)
     table = RootTable(op, s)
     rho, branch = 0.0, "regular"
     if table.abscissa_gap(0.0) < _ABSCISSA_GUARD:

@@ -45,10 +45,11 @@ with the flow-invariant ``|p|`` near the flow-dual directions, and
 
     ``G = C_G' [1 - chi(|xi|/delta)] m(xihat) log(2 f / (c_f delta))``.
 
-``verify`` samples the defining inequalities of ``G`` on a reduced grid and
-emits a JSON-serializable certificate with margins, witnesses and all
-constants, so the quantifier structure (which constant depends on which) is
-auditable.
+``verify`` samples the defining inequalities of ``G`` at the construction
+grid's directions (the angle fiber, along which every quantity here is
+constant, is not sampled) and emits a JSON-serializable certificate with
+margins, witnesses, evaluation counts and all constants, so the quantifier
+structure (which constant depends on which) is auditable.
 
 Directions are validated and normalized once, where they enter: in the public
 methods and where this module builds its own samples.  The kernels
@@ -104,6 +105,9 @@ _BLOCK_ELEMENTS = 1 << 14
 # Widening, in quadrature steps, of each closed-form transition window of the
 # cone profiles on both sides (see ``_transition_windows``).
 _WINDOW_MARGIN = 2.0
+
+# Longest time ``estimate_tau_max`` transports a direction toward its cone.
+_TRANSPORT_HORIZON = 200.0
 
 # Largest t with e^t a finite float.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -253,21 +257,20 @@ def _midpoint_sphere(n_theta, n_phi):
 
 @dataclass(frozen=True)
 class ReducedPhaseGrid:
-    """Sampling grid on the reduced space (alpha in S^1) x (xihat in S^2).
+    """Direction grid on the reduced space (alpha in S^1) x (xihat in S^2).
 
     The direction sphere is parametrized by colatitude from the flow-dual
     axis and azimuth in the (growing, decaying) plane; both coordinates use
-    midpoint values so no grid point lies exactly on an invariant set.  The
-    angle fiber is exactly degenerate for every quantity built here (the
-    constructions read only ``xihat``), which is what makes the isometry
-    invariance exact by representation; the grid keeps only its node count
-    ``n_alpha``, by which the certificates count each sampled direction.
-    ``xihat`` holds the (n_theta * n_phi, 3) unit directions.
+    midpoint values so no grid point lies exactly on an invariant set.  Every
+    quantity built here reads only ``xihat``, so the angle circle is exactly
+    degenerate and is not sampled; that makes the isometry invariance exact
+    by representation.  ``xihat`` holds the (n_theta * n_phi, 3) unit
+    directions.
 
     Parameters
     ----------
-    n_alpha, n_theta, n_phi : int
-        Resolution of the angle circle and of the direction sphere.
+    n_theta, n_phi : int
+        Resolution of the direction sphere.
     eps : float
         Cone-neighbourhood width.  The mollified indicators extend to
         ``2.25 eps``, so the construction needs ``4.5 eps < pi/2``.
@@ -275,7 +278,6 @@ class ReducedPhaseGrid:
         Small-scale cutoff under which the escape function is switched off.
     """
 
-    n_alpha: int = 64
     n_theta: int = 32
     n_phi: int = 32
     eps: float = 0.15
@@ -283,7 +285,7 @@ class ReducedPhaseGrid:
     xihat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n_alpha", "n_theta", "n_phi"):
+        for name in ("n_theta", "n_phi"):
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < 2:
                 raise ValidationError(f"{name} must be an integer >= 2, got {n!r}")
@@ -320,7 +322,6 @@ class ReducedPhaseGrid:
     def as_dict(self):
         """Plain-data description (resolution and widths)."""
         return {
-            "n_alpha": int(self.n_alpha),
             "n_theta": int(self.n_theta),
             "n_phi": int(self.n_phi),
             "eps": float(self.eps),
@@ -349,14 +350,15 @@ def _swapped(y):
     return y[..., [0, 2, 1]]
 
 
-def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
+def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP):
     """Empirical maximal transition time between the cone neighbourhoods.
 
     Transports every grid direction outside one neighbourhood until its cone
     membership flips (entering the attracting neighbourhood): forward into the
     growing-dual cone, backward into the flow+decaying band, backward into the
     decaying-dual cone, forward into the flow+growing band.  The worst time
-    over the grid is doubled for safety.
+    over the grid is doubled for safety.  A direction that has not entered
+    by ``_TRANSPORT_HORIZON`` raises ``ConfigurationError``.
 
     Backward transports are run as forward transports of the swapped data:
     exchanging the growing and decaying components conjugates the sphere flow
@@ -367,8 +369,9 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
     """
     x = grid.xihat
     lc = 2.0 * math.log(math.tan(grid.eps))
-    times = np.add.accumulate(np.full(int(horizon / step) + 2, step))
-    n_steps = int(np.searchsorted(times, horizon)) + 1  # up to the first t_k >= horizon
+    times = np.add.accumulate(np.full(int(_TRANSPORT_HORIZON / step) + 2, step))
+    # up to the first t_k >= the horizon
+    n_steps = int(np.searchsorted(times, _TRANSPORT_HORIZON)) + 1
     worst = 0.0
     same = lambda y: y
     legs = (
@@ -401,7 +404,7 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP, horizon=200.0):
         if missed:
             raise ConfigurationError(
                 f"{missed} sampled directions did not reach the target cone "
-                f"within transport time {horizon}")
+                f"within transport time {_TRANSPORT_HORIZON}")
         worst = max(worst, float(times[k.max() - 1]))
     return 2.0 * worst
 
@@ -1068,13 +1071,9 @@ class EscapeCertificate:
         int, float, bool, list and dict values."""
         return asdict(self)
 
-    def to_json(self, path=None):
-        """Serialize to JSON; optionally also write to ``path``."""
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+    def to_json(self):
+        """The certificate as JSON text."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def _transported_cone_samples(T, eps):
@@ -1113,8 +1112,9 @@ def _scan_margin(fd, dirs, lvl, tol, witnesses):
     return float(key[i_min])
 
 
-def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
-    """Sample the escape-function inequalities and emit a certificate.
+def verify(data: EscapeData, seed=0):
+    """Sample the escape-function inequalities at the directions of
+    ``data.grid`` and emit a certificate.
 
     Conditions certified (finite differences along the lifted flow are taken
     at the shared quadrature step):
@@ -1141,24 +1141,19 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
     is sampled here, through G.  The flow derivative of G reads the weight
     and the symbol at the step-shifted directions only.  Returns an
     :class:`EscapeCertificate`; any sampled violation beyond tolerance fails
-    the certificate and lists the worst witnesses.
+    the certificate and lists the worst witnesses.  Each condition's
+    ``n_samples`` is the number of (direction, magnitude) evaluations it made.
 
     Parameters
     ----------
-    grid : ReducedPhaseGrid
-        Sampling grid; must share ``eps`` with the data's construction grid.
     data : EscapeData
     seed : int
         Seed of the coordinate-level invariance spot-check.
     """
     if not isinstance(data, EscapeData):
         raise ValidationError("verify needs the assembled escape data")
-    if grid.eps != data.grid.eps:
-        raise ValidationError(
-            "sampling grid must share the cone width eps with the data "
-            f"(got {grid.eps} vs {data.grid.eps})")
-    eps = grid.eps
-    delta = data.grid.delta
+    grid = data.grid
+    eps, delta = grid.eps, grid.delta
     h = data.weight.step
     T = data.weight.T
     C_G = data.C_G
@@ -1179,7 +1174,6 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
 
     x = grid.xihat
     bx = bundle(x)
-    n_fiber = int(grid.n_alpha)
 
     # -- condition ii: nonnegative flow derivative above the cutoff scale --
     levels_ii = sorted({1.06, 1.3, 2.0, 4.0, 10.0}
@@ -1198,7 +1192,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "margin": margin_ii,
         "threshold": tol_ii,
         "magnitude_levels_over_delta": [float(v) for v in levels_ii],
-        "n_samples": len(levels_ii) * x.shape[0] * n_fiber,
+        "n_samples": len(levels_ii) * x.shape[0],
         "n_distinct_directions": x.shape[0],
         "witnesses": witnesses_ii[:10],
     }
@@ -1229,8 +1223,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "margin": margin_i,
         "threshold": tol_i,
         "magnitude_levels_over_delta": [float(v) for v in levels_i],
-        "n_samples": (len(levels_i)
-                      * (int(region.sum()) + cone_dirs.shape[0]) * n_fiber),
+        "n_samples": len(levels_i) * (int(region.sum()) + cone_dirs.shape[0]),
         "n_distinct_directions": int(region.sum()) + cone_dirs.shape[0],
         "n_transported_cone_samples": int(cone_dirs.shape[0]),
         "witnesses": witnesses_i[:10],
@@ -1269,7 +1262,7 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "mean_slope_growing": float(np.mean(slopes["u"])),
         "mean_slope_decaying": float(np.mean(slopes["s"])),
         "C_G": float(C_G),
-        "n_samples": len(dirs) * rhos.size * n_fiber,
+        "n_samples": len(dirs) * rhos.size,
         "n_distinct_directions": len(dirs),
         "witnesses": [],
     }
@@ -1313,17 +1306,13 @@ def verify(grid: ReducedPhaseGrid, data: EscapeData, seed=0):
         "plateau_error_relative": float(plat_rel),
         "isometry_deviation_relative": float(iso_dev),
         "reduced_representation_exact": True,
-        "n_samples": n_iso + len(dirs) * n_fiber,
+        "n_samples": n_iso + len(dirs),
         "witnesses": [],
     }
 
     conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv}
     passed = all(c["passed"] for c in conditions.values())
     notes = [
-        "All reduced quantities depend on the covector only through its "
-        "dual-frame direction and magnitude; the direction-angle fiber is "
-        "exactly degenerate, so sampled values replicate exactly across the "
-        f"{n_fiber} fiber copies counted in n_samples.",
         "Finite differences along the flow use the shared quadrature step, "
         "at which the weight's difference quotients telescope to endpoint "
         "clusters of the averaging window.",

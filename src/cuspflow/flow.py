@@ -216,7 +216,6 @@ def _flow_time(t, name):
     return t
 
 
-@dataclass(frozen=True)
 class QuotientSurface:
     """The thrice-punctured sphere as a quotient of the upper half-plane.
 
@@ -225,16 +224,15 @@ class QuotientSurface:
     (z -> z/(2z + 1)); it is torsion-free by construction of this generator
     set.  The fundamental domain is ``|Re z| <= 1`` minus the two open disks
     of radius 1/2 centered at -1/2 and 1/2; the reduction's moves are those
-    of this one group.  ``reduction_cap`` bounds the reduction rounds.
+    of this one group.  Membership allows ``CONTAINMENT_SLACK``; a reduction
+    takes at most ``REDUCTION_CAP`` rounds, as in the flow and ``correlate``.
     """
 
-    reduction_cap: int = REDUCTION_CAP
-
     # -- membership -------------------------------------------------------
-    def contains(self, z, slack=CONTAINMENT_SLACK):
+    def contains(self, z):
         """Fundamental-domain membership (closed conditions, with slack)."""
         z = np.asarray(z, dtype=complex)
-        ok = _inside(np.atleast_1d(z.real), np.atleast_1d(z.imag), slack)
+        ok = _inside(np.atleast_1d(z.real), np.atleast_1d(z.imag))
         return bool(ok[0]) if z.ndim == 0 else ok
 
     # -- reduction --------------------------------------------------------
@@ -247,7 +245,7 @@ class QuotientSurface:
         Raises
         ------
         NonterminationError
-            If ``reduction_cap`` rounds do not settle the point.
+            If ``REDUCTION_CAP`` rounds do not settle the point.
         DomainError
             If Im z <= 0.
         """
@@ -258,7 +256,7 @@ class QuotientSurface:
             raise DomainError(f"reduction needs Im z > 0, got z = {z}")
         x, y, ux, uy = (np.array([a]) for a in (z.real, z.imag, v.real / z.imag,
                                                 v.imag / z.imag))
-        _reduce(x, y, ux, uy, np.zeros(1, dtype=int), self.reduction_cap)
+        _reduce(x, y, ux, uy, np.zeros(1, dtype=int))
         return complex(x[0], y[0]), complex(y[0] * ux[0], y[0] * uy[0])
 
 
@@ -286,7 +284,7 @@ def _chart_move(c, d, y, ux, uy, k):
             (ux * e + uy * f) / n2, (uy * e - ux * f) / n2)
 
 
-def _reduce(x, y, ux, uy, live, cap):
+def _reduce(x, y, ux, uy, live):
     """Reduce the points at the indices ``live``, which lie outside the
     fundamental domain, into it, in place on z = x + iy and the direction
     u = ux + i uy of the tangent vector y u (of any length).
@@ -303,12 +301,12 @@ def _reduce(x, y, ux, uy, live, cap):
     DomainError
         If some Im z <= 0.
     NonterminationError
-        If points remain outside after ``cap`` rounds.
+        If points remain outside after ``REDUCTION_CAP`` rounds.
     """
     bad = live[~(y[live] > 0.0)]
     if bad.size:
         raise DomainError(f"reduction needs Im z > 0, got z = {complex(x[bad[0]], y[bad[0]])}")
-    for _ in range(cap):
+    for _ in range(REDUCTION_CAP):
         if live.size == 0:
             return
         xs, ys = _translate(x[live]), y[live]
@@ -322,7 +320,7 @@ def _reduce(x, y, ux, uy, live, cap):
     if live.size:
         raise NonterminationError(
             f"reduction left {live.size} point(s) outside the fundamental domain "
-            f"after {cap} rounds, e.g. z = {complex(x[live[0]], y[live[0]])}")
+            f"after {REDUCTION_CAP} rounds, e.g. z = {complex(x[live[0]], y[live[0]])}")
 
 
 def _geodesic_step(x, y, ux, uy, t, work):
@@ -366,7 +364,7 @@ def _geodesic_step(x, y, ux, uy, t, work):
     uy /= s
 
 
-def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
+def flow_quotient(z0, alpha0, t):
     """Geodesic flow on the quotient surface, reduced to the fundamental domain.
 
     Flows the unit tangent vector (z0, angle alpha0) for time t along the
@@ -380,7 +378,6 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
         Tangent angle: the tangent vector is ``Im(z0) e^{i alpha0}``.
     t : float
         Flow time; e^|t| must be a finite float.
-    surf : QuotientSurface, optional
 
     Returns
     -------
@@ -394,8 +391,6 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     ValidationError
         If e^|t| overflows.
     """
-    if surf is None:
-        surf = QuotientSurface()
     t = _flow_time(t, "t")
     z0 = np.asarray(z0, dtype=complex)
     if not np.all(z0.imag > 0.0):
@@ -404,7 +399,7 @@ def flow_quotient(z0, alpha0, t, surf: QuotientSurface | None = None):
     x, y, ux, uy = (np.array(np.broadcast_to(a, shape), dtype=float).ravel()
                     for a in (z0.real, z0.imag, np.cos(alpha0), np.sin(alpha0)))
     _geodesic_step(x, y, ux, uy, t, [np.empty(x.size) for _ in range(4)])
-    _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y)), surf.reduction_cap)
+    _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y)))
     if not shape:
         return complex(x[0], y[0]), math.atan2(uy[0], ux[0])
     return (x + 1j * y).reshape(shape), np.arctan2(uy, ux).reshape(shape)
@@ -774,19 +769,15 @@ class CorrelationRecord:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stderrs", stderrs)
 
-    def to_json(self, path=None):
-        """Serialize to a JSON string; also write it to path when given."""
-        text = json.dumps({
+    def to_json(self):
+        """The record as JSON text."""
+        return json.dumps({
             "t": list(self.times),
             "rho": list(self.values),
             "stderr": list(self.stderrs),
             "sample_count": self.sample_count,
             "seed": self.seed,
         })
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def _eval_observable(f, z, alpha):
@@ -803,8 +794,8 @@ def _eval_observable(f, z, alpha):
                        dtype=float, count=len(z))
 
 
-def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
-              surf: QuotientSurface | None = None) -> CorrelationRecord:
+def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000,
+              seed=0) -> CorrelationRecord:
     """Monte Carlo correlation function of two observables along the flow.
 
     Estimates ``rho(t) = integral of (A o flow_t) * B`` against Liouville
@@ -831,8 +822,6 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     dt = _flow_time(dt, "dt")
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    if surf is None:
-        surf = QuotientSurface()
 
     z, alpha = liouville_samples(n, seed)
     b_vals = _eval_observable(B, z, alpha)
@@ -863,8 +852,7 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000, seed=0,
     for k in range(steps + 1):
         if k > 0:
             _geodesic_step(x, y, ux, uy, dt, work)
-            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])),
-                    surf.reduction_cap)
+            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])))
             np.copyto(z.real, x)
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError, UnsupportedDimensionError, ValidationError
 
 #: tolerance for |det(lattice_basis)| - 1
 UNIMODULAR_TOL = 1e-12
@@ -37,7 +37,7 @@ FRAME_DET_FLOOR = 1e-8
 def _as_vector(x, d, name):
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (d,):
-        raise ValueError(f"{name} must have shape ({d},), got {v.shape}")
+        raise ValidationError(f"{name} must have shape ({d},), got {v.shape}: {v!r}")
     return v
 
 
@@ -62,7 +62,7 @@ class CuspModel:
 
     def __post_init__(self):
         if self.d < 1 or int(self.d) != self.d:
-            raise ValueError(f"d must be an integer >= 1, got {self.d}")
+            raise ValidationError(f"d must be an integer >= 1, got {self.d!r}")
         basis = self.lattice_basis
         if basis is None:
             basis = np.eye(self.d)
@@ -70,10 +70,10 @@ class CuspModel:
         object.__setattr__(self, "lattice_basis", basis)
         det = np.linalg.det(basis)
         if abs(abs(det) - 1.0) > UNIMODULAR_TOL:
-            raise ValueError(
-                f"lattice basis must be unimodular: |det| = {abs(det)!r}")
+            raise ValidationError(
+                f"lattice basis must be unimodular: |det| = {float(abs(det))!r}")
         if not self.a > 0:
-            raise ValueError(f"cusp base height a must be > 0, got {self.a}")
+            raise ValidationError(f"cusp base height a must be > 0, got {self.a!r}")
 
     def reduce(self, theta):
         """Reduce theta to the half-open fundamental cell of the lattice.
@@ -86,9 +86,6 @@ class CuspModel:
         # floor can leave an exact 1.0 behind for tiny negative arguments
         frac[frac >= 1.0] -= 1.0
         return self.lattice_basis @ frac
-
-
-_CANONICAL_U_NOTE = "azimuth is canonicalized to the first basis vector at the poles"
 
 
 @dataclass(frozen=True)
@@ -110,11 +107,11 @@ class PhasePoint:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
         if theta.shape != u.shape:
-            raise ValueError("theta and u must have the same dimension")
+            raise ValidationError(f"theta and u differ in shape: {theta.shape}, {u.shape}")
         if not (0.0 <= self.phi <= np.pi):
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
-        if abs(np.linalg.norm(u) - 1.0) > UNIT_TOL:
-            raise ValueError(f"u must be a unit vector ({_CANONICAL_U_NOTE})")
+            raise ValidationError(f"phi must lie in [0, pi], got {self.phi!r}")
+        if abs((norm := float(np.linalg.norm(u))) - 1.0) > UNIT_TOL:
+            raise ValidationError(f"u must be a unit vector, got |u| = {norm!r}")
         if min(self.phi, np.pi - self.phi) <= POLE_TOL:
             u = np.zeros_like(u)
             u[0] = 1.0
@@ -219,7 +216,7 @@ class SplittingFrame:
         m = np.column_stack([self.flow, self.stable, self.unstable])
         det = np.linalg.det(m)
         if abs(det) < FRAME_DET_FLOOR:
-            raise ValueError(f"degenerate frame, |det| = {abs(det)!r}")
+            raise ValidationError(f"degenerate frame, |det| = {float(abs(det))!r}")
         object.__setattr__(self, "coframe", np.linalg.inv(m))
 
     @property

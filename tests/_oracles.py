@@ -372,7 +372,7 @@ def sequential_profile_coefficient(psi: TestFunction, j, weight, moment):
         r = (j - deg) // 2 - e
         if (j - deg) % 2 or r < 0 or (c_mu := moment(psi.terms[index][1])) == 0.0:
             continue
-        rest = psi._radial_series(index, r, True)
+        rest = psi._radial_series(index, r)
         acc += c_mu * sum(rest[i] * weight[r - i] for i in range(r + 1))
     return acc
 
@@ -720,7 +720,7 @@ def _reference_inside(z):
     return ok
 
 
-def reference_reduce(z, v, cap=REDUCTION_CAP):
+def reference_reduce(z, v):
     """Fundamental-domain reduction of (z, tangent v) arrays in complex
     arithmetic.
 
@@ -737,7 +737,7 @@ def reference_reduce(z, v, cap=REDUCTION_CAP):
         raise DomainError(f"reduction needs Im z > 0, got z = {z[~(z.imag > 0.0)][0]}")
     r2 = 0.25 - CONTAINMENT_SLACK
     pending = np.flatnonzero(~_reference_inside(z))
-    for _ in range(cap):
+    for _ in range(REDUCTION_CAP):
         if pending.size == 0:
             break
         zz = z[pending]
@@ -766,7 +766,7 @@ def reference_reduce(z, v, cap=REDUCTION_CAP):
     return z.reshape(shape), v.reshape(shape)
 
 
-def reference_correlate(A, B, T_max, dt, n, seed, cap=REDUCTION_CAP):
+def reference_correlate(A, B, T_max, dt, n, seed):
     """(values, stderrs) of ``correlate`` with every one of the n Liouville
     samples flowed, reduced and read by A at every time."""
     z, alpha = liouville_samples(n, seed)
@@ -778,7 +778,7 @@ def reference_correlate(A, B, T_max, dt, n, seed, cap=REDUCTION_CAP):
     for k in range(int(math.floor(T_max / dt + 1e-9)) + 1):
         if k > 0:
             _geodesic_step(x, y, ux, uy, dt, work)
-            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])), cap)
+            _reduce(x, y, ux, uy, np.flatnonzero(~_inside(x, y, work=work[:2])))
             np.copyto(z.real, x)
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)

@@ -66,7 +66,7 @@ def test_cli_and_pairing_modules_do_not_import_scipy_integrate():
 
 def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
     config = tmp_path / "escape.ini"
-    config.write_text("[escape]\nn_alpha = 8\nn_theta = 16\nn_phi = 16\n")
+    config.write_text("[escape]\nn_theta = 16\nn_phi = 16\n")
     out = tmp_path / "out"
     argv = [f"--output-dir={out}", f"--config={config}", "escape"]
     assert cli.main(argv) == 0
@@ -229,7 +229,7 @@ SMALL_RUNS = {
     "eigendist": ["--n-test=1"],
     "residue": ["--j-max=0"],
     "resolvent": ["--n-r=1024", "--n-x=5"],
-    "escape": ["--n-alpha=8", "--n-theta=16", "--n-phi=16"],
+    "escape": ["--n-theta=16", "--n-phi=16"],
     "flow": ["--t-max=1"],
     "correlate": ["--n=200", "--t-max=1"],
 }
@@ -548,6 +548,31 @@ def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_escape_config_with_n_alpha_exits_2_as_an_unknown_key(tmp_path, capsys):
+    # the angle fiber is not sampled, so no setting resolves it
+    config = tmp_path / "escape.ini"
+    config.write_text("[escape]\nn_alpha = 8\n")
+    assert cli.main([f"--config={config}", f"--output-dir={tmp_path / 'out'}", "escape"]) == 2
+    assert _diagnostic(capsys)["message"] == "unknown key 'n_alpha' in section [escape]"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["flow", "--u0=1.0000000001"], "u0 must be a unit vector, |u0| = 1.0000000001"),
+    (["roots", "--n-max=171"], "jet order 171 is past 170"),
+    (["eigendist", "--n-max=171", "--n-test=1"], "jet order 171 is past 170"),
+], ids=["flow-u0", "roots", "eigendist"])
+def test_values_past_what_the_arithmetic_holds_exit_2_naming_them(tmp_path, capsys,
+                                                                  argv, named):
+    # a unit vector the phase point would reject, and factorials past the
+    # float range: each is an invalid input, not an internal error
+    assert cli.main(argv + [f"--output-dir={tmp_path}"]) == 2
+    diag = _diagnostic(capsys)
+    assert (diag["error"], diag["type"]) == ("validation", "ValidationError")
+    assert named in diag["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_flag_exits_2_with_one_json_diagnostic_line(capsys):
     with pytest.raises(SystemExit) as stop:
         cli.main(["escape", "--bogus=1"])
@@ -568,7 +593,7 @@ def test_every_parameter_type_has_one_parser_and_one_formatter():
 
 @pytest.mark.parametrize("flag", ["--t=800", "--t-prime=800"])
 def test_escape_window_past_the_float_range_exits_2(tmp_path, capsys, flag):
-    argv = ["escape", "--n-alpha=8", "--n-theta=16", "--n-phi=16", flag,
+    argv = ["escape", "--n-theta=16", "--n-phi=16", flag,
             f"--output-dir={tmp_path}"]
     assert cli.main(argv) == 2
     diag = _diagnostic(capsys)
@@ -580,7 +605,7 @@ def test_escape_window_past_the_float_range_exits_2(tmp_path, capsys, flag):
 def test_escape_symbol_window_400_gives_finite_constants(tmp_path):
     # e^400 is a float but its square is not
     out = tmp_path / "out"
-    argv = ["escape", "--n-alpha=8", "--n-theta=16", "--n-phi=16",
+    argv = ["escape", "--n-theta=16", "--n-phi=16",
             "--t-prime=400", f"--output-dir={out}"]
     assert cli.main(argv) == 0
     (cert_path,) = out.glob("*-certificate.json")

@@ -191,14 +191,14 @@ def test_membership_predicate():
 
 def test_quotient_identity_at_t0():
     z0, a0 = 0.1 + 1.3j, 0.7
-    z, a = flow_quotient(z0, a0, 0.0, SURF)
+    z, a = flow_quotient(z0, a0, 0.0)
     assert abs(z - z0) < 1e-13
     assert a == pytest.approx(a0, abs=1e-13)
 
 
 def test_quotient_requires_upper_half_plane():
     with pytest.raises(DomainError):
-        flow_quotient(0.3 - 0.2j, 0.0, 1.0, SURF)
+        flow_quotient(0.3 - 0.2j, 0.0, 1.0)
     with pytest.raises(DomainError, match=r"0\.2-0\.1j"):
         _reduce_zv([0.3 + 1.0j, 0.2 - 0.1j], [1.0, 1.0])
 
@@ -212,13 +212,13 @@ def test_quotient_reversibility(z0, a0, t):
     # match representatives: compare against the reduced start pair
     z0r, v0r = SURF.reduce(z0, z0.imag * complex(math.cos(a0), math.sin(a0)))
     a0r = math.atan2(v0r.imag, v0r.real)
-    z1, a1 = flow_quotient(z0, a0, t, SURF)
-    z2, a2 = flow_quotient(z1, a1, -t, SURF)
+    z1, a1 = flow_quotient(z0, a0, t)
+    z2, a2 = flow_quotient(z1, a1, -t)
     assert abs(z2 - z0r) < 1e-9
     assert math.remainder(a2 - a0r, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
-def _reduce_zv(z, v, surf=SURF):
+def _reduce_zv(z, v):
     """``fl._reduce`` on complex (z, tangent v) arrays: the points outside
     the domain move, as ``QuotientSurface.reduce`` moves one point."""
     z = np.array(z, dtype=complex)
@@ -227,7 +227,7 @@ def _reduce_zv(z, v, surf=SURF):
     with np.errstate(all="ignore"):
         ux, uy = v.real / y, v.imag / y
     out = np.flatnonzero(~fl._inside(x, y))
-    fl._reduce(x, y, ux, uy, out, surf.reduction_cap)
+    fl._reduce(x, y, ux, uy, out)
     z[out] = x[out] + 1j * y[out]
     v[out] = y[out] * (ux[out] + 1j * uy[out])
     return z, v
@@ -264,7 +264,7 @@ def test_unit_speed_and_distance():
     assert float(hyperbolic_distance(z0, z_lift)) == pytest.approx(t, abs=1e-9)
     assert abs(v_lift) / z_lift.imag == pytest.approx(1.0, abs=1e-10)
     # reduced endpoint: quotient distance (min over a word ball) is <= t
-    z_red, _ = flow_quotient(z0, a0, t, SURF)
+    z_red, _ = flow_quotient(z0, a0, t)
     dq = min(float(hyperbolic_distance(z0, (m[0, 0] * z_red + m[0, 1]) /
                                        (m[1, 0] * z_red + m[1, 1])))
              for m in _word_ball(3))
@@ -324,7 +324,7 @@ def test_geodesic_step_is_no_less_accurate_than_the_frame_step():
                     err = max(abs(mpmath.mpc(z) - z_ref) / z_ref.imag, abs(mpmath.mpc(u) - u_ref))
                     worst[name] = max(worst[name], float(err))
             x, y, ux, uy = nx, ny, nux, nuy
-            fl._reduce(x, y, ux, uy, np.flatnonzero(~fl._inside(x, y)), fl.REDUCTION_CAP)
+            fl._reduce(x, y, ux, uy, np.flatnonzero(~fl._inside(x, y)))
     assert worst["step"] <= worst["frame"]
     assert worst["step"] < 1e-13
 
@@ -365,23 +365,25 @@ def test_quotient_flow_near_vertical_at_long_times(a0, t):
     with mpmath.workdps(40):
         z_ref, u_ref = _exact_flow(mpmath, z0.real, z0.imag, mpmath.cos(a0), mpmath.sin(a0), t)
         z_ref, v_ref = _exact_reduce(mpmath, z_ref, u_ref * z_ref.imag)
-        z, a = flow_quotient(z0, a0, t, SURF)
+        z, a = flow_quotient(z0, a0, t)
         assert abs(mpmath.mpc(z) - z_ref) <= 1e-14 * abs(z_ref)
         assert abs(a - mpmath.arg(v_ref)) <= 1e-14 * abs(mpmath.arg(v_ref))
 
 
-def test_reduction_cap_trips():
+def test_reduction_cap_trips(monkeypatch):
     # 0.123 + 1e-8 i needs three rounds, each a cusp move and a translation;
     # 0.3 + 1e-8 i needs two, as the translation after the cusp-0 move comes
     # in the same round; depth alone, as at 1e-4 + 1e-8 i, costs one round
-    tight = QuotientSurface(reduction_cap=2)
+    monkeypatch.setattr(fl, "REDUCTION_CAP", 2)
     with pytest.raises(NonterminationError):
-        tight.reduce(complex(0.123, 1e-8))
-    z, _ = tight.reduce(complex(0.3, 1e-8))
+        SURF.reduce(complex(0.123, 1e-8))
+    z, _ = SURF.reduce(complex(0.3, 1e-8))
     assert SURF.contains(z)
-    z, _ = QuotientSurface(reduction_cap=1).reduce(complex(1e-4, 1e-8))
+    monkeypatch.setattr(fl, "REDUCTION_CAP", 1)
+    z, _ = SURF.reduce(complex(1e-4, 1e-8))
     assert SURF.contains(z)
     # the default cap handles the same point easily
+    monkeypatch.undo()
     z, _ = SURF.reduce(complex(0.123, 1e-8))
     assert SURF.contains(z)
 
@@ -453,15 +455,15 @@ def test_reduction_matches_greedy_reference():
 
 
 @pytest.mark.parametrize("cusp", [None, 0.0, 1.0, -1.0], ids=["inf", "0", "1", "-1"])
-def test_reduction_rounds_do_not_grow_with_depth(cusp):
+def test_reduction_rounds_do_not_grow_with_depth(cusp, monkeypatch):
     # a wide Re w range: the move's algebraic form ((1 + 2k) z - 2k) /
     # (2kz + 1 - 2k) at cusp 1 would lose 1e-10 in unit speed here
     z, v = _cusp_points(cusp, np.geomspace(1e2, 1e12, 61), 1e3, 6)
-    surf = QuotientSurface(reduction_cap=4)
-    zr, vr = _reduce_zv(z, v, surf)
-    one = [surf.reduce(complex(a), complex(b)) for a, b in zip(z, v)]
+    monkeypatch.setattr(fl, "REDUCTION_CAP", 4)
+    zr, vr = _reduce_zv(z, v)
+    one = [SURF.reduce(complex(a), complex(b)) for a, b in zip(z, v)]
     for zz, vv in ((zr, vr), (np.array([a for a, _ in one]), np.array([b for _, b in one]))):
-        assert np.all(surf.contains(zz))
+        assert np.all(SURF.contains(zz))
         assert np.max(np.abs(np.abs(vv) / zz.imag - 1.0)) < 1e-12
 
 
@@ -530,32 +532,32 @@ def test_reduction_is_no_less_accurate_than_the_reference():
     assert worst["new"] < 1e-13
 
 
-def test_reduce_and_flow_quotient_keep_their_interface():
+def test_reduce_and_flow_quotient_keep_their_interface(monkeypatch):
     z, v = SURF.reduce(1.7 + 0.05j, 0.05j)
     assert type(z) is complex and type(v) is complex and SURF.contains(z)
     inside = (0.1 + 1.3j, 0.2 - 0.7j)
     assert SURF.reduce(*inside) == inside
-    z, a = flow_quotient(0.1 + 1.3j, 0.7, 2.0, SURF)
+    z, a = flow_quotient(0.1 + 1.3j, 0.7, 2.0)
     assert type(z) is complex and type(a) is float
     zs, al = flow_quotient(np.full((2, 3), 0.1 + 1.3j), np.linspace(-3, 3, 6).reshape(2, 3),
-                           2.0, SURF)
+                           2.0)
     assert zs.shape == al.shape == (2, 3) and zs.dtype == complex and al.dtype == float
     with pytest.raises(DomainError, match=r"0\.2-0\.1j"):
         SURF.reduce(0.2 - 0.1j)
     with pytest.raises(DomainError):
-        flow_quotient(np.array([0.1 + 1.3j, 0.2 - 0.1j]), 0.0, 1.0, SURF)
-    one_round = QuotientSurface(reduction_cap=1)
+        flow_quotient(np.array([0.1 + 1.3j, 0.2 - 0.1j]), 0.0, 1.0)
+    monkeypatch.setattr(fl, "REDUCTION_CAP", 1)
     with pytest.raises(NonterminationError):
-        one_round.reduce(complex(0.123, 1e-8))
+        SURF.reduce(complex(0.123, 1e-8))
     with pytest.raises(NonterminationError):
-        flow_quotient(complex(0.123, 1e-8), 0.4, 0.0, one_round)
+        flow_quotient(complex(0.123, 1e-8), 0.4, 0.0)
 
 
 @pytest.mark.parametrize("t", [710.0, -710.0, math.inf, math.nan])
 def test_flow_quotient_past_the_float_range_raises_naming_t(t):
     with pytest.raises(ValidationError, match=r"^t = "):
-        flow_quotient(0.9j, 0.3, t, SURF)
-    assert flow_quotient(0.9j, 0.3, 700.0, SURF)[0].imag > 0.0
+        flow_quotient(0.9j, 0.3, t)
+    assert flow_quotient(0.9j, 0.3, 700.0)[0].imag > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +780,7 @@ def test_time_1_flow_preserves_liouville():
     bump = BumpObservable()
     smp = sample_liouville(20_000, 1)
     pushed, _ = flow_quotient(np.array([z for z, _ in smp]),
-                              np.array([a for _, a in smp]), 1.0, SURF)
+                              np.array([a for _, a in smp]), 1.0)
     v1 = bump(pushed, None)
     m1, se1 = float(np.mean(v1)), float(np.std(v1, ddof=1)) / math.sqrt(len(v1))
     fresh = sample_liouville(20_000, 2)
@@ -793,7 +795,7 @@ def test_time_1_flow_preserves_liouville():
 
 def test_constant_observables_are_exact():
     one = lambda z, a: 1.0
-    rec = correlate(one, one, T_max=1.0, dt=0.25, n=50, seed=3, surf=SURF)
+    rec = correlate(one, one, T_max=1.0, dt=0.25, n=50, seed=3)
     assert all(v == 2.0 * math.pi for v in rec.values)
     assert all(e == 0.0 for e in rec.stderrs)
     assert rec.times == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -802,7 +804,7 @@ def test_constant_observables_are_exact():
 def test_rho_at_time_zero_is_plain_monte_carlo():
     A = BumpObservable()
     B = BumpObservable(center=0.2 + 1.4j, radius=0.6)
-    rec = correlate(A, B, T_max=0.5, dt=0.5, n=400, seed=9, surf=SURF)
+    rec = correlate(A, B, T_max=0.5, dt=0.5, n=400, seed=9)
     smp = sample_liouville(400, 9)
     z = np.array([p for p, _ in smp])
     al = np.array([a for _, a in smp])
@@ -823,13 +825,13 @@ PINNED_T0_ROWS = {
 def test_correlate_time_zero_row_is_pinned(seed):
     A = BumpObservable()
     B = BumpObservable(center=0.2 + 1.4j, radius=0.6)
-    rec = correlate(A, B, T_max=0.1, dt=0.1, n=20_000, seed=seed, surf=SURF)
+    rec = correlate(A, B, T_max=0.1, dt=0.1, n=20_000, seed=seed)
     assert (repr(rec.values[0]), repr(rec.stderrs[0])) == PINNED_T0_ROWS[seed]
 
 
 def test_correlation_decays_to_product_of_means():
     bump = BumpObservable()
-    rec = correlate(bump, bump, T_max=20.0, dt=0.1, n=20_000, seed=11, surf=SURF)
+    rec = correlate(bump, bump, T_max=20.0, dt=0.1, n=20_000, seed=11)
     smp = sample_liouville(20_000, 12)
     vals = bump(np.array([z for z, _ in smp]), None)
     mean_b = 2.0 * math.pi * float(np.mean(vals))
@@ -879,7 +881,7 @@ def test_correlate_flows_every_sample_deep_into_a_cusp(monkeypatch):
 def test_correlate_flows_only_the_support_of_b(monkeypatch):
     A, B = BENCH_LIKE
     seen = _recording_step(monkeypatch)
-    correlate(A, B, T_max=1.0, dt=0.1, n=2000, seed=0, surf=SURF)
+    correlate(A, B, T_max=1.0, dt=0.1, n=2000, seed=0)
     z, alpha = fl.liouville_samples(2000, 0)
     support = np.count_nonzero(B(z, alpha))
     assert 0 < support < 2000
@@ -896,13 +898,13 @@ def test_correlate_flows_only_the_support_of_b(monkeypatch):
 def test_correlate_is_bitwise_the_every_sample_loop(A, B, n, seed):
     """Flowing only B's support leaves every value and standard error
     bitwise as flowing all samples gives them."""
-    rec = correlate(A, B, n=n, seed=seed, surf=SURF)
+    rec = correlate(A, B, n=n, seed=seed)
     assert (rec.values, rec.stderrs) == reference_correlate(A, B, 20.0, 0.1, n, seed)
 
 
 def test_correlate_of_a_zero_b_is_zero():
     rec = correlate(BumpObservable(), lambda z, a: np.zeros(np.shape(z)),
-                    T_max=1.0, dt=0.5, n=100, seed=0, surf=SURF)
+                    T_max=1.0, dt=0.5, n=100, seed=0)
     assert rec.values == (0.0,) * 3 and rec.stderrs == (0.0,) * 3
 
 
@@ -921,8 +923,8 @@ def test_correlate_loops_scalar_only_observables():
     gives what the vectorised observable gives."""
     scalar = lambda z, a: math.cos(a)
     vector = lambda z, a: np.cos(a)
-    rec_s = correlate(scalar, scalar, T_max=0.5, dt=0.25, n=64, seed=2, surf=SURF)
-    rec_v = correlate(vector, vector, T_max=0.5, dt=0.25, n=64, seed=2, surf=SURF)
+    rec_s = correlate(scalar, scalar, T_max=0.5, dt=0.25, n=64, seed=2)
+    rec_v = correlate(vector, vector, T_max=0.5, dt=0.25, n=64, seed=2)
     assert rec_s.values == pytest.approx(rec_v.values, rel=1e-12, abs=1e-12)
     assert rec_s.stderrs == pytest.approx(rec_v.stderrs, rel=1e-12, abs=1e-12)
 
@@ -935,8 +937,8 @@ def test_correlate_loops_scalar_only_observables():
 def test_correlate_holds_b_at_time_zero_when_b_returns_a_view(view, copy):
     """B(x(0)) stays fixed even when B hands back its input or a view of it."""
     A = BumpObservable()
-    rec_view = correlate(A, view, T_max=1.0, dt=0.25, n=500, seed=4, surf=SURF)
-    rec_copy = correlate(A, copy, T_max=1.0, dt=0.25, n=500, seed=4, surf=SURF)
+    rec_view = correlate(A, view, T_max=1.0, dt=0.25, n=500, seed=4)
+    rec_copy = correlate(A, copy, T_max=1.0, dt=0.25, n=500, seed=4)
     assert rec_view.values == rec_copy.values
     assert rec_view.stderrs == rec_copy.stderrs
 
@@ -949,7 +951,7 @@ def test_correlate_propagates_observable_errors():
         return 1.0
 
     with pytest.raises(RuntimeError, match="on a batch"):
-        correlate(fragile, fragile, T_max=0.5, dt=0.25, n=16, seed=0, surf=SURF)
+        correlate(fragile, fragile, T_max=0.5, dt=0.25, n=16, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -965,12 +967,9 @@ def test_record_validation():
         CorrelationRecord((0.0, 1.0), (1.0, 1.0), (0.0, 0.0), 0, 0)
 
 
-def test_record_json(tmp_path):
+def test_record_json():
     rec = CorrelationRecord((0.0, 0.5, 1.0), (6.1, 6.2, 6.3), (0.01, 0.02, 0.03), 10, 5)
     assert record_from_json(rec.to_json()) == rec
-    jpath = tmp_path / "rec.json"
-    rec.to_json(jpath)
-    assert record_from_json(jpath.read_text()) == rec
 
 
 def test_laplace_of_constant_record():
@@ -1017,7 +1016,7 @@ def test_pole_residue_at_zero_from_small_s():
     # s * rho_hat(s) -> mu(A) mu(B) / mu(M) as s -> 0+; at s = 0.05 the
     # truncated transform plus a plateau tail completion lands within 5%
     A = BumpObservable(amplitude=0.3, baseline=1.0)
-    rec = correlate(A, A, T_max=20.0, dt=0.1, n=20_000, seed=5, surf=SURF)
+    rec = correlate(A, A, T_max=20.0, dt=0.1, n=20_000, seed=5)
     s = 0.05
     late = [v for t, v in zip(rec.times, rec.values) if t >= 15.0]
     rho_late = sum(late) / len(late)

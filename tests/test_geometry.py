@@ -18,7 +18,8 @@ from cuspflow import (
     invariant_splitting,
     splitting_frame_at,
 )
-from cuspflow.geometry import FRAME_DET_FLOOR
+from cuspflow.errors import ValidationError
+from cuspflow.geometry import FRAME_DET_FLOOR, SplittingFrame
 
 MODEL1 = CuspModel(1)
 
@@ -33,6 +34,23 @@ def test_lattice_must_be_unimodular():
     CuspModel(2, lattice_basis=[[1.0, 0.7], [0.0, 1.0]])  # shear: det 1, fine
     with pytest.raises(ValueError):
         CuspModel(2, lattice_basis=[[2.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: CuspModel(0), "got 0"),
+    (lambda: CuspModel(1, a=-2.0), "got -2.0"),
+    (lambda: CuspModel(2, lattice_basis=[[2.0, 0.0], [0.0, 1.0]]), "|det| = 2.0"),
+    (lambda: MODEL1.reduce((0.1, 0.2)), "got (2,)"),
+    (lambda: PhasePoint(0.0, (0.0, 0.0), 1.0, (1.0,)), "(2,), (1,)"),
+    (lambda: PhasePoint(0.0, (0.0,), 4.0, (1.0,)), "got 4.0"),
+    (lambda: PhasePoint(0.0, (0.0,), 1.0, (1.000000001,)), "|u| = 1.000000001"),
+    (lambda: SplittingFrame(PhasePoint(0.0, (0.0,), 1.0, (1.0,)), *np.eye(3)[[0, 0, 1]]),
+     "|det| = 0.0"),
+], ids=["d", "a", "lattice", "theta-shape", "u-shape", "phi", "u-norm", "frame"])
+def test_invalid_geometry_raises_validation_error_naming_the_value(build, named):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert named in str(err.value)
 
 
 def test_base_height_positive():

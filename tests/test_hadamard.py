@@ -80,7 +80,7 @@ def _weighted_jet_terms(psi, nu, weight, magnitude=False):
         rest_order = m - e
         if rest_order < 0:
             continue
-        rest = psi._radial_series(index, rest_order, True)
+        rest = psi._radial_series(index, rest_order)
         assert len(wc) > rest_order, "weight series order too small"
         g_m = rest[0] * wc[rest_order]
         for i in range(1, rest_order + 1):

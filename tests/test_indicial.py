@@ -349,13 +349,16 @@ def test_radial_scaling_of_dirac_jets_weak():
                 + TestFunction.from_monomial(d, (1,) + (0,) * (d - 1), 0.4, (coeffs[1],))
                 + TestFunction.from_monomial(d, (2,) + (0,) * (d - 1), 0.4, (coeffs[2],))
             )
+            # the flat jet d^mu psi(0) is the volume jet of cos(phi) psi,
+            # as the volume factor is 1/cos(phi)
+            flat_pkg = psi_pkg.mult_z0()
             euler_expr = sum(x * sp.diff(psi_expr, x) for x in xs)
             for order in (0, 1, 2):
                 for mu in multi_indices(d, order):
                     deul = euler_expr
                     for x, m in zip(xs, mu):
                         deul = sp.diff(deul, x, m)
-                    flat = psi_pkg.jet(mu, with_volume=False)
+                    flat = flat_pkg.volume_jet(mu)
                     lhs = -(d * flat + complex(deul.subs(subs0)))
                     rhs = -(order + d) * flat
                     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))

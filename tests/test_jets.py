@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import sympy
 
-from cuspflow._jets import RadialSeries
+from cuspflow._jets import RadialSeries, radial_multiply
+from cuspflow.errors import ValidationError
 from cuspflow._testfunctions import TestFunction
 
 
@@ -67,6 +68,22 @@ def test_pole_factor_coefficients_are_catalan_numbers():
         assert rounded[k] == float(ref)
 
 
+def test_float_jet_arithmetic_past_the_float_range_raises_naming_the_order():
+    # 171! and 134! 4^134 are past the float range; exact arithmetic is not
+    psi = TestFunction.from_monomial(1, (0,), 0.5)
+    psi.volume_jet((170,))
+    with pytest.raises(ValidationError, match="jet order 171 is past 170"):
+        psi.volume_jet((171,))
+    with pytest.raises(ValidationError, match="jet order 171 is past 170"):
+        radial_multiply({(171,): 1.0}, RadialSeries.binomial(0.5, 85))
+    exact = radial_multiply({(171,): 1}, RadialSeries.binomial(Fraction(1, 2), 85))
+    assert all(type(v) is Fraction for v in exact.values())
+    RadialSeries.power(0.5, 133)
+    with pytest.raises(ValidationError, match="order 134"):
+        RadialSeries.power(0.5, 134)
+    assert type(RadialSeries.power(Fraction(1, 2), 134).coeffs[-1]) is Fraction
+
+
 @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(-5, 2)])
 def test_binomial_series_is_exact(a):
     order = 16
@@ -87,10 +104,8 @@ def test_binomial_series_at_complex_exponent_matches_mpmath():
             assert abs(c - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("with_volume", [True, False])
-def test_test_function_radial_series_matches_sympy(with_volume):
-    # term coefficients of p(sqrt(1-t)) (1-t)^{-1/2} e^{-ct}, and without the
-    # volume factor (1-t)^{-1/2}, against sympy's series
+def test_test_function_radial_series_matches_sympy():
+    # term coefficients of p(sqrt(1-t)) (1-t)^{-1/2} e^{-ct} against sympy's series
     order = 12
     p = (Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), Fraction(1, 3))
     terms = ((Fraction(7, 10), p), (Fraction(0), p[:2]))
@@ -100,10 +115,9 @@ def test_test_function_radial_series_matches_sympy(with_volume):
     for index, (c, q) in enumerate(terms):
         expr = sum(sympy.Rational(v.numerator, v.denominator) * z**k for k, v in enumerate(q))
         expr *= sympy.exp(-sympy.Rational(c.numerator, c.denominator) * t)
-        if with_volume:
-            expr /= z
+        expr /= z
         poly = sympy.expand(expr).series(t, 0, order + 1).removeO()
         ref = [complex(poly.coeff(t, m)) for m in range(order + 1)]
-        got = psi._radial_series(index, order, with_volume)[: order + 1]
+        got = psi._radial_series(index, order)[: order + 1]
         scale = max(abs(r) for r in ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-14 * scale
