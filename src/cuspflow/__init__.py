@@ -3,7 +3,8 @@
 Modules
 -------
 geometry
-    Cusp models, phase points, cotangent norms, the exact invariant splitting.
+    Phase points, cotangent norms, local isometries, the exact invariant
+    splitting.
 flow
     Closed-form geodesic flow, the level-2 congruence quotient, Liouville
     sampling, correlation functions and truncated Laplace transforms.
@@ -53,7 +54,6 @@ from .flow import (
 )
 from .geometry import (
     CotangentVector,
-    CuspModel,
     PhasePoint,
     SplittingFrame,
     apply_local_isometry,

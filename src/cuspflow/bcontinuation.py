@@ -32,7 +32,8 @@ here:
 ``residue_apply``      the residue operator of one enclosed root, via a small
                        circle in w (with an optional distribution-paired
                        channel that sees the rank concentrated at the north
-                       pole and the r e^{w0 r} Jordan component),
+                       pole and the r e^{w0 r} Jordan component, summed from
+                       moments of the solve's power series),
 ``shift_identity``     the two lines at abscissae rho_lo <= rho_hi, the
                        residues of the roots crossed between them and the
                        defect of R_hi - R_lo = sum of those residues,
@@ -123,14 +124,13 @@ __all__ = [
 X_MAX = 1.0 - 5e-3
 
 _MODE_CAP = 8           # largest transverse mode order accepted
-_SERIES_EDGE = 0.2      # switch point between the series and quadrature legs
+_SERIES_EDGE = 0.2      # series/quadrature switch point; the paired channel's split
 _N_SERIES = 150         # Taylor order of the south series (radius 2, |y|<=1.2)
-_N_PART = 64            # Taylor order of the north-side particular series
+_N_PART = 64            # Taylor order of the north-side series (|y| <= 0.8)
 _EXP_CLAMP = 650.0      # largest exponent magnitude accepted in ratio form
 _ROOT_GUARD = 1e-8      # pointwise-solve exclusion distance, lambda units
 _ABSCISSA_GUARD = 1e-6  # abscissa-to-root real-part separation, w units
 _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
-_X_PAIR_SPLIT = 0.85    # split point of the paired channel near the pole
 _RES_GUARD = 5e-4       # particular-series resonance clearance
 _R_BLOCK = 64           # r-grid rows per block of the e^{r w} table
 _PANEL_ORDER = 24       # Gauss-Legendre nodes per panel of the mode quadratures
@@ -814,6 +814,8 @@ def residue_apply(
     psi=(q0,q1..) : paired channel against the polynomial probe Q(x) with the
                     per-term weight (1-x^2)^{m + d/2 - 1}, meromorphically
                     continued across the north pole; H0/H1 scalars per term.
+                    A node on a resonance of the north particular series
+                    rotates the nodes; ToleranceError names w0 after four.
 
     The circle moments are trapezoid sums over _CIRCLE_NODES nodes, spectrally
     accurate in the node count; H1 is nonzero exactly when the enclosed point
@@ -893,6 +895,26 @@ def residue_apply(
 # -- the paired (distribution) channel --------------------------------------
 
 
+def _binomial_series(p, q_y, n: int) -> np.ndarray:
+    """The first n Taylor coefficients in y of (2 - y)^p Q(y), Q given by its
+    coefficients q_y in y; an array p gives one row per entry."""
+    series = np.multiply.outer(2.0 ** p, 0.5 ** np.arange(n)) * np.array(
+        RadialSeries.binomial(p, n - 1).coeffs).T
+    out = np.zeros_like(series, dtype=complex)
+    for k, qk in enumerate(q_y[:n]):
+        out[..., k:] += qk * series[..., : n - k]
+    return out
+
+
+def _moments(series, e, y: float) -> np.ndarray:
+    """int_0^y t^e S(t) dt = sum_j S_j y^{e+j+1} / (e+j+1) for each row S of
+    series, term by term: the continuation in e of the moment past Re e = -1
+    (Gel'fand & Shilov, Generalized Functions I, ch. I sec. 3), with poles
+    where e + j + 1 = 0."""
+    k = e[..., None] + np.arange(1, series.shape[-1] + 1)
+    return np.sum(series * np.exp(k * math.log(y)) / k, axis=-1)
+
+
 def _paired_mode_values(
     op: ModelOperator,
     s: complex,
@@ -904,106 +926,40 @@ def _paired_mode_values(
     """<F_lam, Q>_beta = int_{-1}^{1} F_lam Q (1-x^2)^beta dx, continued.
 
     beta = m + d/2 - 1 (the mode's own sin-power joined with the sphere
-    volume weight).  The integral over [-1, x_c] uses the solved profile; on
-    [x_c, 1] the solution is split as (analytic particular series at N) +
-    K * (1-x)^{a+} (1+x)^{a-}, the analytic part is integrated directly and
-    the homogeneous part through the Taylor-subtracted moment continuation,
-    whose denominators 2(a+ + beta + j + 1) vanish exactly on the plus-branch
-    root condition a+ + d/2 + m = -j.
+    volume weight).  Each piece is a sum of term-by-term moments
+    (:func:`_moments`) of power series, split at x_c = _SERIES_EDGE: on
+    [-1, x_c] the south series of the solve times that of (2-y)^beta Q in
+    y = 1 + x; on [x_c, 1], in y = 1 - x, the solution is the analytic
+    particular series at N plus K (1-x)^{a+} (1+x)^{a-}, K matched at x_c.
+    The homogeneous part's moment denominators a+ + beta + j + 1 vanish
+    exactly on the plus-branch root condition a+ + d/2 + m = -j.
     """
     lams = np.asarray(lams, complex).ravel()
-    d, h = op.d, op.h
-    beta = m + d / 2.0 - 1.0
+    beta = m + op.d / 2.0 - 1.0
     c, _, a_p, a_m = mode_exponents(op, s, m, lams)
-    x_c = _X_PAIR_SPLIT
-    q_poly = tuple(complex(v) for v in q_poly)
+    y_s, y_n = 1.0 + _SERIES_EDGE, 1.0 - _SERIES_EDGE
 
-    # piece 1: [-1, x_c] on the solved profile, desingularized by 1+x = tau^2.
-    # Panel edges are graded in x toward the north end: both the profile
-    # (~ (1-x)^{Re a+}) and, for odd d, the half-integer weight (2-tau^2)^beta
-    # steepen toward x = 1, so uniform panels would sit too close to that
-    # branch point for the quadrature to converge.
-    x_edges = [-1.0, -0.55, -0.1, _SERIES_EDGE]
-    gap = 1.0 - _SERIES_EDGE
-    while gap * 0.55 > 1.0 - x_c:
-        gap *= 0.55
-        x_edges.append(1.0 - gap)
-    x_edges.append(x_c)
-    tau_edges = np.sqrt(1.0 + np.asarray(x_edges))
-    tau, wt = panel_nodes(tau_edges, _PANEL_ORDER)
-    x1 = tau**2 - 1.0
-    prof = _solve_mode_profiles(op, s, m, poly, lams, np.minimum(x1, x_c))
-    w1 = (2.0 - tau**2) ** beta * tau ** (2.0 * beta + 1.0) * 2.0 * wt
-    I1 = prof @ (w1 * polyval(x1, q_poly))
-
-    # north-side split pieces; a node near a resonance a+ = i >= 0 of the
-    # particular series (not an indicial root) aborts to a node rotation
+    # a node near a resonance a+ = i >= 0 of the particular series (not an
+    # indicial root) aborts to a node rotation
     dist = np.abs(np.arange(_N_PART)[:, None] - a_p)
     if dist.min() < 0.5 * _RES_GUARD:
         raise _ResonanceError(f"resonance a+ ~ {dist.argmin() // a_p.size} on a circle node")
-    g1 = _taylor_shift(poly, 1.0) * (-1.0) ** np.arange(len(poly))  # in y = 1 - x
-    dpart = -_series_coeffs(op, c, a_p, g1, _N_PART)
 
-    # piece 2: [x_c, 1] on the analytic particular series, 1 - x = t^2
-    t_hi = math.sqrt(1.0 - x_c)
-    t2, wt2 = panel_nodes(np.linspace(0.0, t_hi, 4), _PANEL_ORDER)
-    y2 = t2**2
-    fpart_vals = _series_eval(dpart, y2)
-    w2 = (
-        t2 ** (2.0 * beta + 1.0)
-        * (2.0 - y2) ** beta
-        * 2.0
-        * wt2
-        * polyval(1.0 - y2, q_poly)
-    )
-    I2 = fpart_vals @ w2
+    def north(p):  # coefficients of p(1 - y) in y
+        return _taylor_shift(p, 1.0) * (-1.0) ** np.arange(len(p))
 
-    # piece 3: K * continued int (1-x)^{a+ + beta} (1+x)^{a- + beta} Q dx
-    fp_xc = dpart @ ((1.0 - x_c) ** np.arange(_N_PART))
-    f_xc = _solve_mode_profiles(op, s, m, poly, lams, np.array([x_c]))[:, 0]
-    w_xc = np.exp(a_p * math.log(1.0 - x_c) + a_m * math.log(1.0 + x_c))
-    K = (f_xc - fp_xc) / w_xc
-
-    gamma = a_p + beta
-    # Taylor of Atil(y) = (2-y)^{a- + beta} Q(1-y) to J terms
-    j_terms = int(max(0.0, math.ceil(-2.0 * float(np.max(gamma.real)) - 1.0)) + 6)
-    qa = _taylor_shift(q_poly, 1.0) * (-1.0) ** np.arange(len(q_poly))
-    p_ang = a_m + beta
-    # (2 - y)^p = 2^p (1 - y/2)^p, one row of coefficients per lambda
-    bin_ser = (np.exp(p_ang * math.log(2.0))[:, None] * 0.5 ** np.arange(j_terms)
-               * np.array(RadialSeries.binomial(p_ang, j_terms - 1).coeffs).T)
-    atil = np.array([np.convolve(row, qa)[:j_terms] for row in bin_ser])
-    jj = np.arange(j_terms)
-    mom_den = 2.0 * gamma[:, None] + 2.0 * jj[None, :] + 2.0
-    tc_pow = np.exp((2.0 * gamma[:, None] + 2.0 * jj[None, :] + 2.0) * math.log(t_hi))
-    moments = 2.0 * np.sum(atil * tc_pow / mom_den, axis=1)
-
-    # Taylor-subtracted remainder, geometric panels toward t = 0.  The true
-    # integrand decays like t^kappa with kappa = 2 Re gamma + 1 + 2 j_terms
-    # (>= 11 by the choice of j_terms), while the computed a_tail bottoms out
-    # at the cancellation floor ~1e-16 of a_full - (Taylor sum).  Panels are
-    # therefore cut off at t* where t*^(kappa+1) ~ 1e-17: below that the
-    # integrand is roundoff noise amplified by t^{2 Re gamma + 1} < 0, and the
-    # neglected genuine tail is below 1e-17 by construction.
-    rem = np.zeros(lams.size, complex)
-    kappa = 2.0 * float(np.min(gamma.real)) + 1.0 + 2.0 * j_terms
-    t_star = 10.0 ** (-17.0 / (kappa + 1.0))
-    levels = max(1, int(math.ceil(math.log2(t_hi / min(t_star, t_hi / 2.0)))))
-    hi = t_hi
-    for _ in range(levels):
-        lo = hi * 0.5
-        tn, wn = panel_nodes(np.array([lo, hi]), _PANEL_ORDER)
-        yn = tn**2
-        a_full = np.exp(p_ang[:, None] * np.log(2.0 - yn)[None, :]) * polyval(
-            1.0 - yn, q_poly
-        )
-        a_tail = a_full - _series_eval(atil, yn)
-        t_fac = np.exp((2.0 * gamma[:, None] + 1.0) * np.log(tn)[None, :])
-        panel = 2.0 * np.sum(a_tail * t_fac * wn[None, :], axis=1)
-        rem += panel
-        hi = lo
-    I3 = K * (moments + rem)
-    return I1 + I2 + I3
+    # F = sum_k coeff_k (1+x)^k on [-1, x_c], sum_j dpart_j (1-x)^j + K w on [x_c, 1]
+    coeff = _series_coeffs(op, c, a_m, _taylor_shift(poly, -1.0), _N_SERIES)
+    dpart = -_series_coeffs(op, c, a_p, north(poly), _N_PART)
+    K = ((coeff @ y_s ** np.arange(_N_SERIES) - dpart @ y_n ** np.arange(_N_PART))
+         / np.exp(a_p * math.log(y_n) + a_m * math.log(y_s)))
+    # Q (1-x^2)^beta = y^beta (2-y)^beta Q(x) on either side
+    weight_s = _binomial_series(beta, _taylor_shift(q_poly, -1.0), _N_SERIES)
+    weight_n = _binomial_series(beta, north(q_poly), _N_PART)
+    return (coeff @ _moments(weight_s, beta + np.arange(_N_SERIES), y_s)
+            + dpart @ _moments(weight_n, beta + np.arange(_N_PART), y_n)
+            + K * _moments(_binomial_series(a_m + beta, north(q_poly), _N_PART),
+                           a_p + beta, y_n))
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,7 @@ def config_from_sources(subcommand=None, config_path=None, output_dir=None,
 # ---------------------------------------------------------------------------
 
 def _cell(v) -> str:
-    """One CSV cell or manifest tolerance value."""
+    """One manifest tolerance value."""
     if type(v) is float:
         return repr(v)
     if isinstance(v, str):
@@ -448,9 +448,11 @@ def _cell(v) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    """CSV text of rows of Python ints and floats, whose ``str`` is the
+    shortest round-trip form (what ``_cell`` writes for them)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(map(_cell, row)))
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

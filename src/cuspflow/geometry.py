@@ -2,10 +2,12 @@
 
 Model cusps ``Z = [a, oo) x R^d / Lambda`` carry the metric
 ``g = (dy^2 + d theta^2) / y^2``.  In the log-height coordinate ``r = log y``
-this is ``dr^2 + e^{-2r} d theta^2``.  Unit (co)sphere directions are written
-``zeta = (cos phi, sin phi * u)`` with inclination ``phi`` in ``[0, pi]`` and
-azimuth ``u`` a unit vector of R^d; ``phi = 0`` is the zenith (North pole,
-pointing up the cusp) and ``phi = pi`` the nadir (South pole).
+this is ``dr^2 + e^{-2r} d theta^2``.  Points are written on the cover,
+theta in R^d; nothing here reduces theta modulo Lambda.  Unit (co)sphere
+directions are written ``zeta = (cos phi, sin phi * u)`` with inclination
+``phi`` in ``[0, pi]`` and azimuth ``u`` a unit vector of R^d; ``phi = 0`` is
+the zenith (North pole, pointing up the cusp) and ``phi = pi`` the nadir
+(South pole).
 
 For ``d = 1`` the module also provides the exact flow-invariant splitting of
 the tangent space of the unit cotangent bundle into flow / stable / unstable
@@ -24,8 +26,6 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError, ValidationError
 
-#: tolerance for |det(lattice_basis)| - 1
-UNIMODULAR_TOL = 1e-12
 #: tolerance for | |u| - 1 |
 UNIT_TOL = 1e-12
 #: phi closer than this to {0, pi} counts as a pole (azimuth canonicalized)
@@ -34,68 +34,14 @@ POLE_TOL = 1e-14
 FRAME_DET_FLOOR = 1e-8
 
 
-def _as_vector(x, d, name):
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (d,):
-        raise ValidationError(f"{name} must have shape ({d},), got {v.shape}: {v!r}")
-    return v
-
-
-@dataclass(frozen=True)
-class CuspModel:
-    """A model cusp: cross-section dimension, lattice, and base height.
-
-    Parameters
-    ----------
-    d : int
-        Cross-section dimension (>= 1).
-    lattice_basis : (d, d) array
-        Columns generate the lattice Lambda; must be unimodular
-        (|det| = 1 within ``UNIMODULAR_TOL``).
-    a : float
-        Base height of the cusp, y >= a > 0.
-    """
-
-    d: int
-    lattice_basis: np.ndarray = None
-    a: float = 1.0
-
-    def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValidationError(f"d must be an integer >= 1, got {self.d!r}")
-        basis = self.lattice_basis
-        if basis is None:
-            basis = np.eye(self.d)
-        basis = np.asarray(basis, dtype=float).reshape(self.d, self.d)
-        object.__setattr__(self, "lattice_basis", basis)
-        det = np.linalg.det(basis)
-        if abs(abs(det) - 1.0) > UNIMODULAR_TOL:
-            raise ValidationError(
-                f"lattice basis must be unimodular: |det| = {float(abs(det))!r}")
-        if not self.a > 0:
-            raise ValidationError(f"cusp base height a must be > 0, got {self.a!r}")
-
-    def reduce(self, theta):
-        """Reduce theta to the half-open fundamental cell of the lattice.
-
-        The representative has lattice coordinates in [0, 1)^d.
-        """
-        theta = _as_vector(theta, self.d, "theta")
-        coeff = np.linalg.solve(self.lattice_basis, theta)
-        frac = coeff - np.floor(coeff)
-        # floor can leave an exact 1.0 behind for tiny negative arguments
-        frac[frac >= 1.0] -= 1.0
-        return self.lattice_basis @ frac
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """A point of the unit cotangent sphere bundle in cusp coordinates.
 
-    Fields: log-height ``r``, cross-section point ``theta`` (understood modulo
-    the lattice; reduce with :meth:`CuspModel.reduce`), inclination
-    ``phi in [0, pi]`` and unit azimuth ``u``.  At the poles the azimuth is
-    dynamically irrelevant and is stored as the first basis vector.
+    Fields: log-height ``r``, cross-section point ``theta`` on the cover
+    R^d (never reduced modulo a lattice), inclination ``phi in [0, pi]`` and
+    unit azimuth ``u``.  At the poles the azimuth is dynamically irrelevant
+    and is stored as the first basis vector.
     """
 
     r: float
@@ -159,7 +105,7 @@ def cotangent_norm(base, v: CotangentVector) -> float:
     return y * float(np.sqrt(v.Y**2 + np.dot(v.J, v.J)))
 
 
-def apply_local_isometry(tau, theta0, p, model: CuspModel | None = None):
+def apply_local_isometry(tau, theta0, p):
     """Apply the local isometry ``T_{tau, theta0}(r, theta) = (r + tau, e^tau theta + theta0)``.
 
     Parameters
@@ -169,10 +115,7 @@ def apply_local_isometry(tau, theta0, p, model: CuspModel | None = None):
     theta0 : array_like
         Cross-section translation.
     p : (r, theta)
-        Point to move.
-    model : CuspModel, optional
-        When given, the new theta is reduced to the fundamental cell of the
-        model's lattice.
+        Point to move, theta on the cover R^d.
 
     Returns
     -------
@@ -181,10 +124,7 @@ def apply_local_isometry(tau, theta0, p, model: CuspModel | None = None):
     r, theta = p
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    new_theta = np.exp(tau) * theta + theta0
-    if model is not None:
-        new_theta = model.reduce(new_theta)
-    return (float(r) + float(tau), new_theta)
+    return (float(r) + float(tau), np.exp(tau) * theta + theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +187,7 @@ def splitting_frame_at(r, alpha):
     return flow, stable, unstable
 
 
-def invariant_splitting(p: PhasePoint, model: CuspModel) -> SplittingFrame:
+def invariant_splitting(p: PhasePoint) -> SplittingFrame:
     """Exact invariant splitting frame at a phase point (d = 1 only).
 
     At the North pole the stable line is spanned by the cross-section
@@ -257,9 +197,9 @@ def invariant_splitting(p: PhasePoint, model: CuspModel) -> SplittingFrame:
     Raises
     ------
     UnsupportedDimensionError
-        If the model dimension is not 1.
+        If the phase point's dimension is not 1.
     """
-    if model.d != 1 or p.d != 1:
+    if p.d != 1:
         raise UnsupportedDimensionError(
             "the invariant splitting frame is implemented for d = 1 only")
     alpha = direction_angle(p)

@@ -27,6 +27,10 @@ package takes:
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane,
   and :func:`full_node_line` is the contour line on every eta-node, as it
   was written before real input was folded onto eta > 0;
+* :func:`paired_mode_reference` is the paired residue channel's pairing at
+  one lambda to 35 digits, from the variation-of-constants solution in
+  hypergeometric closed form and ``mpmath.quad`` (the package sums the
+  moments of its own power series);
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
   time-t flow maps ``i e^t`` through it;
@@ -666,6 +670,57 @@ def full_node_line(op: ModelOperator, s, contour, f, x_grid, r_span=30.0, n_r=40
                        / (float(np.abs(vals[rwin]).max()) or 1.0))
         values.append(vals)
     return values, tail_rel
+
+
+def paired_mode_reference(op: ModelOperator, s, m, poly, lam, q_poly, x0=0.0, dps=35):
+    """<F_lam, Q>_beta of ``bc._paired_mode_values`` at one lambda, to dps digits.
+
+    Needs Re a+ < 0 and Re a- < 0.  Then the tempered solution is
+    F = -w int_{-1}^x P / (h (1-t^2) w) dt, K = -int_{-1}^1 P / (h (1-t^2) w) dt
+    converges and F - K w = w int_x^1 P / (h (1-t^2) w) dt is analytic at N.
+    The pairing is int_{-1}^{x0} F Q (1-x^2)^beta plus int_{x0}^1 (F - K w)
+    Q (1-x^2)^beta, both by ``mpmath.quad``, plus K times the continued
+    moment of y^{a+ + beta} (2-y)^{a- + beta} Q(1-y) on [0, 1-x0], one
+    hypergeometric closed form per power of y.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        beta = mpmath.mpf(m) + mpmath.mpf(op.d) / 2 - 1
+        c = mpmath.mpc(lam) / op.h + mpmath.mpf(op.d) / 2 + m
+        e = mpmath.mpc(op.A) - mpmath.mpc(s)
+        a_p, a_m = -(c + e) / 2, (e - c) / 2
+
+        def moment(ex, p, Y):  # int_0^Y y^ex (2-y)^p dy, continued in ex
+            return (2 ** p * Y ** (ex + 1) / (ex + 1)
+                    * mpmath.hyp2f1(-p, ex + 1, ex + 2, Y / 2))
+
+        def shifted(coeffs, sign):  # coefficients in Y of p(sign (Y - 1))
+            coeffs = [mpmath.mpc(v) * sign**k for k, v in enumerate(coeffs)]
+            return [sum(coeffs[k] * math.comb(k, j) * (-1) ** (k - j)
+                        for k in range(j, len(coeffs))) for j in range(len(coeffs))]
+
+        def side(Y, a_near, a_far, sign):
+            """At distance Y from the pole where w ~ Y^a_near (sign +1 at S,
+            -1 at N): w, int_0^Y P / (h (1-t^2) w) in that distance, and
+            Q (1-x^2)^beta."""
+            flux = sum(pj * moment(j - a_near - 1, -a_far - 1, Y)
+                       for j, pj in enumerate(shifted(poly, sign))) / op.h
+            weight = mpmath.polyval(shifted(q_poly, sign)[::-1], Y) * (Y * (2 - Y)) ** beta
+            return Y ** a_near * (2 - Y) ** a_far, flux, weight
+
+        def integrand(Y, sign):
+            w, flux, weight = side(Y, a_m, a_p, 1) if sign > 0 else side(Y, a_p, a_m, -1)
+            return -sign * w * flux * weight
+
+        x0 = mpmath.mpf(x0)
+        # Y = tau^2 leaves both integrands analytic in tau
+        paired = sum(mpmath.quad(lambda t: 2 * t * integrand(t * t, sign), [0, mpmath.sqrt(Y0)])
+                     for sign, Y0 in ((1, 1 + x0), (-1, 1 - x0)))
+        K = -(side(1 + x0, a_m, a_p, 1)[1] + side(1 - x0, a_p, a_m, -1)[1])
+        paired += K * sum(qj * moment(a_p + beta + j, a_m + beta, 1 - x0)
+                          for j, qj in enumerate(shifted(q_poly, -1)))
+        return complex(paired)
 
 
 # ---------------------------------------------------------------------------

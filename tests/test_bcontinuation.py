@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cuspflow.bcontinuation as bc
 from _fd_helpers import gauss, identity_residual
-from _oracles import full_node_line, rho_max_prime
+from _oracles import full_node_line, paired_mode_reference, rho_max_prime
 from cuspflow.bcontinuation import (
     ContourSpec,
     CuspFunction,
@@ -34,7 +34,7 @@ from cuspflow.errors import (
     ValidationError,
 )
 from cuspflow._sphere import panel_nodes
-from cuspflow.indicial import ModelOperator, RootTable
+from cuspflow.indicial import ModelOperator, RootTable, mode_exponents
 
 XG = np.linspace(-0.9, 0.6, 41)
 
@@ -648,6 +648,63 @@ def test_plus_root_residue_concentrates_at_north_pole():
     assert residue_max_abs(pointwise) < 1e-9 * abs(paired.H0[0])
 
 
+@pytest.mark.parametrize("d,h,m,s,poly,q_poly,w0,gamma_band", [
+    (1, 1.0, 0, 0.4 - 0.1j, (0.7, -0.3), (1.0, 0.5), 0.3 + 0.4j, (-1.0, -0.5)),
+    (1, 1.0, 1, -1.1 + 0.3j, (1.0, 0.2, -0.4), (0.6, -0.8), 2.0 + 0.5j, (-3.0, -1.0)),
+    (2, 0.5, 0, -1.943 - 0.724j, (1.3921,), (-0.081, -0.642), 7.740 - 1.989j,
+     (-6.0, -5.0)),
+], ids=["tempered", "continued", "far"])
+def test_paired_mode_values_match_mpmath(d, h, m, s, poly, q_poly, w0, gamma_band):
+    # gamma_band brackets Re(a+ + beta): the north moment needs no
+    # continuation (tempered), continuation past one pole, or past five (far)
+    op = ModelOperator(d=d, h=h)
+    theta = 2.0 * math.pi * (np.arange(bc._CIRCLE_NODES) + 0.37) / bc._CIRCLE_NODES
+    lams = h * (w0 + 0.05 * np.exp(1j * theta))
+    _, _, a_p, a_m = mode_exponents(op, s, m, lams)
+    gamma = a_p.real + m + d / 2.0 - 1.0
+    assert np.all(a_m.real < 0.0) and np.all(a_p.real < 0.0)
+    assert gamma_band[0] < gamma.min() and gamma.max() < gamma_band[1]
+    got = bc._paired_mode_values(op, s, m, poly, lams, q_poly)
+    for i in (0, 12):
+        ref = paired_mode_reference(op, s, m, poly, lams[i], q_poly)
+        assert abs(got[i] - ref) <= 1e-12 * abs(ref)
+
+
+def _resonant_first_calls(monkeypatch, n_fail):
+    """Make the first n_fail calls of the paired channel hit a resonance."""
+    calls = []
+    real = bc._paired_mode_values
+
+    def paired(*args):
+        calls.append(args)
+        if len(calls) <= n_fail:
+            raise bc._ResonanceError("resonance a+ ~ 3 on a circle node")
+        return real(*args)
+
+    monkeypatch.setattr(bc, "_paired_mode_values", paired)
+
+
+def test_residue_circle_rotates_its_nodes_off_a_resonance(monkeypatch):
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    res_op = ResidueOperator(s=-1.3, lambda0=-0.8)
+    # the circle at offset 0.11, built by hand
+    theta = 2.0 * math.pi * (np.arange(bc._CIRCLE_NODES) + 0.11) / bc._CIRCLE_NODES
+    r = default_r_grid()
+    wl = -0.8 + res_op.eps * np.exp(1j * theta)
+    g = (bc._paired_mode_values(op, -1.3, 0, (1.0,), op.h * wl, (1.0,))
+         * bc._fhat(gauss()(r).astype(complex), r, bc._exp_table(r, wl)))
+    h0, h1 = (res_op.eps**k * np.mean(np.exp(1j * k * theta) * g) for k in (1, 2))
+    _resonant_first_calls(monkeypatch, 1)
+    out = residue_apply(res_op, op, f, psi=(1.0,))
+    assert out.meta["node_offset"] == 0.11
+    assert out.H0[0] == pytest.approx(h0, rel=1e-13, abs=0.0)
+    assert out.H1[0] == pytest.approx(h1, rel=1e-13, abs=1e-13 * abs(h0))
+    _resonant_first_calls(monkeypatch, 4)
+    with pytest.raises(ToleranceError, match=re.escape(f"w0={complex(-0.8)}")):
+        residue_apply(res_op, op, f, psi=(1.0,))
+
+
 # ---------------------------------------------------------------------------
 # continue_resolvent
 # ---------------------------------------------------------------------------
@@ -675,6 +732,27 @@ def test_continued_resolvent_satisfies_identity():
     assert U.meta["branch"] == "regular"
     assert U.meta["corrections"] == 2  # one visible root per branch
     assert identity_residual(U, op, s, f) < 1e-5
+
+
+@pytest.mark.parametrize("centre,radius,n", [(-0.5 + 0.5j, 0.3, 48), (-1.5 + 0.4j, 0.35, 32)])
+def test_continued_resolvent_has_the_mean_value_property(centre, radius, n):
+    # holomorphy in s across the places where the bookkeeping changes: each
+    # circle passes through patched and regular points with different numbers
+    # of corrections.  On 1024 r-nodes and 5 x-nodes; the default grid with
+    # 31 x-nodes gave 3.1e-15 and 8.5e-15
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    grid = dict(x_grid=np.linspace(-0.9, 0.6, 5), n_r=1024)
+    at_centre = continue_resolvent(op, centre, f, **grid)
+    mean, seen = 0.0, set()
+    for k in range(n):
+        U = continue_resolvent(op, centre + radius * np.exp(2j * math.pi * k / n), f, **grid)
+        mean = mean + U.term_values(0) / n
+        seen.add((U.meta["branch"], U.meta["corrections"]))
+    assert len(seen) == 3
+    win = np.abs(at_centre.r_grid) <= 10.0
+    ref = at_centre.term_values(0)[win]
+    assert np.abs(mean[win] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_patching_expressions_agree():

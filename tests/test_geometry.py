@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from cuspflow import (
     CotangentVector,
-    CuspModel,
     DomainError,
     PhasePoint,
     UnsupportedDimensionError,
@@ -21,50 +20,24 @@ from cuspflow import (
 from cuspflow.errors import ValidationError
 from cuspflow.geometry import FRAME_DET_FLOOR, SplittingFrame
 
-MODEL1 = CuspModel(1)
-
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
-# CuspModel / PhasePoint invariants
+# PhasePoint invariants
 # ---------------------------------------------------------------------------
 
-def test_lattice_must_be_unimodular():
-    CuspModel(2, lattice_basis=[[1.0, 0.7], [0.0, 1.0]])  # shear: det 1, fine
-    with pytest.raises(ValueError):
-        CuspModel(2, lattice_basis=[[2.0, 0.0], [0.0, 1.0]])
-
-
 @pytest.mark.parametrize("build, named", [
-    (lambda: CuspModel(0), "got 0"),
-    (lambda: CuspModel(1, a=-2.0), "got -2.0"),
-    (lambda: CuspModel(2, lattice_basis=[[2.0, 0.0], [0.0, 1.0]]), "|det| = 2.0"),
-    (lambda: MODEL1.reduce((0.1, 0.2)), "got (2,)"),
     (lambda: PhasePoint(0.0, (0.0, 0.0), 1.0, (1.0,)), "(2,), (1,)"),
     (lambda: PhasePoint(0.0, (0.0,), 4.0, (1.0,)), "got 4.0"),
     (lambda: PhasePoint(0.0, (0.0,), 1.0, (1.000000001,)), "|u| = 1.000000001"),
     (lambda: SplittingFrame(PhasePoint(0.0, (0.0,), 1.0, (1.0,)), *np.eye(3)[[0, 0, 1]]),
      "|det| = 0.0"),
-], ids=["d", "a", "lattice", "theta-shape", "u-shape", "phi", "u-norm", "frame"])
+], ids=["u-shape", "phi", "u-norm", "frame"])
 def test_invalid_geometry_raises_validation_error_naming_the_value(build, named):
     with pytest.raises(ValidationError) as err:
         build()
     assert named in str(err.value)
-
-
-def test_base_height_positive():
-    with pytest.raises(ValueError):
-        CuspModel(1, a=0.0)
-
-
-def test_lattice_reduction_half_open_cell():
-    m = CuspModel(1)
-    assert m.reduce((0.25,))[0] == pytest.approx(0.25, abs=1e-15)
-    assert m.reduce((1.0,))[0] == pytest.approx(0.0, abs=1e-15)
-    assert m.reduce((-0.25,))[0] == pytest.approx(0.75, abs=1e-15)
-    # tiny negative values must not land on the excluded right edge
-    assert 0.0 <= m.reduce((-1e-18,))[0] < 1.0
 
 
 def test_phase_point_invariants():
@@ -112,7 +85,7 @@ def test_isometry_identity():
 
 
 def test_isometry_dilation_example():
-    r, theta = apply_local_isometry(math.log(2.0), (0.0,), (0.0, (0.25,)), MODEL1)
+    r, theta = apply_local_isometry(math.log(2.0), (0.0,), (0.0, (0.25,)))
     assert r == pytest.approx(math.log(2.0), abs=1e-15)
     assert theta[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -182,17 +155,16 @@ def _tangent_flow(r0, th0, al0, V0, t_end, t_eval):
 
 
 def test_unsupported_dimension():
-    model2 = CuspModel(2)
     p2 = PhasePoint(0.0, (0.0, 0.0), 1.0, (1.0, 0.0))
     with pytest.raises(UnsupportedDimensionError):
-        invariant_splitting(p2, model2)
+        invariant_splitting(p2)
     with pytest.raises(UnsupportedDimensionError):
         direction_angle(p2)
 
 
 def test_stable_is_cross_section_at_north_pole():
     p = PhasePoint(0.7, (0.2,), 0.0, (1.0,))
-    fr = invariant_splitting(p, MODEL1)
+    fr = invariant_splitting(p)
     # stable = span(d/dtheta): no dr, no dalpha component
     assert fr.stable[0] == 0.0
     assert fr.stable[2] == 0.0
@@ -209,7 +181,7 @@ def test_frame_determinant_100_random_points():
         phi = rng.uniform(0.05, math.pi - 0.05)
         u = rng.choice([-1.0, 1.0])
         p = PhasePoint(r, (rng.uniform(-1, 1),), phi, (u,))
-        fr = invariant_splitting(p, MODEL1)
+        fr = invariant_splitting(p)
         det = np.linalg.det(fr.matrix)
         assert abs(det) > FRAME_DET_FLOOR
         # the closed form gives det = 2y exactly
@@ -221,7 +193,7 @@ def test_frame_determinant_100_random_points():
 def test_stable_contraction_time_5():
     p = PhasePoint(0.3, (0.1,), 2.1, (1.0,))
     al0 = direction_angle(p)
-    fr = invariant_splitting(p, MODEL1)
+    fr = invariant_splitting(p)
     sol = _tangent_flow(p.r, 0.1, al0, fr.stable, 5.0, [5.0])
     r5, th5, al5 = sol.y[:3, -1]
     expected = math.exp(-5.0) * splitting_frame_at(r5, al5)[1]
@@ -239,7 +211,7 @@ def test_pushforward_rates_random_points(which, rate_sign):
         phi = rng.uniform(0.1, math.pi - 0.1)
         u = rng.choice([-1.0, 1.0])
         p = PhasePoint(r, (0.0,), phi, (u,))
-        fr = invariant_splitting(p, MODEL1)
+        fr = invariant_splitting(p)
         v0 = (fr.stable, fr.unstable)[idx - 1]
         sol = _tangent_flow(p.r, 0.0, direction_angle(p), v0, 5.0, [1.0, 2.0, 5.0])
         for k, t in enumerate((1.0, 2.0, 5.0)):
@@ -251,7 +223,7 @@ def test_pushforward_rates_random_points(which, rate_sign):
 
 def test_flow_direction_is_preserved_by_pushforward():
     p = PhasePoint(-0.4, (0.0,), 0.9, (-1.0,))
-    fr = invariant_splitting(p, MODEL1)
+    fr = invariant_splitting(p)
     sol = _tangent_flow(p.r, 0.0, direction_angle(p), fr.flow, 3.0, [3.0])
     rt, _, alt = sol.y[:3, -1]
     target = splitting_frame_at(rt, alt)[0]
