@@ -48,11 +48,14 @@ residual, so the solve can be tested alone; ``residue_apply`` gives one
 root's residue and the paired channel that the sums do not expose; and
 ``rho_max`` is the visibility bound of the paper's continuation statement.
 
-Both halves of the contour transform, fhat and the synthesis back onto the
-uniform r-grid, take e^{r w} = e^{r0_b w} e^{(r - r0_b) w} from one table
-per (r-grid, w-nodes) over blocks of L rows starting at r0_b: (L + n_r/L) n_w
-exponentials instead of n_r n_w.  L = 32, 64 and 128 ran equally fast; the
-phase error of a factor grows with L step |Im w|, so L = 64 (_R_BLOCK).
+Both halves of the contour transform, fhat from the uniform r-grid and the
+synthesis back onto it, take e^{r w} = e^{r0_b w} e^{(r - r0_b) w} from one
+table per (r-grid, w-nodes) over blocks of L rows starting at r0_b:
+(L + n_r/L) n_w exponentials instead of n_r n_w.  L = 32, 64 and 128 ran
+equally fast; the phase error of a factor grows with L step |Im w|, so
+L = 64 (_R_BLOCK).  A line's panel quadrature resolves e^{i eta r} only for
+|r| <= ContourSpec.r_window(): its field holds only those rows, synthesized
+on the whole blocks that hold them, while fhat reads the whole grid.
 
 A line of real input is folded onto eta > 0.  When s - A is real, and every
 poly coefficient and every radial sample of f is real, the mode equation,
@@ -259,9 +262,11 @@ def default_r_grid(span: float = 30.0, n: int = 4096) -> np.ndarray:
 class CuspField:
     """A gridded field on the half-cylinder, one value block per input term.
 
-    terms holds (m, mu, values) with values of shape (n_r, n_x); the full
-    scalar field at an angular point u is the sum of
-    values * sin(phi)^m * u^mu over the terms, phi = arccos(x_grid).
+    terms holds (m, mu, values) with values of shape (r_grid.size, n_x); the
+    full scalar field at an angular point u is the sum of
+    values * sin(phi)^m * u^mu over the terms, phi = arccos(x_grid).  A
+    contour line's r_grid is the rows of the transform grid that its
+    quadrature resolves (:func:`resolvent_line`).
     """
 
     d: int
@@ -561,6 +566,15 @@ class ContourSpec:
         return 11.2 * self.panels / self.height
 
 
+def _narrow_window(contour: ContourSpec, reach: float, what: str) -> ValidationError:
+    """The error for a contour whose window |r| <= r_window() stops short of
+    |r| = reach, naming the smallest panel count at its height that reaches it."""
+    return ValidationError(
+        f"the contour resolves |r| <= {contour.r_window():g} (panels={contour.panels}, "
+        f"height={contour.height:g}), short of {what} at |r| = {reach:g}; at this "
+        f"height that needs panels >= {math.ceil(reach * contour.panels / contour.r_window())}")
+
+
 def _refined_eta_nodes(op: ModelOperator, s: complex, contour: ContourSpec):
     """Panel nodes on [-H, H], refined near the ordinates of minus-branch
     roots that lie close to the contour line.
@@ -627,13 +641,14 @@ def _fhat(a: np.ndarray, r: np.ndarray, table: tuple) -> np.ndarray:
     return (r[1] - r[0]) * ((blocks @ T) / E).sum(axis=0) / T[-1]
 
 
-def _synthesis(table: tuple, coeff: np.ndarray, n_r: int) -> np.ndarray:
-    """sum_k e^{r_j w_k} coeff[k] on the first n_r grid rows, from the
-    _exp_table factors: one L-row block (T * E[b]) @ coeff at a time."""
+def _synthesis(table: tuple, coeff: np.ndarray, n_r: int, first: int = 0) -> np.ndarray:
+    """sum_k e^{r_j w_k} coeff[k] on grid rows first <= j < n_r (first a
+    multiple of L), from the _exp_table factors: one L-row block
+    (T * E[b]) @ coeff at a time, each anchored at its own row b L."""
     T, E = table
-    out = np.empty((n_r, coeff.shape[1]), complex)
-    for b, start in enumerate(range(0, n_r, _R_BLOCK)):
-        out[start : start + _R_BLOCK] = (T[: n_r - start] * E[b]) @ coeff
+    out = np.empty((n_r - first, coeff.shape[1]), complex)
+    for start in range(first, n_r, _R_BLOCK):
+        out[start - first :][:_R_BLOCK] = (T[: n_r - start] * E[start // _R_BLOCK]) @ coeff
     return out
 
 
@@ -648,12 +663,16 @@ def resolvent_line(
 ) -> CuspField:
     """The weighted resolvent along a regular abscissa, as a gridded field.
 
-    fhat, the synthesis and, on its columns, the truncation-tail estimate
-    share one _exp_table.  Real input (s - A, every poly coefficient and
-    every radial sample real) is transformed on the eta > 0 nodes alone and
-    gives a real field (the fold of the module docstring).  Raises
-    ValidationError when a radial amplitude does not return one value per
-    r-grid point.
+    fhat reads the radial samples on the whole grid of n_r points over
+    [-r_span, r_span); the field holds only the grid rows with
+    |r| <= contour.r_window(), the ones the panel quadrature resolves, and
+    the synthesis covers only the L-row blocks that hold them.  fhat, the
+    synthesis and, on its columns, the truncation-tail estimate share one
+    _exp_table.  Real input (s - A, every poly coefficient and every radial
+    sample real) is transformed on the eta > 0 nodes alone and gives a real
+    field (the fold of the module docstring).  Raises ValidationError when a
+    radial amplitude does not return one value per r-grid point, or when the
+    window holds no grid row.
 
     Raises ContourOnRootError when some indicial root has Re within 1e-6 of
     contour.rho, where the line ceases to separate the root set.
@@ -671,6 +690,12 @@ def resolvent_line(
         )
     xg = _x_grid(x_grid)
     r = default_r_grid(r_span, n_r)
+    rows = np.flatnonzero(np.abs(r) <= contour.r_window())
+    if rows.size == 0:
+        raise _narrow_window(contour, float(np.abs(r).min()), "the nearest r-grid point")
+    first = rows[0] - rows[0] % _R_BLOCK  # whole blocks keep each row's anchor
+    stop = min(r.size, rows[-1] - rows[-1] % _R_BLOCK + _R_BLOCK)
+    win = slice(rows[0] - first, rows[-1] + 1 - first)
     samples = [_radial_samples(term, r) for term in f.terms]
     eta, wq, base_panel = _refined_eta_nodes(op, s, contour)
     # real input: the eta < 0 nodes give the conjugates of the eta > 0 ones
@@ -690,16 +715,12 @@ def resolvent_line(
         fh = _fhat(a, r, table)
         prof = _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg)
         coeff = (wq * fh)[:, None] * prof  # (n_q, n_x)
-        vals = _synthesis(table, coeff, r.size) / (2.0 * math.pi)
-        tails = _synthesis(tail_table, coeff[tail_sel], r.size) / (2.0 * math.pi)
+        vals = _synthesis(table, coeff, stop, first)[win] / (2.0 * math.pi)
+        tails = _synthesis(tail_table, coeff[tail_sel], stop, first)[win] / (2.0 * math.pi)
         if fold:
             vals, tails = vals.real.astype(complex), tails.real
-        # estimate the truncation tail inside the window where the panel
-        # quadrature resolves e^{i eta r}; beyond it both numerator and
-        # denominator are dominated by the e^{rho r} roundoff floor
-        rwin = np.abs(r) <= contour.r_window()
-        scale = float(np.abs(vals[rwin]).max()) or 1.0
-        tail_rel = max(tail_rel, float(np.abs(tails[rwin]).max()) / scale)
+        scale = float(np.abs(vals).max()) or 1.0
+        tail_rel = max(tail_rel, float(np.abs(tails).max()) / scale)
         terms_out.append((term.m, term.mu, vals))
     meta = {
         "abscissa": contour.rho,
@@ -708,7 +729,8 @@ def resolvent_line(
         "r_window": contour.r_window(),
         "root_gap": gap,
     }
-    return CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(terms_out), meta=meta)
+    return CuspField(d=op.d, r_grid=r[rows[0] : rows[-1] + 1], x_grid=xg,
+                     terms=tuple(terms_out), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +1023,10 @@ def _defect_window(r_span: float) -> float:
     return min(10.0, r_span / 3.0)
 
 
-def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
-    """The summed residue fields of the root locations, one _auto_residue
-    circle per cluster of locations closer than _CLUSTER_GAP; raises
+def _residue_sum(op, s, f, locations, xg, r_span, n_r, r) -> CuspField:
+    """The summed residue fields of the root locations on the rows r of a
+    line, one _auto_residue circle per cluster of locations closer than
+    _CLUSTER_GAP, each transforming f on the whole grid (r_span, n_r); raises
     ToleranceError naming the roots when a cluster's two-term expansion drops
     a term whose field error, third_moment_rel * r^2/2 on the defect window
     of :func:`shift_identity`, is above _CLUSTER_TOL."""
@@ -1013,7 +1036,6 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r) -> CuspField:
             clusters[-1].append(w)
         else:
             clusters.append([w])
-    r = default_r_grid(r_span, n_r)
     r_edge = _defect_window(r_span)
     total = CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(
         (t.m, t.mu, np.zeros((r.size, xg.size), complex)) for t in f.terms))
@@ -1051,19 +1073,24 @@ def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float
     """R_hi - R_lo = sum of the residues at the roots with rho_lo < Re w < rho_hi.
 
     Each distinct abscissa is transformed once, along ``contour`` (default
-    ContourSpec) with its rho replaced.
+    ContourSpec) with its rho replaced, and the residues are evaluated on the
+    rows the lines resolve.  Raises ValidationError, naming the panel count
+    that would do, when the contour's r_window() is narrower than the defect
+    window.
     """
     if not rho_lo <= rho_hi:
         raise ValidationError(f"need rho_lo <= rho_hi, got {rho_lo} > {rho_hi}")
     xg = _x_grid(x_grid)
     base = ContourSpec(rho=rho_lo) if contour is None else contour
+    if base.r_window() < _defect_window(r_span):
+        raise _narrow_window(base, _defect_window(r_span), "the shift identity's defect window")
     lines = {rho: resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg,
                                  r_span=r_span, n_r=n_r)
              for rho in dict.fromkeys((rho_lo, rho_hi))}
     lo, hi = lines[rho_lo], lines[rho_hi]
     crossed = tuple(sorted(RootTable(op, s).strip(rho_lo, rho_hi),
                            key=lambda loc: loc.value.real))
-    residues = _residue_sum(op, s, f, crossed, xg, r_span, n_r)
+    residues = _residue_sum(op, s, f, crossed, xg, r_span, n_r, lo.r_grid)
     diff = hi - lo - residues
     window = np.abs(lo.r_grid) <= _defect_window(r_span)
     num = den = 0.0
@@ -1087,7 +1114,8 @@ def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=No
     w = min(0.1, half the real gap to the nearest root off the axis), which
     holds only the axis roots.  The same sum from +w differs from this one by
     the shift-identity defect across the strip (:func:`shift_identity`).
-    ``contour`` (default ContourSpec) sets the line's height and panels.
+    ``contour`` (default ContourSpec) sets the line's height and panels, and
+    with them the rows |r| <= r_window() the field holds.
     Raises PoleError when s sits within 1e-8 of the root-crossing set, where
     the continuation itself has a pole.
     """
@@ -1104,8 +1132,8 @@ def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=No
     minus = [loc for loc in table.strip(rho, reach) if any(sg < 0 for sg, _ in loc.members)]
     base = ContourSpec(rho=rho) if contour is None else contour
     line = resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg, r_span=r_span, n_r=n_r)
-    out = (line - _residue_sum(op, s, f, plus, xg, r_span, n_r)
-           + _residue_sum(op, s, f, minus, xg, r_span, n_r))
+    out = (line - _residue_sum(op, s, f, plus, xg, r_span, n_r, line.r_grid)
+           + _residue_sum(op, s, f, minus, xg, r_span, n_r, line.r_grid))
     out.meta = {"branch": branch, "abscissa": rho,
                 "corrections": len(plus) + len(minus), "contour_meta": line.meta}
     return out

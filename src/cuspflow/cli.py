@@ -183,8 +183,9 @@ SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("mu", "ints", (), "input monomial multi-index (default zeros)", _NONNEG),
         _Param("poly", "floats", (1.0,), "input polynomial coefficients"),
         _Param("r0", "float", 0.0, "center of the Gaussian radial factor"),
-        _Param("r_span", "float", 30.0, "radial half-width of the output grid", _POS),
-        _Param("n_r", "int", 4096, "radial output grid size", "[64, inf)"),
+        _Param("r_span", "float", 30.0, "radial half-width of the transform grid; its rows "
+               "with |r| <= r_window (in the manifest) are written", _POS),
+        _Param("n_r", "int", 4096, "radial transform grid size", "[64, inf)"),
         _Param("x_lo", "float", -0.9, "lower end of the angular grid (x = cos phi)",
                "(-1, 1)"),
         _Param("x_hi", "float", 0.6, "upper end of the angular grid", "(-1, 1)"),

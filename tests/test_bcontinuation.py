@@ -48,6 +48,11 @@ def sup_norm(sol):
     return max(float(np.abs(p).max()) for p in sol.profiles)
 
 
+def line_rows(line, n_r=4096):
+    """The rows of the full r-grid that a line's field holds."""
+    return np.isin(default_r_grid(30.0, n_r), line.r_grid)
+
+
 def residue_max_abs(res):
     """Largest |H0| or |H1| entry of a ResidueOutput, paired or pointwise."""
     return max(float(np.abs(v).max()) for v in res.H0 + res.H1)
@@ -307,7 +312,7 @@ def test_folded_line_matches_full_node_line(d, h, rho):
     values, _ = full_node_line(op, s, spec, _two_term(d), XG)
     win = np.abs(U.r_grid) <= 10.0
     for i, want in enumerate(values):
-        got = U.term_values(i)
+        got, want = U.term_values(i), want[line_rows(U)]
         assert not got.imag.any()
         assert np.abs(got - want)[win].max() < 1e-13 * np.abs(want[win]).max()
 
@@ -333,7 +338,7 @@ def test_non_real_line_is_the_full_node_line(A, s, poly, radial):
     f = term(1, 0, (0,), radial, poly)
     U = resolvent_line(op, s, spec, f, x_grid=XG)
     (want,), tail_rel = full_node_line(op, s, spec, f, XG)
-    np.testing.assert_array_equal(U.term_values(0), want)
+    np.testing.assert_array_equal(U.term_values(0), want[line_rows(U)])
     assert U.meta["contour_tail_rel"] == tail_rel
 
 
@@ -357,11 +362,59 @@ def test_translation_equivariance_in_r():
     U0 = resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss()), x_grid=XG)
     Us = resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss(r0)), x_grid=XG)
     rolled = np.roll(U0.term_values(0), k, axis=0)
-    win = np.abs(r) <= 10.0
+    win = np.abs(U0.r_grid) <= 10.0 - r0
     rel = np.abs((Us.term_values(0) - rolled)[win]).max() / np.abs(
         Us.term_values(0)[win]
     ).max()
     assert rel < 1e-8
+
+
+@pytest.mark.parametrize("n_r", [1000, 4096, 4097])
+def test_windowed_line_is_the_full_grid_synthesis_bitwise(n_r):
+    # the window |r| <= 13.44 starts mid-block on each grid; its rows come
+    # from the same block products as on the full grid, so they are equal bit
+    # for bit (a complex poly keeps every eta-node, as the oracle does)
+    op, spec = ModelOperator(d=1), ContourSpec(rho=-1.3)
+    f = term(1, 0, (0,), gauss(0.2), (1.0, 0.4j))
+    U = resolvent_line(op, 1.3, spec, f, x_grid=XG[::10], n_r=n_r)
+    (want,), tail_rel = full_node_line(op, 1.3, spec, f, XG[::10], n_r=n_r)
+    rows = line_rows(U, n_r)
+    assert np.flatnonzero(rows)[0] % bc._R_BLOCK != 0
+    np.testing.assert_array_equal(U.r_grid, default_r_grid(30.0, n_r)[rows])
+    np.testing.assert_array_equal(U.term_values(0), want[rows])
+    assert U.meta["contour_tail_rel"] == tail_rel
+
+
+def test_window_without_a_grid_row_raises_naming_the_panels():
+    # at height 1e6 the 48 panels resolve |r| <= 5.4e-4, and the nearest
+    # point of the odd grid sits at |r| = 30/4097
+    op, f = ModelOperator(d=1), term(1, 0, (0,), gauss())
+    need = math.ceil((30.0 / 4097) * 1e6 / 11.2)
+    with pytest.raises(ValidationError, match=f"needs panels >= {need}$"):
+        resolvent_line(op, 1.3, ContourSpec(rho=-1.3, height=1e6), f, x_grid=XG, n_r=4097)
+
+
+# The written rows' error, relative to the largest |reference| in each band
+# of |r|, against 4x the panels.  At rho = -0.5 the field for r < -8 is below
+# 1e-13 of its max, and the 4x and 8x references differ there by 8.5e-6 of the
+# outer band's max (the line: 1.9e-2): the synthesis's e^{rho r} roundoff
+# floor, which no window constant lifts short of writing no row past |r| = 10.
+@pytest.mark.parametrize("rho,band", [
+    (-2.3, "inner"), (-2.3, "outer"), (-0.5, "inner"),
+    pytest.param(-0.5, "outer", marks=pytest.mark.xfail(
+        strict=True, reason="decaying side below the synthesis roundoff floor"))])
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_written_rows_match_a_four_times_panel_reference(h, rho, band):
+    # the input and grids of cuspflow resolvent, on its three written x-nodes;
+    # measured worst 4.8e-10 (outer, rho = -2.3) and 4.7e-14 (inner)
+    op, f, xg = ModelOperator(d=1, h=h), term(1, 0, (0,), gauss()), np.linspace(-0.9, 0.6, 3)
+    U = resolvent_line(op, 1.3, ContourSpec(rho=rho), f, x_grid=xg)
+    ref = resolvent_line(op, 1.3, ContourSpec(rho=rho, panels=192), f, x_grid=xg)
+    assert ref.r_grid.size == 4096 and U.r_grid[-1] <= U.meta["r_window"]
+    want = ref.term_values(0)[line_rows(U)]
+    sel = (np.abs(U.r_grid) < 10.0) == (band == "inner")
+    err = np.abs(U.term_values(0) - want)[sel].max()
+    assert err <= 1e-9 * np.abs(want[sel]).max()
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +494,8 @@ def dense_kernels(monkeypatch):
     def fhat(a, r, tab):
         return (r[1] - r[0]) * (np.exp(-np.outer(tab[0][0], r)) @ a)
 
-    def synthesis(tab, coeff, n_r):
-        return np.exp(np.outer(grid[0][:n_r], tab[0][0])) @ coeff
+    def synthesis(tab, coeff, n_r, first=0):
+        return np.exp(np.outer(grid[0][first:n_r], tab[0][0])) @ coeff
 
     monkeypatch.setattr(bc, "_exp_table", table)
     monkeypatch.setattr(bc, "_fhat", fhat)

@@ -288,12 +288,13 @@ def _resolvent_csv(out):
 @pytest.mark.parametrize("h", ["0.5", "1", "2"])
 def test_resolvent_at_the_benchmark_grid_writes_real_columns(tmp_path, h):
     # n_r = 4096 and n_x = 41 are the defaults the benchmark runs at; the
-    # real input folds each line onto eta > 0, whose field is real
+    # real input folds each line onto eta > 0, whose field is real.  Of the
+    # 4096 grid rows, the 1835 with |r| <= r_window = 13.44 are written
     out = tmp_path / "out"
     assert cli.main(["resolvent", f"--h={h}", f"--output-dir={out}"]) == 0
     assert _shift_report(out)["defect"] <= 1e-12
     im = _resolvent_csv(out)
-    assert len(im) == 4096 and len(im[0]) == 3
+    assert len(im) == 1835 and len(im[0]) == 3
     assert all(cell == "0.0" for row in im for cell in row)
 
 
@@ -651,14 +652,18 @@ def test_radial_grid_floor_follows_height_not_rho_or_r0(tmp_path, capsys):
     assert _shift_report(out)["defect"] <= 1e-6
 
 
-def test_unresolved_shift_identity_exits_3(tmp_path, capsys):
-    # 24 contour panels, half the default, cannot resolve the contour
-    # transform to 1e-6: the defect is about 1.0e-5, a real resolution shortfall
+@pytest.mark.parametrize("flag,need", [("--panels=24", 36), ("--height=80", 72)])
+def test_contour_window_narrower_than_the_identity_exits_2(tmp_path, capsys, flag, need):
+    # r_window = 11.2 panels / height = 6.72 at either flag, short of the
+    # identity's |r| <= 10 (the defect was about 1e-5, exit 3); the message
+    # names ceil(10 height / 11.2), and that many panels pass
+    argv = ["resolvent", flag, "--n-r=1024", "--n-x=5"]
+    assert cli.main(argv + [f"--output-dir={tmp_path / 'low'}"]) == 2
+    diag = _diagnostic(capsys)
+    assert diag["type"] == "ValidationError"
+    assert "resolves |r| <= 6.72" in diag["message"]
+    assert diag["message"].endswith(f"needs panels >= {need}")
+    assert not any(tmp_path.iterdir())
     out = tmp_path / "out"
-    argv = ["resolvent", "--panels=24", "--n-r=1024", "--n-x=5", f"--output-dir={out}"]
-    assert cli.main(argv) == 3
-    assert _diagnostic(capsys)["failures"] == ["shift_identity"]
-    assert _manifest(out)["manifest"]["status"] == "tolerance_failure: shift_identity"
-    report = _shift_report(out)
-    assert report["passed"] is False
-    assert 1e-6 < report["defect"] < 1e-4
+    assert cli.main(argv + [f"--panels={need}", f"--output-dir={out}"]) == 0
+    assert _shift_report(out)["defect"] <= 1e-6
