@@ -696,6 +696,7 @@ def resolvent_line(
     first = rows[0] - rows[0] % _R_BLOCK  # whole blocks keep each row's anchor
     stop = min(r.size, rows[-1] - rows[-1] % _R_BLOCK + _R_BLOCK)
     win = slice(rows[0] - first, rows[-1] + 1 - first)
+    r_out = r[rows[0] : rows[-1] + 1]
     samples = [_radial_samples(term, r) for term in f.terms]
     eta, wq, base_panel = _refined_eta_nodes(op, s, contour)
     # real input: the eta < 0 nodes give the conjugates of the eta > 0 ones
@@ -719,8 +720,13 @@ def resolvent_line(
         tails = _synthesis(tail_table, coeff[tail_sel], stop, first)[win] / (2.0 * math.pi)
         if fold:
             vals, tails = vals.real.astype(complex), tails.real
+        bad = r_out[~np.isfinite(vals).all(axis=1)]
+        if bad.size:
+            raise ToleranceError(
+                f"the resolvent line at rho={contour.rho!r} is not finite on {bad.size} of "
+                f"its rows, r={float(bad[0])!r} to r={float(bad[-1])!r}")
         scale = float(np.abs(vals).max()) or 1.0
-        tail_rel = max(tail_rel, float(np.abs(tails).max()) / scale)
+        tail_rel = float(np.maximum(tail_rel, np.abs(tails).max() / scale))  # NaN propagates
         terms_out.append((term.m, term.mu, vals))
     meta = {
         "abscissa": contour.rho,
@@ -729,8 +735,7 @@ def resolvent_line(
         "r_window": contour.r_window(),
         "root_gap": gap,
     }
-    return CuspField(d=op.d, r_grid=r[rows[0] : rows[-1] + 1], x_grid=xg,
-                     terms=tuple(terms_out), meta=meta)
+    return CuspField(d=op.d, r_grid=r_out, x_grid=xg, terms=tuple(terms_out), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -880,9 +885,10 @@ def residue_apply(
                               for k in (1, 2, 3))
                 # moments below 1e-12 of eps max |g| are roundoff of the mean
                 # (a residue that vanishes by parity), not a scale for m2
-                scale = max(float(np.abs(m0).max()), float(np.abs(m1).max()),
-                            1e-12 * eps * float(np.abs(g_vals).max()), 1e-300)
-                m2_rel = max(m2_rel, float(np.abs(m2).max()) / scale)
+                # np.max and np.maximum propagate a NaN, which Python's max can drop
+                scale = np.max([np.abs(m0).max(), np.abs(m1).max(),
+                                1e-12 * eps * np.abs(g_vals).max(), 1e-300])
+                m2_rel = float(np.maximum(m2_rel, np.abs(m2).max() / scale))
                 if psi is None:
                     H0.append(m0)
                     H1.append(m1)
@@ -1043,7 +1049,7 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r, r) -> CuspField:
         res = residue_apply(_auto_residue(op, s, cluster), op, f, x_grid=xg,
                             r_span=r_span, n_r=n_r)
         dropped = 0.5 * r_edge**2 * res.meta["third_moment_rel"]
-        if len(cluster) > 1 and dropped > _CLUSTER_TOL:
+        if len(cluster) > 1 and not dropped <= _CLUSTER_TOL:
             raise ToleranceError(
                 f"the roots at w={cluster[0]:.12g} and w={cluster[-1]:.12g}, "
                 f"{abs(cluster[-1] - cluster[0]):.3e} apart, share one residue circle "
@@ -1093,12 +1099,11 @@ def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float
     residues = _residue_sum(op, s, f, crossed, xg, r_span, n_r, lo.r_grid)
     diff = hi - lo - residues
     window = np.abs(lo.r_grid) <= _defect_window(r_span)
-    num = den = 0.0
-    for i in range(len(f.terms)):
-        num = max(num, float(np.max(np.abs(diff.term_values(i)[window]))))
-        den = max(den, float(np.max(np.abs(hi.term_values(i)[window]))),
-                  float(np.max(np.abs(residues.term_values(i)[window]))))
-    return ShiftIdentity(lo, hi, crossed, residues, num / max(den, 1e-300))
+    # rows diff, hi, residues; np.max propagates a NaN, which Python's max can drop
+    peaks = np.array([[np.abs(field.term_values(i)[window]).max() for i in range(len(f.terms))]
+                      for field in (diff, hi, residues)])
+    defect = peaks[0].max() / np.maximum(peaks[1:].max(), 1e-300)
+    return ShiftIdentity(lo, hi, crossed, residues, float(defect))
 
 
 def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=None,

@@ -109,6 +109,9 @@ _WINDOW_MARGIN = 2.0
 # Longest time ``estimate_tau_max`` transports a direction toward its cone.
 _TRANSPORT_HORIZON = 200.0
 
+# Most step nodes the horizon may hold (step >= 2e-4): 1/step arrays stay under 8 MB.
+_MAX_HORIZON_NODES = 1e6
+
 # Largest t with e^t a finite float.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -332,13 +335,20 @@ class ReducedPhaseGrid:
 def _require_construction(grid: ReducedPhaseGrid, step):
     """The mollified bands (up to 2.25 eps) around the growing-dual poles and
     the flow+decaying circle must not meet, being pi/2 apart, and the flow
-    step must be positive."""
+    step must be positive and put at most _MAX_HORIZON_NODES nodes on the
+    transport horizon, checked before any array sized by 1/step exists."""
     if 4.5 * grid.eps >= _HALF_PI:
         raise ConfigurationError(
             f"cone neighbourhoods overlap: eps = {grid.eps} needs 4.5*eps < pi/2 "
             "for the mollified indicators to have disjoint supports")
     if step <= 0.0:
         raise ValidationError(f"step must be positive, got {step}")
+    nodes = _TRANSPORT_HORIZON / step
+    if not nodes <= _MAX_HORIZON_NODES:
+        raise ValidationError(
+            f"step = {step!r} puts {nodes:.6g} nodes on the transport horizon "
+            f"{_TRANSPORT_HORIZON}; at most {_MAX_HORIZON_NODES:.0e} are allowed, so "
+            f"step >= {_TRANSPORT_HORIZON / _MAX_HORIZON_NODES!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +917,6 @@ def _frame_direction(point, covector):
     return comps / rho, rho
 
 
-_ALLOWED_CONSTANT_KEYS = frozenset({"T", "T_prime", "C_G_prime", "R", "step"})
-
-
 def _escape_probe_directions(grid: ReducedPhaseGrid):
     """Direction probe for the measured constants of the escape function.
 
@@ -941,7 +948,8 @@ def _escape_probe_directions(grid: ReducedPhaseGrid):
     return _as_unit_rows(np.vstack(pieces))
 
 
-def assemble_G(grid: ReducedPhaseGrid, constants=None):
+def assemble_G(grid: ReducedPhaseGrid, T=None, T_prime=DEFAULT_T_PRIME, C_G_prime=None,
+               R=None, step=FLOW_STEP):
     """Assemble the escape function from the weight and the glued symbol.
 
     ``G = C_G' [1 - chi(|xi|/delta)] m(direction) log(2 f / (c_f delta))``
@@ -966,11 +974,13 @@ def assemble_G(grid: ReducedPhaseGrid, constants=None):
     ----------
     grid : ReducedPhaseGrid
         Construction grid; its ``delta`` is the cutoff scale.
-    constants : mapping, optional
-        Expert overrides: ``T`` (weight window), ``T_prime`` (symbol window),
-        ``C_G_prime`` (prefactor; must be at least its floor), ``R``
-        (small-scale radius; overriding may fail the certificate), ``step``
-        (quadrature step).
+    T, T_prime : float
+        Weight and symbol windows; T = None takes twice the transition time.
+    C_G_prime, R : float, optional
+        Prefactor (at least its floor) and small-scale radius; None derives
+        each as above.  Overriding R may fail the certificate.
+    step : float
+        Flow quadrature step.
 
     Raises
     ------
@@ -979,20 +989,12 @@ def assemble_G(grid: ReducedPhaseGrid, constants=None):
         prefactor is below ``max(2/(beta T), 1)``, or the measured weight
         derivative floor degenerates.
     """
-    constants = dict(constants or {})
-    unknown = set(constants) - _ALLOWED_CONSTANT_KEYS
-    if unknown:
-        raise ValidationError(
-            f"unknown constant overrides: {sorted(unknown)}; "
-            f"allowed: {sorted(_ALLOWED_CONSTANT_KEYS)}")
-    step = float(constants.get("step", FLOW_STEP))
-
-    weight = build_weight(grid, T=constants.get("T"), step=step)
-    symbol = build_f(grid, T_prime=constants.get("T_prime", DEFAULT_T_PRIME),
-                     step=step)
+    step = float(step)
+    weight = build_weight(grid, T=T, step=step)
+    symbol = build_f(grid, T_prime=T_prime, step=step)
     T = weight.T
     floor = max(2.0 / (BETA * T), 1.0)
-    C_G_prime = float(constants.get("C_G_prime", floor))
+    C_G_prime = floor if C_G_prime is None else float(C_G_prime)
     if C_G_prime < floor - 1e-12:
         raise ConfigurationError(
             f"C_G_prime = {C_G_prime} is below its floor {floor} "
@@ -1016,7 +1018,7 @@ def assemble_G(grid: ReducedPhaseGrid, constants=None):
     slack = 0.5
     R_derived = 0.5 * math.exp(
         (product_bound + (1.0 + slack) / C_G_prime) / xm_floor)
-    R = float(constants.get("R", R_derived))
+    R = R_derived if R is None else float(R)
     if R <= 0.0:
         raise ValidationError(f"R must be positive, got {R}")
 
@@ -1098,20 +1100,6 @@ def _transported_cone_samples(T, eps):
     return u_dirs, s_dirs
 
 
-def _scan_margin(fd, dirs, lvl, tol, witnesses):
-    """Smallest sampled flow derivative, a non-finite sample counting as
-    -inf (it fails); the worst four below ``tol`` (at most) are appended to
-    ``witnesses`` with their sampled values."""
-    key = np.where(np.isfinite(fd), fd, -np.inf)
-    i_min = int(np.argmin(key))
-    if key[i_min] < tol:
-        witnesses += [{"magnitude_over_delta": float(lvl),
-                       "xihat": [float(v) for v in dirs[k]],
-                       "flow_derivative": float(fd[k])}
-                      for k in np.argsort(key)[:4] if key[k] < tol]
-    return float(key[i_min])
-
-
 def verify(data: EscapeData, seed=0):
     """Sample the escape-function inequalities at the directions of
     ``data.grid`` and emit a certificate.
@@ -1166,11 +1154,26 @@ def verify(data: EscapeData, seed=0):
         return [(*data._factors(_sphere_flow(dirs, t)), _stretch(dirs, t))
                 for t in (h, -h)]
 
-    def flow_fd(b, rho):
-        (mf, ff, nf), (mb, fb, nb) = b
-        gf = _escape_values(rho * nf, mf, ff, cf, delta)
-        gb = _escape_values(rho * nb, mb, fb, cf, delta)
-        return (gf - gb) / (2.0 * h)
+    def scan(levels, tol, samples):
+        """Smallest flow derivative over the magnitude levels (over delta)
+        and the (directions, bundle) samples, a non-finite value counting as
+        -inf (it fails), and the witnesses: at each level and sample set the
+        worst four below tol (at most), the first ten kept."""
+        margin, witnesses = math.inf, []
+        for lvl in levels:
+            rho = lvl * delta
+            for dirs, ((mf, ff, nf), (mb, fb, nb)) in samples:
+                fd = (_escape_values(rho * nf, mf, ff, cf, delta)
+                      - _escape_values(rho * nb, mb, fb, cf, delta)) / (2.0 * h)
+                key = np.where(np.isfinite(fd), fd, -np.inf)
+                low = float(key.min())
+                if low < tol:
+                    witnesses += [{"magnitude_over_delta": float(lvl),
+                                   "xihat": [float(v) for v in dirs[k]],
+                                   "flow_derivative": float(fd[k])}
+                                  for k in np.argsort(key)[:4] if key[k] < tol]
+                margin = min(margin, low)
+        return margin, witnesses[:10]
 
     x = grid.xihat
     bx = bundle(x)
@@ -1180,11 +1183,7 @@ def verify(data: EscapeData, seed=0):
                        | {r for r in (1.001 * R, 3.0 * R, 30.0 * R,
                                       1e3 * R) if r > 1.06})
     tol_ii = -1e-6
-    margin_ii = math.inf
-    witnesses_ii = []
-    for lvl in levels_ii:
-        margin_ii = min(margin_ii, _scan_margin(flow_fd(bx, lvl * delta), x,
-                                                lvl, tol_ii, witnesses_ii))
+    margin_ii, witnesses_ii = scan(levels_ii, tol_ii, [(x, bx)])
     cond_ii = {
         "description": "flow derivative of G nonnegative at sampled "
                        "magnitudes above the cutoff scale",
@@ -1194,7 +1193,7 @@ def verify(data: EscapeData, seed=0):
         "magnitude_levels_over_delta": [float(v) for v in levels_ii],
         "n_samples": len(levels_ii) * x.shape[0],
         "n_distinct_directions": x.shape[0],
-        "witnesses": witnesses_ii[:10],
+        "witnesses": witnesses_ii,
     }
 
     # -- condition i: strict positivity beyond R*delta, off the flow-dual
@@ -1206,16 +1205,10 @@ def verify(data: EscapeData, seed=0):
     keep_u = _in_V_u(u_dirs, T, eps)
     keep_s = _in_V_s(s_dirs, T, eps)
     cone_dirs = np.vstack([u_dirs[keep_u], s_dirs[keep_s]])
-    bc = bundle(cone_dirs)
-    margin_i = math.inf
-    witnesses_i = []
-    for lvl in levels_i:
-        for dirs, b, mask in ((x, bx, region),
-                              (cone_dirs, bc, np.ones(cone_dirs.shape[0],
-                                                      dtype=bool))):
-            margin_i = min(margin_i, _scan_margin(
-                flow_fd(b, lvl * delta)[mask], dirs[mask], lvl, tol_i,
-                witnesses_i))
+    off_cone = [tuple(a[region] for a in side) for side in bx]
+    margin_i, witnesses_i = scan(levels_i, tol_i, [(x[region], off_cone),
+                                                    (cone_dirs, bundle(cone_dirs))])
+    n_dirs_i = int(region.sum()) + cone_dirs.shape[0]
     cond_i = {
         "description": "flow derivative of G >= 1 beyond R*delta away from "
                        "the flow-dual cone neighbourhood",
@@ -1223,10 +1216,10 @@ def verify(data: EscapeData, seed=0):
         "margin": margin_i,
         "threshold": tol_i,
         "magnitude_levels_over_delta": [float(v) for v in levels_i],
-        "n_samples": len(levels_i) * (int(region.sum()) + cone_dirs.shape[0]),
-        "n_distinct_directions": int(region.sum()) + cone_dirs.shape[0],
+        "n_samples": len(levels_i) * n_dirs_i,
+        "n_distinct_directions": n_dirs_i,
         "n_transported_cone_samples": int(cone_dirs.shape[0]),
-        "witnesses": witnesses_i[:10],
+        "witnesses": witnesses_i,
     }
 
     # -- condition iii: logarithmic slopes along the plateaus --------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonterminationError, ValidationError
+from .errors import DomainError, NonterminationError, ToleranceError, ValidationError
 from .geometry import PhasePoint
 
 __all__ = [
@@ -153,6 +153,9 @@ def flow_cusp_exact(p0: PhasePoint, t) -> PhasePoint:
     # cross-section drift integral e^{r0} * int_0^t e^{r(s)-r0} sin(phi(s)) ds,
     # odd in t: half (1 - e) / (half^2 + e) toward the far hemisphere, else
     # half (1 - e) / (half^2 e + 1), with e = e^{-2|t|} <= 1
+    if not p0.r <= _LOG_FLOAT_MAX:
+        raise ValidationError(f"log-height r = {p0.r!r} is past {_LOG_FLOAT_MAX:.6f}, "
+                              "where e^r leaves the float range")
     e = math.exp(-2.0 * abs(t))
     den = half * half + e if north_side == (t >= 0.0) else half * half * e + 1.0
     drift = math.copysign(half * (1.0 - e) / den, t)
@@ -660,7 +663,8 @@ class BumpObservable:
     ``f(z, alpha) = baseline + amplitude * max(0, 1 - (d(z, center)/radius)^2)
     ** order`` with d the hyperbolic distance; independent of alpha.  order k
     gives a C^(k-1) cutoff.  The default ball (center i, radius 0.8) lies
-    inside the fundamental domain.
+    inside the fundamental domain.  Amplitude 0 gives the constant
+    ``baseline``, whose :meth:`integral` is exact.
     """
 
     center: complex = 1.0j
@@ -672,6 +676,9 @@ class BumpObservable:
     def __post_init__(self):
         if not (self.radius > 0 and self.order >= 1 and complex(self.center).imag > 0):
             raise ValidationError("bump needs radius > 0, order >= 1 and Im center > 0")
+        if not self.radius <= _LOG_FLOAT_MAX:
+            raise ValidationError(f"bump radius {self.radius!r} is past {_LOG_FLOAT_MAX:.6f}, "
+                                  "where e^radius leaves the float range")
 
     def __call__(self, z, alpha=None):
         # arccosh and the power only where cosh d < cosh(radius) (1 + 1e-9):
@@ -802,7 +809,9 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000,
     measure (total mass 2 pi: unit-mass fiber over the hyperbolic area) at
     times 0, dt, ..., T_max.  The estimator is ``2 pi * mean_i A(x_i(t))
     B(x_i(0))`` over n Liouville samples, with the per-time standard error of
-    the mean; for constant observables it is exact with zero variance.
+    the mean; for constant observables (a :class:`BumpObservable` of
+    amplitude 0 is one) it is exact with zero variance.  A value or standard
+    error that is not finite raises ToleranceError naming its time.
     Samples with B(x_i(0)) = 0 are not flowed, as their products are 0: A
     is read only on B's support, and a reduction error (``DomainError``,
     ``NonterminationError``) can come only from a flowed sample.
@@ -866,6 +875,9 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000,
             stderrs.append(SURFACE_AREA * math.sqrt(np.add.reduce(dev) / (n - 1)) / root_n)
         else:
             stderrs.append(0.0)
+        if not (math.isfinite(values[-1]) and math.isfinite(stderrs[-1])):
+            raise ToleranceError(f"the correlation at t={times[k]!r} is {values[-1]!r} with "
+                                 f"standard error {stderrs[-1]!r}, not a finite value")
     return CorrelationRecord(times=tuple(times), values=tuple(values),
                              stderrs=tuple(stderrs), sample_count=int(n),
                              seed=int(seed))

@@ -99,14 +99,14 @@ def quad(fn, a: float, b: float, rows=None):
 
     The value is the higher-order rule, one per row (a scalar for a 1-D
     ``fn``); its difference from the lower-order rule is each row's error
-    estimate, and an estimate above 1e-12 + 1e-11 |value| raises
-    ToleranceError that states it and names the row (``rows[i]``, if given).
+    estimate, and an estimate above 1e-12 + 1e-11 |value|, or not finite,
+    raises ToleranceError that states it and names the row (``rows[i]``, if given).
     """
     nodes, w_hi, w_lo = _panel_rule(a, b)
     vals = fn(nodes)
     value = vals[..., : w_hi.size] @ w_hi
     err = np.abs(value - vals[..., w_hi.size:] @ w_lo)
-    bad = np.flatnonzero(err > _QUAD_ABS + _QUAD_REL * np.abs(value))
+    bad = np.flatnonzero(~(err <= _QUAD_ABS + _QUAD_REL * np.abs(value)))
     if bad.size:
         i = bad[0]
         row = "" if np.ndim(value) == 0 else f" for {f'row {i}' if rows is None else rows[i]}"
@@ -253,7 +253,11 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
             row_terms.extend(col)
         for i, n_reg in enumerate(n_regs.tolist()):
             if tails[i] is None:
-                near, converged = _tail_sum(terms[i][n_reg:n_reg + 64])
+                try:
+                    near, converged = _tail_sum(terms[i][n_reg:n_reg + 64])
+                except OverflowError as exc:  # abs() of a term past the float range
+                    raise ToleranceError(f"radial Taylor tail at lambda={lams[i]} leaves the "
+                                         "float range") from exc
                 ended = len(terms[i]) >= n_reg + 64
                 if ended and not converged and any(terms[i][n_reg:n_reg + 64]):
                     raise ToleranceError("radial Taylor tail did not converge below 1e-16 "

@@ -25,6 +25,7 @@ ODE-shooting cross-check per angular mode lives with the test oracles in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -173,6 +174,10 @@ class RootTable:
         self.base = complex(s) - complex(op.A) + op.d / 2.0
         # the branches collide at levels (n, p) exactly when n + p = level_sum
         self.level_sum = -2.0 * (complex(s) - complex(op.A)) - op.d
+        if not cmath.isfinite(self.level_sum):
+            raise ValidationError(
+                f"the level sum -2(s - A) - d = {self.level_sum} at s={complex(s)}, "
+                f"A={op.A} is not finite")
 
     def value(self, sign: int, n: int) -> complex:
         """Root (sign, n) in w units."""
@@ -308,14 +313,13 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
     """A DistributionRep D with (P - hs) D = 0 weakly (or (P - hs)^2 D = 0
     at a jordan_index-2 root), hs being fixed by the root relation at op.lam.
 
-    selector: a multi-index of degree root.n (plus branch) or a coefficient
-    vector over the degree-root.n monomials (minus branch).
+    selector: a multi-index of degree root.n (plus branch); on the minus
+    branch, a multi-index (a tuple of ints) or a coefficient vector over the
+    degree-root.n monomials (anything else).
     """
     d, h = op.d, op.h
     n = root.n
     if root.sign == +1:
-        if isinstance(selector, int):
-            selector = multi_indices(d, n)[selector]
         mu = tuple(selector)
         if len(mu) != d or sum(mu) != n or any(v < 0 for v in mu):
             raise ValidationError(
@@ -339,9 +343,12 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
         )
     k = n
     dim = homogeneous_dimension(d, k)
-    if isinstance(selector, tuple) and len(selector) == d and sum(selector) == k:
+    if isinstance(selector, tuple) and all(isinstance(v, (int, np.integer)) for v in selector):
+        if len(selector) != d or sum(selector) != k or any(v < 0 for v in selector):
+            raise ValidationError(
+                f"selector {selector} inconsistent with root level n={k} in d={d}")
         coeffs = [0.0] * dim
-        coeffs[multi_indices(d, k).index(tuple(selector))] = 1.0
+        coeffs[multi_indices(d, k).index(selector)] = 1.0
         upsilon = tuple(coeffs)
     else:
         upsilon = tuple(complex(c) for c in np.atleast_1d(selector))

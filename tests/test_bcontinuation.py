@@ -353,6 +353,40 @@ def test_radial_of_the_wrong_shape_raises(radial, shape):
             call()
 
 
+def _one_nan_sample(rr):
+    out = gauss(0.0)(rr)
+    out[len(out) // 2] = math.nan
+    return out
+
+
+def test_a_nan_radial_sample_fails_the_line_naming_its_abscissa():
+    # one NaN sample makes every cell of the line NaN; the line used to
+    # report contour_tail_rel 0.0 and tail_ok True
+    op, f = ModelOperator(d=1), term(1, 0, (0,), _one_nan_sample)
+    with pytest.raises(ToleranceError, match=r"line at rho=-1\.3 is not finite on 1835 of its rows"):
+        resolvent_line(op, 1.3, ContourSpec(rho=-1.3), f, x_grid=XG)
+
+
+def test_a_nan_radial_sample_gives_a_nan_third_moment():
+    op, f = ModelOperator(d=1), term(1, 0, (0,), _one_nan_sample)
+    res = residue_apply(ResidueOperator(s=1.3, lambda0=-1.8), op, f, x_grid=XG)
+    assert math.isnan(res.meta["third_moment_rel"])
+
+
+def test_a_nan_residue_cell_gives_a_nan_shift_identity_defect(monkeypatch):
+    # max(defect, nan) keeps the defect: the NaN must reach the gate
+    residue_sum = bc._residue_sum
+
+    def one_nan_cell(*args):
+        total = residue_sum(*args)
+        total.term_values(0)[len(total.r_grid) // 2, 0] = math.nan
+        return total
+
+    monkeypatch.setattr(bc, "_residue_sum", one_nan_cell)
+    op, f = ModelOperator(d=1), term(1, 0, (0,), gauss(0.0))
+    assert math.isnan(shift_identity(op, 1.3, f, -2.3, -1.3, x_grid=XG).defect)
+
+
 def test_translation_equivariance_in_r():
     op = ModelOperator(d=1)
     r = default_r_grid()

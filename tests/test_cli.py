@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,8 +142,8 @@ def test_correlate_sampler_outputs_are_pinned(tmp_path, seed):
 def test_correlate_of_constant_observables_is_exact(tmp_path):
     # B = 2 is nonzero on every sample, so every sample is flowed
     out = tmp_path / "out"
-    argv = ["correlate", "--n=200", "--a-kind=const", "--b-kind=const",
-            "--a-value=0.5", "--b-value=2", f"--output-dir={out}"]
+    argv = ["correlate", "--n=200", "--a-amplitude=0", "--b-amplitude=0",
+            "--a-baseline=0.5", "--b-baseline=2", f"--output-dir={out}"]
     assert cli.main(argv) == 0
     (csv_path,) = out.glob("*-correlation.csv")
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
@@ -558,20 +559,97 @@ def test_escape_config_with_n_alpha_exits_2_as_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["flow", "--u0=1.0000000001"], "u0 must be a unit vector, |u0| = 1.0000000001"),
-    (["roots", "--n-max=171"], "jet order 171 is past 170"),
-    (["eigendist", "--n-max=171", "--n-test=1"], "jet order 171 is past 170"),
-], ids=["flow-u0", "roots", "eigendist"])
+@pytest.mark.parametrize("argv, named, code", [
+    (["flow", "--u0=1.0000000001"], "u0 must be a unit vector, |u0| = 1.0000000001", 2),
+    (["roots", "--n-max=171"], "jet order 171 is past 170", 2),
+    (["eigendist", "--n-max=171", "--n-test=1"], "jet order 171 is past 170", 2),
+    (["roots", "--s=nan"], "roots.s: 'nan'", 2),
+    (["roots", "--s=inf"], "roots.s: 'inf'", 2),
+    (["roots", "--twist=nan"], "roots.twist: 'nan'", 2),
+    (["eigendist", "--s=nan"], "eigendist.s: 'nan'", 2),
+    (["resolvent", "--s=nan"], "resolvent.s: 'nan'", 2),
+    (["resolvent", "--r0=nan"], "resolvent.r0: 'nan'", 2),
+    (["flow", "--r0=nan"], "flow.r0: 'nan'", 2),
+    (["flow", "--theta0=nan"], "flow.theta0: 'nan'", 2),
+    (["roots", "--s=1e308"], "at s=(1e+308+0j), A=0.0 is not finite", 2),
+    (["roots", "--twist=1e308"], "at s=0j, A=1e+308 is not finite", 2),
+    (["eigendist", "--s=1e300", "--n-test=1"], "at lambda=(-1e+300+0j) leaves the float range", 3),
+    (["flow", "--r0=1e300"], "log-height r = 1e+300 is past 709.78", 2),
+    (["correlate", "--a-radius=800"], "bump radius 800.0 is past 709.78", 2),
+    (["escape", "--step=1e-9"], "step = 1e-09 puts 2e+11 nodes", 2),
+    (["escape", "--step=1e-300"], "step = 1e-300 puts 2e+302 nodes", 2),
+], ids=["flow-u0", "roots", "eigendist", "roots-s-nan", "roots-s-inf", "roots-twist-nan",
+        "eigendist-s-nan", "resolvent-s-nan", "resolvent-r0-nan", "flow-r0-nan",
+        "flow-theta0-nan", "roots-s-1e308", "roots-twist-1e308", "eigendist-s-1e300",
+        "flow-r0-1e300", "correlate-radius-800", "escape-step-1e-9", "escape-step-1e-300"])
 def test_values_past_what_the_arithmetic_holds_exit_2_naming_them(tmp_path, capsys,
-                                                                  argv, named):
-    # a unit vector the phase point would reject, and factorials past the
-    # float range: each is an invalid input, not an internal error
-    assert cli.main(argv + [f"--output-dir={tmp_path}"]) == 2
+                                                                  argv, named, code):
+    # a unit vector the phase point would reject, factorials, exponentials and
+    # node counts past what floats and memory hold, and non-finite values:
+    # each is an invalid input, not an internal error; a pairing whose tail
+    # leaves the float range is a tolerance failure (exit 3)
+    assert cli.main(argv + [f"--output-dir={tmp_path}"]) == code
     diag = _diagnostic(capsys)
-    assert (diag["error"], diag["type"]) == ("validation", "ValidationError")
+    assert (diag["error"], diag["type"]) == (
+        ("validation", "ValidationError") if code == 2 else ("tolerance", "ToleranceError"))
     assert named in diag["message"]
     assert not any(tmp_path.iterdir())
+
+
+_FLOAT_KEYS = [(sub, param.key) for sub, schema in cli.SCHEMAS.items() for param in schema
+               if param.typ in ("float", "complex", "ofloat", "floats")]
+
+
+@pytest.mark.parametrize("sub, key", _FLOAT_KEYS, ids=[f"{s}-{k}" for s, k in _FLOAT_KEYS])
+def test_every_float_key_rejects_non_finite_values(tmp_path, capsys, sub, key):
+    for text in ("nan", "inf", "-inf", "1e309"):
+        assert cli.main([sub, f"--{key.replace('_', '-')}={text}",
+                         f"--output-dir={tmp_path}"]) == 2
+        diag = _diagnostic(capsys)
+        assert diag["type"] == "ValidationError"
+        assert f"invalid value for {sub}.{key}: {text!r}" in diag["message"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["resolvent", "--poly=1e308"], "line at rho=-2.3 is not finite on 1835 of its rows"),
+    (["resolvent", "--h=1e-300"], "line at rho=-2.3 is not finite on 351 of its rows, "
+                                  "r=-13.4326171875 to r=-8.3056640625"),
+    (["correlate", "--n=200", "--t-max=1", "--a-amplitude=1e308"],
+     "the correlation at t=0.0 is inf"),
+], ids=["resolvent-poly", "resolvent-h", "correlate-amplitude"])
+def test_non_finite_results_exit_3_naming_the_abscissa_or_time(tmp_path, capsys, argv, named):
+    # these used to exit 0 with NaN or inf cells; numpy's overflow warnings
+    # are silenced, so the diagnostic is the one line on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + [f"--output-dir={tmp_path}"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    diag = json.loads(err[0])
+    assert (diag["error"], diag["type"]) == ("tolerance", "ToleranceError")
+    assert named in diag["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_flow_gates_fail_on_a_nan_defect(tmp_path, monkeypatch):
+    # Python's max(x, nan) is x: a NaN cross-section point at t_max must
+    # still fail the semigroup gate
+    import cuspflow.flow as fl
+    from cuspflow.geometry import PhasePoint
+
+    exact = fl.flow_cusp_exact
+
+    def nan_at_t_max(p0, t):
+        q = exact(p0, t)
+        return PhasePoint(q.r, q.theta * math.nan, q.phi, q.u) if t == 2.0 else q
+
+    monkeypatch.setattr(fl, "flow_cusp_exact", nan_at_t_max)
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--t-max=2", f"--output-dir={out}"]) == 3
+    status = _manifest(out)["manifest"]["status"]
+    assert status == "tolerance_failure: semigroup_defect"
 
 
 def test_unknown_flag_exits_2_with_one_json_diagnostic_line(capsys):

@@ -735,10 +735,10 @@ def test_assemble_constants(data):
 
 
 def test_assemble_validations(small_grid):
-    with pytest.raises(ValidationError):
-        assemble_G(small_grid, constants={"bogus": 1.0})
+    with pytest.raises(TypeError):
+        assemble_G(small_grid, bogus=1.0)
     with pytest.raises(ConfigurationError):
-        assemble_G(small_grid, constants={"C_G_prime": 0.5})
+        assemble_G(small_grid, C_G_prime=0.5)
 
 
 def test_escape_function_coordinate_interface(data):
@@ -917,7 +917,7 @@ def test_certificate_fails_with_sabotaged_radius(small_grid):
     """Forcing the small-scale radius under the cutoff support makes the
     strict-positivity samples sit where G vanishes: the certificate must
     fail and list witnesses."""
-    bad = assemble_G(small_grid, constants={"R": 0.2})
+    bad = assemble_G(small_grid, R=0.2)
     cert = verify(bad)
     assert not cert.passed
     assert not cert.conditions["i"]["passed"]
@@ -934,7 +934,16 @@ def test_verify_requires_escape_data():
 def test_window_past_the_float_range_raises_naming_T(small_grid, key):
     # e^800 is no float; both windows take their nodes from one routine
     with pytest.raises(ValidationError, match="T = 800.0 is too long"):
-        assemble_G(small_grid, constants={key: 800.0})
+        assemble_G(small_grid, **{key: 800.0})
+
+
+@pytest.mark.parametrize("step", [1e-5, 5e-324])
+def test_step_past_the_node_bound_raises_before_allocating(small_grid, step):
+    # 200 / step nodes on the transport horizon (inf at the smallest
+    # subnormal); the CLI tests take steps 1e-9 and 1e-300
+    with pytest.raises(ValidationError, match=rf"step = {step!r} puts .* nodes on the "
+                                              r"transport horizon .* step >= 0\.0002"):
+        assemble_G(small_grid, step=step)
 
 
 def test_verify_fails_conditions_i_and_ii_on_nan_samples(data):

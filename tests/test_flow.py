@@ -21,6 +21,7 @@ from cuspflow import (
     NonterminationError,
     PhasePoint,
     QuotientSurface,
+    ToleranceError,
     ValidationError,
     correlate,
     estimate_area,
@@ -758,10 +759,11 @@ def test_bump_integral_is_a_2d_rule_on_its_disc(bump):
 
 
 @pytest.mark.parametrize("kwargs", [dict(radius=0.0), dict(order=0), dict(center=0.5),
-                                    dict(center=0.5 - 1.0j)])
+                                    dict(center=0.5 - 1.0j), dict(radius=710.0)])
 def test_bump_validates_its_parameters(kwargs):
     # a center off the upper half-plane gave zeros from the bump and a
-    # ZeroDivisionError or a finite wrong value from its integral
+    # ZeroDivisionError or a finite wrong value from its integral; cosh and
+    # sinh of a radius past 709.78 overflow
     with pytest.raises(ValidationError):
         BumpObservable(**kwargs)
 
@@ -774,6 +776,23 @@ def test_bump_integral_error_bound_holds_at_any_radius(radius):
     value, error = bump.integral()
     want = disc_bump_integral(bump) if radius < 1.0 else cusp_chart_bump_integral(bump)
     assert abs(value - want) <= error < 1e-7
+
+
+def test_bump_of_amplitude_0_is_its_baseline_with_an_exact_integral():
+    # the CLI's constant observables: the value everywhere, and the integral
+    # 2 pi v with error 0, in the arithmetic of SURFACE_AREA * v
+    bump = BumpObservable(amplitude=0.0, baseline=0.5)
+    z = np.array([1.0j, 0.1 + 1.05j, 0.4 + 3.0j, 0.2 + 0.6j])
+    assert np.array_equal(bump(z), np.full(z.shape, 0.5))
+    assert bump.integral() == (fl.SURFACE_AREA * 0.5, 0.0)
+
+
+def test_flow_cusp_exact_log_height_past_the_float_range_raises_naming_it():
+    p0 = PhasePoint(1e300, np.array([0.0]), 1.2, np.array([1.0]))
+    with pytest.raises(ValidationError, match=r"log-height r = 1e\+300 is past 709\.78"):
+        flow_cusp_exact(p0, 1.0)
+    # at the poles the flow reads no e^r
+    assert flow_cusp_exact(PhasePoint(1e300, np.array([0.0]), 0.0, np.array([1.0])), 1.0).r == 1e300
 
 
 def test_time_1_flow_preserves_liouville():
@@ -799,6 +818,13 @@ def test_constant_observables_are_exact():
     assert all(v == 2.0 * math.pi for v in rec.values)
     assert all(e == 0.0 for e in rec.stderrs)
     assert rec.times == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def test_a_non_finite_correlation_raises_naming_its_time():
+    # the sum of products 1e308 * 1 overflows at t = 0
+    A = BumpObservable(amplitude=1e308)
+    with pytest.raises(ToleranceError, match=r"the correlation at t=0\.0 is inf"):
+        correlate(A, BumpObservable(), T_max=0.5, dt=0.25, n=200, seed=3)
 
 
 def test_rho_at_time_zero_is_plain_monte_carlo():

@@ -638,3 +638,10 @@ def test_quad_checks_each_row_and_names_the_unresolved_one():
 def test_quad_raises_with_error_estimate_on_unresolved_integrand():
     with pytest.raises(ToleranceError, match=r"error estimate \d\.\d+e-\d+"):
         panel_quad(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quad_raises_on_a_non_finite_error_estimate(bad):
+    # err > tol is False for a NaN error estimate, which used to pass
+    with pytest.raises(ToleranceError, match=r"error estimate (nan|inf)"):
+        panel_quad(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0)

@@ -410,6 +410,23 @@ def test_eigendistribution_selector_mismatch():
         eigendistribution(r_plus, ModelOperator(d=2, h=1.0, lam=r_plus.lambda_at(0.1)), (3, 0))
 
 
+def test_eigendistribution_minus_selector_is_read_by_type():
+    # a tuple of ints is a multi-index, anything else a coefficient vector:
+    # (0.3, 0.7) has length d and sums to n, and used to be read as a multi-index
+    op0 = ModelOperator(d=2, h=1.0, lam=0.0)
+    root = next(r for r in indicial_roots(op0, s=0.1, n_max=1) if r.sign == -1 and r.n == 1)
+    op = ModelOperator(d=2, h=1.0, lam=root.lambda_at(0.1))
+    assert eigendistribution(root, op, (0.3, 0.7)).upsilon == (0.3, 0.7)
+    assert eigendistribution(root, op, [0.3, 0.7]).upsilon == (0.3, 0.7)
+    for i, mu in enumerate(multi_indices(2, 1)):
+        want = tuple(float(j == i) for j in range(2))
+        assert eigendistribution(root, op, mu).upsilon == want
+        assert eigendistribution(root, op, tuple(np.array(mu))).upsilon == want
+    with pytest.raises(ValidationError, match=r"selector \(2, 0\) inconsistent"):
+        eigendistribution(root, op, (2, 0))
+
+
+
 @pytest.mark.parametrize("d,s,j", [(1, -0.5, 0), (1, -1.5, 2), (2, -2.0, 2)])
 def test_eigendistribution_at_a_jordan_root_is_the_jordan_vector(d, s, j):
     # the minus n = 0 root meets a plus root of equal parity at lambda_0 =
