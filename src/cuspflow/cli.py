@@ -719,16 +719,15 @@ def _run_flow(config: ExperimentConfig):
     times = [i * p["dt"] for i in range(n_steps + 1)]
     d = p["d"]
     header = ["t", "r"] + [f"theta_{i}" for i in range(d)] + ["phi", "y"]
-    rows = []
-    u_drift = 0.0
-    r_max = -math.inf
+    rows, drifts = [], []
     u0 = np.array(p["u0"], dtype=float)
     for t in times:
         q = flow_cusp_exact(p0, t)
         rows.append([t, q.r] + [float(v) for v in q.theta] + [q.phi, q.y])
-        u_drift = _nanmax(u_drift, np.max(np.abs(q.u - u0)))
-        r_max = _nanmax(r_max, q.r)
+        drifts.append(q.u - u0)
     csv = _csv_text(header, rows)
+    u_drift = _nanmax(np.abs(drifts))
+    r_max = _nanmax([row[1] for row in rows])
 
     half = flow_cusp_exact(flow_cusp_exact(p0, p["t_max"] / 2.0),
                            p["t_max"] / 2.0)

@@ -559,6 +559,17 @@ def test_escape_config_with_n_alpha_exits_2_as_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["a_kind", "b_value"])
+def test_correlate_config_with_an_observable_kind_exits_2_as_an_unknown_key(tmp_path, capsys,
+                                                                            key):
+    # a constant observable is a bump of amplitude 0; no alias maps the old keys
+    config = tmp_path / "correlate.ini"
+    config.write_text(f"[correlate]\n{key} = 1\n")
+    assert cli.main([f"--config={config}", f"--output-dir={tmp_path / 'out'}", "correlate"]) == 2
+    assert _diagnostic(capsys)["message"] == f"unknown key {key!r} in section [correlate]"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, named, code", [
     (["flow", "--u0=1.0000000001"], "u0 must be a unit vector, |u0| = 1.0000000001", 2),
     (["roots", "--n-max=171"], "jet order 171 is past 170", 2),
