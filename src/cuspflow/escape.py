@@ -1238,7 +1238,7 @@ def verify(data: EscapeData, seed=0):
     for fam, sign in (("u", 1.0), ("s", -1.0)):
         slopes[fam] = [float(np.polyfit(np.log(rhos), next(g_rows), 1)[0])
                        for _ in plat[fam]]
-        slope_dev = max(slope_dev, float(np.max(np.abs(
+        slope_dev = float(np.maximum(slope_dev, np.max(np.abs(  # NaN propagates
             np.array(slopes[fam]) / (sign * C_G) - 1.0))))
     zero_mag = float(np.max(np.abs(list(g_rows))))
     tol_iii = 0.02
@@ -1289,7 +1289,7 @@ def verify(data: EscapeData, seed=0):
     g1, g2 = g[0::2], g[1::2]
     iso_dev = float(np.max(np.abs(g1 - g2) / (1.0 + np.abs(g1))))
     tol_iv = 1e-9
-    margin_iv = max(plat_rel, iso_dev)
+    margin_iv = float(np.maximum(plat_rel, iso_dev))  # NaN propagates
     cond_iv = {
         "description": "weight plateaus exact and G invariant under the "
                        "cusp's local isometries",

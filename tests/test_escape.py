@@ -958,3 +958,14 @@ def test_verify_fails_conditions_i_and_ii_on_nan_samples(data):
         assert cond["margin"] == -math.inf
         assert cond["witnesses"]
         assert all(math.isnan(w["flow_derivative"]) for w in cond["witnesses"])
+
+
+def test_verify_fails_conditions_iii_and_iv_on_nan_samples(data):
+    """G is NaN everywhere at c_f = NaN: the slope deviation and the isometry
+    deviation are NaN, and max(finite, nan) would have kept the finite one
+    (condition iv passed with the plateau error as its margin)."""
+    cert = verify(dataclasses.replace(
+        data, symbol=dataclasses.replace(data.symbol, c_f=math.nan)))
+    for key in ("iii", "iv"):
+        assert not cert.conditions[key]["passed"]
+        assert math.isnan(cert.conditions[key]["margin"])
