@@ -56,10 +56,21 @@ methods and where this module builds its own samples.  The kernels
 (``_weight_average``, ``_weight_derivative``, ``_glued_hat``,
 ``_symbol_log_derivative``) take unit rows as given, such as the step-shifted
 rows that ``_sphere_flow`` returns normalized.
+
+``Phi_t`` commutes with the sign flip of each dual-frame component, and every
+cone distance, log-norm and stretch here reads only ``|xi_i|``, so the
+weight, its flow derivative and the glued symbol factor are bitwise invariant
+under the eight sign patterns.  ``_weight_average``, ``_weight_derivative``
+and ``_glued_hat`` rely on that: each evaluates once per distinct row of
+``|x|`` (``_per_magnitude_row``).  The midpoint grids are exactly closed under
+the flips (``_midpoint_circle``), so an n-direction grid costs about n/8
+kernel rows (n/4 at odd ``n_phi``), and so do its step-flowed rows in
+``verify``.  A kernel that reads a signed component must not be wrapped.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -170,6 +181,32 @@ def _as_unit_rows(xihat):
     return x / n[..., None]
 
 
+def _magnitude_rows(x):
+    """The distinct rows of |x|, and for each row of x the index of its own,
+    grouped by one lexsort (several times cheaper than np.unique(axis=0))."""
+    a = np.abs(x).reshape(-1, 3)
+    order = np.lexsort(a.T)
+    a = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = np.any(a[1:] != a[:-1], axis=1)
+    slot = np.empty(len(a), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return a[first], slot
+
+
+def _per_magnitude_row(kernel):
+    """Wrap a kernel of unit rows so that it evaluates ``kernel(x, *args)``
+    once per distinct row of |x| and scatters the values back in row order.
+    The kernel must read rows only through their magnitudes (see the module
+    docstring) and give each row a value independent of the rest of the
+    batch.  Only the distinct rows and indices live while the kernel runs."""
+    @functools.wraps(kernel)
+    def evaluate(x, *args):
+        rows, slot = _magnitude_rows(x)
+        return kernel(rows, *args)[slot].reshape(x.shape[:-1])
+    return evaluate
+
+
 def _dist_u(x):
     """Angle to the nearest growing-dual pole (0, +-1, 0)."""
     return np.arctan2(np.hypot(x[..., 0], x[..., 2]), np.abs(x[..., 1]))
@@ -246,15 +283,39 @@ def _frame_components(point, covector):
 # reduced grid
 # ---------------------------------------------------------------------------
 
+def _midpoint_circle(n, turn):
+    """cos and sin of the midpoint angles turn * (k + 1/2) / n, k < n, for a
+    half turn (pi) or a full turn (2 pi).  Each reflection that maps the
+    midpoints to themselves (a -> pi - a on a half turn; a -> 2 pi - a on a
+    full turn, and a -> pi - a there at even n) flips signs exactly, where the
+    rounded angles would not: cos(fl(pi - a)) is not -cos(a) in floating
+    point.  The mirrored entries are read from the smaller angles, so they
+    are at least as close to the exact midpoints as before."""
+    a = turn * (np.arange(n) + 0.5) / n
+    c, s = np.cos(a), np.sin(a)
+    # (mirrored prefix length, sign of cos, sign of sin), the inner one first
+    if turn == np.pi:
+        flips = [(n, -1.0, 1.0)]
+    else:
+        flips = [(n // 2, -1.0, 1.0)] * (n % 2 == 0) + [(n, 1.0, -1.0)]
+    for m, c_sign, s_sign in flips:
+        # entries k and m - 1 - k become mirrors; a middle one keeps its value
+        h = m // 2
+        c[m - h:m] = c_sign * c[:h][::-1]
+        s[m - h:m] = s_sign * s[:h][::-1]
+    return c, s
+
+
 def _midpoint_sphere(n_theta, n_phi):
-    """Midpoint latitude-longitude direction set (no point on invariant sets)."""
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    phi = _TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    """Midpoint latitude-longitude direction set (no point on invariant sets),
+    closed under the flow-dual and decaying sign flips, and the growing one
+    at even ``n_phi``, except at self-mirror angles (see ``_midpoint_circle``)."""
+    ct, st = _midpoint_circle(n_theta, np.pi)
+    cp, sp = _midpoint_circle(n_phi, _TWO_PI)
     return np.column_stack([
-        np.cos(tt).ravel(),
-        (np.sin(tt) * np.cos(pp)).ravel(),
-        (np.sin(tt) * np.sin(pp)).ravel(),
+        np.repeat(ct, n_phi),
+        np.outer(st, cp).ravel(),
+        np.outer(st, sp).ravel(),
     ])
 
 
@@ -375,8 +436,10 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP):
     to its time reversal.  Times are counted in steps, t_k being k steps
     summed one at a time; the first entry step k comes from the closed-form
     crossing (``_cone_crossing``) and is confirmed by the membership of the
-    flowed direction at t_{k-1} and t_k.
+    flowed direction at t_{k-1} and t_k.  The grid and the step are checked
+    first (``_require_construction``), before the step nodes are allocated.
     """
+    _require_construction(grid, step)
     x = grid.xihat
     lc = 2.0 * math.log(math.tan(grid.eps))
     times = np.add.accumulate(np.full(int(_TRANSPORT_HORIZON / step) + 2, step))
@@ -567,6 +630,7 @@ def _windowed_average(x, times, pattern, eps, margin):
     return 0.5 * ((sums[0] - sums[1]) + (sums[2] - sums[3]))
 
 
+@_per_magnitude_row
 def _weight_average(x, T, step, eps):
     """Composite-Simpson flow average of the cone integrand over [-T, T].
 
@@ -586,6 +650,7 @@ def _weight_average(x, T, step, eps):
                                             _WINDOW_MARGIN * step)
 
 
+@_per_magnitude_row
 def _weight_derivative(x, T, step, eps):
     """Telescoped flow difference quotient (see ``WeightField.derivative``),
     through the same windowed sum as ``_weight_average``; the six times
@@ -696,8 +761,7 @@ def build_weight(grid: ReducedPhaseGrid, T=None, step=FLOW_STEP):
         If the mollified cone neighbourhoods would overlap at this ``eps``,
         or if ``T`` is below twice the measured transition time.
     """
-    _require_construction(grid, step)
-    tau_max = estimate_tau_max(grid, step=step)
+    tau_max = estimate_tau_max(grid, step=step)   # validates grid and step
     if T is None:
         T = 2.0 * tau_max
     if T < 2.0 * tau_max - 1e-12:
@@ -731,6 +795,7 @@ def _log_norm_average(x, T_prime, step):
     return np.exp(acc / (2.0 * T_prime))
 
 
+@_per_magnitude_row
 def _glued_hat(x, T_prime, step, eps):
     """0-homogeneous symbol factor: log-linear glue of |flow-dual component|
     (near the flow-dual poles) with the log-averaged transported norm."""
@@ -929,13 +994,13 @@ def _escape_probe_directions(grid: ReducedPhaseGrid):
         _midpoint_sphere(max(2 * grid.n_theta, 64), max(2 * grid.n_phi, 64)),
         grid.xihat,
     ]
-    az = _TWO_PI * (np.arange(128) + 0.5) / 128
+    cos_az, sin_az = _midpoint_circle(128, _TWO_PI)
     for d0 in (1.05 * eps, 1.3 * eps, 1.6 * eps, 2.0 * eps, 2.4 * eps,
                3.0 * eps):
         pieces.append(np.column_stack([
-            np.full(az.shape, math.cos(d0)),
-            math.sin(d0) * np.cos(az),
-            math.sin(d0) * np.sin(az),
+            np.full(cos_az.shape, math.cos(d0)),
+            math.sin(d0) * cos_az,
+            math.sin(d0) * sin_az,
         ]))
     # near the swap-symmetric surface |growing| = |decaying|
     lat = np.linspace(0.05, _HALF_PI - 0.05, 64)

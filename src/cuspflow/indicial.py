@@ -320,7 +320,12 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
     d, h = op.d, op.h
     n = root.n
     if root.sign == +1:
-        mu = tuple(selector)
+        try:
+            mu = tuple(selector)
+        except TypeError:
+            raise ValidationError(
+                f"selector {selector!r} is not a multi-index: the plus branch "
+                f"needs {d} nonnegative ints summing to n={n}") from None
         if len(mu) != d or sum(mu) != n or any(v < 0 for v in mu):
             raise ValidationError(
                 f"selector {mu} inconsistent with root level n={n} in d={d}"

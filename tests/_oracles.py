@@ -526,6 +526,34 @@ def stepped_tau_max(grid, step, horizon=200.0):
     return 2.0 * worst
 
 
+def rounded_angle_sphere(n_theta, n_phi):
+    """The midpoint sphere of :func:`cuspflow.escape._midpoint_sphere` with
+    each coordinate read at its own rounded angle, which makes the grid only
+    nearly closed under the component sign flips."""
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([np.cos(tt).ravel(), (np.sin(tt) * np.cos(pp)).ravel(),
+                            (np.sin(tt) * np.sin(pp)).ravel()])
+
+
+def exact_midpoint_sphere(n_theta, n_phi, dps=30):
+    """The midpoint sphere's directions at ``dps`` digits, rounded once."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(1) / 2
+        rows = []
+        for i in range(n_theta):
+            t = mpmath.pi * (i + half) / n_theta
+            for j in range(n_phi):
+                p = 2 * mpmath.pi * (j + half) / n_phi
+                rows.append([float(mpmath.cos(t)),
+                             float(mpmath.sin(t) * mpmath.cos(p)),
+                             float(mpmath.sin(t) * mpmath.sin(p))])
+    return np.array(rows)
+
+
 def tiled_plateau_conditions(data):
     """The values of conditions iii and iv that ``verify`` reports, as it
     computed them: G on the plateau directions from one ``reduced_G`` batch,

@@ -84,6 +84,16 @@ def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
 # commit computed them.  The seed drives only the isometry spot-check.
 DEFAULT_GRID_MARGINS = {"i": 1.5062363858669765, "ii": 1.5088685732341078}
 
+# The evaluations each condition reports at the default grid: the kernels
+# evaluate each magnitude row once, but the certificate counts what it samples.
+DEFAULT_GRID_COUNTS = {
+    "i": {"n_samples": 3616, "n_distinct_directions": 904,
+          "n_transported_cone_samples": 8},
+    "ii": {"n_samples": 8192, "n_distinct_directions": 1024},
+    "iii": {"n_samples": 243, "n_distinct_directions": 27},
+    "iv": {"n_samples": 75},
+}
+
 
 @pytest.mark.parametrize("seed", range(5))
 def test_escape_default_grid_certificate_is_pinned(tmp_path, seed):
@@ -94,6 +104,21 @@ def test_escape_default_grid_certificate_is_pinned(tmp_path, seed):
     for key, want in DEFAULT_GRID_MARGINS.items():
         assert cond[key]["margin"] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert cond["iii"]["passed"] and cond["iv"]["passed"]
+    assert {key: {k: v for k, v in c.items() if k.startswith("n_")}
+            for key, c in cond.items()} == DEFAULT_GRID_COUNTS
+
+
+def test_escape_at_an_odd_azimuth_count_certifies(tmp_path):
+    # at odd n_phi the grid has no growing-component flip, only four of
+    # the eight sign patterns share a magnitude row
+    out = tmp_path / "out"
+    assert cli.main([f"--output-dir={out}", "escape", "--n-phi=33"]) == 0
+    assert _manifest(out)["manifest"]["status"] == "ok"
+    (cert_path,) = out.glob("*-certificate.json")
+    cert = json.loads(cert_path.read_text())
+    assert cert["passed"] is True
+    assert cert["grid"]["n_phi"] == 33
+    assert cert["conditions"]["ii"]["n_distinct_directions"] == 32 * 33
 
 
 def test_correlate_through_a_deep_cusp_excursion_repeats_byte_for_byte(tmp_path):

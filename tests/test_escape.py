@@ -1,6 +1,7 @@
 """Tests for the weight / escape-function construction on the cusp (d = 1)."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -10,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from _oracles import (cone_integrand, lifted_flow, reduced_flow,
-                      stepped_tau_max, tiled_plateau_conditions)
+from _oracles import (cone_integrand, exact_midpoint_sphere, lifted_flow,
+                      reduced_flow, rounded_angle_sphere, stepped_tau_max,
+                      tiled_plateau_conditions)
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -20,9 +22,11 @@ from cuspflow.escape import (BETA, FLOW_STEP, FRAME_CONSTANT,
                              ReducedPhaseGrid, SymbolField, WeightField,
                              assemble_G, build_f, build_weight,
                              estimate_tau_max, verify)
-from cuspflow.escape import (_as_unit_rows, _band_profile, _in_V_s, _in_V_u,
-                             _log_norm_average, _plateau_samples,
-                             _simpson_rule, _sphere_flow, _stretch,
+from cuspflow.escape import (_as_unit_rows, _band_profile, _glued_hat,
+                             _in_V_s, _in_V_u, _log_norm_average,
+                             _midpoint_sphere, _per_magnitude_row,
+                             _plateau_samples, _simpson_rule, _sphere_flow,
+                             _stretch,
                              _transition_windows, _transported_cone_samples,
                              _weight_average, _weight_derivative,
                              _windowed_average)
@@ -618,6 +622,93 @@ def test_transition_windows_are_never_nan_hypothesis(rows):
         assert not np.any(np.isnan(edges))
 
 
+# ---------------------------------------------------------------------------
+# reflection symmetry: one kernel evaluation per magnitude row
+# ---------------------------------------------------------------------------
+
+_SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+
+
+def _kernel_cases(weight, symbol):
+    """The three kernels that evaluate once per magnitude row, with their
+    windows, step and eps."""
+    eps = weight.grid.eps
+    return [(_weight_average, (weight.T, weight.step, eps)),
+            (_weight_derivative, (weight.T, weight.step, eps)),
+            (_glued_hat, (symbol.T_prime, symbol.step, eps))]
+
+
+def test_kernels_read_only_component_magnitudes(weight, symbol):
+    """What the magnitude-row evaluation rests on: each kernel, called on
+    the rows themselves, gives bitwise the same values at all eight sign
+    patterns of random directions, poles and zero components."""
+    x = np.vstack([_as_unit_rows(np.random.default_rng(41).normal(size=(200, 3))),
+                   _POLES_AND_ZEROS])
+    for kernel, args in _kernel_cases(weight, symbol):
+        want = kernel.__wrapped__(x, *args).tobytes()
+        for signs in _SIGN_PATTERNS[1:]:
+            assert kernel.__wrapped__(x * signs, *args).tobytes() == want, \
+                (kernel.__name__, signs)
+
+
+def test_magnitude_rows_are_bitwise_the_per_row_values(weight, symbol):
+    """On a batch with no shared magnitudes and on one with repeated and
+    sign-flipped rows, each kernel gives bitwise what it gives one row at a
+    time."""
+    plain = _as_unit_rows(np.random.default_rng(43).normal(size=(40, 3)))
+    repeated = np.vstack([plain[:10], plain[:10] * [-1.0, 1.0, -1.0],
+                          plain[3:7], -plain[:10][::-1]])
+    for kernel, args in _kernel_cases(weight, symbol):
+        for x in (plain, repeated):
+            one_by_one = np.concatenate([kernel.__wrapped__(row[None], *args)
+                                         for row in x])
+            assert kernel(x, *args).tobytes() == one_by_one.tobytes(), \
+                kernel.__name__
+
+
+def test_each_magnitude_row_is_evaluated_once():
+    """The wrapped kernel sees each distinct |x| row once, and every row of
+    the batch gets its magnitude row's value; signed zeros are one row."""
+    seen = []
+
+    def spy(x):
+        seen.append(x.copy())
+        return x @ [1.0, 10.0, 100.0]
+
+    x = np.array([[0.6, 0.0, 0.8], [-0.6, -0.0, 0.8], [0.8, 0.6, 0.0],
+                  [0.6, 0.0, -0.8], [0.0, 0.8, 0.6], [-0.8, -0.6, -0.0]])
+    got = _per_magnitude_row(spy)(x)
+    (rows,) = seen
+    assert sorted(map(tuple, rows)) == sorted(set(map(tuple, np.abs(x))))
+    assert np.array_equal(got, np.abs(x) @ [1.0, 10.0, 100.0])
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(32, 32), (16, 12), (8, 33),
+                                            (7, 9), (6, 10), (2, 2)])
+def test_midpoint_sphere_is_closed_under_its_sign_flips(n_theta, n_phi):
+    """Each flip that maps the midpoint angles to themselves maps the grid
+    onto itself exactly: the flow-dual and decaying flips always, the
+    growing flip at even n_phi.  An angle that is its own mirror (pi/2 at
+    odd n_theta or at n_phi = 2 mod 4, pi at odd n_phi) keeps its rounded
+    cosine or sine, under 2e-16; only that coordinate may miss its flip."""
+    x = _midpoint_sphere(n_theta, n_phi)
+    rows = set(map(tuple, x))
+    flips = [s for s in _SIGN_PATTERNS if n_phi % 2 == 0 or s[1] == 1.0]
+    assert len(flips) == (8 if n_phi % 2 == 0 else 4)
+    on_mirror = np.abs(x) < 2e-16
+    for signs in flips:
+        missed = np.array([tuple(r) not in rows for r in x * signs])
+        assert not np.any(missed & ~np.any(on_mirror & (signs < 0.0), axis=1))
+    if n_theta % 2 == 0 and n_phi % 4 == 0:
+        assert len(set(map(tuple, np.abs(x)))) == n_theta * n_phi // 8
+    # as close to the exact midpoints as the rounded angles were, and within
+    # the rounded angles' own error (up to 3.5 ulps of 1) of them
+    old, exact = rounded_angle_sphere(n_theta, n_phi), exact_midpoint_sphere(n_theta, n_phi)
+    ulp = np.spacing(1.0)
+    assert np.max(np.abs(x - exact)) <= min(np.max(np.abs(old - exact)), 1.5 * ulp)
+    assert np.max(np.abs(x - old)) <= 4.0 * ulp
+
+
 def test_weight_swap_oddness(weight, small_grid):
     x = small_grid.xihat
     swapped = x[:, [0, 2, 1]]
@@ -944,6 +1035,19 @@ def test_step_past_the_node_bound_raises_before_allocating(small_grid, step):
     with pytest.raises(ValidationError, match=rf"step = {step!r} puts .* nodes on the "
                                               r"transport horizon .* step >= 0\.0002"):
         assemble_G(small_grid, step=step)
+
+
+@pytest.mark.parametrize("step, message", [
+    (1e-300, r"step = 1e-300 puts 2e\+302 nodes on the transport horizon"),
+    (5e-324, r"step = 5e-324 puts inf nodes on the transport horizon"),
+    (0.0, r"step must be positive, got 0\.0"),
+    (-0.05, r"step must be positive, got -0\.05"),
+])
+def test_tau_max_checks_its_own_step(step, message):
+    # called directly, not behind build_weight's checks: numpy's untyped
+    # "Maximum allowed dimension exceeded" came from the 1/step node array
+    with pytest.raises(ValidationError, match=message):
+        estimate_tau_max(ReducedPhaseGrid(n_theta=8, n_phi=8), step=step)
 
 
 def test_verify_fails_conditions_i_and_ii_on_nan_samples(data):

@@ -410,6 +410,16 @@ def test_eigendistribution_selector_mismatch():
         eigendistribution(r_plus, ModelOperator(d=2, h=1.0, lam=r_plus.lambda_at(0.1)), (3, 0))
 
 
+@pytest.mark.parametrize("selector", [0, 1.5, None])
+def test_eigendistribution_plus_selector_must_be_iterable(selector):
+    # tuple(0) raised an untyped TypeError from inside the plus branch
+    op0 = ModelOperator(d=2, h=1.0, lam=0.0)
+    r_plus = next(r for r in indicial_roots(op0, s=0.1, n_max=1) if r.sign == 1 and r.n == 1)
+    op = ModelOperator(d=2, h=1.0, lam=r_plus.lambda_at(0.1))
+    with pytest.raises(ValidationError, match=rf"selector {selector!r} is not a multi-index"):
+        eigendistribution(r_plus, op, selector)
+
+
 def test_eigendistribution_minus_selector_is_read_by_type():
     # a tuple of ints is a multi-index, anything else a coefficient vector:
     # (0.3, 0.7) has length d and sums to n, and used to be read as a multi-index
