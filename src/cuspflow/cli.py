@@ -140,7 +140,7 @@ class _Param:
 
 _POS = "(0, inf)"
 _NONNEG = "[0, inf)"
-_BOUND_NAMES = {"pi": math.pi, "pi/2": math.pi / 2.0}
+_BOUND_NAMES = {"pi": math.pi, "pi/2": math.pi / 2.0, "1/6": 1.0 / 6.0}
 
 
 def _in_bound(bound: str, value) -> bool:
@@ -174,7 +174,6 @@ SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("h", "float", 1.0, "model scaling constant", _POS),
         _Param("s", "complex", 0.3 + 0.0j, "spectral parameter"),
         _Param("n_max", "int", 2, "largest root level", _NONNEG),
-        _Param("twist", "float", 0.0, "constant bundle twist"),
         _Param("n_test", "int", 3, "number of random test functions", "[1, inf)"),
     ),
     "resolvent": (
@@ -203,7 +202,8 @@ SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("h", "float", 1.0, "model scaling constant", _POS),
         _Param("k_max", "int", 1, "largest angular degree", _NONNEG),
         _Param("j_max", "int", 2, "largest radial level", _NONNEG),
-        _Param("eps", "float", 0.01, "contour radius around each pole", "(0, 0.2]"),
+        _Param("eps", "float", 0.01, "contour radius around each pole over h; the next "
+               "pole lies h/2 away and must stay beyond 3 radii", "(0, 1/6)"),
         _Param("n_nodes", "int", 24, "contour quadrature nodes", "[8, inf)"),
     ),
     "escape": (
@@ -572,19 +572,19 @@ def _run_eigendist(config: ExperimentConfig):
     from .indicial import ModelOperator, eigendistribution, indicial_roots
 
     p = config.params
-    op0 = ModelOperator(d=p["d"], h=p["h"], A=p["twist"])
+    op0 = ModelOperator(d=p["d"], h=p["h"])
     roots = indicial_roots(op0, p["s"], p["n_max"])
     psis = _test_function_family(p["d"], config.seed, p["n_test"])
     rows = []
     worst = 0.0
     for r in roots:
         lam = complex(r.lambda_at(p["s"]))
-        op = ModelOperator(d=p["d"], h=p["h"], lam=lam, A=p["twist"])
+        op = ModelOperator(d=p["d"], h=p["h"], lam=lam)
         mu = (r.n,) + (0,) * (p["d"] - 1)
         rep = eigendistribution(r, op, mu)
         for i, psi in enumerate(psis):
             base = complex(rep.pair(psi))
-            shifted = psi.apply_model_transpose(p["h"], lam, p["twist"])
+            shifted = psi.apply_model_transpose(p["h"], lam)
             residual = abs(complex(rep.pair(shifted))
                            - complex(rep.eigenvalue) * base)
             rel = residual / max(1.0, abs(base))

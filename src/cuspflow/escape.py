@@ -59,13 +59,19 @@ rows that ``_sphere_flow`` returns normalized.
 
 ``Phi_t`` commutes with the sign flip of each dual-frame component, and every
 cone distance, log-norm and stretch here reads only ``|xi_i|``, so the
-weight, its flow derivative and the glued symbol factor are bitwise invariant
-under the eight sign patterns.  ``_weight_average``, ``_weight_derivative``
-and ``_glued_hat`` rely on that: each evaluates once per distinct row of
-``|x|`` (``_per_magnitude_row``).  The midpoint grids are exactly closed under
-the flips (``_midpoint_circle``), so an n-direction grid costs about n/8
-kernel rows (n/4 at odd ``n_phi``), and so do its step-flowed rows in
-``verify``.  A kernel that reads a signed component must not be wrapped.
+weight, its flow derivative, the glued symbol factor and the stretch are
+bitwise invariant under the eight sign patterns, and the step-flowed rows of
+a sign-flipped direction are the flipped step-flowed rows.  The midpoint
+sphere, the glue rings and their angle tables are therefore built as one
+representative per reflection orbit with an integer multiplicity
+(``_midpoint_circle``): the construction grid (``ReducedPhaseGrid.xihat``),
+``build_f``'s c_f probe and ``assemble_G``'s probe hold representatives only,
+so an n-direction grid costs about n/8 kernel rows (n/4 at odd ``n_phi``),
+and so do its step-flowed rows in ``verify``.  The minima and maxima over
+the representatives are those over the signed sets, and the certificate's
+``n_samples``, ``n_distinct_directions`` and ``n_probe_directions`` sum the
+multiplicities: they count the (direction, magnitude) pairs covered.  The
+public methods evaluate every row they are given.
 """
 
 from __future__ import annotations
@@ -181,32 +187,6 @@ def _as_unit_rows(xihat):
     return x / n[..., None]
 
 
-def _magnitude_rows(x):
-    """The distinct rows of |x|, and for each row of x the index of its own,
-    grouped by one lexsort (several times cheaper than np.unique(axis=0))."""
-    a = np.abs(x).reshape(-1, 3)
-    order = np.lexsort(a.T)
-    a = a[order]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = np.any(a[1:] != a[:-1], axis=1)
-    slot = np.empty(len(a), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    return a[first], slot
-
-
-def _per_magnitude_row(kernel):
-    """Wrap a kernel of unit rows so that it evaluates ``kernel(x, *args)``
-    once per distinct row of |x| and scatters the values back in row order.
-    The kernel must read rows only through their magnitudes (see the module
-    docstring) and give each row a value independent of the rest of the
-    batch.  Only the distinct rows and indices live while the kernel runs."""
-    @functools.wraps(kernel)
-    def evaluate(x, *args):
-        rows, slot = _magnitude_rows(x)
-        return kernel(rows, *args)[slot].reshape(x.shape[:-1])
-    return evaluate
-
-
 def _dist_u(x):
     """Angle to the nearest growing-dual pole (0, +-1, 0)."""
     return np.arctan2(np.hypot(x[..., 0], x[..., 2]), np.abs(x[..., 1]))
@@ -284,39 +264,34 @@ def _frame_components(point, covector):
 # ---------------------------------------------------------------------------
 
 def _midpoint_circle(n, turn):
-    """cos and sin of the midpoint angles turn * (k + 1/2) / n, k < n, for a
-    half turn (pi) or a full turn (2 pi).  Each reflection that maps the
-    midpoints to themselves (a -> pi - a on a half turn; a -> 2 pi - a on a
-    full turn, and a -> pi - a there at even n) flips signs exactly, where the
-    rounded angles would not: cos(fl(pi - a)) is not -cos(a) in floating
-    point.  The mirrored entries are read from the smaller angles, so they
-    are at least as close to the exact midpoints as before."""
-    a = turn * (np.arange(n) + 0.5) / n
-    c, s = np.cos(a), np.sin(a)
-    # (mirrored prefix length, sign of cos, sign of sin), the inner one first
-    if turn == np.pi:
-        flips = [(n, -1.0, 1.0)]
-    else:
-        flips = [(n // 2, -1.0, 1.0)] * (n % 2 == 0) + [(n, 1.0, -1.0)]
-    for m, c_sign, s_sign in flips:
-        # entries k and m - 1 - k become mirrors; a middle one keeps its value
-        h = m // 2
-        c[m - h:m] = c_sign * c[:h][::-1]
-        s[m - h:m] = s_sign * s[:h][::-1]
-    return c, s
+    """cos, sin and multiplicity of the midpoint angles turn * (k + 1/2) / n,
+    k < n, of a half turn (pi) or a full turn (2 pi), one per orbit of the
+    reflections that map them to themselves: a -> pi - a on a half turn;
+    a -> 2 pi - a on a full turn, and a -> pi - a there too at even n.  A
+    mirror flips the cosine or the sine exactly, so the representatives are
+    the angles up to pi/2 (up to pi on a full turn at odd n), each counted
+    once per mirror; a self-mirror angle (pi/2, or pi on a full turn at odd
+    n) counts once."""
+    # m: the prefix the inner reflection k <-> m - 1 - k acts on
+    m = n // 2 if turn == _TWO_PI and n % 2 == 0 else n
+    k = np.arange((m + 1) // 2)
+    a = turn * (k + 0.5) / n
+    return np.cos(a), np.sin(a), np.where(2 * k + 1 < m, 2, 1) * (n // m)
 
 
 def _midpoint_sphere(n_theta, n_phi):
-    """Midpoint latitude-longitude direction set (no point on invariant sets),
+    """Midpoint latitude-longitude direction set (no point on invariant
+    sets), as orbit representatives and their multiplicities: the set is
     closed under the flow-dual and decaying sign flips, and the growing one
-    at even ``n_phi``, except at self-mirror angles (see ``_midpoint_circle``)."""
-    ct, st = _midpoint_circle(n_theta, np.pi)
-    cp, sp = _midpoint_circle(n_phi, _TWO_PI)
-    return np.column_stack([
-        np.repeat(ct, n_phi),
+    at even ``n_phi``, except at self-mirror angles (``_midpoint_circle``)."""
+    ct, st, mt = _midpoint_circle(n_theta, np.pi)
+    cp, sp, mp = _midpoint_circle(n_phi, _TWO_PI)
+    rows = np.column_stack([
+        np.repeat(ct, cp.size),
         np.outer(st, cp).ravel(),
         np.outer(st, sp).ravel(),
     ])
+    return rows, np.outer(mt, mp).ravel()
 
 
 @dataclass(frozen=True)
@@ -328,8 +303,10 @@ class ReducedPhaseGrid:
     midpoint values so no grid point lies exactly on an invariant set.  Every
     quantity built here reads only ``xihat``, so the angle circle is exactly
     degenerate and is not sampled; that makes the isometry invariance exact
-    by representation.  ``xihat`` holds the (n_theta * n_phi, 3) unit
-    directions.
+    by representation.  ``xihat`` holds one unit direction per reflection
+    orbit of the n_theta * n_phi midpoint directions, and ``multiplicity``
+    the number of those directions each one stands for (see the module
+    docstring).
 
     Parameters
     ----------
@@ -347,6 +324,7 @@ class ReducedPhaseGrid:
     eps: float = 0.15
     delta: float = 1e-3
     xihat: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_theta", "n_phi"):
@@ -357,13 +335,14 @@ class ReducedPhaseGrid:
             raise ValidationError(f"eps must lie in (0, pi/2), got {self.eps}")
         if not (0.0 < self.delta):
             raise ValidationError(f"delta must be positive, got {self.delta}")
-        xihat = _midpoint_sphere(self.n_theta, self.n_phi)
+        xihat, multiplicity = _midpoint_sphere(self.n_theta, self.n_phi)
         object.__setattr__(self, "xihat", xihat)
+        object.__setattr__(self, "multiplicity", multiplicity)
         both = self.in_cone_u(xihat) & self.in_cone_0s(xihat)
         if np.any(both):
             raise ConfigurationError(
-                "cone neighbourhoods overlap on the grid: widths eps = "
-                f"{self.eps} put {int(both.sum())} sampled directions in both "
+                f"cone neighbourhoods overlap on the grid: widths eps = {self.eps} "
+                f"put {int(multiplicity[both].sum())} sampled directions in both "
                 "the growing-dual and flow+decaying neighbourhoods")
 
     # -- cone neighbourhood memberships (on unit direction rows) -----------
@@ -424,8 +403,8 @@ def _swapped(y):
 def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP):
     """Empirical maximal transition time between the cone neighbourhoods.
 
-    Transports every grid direction outside one neighbourhood until its cone
-    membership flips (entering the attracting neighbourhood): forward into the
+    Transports every grid representative outside one neighbourhood until its
+    cone membership flips (entering the attracting neighbourhood): forward into the
     growing-dual cone, backward into the flow+decaying band, backward into the
     decaying-dual cone, forward into the flow+growing band.  The worst time
     over the grid is doubled for safety.  A direction that has not entered
@@ -458,7 +437,8 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP):
         (grid.in_cone_s, _dist_0u, same, True),
     )
     for in_start_cone, dist, frame, band in legs:
-        y = frame(x[~in_start_cone(x)])
+        start = ~in_start_cone(x)
+        y = frame(x[start])
         if not y.size:
             continue
 
@@ -473,7 +453,7 @@ def estimate_tau_max(grid: ReducedPhaseGrid, step=FLOW_STEP):
             k -= late
         while np.any(early := ~entered(k) & (k < n_steps)):
             k += early
-        missed = int(np.count_nonzero(~entered(k)))
+        missed = int(grid.multiplicity[start][~entered(k)].sum())
         if missed:
             raise ConfigurationError(
                 f"{missed} sampled directions did not reach the target cone "
@@ -510,6 +490,23 @@ def _simpson_rule(T, step):
     pattern[1::2] = 4.0
     pattern[0] = pattern[-1] = 1.0
     return nodes, pattern
+
+
+def _exponential_rule(times, pattern):
+    """The rule ``_windowed_average`` reads: the times, the pattern, and the
+    flow factors e^t and e^-t at each time."""
+    return (times, pattern, np.array([math.exp(t) for t in times]),
+            np.array([math.exp(-t) for t in times]))
+
+
+@functools.lru_cache(maxsize=16)
+def _flow_rule(T, step):
+    """``_simpson_rule(T, step)`` with the flow factors of its nodes
+    (``_exponential_rule``), computed once per window."""
+    rule = _exponential_rule(*_simpson_rule(T, step))
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every call through the cache
+    return rule
 
 
 def _snap_to_step(T, step):
@@ -587,10 +584,11 @@ def _transition_windows(x, eps, margin):
     return lo - margin, hi + margin
 
 
-def _windowed_average(x, times, pattern, eps, margin):
+def _windowed_average(x, rule, eps, margin):
     """0.5 * ((S_0 - S_1) + (S_2 - S_3)) at the n directions x, where S_p
     sums ``pattern[j]`` times cone profile p of the time-``times[j]`` flow
-    of x over ascending ``times``.
+    of x over ascending ``times``; ``rule`` is ``(times, pattern, grow,
+    decay)`` with the flow factors of each time (``_exponential_rule``).
 
     Outside its window (``_transition_windows``) a profile is a step, so its
     sum there is a difference of prefix sums of the pattern, read at the
@@ -598,12 +596,11 @@ def _windowed_average(x, times, pattern, eps, margin):
     for one distance each, in blocks of about ``_BLOCK_ELEMENTS / 4`` pairs
     (which bounds the memory), and summed per direction with ``bincount``.
     """
+    times, pattern, grow, decay = rule
     # nodes before each window, and nodes up to its end
     first, stop = (np.searchsorted(times, edge, side) for edge, side in
                    zip(_transition_windows(x, eps, margin), ("left", "right")))
     prefix = np.concatenate(([0.0], np.cumsum(pattern)))
-    grow = np.array([math.exp(t) for t in times])
-    decay = np.array([math.exp(-t) for t in times])
     sums = []
     for p, dist in enumerate(_PROFILE_DISTANCES):
         # the even rows are 1 past their windows, the odd rows before them
@@ -630,7 +627,6 @@ def _windowed_average(x, times, pattern, eps, margin):
     return 0.5 * ((sums[0] - sums[1]) + (sums[2] - sums[3]))
 
 
-@_per_magnitude_row
 def _weight_average(x, T, step, eps):
     """Composite-Simpson flow average of the cone integrand over [-T, T].
 
@@ -645,19 +641,17 @@ def _weight_average(x, T, step, eps):
     near component keeps constant.  The sum runs profile by profile, so it
     agrees with a per-node loop to roundoff, not bitwise.
     """
-    nodes, pattern = _simpson_rule(T, step)
-    return (step / 3.0) * _windowed_average(x, nodes, pattern, eps,
+    return (step / 3.0) * _windowed_average(x, _flow_rule(T, step), eps,
                                             _WINDOW_MARGIN * step)
 
 
-@_per_magnitude_row
 def _weight_derivative(x, T, step, eps):
     """Telescoped flow difference quotient (see ``WeightField.derivative``),
     through the same windowed sum as ``_weight_average``; the six times
     below, with their weights, ascend for every T >= step."""
     times = np.array([-T - step, -T, -T + step, T - step, T, T + step])
     pattern = np.array([-1.0, -4.0, -1.0, 1.0, 4.0, 1.0])
-    return _windowed_average(x, times, pattern, eps,
+    return _windowed_average(x, _exponential_rule(times, pattern), eps,
                              _WINDOW_MARGIN * step) / 6.0
 
 
@@ -781,21 +775,18 @@ def _log_norm_average(x, T_prime, step):
     """exp of the Simpson average of log |transported direction| over
     [-T', T'], normalized by the window length 2T'.  The sum runs node by
     node in blocks of at most ``_BLOCK_ELEMENTS`` (node, direction) pairs."""
-    nodes, pattern = _simpson_rule(T_prime, step)
+    nodes, pattern, grow, decay = _flow_rule(T_prime, step)
     weights = pattern * (step / 3.0)
     k = max(1, _BLOCK_ELEMENTS // max(1, x.shape[0]))
     acc = np.zeros(x.shape[0])
     for lo in range(0, len(nodes), k):
-        block = nodes[lo:lo + k]
-        grow = np.array([[math.exp(t)] for t in block])
-        decay = np.array([[math.exp(-t)] for t in block])
-        for w_j, v_j in zip(weights[lo:lo + k],
-                            np.log(_scaled_norm(x, grow, decay))):
+        block = slice(lo, lo + k)
+        for w_j, v_j in zip(weights[block], np.log(_scaled_norm(
+                x, grow[block, None], decay[block, None]))):
             acc += w_j * v_j
     return np.exp(acc / (2.0 * T_prime))
 
 
-@_per_magnitude_row
 def _glued_hat(x, T_prime, step, eps):
     """0-homogeneous symbol factor: log-linear glue of |flow-dual component|
     (near the flow-dual poles) with the log-averaged transported norm."""
@@ -879,7 +870,8 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     growing/decaying dual cones.
 
     Returns a :class:`SymbolField` with the infimum ``c_f`` of the glued
-    factor, measured on a refined midpoint sphere plus the grid directions.
+    factor, measured on a refined midpoint sphere plus the grid directions
+    (their orbit representatives).
     The symbol's homogeneity, cone log-derivatives and flow invariance enter
     the flow derivative of G that ``verify`` samples.
     """
@@ -892,7 +884,7 @@ def build_f(grid: ReducedPhaseGrid, T_prime=DEFAULT_T_PRIME, step=FLOW_STEP):
     T_prime = _snap_to_step(T_prime, step)
 
     probe = np.vstack([
-        _midpoint_sphere(max(4 * grid.n_theta, 96), max(4 * grid.n_phi, 96)),
+        _midpoint_sphere(max(4 * grid.n_theta, 96), max(4 * grid.n_phi, 96))[0],
         grid.xihat,
     ])
     c_f = float(_glued_hat(probe, T_prime, step, grid.eps).min())
@@ -983,34 +975,38 @@ def _frame_direction(point, covector):
 
 
 def _escape_probe_directions(grid: ReducedPhaseGrid):
-    """Direction probe for the measured constants of the escape function.
+    """Direction probe for the measured constants of the escape function, as
+    orbit representatives and their multiplicities (see the module docstring).
 
     A refined midpoint sphere grid, the user grid itself, dense rings through
-    the glue band around the flow-dual poles (where the symbol interpolates),
-    and rings near the swap-symmetric surface (where the weight changes sign).
+    the glue band around the flow-dual poles (where the symbol interpolates;
+    closed under the growing and decaying flips), and rings near the
+    swap-symmetric surface (where the weight changes sign; in the positive
+    octant, each direction its own representative).
     """
     eps = grid.eps
     pieces = [
         _midpoint_sphere(max(2 * grid.n_theta, 64), max(2 * grid.n_phi, 64)),
-        grid.xihat,
+        (grid.xihat, grid.multiplicity),
     ]
-    cos_az, sin_az = _midpoint_circle(128, _TWO_PI)
+    cos_az, sin_az, ring_multiplicity = _midpoint_circle(128, _TWO_PI)
     for d0 in (1.05 * eps, 1.3 * eps, 1.6 * eps, 2.0 * eps, 2.4 * eps,
                3.0 * eps):
-        pieces.append(np.column_stack([
+        pieces.append((np.column_stack([
             np.full(cos_az.shape, math.cos(d0)),
             math.sin(d0) * cos_az,
             math.sin(d0) * sin_az,
-        ]))
+        ]), ring_multiplicity))
     # near the swap-symmetric surface |growing| = |decaying|
     lat = np.linspace(0.05, _HALF_PI - 0.05, 64)
     for off in (-0.02, -0.004, 0.004, 0.02):
-        pieces.append(np.column_stack([
+        pieces.append((np.column_stack([
             np.cos(lat),
             np.sin(lat) * np.cos(0.25 * np.pi + off),
             np.sin(lat) * np.sin(0.25 * np.pi + off),
-        ]))
-    return _as_unit_rows(np.vstack(pieces))
+        ]), np.ones(lat.size, dtype=int)))
+    rows, multiplicity = zip(*pieces)
+    return _as_unit_rows(np.vstack(rows)), np.concatenate(multiplicity)
 
 
 def assemble_G(grid: ReducedPhaseGrid, T=None, T_prime=DEFAULT_T_PRIME, C_G_prime=None,
@@ -1065,7 +1061,7 @@ def assemble_G(grid: ReducedPhaseGrid, T=None, T_prime=DEFAULT_T_PRIME, C_G_prim
             f"C_G_prime = {C_G_prime} is below its floor {floor} "
             "= max(2/(beta*T), 1)")
 
-    probe = _escape_probe_directions(grid)
+    probe, probe_multiplicity = _escape_probe_directions(grid)
     m_probe = _weight_average(probe, T, step, grid.eps)
     xm_probe = _weight_derivative(probe, T, step, grid.eps)
     xlogf_probe = _symbol_log_derivative(probe, symbol.T_prime, step, grid.eps)
@@ -1105,7 +1101,7 @@ def assemble_G(grid: ReducedPhaseGrid, T=None, T_prime=DEFAULT_T_PRIME, C_G_prim
         "product_bound": product_bound,
         "weight_derivative_floor": xm_floor,
         "slack": slack,
-        "n_probe_directions": int(probe.shape[0]),
+        "n_probe_directions": int(probe_multiplicity.sum()),
         "plateau_radii": {k: float(v)
                           for k, v in weight.plateau_radii.items()},
     }
@@ -1195,7 +1191,8 @@ def verify(data: EscapeData, seed=0):
     and the symbol at the step-shifted directions only.  Returns an
     :class:`EscapeCertificate`; any sampled violation beyond tolerance fails
     the certificate and lists the worst witnesses.  Each condition's
-    ``n_samples`` is the number of (direction, magnitude) evaluations it made.
+    ``n_samples`` is the number of (direction, magnitude) pairs it covers: a
+    grid representative covers its whole orbit (see the module docstring).
 
     Parameters
     ----------
@@ -1240,7 +1237,7 @@ def verify(data: EscapeData, seed=0):
                 margin = min(margin, low)
         return margin, witnesses[:10]
 
-    x = grid.xihat
+    x, n_grid = grid.xihat, int(grid.multiplicity.sum())
     bx = bundle(x)
 
     # -- condition ii: nonnegative flow derivative above the cutoff scale --
@@ -1256,8 +1253,8 @@ def verify(data: EscapeData, seed=0):
         "margin": margin_ii,
         "threshold": tol_ii,
         "magnitude_levels_over_delta": [float(v) for v in levels_ii],
-        "n_samples": len(levels_ii) * x.shape[0],
-        "n_distinct_directions": x.shape[0],
+        "n_samples": len(levels_ii) * n_grid,
+        "n_distinct_directions": n_grid,
         "witnesses": witnesses_ii,
     }
 
@@ -1273,7 +1270,7 @@ def verify(data: EscapeData, seed=0):
     off_cone = [tuple(a[region] for a in side) for side in bx]
     margin_i, witnesses_i = scan(levels_i, tol_i, [(x[region], off_cone),
                                                     (cone_dirs, bundle(cone_dirs))])
-    n_dirs_i = int(region.sum()) + cone_dirs.shape[0]
+    n_dirs_i = int(grid.multiplicity[region].sum()) + cone_dirs.shape[0]
     cond_i = {
         "description": "flow derivative of G >= 1 beyond R*delta away from "
                        "the flow-dual cone neighbourhood",

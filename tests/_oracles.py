@@ -17,7 +17,11 @@ package takes:
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
 * :func:`stepped_tau_max` finds each transition time by stepping the sphere
-  flow until the cone membership flips (the package solves for the crossing);
+  flow until the cone membership flips (the package solves for the crossing),
+  over the signed grid that :func:`reflected_orbits` rebuilds from the
+  package's orbit representatives, and :func:`signed_midpoint_sphere` and
+  :func:`signed_glue_rings` are the signed sample sets as they were written
+  before the package built representatives only;
 * :func:`cone_integrand` evaluates the weight's integrand at every
   direction, all four cone profiles at once (the package sums each profile
   in closed form outside its transition window);
@@ -60,6 +64,7 @@ package takes:
 """
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -510,8 +515,9 @@ def cone_integrand(x, eps):
 
 def stepped_tau_max(grid, step, horizon=200.0):
     """:func:`cuspflow.escape.estimate_tau_max` by stepping each leg's sphere
-    flow ``step`` by ``step`` until the direction enters the target cone."""
-    x = grid.xihat
+    flow ``step`` by ``step`` until the direction enters the target cone,
+    over every signed direction of the grid."""
+    x = signed_grid(grid)
     worst = 0.0
     same = lambda y: y
     legs = ((grid.in_cone_0s, _dist_u, same), (grid.in_cone_u, _dist_0s, _swapped),
@@ -524,6 +530,66 @@ def stepped_tau_max(grid, step, horizon=200.0):
                                    step, horizon)
             worst = max(worst, float(t.max()))
     return 2.0 * worst
+
+
+def reflected_orbits(rows, multiplicity, flips):
+    """Every signed row that orbit representatives stand for: each row under
+    each sign pattern of its components listed in ``flips`` (the flips that
+    close its set), a self-mirror component (below 1e-15, the rounded cosine
+    of pi/2 or sine of pi) left as it is.  Each orbit must have the row's
+    multiplicity."""
+    out = []
+    for row, count in zip(rows, multiplicity):
+        free = [i for i in flips if abs(row[i]) > 1e-15]
+        assert 2 ** len(free) == count, (row, count, flips)
+        for signs in itertools.product((1.0, -1.0), repeat=len(free)):
+            image = row.copy()
+            image[free] *= signs
+            out.append(image)
+    return np.array(out)
+
+
+def signed_grid(grid):
+    """The grid's n_theta * n_phi signed directions: the midpoint sphere is
+    closed under the flow-dual and decaying flips, and under the growing one
+    at even n_phi."""
+    flips = (0, 1, 2) if grid.n_phi % 2 == 0 else (0, 2)
+    return reflected_orbits(grid.xihat, grid.multiplicity, flips)
+
+
+def _signed_midpoint_circle(n, turn):
+    """cos and sin of all n midpoint angles turn * (k + 1/2) / n, each
+    mirrored entry an exact sign flip of the entry at the smaller angle."""
+    a = turn * (np.arange(n) + 0.5) / n
+    c, s = np.cos(a), np.sin(a)
+    if turn == np.pi:
+        flips = [(n, -1.0, 1.0)]
+    else:
+        flips = [(n // 2, -1.0, 1.0)] * (n % 2 == 0) + [(n, 1.0, -1.0)]
+    for m, c_sign, s_sign in flips:
+        h = m // 2
+        c[m - h:m] = c_sign * c[:h][::-1]
+        s[m - h:m] = s_sign * s[:h][::-1]
+    return c, s
+
+
+def signed_midpoint_sphere(n_theta, n_phi):
+    """The signed midpoint sphere, every direction built from its own
+    mirrored angle table entries."""
+    ct, st = _signed_midpoint_circle(n_theta, np.pi)
+    cp, sp = _signed_midpoint_circle(n_phi, 2.0 * np.pi)
+    return np.column_stack([np.repeat(ct, n_phi), np.outer(st, cp).ravel(),
+                            np.outer(st, sp).ravel()])
+
+
+def signed_glue_rings(eps):
+    """The escape probe's six signed rings around the flow-dual pole, each
+    over all 128 midpoint azimuths."""
+    cos_az, sin_az = _signed_midpoint_circle(128, 2.0 * np.pi)
+    return _as_unit_rows(np.vstack([
+        np.column_stack([np.full(128, math.cos(d0)), math.sin(d0) * cos_az,
+                         math.sin(d0) * sin_az])
+        for d0 in (1.05 * eps, 1.3 * eps, 1.6 * eps, 2.0 * eps, 2.4 * eps, 3.0 * eps)]))
 
 
 def rounded_angle_sphere(n_theta, n_phi):

@@ -85,7 +85,8 @@ def test_escape_certificate_passes_and_repeats_byte_for_byte(tmp_path):
 DEFAULT_GRID_MARGINS = {"i": 1.5062363858669765, "ii": 1.5088685732341078}
 
 # The evaluations each condition reports at the default grid: the kernels
-# evaluate each magnitude row once, but the certificate counts what it samples.
+# run on orbit representatives, but the certificate counts the (direction,
+# magnitude) pairs they cover.
 DEFAULT_GRID_COUNTS = {
     "i": {"n_samples": 3616, "n_distinct_directions": 904,
           "n_transported_cone_samples": 8},
@@ -109,8 +110,8 @@ def test_escape_default_grid_certificate_is_pinned(tmp_path, seed):
 
 
 def test_escape_at_an_odd_azimuth_count_certifies(tmp_path):
-    # at odd n_phi the grid has no growing-component flip, only four of
-    # the eight sign patterns share a magnitude row
+    # at odd n_phi the grid has no growing-component flip, so only four of
+    # the eight sign patterns map it onto itself
     out = tmp_path / "out"
     assert cli.main([f"--output-dir={out}", "escape", "--n-phi=33"]) == 0
     assert _manifest(out)["manifest"]["status"] == "ok"
@@ -573,6 +574,28 @@ def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
     assert diag["error"] == "validation"
     assert "h must lie in (0, inf), got 0.0" in diag["message"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps, code", [("0.17", 2), ("0.166", 0)])
+def test_residue_eps_bound_is_the_pole_spacing_limit(tmp_path, capsys, eps, code):
+    # the circle of radius eps*h must keep the next pole, h/2 away, beyond 3
+    # radii: eps < 1/6 at every h, refused by the schema naming the key
+    assert cli.main(["residue", f"--eps={eps}", f"--output-dir={tmp_path}"]) == code
+    if code:
+        assert _diagnostic(capsys)["message"] == f"eps must lie in (0, 1/6), got {eps}"
+
+
+def test_eigendist_twist_exits_2_as_an_unknown_key(tmp_path, capsys):
+    # south-branch eigendistributions exist only at A = 0, so no twist is settable
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["eigendist", "--twist=0.5", f"--output-dir={tmp_path}"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --twist=0.5" in _diagnostic(capsys)["message"]
+    config = tmp_path / "eigendist.ini"
+    config.write_text("[eigendist]\ntwist = 0.5\n")
+    assert cli.main([f"--config={config}", f"--output-dir={tmp_path / 'out'}", "eigendist"]) == 2
+    assert _diagnostic(capsys)["message"] == "unknown key 'twist' in section [eigendist]"
+    assert not (tmp_path / "out").exists()
 
 
 def test_escape_config_with_n_alpha_exits_2_as_an_unknown_key(tmp_path, capsys):

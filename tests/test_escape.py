@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from _oracles import (cone_integrand, exact_midpoint_sphere, lifted_flow,
-                      reduced_flow, rounded_angle_sphere, stepped_tau_max,
-                      tiled_plateau_conditions)
+                      reduced_flow, reflected_orbits, rounded_angle_sphere,
+                      signed_glue_rings, signed_grid, signed_midpoint_sphere,
+                      stepped_tau_max, tiled_plateau_conditions)
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -22,14 +23,13 @@ from cuspflow.escape import (BETA, FLOW_STEP, FRAME_CONSTANT,
                              ReducedPhaseGrid, SymbolField, WeightField,
                              assemble_G, build_f, build_weight,
                              estimate_tau_max, verify)
-from cuspflow.escape import (_as_unit_rows, _band_profile, _glued_hat,
-                             _in_V_s, _in_V_u, _log_norm_average,
-                             _midpoint_sphere, _per_magnitude_row,
-                             _plateau_samples, _simpson_rule, _sphere_flow,
-                             _stretch,
-                             _transition_windows, _transported_cone_samples,
-                             _weight_average, _weight_derivative,
-                             _windowed_average)
+from cuspflow.escape import (_as_unit_rows, _band_profile,
+                             _escape_probe_directions, _exponential_rule,
+                             _glued_hat, _in_V_s, _in_V_u, _log_norm_average,
+                             _midpoint_sphere, _plateau_samples, _simpson_rule,
+                             _sphere_flow, _stretch, _transition_windows,
+                             _transported_cone_samples, _weight_average,
+                             _weight_derivative, _windowed_average)
 from cuspflow.geometry import (PhasePoint, direction_angle,
                                splitting_frame_at)
 
@@ -218,12 +218,16 @@ def test_lifted_flow_rejects_bad_covector():
 
 def test_grid_counts_and_membership_disjointness(small_grid):
     g = small_grid
-    assert g.xihat.shape == (16 * 16, 3)
-    assert np.allclose(np.linalg.norm(g.xihat, axis=1), 1.0, atol=1e-14)
+    # one representative per orbit of the eight sign flips
+    assert g.xihat.shape == (16 * 16 // 8, 3)
+    assert np.array_equal(g.multiplicity, np.full(32, 8))
+    x = signed_grid(g)
+    assert x.shape == (16 * 16, 3)
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-14)
     # midpoint parametrization keeps samples off every invariant set
-    assert np.min(np.abs(g.xihat)) > 1e-3
-    assert not np.any(g.in_cone_u(g.xihat) & g.in_cone_0s(g.xihat))
-    assert not np.any(g.in_cone_s(g.xihat) & g.in_cone_0u(g.xihat))
+    assert np.min(np.abs(x)) > 1e-3
+    assert not np.any(g.in_cone_u(x) & g.in_cone_0s(x))
+    assert not np.any(g.in_cone_s(x) & g.in_cone_0u(x))
 
 
 def test_grid_cone_overlap_raises():
@@ -532,8 +536,20 @@ def _profile_evaluations(x, times, pattern, eps, margin):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(escape, "_PROFILE_DISTANCES", tuple(
             counted(p, dist) for p, dist in enumerate(escape._PROFILE_DISTANCES)))
-        _windowed_average(x, times, pattern, eps, margin)
+        _windowed_average(x, _exponential_rule(times, pattern), eps, margin)
     return counts
+
+
+def test_flow_rule_caches_read_only_node_exponentials():
+    """The Simpson rule of a window with math.exp of each node, built once
+    and shared read-only."""
+    nodes, pattern, grow, decay = escape._flow_rule(2.0, 0.05)
+    assert escape._flow_rule(2.0, 0.05)[2] is grow
+    assert np.array_equal(pattern, _simpson_rule(2.0, 0.05)[1])
+    assert grow.tolist() == [math.exp(t) for t in nodes]
+    assert decay.tolist() == [math.exp(-t) for t in nodes]
+    with pytest.raises(ValueError):
+        grow[0] = 0.0
 
 
 def test_constant_profiles_are_evaluated_at_no_node(weight):
@@ -623,90 +639,106 @@ def test_transition_windows_are_never_nan_hypothesis(rows):
 
 
 # ---------------------------------------------------------------------------
-# reflection symmetry: one kernel evaluation per magnitude row
+# reflection symmetry: the kernels run on orbit representatives
 # ---------------------------------------------------------------------------
 
 _SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 
 
 def _kernel_cases(weight, symbol):
-    """The three kernels that evaluate once per magnitude row, with their
-    windows, step and eps."""
+    """The kernels that run on orbit representatives, with their windows,
+    step and eps, and the stretch at one step."""
     eps = weight.grid.eps
     return [(_weight_average, (weight.T, weight.step, eps)),
             (_weight_derivative, (weight.T, weight.step, eps)),
-            (_glued_hat, (symbol.T_prime, symbol.step, eps))]
+            (_glued_hat, (symbol.T_prime, symbol.step, eps)),
+            (_stretch, (weight.step,))]
 
 
 def test_kernels_read_only_component_magnitudes(weight, symbol):
-    """What the magnitude-row evaluation rests on: each kernel, called on
-    the rows themselves, gives bitwise the same values at all eight sign
-    patterns of random directions, poles and zero components."""
+    """What the orbit representatives rest on: each kernel gives bitwise the
+    same values at all eight sign patterns of random directions, poles and
+    zero components."""
     x = np.vstack([_as_unit_rows(np.random.default_rng(41).normal(size=(200, 3))),
                    _POLES_AND_ZEROS])
     for kernel, args in _kernel_cases(weight, symbol):
-        want = kernel.__wrapped__(x, *args).tobytes()
+        want = kernel(x, *args).tobytes()
         for signs in _SIGN_PATTERNS[1:]:
-            assert kernel.__wrapped__(x * signs, *args).tobytes() == want, \
+            assert kernel(x * signs, *args).tobytes() == want, \
                 (kernel.__name__, signs)
 
 
-def test_magnitude_rows_are_bitwise_the_per_row_values(weight, symbol):
+def test_kernels_give_each_row_its_own_value(weight, symbol):
     """On a batch with no shared magnitudes and on one with repeated and
     sign-flipped rows, each kernel gives bitwise what it gives one row at a
-    time."""
+    time, so a representative's value does not depend on its batch."""
     plain = _as_unit_rows(np.random.default_rng(43).normal(size=(40, 3)))
     repeated = np.vstack([plain[:10], plain[:10] * [-1.0, 1.0, -1.0],
                           plain[3:7], -plain[:10][::-1]])
     for kernel, args in _kernel_cases(weight, symbol):
         for x in (plain, repeated):
-            one_by_one = np.concatenate([kernel.__wrapped__(row[None], *args)
-                                         for row in x])
+            one_by_one = np.concatenate([kernel(row[None], *args) for row in x])
             assert kernel(x, *args).tobytes() == one_by_one.tobytes(), \
                 kernel.__name__
 
 
-def test_each_magnitude_row_is_evaluated_once():
-    """The wrapped kernel sees each distinct |x| row once, and every row of
-    the batch gets its magnitude row's value; signed zeros are one row."""
-    seen = []
-
-    def spy(x):
-        seen.append(x.copy())
-        return x @ [1.0, 10.0, 100.0]
-
-    x = np.array([[0.6, 0.0, 0.8], [-0.6, -0.0, 0.8], [0.8, 0.6, 0.0],
-                  [0.6, 0.0, -0.8], [0.0, 0.8, 0.6], [-0.8, -0.6, -0.0]])
-    got = _per_magnitude_row(spy)(x)
-    (rows,) = seen
-    assert sorted(map(tuple, rows)) == sorted(set(map(tuple, np.abs(x))))
-    assert np.array_equal(got, np.abs(x) @ [1.0, 10.0, 100.0])
+def _multiset(rows):
+    return sorted(row.tobytes() for row in rows)
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [(32, 32), (16, 12), (8, 33),
                                             (7, 9), (6, 10), (2, 2)])
 def test_midpoint_sphere_is_closed_under_its_sign_flips(n_theta, n_phi):
-    """Each flip that maps the midpoint angles to themselves maps the grid
-    onto itself exactly: the flow-dual and decaying flips always, the
-    growing flip at even n_phi.  An angle that is its own mirror (pi/2 at
-    odd n_theta or at n_phi = 2 mod 4, pi at odd n_phi) keeps its rounded
-    cosine or sine, under 2e-16; only that coordinate may miss its flip."""
-    x = _midpoint_sphere(n_theta, n_phi)
+    """The representatives, reflected by their multiplicities, are bitwise
+    the signed midpoint sphere, every mirror an exact sign flip of the entry
+    at the smaller angle.  So each flip that maps the midpoint angles to
+    themselves maps the sphere onto itself exactly: the flow-dual and
+    decaying flips always, the growing flip at even n_phi.  An angle that is
+    its own mirror (pi/2 at odd n_theta or at n_phi = 2 mod 4, pi at odd
+    n_phi) keeps its rounded cosine or sine, under 2e-16; only that
+    coordinate may miss its flip."""
+    reps, multiplicity = _midpoint_sphere(n_theta, n_phi)
+    assert multiplicity.sum() == n_theta * n_phi
+    flips = (0, 1, 2) if n_phi % 2 == 0 else (0, 2)
+    x = reflected_orbits(reps, multiplicity, flips)
+    assert _multiset(x) == _multiset(signed_midpoint_sphere(n_theta, n_phi))
     rows = set(map(tuple, x))
-    flips = [s for s in _SIGN_PATTERNS if n_phi % 2 == 0 or s[1] == 1.0]
-    assert len(flips) == (8 if n_phi % 2 == 0 else 4)
+    signs_kept = [s for s in _SIGN_PATTERNS if n_phi % 2 == 0 or s[1] == 1.0]
+    assert len(signs_kept) == (8 if n_phi % 2 == 0 else 4)
     on_mirror = np.abs(x) < 2e-16
-    for signs in flips:
+    for signs in signs_kept:
         missed = np.array([tuple(r) not in rows for r in x * signs])
         assert not np.any(missed & ~np.any(on_mirror & (signs < 0.0), axis=1))
     if n_theta % 2 == 0 and n_phi % 4 == 0:
-        assert len(set(map(tuple, np.abs(x)))) == n_theta * n_phi // 8
+        assert len(reps) == len(set(map(tuple, np.abs(x)))) == n_theta * n_phi // 8
     # as close to the exact midpoints as the rounded angles were, and within
     # the rounded angles' own error (up to 3.5 ulps of 1) of them
+    x = signed_midpoint_sphere(n_theta, n_phi)
     old, exact = rounded_angle_sphere(n_theta, n_phi), exact_midpoint_sphere(n_theta, n_phi)
     ulp = np.spacing(1.0)
     assert np.max(np.abs(x - exact)) <= min(np.max(np.abs(old - exact)), 1.5 * ulp)
     assert np.max(np.abs(x - old)) <= 4.0 * ulp
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(32, 32), (16, 12), (8, 33)])
+def test_escape_probe_is_the_signed_probe_by_orbits(n_theta, n_phi):
+    """The probe is the refined sphere's and the grid's representatives,
+    the glue rings' representatives (which reflect bitwise to the signed
+    rings under the growing and decaying flips) and the swap-surface rings
+    in the positive octant; its multiplicities sum to every signed row."""
+    grid = ReducedPhaseGrid(n_theta=n_theta, n_phi=n_phi)
+    rows, multiplicity = _escape_probe_directions(grid)
+    fine = (max(2 * n_theta, 64), max(2 * n_phi, 64))
+    sphere, sphere_multiplicity = _midpoint_sphere(*fine)
+    start = len(sphere) + len(grid.xihat)
+    rings = slice(start, start + 6 * 32)
+    assert np.array_equal(rows[:len(sphere)], _as_unit_rows(sphere))
+    assert np.array_equal(multiplicity[:start], np.concatenate(
+        [sphere_multiplicity, grid.multiplicity]))
+    assert _multiset(reflected_orbits(rows[rings], multiplicity[rings], (1, 2))) \
+        == _multiset(signed_glue_rings(grid.eps))
+    assert np.all(rows[rings.stop:] > 0.0) and np.all(multiplicity[rings.stop:] == 1)
+    assert multiplicity.sum() == fine[0] * fine[1] + n_theta * n_phi + 6 * 128 + 4 * 64
 
 
 def test_weight_swap_oddness(weight, small_grid):
@@ -820,7 +852,7 @@ def test_assemble_constants(data):
     assert data.constants["weight_derivative_floor"] == pytest.approx(
         2.0, abs=1e-6)
     assert data.R == pytest.approx(0.5 * math.exp(0.75), rel=1e-3)
-    m = data.weight_symbol(data.grid.xihat)
+    m = data.weight_symbol(signed_grid(data.grid))
     assert m.shape == (data.grid.n_theta * data.grid.n_phi,)
     assert np.max(np.abs(m)) <= data.C_G * (1.0 + 1e-12)
 
