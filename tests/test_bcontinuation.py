@@ -135,6 +135,17 @@ def test_near_root_raises_with_datum():
     assert np.isfinite(sup_norm(sol))
 
 
+def test_ratio_form_exponent_past_its_budget_raises_with_the_exponent():
+    # the variation-of-constants integrand carries (1-x)^{-a+} (1+x)^{-a-}, whose
+    # exponent at x = X_MAX grows like -lambda/2 log(1 - X_MAX); at lambda = -300
+    # it passes the 650 budget, at lambda = -280 it stays inside
+    op, g = ModelOperator(d=1), SphereFunction.monomial(1, m=0, poly=(1.0,))
+    xg = np.linspace(-1.0, bc.X_MAX, 64)
+    assert np.isfinite(sup_norm(solve_indicial(op, 0.3, -280.0, g, x_grid=xg)))
+    with pytest.raises(ToleranceError, match=r"ratio-form exponent 684\.5 exceeds"):
+        solve_indicial(op, 0.3, -300.0, g, x_grid=xg)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     p1=st.tuples(*[st.floats(-2, 2) for _ in range(3)]),
