@@ -96,9 +96,15 @@ class TestFunction:
             out.append((q, mu, c, newp))
         return TestFunction(out, self.d)
 
-    def apply_model_transpose(self, h, lam, A=0.0) -> "TestFunction":
-        """Apply the volume-pairing transpose  -P_{-lam} + h A cos(phi)."""
-        return self.x_gr() * (-h) + self.mult_z0() * (lam - h * self.d / 2.0 + h * A)
+    def transpose_parts(self, h) -> tuple:
+        """The lam-free terms of :meth:`apply_model_transpose`, -h x_gr() and mult_z0()."""
+        return self.x_gr() * (-h), self.mult_z0()
+
+    def apply_model_transpose(self, h, lam, A=0.0, parts=None) -> "TestFunction":
+        """Apply the volume-pairing transpose  -P_{-lam} + h A cos(phi); ``parts``
+        is ``transpose_parts(h)``, built once for many lam."""
+        drift, z0 = self.transpose_parts(h) if parts is None else parts
+        return drift + z0 * (lam - h * self.d / 2.0 + h * A)
 
     # -- evaluation ------------------------------------------------------------
 

@@ -48,14 +48,15 @@ residual, so the solve can be tested alone; ``residue_apply`` gives one
 root's residue and the paired channel that the sums do not expose; and
 ``rho_max`` is the visibility bound of the paper's continuation statement.
 
-Both halves of the contour transform, fhat from the uniform r-grid and the
-synthesis back onto it, take e^{r w} = e^{r0_b w} e^{(r - r0_b) w} from one
-table per (r-grid, w-nodes) over blocks of L rows starting at r0_b:
-(L + n_r/L) n_w exponentials instead of n_r n_w.  L = 32, 64 and 128 ran
-equally fast; the phase error of a factor grows with L step |Im w|, so
-L = 64 (_R_BLOCK).  A line's panel quadrature resolves e^{i eta r} only for
-|r| <= ContourSpec.r_window(): its field holds only those rows, synthesized
-on the whole blocks that hold them, while fhat reads the whole grid.
+Both halves of the contour transform use e^{r w} = e^{r0_b w} e^{(r - r0_b) w}
+over blocks of L rows starting at r0_b: (L + n/L) n_w exponentials instead of
+n n_w (_exp_table; L = 32, 64 and 128 ran equally fast, and a factor's phase
+error grows with L step |Im w|, so L = 64).  fhat reads the whole r-grid.  The
+grid is exactly antisymmetric, r_{n-j} = -r_j, so the synthesis works on its
+distinct |r| = a, in blocks from a = 0: with C = cos(eta a) @ coeff and
+S = sin(eta a) @ coeff, two real products, the rows at r = +-a are
+e^{rho r} (C +- i S).  A line's panel quadrature resolves e^{i eta r} only for
+|r| <= ContourSpec.r_window(); its field holds only those rows.
 
 A line of real input is folded onto eta > 0.  When s - A is real, and every
 poly coefficient and every radial sample of f is real, the mode equation,
@@ -64,12 +65,11 @@ the conjugate of the integrand at w.  The refined eta-nodes are symmetric
 about eta = 0, since the minus roots sit at ordinate -Im(s - A) = 0 and
 every panel holds an even number of nodes.  The line is therefore 2 Re of
 the sum over its eta > 0 nodes: :func:`resolvent_line` keeps that half with
-doubled weights and keeps the real part of the synthesis, which halves the
-profile solves, fhat and the synthesis, and makes the field exactly real.
-The half defines its mirror image, so the symmetry does not depend on the
-roundoff of the panel edges.  Any other input (complex s - A, poly or radial
-samples) takes every node and the complex synthesis; the choice reads the
-input and has no option.
+doubled weights, which halves the profile solves and fhat, and synthesizes
+only the real part, e^{rho r} (cos @ Re coeff -+ sin @ Im coeff), so the field
+is exactly real.  The half defines its mirror image, so the symmetry does not
+depend on the roundoff of the panel edges.  Any other input takes every node
+and the complex synthesis; the choice reads the input and has no option.
 
 Inputs live on the sphere as finite sums of separated terms
 ``P(cos phi) sin(phi)^m u^mu`` (:class:`SphereFunction`), or on the cylinder
@@ -254,8 +254,10 @@ def _x_grid(x_grid) -> np.ndarray:
 
 
 def default_r_grid(span: float = 30.0, n: int = 4096) -> np.ndarray:
+    """n points of step 2 span / n from -span, as step (j - n/2): exactly
+    antisymmetric, r_{n-j} = -r_j for 0 < j < n, so only r_0 = -span is unpaired."""
     step = 2.0 * span / n
-    return -span + step * np.arange(n)
+    return step * (np.arange(n) - n / 2)
 
 
 @dataclass
@@ -336,14 +338,15 @@ class CuspField:
 # ratio form, with Gauss-Legendre panels graded toward x = 1.
 
 
-def _clamp_check(expo_real: np.ndarray):
-    worst = float(np.max(expo_real)) if expo_real.size else 0.0
+def _clamp_check(c_half: np.ndarray, ln: np.ndarray, shift: np.ndarray):
+    """Raise when an exponent Re(c/2) ln + shift of the ratio form passes
+    _EXP_CLAMP: per point the worst lambda has the largest or smallest Re(c/2)."""
+    lo, hi = float(c_half.real.min()), float(c_half.real.max())
+    worst = float(np.max(np.maximum(lo * ln, hi * ln) + shift))
     if worst > _EXP_CLAMP:
         raise ToleranceError(
-            f"ratio-form exponent {worst:.1f} exceeds the representable budget "
-            f"{_EXP_CLAMP}; the requested weight/abscissa combination is out of "
-            "range for double precision"
-        )
+            f"ratio-form exponent {worst:.1f} exceeds the representable budget {_EXP_CLAMP}; "
+            "the requested weight/abscissa combination is out of range for double precision")
 
 
 def _series_coeffs(op: ModelOperator, c, a, b, n_terms: int) -> np.ndarray:
@@ -352,14 +355,13 @@ def _series_coeffs(op: ModelOperator, c, a, b, n_terms: int) -> np.ndarray:
     / (2 h (a - i)).  At S (y = 1 + x, a = a-) the south-regular solution; at
     N (y = 1 - x, a = a+) the signs mirror, so minus it is the particular one."""
     h = op.h
-    n_lam = c.size
-    coeff = np.zeros((n_lam, n_terms), complex)
-    prev = np.zeros(n_lam, complex)
+    order = np.arange(n_terms)[:, None]
+    up, down = h * (order - 1 + c), 2.0 * h * (a - order)  # (n_terms, n_lam)
+    coeff = np.empty((c.size, n_terms), complex)
     for i in range(n_terms):
         bi = b[i] if i < b.size else 0.0
-        num = bi - h * (i - 1 + c) * prev if i > 0 else np.full(n_lam, bi, complex)
-        prev = num / (2.0 * h * (a - i))
-        coeff[:, i] = prev
+        num = bi - up[i] * prev if i > 0 else np.full(c.size, bi, complex)
+        prev = coeff[:, i] = num / down[i]
     return coeff
 
 
@@ -383,14 +385,8 @@ def _voc_edges(x_targets: np.ndarray, x0: float) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def _solve_mode_profiles(
-    op: ModelOperator,
-    s: complex,
-    m: int,
-    poly,
-    lams,
-    x_eval,
-) -> np.ndarray:
+def _solve_mode_profiles(op: ModelOperator, s: complex, m: int, poly, lams,
+                         x_eval) -> np.ndarray:
     """Tempered mode profiles F(x) at x_eval, shape (n_lam, n_x).
 
     lams are the un-normalized lambda values of the displayed family.
@@ -406,7 +402,7 @@ def _solve_mode_profiles(
         )
     srt = np.argsort(x_eval)
     xs = x_eval[srt]
-    c, _, a_p, a_m = mode_exponents(op, s, m, lams)
+    c, e, _, a_m = mode_exponents(op, s, m, lams)
     b = _taylor_shift(poly, -1.0)
     coeff = _series_coeffs(op, c, a_m, b, _N_SERIES)
     out = np.empty((lams.size, xs.size), complex)
@@ -420,23 +416,24 @@ def _solve_mode_profiles(
         xr = xs[~left]
         edges = _voc_edges(xr, x0)
         xi, wq = panel_nodes(edges, _PANEL_ORDER)
-        l1_0, l2_0 = math.log(1.0 - x0), math.log(1.0 + x0)
-        dl1 = np.log1p(-xi) - l1_0
-        dl2 = np.log1p(xi) - l2_0
+        # -(a+ dl1 + a- dl2) = (c/2) ln + (e/2) dn, dl1 = log((1-x)/(1-x0)),
+        # dl2 = log((1+x)/(1+x0)), ln = dl1 + dl2 and dn = dl1 - dl2, at the nodes
+        # and at the targets; e is the same for every lambda, so its factor joins
+        # the node weights
+        x = np.concatenate([xi, xr])
+        dl1, dl2 = np.log1p(-x) - math.log(1.0 - x0), np.log1p(x) - math.log(1.0 + x0)
+        (ln, ln_t), (dn, dn_t) = np.split(dl1 + dl2, [xi.size]), np.split(dl1 - dl2, [xi.size])
+        c_half, e_half = c / 2.0, e / 2.0
+        # the integrand's exponent at the nodes and the carry's, minus it, at the targets
+        _clamp_check(c_half, np.r_[ln, -ln_t], e_half.real * np.r_[dn, -dn_t])
         src = -polyval(xi, poly) / (op.h * (1.0 - xi**2))
-        expo = -(a_p[:, None] * dl1[None, :] + a_m[:, None] * dl2[None, :])
-        _clamp_check(expo.real)
-        integ = np.exp(expo) * (src * wq)[None, :]
-        prefix = np.cumsum(integ, axis=1)
-        idx = np.searchsorted(xi, xr, side="right")
-        acc = np.zeros((lams.size, xr.size), complex)
-        pos = idx > 0
-        acc[:, pos] = prefix[:, idx[pos] - 1]
-        cl1 = np.log1p(-xr) - l1_0
-        cl2 = np.log1p(xr) - l2_0
-        carry_expo = a_p[:, None] * cl1[None, :] + a_m[:, None] * cl2[None, :]
-        _clamp_check(carry_expo.real)
-        out[:, ~left] = np.exp(carry_expo) * (f0[:, None] + acc)
+        weight = src * wq * np.exp(e_half * dn)
+        # every target is a panel edge: its integral sums the nodes below it
+        below = np.where(xi[:, None] < xr[None, :], weight[:, None], 0.0)
+        integrand = np.multiply.outer(c_half, ln)
+        acc = np.exp(integrand, out=integrand) @ below
+        carry = np.exp(-(np.multiply.outer(c_half, ln_t) + e_half * dn_t))
+        out[:, ~left] = carry * (f0[:, None] + acc)
 
     inv = np.empty_like(srt)
     inv[srt] = np.arange(srt.size)
@@ -641,38 +638,44 @@ def _fhat(a: np.ndarray, r: np.ndarray, table: tuple) -> np.ndarray:
     return (r[1] - r[0]) * ((blocks @ T) / E).sum(axis=0) / T[-1]
 
 
-def _synthesis(table: tuple, coeff: np.ndarray, n_r: int, first: int = 0) -> np.ndarray:
-    """sum_k e^{r_j w_k} coeff[k] on grid rows first <= j < n_r (first a
-    multiple of L), from the _exp_table factors: one L-row block
-    (T * E[b]) @ coeff at a time, each anchored at its own row b L."""
-    T, E = table
-    out = np.empty((n_r - first, coeff.shape[1]), complex)
-    for start in range(first, n_r, _R_BLOCK):
-        out[start - first :][:_R_BLOCK] = (T[: n_r - start] * E[start // _R_BLOCK]) @ coeff
-    return out
+def _synthesis(r: np.ndarray, rows: slice, rho: float, eta: np.ndarray, coeff: np.ndarray,
+               real: bool) -> np.ndarray:
+    """sum_k e^{r_j (rho + i eta_k)} coeff[k] on the rows r[rows] of a
+    default_r_grid, or its real part when ``real``: row j sits at
+    r_j = +-a[|2j - n| // 2] on the grid's distinct |r|, a = -r[n//2::-1], and
+    each L-row block of a from a = 0 gives the rows at +-a from the real
+    products C = cos(eta a) @ coeff and S = sin(eta a) @ coeff."""
+    n, L = r.size, _R_BLOCK
+    j = np.arange(rows.start, rows.stop)
+    k = np.abs(2 * j - n) // 2
+    a = -r[n // 2 :: -1][: k.max() - k.max() % L + L]
+    T, E = _exp_table(a, 1j * eta)
+    # real: Re and Im of coeff; else each complex column as its (re, im) pair of real ones
+    rhs = (coeff.real.copy(), coeff.imag.copy()) if real else (coeff.copy().view(float),) * 2
+    sides = np.empty((2, a.size, coeff.shape[1]), float if real else complex)  # r = -a, +a
+    for start, e in zip(range(0, a.size, L), E):
+        phase = T[: a.size - start] * e
+        c, s = phase.real.copy() @ rhs[0], phase.imag.copy() @ rhs[1]
+        c, s = (c, -s) if real else (c.view(complex), 1j * s.view(complex))  # (Re) C, i S
+        rho_a = rho * a[start : start + L, None]
+        sides[0, start : start + L] = np.exp(-rho_a) * (c - s)
+        sides[1, start : start + L] = np.exp(rho_a) * (c + s)
+    return sides[(2 * j >= n).astype(int), k]
 
 
-def resolvent_line(
-    op: ModelOperator,
-    s: complex,
-    contour: ContourSpec,
-    f: CuspFunction,
-    x_grid=None,
-    r_span: float = 30.0,
-    n_r: int = 4096,
-) -> CuspField:
+def resolvent_line(op: ModelOperator, s: complex, contour: ContourSpec, f: CuspFunction,
+                   x_grid=None, r_span: float = 30.0, n_r: int = 4096) -> CuspField:
     """The weighted resolvent along a regular abscissa, as a gridded field.
 
     fhat reads the radial samples on the whole grid of n_r points over
     [-r_span, r_span); the field holds only the grid rows with
     |r| <= contour.r_window(), the ones the panel quadrature resolves, and
-    the synthesis covers only the L-row blocks that hold them.  fhat, the
-    synthesis and, on its columns, the truncation-tail estimate share one
-    _exp_table.  Real input (s - A, every poly coefficient and every radial
-    sample real) is transformed on the eta > 0 nodes alone and gives a real
-    field (the fold of the module docstring).  Raises ValidationError when a
-    radial amplitude does not return one value per r-grid point, or when the
-    window holds no grid row.
+    the synthesis and, on its columns, the truncation-tail estimate cover
+    only the blocks of |r| that hold them.  Real input (s - A, every poly
+    coefficient and every radial sample real) is transformed on the eta > 0
+    nodes alone and gives a real field (the fold of the module docstring).
+    Raises ValidationError when a radial amplitude does not return one value
+    per r-grid point, or when the window holds no grid row.
 
     Raises ContourOnRootError when some indicial root has Re within 1e-6 of
     contour.rho, where the line ceases to separate the root set.
@@ -693,10 +696,8 @@ def resolvent_line(
     rows = np.flatnonzero(np.abs(r) <= contour.r_window())
     if rows.size == 0:
         raise _narrow_window(contour, float(np.abs(r).min()), "the nearest r-grid point")
-    first = rows[0] - rows[0] % _R_BLOCK  # whole blocks keep each row's anchor
-    stop = min(r.size, rows[-1] - rows[-1] % _R_BLOCK + _R_BLOCK)
-    win = slice(rows[0] - first, rows[-1] + 1 - first)
-    r_out = r[rows[0] : rows[-1] + 1]
+    rows = slice(rows[0], rows[-1] + 1)
+    r_out = r[rows]
     samples = [_radial_samples(term, r) for term in f.terms]
     eta, wq, base_panel = _refined_eta_nodes(op, s, contour)
     # real input: the eta < 0 nodes give the conjugates of the eta > 0 ones
@@ -711,15 +712,15 @@ def resolvent_line(
     tail_rel = 0.0
     terms_out = []
     table = _exp_table(r, wl)
-    tail_table = tuple(x[:, tail_sel] for x in table)
     for term, a in zip(f.terms, samples):
         fh = _fhat(a, r, table)
         prof = _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg)
         coeff = (wq * fh)[:, None] * prof  # (n_q, n_x)
-        vals = _synthesis(table, coeff, stop, first)[win] / (2.0 * math.pi)
-        tails = _synthesis(tail_table, coeff[tail_sel], stop, first)[win] / (2.0 * math.pi)
+        vals = _synthesis(r, rows, contour.rho, eta, coeff, fold) / (2.0 * math.pi)
+        tails = _synthesis(r, rows, contour.rho, eta[tail_sel], coeff[tail_sel],
+                           fold) / (2.0 * math.pi)
         if fold:
-            vals, tails = vals.real.astype(complex), tails.real
+            vals = vals.astype(complex)
         bad = r_out[~np.isfinite(vals).all(axis=1)]
         if bad.size:
             raise ToleranceError(

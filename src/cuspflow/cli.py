@@ -575,6 +575,7 @@ def _run_eigendist(config: ExperimentConfig):
     op0 = ModelOperator(d=p["d"], h=p["h"])
     roots = indicial_roots(op0, p["s"], p["n_max"])
     psis = _test_function_family(p["d"], config.seed, p["n_test"])
+    parts = [psi.transpose_parts(p["h"]) for psi in psis]  # the same at every root
     rows = []
     worst = 0.0
     for r in roots:
@@ -582,9 +583,9 @@ def _run_eigendist(config: ExperimentConfig):
         op = ModelOperator(d=p["d"], h=p["h"], lam=lam)
         mu = (r.n,) + (0,) * (p["d"] - 1)
         rep = eigendistribution(r, op, mu)
-        for i, psi in enumerate(psis):
+        for i, (psi, psi_parts) in enumerate(zip(psis, parts)):
             base = complex(rep.pair(psi))
-            shifted = psi.apply_model_transpose(p["h"], lam)
+            shifted = psi.apply_model_transpose(p["h"], lam, parts=psi_parts)
             residual = abs(complex(rep.pair(shifted))
                            - complex(rep.eigenvalue) * base)
             rel = residual / max(1.0, abs(base))

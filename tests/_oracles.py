@@ -744,22 +744,23 @@ def rho_max_prime(op: ModelOperator, tau: float) -> float:
 
 
 def full_node_line(op: ModelOperator, s, contour, f, x_grid, r_span=30.0, n_r=4096):
-    """The term values of ``resolvent_line`` and its contour_tail_rel, from
-    the complex transform on every eta-node of the line."""
+    """The term values of ``resolvent_line`` on every row of the r-grid and
+    its contour_tail_rel, from the complex transform on every eta-node of the
+    line."""
     r = bc.default_r_grid(r_span, n_r)
     eta, wq, base_panel = bc._refined_eta_nodes(op, s, contour)
     wl = contour.rho + 1j * eta
     tail_sel = np.abs(eta) >= contour.height - base_panel - 1e-12
     table = bc._exp_table(r, wl)
-    tail_table = tuple(x[:, tail_sel] for x in table)
     rwin = np.abs(r) <= contour.r_window()
     values, tail_rel = [], 0.0
     for term in f.terms:
         fh = bc._fhat(np.asarray(term.radial(r), complex), r, table)
         prof = bc._solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, x_grid)
         coeff = (wq * fh)[:, None] * prof
-        vals = bc._synthesis(table, coeff, r.size) / (2.0 * math.pi)
-        tails = bc._synthesis(tail_table, coeff[tail_sel], r.size) / (2.0 * math.pi)
+        vals = bc._synthesis(r, slice(0, n_r), contour.rho, eta, coeff, False) / (2.0 * math.pi)
+        tails = bc._synthesis(r, slice(0, n_r), contour.rho, eta[tail_sel], coeff[tail_sel],
+                              False) / (2.0 * math.pi)
         tail_rel = max(tail_rel, float(np.abs(tails[rwin]).max())
                        / (float(np.abs(vals[rwin]).max()) or 1.0))
         values.append(vals)

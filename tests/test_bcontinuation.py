@@ -414,17 +414,33 @@ def test_translation_equivariance_in_r():
     assert rel < 1e-8
 
 
+@pytest.mark.parametrize("n", [64, 1000, 1001, 4096, 4097])
+def test_r_grid_is_exactly_antisymmetric(n):
+    # r_{n-j} = -r_j for 0 < j < n pairs every row but r_0 with its mirror
+    r = default_r_grid(30.0, n)
+    np.testing.assert_array_equal(r[1:], -r[:0:-1])
+    assert r[0] < 0.0 and np.all(np.diff(r) > 0.0)
+
+
+@pytest.mark.parametrize("span,n", [(30.0, 4096), (30.0, 1024), (25.0, 4096)])
+def test_r_grid_is_bitwise_its_offset_form_where_that_is_exact(span, n):
+    step = 2.0 * span / n
+    np.testing.assert_array_equal(default_r_grid(span, n), -span + step * np.arange(n))
+
+
 @pytest.mark.parametrize("n_r", [1000, 4096, 4097])
 def test_windowed_line_is_the_full_grid_synthesis_bitwise(n_r):
-    # the window |r| <= 13.44 starts mid-block on each grid; its rows come
-    # from the same block products as on the full grid, so they are equal bit
-    # for bit (a complex poly keeps every eta-node, as the oracle does)
+    # the window |r| <= 13.44 ends mid-block of the grid's distinct |r| on
+    # each grid; its rows come from the same block products as on the full
+    # grid, so they are equal bit for bit (a complex poly keeps every
+    # eta-node, as the oracle does)
     op, spec = ModelOperator(d=1), ContourSpec(rho=-1.3)
     f = term(1, 0, (0,), gauss(0.2), (1.0, 0.4j))
     U = resolvent_line(op, 1.3, spec, f, x_grid=XG[::10], n_r=n_r)
     (want,), tail_rel = full_node_line(op, 1.3, spec, f, XG[::10], n_r=n_r)
     rows = line_rows(U, n_r)
-    assert np.flatnonzero(rows)[0] % bc._R_BLOCK != 0
+    outermost = abs(2 * int(np.flatnonzero(rows)[0]) - n_r) // 2  # its index among the |r|
+    assert (outermost + 1) % bc._R_BLOCK != 0
     np.testing.assert_array_equal(U.r_grid, default_r_grid(30.0, n_r)[rows])
     np.testing.assert_array_equal(U.term_values(0), want[rows])
     assert U.meta["contour_tail_rel"] == tail_rel
@@ -455,7 +471,9 @@ def test_written_rows_match_a_four_times_panel_reference(h, rho, band):
     op, f, xg = ModelOperator(d=1, h=h), term(1, 0, (0,), gauss()), np.linspace(-0.9, 0.6, 3)
     U = resolvent_line(op, 1.3, ContourSpec(rho=rho), f, x_grid=xg)
     ref = resolvent_line(op, 1.3, ContourSpec(rho=rho, panels=192), f, x_grid=xg)
-    assert ref.r_grid.size == 4096 and U.r_grid[-1] <= U.meta["r_window"]
+    # the reference's window is the whole grid, unpaired row r = -30 included
+    assert ref.r_grid.size == 4096 and ref.r_grid[0] == -30.0
+    assert U.r_grid[-1] <= U.meta["r_window"]
     want = ref.term_values(0)[line_rows(U)]
     sel = (np.abs(U.r_grid) < 10.0) == (band == "inner")
     err = np.abs(U.term_values(0) - want)[sel].max()
@@ -468,7 +486,8 @@ def test_written_rows_match_a_four_times_panel_reference(h, rho, band):
 
 # Per-entry error of _fhat and _synthesis, relative to the sum of the
 # absolute values of the terms, that _R_BLOCK = 64 meets on every grid and
-# abscissa below (measured worst: 5.5e-13 for fhat, 1.5e-13 for the synthesis).
+# abscissa below (measured worst: 8.9e-13 for fhat, at n_r = 1000; 7.6e-15
+# for the synthesis, complex or real).
 KERNEL_BOUND = 2e-12
 
 
@@ -478,9 +497,10 @@ def _line_nodes(n_r, rho, h):
 
 
 def _kernel_errors(n_r, rho):
-    """(fhat error, synthesis error) of the separable kernels against dense
-    exponentials, for random inputs, on every 7th w-node and on the first
-    block, the last two blocks (the short one included) and every 5th row."""
+    """(fhat error, synthesis error, real synthesis error) of the separable
+    kernels against dense exponentials, for random inputs, on every 7th
+    w-node and on the first block, the last two blocks (the short one
+    included), the two blocks around r = 0 and every 5th row."""
     r, wl = _line_nodes(n_r, rho, 1.0)
     rng = np.random.default_rng(n_r)
     a = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
@@ -492,11 +512,14 @@ def _kernel_errors(n_r, rho):
     fh = bc._fhat(a, r, table)
     fh_err = np.abs(fh[sub] - step * dense @ a) / (step * np.abs(dense) @ np.abs(a))
     L = bc._R_BLOCK
-    rows = np.unique(np.r_[0:L, max(0, n_r - 2 * L) : n_r, 0:n_r:5])
+    rows = np.unique(np.r_[0:L, max(0, n_r - 2 * L) : n_r,
+                           max(0, n_r // 2 - L) : min(n_r, n_r // 2 + L), 0:n_r:5])
     dense = np.exp(np.outer(r[rows], wl))
-    syn = bc._synthesis(table, coeff, n_r)[rows]
-    syn_err = np.abs(syn - dense @ coeff) / (np.abs(dense) @ np.abs(coeff))
-    return float(fh_err.max()), float(syn_err.max())
+    want, bound = dense @ coeff, np.abs(dense) @ np.abs(coeff)
+    syn, syn_real = (bc._synthesis(r, slice(0, n_r), rho, wl.imag, coeff, real)[rows]
+                     for real in (False, True))
+    return (float(fh_err.max()), float((np.abs(syn - want) / bound).max()),
+            float((np.abs(syn_real - want.real) / bound).max()))
 
 
 @pytest.mark.parametrize("rho", [-2.3, -1.3, 0.0])
@@ -507,9 +530,10 @@ def test_separable_kernels_match_dense(n_r, rho):
     # (test_separable_line_matches_dense)
     for h in (0.5, 1.0, 2.0):
         np.testing.assert_array_equal(_line_nodes(n_r, rho, h)[1], _line_nodes(n_r, rho, 1.0)[1])
-    fh_err, syn_err = _kernel_errors(n_r, rho)
+    fh_err, syn_err, real_err = _kernel_errors(n_r, rho)
     assert fh_err < KERNEL_BOUND
     assert syn_err < KERNEL_BOUND
+    assert real_err < KERNEL_BOUND
 
 
 def test_kernel_check_catches_block_anchor_off_by_one(monkeypatch):
@@ -521,26 +545,26 @@ def test_kernel_check_catches_block_anchor_off_by_one(monkeypatch):
         return real(r, wl)[0], np.exp(np.outer(r[::L] + L * (r[1] - r[0]), wl))
 
     monkeypatch.setattr(bc, "_exp_table", shifted)
-    fh_err, syn_err = _kernel_errors(1000, -1.3)
+    fh_err, syn_err, real_err = _kernel_errors(1000, -1.3)
     assert fh_err > 1e6 * KERNEL_BOUND
     assert syn_err > 1e6 * KERNEL_BOUND
+    assert real_err > 1e6 * KERNEL_BOUND
 
 
 @pytest.fixture
 def dense_kernels(monkeypatch):
     """Swap the separable table for dense exponentials inside resolvent_line
     and residue_apply: the "table" carries the w-nodes as a 1 x n_w row."""
-    grid = []
 
     def table(r, wl):
-        grid[:] = [r]
         return (wl[None, :],)
 
     def fhat(a, r, tab):
         return (r[1] - r[0]) * (np.exp(-np.outer(tab[0][0], r)) @ a)
 
-    def synthesis(tab, coeff, n_r, first=0):
-        return np.exp(np.outer(grid[0][first:n_r], tab[0][0])) @ coeff
+    def synthesis(r, rows, rho, eta, coeff, real):
+        out = np.exp(np.outer(r[rows], rho + 1j * eta)) @ coeff
+        return out.real if real else out
 
     monkeypatch.setattr(bc, "_exp_table", table)
     monkeypatch.setattr(bc, "_fhat", fhat)
@@ -577,22 +601,26 @@ def test_separable_residue_circle_matches_dense(s, w0, psi, request):
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12 * scale
 
 
-def test_separable_synthesis_error_matches_dense_against_mpmath():
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n_r", [64, 1000, 4096, 4097])
+def test_separable_synthesis_error_matches_dense_against_mpmath(n_r, real):
     # the synthesis of one resolvent line at rows across the window, against
     # a 40-digit sum of the same float nodes and coefficients; errors are
-    # relative to the window maximum and compared as the worst over the rows
+    # relative to the window maximum and compared as the worst over the rows.
+    # Real output is the folded line's: the eta > 0 nodes, doubled weights
     mpmath = pytest.importorskip("mpmath")
     op = ModelOperator(d=1)
     contour = ContourSpec(rho=-1.3)
     eta, wq, _ = bc._refined_eta_nodes(op, 1.3, contour)
-    r, wl = default_r_grid(), contour.rho + 1j * eta
+    if real:
+        eta, wq = eta[eta > 0.0], 2.0 * wq[eta > 0.0]
+    r, wl = default_r_grid(30.0, n_r), contour.rho + 1j * eta
     xg = np.linspace(-0.9, 0.6, 2)
-    table = bc._exp_table(r, wl)
     a = np.asarray(gauss(0.2)(r), complex)
-    coeff = (wq * bc._fhat(a, r, table))[:, None] * bc._solve_mode_profiles(
+    coeff = (wq * bc._fhat(a, r, bc._exp_table(r, wl)))[:, None] * bc._solve_mode_profiles(
         op, 1.3, 0, (1.0,), op.h * wl, xg
     )
-    sep = bc._synthesis(table, coeff, r.size)
+    sep = bc._synthesis(r, slice(0, n_r), contour.rho, eta, coeff, real)
     scale = np.abs(sep[np.abs(r) <= contour.r_window()]).max()
     rows = [int(np.argmin(np.abs(r - x))) for x in (-13.0, -11.0, -8.0, 0.0, 8.0, 13.0)]
     dense = np.exp(np.outer(r[rows], wl)) @ coeff
@@ -603,6 +631,8 @@ def test_separable_synthesis_error_matches_dense_against_mpmath():
             ex = [mpmath.exp(mpmath.mpf(r[j]) * w) for w in ws]
             for c in range(xg.size):
                 exact[i, c] = complex(mpmath.fsum(e * mpmath.mpc(q) for e, q in zip(ex, coeff[:, c])))
+    if real:
+        dense, exact = dense.real, exact.real
     err_sep = np.abs(sep[rows] - exact).max() / scale
     err_dense = np.abs(dense - exact).max() / scale
     assert err_sep <= 4.0 * err_dense

@@ -672,8 +672,8 @@ def test_every_float_key_rejects_non_finite_values(tmp_path, capsys, sub, key):
 
 @pytest.mark.parametrize("argv, named", [
     (["resolvent", "--poly=1e308"], "line at rho=-2.3 is not finite on 1835 of its rows"),
-    (["resolvent", "--h=1e-300"], "line at rho=-2.3 is not finite on 351 of its rows, "
-                                  "r=-13.4326171875 to r=-8.3056640625"),
+    (["resolvent", "--h=1e-300"], "line at rho=-2.3 is not finite on 267 of its rows, "
+                                  "r=-13.4326171875 to r=-9.5361328125"),
     (["correlate", "--n=200", "--t-max=1", "--a-amplitude=1e308"],
      "the correlation at t=0.0 is inf"),
 ], ids=["resolvent-poly", "resolvent-h", "correlate-amplitude"])
