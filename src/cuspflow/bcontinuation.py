@@ -30,10 +30,12 @@ here:
 ``solve_indicial``     one tempered sphere solve of (I(lambda) - h s) f = g,
 ``resolvent_line``     the contour transform along a regular abscissa,
 ``residue_apply``      the residue operator of one enclosed root, via a small
-                       circle in w (with an optional distribution-paired
-                       channel that sees the rank concentrated at the north
-                       pole and the r e^{w0 r} Jordan component, summed from
-                       moments of the solve's power series),
+                       circle in w, pointwise or in an optional
+                       distribution-paired channel that sees the rank
+                       concentrated at the north pole and the r e^{w0 r}
+                       Jordan component; both channels take the solve's one
+                       series form (a ring mean about a node near one of its
+                       resonances), the paired one as sums of its moments,
 ``shift_identity``     the two lines at abscissae rho_lo <= rho_hi, the
                        residues of the roots crossed between them and the
                        defect of R_hi - R_lo = sum of those residues,
@@ -127,16 +129,15 @@ __all__ = [
 X_MAX = 1.0 - 5e-3
 
 _MODE_CAP = 8           # largest transverse mode order accepted
-_SERIES_EDGE = 0.2      # series/quadrature switch point; the paired channel's split
-_N_SERIES = 150         # Taylor order of the south series (radius 2, |y|<=1.2)
-_N_PART = 64            # Taylor order of the north-side series (|y| <= 0.8)
+_SERIES_EDGE = 0.2      # x_c, where the south series meets the north form
+_N_SERIES = 150         # Taylor order of either series (radius 2; |y| <= 1.2 at S, 0.8 at N)
 _EXP_CLAMP = 650.0      # largest exponent magnitude accepted in ratio form
 _ROOT_GUARD = 1e-8      # pointwise-solve exclusion distance, lambda units
 _ABSCISSA_GUARD = 1e-6  # abscissa-to-root real-part separation, w units
 _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
-_RES_GUARD = 5e-4       # particular-series resonance clearance
+_RES_GUARD = 2e-2       # |a+ - i| past which the series loses < 1e-13 of F (_series_form)
+_RING_NODES = 32        # trapezoid nodes on that ring
 _R_BLOCK = 64           # r-grid rows per block of the e^{r w} table
-_PANEL_ORDER = 24       # Gauss-Legendre nodes per panel of the mode quadratures
 _STRIP_HALF_WIDTH = 0.1  # widest strip around the axis roots, w units
 # Roots closer than this share one residue circle, whose two-term expansion
 # drops ~ (r gap)^2; two circles of radius 0.35 gap lose ~ 1e-17/gap instead.
@@ -333,36 +334,29 @@ class CuspField:
 #
 # whose homogeneous solution is w(x) = (1-x)^{a+} (1+x)^{a-} with
 # a+ = -(c+e)/2, a- = (e-c)/2.  The tempered branch is regular at the south
-# pole x = -1; it is computed by its Taylor series in y = 1 + x (radius 2)
-# on x <= _SERIES_EDGE and carried to the north by variation of constants in
-# ratio form, with Gauss-Legendre panels graded toward x = 1.
-
-
-def _clamp_check(c_half: np.ndarray, ln: np.ndarray, shift: np.ndarray):
-    """Raise when an exponent Re(c/2) ln + shift of the ratio form passes
-    _EXP_CLAMP: per point the worst lambda has the largest or smallest Re(c/2)."""
-    lo, hi = float(c_half.real.min()), float(c_half.real.max())
-    worst = float(np.max(np.maximum(lo * ln, hi * ln) + shift))
-    if worst > _EXP_CLAMP:
-        raise ToleranceError(
-            f"ratio-form exponent {worst:.1f} exceeds the representable budget {_EXP_CLAMP}; "
-            "the requested weight/abscissa combination is out of range for double precision")
+# pole x = -1: on x <= x_c = _SERIES_EDGE it is its Taylor series in y = 1 + x
+# (radius 2), and on x > x_c the Frobenius form at the north pole (Olver,
+# Asymptotics and Special Functions, ch. 5), the particular series P_N analytic
+# there in y = 1 - x plus the jump F(x_c) - P_N(1 - x_c) carried by the ratio
+# w(x) / w(x_c).  P_N has a pole where a+ is an integer i >= 0 (a resonance, not
+# a root: F itself is analytic in lambda there), and a lambda near one takes
+# the mean of the series form over a ring about it (Trefethen & Weideman,
+# SIAM Rev. 56, 2014).
 
 
 def _series_coeffs(op: ModelOperator, c, a, b, n_terms: int) -> np.ndarray:
     """Taylor coefficients in the distance y to a pole of the mode solution
     analytic there, b those of the source: c_i = (b_i - h (i - 1 + c) c_{i-1})
     / (2 h (a - i)).  At S (y = 1 + x, a = a-) the south-regular solution; at
-    N (y = 1 - x, a = a+) the signs mirror, so minus it is the particular one."""
+    N (y = 1 - x, a = a+) the signs mirror, so minus it is the particular one.
+    Rows of a (n_lam each) and of b are separate expansions, solved together:
+    shape (rows, n_lam, n_terms)."""
     h = op.h
-    order = np.arange(n_terms)[:, None]
-    up, down = h * (order - 1 + c), 2.0 * h * (a - order)  # (n_terms, n_lam)
-    coeff = np.empty((c.size, n_terms), complex)
+    coeff, prev = np.empty((n_terms,) + a.shape, complex), 0.0
     for i in range(n_terms):
-        bi = b[i] if i < b.size else 0.0
-        num = bi - up[i] * prev if i > 0 else np.full(c.size, bi, complex)
-        prev = coeff[:, i] = num / down[i]
-    return coeff
+        bi = b[:, i, None] if i < b.shape[1] else 0.0
+        prev = coeff[i] = (bi - h * (i - 1 + c) * prev) / (2.0 * h * (a - i))
+    return np.moveaxis(coeff, 0, -1)
 
 
 def _series_eval(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -370,19 +364,47 @@ def _series_eval(coeff: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coeff @ powers
 
 
-def _voc_edges(x_targets: np.ndarray, x0: float) -> np.ndarray:
-    """Panel edges of [x0, max target], geometric in (1 - x) toward 1."""
-    edges = set(float(v) for v in x_targets)
-    edges.add(x0)
-    top = float(np.max(x_targets))
-    dist, floor_dist, sigma = 1.0 - x0, 1.0 - top, 0.6
-    k = 1
-    while dist * sigma**k > floor_dist:
-        cand = 1.0 - dist * sigma**k
-        if x0 < cand < top:
-            edges.add(cand)
-        k += 1
-    return np.array(sorted(edges))
+def _north(poly) -> np.ndarray:
+    """Coefficients of poly(1 - y) in y."""
+    return _taylor_shift(poly, 1.0) * (-1.0) ** np.arange(len(poly))
+
+
+def _series_form(op: ModelOperator, s: complex, m: int, poly, lams, evaluate) -> np.ndarray:
+    """evaluate(a+, a-, coeff, dpart, jump), one row per lambda of lams: the
+    south series coeff in y = 1 + x, the north particular series dpart in
+    y = 1 - x, and the jump F(x_c) - P_N(1 - x_c) that matches them at x_c.
+
+    A lambda with a+ within _RES_GUARD of an integer 0 <= i < _N_SERIES, and
+    within R/16 of it, takes the mean of evaluate over _RING_NODES points on
+    a circle of radius R/4 about it, R the smaller of its distance to the
+    nearest root and the resonance spacing 2 (w units).
+    """
+    lams = np.asarray(lams, complex).ravel()
+    a_p = mode_exponents(op, s, m, lams)[2]
+    level = np.round(a_p.real)
+    dist = np.abs(a_p - level)
+    near = np.flatnonzero((dist < _RES_GUARD) & (level >= 0) & (level < _N_SERIES))
+    reach = np.array([min(RootTable(op, s).nearest(lam / op.h)[3], 2.0) for lam in lams[near]])
+    # in a+ the ring's radius is reach/8, so it keeps reach/16 clear of the
+    # resonance when |a+ - i| <= reach/16; past that the series' own roundoff,
+    # ~ 1e-16 min(reach, 1) / |a+ - i|, is no larger than the ring's
+    ours = dist[near] <= reach / 16.0
+    near, radius = near[ours], op.h * reach[ours] / 4.0
+    clear = np.delete(np.arange(lams.size), near)
+    rings = lams[near, None] + np.multiply.outer(
+        radius, np.exp(2j * math.pi * np.arange(_RING_NODES) / _RING_NODES))
+    nodes = np.concatenate([lams[clear], rings.ravel()])
+    c, _, a_p, a_m = mode_exponents(op, s, m, nodes)
+    coeff, north = _series_coeffs(op, c, np.stack([a_m, a_p]),
+                                  np.stack([_taylor_shift(poly, -1.0), _north(poly)]), _N_SERIES)
+    dpart = -north
+    k = np.arange(_N_SERIES)
+    jump = coeff @ (1.0 + _SERIES_EDGE) ** k - dpart @ (1.0 - _SERIES_EDGE) ** k
+    vals = evaluate(a_p, a_m, coeff, dpart, jump)
+    out = np.empty((lams.size,) + vals.shape[1:], vals.dtype)
+    out[clear] = vals[: clear.size]
+    out[near] = vals[clear.size :].reshape((near.size, _RING_NODES) + vals.shape[1:]).mean(axis=1)
+    return out
 
 
 def _solve_mode_profiles(op: ModelOperator, s: complex, m: int, poly, lams,
@@ -391,53 +413,33 @@ def _solve_mode_profiles(op: ModelOperator, s: complex, m: int, poly, lams,
 
     lams are the un-normalized lambda values of the displayed family.
     """
-    lams = np.asarray(lams, complex).ravel()
     x_eval = np.asarray(x_eval, float).ravel()
-    if x_eval.size == 0:
-        return np.zeros((lams.size, 0), complex)
-    if float(x_eval.max()) > X_MAX + 1e-12 or float(x_eval.min()) < -1.0 - 1e-12:
+    if x_eval.size and (float(x_eval.max()) > X_MAX + 1e-12 or float(x_eval.min()) < -1.0 - 1e-12):
         raise ValidationError(
             f"evaluation grid must lie in [-1, {X_MAX}]; got "
             f"[{x_eval.min()}, {x_eval.max()}]"
         )
-    srt = np.argsort(x_eval)
-    xs = x_eval[srt]
-    c, e, _, a_m = mode_exponents(op, s, m, lams)
-    b = _taylor_shift(poly, -1.0)
-    coeff = _series_coeffs(op, c, a_m, b, _N_SERIES)
-    out = np.empty((lams.size, xs.size), complex)
+    south = x_eval <= _SERIES_EDGE
+    xn = x_eval[~south]
+    dl1 = np.log1p(-xn) - math.log(1.0 - _SERIES_EDGE)
+    dl2 = np.log1p(xn) - math.log(1.0 + _SERIES_EDGE)
 
-    left = xs <= _SERIES_EDGE
-    if left.any():
-        out[:, left] = _series_eval(coeff, 1.0 + xs[left])
-    if (~left).any():
-        x0 = _SERIES_EDGE
-        f0 = _series_eval(coeff, np.array([1.0 + x0]))[:, 0]
-        xr = xs[~left]
-        edges = _voc_edges(xr, x0)
-        xi, wq = panel_nodes(edges, _PANEL_ORDER)
-        # -(a+ dl1 + a- dl2) = (c/2) ln + (e/2) dn, dl1 = log((1-x)/(1-x0)),
-        # dl2 = log((1+x)/(1+x0)), ln = dl1 + dl2 and dn = dl1 - dl2, at the nodes
-        # and at the targets; e is the same for every lambda, so its factor joins
-        # the node weights
-        x = np.concatenate([xi, xr])
-        dl1, dl2 = np.log1p(-x) - math.log(1.0 - x0), np.log1p(x) - math.log(1.0 + x0)
-        (ln, ln_t), (dn, dn_t) = np.split(dl1 + dl2, [xi.size]), np.split(dl1 - dl2, [xi.size])
-        c_half, e_half = c / 2.0, e / 2.0
-        # the integrand's exponent at the nodes and the carry's, minus it, at the targets
-        _clamp_check(c_half, np.r_[ln, -ln_t], e_half.real * np.r_[dn, -dn_t])
-        src = -polyval(xi, poly) / (op.h * (1.0 - xi**2))
-        weight = src * wq * np.exp(e_half * dn)
-        # every target is a panel edge: its integral sums the nodes below it
-        below = np.where(xi[:, None] < xr[None, :], weight[:, None], 0.0)
-        integrand = np.multiply.outer(c_half, ln)
-        acc = np.exp(integrand, out=integrand) @ below
-        carry = np.exp(-(np.multiply.outer(c_half, ln_t) + e_half * dn_t))
-        out[:, ~left] = carry * (f0[:, None] + acc)
+    def profiles(a_p, a_m, coeff, dpart, jump):
+        # the carry w(x) / w(x_c) in ratio form
+        expo = np.multiply.outer(a_p, dl1) + np.multiply.outer(a_m, dl2)
+        worst = float(expo.real.max(initial=-np.inf))
+        if worst > _EXP_CLAMP:
+            raise ToleranceError(
+                f"ratio-form exponent {worst:.1f} exceeds the representable budget {_EXP_CLAMP}; "
+                "the requested weight/abscissa combination is out of range for double precision")
+        # exp before the matrix products: right after them it ran 15x slower (AVX-512 Xeon)
+        carry = jump[:, None] * np.exp(expo)
+        out = np.empty((a_p.size, x_eval.size), complex)
+        out[:, south] = _series_eval(coeff, 1.0 + x_eval[south])
+        out[:, ~south] = _series_eval(dpart, 1.0 - xn) + carry
+        return out
 
-    inv = np.empty_like(srt)
-    inv[srt] = np.arange(srt.size)
-    return out[:, inv]
+    return _series_form(op, s, m, poly, lams, profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +609,17 @@ def _refined_eta_nodes(op: ModelOperator, s: complex, contour: ContourSpec):
     return eta, wq, hpanel
 
 
+def _grid_step(r: np.ndarray) -> float:
+    """The step of an equispaced grid from its two rows nearest 0: 2 span / n
+    exactly on a default_r_grid, where r[1] - r[0] carries the rounding of span."""
+    k = int(np.argmin(np.abs(r[:-1])))
+    return r[k + 1] - r[k]
+
+
 def _exp_table(r: np.ndarray, wl: np.ndarray) -> tuple:
     """(T, E) with e^{r_j w} = E[b] T[i] at grid row j = b L + i, L = _R_BLOCK:
     T[i] = e^{i step w} and E[b] = e^{r0_b w} with r0_b = r[b L]."""
-    return (np.exp(np.outer((r[1] - r[0]) * np.arange(_R_BLOCK), wl)),
+    return (np.exp(np.outer(_grid_step(r) * np.arange(_R_BLOCK), wl)),
             np.exp(np.outer(r[::_R_BLOCK], wl)))
 
 
@@ -635,7 +644,7 @@ def _fhat(a: np.ndarray, r: np.ndarray, table: tuple) -> np.ndarray:
     T, E = table
     a = np.concatenate([a, np.zeros(-a.size % _R_BLOCK, complex)])
     blocks = a.reshape(-1, _R_BLOCK)[:, ::-1]
-    return (r[1] - r[0]) * ((blocks @ T) / E).sum(axis=0) / T[-1]
+    return _grid_step(r) * ((blocks @ T) / E).sum(axis=0) / T[-1]
 
 
 def _synthesis(r: np.ndarray, rows: slice, rho: float, eta: np.ndarray, coeff: np.ndarray,
@@ -762,10 +771,6 @@ class ResidueOperator:
             raise ValidationError(f"need eps > 0, got {self.eps}")
 
 
-class _ResonanceError(Exception):
-    """Internal: a circle node fell on a particular-series resonance."""
-
-
 @dataclass
 class ResidueOutput:
     """The residue operator applied to f:  e^{w0 r} (H0 + r H1) per term.
@@ -827,23 +832,17 @@ def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
     return [member for loc in inside for member in loc.members]
 
 
-def residue_apply(
-    res_op: ResidueOperator,
-    op: ModelOperator,
-    f: CuspFunction,
-    psi=None,
-    x_grid=None,
-    r_span: float = 30.0,
-    n_r: int = 4096,
-) -> ResidueOutput:
+def residue_apply(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction, psi=None,
+                  x_grid=None, r_span: float = 30.0, n_r: int = 4096) -> ResidueOutput:
     """Apply the residue operator of the enclosed root to f.
 
     psi=None      : pointwise channel; H0/H1 gridded on x_grid.
     psi=(q0,q1..) : paired channel against the polynomial probe Q(x) with the
                     per-term weight (1-x^2)^{m + d/2 - 1}, meromorphically
                     continued across the north pole; H0/H1 scalars per term.
-                    A node on a resonance of the north particular series
-                    rotates the nodes; ToleranceError names w0 after four.
+
+    A node near a resonance of the north particular series takes the ring
+    mean of :func:`_series_form` in either channel, so the nodes are fixed.
 
     The circle moments are trapezoid sums over _CIRCLE_NODES nodes, spectrally
     accurate in the node count; H1 is nonzero exactly when the enclosed point
@@ -861,64 +860,34 @@ def residue_apply(
     r = default_r_grid(r_span, n_r)
     xg = _x_grid(x_grid)
 
-    samples = [_radial_samples(term, r) for term in f.terms]
-    offsets = (0.37, 0.11, 0.64, 0.89)
-    last_err: Exception | None = None
-    for off in offsets:
-        theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + off) / _CIRCLE_NODES
-        wl = w0 + eps * np.exp(1j * theta)
-        table = _exp_table(r, wl)
-        try:
-            H0, H1, m2_rel = [], [], 0.0
-            for term, a in zip(f.terms, samples):
-                fh = _fhat(a, r, table)
-                if psi is None:
-                    g_vals = (
-                        _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg)
-                        * fh[:, None]
-                    )
-                else:
-                    paired = _paired_mode_values(
-                        op, s, term.m, term.poly, op.h * wl, tuple(psi)
-                    )
-                    g_vals = (paired * fh)[:, None]
-                m0, m1, m2 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g_vals, axis=0)
-                              for k in (1, 2, 3))
-                # moments below 1e-12 of eps max |g| are roundoff of the mean
-                # (a residue that vanishes by parity), not a scale for m2
-                # np.max and np.maximum propagate a NaN, which Python's max can drop
-                scale = np.max([np.abs(m0).max(), np.abs(m1).max(),
-                                1e-12 * eps * np.abs(g_vals).max(), 1e-300])
-                m2_rel = float(np.maximum(m2_rel, np.abs(m2).max() / scale))
-                if psi is None:
-                    H0.append(m0)
-                    H1.append(m1)
-                else:
-                    H0.append(complex(m0[0]))
-                    H1.append(complex(m1[0]))
-            return ResidueOutput(
-                d=op.d,
-                s=complex(s),
-                lambda0=w0,
-                term_keys=tuple((t.m, t.mu) for t in f.terms),
-                H0=tuple(H0),
-                H1=tuple(H1),
-                paired=psi is not None,
-                x_grid=None if psi is not None else xg,
-                meta={
-                    "eps": eps,
-                    "order": _CIRCLE_NODES,
-                    "enclosed": enclosed,
-                    "third_moment_rel": m2_rel,
-                    "node_offset": off,
-                },
-            )
-        except _ResonanceError as exc:  # rotate the nodes and retry
-            last_err = exc
-    raise ToleranceError(
-        f"could not place circle nodes clear of particular-series resonances "
-        f"around w0={w0}: {last_err}"
-    )
+    theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + 0.37) / _CIRCLE_NODES
+    wl = w0 + eps * np.exp(1j * theta)
+    table = _exp_table(r, wl)
+    H0, H1, m2_rel = [], [], 0.0
+    for term in f.terms:
+        fh = _fhat(_radial_samples(term, r), r, table)
+        if psi is None:
+            g_vals = _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg) * fh[:, None]
+        else:
+            paired = _paired_mode_values(op, s, term.m, term.poly, op.h * wl, tuple(psi))
+            g_vals = (paired * fh)[:, None]
+        m0, m1, m2 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g_vals, axis=0)
+                      for k in (1, 2, 3))
+        # moments below 1e-12 of eps^k max |g| are roundoff of the mean (a
+        # residue that vanishes by parity): not a scale for m2, and not an m2
+        # np.max and np.maximum propagate a NaN, which Python's max can drop
+        floor = 1e-12 * np.abs(g_vals).max()
+        scale = np.max([np.abs(m0).max(), np.abs(m1).max(), floor * eps, 1e-300])
+        top = np.abs(m2).max()
+        m2_rel = float(np.maximum(m2_rel, np.where(top <= floor * eps**3, 0.0, top) / scale))
+        H0.append(m0 if psi is None else complex(m0[0]))
+        H1.append(m1 if psi is None else complex(m1[0]))
+    return ResidueOutput(
+        d=op.d, s=complex(s), lambda0=w0, term_keys=tuple((t.m, t.mu) for t in f.terms),
+        H0=tuple(H0), H1=tuple(H1), paired=psi is not None,
+        x_grid=None if psi is not None else xg,
+        meta={"eps": eps, "order": _CIRCLE_NODES, "enclosed": enclosed,
+              "third_moment_rel": m2_rel})
 
 
 # -- the paired (distribution) channel --------------------------------------
@@ -944,51 +913,34 @@ def _moments(series, e, y: float) -> np.ndarray:
     return np.sum(series * np.exp(k * math.log(y)) / k, axis=-1)
 
 
-def _paired_mode_values(
-    op: ModelOperator,
-    s: complex,
-    m: int,
-    poly,
-    lams: np.ndarray,
-    q_poly: tuple,
-) -> np.ndarray:
+def _paired_mode_values(op: ModelOperator, s: complex, m: int, poly, lams: np.ndarray,
+                        q_poly: tuple) -> np.ndarray:
     """<F_lam, Q>_beta = int_{-1}^{1} F_lam Q (1-x^2)^beta dx, continued.
 
     beta = m + d/2 - 1 (the mode's own sin-power joined with the sphere
     volume weight).  Each piece is a sum of term-by-term moments
     (:func:`_moments`) of power series, split at x_c = _SERIES_EDGE: on
     [-1, x_c] the south series of the solve times that of (2-y)^beta Q in
-    y = 1 + x; on [x_c, 1], in y = 1 - x, the solution is the analytic
-    particular series at N plus K (1-x)^{a+} (1+x)^{a-}, K matched at x_c.
-    The homogeneous part's moment denominators a+ + beta + j + 1 vanish
-    exactly on the plus-branch root condition a+ + d/2 + m = -j.
+    y = 1 + x; on [x_c, 1], in y = 1 - x, the north form of the solve
+    (:func:`_series_form`), P_N plus K (1-x)^{a+} (1+x)^{a-} with K the jump
+    at x_c over w(x_c).  The homogeneous part's moment denominators
+    a+ + beta + j + 1 vanish exactly on the plus-branch root condition
+    a+ + d/2 + m = -j.
     """
-    lams = np.asarray(lams, complex).ravel()
     beta = m + op.d / 2.0 - 1.0
-    c, _, a_p, a_m = mode_exponents(op, s, m, lams)
     y_s, y_n = 1.0 + _SERIES_EDGE, 1.0 - _SERIES_EDGE
-
-    # a node near a resonance a+ = i >= 0 of the particular series (not an
-    # indicial root) aborts to a node rotation
-    dist = np.abs(np.arange(_N_PART)[:, None] - a_p)
-    if dist.min() < 0.5 * _RES_GUARD:
-        raise _ResonanceError(f"resonance a+ ~ {dist.argmin() // a_p.size} on a circle node")
-
-    def north(p):  # coefficients of p(1 - y) in y
-        return _taylor_shift(p, 1.0) * (-1.0) ** np.arange(len(p))
-
-    # F = sum_k coeff_k (1+x)^k on [-1, x_c], sum_j dpart_j (1-x)^j + K w on [x_c, 1]
-    coeff = _series_coeffs(op, c, a_m, _taylor_shift(poly, -1.0), _N_SERIES)
-    dpart = -_series_coeffs(op, c, a_p, north(poly), _N_PART)
-    K = ((coeff @ y_s ** np.arange(_N_SERIES) - dpart @ y_n ** np.arange(_N_PART))
-         / np.exp(a_p * math.log(y_n) + a_m * math.log(y_s)))
+    k = np.arange(_N_SERIES)
     # Q (1-x^2)^beta = y^beta (2-y)^beta Q(x) on either side
-    weight_s = _binomial_series(beta, _taylor_shift(q_poly, -1.0), _N_SERIES)
-    weight_n = _binomial_series(beta, north(q_poly), _N_PART)
-    return (coeff @ _moments(weight_s, beta + np.arange(_N_SERIES), y_s)
-            + dpart @ _moments(weight_n, beta + np.arange(_N_PART), y_n)
-            + K * _moments(_binomial_series(a_m + beta, north(q_poly), _N_PART),
-                           a_p + beta, y_n))
+    south = _moments(_binomial_series(beta, _taylor_shift(q_poly, -1.0), _N_SERIES), beta + k, y_s)
+    north = _moments(_binomial_series(beta, _north(q_poly), _N_SERIES), beta + k, y_n)
+
+    def paired(a_p, a_m, coeff, dpart, jump):
+        K = jump / np.exp(a_p * math.log(y_n) + a_m * math.log(y_s))
+        return (coeff @ south + dpart @ north
+                + K * _moments(_binomial_series(a_m + beta, _north(q_poly), _N_SERIES),
+                               a_p + beta, y_n))
+
+    return _series_form(op, s, m, poly, lams, paired)
 
 
 # ---------------------------------------------------------------------------

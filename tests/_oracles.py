@@ -31,10 +31,11 @@ package takes:
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane,
   and :func:`full_node_line` is the contour line on every eta-node, as it
   was written before real input was folded onto eta > 0;
-* :func:`paired_mode_reference` is the paired residue channel's pairing at
-  one lambda to 35 digits, from the variation-of-constants solution in
-  hypergeometric closed form and ``mpmath.quad`` (the package sums the
-  moments of its own power series);
+* :func:`mode_profile_reference` is the mode profile F_lam at one lambda to
+  30 digits and :func:`paired_mode_reference` the paired residue channel's
+  pairing to 35, from the variation-of-constants solution in hypergeometric
+  closed form, and ``mpmath.quad`` for the pairing (the package sums its
+  own power series and their moments);
 * :func:`_frame_matrix` builds the SL(2, R) frame of a unit tangent vector
   of the upper half-plane, the reference step of the quotient flow: the
   time-t flow maps ``i e^t`` through it;
@@ -767,6 +768,60 @@ def full_node_line(op: ModelOperator, s, contour, f, x_grid, r_span=30.0, n_r=40
     return values, tail_rel
 
 
+def _voc_exponents(op: ModelOperator, s, m, lam):
+    """a+ and a- of the mode-m equation at lambda, in mpmath at its working
+    precision."""
+    import mpmath
+
+    c = mpmath.mpc(lam) / op.h + mpmath.mpf(op.d) / 2 + m
+    e = mpmath.mpc(op.A) - mpmath.mpc(s)
+    return -(c + e) / 2, (e - c) / 2
+
+
+def _voc_moment(ex, p, Y):
+    """int_0^Y y^ex (2-y)^p dy, continued in ex: one hypergeometric closed form."""
+    import mpmath
+
+    return 2 ** p * Y ** (ex + 1) / (ex + 1) * mpmath.hyp2f1(-p, ex + 1, ex + 2, Y / 2)
+
+
+def _voc_shifted(coeffs, sign):
+    """Coefficients in Y of p(sign (Y - 1)), p given by its coefficients."""
+    import mpmath
+
+    coeffs = [mpmath.mpc(v) * sign**k for k, v in enumerate(coeffs)]
+    return [sum(coeffs[k] * math.comb(k, j) * (-1) ** (k - j)
+                for k in range(j, len(coeffs))) for j in range(len(coeffs))]
+
+
+def _voc_side(op: ModelOperator, poly, Y, a_near, a_far, sign):
+    """At distance Y from the pole where w ~ Y^a_near (sign +1 at S, -1 at N):
+    w = Y^a_near (2-Y)^a_far and int_0^Y P / (h (1-t^2) w) in that distance,
+    its moments continued in a_near."""
+    flux = sum(pj * _voc_moment(j - a_near - 1, -a_far - 1, Y)
+               for j, pj in enumerate(_voc_shifted(poly, sign))) / op.h
+    return Y ** a_near * (2 - Y) ** a_far, flux
+
+
+def mode_profile_reference(op: ModelOperator, s, m, poly, lam, x, dps=30) -> np.ndarray:
+    """F_lam at the points x of ``bc._solve_mode_profiles``, to dps digits.
+
+    F = -w int_{-1}^x P / (h (1-t^2) w) dt, the south-regular
+    variation-of-constants solution, with the integral in the closed form of
+    :func:`paired_mode_reference`'s south side; continued in a-, it needs no
+    condition on the exponents.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a_p, a_m = _voc_exponents(op, s, m, lam)
+        out = []
+        for xi in np.atleast_1d(x):
+            w, flux = _voc_side(op, poly, 1 + mpmath.mpf(float(xi)), a_m, a_p, 1)
+            out.append(complex(-w * flux))
+        return np.array(out)
+
+
 def paired_mode_reference(op: ModelOperator, s, m, poly, lam, q_poly, x0=0.0, dps=35):
     """<F_lam, Q>_beta of ``bc._paired_mode_values`` at one lambda, to dps digits.
 
@@ -782,39 +837,23 @@ def paired_mode_reference(op: ModelOperator, s, m, poly, lam, q_poly, x0=0.0, dp
 
     with mpmath.workdps(dps):
         beta = mpmath.mpf(m) + mpmath.mpf(op.d) / 2 - 1
-        c = mpmath.mpc(lam) / op.h + mpmath.mpf(op.d) / 2 + m
-        e = mpmath.mpc(op.A) - mpmath.mpc(s)
-        a_p, a_m = -(c + e) / 2, (e - c) / 2
-
-        def moment(ex, p, Y):  # int_0^Y y^ex (2-y)^p dy, continued in ex
-            return (2 ** p * Y ** (ex + 1) / (ex + 1)
-                    * mpmath.hyp2f1(-p, ex + 1, ex + 2, Y / 2))
-
-        def shifted(coeffs, sign):  # coefficients in Y of p(sign (Y - 1))
-            coeffs = [mpmath.mpc(v) * sign**k for k, v in enumerate(coeffs)]
-            return [sum(coeffs[k] * math.comb(k, j) * (-1) ** (k - j)
-                        for k in range(j, len(coeffs))) for j in range(len(coeffs))]
-
-        def side(Y, a_near, a_far, sign):
-            """At distance Y from the pole where w ~ Y^a_near (sign +1 at S,
-            -1 at N): w, int_0^Y P / (h (1-t^2) w) in that distance, and
-            Q (1-x^2)^beta."""
-            flux = sum(pj * moment(j - a_near - 1, -a_far - 1, Y)
-                       for j, pj in enumerate(shifted(poly, sign))) / op.h
-            weight = mpmath.polyval(shifted(q_poly, sign)[::-1], Y) * (Y * (2 - Y)) ** beta
-            return Y ** a_near * (2 - Y) ** a_far, flux, weight
+        a_p, a_m = _voc_exponents(op, s, m, lam)
 
         def integrand(Y, sign):
-            w, flux, weight = side(Y, a_m, a_p, 1) if sign > 0 else side(Y, a_p, a_m, -1)
+            # sign +1 at S, -1 at N; Q (1-x^2)^beta in the distance Y
+            weight = mpmath.polyval(_voc_shifted(q_poly, sign)[::-1], Y) * (Y * (2 - Y)) ** beta
+            w, flux = (_voc_side(op, poly, Y, a_m, a_p, 1) if sign > 0
+                       else _voc_side(op, poly, Y, a_p, a_m, -1))
             return -sign * w * flux * weight
 
         x0 = mpmath.mpf(x0)
         # Y = tau^2 leaves both integrands analytic in tau
         paired = sum(mpmath.quad(lambda t: 2 * t * integrand(t * t, sign), [0, mpmath.sqrt(Y0)])
                      for sign, Y0 in ((1, 1 + x0), (-1, 1 - x0)))
-        K = -(side(1 + x0, a_m, a_p, 1)[1] + side(1 - x0, a_p, a_m, -1)[1])
-        paired += K * sum(qj * moment(a_p + beta + j, a_m + beta, 1 - x0)
-                          for j, qj in enumerate(shifted(q_poly, -1)))
+        K = -(_voc_side(op, poly, 1 + x0, a_m, a_p, 1)[1]
+              + _voc_side(op, poly, 1 - x0, a_p, a_m, -1)[1])
+        paired += K * sum(qj * _voc_moment(a_p + beta + j, a_m + beta, 1 - x0)
+                          for j, qj in enumerate(_voc_shifted(q_poly, -1)))
         return complex(paired)
 
 

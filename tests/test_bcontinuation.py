@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import cuspflow.bcontinuation as bc
 from _fd_helpers import gauss, identity_residual
-from _oracles import full_node_line, paired_mode_reference, rho_max_prime
+from _oracles import (full_node_line, mode_profile_reference, paired_mode_reference,
+                      rho_max_prime)
 from cuspflow.bcontinuation import (
     ContourSpec,
     CuspFunction,
@@ -136,14 +137,48 @@ def test_near_root_raises_with_datum():
 
 
 def test_ratio_form_exponent_past_its_budget_raises_with_the_exponent():
-    # the variation-of-constants integrand carries (1-x)^{-a+} (1+x)^{-a-}, whose
-    # exponent at x = X_MAX grows like -lambda/2 log(1 - X_MAX); at lambda = -300
-    # it passes the 650 budget, at lambda = -280 it stays inside
+    # the north form carries w(x) / w(x_c) = (1-x)^{a+} (1+x)^{a-} / w(x_c), whose
+    # exponent at x = X_MAX grows like lambda/2 log(1/(1 - X_MAX)); at lambda = +290
+    # and +300 it passes the 650 budget.  At lambda = -280 and -300 the carry
+    # decays and stays inside it (the values there are not accurate:
+    # test_mode_profiles_past_the_series_reach_match_the_oracle)
     op, g = ModelOperator(d=1), SphereFunction.monomial(1, m=0, poly=(1.0,))
     xg = np.linspace(-1.0, bc.X_MAX, 64)
-    assert np.isfinite(sup_norm(solve_indicial(op, 0.3, -280.0, g, x_grid=xg)))
-    with pytest.raises(ToleranceError, match=r"ratio-form exponent 684\.5 exceeds"):
-        solve_indicial(op, 0.3, -300.0, g, x_grid=xg)
+    for lam in (-280.0, -300.0):
+        assert np.isfinite(sup_norm(solve_indicial(op, 0.3, lam, g, x_grid=xg)))
+    for lam, worst in ((290.0, "662.5"), (300.0, "685.3")):
+        with pytest.raises(ToleranceError, match=rf"ratio-form exponent {worst} exceeds"):
+            solve_indicial(op, 0.3, lam, g, x_grid=xg)
+
+
+# (d, s, lambda): contour nodes at |eta| = 37 and 11, and a+ = 1 exactly at
+# s = 1.005, lambda = -1.495, where the north particular series has a pole
+ORACLE_LAMBDAS = {"eta37": (1, 0.3, 2.3 + 37j), "eta11": (1, 0.3, -1.7 + 11j),
+                  "resonance": (1, 1.005, -1.495), "d2-eta80": (2, 1.3, -2.3 + 80j)}
+
+
+@pytest.mark.parametrize("d,s,lam", ORACLE_LAMBDAS.values(), ids=ORACLE_LAMBDAS.keys())
+def test_mode_profiles_match_the_oracle(d, s, lam):
+    # the north form against the 30-digit variation-of-constants closed form,
+    # on both sides of x_c = 0.2
+    op = ModelOperator(d=d)
+    x = np.array([-0.6, 0.1, 0.3, 0.6, 0.9, bc.X_MAX])
+    got = bc._solve_mode_profiles(op, s, 0, (1.0, -0.4), [lam], x)[0]
+    ref = mode_profile_reference(op, s, 0, (1.0, -0.4), lam, x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.xfail(strict=True, reason="_N_SERIES = 150 truncates the south series at "
+                   "|eta| = 160, and at real lambda <= -20 it cancels; both reach x_c")
+@pytest.mark.parametrize("lam", [-300.0, -2.3 + 160j], ids=["minus300", "eta160"])
+def test_mode_profiles_past_the_series_reach_match_the_oracle(lam):
+    # measured: 6.0e52 and 6.6e-4 of the row max.  The parent raised at
+    # lambda = -300, and was off by 4.7e62 at -280 and by 6.6e-4 at -2.3 + 160i
+    op = ModelOperator(d=1)
+    x = np.array([0.3, 0.6, 0.9, bc.X_MAX])
+    got = bc._solve_mode_profiles(op, 0.3, 0, (1.0,), [lam], x)[0]
+    ref = mode_profile_reference(op, 0.3, 0, (1.0,), lam, x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @settings(max_examples=10, deadline=None)
@@ -486,8 +521,8 @@ def test_written_rows_match_a_four_times_panel_reference(h, rho, band):
 
 # Per-entry error of _fhat and _synthesis, relative to the sum of the
 # absolute values of the terms, that _R_BLOCK = 64 meets on every grid and
-# abscissa below (measured worst: 8.9e-13 for fhat, at n_r = 1000; 7.6e-15
-# for the synthesis, complex or real).
+# abscissa below (measured worst: 2.2e-13 for fhat, at n_r = 64, and 5.3e-14
+# at n_r = 1000; 7.6e-15 for the synthesis, complex or real).
 KERNEL_BOUND = 2e-12
 
 
@@ -798,39 +833,43 @@ def test_paired_mode_values_match_mpmath(d, h, m, s, poly, q_poly, w0, gamma_ban
         assert abs(got[i] - ref) <= 1e-12 * abs(ref)
 
 
-def _resonant_first_calls(monkeypatch, n_fail):
-    """Make the first n_fail calls of the paired channel hit a resonance."""
-    calls = []
-    real = bc._paired_mode_values
-
-    def paired(*args):
-        calls.append(args)
-        if len(calls) <= n_fail:
-            raise bc._ResonanceError("resonance a+ ~ 3 on a circle node")
-        return real(*args)
-
-    monkeypatch.setattr(bc, "_paired_mode_values", paired)
+# s = 1.005, lambda = -1.495 puts a+ = 1 exactly, 0.01 from the level-0 minus
+# root at w = -1.505: a pole of the north particular series, not of F
+RESONANCE = (1.005, -1.495)
 
 
-def test_residue_circle_rotates_its_nodes_off_a_resonance(monkeypatch):
-    op = ModelOperator(d=1)
-    f = term(1, 0, (0,), gauss())
-    res_op = ResidueOperator(s=-1.3, lambda0=-0.8)
-    # the circle at offset 0.11, built by hand
+def test_paired_channel_matches_the_oracle_on_a_resonance():
+    # the reference's K and north moment each have the pole; 1e-20 off it, at
+    # 50 digits, they cancel to 30
+    op, (s, lam) = ModelOperator(d=1), RESONANCE
+    assert mode_exponents(op, s, 0, lam)[2] == 1.0
+    got = bc._paired_mode_values(op, s, 0, (1.0, -0.4), np.array([lam]), (1.0, 0.5))[0]
+    ref = paired_mode_reference(op, s, 0, (1.0, -0.4), lam + 1e-20j, (1.0, 0.5), dps=50)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("psi", [None, (1.0,)], ids=["pointwise", "paired"])
+def test_residue_circle_with_a_node_on_a_resonance_is_the_rotated_circle(psi):
+    # centre the circle so that its first node sits on the resonance; the
+    # same circle with nodes at offset 0.11, built by hand, has none there
+    op, (s, lam) = ModelOperator(d=1), RESONANCE
+    eps = 1e-2
+    first = 2.0 * math.pi * 0.37 / bc._CIRCLE_NODES
+    res_op = ResidueOperator(s=s, lambda0=lam - eps * np.exp(1j * first), eps=eps)
+    assert abs(mode_exponents(op, s, 0, res_op.lambda0 + eps * np.exp(1j * first))[2] - 1) < 1e-15
+    out = residue_apply(res_op, op, term(1, 0, (0,), gauss()), psi=psi, x_grid=XG)
     theta = 2.0 * math.pi * (np.arange(bc._CIRCLE_NODES) + 0.11) / bc._CIRCLE_NODES
     r = default_r_grid()
-    wl = -0.8 + res_op.eps * np.exp(1j * theta)
-    g = (bc._paired_mode_values(op, -1.3, 0, (1.0,), op.h * wl, (1.0,))
-         * bc._fhat(gauss()(r).astype(complex), r, bc._exp_table(r, wl)))
-    h0, h1 = (res_op.eps**k * np.mean(np.exp(1j * k * theta) * g) for k in (1, 2))
-    _resonant_first_calls(monkeypatch, 1)
-    out = residue_apply(res_op, op, f, psi=(1.0,))
-    assert out.meta["node_offset"] == 0.11
-    assert out.H0[0] == pytest.approx(h0, rel=1e-13, abs=0.0)
-    assert out.H1[0] == pytest.approx(h1, rel=1e-13, abs=1e-13 * abs(h0))
-    _resonant_first_calls(monkeypatch, 4)
-    with pytest.raises(ToleranceError, match=re.escape(f"w0={complex(-0.8)}")):
-        residue_apply(res_op, op, f, psi=(1.0,))
+    wl = res_op.lambda0 + eps * np.exp(1j * theta)
+    if psi is None:
+        vals = bc._solve_mode_profiles(op, s, 0, (1.0,), wl, XG)
+    else:
+        vals = bc._paired_mode_values(op, s, 0, (1.0,), wl, psi)[:, None]
+    g = vals * bc._fhat(gauss()(r).astype(complex), r, bc._exp_table(r, wl))[:, None]
+    h0, h1 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g, axis=0) for k in (1, 2))
+    scale = np.abs(h0).max()
+    assert np.abs(out.H0[0] - h0).max() <= 1e-12 * scale
+    assert np.abs(out.H1[0] - h1).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +973,21 @@ def test_shift_identity_holds_across_close_roots(s0, w0, gap):
     crossed = [loc.value for loc in shift.crossed]
     assert crossed == pytest.approx([w0 - gap / 2.0, w0 + gap / 2.0], abs=1e-12)
     assert shift.defect < 1e-9
+
+
+@pytest.mark.parametrize("gap", [7e-10, 9e-10, 1e-9])
+def test_vanishing_cluster_residue_drops_no_third_moment(gap):
+    # the level-1 pair at w = 0 has no residue on this even input, so its circle
+    # moments are roundoff; m2 read up to 2.0e-8 of the floored scale (a field
+    # error of 1.0e-6 at |r| = 10, which raised at gap 9e-10) until it was
+    # floored at 1e-12 of eps^3 max |g| like m0 and m1 at eps max |g|
+    op = ModelOperator(d=1)
+    f = term(1, 0, (0,), gauss())
+    res = residue_apply(ResidueOperator(s=-1.5 - gap / 2.0, lambda0=0.0), op, f, x_grid=XG,
+                        n_r=1024)
+    assert res.meta["third_moment_rel"] == 0.0
+    shift = shift_identity(op, -1.5 - gap / 2.0, f, -0.3, 0.3, x_grid=XG, n_r=1024)
+    assert len(shift.crossed) == 2 and shift.defect < 1e-9
 
 
 def test_cluster_circle_raises_naming_both_roots_past_its_tolerance(monkeypatch):
