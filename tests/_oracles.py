@@ -27,7 +27,10 @@ package takes:
   in closed form outside its transition window);
 * :func:`tiled_plateau_conditions` computes the certificate's conditions
   iii and iv from one ``reduced_G`` batch with every plateau direction
-  repeated per magnitude (the package evaluates each direction once);
+  repeated per magnitude (the package evaluates each direction once), and
+  :func:`tiled_flow_conditions` conditions i and ii from one ``reduced_G``
+  batch per magnitude over the signed grid's flowed covectors (the package
+  evaluates each representative once per step shift);
 * :func:`rho_max_prime` is the supremum of ``rho_max`` over a half-plane,
   and :func:`full_node_line` is the contour line on every eta-node, as it
   was written before real input was folded onto eta > 0;
@@ -80,9 +83,10 @@ from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, PoleError, ToleranceError,
                              UnsupportedDimensionError, ValidationError)
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
-                             _dist_0s, _dist_0u, _dist_s, _dist_u,
-                             _frame_components, _plateau_samples,
-                             _sphere_flow, _swapped)
+                             _dist_0, _dist_0s, _dist_0u, _dist_s, _dist_u,
+                             _frame_components, _in_V_s, _in_V_u,
+                             _plateau_samples, _sphere_flow, _swapped,
+                             _transported_cone_samples)
 from cuspflow.flow import (_REJECTION_CAP, _STREAM_SAMPLE, CONTAINMENT_SLACK,
                            REDUCTION_CAP, SURFACE_AREA, CorrelationRecord, _accept,
                            _chunks, _eval_observable, _geodesic_step, _inside,
@@ -481,7 +485,7 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# escape: the stepped transition-time search and the tiled plateau batch
+# escape: the stepped transition-time search and the tiled certificate batches
 # ---------------------------------------------------------------------------
 
 
@@ -646,6 +650,40 @@ def tiled_plateau_conditions(data):
         "flow_dual_max_abs": float(np.max(np.abs(g[n_u + n_s:]))),
         "plateau_error_relative": plat_err / max(data.C_G, 1.0),
     }
+
+
+def tiled_flow_conditions(data):
+    """The flow derivatives behind conditions i and ii of ``verify``, by
+    another route: each covector ``rho xihat`` is flowed by the step, forward
+    and backward, as the diagonal matrix diag(1, e^t, e^-t) acting on it, and
+    G is read from one ``reduced_G`` batch per magnitude level (which
+    normalizes the flowed covectors itself), over every signed grid
+    direction and the transported-cone samples.  Returns, per condition, the
+    smallest central difference at each level (a non-finite one as -inf)."""
+    grid, h, R, T = data.grid, data.weight.step, data.R, data.weight.T
+    eps = grid.eps
+    x = signed_grid(grid)
+    u_dirs, s_dirs = _transported_cone_samples(T, eps)
+    cone = np.vstack([u_dirs[_in_V_u(u_dirs, T, eps)],
+                      s_dirs[_in_V_s(s_dirs, T, eps)]])
+
+    def minima(dirs, levels):
+        flowed = np.vstack([dirs * [1.0, math.exp(t), math.exp(-t)]
+                            for t in (h, -h)])
+        norm = np.linalg.norm(flowed, axis=1)
+        out = {}
+        for lvl in levels:
+            g = data.reduced_G(flowed, lvl * grid.delta * norm)
+            fd = (g[:len(dirs)] - g[len(dirs):]) / (2.0 * h)
+            out[lvl] = float(np.where(np.isfinite(fd), fd, -np.inf).min())
+        return out
+
+    levels_ii = sorted({1.06, 1.3, 2.0, 4.0, 10.0}
+                       | {r for r in (1.001 * R, 3.0 * R, 30.0 * R, 1e3 * R)
+                          if r > 1.06})
+    return {"i": minima(np.vstack([x[_dist_0(x) >= eps], cone]),
+                        [1.0001 * R, 4.0 * R, 100.0 * R, 1e4 * R]),
+            "ii": minima(x, levels_ii)}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from scipy.integrate import solve_ivp
 from _oracles import (cone_integrand, exact_midpoint_sphere, lifted_flow,
                       reduced_flow, reflected_orbits, rounded_angle_sphere,
                       signed_glue_rings, signed_grid, signed_midpoint_sphere,
-                      stepped_tau_max, tiled_plateau_conditions)
+                      stepped_tau_max, tiled_flow_conditions,
+                      tiled_plateau_conditions)
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -988,6 +989,33 @@ def test_plateau_conditions_are_bitwise_the_tiled_batch(default_data, seed):
            for key in want}
     assert {k: float(v).hex() for k, v in got.items()} == \
         {k: float(v).hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize("which", ["default_data", "data"])
+def test_flow_conditions_match_the_tiled_covector_batch(which, request):
+    """Conditions i and ii evaluate the weight and the symbol once per
+    representative and step shift; their margins are those of G read from
+    one reduced_G batch per magnitude over every signed direction's flowed
+    covector (default grid and 16x16)."""
+    data = request.getfixturevalue(which)
+    cond = verify(data).conditions
+    want = tiled_flow_conditions(data)
+    for key in ("i", "ii"):
+        assert cond[key]["magnitude_levels_over_delta"] == list(want[key])
+        assert cond[key]["margin"] == pytest.approx(min(want[key].values()),
+                                                    rel=1e-12)
+
+
+def test_flow_condition_i_fails_at_the_tiled_batch_lowest_level(small_grid):
+    """With R under the cutoff support both routes fail condition i, and at
+    the same lowest magnitude level."""
+    bad = assemble_G(small_grid, R=0.2)
+    cond = verify(bad).conditions["i"]
+    tol = cond["threshold"]
+    want = tiled_flow_conditions(bad)["i"]
+    failing = [lvl for lvl, low in want.items() if low < tol]
+    assert failing and not cond["passed"]
+    assert min(w["magnitude_over_delta"] for w in cond["witnesses"]) == failing[0]
 
 
 def test_certificate_counts_the_evaluations_it_makes(default_data):
