@@ -1187,12 +1187,14 @@ def verify(data: EscapeData, seed=0):
 
     This is the construction's one verification path: ``build_weight`` and
     ``build_f`` validate their inputs and compute data, and every guarantee
-    is sampled here, through G.  The flow derivative of G reads the weight
-    and the symbol at the step-shifted directions only.  Returns an
-    :class:`EscapeCertificate`; any sampled violation beyond tolerance fails
-    the certificate and lists the worst witnesses.  Each condition's
-    ``n_samples`` is the number of (direction, magnitude) pairs it covers: a
-    grid representative covers its whole orbit (see the module docstring).
+    is sampled here, through G.  Conditions i and ii read groups of indices
+    into one scanned row set (the grid representatives, then the
+    transported-cone samples) whose factors and stretch are evaluated once
+    per step shift.  Returns an :class:`EscapeCertificate`; any sampled
+    violation beyond tolerance fails the certificate and lists the worst
+    witnesses.  Each condition's ``n_samples`` is the number of (direction,
+    magnitude) pairs it covers: a grid representative covers its whole orbit
+    (see the module docstring).
 
     Parameters
     ----------
@@ -1210,42 +1212,44 @@ def verify(data: EscapeData, seed=0):
     cf = data.symbol.c_f
     R = data.R
 
-    def bundle(dirs):
-        """Scaled weight, symbol factor and stretch at the step shifts of
-        dirs: (weight, factor, stretch) forward, then backward."""
-        return [(*data._factors(_sphere_flow(dirs, t)), _stretch(dirs, t))
-                for t in (h, -h)]
+    # the scanned rows, with their factors and stretch forward, then backward
+    x, n_grid = grid.xihat, int(grid.multiplicity.sum())
+    u_dirs, s_dirs = _transported_cone_samples(T, eps)
+    cone_dirs = np.vstack([u_dirs[_in_V_u(u_dirs, T, eps)],
+                           s_dirs[_in_V_s(s_dirs, T, eps)]])
+    rows = np.vstack([x, cone_dirs])
+    (mf, ff, nf), (mb, fb, nb) = [
+        (*data._factors(_sphere_flow(rows, t)), _stretch(rows, t))
+        for t in (h, -h)]
 
-    def scan(levels, tol, samples):
+    def scan(levels, tol, groups):
         """Smallest flow derivative over the magnitude levels (over delta)
-        and the (directions, bundle) samples, a non-finite value counting as
-        -inf (it fails), and the witnesses: at each level and sample set the
-        worst four below tol (at most), the first ten kept."""
+        and the groups of indices into the scanned rows, a non-finite value
+        counting as -inf (it fails), and the witnesses: at each level and
+        group the worst four below tol (at most), the first ten kept."""
         margin, witnesses = math.inf, []
         for lvl in levels:
             rho = lvl * delta
-            for dirs, ((mf, ff, nf), (mb, fb, nb)) in samples:
-                fd = (_escape_values(rho * nf, mf, ff, cf, delta)
-                      - _escape_values(rho * nb, mb, fb, cf, delta)) / (2.0 * h)
+            for idx in groups:
+                fd = (_escape_values(rho * nf[idx], mf[idx], ff[idx], cf, delta)
+                      - _escape_values(rho * nb[idx], mb[idx], fb[idx], cf,
+                                       delta)) / (2.0 * h)
                 key = np.where(np.isfinite(fd), fd, -np.inf)
                 low = float(key.min())
                 if low < tol:
                     witnesses += [{"magnitude_over_delta": float(lvl),
-                                   "xihat": [float(v) for v in dirs[k]],
+                                   "xihat": [float(v) for v in rows[idx][k]],
                                    "flow_derivative": float(fd[k])}
                                   for k in np.argsort(key)[:4] if key[k] < tol]
                 margin = min(margin, low)
         return margin, witnesses[:10]
-
-    x, n_grid = grid.xihat, int(grid.multiplicity.sum())
-    bx = bundle(x)
 
     # -- condition ii: nonnegative flow derivative above the cutoff scale --
     levels_ii = sorted({1.06, 1.3, 2.0, 4.0, 10.0}
                        | {r for r in (1.001 * R, 3.0 * R, 30.0 * R,
                                       1e3 * R) if r > 1.06})
     tol_ii = -1e-6
-    margin_ii, witnesses_ii = scan(levels_ii, tol_ii, [(x, bx)])
+    margin_ii, witnesses_ii = scan(levels_ii, tol_ii, [np.arange(len(x))])
     cond_ii = {
         "description": "flow derivative of G nonnegative at sampled "
                        "magnitudes above the cutoff scale",
@@ -1263,13 +1267,8 @@ def verify(data: EscapeData, seed=0):
     levels_i = [1.0001 * R, 4.0 * R, 100.0 * R, 1e4 * R]
     tol_i = 1.0 - 1e-3
     region = _dist_0(x) >= eps
-    u_dirs, s_dirs = _transported_cone_samples(T, eps)
-    keep_u = _in_V_u(u_dirs, T, eps)
-    keep_s = _in_V_s(s_dirs, T, eps)
-    cone_dirs = np.vstack([u_dirs[keep_u], s_dirs[keep_s]])
-    off_cone = [tuple(a[region] for a in side) for side in bx]
-    margin_i, witnesses_i = scan(levels_i, tol_i, [(x[region], off_cone),
-                                                    (cone_dirs, bundle(cone_dirs))])
+    margin_i, witnesses_i = scan(levels_i, tol_i, [
+        np.flatnonzero(region), np.arange(len(x), len(rows))])
     n_dirs_i = int(grid.multiplicity[region].sum()) + cone_dirs.shape[0]
     cond_i = {
         "description": "flow derivative of G >= 1 beyond R*delta away from "
