@@ -132,7 +132,7 @@ _MODE_CAP = 8           # largest transverse mode order accepted
 _SERIES_EDGE = 0.2      # x_c, where the south series meets the north form
 _N_SERIES = 150         # Taylor order of either series (radius 2; |y| <= 1.2 at S, 0.8 at N)
 _EXP_CLAMP = 650.0      # largest exponent magnitude accepted in ratio form
-_ROOT_GUARD = 1e-8      # pointwise-solve exclusion distance, lambda units
+_ROOT_GUARD = 1e-8      # pointwise-solve exclusion distance, w units
 _ABSCISSA_GUARD = 1e-6  # abscissa-to-root real-part separation, w units
 _CROSSING_GUARD = 1e-8  # continuation exclusion distance to s-crossings
 _RES_GUARD = 2e-2       # |a+ - i| past which the series loses < 1e-13 of F (_series_form)
@@ -506,8 +506,8 @@ def solve_indicial(
     """Solve (I(lambda) - h s) f = g for the tempered branch on the sphere.
 
     lam is the un-normalized spectral weight of the displayed family.  Raises
-    NearSingularError (carrying the offending root) when lam is within 1e-8
-    of the root set at this s, where the tempered solve degenerates.
+    NearSingularError (carrying the offending root) when lam / h is within
+    1e-8 of the root set at this s, where the tempered solve degenerates.
     """
     if not isinstance(g, SphereFunction):
         raise ValidationError("g must be a SphereFunction")
@@ -515,9 +515,9 @@ def solve_indicial(
         raise ValidationError(f"dimension mismatch: g.d={g.d}, op.d={op.d}")
     table = RootTable(op, s)
     sign, n, val, dist = table.nearest(complex(lam) / op.h)
-    if dist * op.h < _ROOT_GUARD:
+    if dist < _ROOT_GUARD:
         raise NearSingularError(
-            f"lambda={complex(lam)} lies within {_ROOT_GUARD} of the indicial "
+            f"lambda={complex(lam)} lies within {_ROOT_GUARD}*h of the indicial "
             f"root {val * op.h} (branch {sign:+d}, level {n}) at s={complex(s)}",
             root=table.root(sign, n),
         )

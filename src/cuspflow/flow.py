@@ -866,15 +866,17 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000,
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)
         prod[live] = _eval_observable(A, z, alpha) * b_vals
-        # np.mean and np.std(ddof=1) to the bit, from one sum of prod
-        mean = np.add.reduce(prod) / n
-        values.append(SURFACE_AREA * float(mean))
-        if n > 1:
-            np.subtract(prod, mean, out=dev)
-            np.multiply(dev, dev, out=dev)
-            stderrs.append(SURFACE_AREA * math.sqrt(np.add.reduce(dev) / (n - 1)) / root_n)
-        else:
-            stderrs.append(0.0)
+        # np.mean and np.std(ddof=1) to the bit, from one sum of prod; a sum
+        # that overflows raises the typed error below, naming its time
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.add.reduce(prod) / n
+            values.append(SURFACE_AREA * float(mean))
+            if n > 1:
+                np.subtract(prod, mean, out=dev)
+                np.multiply(dev, dev, out=dev)
+                stderrs.append(SURFACE_AREA * math.sqrt(np.add.reduce(dev) / (n - 1)) / root_n)
+            else:
+                stderrs.append(0.0)
         if not (math.isfinite(values[-1]) and math.isfinite(stderrs[-1])):
             raise ToleranceError(f"the correlation at t={times[k]!r} is {values[-1]!r} with "
                                  f"standard error {stderrs[-1]!r}, not a finite value")

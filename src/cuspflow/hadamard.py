@@ -73,7 +73,7 @@ __all__ = [
     "auto_regularization_depth",
 ]
 
-_POLE_GUARD = 1e-8
+_POLE_GUARD = 1e-8  # pole proximity in w = lambda/h units: |lambda - lambda_j| <= guard * h
 _CUT_ANGLE = math.pi / 3.0  # matching split angle of the near/far integrals
 _PANELS = 8  # equal Gauss-Legendre panels per integral
 _ORDERS = (32, 24)  # nodes per panel: the rule, and the rule it is checked against
@@ -105,7 +105,8 @@ def quad(fn, a: float, b: float, rows=None):
     nodes, w_hi, w_lo = _panel_rule(a, b)
     vals = fn(nodes)
     value = vals[..., : w_hi.size] @ w_hi
-    err = np.abs(value - vals[..., w_hi.size:] @ w_lo)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite estimate raises below
+        err = np.abs(value - vals[..., w_hi.size:] @ w_lo)
     bad = np.flatnonzero(~(err <= _QUAD_ABS + _QUAD_REL * np.abs(value)))
     if bad.size:
         i = bad[0]
@@ -212,18 +213,22 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     n_regs = np.full(lams.shape, n_regs, dtype=int)
     c_exp = -2.0 * lams / h - k  # radial exponent offset: integrand rho^{c-1}...
-    for lam, n_reg, c in zip(lams.tolist(), n_regs.tolist(), c_exp.tolist()):
-        # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
-        if not (c.real + n_reg > 0):
-            raise ValidationError(
-                f"regularization depth n_reg={n_reg} too small for lambda={lam} "
-                f"(need Re(lambda) < h (n_reg - k)/2); increase n_reg"
-            )
-        for j in range(n_reg):  # pole proximity guard
-            if abs(lam - pole_location(j, k, h)) <= _POLE_GUARD and not finite_part:
-                raise PoleError(
-                    f"lambda={lam} is within {_POLE_GUARD} of the pole "
-                    f"lambda_{j} = {pole_location(j, k, h)}", j, k)
+    # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
+    if np.any(shallow := ~(c_exp.real + n_regs > 0)):
+        i = int(np.argmax(shallow))
+        raise ValidationError(
+            f"regularization depth n_reg={int(n_regs[i])} too small for "
+            f"lambda={complex(lams[i])} (need Re(lambda) < h (n_reg - k)/2); increase n_reg"
+        )
+    # pole proximity, in w = lambda/h units: lambda_j - lambda = (h/2) (c + j)
+    n_max = int(n_regs.max())
+    subtracted = np.arange(n_max)[:, None] < n_regs  # (j, lambda): j < n_reg
+    x = c_exp + np.arange(n_max)[:, None]
+    pole = subtracted & (np.abs(x) <= 2.0 * _POLE_GUARD)
+    if np.any(pole) and not finite_part:
+        i, j = (int(v[0]) for v in np.nonzero(pole.T))
+        raise PoleError(f"lambda={complex(lams[i])} is within {_POLE_GUARD}*h of the pole "
+                        f"lambda_{j} = {pole_location(j, k, h)}", j, k)
 
     sigma = -(k + d / 2.0 + lams / h)
     moment = functools.partial(_angular_moment, tuple(upsilon), k)
@@ -236,7 +241,6 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     # coefficients converge geometrically and no cancellation-prone
     # subtraction is ever evaluated at small rho.  Phi_j reads w^sigma to
     # order m - e <= j // 2, each block's as far as it goes, as an (order, L) array.
-    n_max = int(n_regs.max())
     j_cap = n_max + 64  # a tail not converged by order n_reg + 64 raises
     blocks, terms, tails = [], [[] for _ in lams], [None] * lams.size
     while None in tails:  # blocks of orders; terms[i][j] = Phi_j rho_s^{c+j}/(c+j)
@@ -247,8 +251,8 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
         for row, j in enumerate(js.tolist()):
             block[row] = psi.profile_coefficient(j, weight, moment)
         blocks.append(block)
-        x = np.where(js[:, None] < n_regs, 1.0, c_exp + js[:, None])  # tail orders only
-        factor = rho_s ** c_exp * (rho_s ** js)[:, None] / x
+        den = np.where(js[:, None] < n_regs, 1.0, c_exp + js[:, None])  # tail orders only
+        factor = rho_s ** c_exp * (rho_s ** js)[:, None] / den
         for row_terms, col in zip(terms, (block * factor).T.tolist()):
             row_terms.extend(col)
         for i, n_reg in enumerate(n_regs.tolist()):
@@ -263,8 +267,7 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
                     raise ToleranceError("radial Taylor tail did not converge below 1e-16 "
                                          f"within {n_reg + 64} orders at lambda={lams[i]}")
                 tails[i] = near if converged or ended else None
-    js = np.arange(n_max)[:, None]
-    sub = np.where(js < n_regs, np.concatenate(blocks)[:n_max], 0.0)  # first n_reg Phi_j
+    sub = np.where(subtracted, np.concatenate(blocks)[:n_max], 0.0)  # first n_reg Phi_j
 
     def near_integrand(rho: np.ndarray) -> np.ndarray:
         # Phi(rho) = integral of Upsilon(u) * (w^sigma J psi)(rho u) du,
@@ -279,7 +282,6 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     # closed-form continuation of the subtracted monomials; at a pole, x = c + j = 0,
     # the 0th Laurent coefficient of Phi_j rho_c^x / x is Phi_j ln(rho_c) - (h/2) Phi_j',
     # and d(w^sigma)/d(lambda) = -(w^sigma ln w)/h, ln w = sum_n C(2n, n) (t/4)^n / 2n
-    pole = np.abs(x := c_exp + js) <= 2.0 * _POLE_GUARD / h
     near += (sub * np.where(pole, math.log(rho_c), rho_c**x / np.where(pole, 1.0, x))).sum(axis=0)
     for j, i in zip(*np.nonzero(pole)):  # with finite_part only
         log_w = [0.0] + [math.comb(2 * n, n) / (2 * n * 4.0**n) for n in range(1, len(weight))]

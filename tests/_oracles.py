@@ -416,9 +416,9 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
     # pole proximity guard
     for j in range(n_reg):
         lam_j = pole_location(j, k, h)
-        if abs(lam - lam_j) <= _POLE_GUARD:
+        if abs(lam - lam_j) <= _POLE_GUARD * h:  # w = lambda/h units
             raise PoleError(
-                f"lambda={lam} is within {_POLE_GUARD} of the pole "
+                f"lambda={lam} is within {_POLE_GUARD}*h of the pole "
                 f"lambda_{j} = {lam_j}",
                 j,
                 k,

@@ -136,6 +136,18 @@ def test_near_root_raises_with_datum():
     assert np.isfinite(sup_norm(sol))
 
 
+@pytest.mark.parametrize("h", [1e-9, 1e-6, 1e3])
+def test_solve_indicial_profile_scales_as_one_over_h(h):
+    """(I(h w) - h s) f = g is h (I_1(w) - s) f = g: the profile at (h, h w)
+    is the one at (1, w) over h, and the root guard, in w units, accepts a w
+    0.36 from the nearest root at every h."""
+    g = SphereFunction.monomial(1, m=0, poly=(1.0, 0.5))
+    w = 1.1 + 0.2j
+    want = solve_indicial(ModelOperator(d=1), 0.3, w, g).profiles[0]
+    got = solve_indicial(ModelOperator(d=1, h=h), 0.3, h * w, g).profiles[0]
+    assert np.max(np.abs(h * got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_ratio_form_exponent_past_its_budget_raises_with_the_exponent():
     # the north form carries w(x) / w(x_c) = (1-x)^{a+} (1+x)^{a-} / w(x_c), whose
     # exponent at x = X_MAX grows like lambda/2 log(1/(1 - X_MAX)); at lambda = +290

@@ -250,6 +250,30 @@ def test_correlate_step_past_the_float_range_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["residue", "--h=1e-6"], ["residue", "--h=5e-7"],
+                                  ["residue", "--d=2", "--h=1e-6"],
+                                  ["eigendist", "--d=2", "--h=1e-9"]])
+def test_small_h_runs_pass_their_pole_and_root_guards(tmp_path, argv):
+    # the guards are in w = lambda/h units; the residue circle's nodes sit
+    # eps*h = 1e-8 from the pole at h = 1e-6, and each residue is h times
+    # its h = 1 value, so its contour error is measured against h
+    out = tmp_path / "out"
+    assert cli.main(argv + [f"--output-dir={out}"]) == 0
+    if argv[0] == "residue":
+        h = float(argv[-1].split("=")[1])
+        (csv_path,) = out.glob("*-residues.csv")
+        lines = csv_path.read_text().splitlines()
+        col = lines[0].split(",").index("abs_diff")
+        assert max(float(row.split(",")[col]) for row in lines[1:]) <= 2e-14 * h
+
+
+@pytest.mark.xfail(strict=True, reason="the residue gate divides by max(|closed|, 1), an "
+                   "absolute floor, while the residues scale as h: at h = 1e12 the parity "
+                   "zero (k, j) = (0, 1) has a contour value of 3e-18 h")
+def test_residue_at_a_large_h_passes_its_gate(tmp_path):
+    assert cli.main(["residue", "--h=1e12", f"--output-dir={tmp_path}"]) == 0
+
+
 # one small run per subcommand
 SMALL_RUNS = {
     "roots": [],

@@ -820,6 +820,7 @@ def test_constant_observables_are_exact():
     assert rec.times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_correlation_raises_naming_its_time():
     # the sum of products 1e308 * 1 overflows at t = 0
     A = BumpObservable(amplitude=1e308)

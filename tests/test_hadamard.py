@@ -394,6 +394,23 @@ def test_pairings_pole_error_names_the_one_lambda_at_a_pole():
     assert f"lambda={complex(bad)}" in str(exc.value)
 
 
+@pytest.mark.parametrize("h", [1e-9, 1e-6, 1e3])
+def test_pairings_depend_on_lambda_only_through_lambda_over_h(h):
+    """The pairing family reads lambda only as w = lambda/h: at (h, h w) it
+    is the pairing at (1, w), and its pole guard, in w units, refuses the
+    same w at every h."""
+    psi = _coupled_psi(1, seed=3)
+    w = np.array([0.3 + 0.2j, -0.7 + 1.1j, 1.4 - 0.1j, 0.05 + 0j, 0.02j])
+    want = pairings(1, 1.0, 0, (1.0,), psi, w, 5)
+    got = pairings(1, h, 0, (1.0,), psi, h * w, 5)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    bad = pole_location(2, 0, 1.0) + 5e-9
+    for scale in (1.0, h):
+        with pytest.raises(PoleError) as exc:
+            pairings(1, scale, 0, (1.0,), psi, scale * np.array([0.3 + 0.2j, bad]), 5)
+        assert (exc.value.j, exc.value.k) == (2, 0)
+
+
 class _UndecayingTail:
     """A psi whose radial Taylor tail does not decay at one exponent sigma:
     Phi_j = 4^j where the t-coefficient sigma/4 of w^sigma is sigma_bad/4,
@@ -640,6 +657,7 @@ def test_quad_raises_with_error_estimate_on_unresolved_integrand():
         panel_quad(lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_quad_raises_on_a_non_finite_error_estimate(bad):
     # err > tol is False for a NaN error estimate, which used to pass
