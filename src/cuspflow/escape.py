@@ -1187,14 +1187,13 @@ def verify(data: EscapeData, seed=0):
 
     This is the construction's one verification path: ``build_weight`` and
     ``build_f`` validate their inputs and compute data, and every guarantee
-    is sampled here, through G.  Conditions i and ii read groups of indices
-    into one scanned row set (the grid representatives, then the
-    transported-cone samples) whose factors and stretch are evaluated once
-    per step shift.  Returns an :class:`EscapeCertificate`; any sampled
-    violation beyond tolerance fails the certificate and lists the worst
-    witnesses.  Each condition's ``n_samples`` is the number of (direction,
-    magnitude) pairs it covers: a grid representative covers its whole orbit
-    (see the module docstring).
+    is sampled here, through G.  Conditions i and ii read index groups of
+    one scanned row set, the grid representatives and then the
+    transported-cone samples, evaluated once per step shift.  Returns an
+    :class:`EscapeCertificate`; any sampled violation beyond tolerance fails
+    the certificate and lists the worst witnesses.  Each condition's
+    ``n_samples`` is the number of (direction, magnitude) pairs it covers: a
+    grid representative covers its whole orbit (see the module docstring).
 
     Parameters
     ----------
@@ -1232,8 +1231,7 @@ def verify(data: EscapeData, seed=0):
             rho = lvl * delta
             for idx in groups:
                 fd = (_escape_values(rho * nf[idx], mf[idx], ff[idx], cf, delta)
-                      - _escape_values(rho * nb[idx], mb[idx], fb[idx], cf,
-                                       delta)) / (2.0 * h)
+                      - _escape_values(rho * nb[idx], mb[idx], fb[idx], cf, delta)) / (2.0 * h)
                 key = np.where(np.isfinite(fd), fd, -np.inf)
                 low = float(key.min())
                 if low < tol:

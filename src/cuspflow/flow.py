@@ -866,9 +866,8 @@ def correlate(A, B, T_max=DEFAULT_T_MAX, dt=DEFAULT_DT, n=1000,
             np.copyto(z.imag, y)
             np.arctan2(uy, ux, out=alpha)
         prod[live] = _eval_observable(A, z, alpha) * b_vals
-        # np.mean and np.std(ddof=1) to the bit, from one sum of prod; a sum
-        # that overflows raises the typed error below, naming its time
-        with np.errstate(over="ignore", invalid="ignore"):
+        # np.mean and np.std(ddof=1) to the bit, from one sum of prod
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan raises below
             mean = np.add.reduce(prod) / n
             values.append(SURFACE_AREA * float(mean))
             if n > 1:

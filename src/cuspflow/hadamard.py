@@ -218,8 +218,7 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
         i = int(np.argmax(shallow))
         raise ValidationError(
             f"regularization depth n_reg={int(n_regs[i])} too small for "
-            f"lambda={complex(lams[i])} (need Re(lambda) < h (n_reg - k)/2); increase n_reg"
-        )
+            f"lambda={complex(lams[i])} (need Re(lambda) < h (n_reg - k)/2); increase n_reg")
     # pole proximity, in w = lambda/h units: lambda_j - lambda = (h/2) (c + j)
     n_max = int(n_regs.max())
     subtracted = np.arange(n_max)[:, None] < n_regs  # (j, lambda): j < n_reg
