@@ -221,8 +221,8 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
             f"lambda={complex(lams[i])} (need Re(lambda) < h (n_reg - k)/2); increase n_reg")
     # pole proximity, in w = lambda/h units: lambda_j - lambda = (h/2) (c + j)
     n_max = int(n_regs.max())
-    subtracted = np.arange(n_max)[:, None] < n_regs  # (j, lambda): j < n_reg
-    x = c_exp + np.arange(n_max)[:, None]
+    orders = np.arange(n_max)[:, None]  # rows j, columns lambda
+    subtracted, x = orders < n_regs, c_exp + orders
     pole = subtracted & (np.abs(x) <= 2.0 * _POLE_GUARD)
     if np.any(pole) and not finite_part:
         i, j = (int(v[0]) for v in np.nonzero(pole.T))
