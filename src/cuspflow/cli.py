@@ -569,6 +569,7 @@ def _run_roots(config: ExperimentConfig):
 
 
 def _run_eigendist(config: ExperimentConfig):
+    from .hadamard import pair_distribution
     from .indicial import ModelOperator, eigendistribution, indicial_roots
 
     p = config.params
@@ -584,11 +585,11 @@ def _run_eigendist(config: ExperimentConfig):
         mu = (r.n,) + (0,) * (p["d"] - 1)
         rep = eigendistribution(r, op, mu)
         for i, (psi, psi_parts) in enumerate(zip(psis, parts)):
-            base = complex(rep.pair(psi))
+            base = complex(pair_distribution(rep, psi))
             shifted = psi.apply_model_transpose(p["h"], lam, parts=psi_parts)
-            residual = abs(complex(rep.pair(shifted))
+            residual = abs(complex(pair_distribution(rep, shifted))
                            - complex(rep.eigenvalue) * base)
-            rel = residual / max(1.0, abs(base))
+            rel = residual / (p["h"] * max(1.0, abs(base)))  # residuals scale as h
             worst = _nanmax(worst, rel)
             rows.append([r.sign, r.n, lam.real, lam.imag, i, base.real,
                          base.imag, rel])
@@ -678,8 +679,9 @@ def _run_residue(config: ExperimentConfig):
             closed = complex(pair.closed_form)
             contour = complex(pair.contour)
             # guarded relative difference: parity makes some residues exactly
-            # zero, where the contour value confirms the closed form absolutely
-            rel = abs(closed - contour) / max(abs(closed), 1.0)
+            # zero, where the contour value confirms the closed form to h, the
+            # scale of every residue
+            rel = abs(closed - contour) / max(abs(closed), p["h"])
             worst = _nanmax(worst, rel)
             rows.append([p["d"], k, j, pole_location(j, k, p["h"]),
                          closed.real, closed.imag, contour.real, contour.imag,
@@ -865,7 +867,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="cuspflow",
+        prog="cuspflow", allow_abbrev=False,
         description="Experiment runner for cusp geodesic-flow computations.")
     common = {"config": ("--config", "path to an INI config file"),
               "output_dir": ("--output-dir", "directory for artifacts"),
@@ -876,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, schema in SCHEMAS.items():
         sp = subparsers.add_parser(
             name, description=f"run the {name} experiment",
-            help=f"{name} experiment")
+            help=f"{name} experiment", allow_abbrev=False)
         # SUPPRESS: a flag given before the subcommand keeps its value
         for dest, (flag, help_text) in common.items():
             sp.add_argument(flag, dest=dest, default=argparse.SUPPRESS,

@@ -33,14 +33,15 @@ panels by 1e-15.  Each lambda's error estimate is the difference from
 Residues are finite combinations of volume jets at N, which is what couples
 this family to the Dirac-jet branch and produces index-2 Jordan blocks at
 equal-parity crossings.  Those generalized eigenvectors (finite part plus a
-solvable jet correction) are constructed here as well.
+solvable jet correction) are constructed here as well, and
+:func:`pair_distribution` pairs every eigendistribution, its south part by
+:func:`pairing` and its jet part exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +63,6 @@ from .errors import PoleError, ToleranceError, ValidationError
 from .indicial import DistributionRep, ModelOperator
 
 __all__ = [
-    "RegularizedPairing",
     "ResiduePair",
     "pairing",
     "pairings",
@@ -132,35 +132,6 @@ def auto_regularization_depth(lam: complex, k: int, h: float) -> int:
     return max(1, math.floor(2.0 * complex(lam).real / h + k) + 3)
 
 
-@dataclass
-class RegularizedPairing:
-    """Data of one regularized pairing <F(lambda), psi>.
-
-    k      : homogeneity degree of the angular polynomial
-    upsilon: coefficients of Upsilon over the degree-k monomials
-             (graded-lexicographic order)
-    lam    : spectral parameter lambda
-    n_reg  : Taylor-subtraction depth (None selects the automatic minimum)
-    psi    : test function with profile_coefficient(j, weight, moment) and
-             angular_profile(phi, moment), as TestFunction has them.  The
-             weight is an (order,) or (order, L) array, one column per lambda
-             of a batch; profile_coefficient is linear in it and returns one
-             value per column, or a scalar that broadcasts over them.
-    """
-
-    d: int
-    h: float
-    k: int
-    upsilon: tuple
-    lam: complex
-    psi: object
-    n_reg: int | None = None
-
-    def __post_init__(self):
-        if self.n_reg is None:
-            self.n_reg = auto_regularization_depth(self.lam, self.k, self.h)
-
-
 @functools.lru_cache(maxsize=65536)
 def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     """a_nu = integral over S^{d-1} of Upsilon(u) u^nu (closed form)."""
@@ -201,6 +172,13 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     too deep for its n_reg, or whose tail or integral is unresolved raises
     the typed error that names it; with ``finite_part``, a lambda at a pole
     lambda_j gives the 0th Laurent coefficient there.
+
+    ``upsilon`` holds the coefficients of Upsilon over the degree-k monomials
+    (graded-lexicographic order).  ``psi`` has profile_coefficient(j, weight,
+    moment) and angular_profile(phi, moment), as TestFunction has them: the
+    weight is an (order,) or (order, L) array, one column per lambda, and
+    profile_coefficient is linear in it and returns one value per column, or
+    a scalar that broadcasts over them.
     """
     if k < 0:
         raise ValidationError(f"need k >= 0, got {k}")
@@ -294,10 +272,14 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
     return near + quad(far_integrand, _CUT_ANGLE, math.pi, labels)
 
 
-def pairing(rp: RegularizedPairing) -> complex:
-    """The meromorphically continued pairing <F(lambda), psi> of one
-    RegularizedPairing: :func:`pairings` at its one lambda."""
-    return complex(pairings(rp.d, rp.h, rp.k, rp.upsilon, rp.psi, rp.lam, rp.n_reg)[0])
+def pairing(d: int, h: float, k: int, upsilon, psi, lam: complex, n_reg: int | None = None,
+            finite_part: bool = False) -> complex:
+    """The continued pairing <F(lambda), psi>, or with ``finite_part`` its
+    0th Laurent coefficient at a pole: :func:`pairings` at the one lambda
+    ``lam``, to depth ``n_reg`` (None takes :func:`auto_regularization_depth`)."""
+    if n_reg is None:
+        n_reg = auto_regularization_depth(lam, k, h)
+    return complex(pairings(d, h, k, upsilon, psi, lam, n_reg, finite_part)[0])
 
 
 class ResiduePair(NamedTuple):
@@ -366,9 +348,8 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
     h(j - |nu|), the correction e_j removing all jet orders < j is solvable,
     and Q(A_j + e_j) lands in ker Q: an exact index-2 block.
 
-    Returns a DistributionRep of kind 'jordan_vector' at lam = lambda_0; its
-    pairing combines the finite part of the regularized pairing with the
-    exact jet pairing of e_j.
+    Returns the DistributionRep at lam = lambda_0 whose south part is the
+    finite part A_j (``finite_part`` set) and whose jet part is e_j.
     """
     if j < 0 or k < 0:
         raise ValidationError("need j >= 0 and k >= 0")
@@ -421,30 +402,17 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
         for mu, cc in delta_in_volume_basis(d, h, lam0, nu).items():
             e_dict[mu] = e_dict.get(mu, 0.0 + 0.0j) + gain * cc
 
-    return DistributionRep(
-        kind="jordan_vector",
-        d=d,
-        h=h,
-        lam=lam0,
-        eigenvalue=-h * (k + j + d) / 2.0,
-        k=k,
-        upsilon=upsilon,
-        jet_dict=e_dict,
-    )
+    return DistributionRep(d=d, h=h, lam=lam0, eigenvalue=-h * (k + j + d) / 2.0,
+                           jet_dict=e_dict, k=k, upsilon=upsilon, finite_part=True)
 
 
 def pair_distribution(rep: DistributionRep, psi) -> complex:
-    """Pair any DistributionRep against a test function.  A Jordan vector
-    pairs as the finite part at its crossing lambda_0 = rep.lam (the 0th
-    Laurent coefficient, in closed form by one :func:`pairings` call) plus
-    the jet pairing of its correction."""
-    if rep.kind == "dirac_jet":
-        return complex(psi.pair_volume_dict(rep.jet_dict))
-    if rep.kind == "homogeneous_south":
-        return pairing(RegularizedPairing(d=rep.d, h=rep.h, k=rep.k, upsilon=rep.upsilon,
-                                          lam=rep.lam, psi=psi))
-    if rep.kind == "jordan_vector":
-        n_reg = auto_regularization_depth(rep.lam, rep.k, rep.h)
-        finite = complex(pairings(rep.d, rep.h, rep.k, rep.upsilon, psi, rep.lam, n_reg, True)[0])
-        return complex(finite + psi.pair_volume_dict(rep.jet_dict))
-    raise ValidationError(f"unknown distribution kind {rep.kind!r}")
+    """Pair a DistributionRep against a test function: the :func:`pairing` of
+    its south part (the finite part at rep.lam when ``rep.finite_part`` is
+    set), plus the exact pairing of its jet part, in that order."""
+    south = None if rep.upsilon is None else pairing(
+        rep.d, rep.h, rep.k, rep.upsilon, psi, rep.lam, finite_part=rep.finite_part)
+    if not rep.jet_dict:
+        return south
+    jets = psi.pair_volume_dict(rep.jet_dict)
+    return complex(jets if south is None else south + jets)

@@ -15,19 +15,23 @@ parity collide, the two families merge into an index-2 Jordan block.
 enumerates, locates or compares indicial roots asks it, in the normalized
 variable w = lambda / h (root (sign, n) at w = sign (s - A + d/2 + n)).
 
-This module also provides eigendistribution representations, a numerical
-cross-check of the root structure by a finite triangular jet matrix, and the
-endpoint exponents of the reduced mode-m equation (:func:`mode_exponents`),
-which the resolvent solve in :mod:`cuspflow.bcontinuation` uses.  The second,
-ODE-shooting cross-check per angular mode lives with the test oracles in
-``tests/_oracles.py``.
+An eigendistribution (:class:`DistributionRep`) is one record of two parts,
+a jet functional at N and the homogeneous family at S.  A plus root has the
+jet part only, a minus root the south part only; at an index-2 root the
+south part is the family's finite part at its pole and the jet part a
+correction, together the Jordan vector.  This module also provides a
+numerical cross-check of the root structure by a finite triangular jet
+matrix, and the endpoint exponents of the reduced mode-m equation
+(:func:`mode_exponents`), which the resolvent solve in
+:mod:`cuspflow.bcontinuation` uses.  The second, ODE-shooting cross-check
+per angular mode lives with the test oracles in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,35 +115,29 @@ class IndicialRoot:
 
 @dataclass
 class DistributionRep:
-    """A representation of a generalized eigendistribution.
+    """A generalized eigendistribution at lambda = ``lam``: a jet part at the
+    pole N plus an optional south part anchored at S.
 
-    kind 'dirac_jet':          a jet functional at the pole N; ``jet_dict``
-                               holds its volume-jet expansion and pairing is
-                               exact (no quadrature).
-    kind 'homogeneous_south':  the degree-k homogeneous family anchored at S
-                               with angular polynomial ``upsilon``; pairings
-                               go through the regularized radial integral in
-                               :mod:`cuspflow.hadamard`.
-    kind 'jordan_vector':      finite part of the south family at the
-                               crossing ``lam`` plus a jet correction at N
-                               (fields of both).
+    jet_dict   : the jet part, a volume-jet functional {mu: coeff}; empty for
+                 a pure south family.  It pairs exactly (no quadrature).
+    k, upsilon : the south part, the degree-k homogeneous family with angular
+                 polynomial ``upsilon`` (None for a pure jet); it pairs by the
+                 regularized radial integral of :mod:`cuspflow.hadamard`.
+    finite_part: the south part is the finite part of the family at its pole
+                 ``lam``, so jet and south part together are the Jordan
+                 vector of an index-2 block.
+
+    :func:`cuspflow.hadamard.pair_distribution` pairs it with a test function.
     """
 
-    kind: str
     d: int
     h: float
     lam: complex
     eigenvalue: complex
-    jet_dict: dict | None = None
+    jet_dict: dict = field(default_factory=dict)
     k: int | None = None
     upsilon: tuple | None = None
-
-    def pair(self, psi) -> complex:
-        """Pair against a test function through ``hadamard.pair_distribution``
-        (exact for jets, quadrature at S)."""
-        from . import hadamard
-
-        return hadamard.pair_distribution(self, psi)
+    finite_part: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +315,16 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
     branch, a multi-index (a tuple of ints) or a coefficient vector over the
     degree-root.n monomials (anything else).
     """
-    d, h = op.d, op.h
-    n = root.n
-    if root.sign == +1:
+    d, h, n = op.d, op.h, root.n
+    south = root.sign != +1
+    if south and op.A != 0:
+        raise ValidationError(
+            "south-branch eigendistributions are implemented for A = 0 "
+            "(the scalar problem); the jet branch supports any scalar A"
+        )
+    mu = None
+    if not south or (isinstance(selector, tuple)
+                     and all(isinstance(v, (int, np.integer)) for v in selector)):
         try:
             mu = tuple(selector)
         except TypeError:
@@ -327,33 +332,17 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
                 f"selector {selector!r} is not a multi-index: the plus branch "
                 f"needs {d} nonnegative ints summing to n={n}") from None
         if len(mu) != d or sum(mu) != n or any(v < 0 for v in mu):
-            raise ValidationError(
-                f"selector {mu} inconsistent with root level n={n} in d={d}"
-            )
+            raise ValidationError(f"selector {mu} inconsistent with root level n={n} in d={d}")
+    if not south:
         lam_eff = op.lam + h * op.A
-        return DistributionRep(
-            kind="dirac_jet",
-            d=d,
-            h=h,
-            lam=op.lam,
-            eigenvalue=lam_eff - h * (n + d / 2.0),
-            jet_dict=delta_in_volume_basis(d, h, lam_eff, mu),
-        )
+        return DistributionRep(d=d, h=h, lam=op.lam, eigenvalue=lam_eff - h * (n + d / 2.0),
+                               jet_dict=delta_in_volume_basis(d, h, lam_eff, mu))
 
-    # minus branch
-    if op.A != 0:
-        raise ValidationError(
-            "south-branch eigendistributions are implemented for A = 0 "
-            "(the scalar problem); the jet branch supports any scalar A"
-        )
     k = n
     dim = homogeneous_dimension(d, k)
-    if isinstance(selector, tuple) and all(isinstance(v, (int, np.integer)) for v in selector):
-        if len(selector) != d or sum(selector) != k or any(v < 0 for v in selector):
-            raise ValidationError(
-                f"selector {selector} inconsistent with root level n={k} in d={d}")
+    if mu is not None:
         coeffs = [0.0] * dim
-        coeffs[multi_indices(d, k).index(selector)] = 1.0
+        coeffs[multi_indices(d, k).index(mu)] = 1.0
         upsilon = tuple(coeffs)
     else:
         upsilon = tuple(complex(c) for c in np.atleast_1d(selector))
@@ -365,24 +354,18 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
     if root.jordan_index == 2:
         from . import hadamard
 
-        # The block sits at lam0 = h(j-k)/2, so j = 2 lam/h + k.
+        # The block sits at lam0 = h(j-k)/2, so j = 2 lam/h + k; the crossing
+        # is located in w = lambda/h units.
         j = int(round((2 * op.lam / h + k).real))
         lam0 = h * (j - k) / 2.0
-        if abs(op.lam - lam0) > 1e-9:
+        if abs(op.lam - lam0) > 1e-9 * h:
             raise ValidationError(
                 f"op.lam={op.lam} is not at the crossing value {lam0} "
                 f"for the (j={j}, k={k}) Jordan block"
             )
         return hadamard.jordan_vector(j, k, upsilon, op)
-    return DistributionRep(
-        kind="homogeneous_south",
-        d=d,
-        h=h,
-        lam=op.lam,
-        eigenvalue=-op.lam - h * (k + d / 2.0),
-        k=k,
-        upsilon=upsilon,
-    )
+    return DistributionRep(d=d, h=h, lam=op.lam, eigenvalue=-op.lam - h * (k + d / 2.0),
+                           k=k, upsilon=upsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ from cuspflow.flow import (_REJECTION_CAP, _STREAM_SAMPLE, CONTAINMENT_SLACK,
                            _chunks, _eval_observable, _geodesic_step, _inside,
                            _philox_block, _reduce, _unit, flow_cusp_exact,
                            liouville_samples)
-from cuspflow.hadamard import (_CUT_ANGLE, _POLE_GUARD, RegularizedPairing,
-                               _angular_moment, pole_location, quad)
+from cuspflow.hadamard import _CUT_ANGLE, _POLE_GUARD, _angular_moment, pole_location, quad
 from cuspflow.geometry import direction_angle, splitting_frame_at
 from cuspflow.indicial import ModelOperator, mode_exponents
 
@@ -391,9 +390,9 @@ def sequential_profile_coefficient(psi: TestFunction, j, weight, moment):
     return acc
 
 
-def reference_pairing(rp: RegularizedPairing) -> complex:
+def reference_pairing(d, h, k, upsilon, psi, lam, n_reg) -> complex:
     """The meromorphically continued pairing <F(lambda), psi> of a
-    TestFunction psi.
+    TestFunction psi, Taylor-subtracted to depth n_reg.
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
@@ -404,8 +403,6 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
     panel rule of :func:`quad` and raise ToleranceError when its error
     estimate exceeds 1e-12 + 1e-11 |integral|.
     """
-    d, h, k, lam = rp.d, rp.h, rp.k, rp.lam
-    n_reg = rp.n_reg
     c_exp = -2.0 * lam / h - k  # radial exponent offset: integrand rho^{c-1}...
     # validity: the subtracted remainder integrates iff Re(c) + n_reg > 0
     if not (complex(c_exp).real + n_reg > 0):
@@ -425,8 +422,8 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
             )
 
     sigma = -(k + d / 2.0 + lam / h)
-    moment = functools.partial(_angular_moment, rp.upsilon, k)
-    angular = functools.partial(rp.psi.angular_profile, moment=moment)
+    moment = functools.partial(_angular_moment, upsilon, k)
+    angular = functools.partial(psi.angular_profile, moment=moment)
     rho_c = math.sin(_CUT_ANGLE)
     rho_s = 0.25  # series/quadrature split of the near integral
 
@@ -438,13 +435,13 @@ def reference_pairing(rp: RegularizedPairing) -> complex:
     # Phi_j reads w^sigma to order m - e <= j // 2
     catalan = [math.comb(2 * m, m) / ((m + 1) * 4**m) for m in range((j_cap - 1) // 2 + 1)]
     weight = miller_power(catalan, sigma)
-    phi_j = [sequential_profile_coefficient(rp.psi, j, weight, moment) for j in range(n_reg)]
+    phi_j = [sequential_profile_coefficient(psi, j, weight, moment) for j in range(n_reg)]
     near = 0.0 + 0.0j
     small_run = 0
     any_nonzero = False
     converged = False
     for j in range(n_reg, j_cap):
-        term = (sequential_profile_coefficient(rp.psi, j, weight, moment)
+        term = (sequential_profile_coefficient(psi, j, weight, moment)
                 * rho_s ** (c_exp + j) / (c_exp + j))
         near += term
         if term == 0.0:

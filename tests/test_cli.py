@@ -224,7 +224,8 @@ PINNED_JETS = {
 
 @pytest.mark.parametrize("sub", sorted(PINNED_JETS))
 def test_jet_series_outputs_are_pinned(tmp_path, sub):
-    # relative to max(|value|, 1), as residue's own check guards exact zeros
+    # relative to max(|value|, 1), as residue's own check, max(|closed|, h),
+    # guards exact zeros at h = 1
     out = tmp_path / "out"
     assert cli.main([sub, "--d=1", f"--output-dir={out}"]) == 0
     name, columns, pinned = PINNED_JETS[sub]
@@ -267,11 +268,23 @@ def test_small_h_runs_pass_their_pole_and_root_guards(tmp_path, argv):
         assert max(float(row.split(",")[col]) for row in lines[1:]) <= 2e-14 * h
 
 
-@pytest.mark.xfail(strict=True, reason="the residue gate divides by max(|closed|, 1), an "
-                   "absolute floor, while the residues scale as h: at h = 1e12 the parity "
-                   "zero (k, j) = (0, 1) has a contour value of 3e-18 h")
-def test_residue_at_a_large_h_passes_its_gate(tmp_path):
-    assert cli.main(["residue", "--h=1e12", f"--output-dir={tmp_path}"]) == 0
+@pytest.mark.parametrize("sub", ["residue", "eigendist"])
+def test_runs_at_a_large_h_pass_their_gates(tmp_path, sub):
+    # residues and eigen-residuals scale as h, and so do the gates' floors: at
+    # h = 1e12 the residue parity zero (k, j) = (0, 1) has a contour value of
+    # 3e-18 h, and the eigen-residuals reach 2e-16 h
+    assert cli.main([sub, "--h=1e12", f"--output-dir={tmp_path}"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["residue", "--s=1"], ["residue", "--s=-1.5"],
+                                  ["eigendist", "--n-te=1"]])
+def test_abbreviated_options_exit_2(tmp_path, capsys, argv):
+    # residue has no --s, which argparse would otherwise expand to --seed
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv + [f"--output-dir={tmp_path}"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in _diagnostic(capsys)["message"]
+    assert not any(tmp_path.iterdir())
 
 
 # one small run per subcommand

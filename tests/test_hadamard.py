@@ -17,7 +17,6 @@ from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import PoleError, ToleranceError, ValidationError
 from cuspflow.hadamard import (
-    RegularizedPairing,
     _angular_moment,
     auto_regularization_depth,
     jordan_vector,
@@ -119,14 +118,7 @@ def _direct_pairing(d, h, k, upsilon, lam, psi):
 
 def test_nreg_independence_at_complex_lambda():
     psi = _coupled_psi(2, seed=1)
-    vals = [
-        pairing(
-            RegularizedPairing(
-                d=2, h=1.0, k=1, upsilon=(1.0, 0.5), lam=0.3 + 0.1j, psi=psi, n_reg=n
-            )
-        )
-        for n in (3, 5, 8)
-    ]
+    vals = [pairing(2, 1.0, 1, (1.0, 0.5), psi, 0.3 + 0.1j, n) for n in (3, 5, 8)]
     assert abs(vals[0]) > 1e-3  # meaningful, coupled configuration
     assert abs(vals[1] - vals[0]) < 1e-9
     assert abs(vals[2] - vals[0]) < 1e-9
@@ -137,9 +129,8 @@ def test_direct_integral_agreement_in_l1_regime(d, k, lam):
     assert 2 * complex(lam).real + k < 0
     upsilon = tuple(1.0 + 0.25 * i for i in range(homogeneous_dimension(d, k)))
     psi = _coupled_psi(d, seed=2)
-    rp = RegularizedPairing(d=d, h=1.0, k=k, upsilon=upsilon, lam=lam, psi=psi, n_reg=3)
     direct = _direct_pairing(d, 1.0, k, upsilon, lam, psi)
-    assert abs(pairing(rp) - direct) < 1e-8 * max(1.0, abs(direct))
+    assert abs(pairing(d, 1.0, k, upsilon, psi, lam, 3) - direct) < 1e-8 * max(1.0, abs(direct))
 
 
 def test_vanishing_near_pole_reduces_to_direct_integral():
@@ -149,23 +140,16 @@ def test_vanishing_near_pole_reduces_to_direct_integral():
     d, k = 1, 0
     psi = AwaySupportedFunction(d, z_star=0.2, mu=(0,))
     for lam in (1.3, 2.6):
-        rp = RegularizedPairing(
-            d=d, h=1.0, k=k, upsilon=(1.0,), lam=lam, psi=psi, n_reg=8
-        )
         direct = _direct_pairing(d, 1.0, k, (1.0,), lam, psi)
         assert abs(direct) > 1e-6
-        assert abs(pairing(rp) - direct) < 1e-8 * abs(direct)
+        assert abs(pairing(d, 1.0, k, (1.0,), psi, lam, 8) - direct) < 1e-8 * abs(direct)
 
 
 def test_pairing_pole_error_carries_datum():
     psi = _coupled_psi(1, seed=3)
     lam0 = pole_location(2, 0, 1.0)  # = 1
     with pytest.raises(PoleError) as exc:
-        pairing(
-            RegularizedPairing(
-                d=1, h=1.0, k=0, upsilon=(1.0,), lam=lam0 + 5e-9, psi=psi, n_reg=4
-            )
-        )
+        pairing(1, 1.0, 0, (1.0,), psi, lam0 + 5e-9, 4)
     assert exc.value.j == 2
     assert exc.value.k == 0
 
@@ -173,9 +157,7 @@ def test_pairing_pole_error_carries_datum():
 def test_pairing_validity_requires_depth():
     psi = _coupled_psi(1, seed=4)
     with pytest.raises(ValidationError):
-        pairing(
-            RegularizedPairing(d=1, h=1.0, k=0, upsilon=(1.0,), lam=2.0, psi=psi, n_reg=3)
-        )
+        pairing(1, 1.0, 0, (1.0,), psi, 2.0, 3)
 
 
 def test_pairing_linear_in_upsilon_and_psi():
@@ -185,9 +167,7 @@ def test_pairing_linear_in_upsilon_and_psi():
     u1, u2 = (1.0, 0.0), (0.3, -0.7)
 
     def val(ups, psi):
-        return pairing(
-            RegularizedPairing(d=d, h=1.0, k=k, upsilon=ups, lam=lam, psi=psi, n_reg=5)
-        )
+        return pairing(d, 1.0, k, ups, psi, lam, 5)
 
     combo = tuple(2.0 * a - 1.5 * b for a, b in zip(u1, u2))
     assert val(combo, psi1) == pytest.approx(
@@ -346,7 +326,7 @@ def test_pairings_match_the_one_lambda_reference_on_residue_circles(d):
             mixed += len(set(n_regs)) > 1
             got = pairings(d, 1.0, k, ups, psi, lams, n_regs)
             for lam, n_reg, value in zip(lams.tolist(), n_regs, got):
-                ref = reference_pairing(RegularizedPairing(d, 1.0, k, ups, lam, psi, n_reg))
+                ref = reference_pairing(d, 1.0, k, ups, psi, lam, n_reg)
                 assert abs(value - ref) <= 1e-13 * max(abs(ref), 1.0), (k, j, lam)
     assert mixed >= 12
 
@@ -449,7 +429,7 @@ def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
         ups = tuple(1.0 + 0.2 * i for i in range(homogeneous_dimension(d, k)))
         rep = jordan_vector(j, k, ups, ModelOperator(d=d, h=1.0, lam=lam0))
         psi = _coupled_psi(d, seed=100 + d + k)
-        vals = [reference_pairing(RegularizedPairing(d, 1.0, k, rep.upsilon, lam, psi, j + 2))
+        vals = [reference_pairing(d, 1.0, k, rep.upsilon, psi, lam, j + 2)
                 for lam in (lam0 + 0.1 * units).tolist()]
         ref = sum(vals) / len(vals)
         bound = 1e-14 * abs(ref) + 1e-15 * max(abs(v) for v in vals)
@@ -508,15 +488,8 @@ def test_residue_independent_of_regularization_depth():
         m_nodes = 24
         for m in range(m_nodes):
             th = 2 * math.pi * m / m_nodes
-            lam = lam_j + eps * complex(math.cos(th), math.sin(th))
-            acc += (
-                pairing(
-                    RegularizedPairing(
-                        d=d, h=1.0, k=k, upsilon=(1.0,), lam=lam, psi=psi, n_reg=n_reg
-                    )
-                )
-                * complex(math.cos(th), math.sin(th))
-            )
+            unit = complex(math.cos(th), math.sin(th))
+            acc += pairing(d, 1.0, k, (1.0,), psi, lam_j + eps * unit, n_reg) * unit
         vals.append(acc * eps / m_nodes)
     assert abs(vals[0] - vals[1]) < 1e-9 * max(1.0, abs(vals[0]))
 
@@ -533,15 +506,7 @@ def test_pole_order_fits_one():
         for m in range(12):
             th = 2 * math.pi * m / 12 + 0.1
             lam = lam_j + eps * complex(math.cos(th), math.sin(th))
-            vals.append(
-                abs(
-                    pairing(
-                        RegularizedPairing(
-                            d=d, h=1.0, k=k, upsilon=(1.0,), lam=lam, psi=psi, n_reg=j + 3
-                        )
-                    )
-                )
-            )
+            vals.append(abs(pairing(d, 1.0, k, (1.0,), psi, lam, j + 3)))
         maxima.append(max(vals))
     slope = np.polyfit(np.log(radii), np.log(maxima), 1)[0]
     assert abs(slope - (-1.0)) < 0.05

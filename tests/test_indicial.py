@@ -14,7 +14,7 @@ from _oracles import apply_P, ck_norm, constant_test_function, numeric_roots_sho
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import ValidationError
-from cuspflow.hadamard import jordan_vector
+from cuspflow.hadamard import jordan_vector, pair_distribution
 from cuspflow.indicial import (
     IndicialRoot,
     ModelOperator,
@@ -304,7 +304,7 @@ def test_dirac_zeroth_jet_is_point_evaluation():
             for _ in range(3):
                 psi = random_test_function(d, rng, n_terms=3, max_deg=2)
                 psi = psi + constant_test_function(d, 0.7)
-                assert rep.pair(psi) == pytest.approx(_pole_value(psi), abs=1e-12)
+                assert pair_distribution(rep, psi) == pytest.approx(_pole_value(psi), abs=1e-12)
 
 
 def test_euler_weight_of_jets_sympy_oracle():
@@ -379,7 +379,7 @@ def test_weak_eigen_equation_dirac_jets():
             for _ in range(5):
                 psi = random_test_function(d, rng, n_terms=3, max_deg=2)
                 g = psi.apply_model_transpose(1.0, lam, 0.0) + psi * (-1.0 * s)
-                residual = abs(rep.pair(g))
+                residual = abs(pair_distribution(rep, g))
                 assert residual < 1e-8 * ck_norm(psi, n + 1)
 
 
@@ -398,7 +398,7 @@ def test_weak_eigen_equation_south_branch():
             for _ in range(3):
                 psi = random_test_function(d, rng, n_terms=2, max_deg=2)
                 g = psi.apply_model_transpose(1.0, lam, 0.0) + psi * (-1.0 * s)
-                residual = abs(rep.pair(g))
+                residual = abs(pair_distribution(rep, g))
                 assert residual < 1e-8 * ck_norm(psi, k + 1)
 
 
@@ -447,13 +447,26 @@ def test_eigendistribution_at_a_jordan_root_is_the_jordan_vector(d, s, j):
     op = ModelOperator(d=d, h=1.0, lam=lam)
     rep = eigendistribution(root, op, (0,) * d)
     ref = jordan_vector(j, 0, (1.0,), op)
-    assert (rep.kind, rep.lam) == ("jordan_vector", j / 2.0)
+    assert (rep.finite_part, rep.lam) == (True, j / 2.0)
     rng = np.random.default_rng(13)
     for _ in range(3):
         psi = random_test_function(d, rng, n_terms=3, max_deg=2)
-        assert rep.pair(psi) == ref.pair(psi)
+        assert pair_distribution(rep, psi) == pair_distribution(ref, psi)
     with pytest.raises(ValidationError, match="is not at the crossing value"):
         eigendistribution(root, ModelOperator(d=d, h=1.0, lam=lam + 1e-6), (0,) * d)
+
+
+def test_a_jordan_root_at_a_large_h_is_located_in_w_units():
+    # the crossing guard is 1e-9 h: at h = 1e12/3 the root's lambda carries a
+    # rounding of about 1e-4, while 1e-6 h off the crossing is still rejected
+    h, s = 1e12 / 3, -1.5
+    root = next(r for r in indicial_roots(ModelOperator(d=1, h=h), s=s, n_max=0) if r.sign == -1)
+    assert root.jordan_index == 2
+    lam = root.lambda_at(s)
+    rep = eigendistribution(root, ModelOperator(d=1, h=h, lam=lam), (0,))
+    assert (rep.finite_part, rep.lam) == (True, h)
+    with pytest.raises(ValidationError, match="is not at the crossing value"):
+        eigendistribution(root, ModelOperator(d=1, h=h, lam=lam + 1e-6 * h), (0,))
 
 
 # ---------------------------------------------------------------------------
