@@ -24,43 +24,37 @@ cli
     artifacts and a manifest that reproduces the run.
 """
 
-from . import errors, flow, geometry
-from .errors import (
-    ConfigurationError,
-    ContourOnRootError,
-    DomainError,
-    InvalidEnclosureError,
-    NearSingularError,
-    NonterminationError,
-    PoleError,
-    ToleranceError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .flow import (
-    BumpObservable,
-    CorrelationRecord,
-    FlowState,
-    QuotientSurface,
-    correlate,
-    estimate_area,
-    flow_cusp_exact,
-    flow_quotient,
-    hyperbolic_distance,
-    laplace_tail_bound,
-    laplace_transform,
-    liouville_samples,
-    sample_liouville,
-)
-from .geometry import (
-    CotangentVector,
-    PhasePoint,
-    SplittingFrame,
-    apply_local_isometry,
-    cotangent_norm,
-    direction_angle,
-    invariant_splitting,
-    splitting_frame_at,
-)
+import importlib
+
+__all__ = [
+    "errors", "flow", "geometry",
+    "ConfigurationError", "ContourOnRootError", "DomainError", "InvalidEnclosureError",
+    "NearSingularError", "NonterminationError", "PoleError", "ToleranceError",
+    "UnsupportedDimensionError", "ValidationError",
+    "BumpObservable", "CorrelationRecord", "FlowState", "QuotientSurface", "correlate",
+    "estimate_area", "flow_cusp_exact", "flow_quotient", "hyperbolic_distance",
+    "laplace_tail_bound", "laplace_transform", "liouville_samples", "sample_liouville",
+    "CotangentVector", "PhasePoint", "SplittingFrame", "apply_local_isometry",
+    "cotangent_norm", "direction_angle", "invariant_splitting", "splitting_frame_at",
+]
+
+# The modules the exports live in, in import-dependency order (geometry needs
+# errors; flow needs both), so finding a name loads no module that the
+# name's own module does not load.
+_HOMES = ("errors", "geometry", "flow")
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Load an export on first access (PEP 562): a subcommand that never reads
+    one does not pay for importing its module."""
+    if name in __all__:
+        if name in _HOMES:
+            return importlib.import_module(f".{name}", __name__)
+        for home in _HOMES:
+            module = importlib.import_module(f".{home}", __name__)
+            if hasattr(module, name):
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ so no numerical differentiation happens anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,9 +30,14 @@ __all__ = ["TestFunction", "random_test_function"]
 
 
 def _trim(p) -> np.ndarray:
-    """np.trim_zeros(p, "b") of ``p`` as a complex array, at about 1/20 of its cost."""
-    nonzero = np.flatnonzero(p := np.atleast_1d(np.asarray(p, dtype=complex)))
-    return p[: nonzero[-1] + 1 if nonzero.size else 0]
+    """np.trim_zeros(p, "b") of ``p`` as a complex array.  The polynomials here are
+    short and seldom end in zeros, so a scan back from the end costs about a third
+    of np.flatnonzero over the whole array."""
+    p = np.atleast_1d(np.asarray(p, dtype=complex))
+    n = p.size
+    while n and p[n - 1] == 0:
+        n -= 1
+    return p[:n]
 
 
 def _canonical(terms):
@@ -41,6 +47,14 @@ def _canonical(terms):
         if p.size:
             merged[key] = npoly.polyadd(merged[key], p) if key in merged else p
     return [(q, mu, c, kept) for (q, mu, c), p in merged.items() if (kept := _trim(p)).size]
+
+
+@functools.lru_cache(maxsize=1024)
+def _binomial_series(k: int, order: int) -> np.ndarray:
+    """(1 - t)^{k/2 - 1/2} to ``order``, the series of z0^k J (read-only: shared)."""
+    coeffs = np.array(RadialSeries.binomial(k / 2 - 0.5, order).coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 class TestFunction:
@@ -113,8 +127,9 @@ class TestFunction:
         phi = np.asarray(phi, dtype=float)
         z0 = np.cos(phi)
         rho = np.sin(phi)
+        rho_sq, z0_z = 1.0 - z0**2, z0 + 0j  # complex z0: Horner's products need no cast
         for q, mu, c, p in self.terms:
-            yield mu, npoly.polyval(z0, p) * rho**q * np.exp(-c * (1.0 - z0**2))
+            yield mu, npoly.polyval(z0_z, p) * rho**q * np.exp(-c * rho_sq)
 
     def value(self, phi, u):
         """Evaluate at angles phi (array) and directions u (shape (..., d))."""
@@ -150,8 +165,7 @@ class TestFunction:
         if len(coeffs) <= order:
             order = max(order, 2 * len(coeffs))
             _, _, c, p = self.terms[index]
-            rest = sum(pk * np.array(RadialSeries.binomial(k / 2 - 0.5, order).coeffs)
-                       for k, pk in enumerate(p))
+            rest = sum(pk * _binomial_series(k, order) for k, pk in enumerate(p))
             if c != 0.0:
                 exp = np.cumprod(np.r_[1.0, -c / np.arange(1, order + 1)])
                 rest = np.convolve(rest, exp)[: order + 1]
@@ -188,25 +202,34 @@ class TestFunction:
             total += g_m * mult * nfact
         return total
 
-    def profile_coefficient(self, j: int, weight: np.ndarray, moment):
-        """Coefficient of rho^j in the integral over u in S^{d-1} of
-        Upsilon(u) (g J psi)(rho u), with g(t) = sum_i weight[i] t^i.
+    def profile_coefficient(self, orders, weight: np.ndarray, moment) -> np.ndarray:
+        """Coefficient of rho^j, for each order j of the int array ``orders``,
+        in the integral over u in S^{d-1} of Upsilon(u) (g J psi)(rho u), with
+        g(t) = sum_i weight[i] t^i.
 
         A term is x^mu t^e rest(t), e = (q - |mu|)/2, rest = p(sqrt(1-t))
         e^{-ct}.  Order j needs j - |mu| even and m = (j - |mu|)/2 >= e, and
-        is a_mu = moment(mu) (|u| = 1 on the sphere) times coefficient m - e
-        of g * (J rest), one np.dot.  ``weight`` is an array of shape (order,)
-        or (order, L), one series per column; the coefficient is then one
-        value per column.
+        is a_mu = moment(mu) (|u| = 1 on the sphere) times coefficient
+        r = m - e of g * (J rest).  A term gives every order of the block at
+        once, as one product of the Toeplitz matrix of its rest series
+        (rest_{r-i}, and 0 past i = r) with ``weight``.  ``weight`` has shape
+        (W,) or (W, L), one series per column, to order max(orders) // 2 or
+        more; the block has shape (len(orders),) or (len(orders), L).
         """
-        acc = 0.0 + 0.0j
-        for index, (deg, e) in enumerate(self._degrees):
-            r = (j - deg) // 2 - e
-            if (j - deg) % 2 or r < 0 or (c_mu := moment(self.terms[index][1])) == 0.0:
+        orders = np.asarray(orders)
+        block = np.zeros(orders.shape + np.shape(weight)[1:], complex)
+        degrees = np.reshape(self._degrees, (-1, 2))  # rows term: |mu|, e
+        m, odd = np.divmod(orders - degrees[:, :1], 2)
+        r = m - degrees[:, 1:]  # rows term, columns order
+        for index, (r_term, keep) in enumerate(zip(r, (odd == 0) & (r >= 0))):
+            rows = np.flatnonzero(keep)
+            if not rows.size or (c_mu := moment(self.terms[index][1])) == 0.0:
                 continue
-            rest = self._radial_series(index, r)
-            acc += c_mu * np.dot(rest[r::-1], weight[: r + 1])
-        return acc
+            top = int(r_term[rows].max())
+            rest = np.array(self._radial_series(index, top)[: top + 1])
+            lag = r_term[rows, None] - np.arange(top + 1)
+            block[rows] += c_mu * (np.where(lag >= 0, rest[lag], 0.0) @ weight[: top + 1])
+        return block
 
     def pair_volume_dict(self, jet_dict: dict):
         """Pair a volume-jet functional {mu: coeff} against this function."""

@@ -67,7 +67,6 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .geometry import UNIT_TOL
 
 __all__ = ["ExperimentConfig", "run", "main", "build_parser"]
 
@@ -298,6 +297,8 @@ def _validate_params(sub: str, p: dict) -> None:
         raise ValidationError(
             f"t_max must be at least dt, got t_max={p['t_max']!r}, dt={p['dt']!r}")
     if sub == "flow":
+        from .geometry import UNIT_TOL
+
         norm = float(np.linalg.norm(p["u0"]))
         if abs(norm - 1.0) > UNIT_TOL:
             raise ValidationError(f"u0 must be a unit vector, |u0| = {norm}")
@@ -584,11 +585,10 @@ def _run_eigendist(config: ExperimentConfig):
         op = ModelOperator(d=p["d"], h=p["h"], lam=lam)
         mu = (r.n,) + (0,) * (p["d"] - 1)
         rep = eigendistribution(r, op, mu)
-        for i, (psi, psi_parts) in enumerate(zip(psis, parts)):
-            base = complex(pair_distribution(rep, psi))
-            shifted = psi.apply_model_transpose(p["h"], lam, parts=psi_parts)
-            residual = abs(complex(pair_distribution(rep, shifted))
-                           - complex(rep.eigenvalue) * base)
+        shifted = [psi.apply_model_transpose(p["h"], lam, parts=t) for psi, t in zip(psis, parts)]
+        paired = pair_distribution(rep, psis + shifted).tolist()  # each psi, then its transpose
+        for i, (base, moved) in enumerate(zip(paired, paired[len(psis):])):
+            residual = abs(moved - complex(rep.eigenvalue) * base)
             rel = residual / (p["h"] * max(1.0, abs(base)))  # residuals scale as h
             worst = _nanmax(worst, rel)
             rows.append([r.sign, r.n, lam.real, lam.imag, i, base.real,

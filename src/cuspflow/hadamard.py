@@ -20,22 +20,27 @@ function's is a sum of binomial series (1 - t)^a times e^{-ct}, and w^sigma,
 for w = 2/(1 + sqrt(1 - t)), is the generalized binomial series
 (:meth:`RadialSeries.power <cuspflow._jets.RadialSeries.power>`).
 
-:func:`pairings` evaluates the family for one (psi, Upsilon, k) at an array
-of lambda, as a residue circle needs it, or its finite part at a pole: the
-angular profile once, w^sigma over the sigma array, each Phi_j as one value
-per lambda, and the radial and colatitude integrals over lambda at once by
-:func:`quad`, eight equal Gauss-Legendre panels of 32 nodes.  Panels,
-because test functions are smooth but need not be analytic: on
+:func:`pairings` evaluates the family for one (Upsilon, k) against several
+test functions at an array of lambda, as a residue circle needs it, or its
+finite part at a pole.  The lambda-only work is done once per call: w^sigma
+over the sigma array, the pole and depth checks, the tail factors and the
+lambda parts of both integrands.  Each test function adds its angular
+profile and its Phi_j, a block of orders at a time, one value per lambda.
+The radial and colatitude integrals over every (psi, lambda) row at once
+are by :func:`quad`, eight equal Gauss-Legendre panels of 32 nodes, which
+sums each row on its own, so a row is bitwise the same alone or in a batch.
+Panels, because test functions are smooth but need not be analytic: on
 away-supported bumps one 64-node rule misses by up to 5e-7 relative, the
-panels by 1e-15.  Each lambda's error estimate is the difference from
-24-node panels; above 1e-12 + 1e-11 |integral| it raises.
+panels by 1e-15.  Each row's error estimate is the difference from 24-node
+panels; above 1e-12 + 1e-11 |integral| it raises.
 
 Residues are finite combinations of volume jets at N, which is what couples
 this family to the Dirac-jet branch and produces index-2 Jordan blocks at
 equal-parity crossings.  Those generalized eigenvectors (finite part plus a
 solvable jet correction) are constructed here as well, and
-:func:`pair_distribution` pairs every eigendistribution, its south part by
-:func:`pairing` and its jet part exactly.
+:func:`pair_distribution` pairs an eigendistribution with several test
+functions, its south part by one :func:`pairings` call and its jet part
+exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._jets import (
     RadialSeries,
@@ -101,12 +105,16 @@ def quad(fn, a: float, b: float, rows=None):
     ``fn``); its difference from the lower-order rule is each row's error
     estimate, and an estimate above 1e-12 + 1e-11 |value|, or not finite,
     raises ToleranceError that states it and names the row (``rows[i]``, if given).
+    Each row is summed on its own, by numpy's pairwise sum along the last
+    axis, so its value does not depend on the other rows (a BLAS product's
+    summation order can depend on the shape of the batch).
     """
     nodes, w_hi, w_lo = _panel_rule(a, b)
     vals = fn(nodes)
-    value = vals[..., : w_hi.size] @ w_hi
+    w_hi, w_lo = w_hi.astype(vals.dtype), w_lo.astype(vals.dtype)  # no cast in the products
+    value = (vals[..., : w_hi.size] * w_hi).sum(axis=-1)
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite estimate raises below
-        err = np.abs(value - vals[..., w_hi.size:] @ w_lo)
+        err = np.abs(value - (vals[..., w_hi.size:] * w_lo).sum(axis=-1))
     bad = np.flatnonzero(~(err <= _QUAD_ABS + _QUAD_REL * np.abs(value)))
     if bad.size:
         i = bad[0]
@@ -144,41 +152,54 @@ def _angular_moment(up: tuple, k: int, nu: tuple) -> float:
     return total
 
 
-def _tail_sum(terms: list) -> tuple:
-    """The radial Taylor tail summed in order, and whether three consecutive nonzero
-    terms fell below 1e-16 (1 + |sum|); parity zeros carry no information."""
+def _tail(terms: list, n_reg: int, lam) -> tuple:
+    """Whether the radial Taylor tail ``terms[n_reg:]`` is settled, and its sum in
+    order: settled once three consecutive nonzero terms fall below
+    1e-16 (1 + |sum|), or when 64 orders are in and all are zero; parity zeros
+    carry no information.  64 orders that do not converge raise ToleranceError."""
     near, run = 0j, 0
-    for term in terms:
-        near += term
-        if term != 0.0:
-            run = run + 1 if abs(term) < 1e-16 * (1.0 + abs(near)) else 0
-            if run == 3:
-                return near, True
-    return near, False
+    try:
+        for term in terms[n_reg:n_reg + 64]:
+            near += term
+            if term != 0.0:
+                run = run + 1 if abs(term) < 1e-16 * (1.0 + abs(near)) else 0
+                if run == 3:
+                    return True, near
+    except OverflowError as exc:  # abs() of a term past the float range
+        raise ToleranceError(f"radial Taylor tail at lambda={lam} leaves the float range") from exc
+    if len(terms) < n_reg + 64:
+        return False, near
+    if any(terms[n_reg:n_reg + 64]):
+        raise ToleranceError("radial Taylor tail did not converge below 1e-16 "
+                             f"within {n_reg + 64} orders at lambda={lam}")
+    return True, near
 
 
-def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
+def pairings(d: int, h: float, k: int, upsilon, psis, lams, n_regs,
              finite_part: bool = False) -> np.ndarray:
-    """The continued pairings <F(lambda), psi> at every lambda of ``lams``,
-    with Taylor-subtraction depths ``n_regs`` (one per lambda, or one for all).
+    """The continued pairings <F(lambda), psi>, one row per test function of
+    ``psis`` and one column per lambda of ``lams``, with Taylor-subtraction
+    depths ``n_regs`` (one per lambda, or one for all).
 
     Near integral (rho <= sin(cut)): Taylor subtraction of the regular factor
     to depth n_reg, closed-form continuation of the subtracted monomials.
-    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, each one
-    np.dot for every lambda at once, with w^sigma in closed form over the
-    lambda array; the integral over u of Upsilon psi is exact.  Far
-    integral: direct quadrature in the colatitude over [cut, pi] in the
-    everywhere-regular form T^sigma sin(phi)^{k+d-1}.  A lambda at a pole,
-    too deep for its n_reg, or whose tail or integral is unresolved raises
-    the typed error that names it; with ``finite_part``, a lambda at a pole
-    lambda_j gives the 0th Laurent coefficient there.
+    Phi_j sums a_mu (w^sigma J rest)_{m-e} over the terms of psi, a block of
+    orders at a time, with w^sigma in closed form over the lambda array; the
+    integral over u of Upsilon psi is exact.  Far integral: direct quadrature
+    in the colatitude over [cut, pi] in the everywhere-regular form
+    T^sigma sin(phi)^{k+d-1}.  A lambda at a pole, too deep for its n_reg, or
+    whose tail or integral is unresolved raises the typed error that names
+    it; with ``finite_part``, a lambda at a pole lambda_j gives the 0th
+    Laurent coefficient there.  The lambda-only work is done once per call;
+    each test function adds its own Phi_j and angular profile, and its row
+    is bitwise the same as when it is paired alone.
 
     ``upsilon`` holds the coefficients of Upsilon over the degree-k monomials
-    (graded-lexicographic order).  ``psi`` has profile_coefficient(j, weight,
-    moment) and angular_profile(phi, moment), as TestFunction has them: the
-    weight is an (order,) or (order, L) array, one column per lambda, and
-    profile_coefficient is linear in it and returns one value per column, or
-    a scalar that broadcasts over them.
+    (graded-lexicographic order).  Each psi has profile_coefficient(orders,
+    weight, moment) and angular_profile(phi, moment), as TestFunction has
+    them: ``orders`` is an int array, the weight an (order, L) array with one
+    column per lambda, and profile_coefficient is linear in it and returns a
+    (len(orders), L) block.
     """
     if k < 0:
         raise ValidationError(f"need k >= 0, got {k}")
@@ -199,74 +220,93 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
             f"lambda={complex(lams[i])} (need Re(lambda) < h (n_reg - k)/2); increase n_reg")
     # pole proximity, in w = lambda/h units: lambda_j - lambda = (h/2) (c + j)
     n_max = int(n_regs.max())
-    orders = np.arange(n_max)[:, None]  # rows j, columns lambda
-    subtracted, x = orders < n_regs, c_exp + orders
+    orders = np.arange(n_max)  # rows lambda, columns j
+    subtracted, x = orders < n_regs[:, None], c_exp[:, None] + orders
     pole = subtracted & (np.abs(x) <= 2.0 * _POLE_GUARD)
     if np.any(pole) and not finite_part:
-        i, j = (int(v[0]) for v in np.nonzero(pole.T))
+        i, j = (int(v[0]) for v in np.nonzero(pole))
         raise PoleError(f"lambda={complex(lams[i])} is within {_POLE_GUARD}*h of the pole "
                         f"lambda_{j} = {pole_location(j, k, h)}", j, k)
 
     sigma = -(k + d / 2.0 + lams / h)
     moment = functools.partial(_angular_moment, tuple(upsilon), k)
-    angular = functools.partial(psi.angular_profile, moment=moment)
     rho_c = math.sin(_CUT_ANGLE)
     rho_s = 0.25  # series/quadrature split of the near integral
 
     # Taylor-subtracted remainder on [0, rho_s] by the tail series: the
     # radial profile Phi(rho) is analytic with radius 1, so extra exact
     # coefficients converge geometrically and no cancellation-prone
-    # subtraction is ever evaluated at small rho.  Phi_j reads w^sigma to
-    # order m - e <= j // 2, each block's as far as it goes, as an (order, L) array.
+    # subtraction is ever evaluated at small rho.  The blocks of orders are
+    # the same for every psi: Phi_j reads w^sigma to order m - e <= j // 2,
+    # and past n_reg a tail term is Phi_j rho_s^{c+j}/(c+j).
     j_cap = n_max + 64  # a tail not converged by order n_reg + 64 raises
-    blocks, terms, tails = [], [[] for _ in lams], [None] * lams.size
-    while None in tails:  # blocks of orders; terms[i][j] = Phi_j rho_s^{c+j}/(c+j)
-        start = len(terms[0])
-        js = np.arange(start, min(max(start, n_max) + _TAIL_BLOCK, j_cap))
-        weight = np.array(RadialSeries.power(sigma, int(js[-1]) // 2).coeffs)
-        block = np.empty((js.size, lams.size), complex)
-        for row, j in enumerate(js.tolist()):
-            block[row] = psi.profile_coefficient(j, weight, moment)
-        blocks.append(block)
-        den = np.where(js[:, None] < n_regs, 1.0, c_exp + js[:, None])  # tail orders only
-        factor = rho_s ** c_exp * (rho_s ** js)[:, None] / den
-        for row_terms, col in zip(terms, (block * factor).T.tolist()):
-            row_terms.extend(col)
-        for i, n_reg in enumerate(n_regs.tolist()):
-            if tails[i] is None:
-                try:
-                    near, converged = _tail_sum(terms[i][n_reg:n_reg + 64])
-                except OverflowError as exc:  # abs() of a term past the float range
-                    raise ToleranceError(f"radial Taylor tail at lambda={lams[i]} leaves the "
-                                         "float range") from exc
-                ended = len(terms[i]) >= n_reg + 64
-                if ended and not converged and any(terms[i][n_reg:n_reg + 64]):
-                    raise ToleranceError("radial Taylor tail did not converge below 1e-16 "
-                                         f"within {n_reg + 64} orders at lambda={lams[i]}")
-                tails[i] = near if converged or ended else None
-    sub = np.where(subtracted, np.concatenate(blocks)[:n_max], 0.0)  # first n_reg Phi_j
+    edges = [0, *range(n_max + _TAIL_BLOCK, j_cap, _TAIL_BLOCK), j_cap]
+    blocks = []  # (orders, w^sigma to the last one, tail factors), made when first read
+
+    def block(b: int):
+        if b == len(blocks):
+            js = np.arange(edges[b], edges[b + 1])
+            den = np.where(js[:, None] < n_regs, 1.0, c_exp + js[:, None])  # tail orders only
+            blocks.append((js, np.array(RadialSeries.power(sigma, int(js[-1]) // 2).coeffs),
+                           rho_s ** c_exp * (rho_s ** js)[:, None] / den))
+        return blocks[b]
+
+    tails = np.empty((len(psis), lams.size), complex)
+    sub = np.empty((len(psis), lams.size, n_max), complex)  # the first n_reg Phi_j, j last
+    for p, psi in enumerate(psis):
+        terms, done, b = [[] for _ in lams], [False] * lams.size, 0
+        while not all(done):
+            js, weight, factor = block(b)
+            phi_j = psi.profile_coefficient(js, weight, moment)
+            if b == 0:
+                sub[p] = np.where(subtracted, phi_j[:n_max].T, 0.0)
+            for row_terms, col in zip(terms, (phi_j * factor).T.tolist()):
+                row_terms.extend(col)
+            for i, n_reg in enumerate(n_regs.tolist()):
+                if not done[i]:
+                    done[i], tails[p, i] = _tail(terms[i], n_reg, lams[i])
+            b += 1
+
+    def angular(phi: np.ndarray) -> np.ndarray:  # (psi, 1, node)
+        return np.array([psi.angular_profile(phi, moment) for psi in psis])[:, None]
 
     def near_integrand(rho: np.ndarray) -> np.ndarray:
         # Phi(rho) = integral of Upsilon(u) * (w^sigma J psi)(rho u) du,
         # less its first n_reg Taylor terms
         root = np.sqrt(1.0 - rho * rho)
-        w_sigma = np.exp(np.multiply.outer(sigma, np.log(2.0 / (1.0 + root))))
-        rho_c1 = np.exp(np.multiply.outer(c_exp - 1.0, np.log(rho)))
-        return rho_c1 * (angular(np.arcsin(rho)) / root * w_sigma - npoly.polyval(rho, sub))
+        # the real node factors as complex arrays: a complex product casts a real
+        # operand first, at several times the cost of the product itself
+        log_w, log_rho, rho_z = np.log(2.0 / (1.0 + root)) + 0j, np.log(rho) + 0j, rho + 0j
+        w_sigma = np.exp(np.multiply.outer(sigma, log_w))
+        rho_c1 = np.exp(np.multiply.outer(c_exp - 1.0, log_rho))
+        # the subtracted Taylor polynomial by Horner's rule in place, rounding as
+        # np.polyval does
+        taylor = np.zeros(sub.shape[:-1] + rho.shape, complex)
+        for j in range(n_max - 1, -1, -1):
+            taylor *= rho_z
+            taylor += sub[..., j:j + 1]
+        out = angular(np.arcsin(rho)) / root * w_sigma
+        out -= taylor
+        out *= rho_c1
+        return out
 
-    labels = [f"lambda={lam}" for lam in lams.tolist()]
-    near = np.array(tails) + quad(near_integrand, rho_s, rho_c, labels)
-    # closed-form continuation of the subtracted monomials; at a pole, x = c + j = 0,
+    labels = [f"lambda={lam}" + (f" of test function {p}" if len(psis) > 1 else "")
+              for p in range(len(psis)) for lam in lams.tolist()]
+    near = tails + quad(near_integrand, rho_s, rho_c, labels)
+    # closed-form continuation of the subtracted monomials, summed over j along the
+    # last axis, each row on its own as in quad; at a pole, x = c + j = 0,
     # the 0th Laurent coefficient of Phi_j rho_c^x / x is Phi_j ln(rho_c) - (h/2) Phi_j',
     # and d(w^sigma)/d(lambda) = -(w^sigma ln w)/h, ln w = sum_n C(2n, n) (t/4)^n / 2n
-    near += (sub * np.where(pole, math.log(rho_c), rho_c**x / np.where(pole, 1.0, x))).sum(axis=0)
-    for j, i in zip(*np.nonzero(pole)):  # with finite_part only
-        log_w = [0.0] + [math.comb(2 * n, n) / (2 * n * 4.0**n) for n in range(1, len(weight))]
-        w_log_w = np.convolve(weight[:, i], log_w)
-        near[i] += 0.5 * psi.profile_coefficient(j, w_log_w[: len(weight)], moment)
+    near += (sub * np.where(pole, math.log(rho_c), rho_c**x / np.where(pole, 1.0, x))).sum(-1)
+    for i, j in zip(*np.nonzero(pole)):  # with finite_part only
+        top = j // 2 + 1
+        log_w = [0.0] + [math.comb(2 * n, n) / (2 * n * 4.0**n) for n in range(1, top)]
+        w_log_w = np.convolve(block(0)[1][:top, i], log_w)[:top, None]
+        for p, psi in enumerate(psis):
+            near[p, i] += 0.5 * psi.profile_coefficient([j], w_log_w, moment)[0, 0]
 
     def far_integrand(phi: np.ndarray) -> np.ndarray:
-        t_sigma = np.exp(np.multiply.outer(sigma, np.log(2.0 * (1.0 - np.cos(phi)))))
+        t_sigma = np.exp(np.multiply.outer(sigma, np.log(2.0 * (1.0 - np.cos(phi))) + 0j))
         return t_sigma * (np.sin(phi) ** (k + d - 1) * angular(phi))
 
     return near + quad(far_integrand, _CUT_ANGLE, math.pi, labels)
@@ -275,11 +315,12 @@ def pairings(d: int, h: float, k: int, upsilon, psi, lams, n_regs,
 def pairing(d: int, h: float, k: int, upsilon, psi, lam: complex, n_reg: int | None = None,
             finite_part: bool = False) -> complex:
     """The continued pairing <F(lambda), psi>, or with ``finite_part`` its
-    0th Laurent coefficient at a pole: :func:`pairings` at the one lambda
-    ``lam``, to depth ``n_reg`` (None takes :func:`auto_regularization_depth`)."""
+    0th Laurent coefficient at a pole: :func:`pairings` for the one test
+    function ``psi`` at the one lambda ``lam``, to depth ``n_reg`` (None
+    takes :func:`auto_regularization_depth`)."""
     if n_reg is None:
         n_reg = auto_regularization_depth(lam, k, h)
-    return complex(pairings(d, h, k, upsilon, psi, lam, n_reg, finite_part)[0])
+    return complex(pairings(d, h, k, upsilon, [psi], lam, n_reg, finite_part)[0, 0])
 
 
 class ResiduePair(NamedTuple):
@@ -322,14 +363,14 @@ def pole_residue(
     sigma = -(k + d / 2.0 + lam_j / h)
     moment = functools.partial(_angular_moment, tuple(upsilon), k)
     weight = np.array(RadialSeries.power(sigma, j // 2).coeffs)
-    closed = -(h / 2.0) * psi.profile_coefficient(j, weight, moment)
+    closed = -(h / 2.0) * psi.profile_coefficient([j], weight, moment)[0]
 
     # contour
     units = np.array([complex(math.cos(2.0 * math.pi * m / n_nodes),
                               math.sin(2.0 * math.pi * m / n_nodes)) for m in range(n_nodes)])
     lams = lam_j + radius * units
     n_regs = [max(n_reg, auto_regularization_depth(lam, k, h)) for lam in lams.tolist()]
-    vals = pairings(d, h, k, upsilon, psi, lams, n_regs)
+    vals = pairings(d, h, k, upsilon, [psi], lams, n_regs)[0]
     contour = (vals * units).sum() * radius / n_nodes
     return ResiduePair(closed_form=complex(closed), contour=complex(contour))
 
@@ -406,13 +447,15 @@ def jordan_vector(j: int, k: int, upsilon, op: ModelOperator) -> DistributionRep
                            jet_dict=e_dict, k=k, upsilon=upsilon, finite_part=True)
 
 
-def pair_distribution(rep: DistributionRep, psi) -> complex:
-    """Pair a DistributionRep against a test function: the :func:`pairing` of
-    its south part (the finite part at rep.lam when ``rep.finite_part`` is
-    set), plus the exact pairing of its jet part, in that order."""
-    south = None if rep.upsilon is None else pairing(
-        rep.d, rep.h, rep.k, rep.upsilon, psi, rep.lam, finite_part=rep.finite_part)
+def pair_distribution(rep: DistributionRep, psis) -> np.ndarray:
+    """Pair a DistributionRep against each test function of ``psis``, one
+    value per psi: the :func:`pairings` row of its south part (the finite
+    part at rep.lam when ``rep.finite_part`` is set), plus the exact pairing
+    of its jet part, in that order."""
+    south = None if rep.upsilon is None else pairings(
+        rep.d, rep.h, rep.k, rep.upsilon, psis, rep.lam,
+        auto_regularization_depth(rep.lam, rep.k, rep.h), rep.finite_part)[:, 0]
     if not rep.jet_dict:
         return south
-    jets = psi.pair_volume_dict(rep.jet_dict)
-    return complex(jets if south is None else south + jets)
+    jets = np.array([psi.pair_volume_dict(rep.jet_dict) for psi in psis], complex)
+    return jets if south is None else south + jets

@@ -13,7 +13,8 @@ package takes:
   was written before the package evaluated a batch of lambdas at once, with
   w^sigma by :func:`miller_power` (the package takes the generalized
   binomial closed form) and each Phi_j by the sequential sum of
-  :func:`sequential_profile_coefficient` (the package takes one np.dot);
+  :func:`sequential_profile_coefficient` (the package takes a block of
+  orders as one Toeplitz product per term);
 * :func:`reduced_flow` and :func:`lifted_flow` transport reduced points and
   cotangent vectors by the closed-form flow, with no blocking or windowing;
 * :func:`stepped_tau_max` finds each transition time by stepping the sphere
@@ -351,8 +352,8 @@ class AwaySupportedFunction:
     def volume_jet(self, nu):
         return 0.0 + 0.0j
 
-    def profile_coefficient(self, j, weight, moment):
-        return 0.0 + 0.0j
+    def profile_coefficient(self, orders, weight, moment):
+        return np.zeros(np.shape(orders) + np.shape(weight)[1:], complex)
 
     def pair_volume_dict(self, jet_dict: dict):
         return 0.0 + 0.0j

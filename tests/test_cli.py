@@ -605,6 +605,34 @@ def test_perfbench_span_targets_resolve():
         assert callable(vars(owner).get(attr)), f"{module}.{attr_path}"
 
 
+def test_the_cli_loads_the_flow_modules_only_when_a_run_needs_them():
+    # the package resolves its exports on first access: importing the CLI
+    # (every subcommand's start) loads neither flow.py nor geometry.py, and the
+    # escape stage loads geometry.py but not flow.py; every __all__ name still
+    # resolves, each from the module that defines or re-exports it
+    script = (
+        "import sys\n"
+        "import cuspflow.cli\n"
+        "watched = ('cuspflow.flow', 'cuspflow.geometry')\n"
+        "loaded = lambda: sorted(m for m in watched if m in sys.modules)\n"
+        "print(loaded())\n"
+        "import cuspflow.escape\n"
+        "print(loaded())\n"
+        "import cuspflow\n"
+        "print(all(getattr(cuspflow, name) is not None for name in cuspflow.__all__))\n"
+        "print(cuspflow.PhasePoint is cuspflow.geometry.PhasePoint, "
+        "cuspflow.correlate is cuspflow.flow.correlate)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env).stdout.splitlines()
+    assert out == ["[]", "['cuspflow.geometry']", "True", "True True"]
+    import cuspflow
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        cuspflow.nonexistent
+
+
 def test_out_of_bound_parameter_exits_2_naming_key_and_value(tmp_path, capsys):
     assert cli.main(["roots", "--h=0", f"--output-dir={tmp_path}"]) == 2
     diag = _diagnostic(capsys)

@@ -130,7 +130,9 @@ def test_direct_integral_agreement_in_l1_regime(d, k, lam):
     upsilon = tuple(1.0 + 0.25 * i for i in range(homogeneous_dimension(d, k)))
     psi = _coupled_psi(d, seed=2)
     direct = _direct_pairing(d, 1.0, k, upsilon, lam, psi)
-    assert abs(pairing(d, 1.0, k, upsilon, psi, lam, 3) - direct) < 1e-8 * max(1.0, abs(direct))
+    for n_reg in (0, 3):  # depth 0 subtracts nothing: the plain integral
+        got = pairing(d, 1.0, k, upsilon, psi, lam, n_reg)
+        assert abs(got - direct) < 1e-8 * max(1.0, abs(direct))
 
 
 def test_vanishing_near_pole_reduces_to_direct_integral():
@@ -243,9 +245,10 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     # Phi_j from the moments a_mu against sum_nu (a_nu / nu!) d^nu[w^sigma J psi](0),
     # for every order the pairing's tail series can read; the error is measured
     # against the sum of the absolute (nu, term) shares, since the terms' shares
-    # of one jet can cancel.  An (order,) or (order, L) weight takes each term's
-    # convolution as one np.dot, whose summation order differs from the
-    # sequential one that the shares repeat: by Higham's bound
+    # of one jet can cancel.  The block of every order at once, with an (order,)
+    # or (order, L) weight, takes each term's convolutions as one Toeplitz
+    # product, whose summation order differs from the sequential one that the
+    # shares repeat: by Higham's bound
     # (Accuracy and Stability of Numerical Algorithms, 3.1) the two differ by at
     # most 2 gamma_{r+3} sum_i |rest_i w_{r-i}| for r = m - e <= j // 2, which
     # the absolute products of every (nu, term) share bound from above.
@@ -258,6 +261,9 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
     moment = functools.partial(_angular_moment, upsilon, k)
     series = np.array(weight.coeffs)
     columns = series[:, None] * np.array([1.0, 2.0])  # exact multiples
+    orders = np.arange(j_cap)
+    blocks = [psi.profile_coefficient(orders, series, moment),
+              *psi.profile_coefficient(orders, columns, moment).T]
     for j in range(j_cap):
         terms, scale = [], 0.0
         for nu in multi_indices(d, j):
@@ -269,10 +275,8 @@ def test_profile_coefficient_matches_per_multi_index_jet_sum(d, k, n_reg, seed, 
                              for t in _weighted_jet_terms(psi, nu, weight, magnitude=True))
         floor = 4e-14 * sum(abs(t) for t in terms)
         gamma = (j // 2 + 3) * 2.0**-53 / (1.0 - (j // 2 + 3) * 2.0**-53)
-        cols = [psi.profile_coefficient(j, series, moment),
-                *np.broadcast_to(psi.profile_coefficient(j, columns, moment), (2,))]
-        for c, col in zip((1.0, 1.0, 2.0), cols):
-            assert abs(col - c * sum(terms)) <= c * (floor + 2.0 * gamma * scale), (j, c, col)
+        for c, block in zip((1.0, 1.0, 2.0), blocks):
+            assert abs(block[j] - c * sum(terms)) <= c * (floor + 2.0 * gamma * scale), (j, c)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -324,7 +328,7 @@ def test_pairings_match_the_one_lambda_reference_on_residue_circles(d):
             psi = _coupled_psi(d, seed=20 + 6 * k + j)
             lams, n_regs = _circle(j, k)
             mixed += len(set(n_regs)) > 1
-            got = pairings(d, 1.0, k, ups, psi, lams, n_regs)
+            got = pairings(d, 1.0, k, ups, [psi], lams, n_regs)[0]
             for lam, n_reg, value in zip(lams.tolist(), n_regs, got):
                 ref = reference_pairing(d, 1.0, k, ups, psi, lam, n_reg)
                 assert abs(value - ref) <= 1e-13 * max(abs(ref), 1.0), (k, j, lam)
@@ -351,7 +355,7 @@ def test_pairings_match_a_30_digit_direct_integral_in_the_l1_regime(d, k, lams):
     ups = tuple(1.0 + 0.25 * i for i in range(homogeneous_dimension(d, k)))
     psi = _coupled_psi(d, seed=30 + d)
     moment = functools.partial(_angular_moment, ups, k)
-    got = pairings(d, 1.0, k, ups, psi, lams, [3, 3, 4])
+    got = pairings(d, 1.0, k, ups, [psi], lams, [3, 3, 4])[0]
     with mpmath.workdps(30):
         for lam, value in zip(lams, got):
             assert k + 2 * complex(lam).real < 0
@@ -369,7 +373,7 @@ def test_pairings_pole_error_names_the_one_lambda_at_a_pole():
     psi = _coupled_psi(1, seed=3)
     bad = pole_location(2, 0, 1.0) + 5e-9
     with pytest.raises(PoleError) as exc:
-        pairings(1, 1.0, 0, (1.0,), psi, [0.3 + 0.2j, bad, 1.4 - 0.1j], 5)
+        pairings(1, 1.0, 0, (1.0,), [psi], [0.3 + 0.2j, bad, 1.4 - 0.1j], 5)
     assert (exc.value.j, exc.value.k) == (2, 0)
     assert f"lambda={complex(bad)}" in str(exc.value)
 
@@ -381,14 +385,46 @@ def test_pairings_depend_on_lambda_only_through_lambda_over_h(h):
     same w at every h."""
     psi = _coupled_psi(1, seed=3)
     w = np.array([0.3 + 0.2j, -0.7 + 1.1j, 1.4 - 0.1j, 0.05 + 0j, 0.02j])
-    want = pairings(1, 1.0, 0, (1.0,), psi, w, 5)
-    got = pairings(1, h, 0, (1.0,), psi, h * w, 5)
+    want = pairings(1, 1.0, 0, (1.0,), [psi], w, 5)[0]
+    got = pairings(1, h, 0, (1.0,), [psi], h * w, 5)[0]
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     bad = pole_location(2, 0, 1.0) + 5e-9
     for scale in (1.0, h):
         with pytest.raises(PoleError) as exc:
-            pairings(1, scale, 0, (1.0,), psi, scale * np.array([0.3 + 0.2j, bad]), 5)
+            pairings(1, scale, 0, (1.0,), [psi], scale * np.array([0.3 + 0.2j, bad]), 5)
         assert (exc.value.j, exc.value.k) == (2, 0)
+
+
+@settings(settings.get_profile("reproducible"), max_examples=20, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    k=st.integers(0, 3),
+    j=st.integers(0, 4),
+    h=st.sampled_from([0.25, 1.0, 8.0]),
+    w=st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False),
+    n_psi=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_batch_pairs_each_test_function_bitwise_as_it_pairs_alone(d, k, j, h, w, n_psi, seed):
+    # the rows of one pairings call over several test functions are the
+    # pairings of each alone, to the bit: at the nodes of a residue circle
+    # with a drawn lambda and a pole (its finite part) among them, and at the
+    # drawn lambda and at the pole alone; a test function whose terms all
+    # cancel has no terms left and pairs to exactly 0 in the batch
+    rng = np.random.default_rng(seed)
+    psis = [random_test_function(d, rng, n_terms=3, max_deg=2) for _ in range(n_psi)]
+    psis.insert(int(rng.integers(n_psi + 1)), psis[0] + psis[0] * -1.0)
+    ups = tuple(float(c) for c in rng.normal(size=homogeneous_dimension(d, k)))
+    lams, n_regs = _circle(j, k, h)
+    drawn, pole = (h * w, auto_regularization_depth(h * w, k, h)), (pole_location(j, k, h), j + 2)
+    for lam_set in [(*zip(lams.tolist(), n_regs), drawn, pole), (drawn,), (pole,)]:
+        lams, n_regs = zip(*lam_set)
+        batch = pairings(d, h, k, ups, psis, lams, n_regs, finite_part=True)
+        assert batch.shape == (n_psi + 1, len(lams))
+        for psi, row in zip(psis, batch):
+            alone = pairings(d, h, k, ups, [psi], lams, n_regs, finite_part=True)[0]
+            assert row.tobytes() == alone.tobytes()
+            assert np.all(row == 0) if not psi.terms else np.all(np.isfinite(row))
 
 
 class _UndecayingTail:
@@ -402,8 +438,8 @@ class _UndecayingTail:
     def angular_profile(self, phi, moment):
         return np.zeros(np.shape(phi), complex)
 
-    def profile_coefficient(self, j, weight, moment):
-        return 4.0**j * np.isclose(weight[1], self.sigma_bad / 4.0)
+    def profile_coefficient(self, orders, weight, moment):
+        return 4.0 ** np.asarray(orders)[:, None] * np.isclose(weight[1], self.sigma_bad / 4.0)
 
 
 def test_pairings_tolerance_error_names_the_one_unresolved_lambda():
@@ -411,9 +447,9 @@ def test_pairings_tolerance_error_names_the_one_unresolved_lambda():
     lams = [0.3 + 0.2j, -0.6 + 0.1j, 1.4 - 0.1j]
     psi = _UndecayingTail(sigma_bad=-(k + d / 2 + lams[1] / h))
     with pytest.raises(ToleranceError, match=rf"at lambda={re.escape(str(lams[1]))}"):
-        pairings(d, h, k, (1.0,), psi, lams, 5)
+        pairings(d, h, k, (1.0,), [psi], lams, 5)
     # without the undecaying row the other two resolve
-    assert np.all(np.isfinite(pairings(d, h, k, (1.0,), psi, lams[::2], 5)))
+    assert np.all(np.isfinite(pairings(d, h, k, (1.0,), [psi], lams[::2], 5)))
 
 
 def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
@@ -433,7 +469,7 @@ def test_jordan_finite_part_is_the_circle_mean_of_reference_pairings():
                 for lam in (lam0 + 0.1 * units).tolist()]
         ref = sum(vals) / len(vals)
         bound = 1e-14 * abs(ref) + 1e-15 * max(abs(v) for v in vals)
-        finite = pair_distribution(rep, psi) - psi.pair_volume_dict(rep.jet_dict)
+        finite = pair_distribution(rep, [psi])[0] - psi.pair_volume_dict(rep.jet_dict)
         assert abs(finite - ref) <= bound, (d, k, j)
 
 
@@ -534,9 +570,9 @@ def test_jordan_weak_nilpotency_and_nondegeneracy(d, k, j):
         psi = _coupled_psi(d, seed=100 + trial)
         qpsi = _q_dagger(psi, h, lam0, shift)
         qqpsi = _q_dagger(qpsi, h, lam0, shift)
-        second = abs(pair_distribution(rep, qqpsi))
+        second = abs(pair_distribution(rep, [qqpsi])[0])
         assert second < 1e-6 * ck_norm(psi, j + 2)
-        first_powers.append(abs(pair_distribution(rep, qpsi)))
+        first_powers.append(abs(pair_distribution(rep, [qpsi])[0]))
     assert max(first_powers) > 1e-3
 
 
@@ -547,7 +583,7 @@ def test_jordan_restriction_agreement_away_from_pole():
     op = ModelOperator(d=d, h=1.0, lam=pole_location(j, k, 1.0))
     rep = jordan_vector(j, k, (1.0,), op)
     psi = AwaySupportedFunction(d, z_star=0.15, mu=(0,))
-    got = pair_distribution(rep, psi)
+    got = pair_distribution(rep, [psi])[0]
     direct = _direct_pairing(d, 1.0, k, (1.0,), pole_location(j, k, 1.0), psi)
     assert abs(got - direct) < 1e-8 * max(1.0, abs(direct))
 
@@ -585,7 +621,7 @@ def test_jordan_flag_agreement_with_weak_structure():
             psi = _coupled_psi(d, seed=50 + 10 * d + k)
             qpsi = _q_dagger(psi, 1.0, lam0, shift)
             qqpsi = _q_dagger(qpsi, 1.0, lam0, shift)
-            assert abs(pair_distribution(rep, qqpsi)) < 1e-6 * ck_norm(psi, j + 2)
+            assert abs(pair_distribution(rep, [qqpsi])[0]) < 1e-6 * ck_norm(psi, j + 2)
 
             # odd-gap configuration: flag 1 and no Jordan vector
             s_odd = -(2 * k + 1 + d) / 2.0

@@ -304,7 +304,8 @@ def test_dirac_zeroth_jet_is_point_evaluation():
             for _ in range(3):
                 psi = random_test_function(d, rng, n_terms=3, max_deg=2)
                 psi = psi + constant_test_function(d, 0.7)
-                assert pair_distribution(rep, psi) == pytest.approx(_pole_value(psi), abs=1e-12)
+                value = pair_distribution(rep, [psi])[0]
+                assert value == pytest.approx(_pole_value(psi), abs=1e-12)
 
 
 def test_euler_weight_of_jets_sympy_oracle():
@@ -379,7 +380,7 @@ def test_weak_eigen_equation_dirac_jets():
             for _ in range(5):
                 psi = random_test_function(d, rng, n_terms=3, max_deg=2)
                 g = psi.apply_model_transpose(1.0, lam, 0.0) + psi * (-1.0 * s)
-                residual = abs(pair_distribution(rep, g))
+                residual = abs(pair_distribution(rep, [g])[0])
                 assert residual < 1e-8 * ck_norm(psi, n + 1)
 
 
@@ -398,7 +399,7 @@ def test_weak_eigen_equation_south_branch():
             for _ in range(3):
                 psi = random_test_function(d, rng, n_terms=2, max_deg=2)
                 g = psi.apply_model_transpose(1.0, lam, 0.0) + psi * (-1.0 * s)
-                residual = abs(pair_distribution(rep, g))
+                residual = abs(pair_distribution(rep, [g])[0])
                 assert residual < 1e-8 * ck_norm(psi, k + 1)
 
 
@@ -451,7 +452,7 @@ def test_eigendistribution_at_a_jordan_root_is_the_jordan_vector(d, s, j):
     rng = np.random.default_rng(13)
     for _ in range(3):
         psi = random_test_function(d, rng, n_terms=3, max_deg=2)
-        assert pair_distribution(rep, psi) == pair_distribution(ref, psi)
+        assert pair_distribution(rep, [psi])[0] == pair_distribution(ref, [psi])[0]
     with pytest.raises(ValidationError, match="is not at the crossing value"):
         eigendistribution(root, ModelOperator(d=d, h=1.0, lam=lam + 1e-6), (0,) * d)
 
