@@ -3,11 +3,11 @@
 Modules
 -------
 geometry
-    Phase points, cotangent norms, local isometries, the exact invariant
-    splitting.
+    Phase points, local isometries, the exact invariant splitting.
 flow
-    Closed-form geodesic flow, the level-2 congruence quotient, Liouville
-    sampling, correlation functions and truncated Laplace transforms.
+    Closed-form geodesic flow, the flow on the level-2 congruence quotient,
+    Liouville sampling, correlation functions and truncated Laplace
+    transforms.
 indicial
     The transverse model operator: its indicial roots (``RootTable``), the
     eigendistributions at them and the jet-matrix cross-check.
@@ -31,11 +31,11 @@ __all__ = [
     "ConfigurationError", "ContourOnRootError", "DomainError", "InvalidEnclosureError",
     "NearSingularError", "NonterminationError", "PoleError", "ToleranceError",
     "UnsupportedDimensionError", "ValidationError",
-    "BumpObservable", "CorrelationRecord", "FlowState", "QuotientSurface", "correlate",
-    "estimate_area", "flow_cusp_exact", "flow_quotient", "hyperbolic_distance",
-    "laplace_tail_bound", "laplace_transform", "liouville_samples", "sample_liouville",
-    "CotangentVector", "PhasePoint", "SplittingFrame", "apply_local_isometry",
-    "cotangent_norm", "direction_angle", "invariant_splitting", "splitting_frame_at",
+    "BumpObservable", "CorrelationRecord", "correlate", "estimate_area", "flow_cusp_exact",
+    "flow_quotient", "laplace_tail_bound", "laplace_transform", "liouville_samples",
+    "sample_liouville",
+    "PhasePoint", "SplittingFrame", "apply_local_isometry", "direction_angle",
+    "invariant_splitting", "splitting_frame_at",
 ]
 
 # The modules the exports live in, in import-dependency order (geometry needs

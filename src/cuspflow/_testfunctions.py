@@ -22,22 +22,40 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._jets import FLOAT_ORDER_MAX, RadialSeries, float_order_error
 
 __all__ = ["TestFunction", "random_test_function"]
 
 
-def _trim(p) -> np.ndarray:
-    """np.trim_zeros(p, "b") of ``p`` as a complex array.  The polynomials here are
-    short and seldom end in zeros, so a scan back from the end costs about a third
-    of np.flatnonzero over the whole array."""
+def _trim(p, least: int = 0) -> np.ndarray:
+    """``p`` as a complex array with its trailing zeros dropped, down to ``least``
+    coefficients: np.trim_zeros(p, "b") at 0, numpy.polynomial's trimseq at 1.
+    The polynomials here are short and seldom end in zeros, so a scan back from
+    the end costs about a third of np.flatnonzero over the whole array."""
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     n = p.size
-    while n and p[n - 1] == 0:
+    while n > least and p[n - 1] == 0:
         n -= 1
     return p[:n]
+
+
+# The coefficient algebra below is numpy.polynomial's, bit for bit, on plain
+# arrays: a product is np.convolve trimmed to one coefficient at least, a sum
+# adds the shorter series in place into a copy of the longer.  The argument
+# handling of polyadd and polymul cost more than their arithmetic.
+
+def _mul(a, b) -> np.ndarray:
+    """npoly.polymul(a, b) for trimmed complex ``a`` and ``b``."""
+    return _trim(np.convolve(a, b), 1)
+
+
+def _add(a, b) -> np.ndarray:
+    """npoly.polyadd(a, b) for trimmed complex ``a`` and ``b``."""
+    long, short = (a, b) if a.size > b.size else (b, a)
+    out = long.copy()
+    out[:short.size] += short
+    return _trim(out, 1)
 
 
 def _canonical(terms):
@@ -45,7 +63,7 @@ def _canonical(terms):
     for q, mu, c, p in terms:
         p, key = _trim(p), (q, tuple(mu), float(c))
         if p.size:
-            merged[key] = npoly.polyadd(merged[key], p) if key in merged else p
+            merged[key] = _add(merged[key], p) if key in merged else p
     return [(q, mu, c, kept) for (q, mu, c), p in merged.items() if (kept := _trim(p)).size]
 
 
@@ -55,6 +73,10 @@ def _binomial_series(k: int, order: int) -> np.ndarray:
     coeffs = np.array(RadialSeries.binomial(k / 2 - 0.5, order).coeffs)
     coeffs.flags.writeable = False
     return coeffs
+
+
+_Z0 = np.array([0.0, 1.0], complex)            # cos(phi)
+_SIN_SQ = np.array([-1.0, 0.0, 1.0], complex)  # -sin(phi)^2 = z0^2 - 1
 
 
 class TestFunction:
@@ -92,21 +114,17 @@ class TestFunction:
 
     def mult_z0(self) -> "TestFunction":
         """Multiply by cos(phi)."""
-        out = []
-        for q, mu, c, p in self.terms:
-            out.append((q, mu, c, npoly.polymul([0.0, 1.0], p)))
-        return TestFunction(out, self.d)
+        return TestFunction([(q, mu, c, _mul(_Z0, p)) for q, mu, c, p in self.terms], self.d)
 
     def x_gr(self) -> "TestFunction":
         """Apply sin(phi) d/dphi exactly."""
         out = []
         for q, mu, c, p in self.terms:
-            newp = npoly.polymul([0.0, float(q)], p)
-            newp = npoly.polyadd(newp, npoly.polymul([-1.0, 0.0, 1.0], npoly.polyder(p)))
+            # npoly.polyder(p): a constant's derivative is its coefficient times 0
+            dp = p[1:] * np.arange(1, p.size) if p.size > 1 else p[:1] * 0
+            newp = _add(_mul(np.array([0.0, q], complex), p), _mul(_SIN_SQ, dp))
             if c != 0.0:
-                newp = npoly.polyadd(
-                    newp, npoly.polymul([0.0, -2.0 * c, 0.0, 2.0 * c], p)
-                )
+                newp = _add(newp, _mul(np.array([0.0, -2.0 * c, 0.0, 2.0 * c], complex), p))
             out.append((q, mu, c, newp))
         return TestFunction(out, self.d)
 
@@ -123,25 +141,17 @@ class TestFunction:
     # -- evaluation ------------------------------------------------------------
 
     def _radial_factors(self, phi):
-        """Each term's mu and its factor rho^q p(z0) exp(-c (1 - z0^2)) at phi."""
+        """Each term's mu and its factor rho^q p(z0) exp(-c (1 - z0^2)) at phi;
+        p(z0) by Horner's rule in npoly.polyval's order."""
         phi = np.asarray(phi, dtype=float)
         z0 = np.cos(phi)
         rho = np.sin(phi)
         rho_sq, z0_z = 1.0 - z0**2, z0 + 0j  # complex z0: Horner's products need no cast
         for q, mu, c, p in self.terms:
-            yield mu, npoly.polyval(z0_z, p) * rho**q * np.exp(-c * rho_sq)
-
-    def value(self, phi, u):
-        """Evaluate at angles phi (array) and directions u (shape (..., d))."""
-        u = np.asarray(u, dtype=float)
-        acc = np.zeros(np.broadcast(np.asarray(phi), u[..., 0]).shape, dtype=complex)
-        for mu, radial in self._radial_factors(phi):
-            upart = np.ones_like(acc, dtype=float)
-            for i, m in enumerate(mu):
-                if m:
-                    upart = upart * u[..., i] ** m
-            acc = acc + radial * upart
-        return acc
+            val = p[-1] + z0_z * 0
+            for k in range(2, p.size + 1):
+                val = p[-k] + val * z0_z
+            yield mu, val * rho**q * np.exp(-c * rho_sq)
 
     def angular_profile(self, phi, moment):
         """Integral over u in S^{d-1} of Upsilon(u) psi(phi, u), exactly: a term

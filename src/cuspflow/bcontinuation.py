@@ -45,8 +45,8 @@ here:
 ``cuspflow resolvent`` calls ``resolvent_line`` and ``shift_identity``; the
 other four are library API.  ``continue_resolvent`` is the paper's continued
 resolvent, built from the residue sum whose shift identity the subcommand
-checks; ``solve_indicial`` is the per-mode solve at one lambda, with its own
-residual, so the solve can be tested alone; ``residue_apply`` gives one
+checks; ``solve_indicial`` is the paper's indicial solve at one lambda, so
+that the tests can check the solve alone; ``residue_apply`` gives one
 root's residue and the paired channel that the sums do not expose; and
 ``rho_max`` is the visibility bound of the paper's continuation statement.
 
@@ -88,7 +88,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from ._jets import RadialSeries
 from ._sphere import panel_nodes
@@ -113,7 +112,6 @@ __all__ = [
     "ContourSpec",
     "ResidueOperator",
     "ResidueOutput",
-    "default_x_grid",
     "default_r_grid",
     "solve_indicial",
     "resolvent_line",
@@ -209,12 +207,6 @@ class SphereFunction:
             fixed.append(ModeTerm(m=int(t.m), mu=mu, poly=poly))
         object.__setattr__(self, "terms", tuple(fixed))
 
-    @classmethod
-    def monomial(cls, d: int, m: int = 0, mu=None, poly=(1.0,)) -> "SphereFunction":
-        if mu is None:
-            mu = (0,) * d
-        return cls(d=d, terms=(ModeTerm(m=m, mu=tuple(mu), poly=tuple(poly)),))
-
 
 @dataclass(frozen=True)
 class CuspTerm:
@@ -245,13 +237,9 @@ class CuspFunction:
         object.__setattr__(self, "terms", tuple(fixed))
 
 
-def default_x_grid() -> np.ndarray:
-    return np.linspace(-1.0, X_MAX, 64)
-
-
 def _x_grid(x_grid) -> np.ndarray:
-    """The angular grid of a solve: ``x_grid`` as floats, or the default."""
-    return default_x_grid() if x_grid is None else np.asarray(x_grid, float)
+    """The angular grid of a solve: ``x_grid`` as floats, or 64 points on [-1, X_MAX]."""
+    return np.linspace(-1.0, X_MAX, 64) if x_grid is None else np.asarray(x_grid, float)
 
 
 def default_r_grid(span: float = 30.0, n: int = 4096) -> np.ndarray:
@@ -459,42 +447,6 @@ class SphereSolution:
     profiles: tuple  # per-term arrays (n_x,)
     meta: dict = field(default_factory=dict)
 
-    def profile_at(self, i: int, x) -> np.ndarray:
-        t = self.terms[i]
-        return _solve_mode_profiles(self.op, self.s, t.m, t.poly, [self.lam], x)[0]
-
-    def residual(self) -> float:
-        """sup of |(I - hs)f - g| over interior probes, via 7-point FD.
-
-        An independent check of the solve: the mode ODE is re-applied with
-        sixth-order central finite differences on fresh profile evaluations.
-        """
-        op, s, lam = self.op, self.s, self.lam
-        scale = max(
-            max(float(np.abs(np.asarray(t.poly)).sum()) for t in self.terms), 1e-300
-        )
-        # the profile oscillates on the x-scale 1/|lam/h|, so the probe step
-        # shrinks accordingly to keep the stencil truncation term flat in lam
-        n_probe = 24
-        delta = 1e-3 / (1.0 + abs(complex(lam)) / (4.0 * op.h))
-        probes = np.linspace(-0.92, 0.79, n_probe)
-        c6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-        worst = 0.0
-        for i, t in enumerate(self.terms):
-            c, e, _, _ = mode_exponents(op, s, t.m, np.array([lam], complex))
-            stencil = np.concatenate(
-                [probes + k * delta for k in (-3, -2, -1, 0, 1, 2, 3)]
-            )
-            vals = self.profile_at(i, stencil).reshape(7, n_probe)
-            fx = vals[3]
-            dfx = (c6[:, None] * vals).sum(axis=0) / delta
-            lhs = -op.h * (1 - probes**2) * dfx + op.h * (
-                c[0] * probes + e
-            ) * fx
-            res = lhs - polyval(probes, t.poly)
-            worst = max(worst, float(np.abs(res).max()))
-        return worst / scale
-
 
 def solve_indicial(
     op: ModelOperator,
@@ -508,6 +460,12 @@ def solve_indicial(
     lam is the un-normalized spectral weight of the displayed family.  Raises
     NearSingularError (carrying the offending root) when lam / h is within
     1e-8 of the root set at this s, where the tempered solve degenerates.
+
+    It carries the paper's indicial solve at one lambda: the tier-1 tests
+    check through it the finite-difference residual, linearity, the root
+    guard, the 1/h scaling and boundedness along a contour.  The CLI's lines
+    and residues solve whole batches of lambda in ``_solve_mode_profiles``,
+    so no package path calls it.
     """
     if not isinstance(g, SphereFunction):
         raise ValidationError("g must be a SphereFunction")

@@ -26,7 +26,6 @@ and truncated Laplace transforms of correlation records.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ from .errors import DomainError, NonterminationError, ToleranceError, Validation
 from .geometry import PhasePoint
 
 __all__ = [
-    "FlowState",
-    "QuotientSurface",
     "CorrelationRecord",
     "BumpObservable",
     "flow_cusp_exact",
@@ -48,7 +45,6 @@ __all__ = [
     "correlate",
     "laplace_transform",
     "laplace_tail_bound",
-    "hyperbolic_distance",
     "DEFAULT_DT",
     "DEFAULT_T_MAX",
     "SURFACE_AREA",
@@ -85,7 +81,7 @@ _HALF_PI = 0.5 * math.pi
 # largest |t| with e^|t| a finite float
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
-# the fundamental domain of QuotientSurface
+# the fundamental domain of the quotient
 _RE_HALFWIDTH = 1.0
 _BUBBLE_CENTERS = (-0.5, 0.5)
 _BUBBLE_RADIUS = 0.5
@@ -163,35 +159,9 @@ def flow_cusp_exact(p0: PhasePoint, t) -> PhasePoint:
     return PhasePoint(r, theta, phi, p0.u)
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A phase point together with the elapsed flow time."""
-
-    point: PhasePoint
-    time: float = 0.0
-
-    def advance(self, dt) -> "FlowState":
-        """Flow by dt (exact closed form) and accumulate time."""
-        return FlowState(flow_cusp_exact(self.point, dt), self.time + float(dt))
-
-
 # ---------------------------------------------------------------------------
 # the level-2 congruence quotient
 # ---------------------------------------------------------------------------
-
-def hyperbolic_distance(z1, z2):
-    """Hyperbolic distance on the upper half-plane.
-
-    ``cosh d = 1 + |z1 - z2|^2 / (2 Im z1 Im z2)``.  Accepts scalars or
-    arrays; both imaginary parts must be positive.
-    """
-    return np.arccosh(1.0 + _cosh_distance_minus_1(z1, z2))
-
-
-def _cosh_distance_minus_1(z1, z2):
-    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    return np.abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag)
-
 
 def _inside(x, y, slack=CONTAINMENT_SLACK, work=None):
     """Fundamental-domain membership of the points x + iy (real arrays).
@@ -217,50 +187,6 @@ def _flow_time(t, name):
         raise ValidationError(f"{name} = {t!r}: e^|{name}| must be a finite float, "
                               f"so |{name}| <= {_LOG_FLOAT_MAX:.6f}")
     return t
-
-
-class QuotientSurface:
-    """The thrice-punctured sphere as a quotient of the upper half-plane.
-
-    The group is the level-2 congruence subgroup with the fixed generator set
-    ``[[1, 2], [0, 1]]`` (z -> z + 2) and ``[[1, 0], [2, 1]]``
-    (z -> z/(2z + 1)); it is torsion-free by construction of this generator
-    set.  The fundamental domain is ``|Re z| <= 1`` minus the two open disks
-    of radius 1/2 centered at -1/2 and 1/2; the reduction's moves are those
-    of this one group.  Membership allows ``CONTAINMENT_SLACK``; a reduction
-    takes at most ``REDUCTION_CAP`` rounds, as in the flow and ``correlate``.
-    """
-
-    # -- membership -------------------------------------------------------
-    def contains(self, z):
-        """Fundamental-domain membership (closed conditions, with slack)."""
-        z = np.asarray(z, dtype=complex)
-        ok = _inside(np.atleast_1d(z.real), np.atleast_1d(z.imag))
-        return bool(ok[0]) if z.ndim == 0 else ok
-
-    # -- reduction --------------------------------------------------------
-    def reduce(self, z, v=1.0 + 0.0j):
-        """Reduce (z, tangent v) to the fundamental domain.
-
-        The one-point case of ``_reduce``: v transforms by the derivative
-        1/(cz + d)^2 of each move.  A point inside is returned as given.
-
-        Raises
-        ------
-        NonterminationError
-            If ``REDUCTION_CAP`` rounds do not settle the point.
-        DomainError
-            If Im z <= 0.
-        """
-        z, v = complex(z), complex(v)
-        if self.contains(z):
-            return z, v
-        if not z.imag > 0.0:
-            raise DomainError(f"reduction needs Im z > 0, got z = {z}")
-        x, y, ux, uy = (np.array([a]) for a in (z.real, z.imag, v.real / z.imag,
-                                                v.imag / z.imag))
-        _reduce(x, y, ux, uy, np.zeros(1, dtype=int))
-        return complex(x[0], y[0]), complex(y[0] * ux[0], y[0] * uy[0])
 
 
 def _translate(x):
@@ -371,7 +297,11 @@ def flow_quotient(z0, alpha0, t):
     """Geodesic flow on the quotient surface, reduced to the fundamental domain.
 
     Flows the unit tangent vector (z0, angle alpha0) for time t along the
-    exact hyperbolic geodesic (``_geodesic_step``), then reduces.
+    exact hyperbolic geodesic (``_geodesic_step``), then reduces.  It carries
+    the paper's flow on the level-2 quotient as a function of its own: the
+    tier-1 tests check through it that the flow is reversible, runs at unit
+    speed and matches the 40-digit flow and reduction.  ``correlate`` steps
+    the same kernels in place on its sample arrays, so no package path calls it.
 
     Parameters
     ----------
@@ -623,7 +553,11 @@ def liouville_samples(n, seed):
 
 
 def sample_liouville(n, seed):
-    """:func:`liouville_samples` as a list of (z, alpha) pairs."""
+    """:func:`liouville_samples` as a list of (z, alpha) pairs.
+
+    The benchmark's traced run wraps this name (span ``flow.sample_liouville``),
+    so it stays callable until the benchmark is re-wrapped; the package calls
+    :func:`liouville_samples`."""
     z, alpha = liouville_samples(n, seed)
     return list(zip(z.tolist(), alpha.tolist()))
 
@@ -685,7 +619,7 @@ class BumpObservable:
         # the bump is 0 beyond, and the 1e-9 keeps every point whose rounded
         # distance is under the radius.  The bound is on 1 + q, which
         # arccosh reads, as 1 + q rounds q off at small radii.  1 + q is
-        # _cosh_distance_minus_1's arithmetic, in place.
+        # |z - c|^2 / (2 Im z Im c), in place.
         z = np.asarray(z, dtype=complex)
         flat = np.abs(z.ravel() - self.center)
         np.square(flat, out=flat)
@@ -750,11 +684,8 @@ class BumpObservable:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """Sampled correlation function with standard errors.
-
-    Serializes to JSON with the keys ``t, rho, stderr, sample_count, seed``;
-    the CLI writes the columns ``t, rho, stderr`` as ``correlation.csv``.
-    """
+    """Sampled correlation function with standard errors; the CLI writes the
+    columns ``t, rho, stderr`` as ``correlation.csv``."""
 
     times: tuple
     values: tuple
@@ -775,16 +706,6 @@ class CorrelationRecord:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stderrs", stderrs)
-
-    def to_json(self):
-        """The record as JSON text."""
-        return json.dumps({
-            "t": list(self.times),
-            "rho": list(self.values),
-            "stderr": list(self.stderrs),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        })
 
 
 def _eval_observable(f, z, alpha):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDimensionError, ValidationError
+from .errors import UnsupportedDimensionError, ValidationError
 
 #: tolerance for | |u| - 1 |
 UNIT_TOL = 1e-12
@@ -73,38 +73,6 @@ class PhasePoint:
         return float(np.exp(self.r))
 
 
-@dataclass(frozen=True)
-class CotangentVector:
-    """Covector ``Y dy + J . d theta`` at a base point ``(y, theta)``."""
-
-    base: tuple
-    Y: float
-    J: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", np.atleast_1d(np.asarray(self.J, dtype=float)))
-
-
-def cotangent_norm(base, v: CotangentVector) -> float:
-    """Riemannian norm ``y * sqrt(Y^2 + |J|^2)`` of a cotangent vector.
-
-    Parameters
-    ----------
-    base : (y, theta)
-        Base point; only ``y > 0`` enters the norm.
-    v : CotangentVector
-
-    Raises
-    ------
-    DomainError
-        If ``y <= 0`` (outside the upper half space / cusp).
-    """
-    y = float(base[0])
-    if y <= 0:
-        raise DomainError(f"cotangent norm needs y > 0, got y = {y}")
-    return y * float(np.sqrt(v.Y**2 + np.dot(v.J, v.J)))
-
-
 def apply_local_isometry(tau, theta0, p):
     """Apply the local isometry ``T_{tau, theta0}(r, theta) = (r + tau, e^tau theta + theta0)``.
 
@@ -146,7 +114,6 @@ class SplittingFrame:
     carries ``e^{+t}`` (no error beyond floating point).
     """
 
-    point: PhasePoint
     flow: np.ndarray
     stable: np.ndarray
     unstable: np.ndarray
@@ -158,11 +125,6 @@ class SplittingFrame:
         if abs(det) < FRAME_DET_FLOOR:
             raise ValidationError(f"degenerate frame, |det| = {float(abs(det))!r}")
         object.__setattr__(self, "coframe", np.linalg.inv(m))
-
-    @property
-    def matrix(self):
-        """Frame vectors as columns (flow, stable, unstable)."""
-        return np.column_stack([self.flow, self.stable, self.unstable])
 
 
 def direction_angle(p: PhasePoint) -> float:
@@ -190,6 +152,12 @@ def splitting_frame_at(r, alpha):
 def invariant_splitting(p: PhasePoint) -> SplittingFrame:
     """Exact invariant splitting frame at a phase point (d = 1 only).
 
+    It carries the paper's invariant splitting into flow, stable and unstable
+    lines: the tier-1 tests check through it that the time-t pushforward
+    rates are e^{-t} and e^{+t} along a numerically integrated tangent flow.
+    The escape stage takes the raw vectors of :func:`splitting_frame_at`, so
+    no package path calls it.
+
     At the North pole the stable line is spanned by the cross-section
     translation d/d theta (so d phi = 0 and dy = 0 along it), and the unstable
     line satisfies dy = 0, d theta / y = u * d phi / 2.
@@ -204,4 +172,4 @@ def invariant_splitting(p: PhasePoint) -> SplittingFrame:
             "the invariant splitting frame is implemented for d = 1 only")
     alpha = direction_angle(p)
     flow, stable, unstable = splitting_frame_at(p.r, alpha)
-    return SplittingFrame(point=p, flow=flow, stable=stable, unstable=unstable)
+    return SplittingFrame(flow=flow, stable=stable, unstable=unstable)

@@ -101,17 +101,6 @@ class IndicialRoot:
     def lambda_at(self, s: complex) -> complex:
         return self.a * s + self.b
 
-    def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "n": self.n,
-            "a": self.a,
-            "b_re": float(np.real(self.b)),
-            "b_im": float(np.imag(self.b)),
-            "multiplicity": self.multiplicity,
-            "jordan_index": self.jordan_index,
-        }
-
 
 @dataclass
 class DistributionRep:

@@ -59,18 +59,29 @@ package takes:
   takes a ball minus caps in geodesic polar coordinates), with the
   Newton-refined nodes of :func:`gauss_legendre`;
 * :func:`geodesic_velocity` is the right-hand side of the cusp geodesic
-  system, :func:`four_branch_theta` is the exact flow's cross-section drift
-  as it was written in four overflow branches (the package writes one
-  expression in e^{-2|t|}), and :func:`record_from_json` reads
-  :meth:`~cuspflow.flow.CorrelationRecord.to_json` back;
+  system, and :func:`four_branch_theta` is the exact flow's cross-section
+  drift as it was written in four overflow branches (the package writes one
+  expression in e^{-2|t|});
 * :func:`sphere_quadrature` is a product Gauss rule on S^0, S^1 and S^2,
-  and :func:`constant_test_function` and :func:`d_phi` extend the
-  package's test-function family with the constants and exact d/dphi.
+  :func:`constant_test_function` and :func:`d_phi` extend the package's
+  test-function family with the constants and exact d/dphi, and
+  :func:`point_value` evaluates a test function pointwise with
+  numpy.polynomial (the package evaluates angular profiles only);
+* :func:`cotangent_norm` is the Riemannian norm of a
+  :class:`CotangentVector`, which the isometry tests preserve;
+  :func:`hyperbolic_distance` is the upper half-plane distance, and
+  :class:`QuotientSurface` tests membership and reduces one point at a
+  time, by the package's array kernels;
+* :func:`fd_residual` re-applies the mode equation to a sphere solve by
+  seven-point finite differences;
+* :func:`symbol_hat`, :func:`symbol_value`, :func:`symbol_log_derivative`
+  and :func:`weight_symbol` evaluate the escape construction's symbol and
+  scaled weight at caller-given directions, normalized first (the package
+  evaluates its own unit rows).
 """
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,17 +96,54 @@ from cuspflow.errors import (ConfigurationError, DomainError,
                              UnsupportedDimensionError, ValidationError)
 from cuspflow.escape import (_HALF_PI, _as_unit_rows, _band_profile,
                              _dist_0, _dist_0s, _dist_0u, _dist_s, _dist_u,
-                             _frame_components, _in_V_s, _in_V_u,
+                             _frame_components, _glued_hat, _in_V_s, _in_V_u,
                              _plateau_samples, _sphere_flow, _swapped,
-                             _transported_cone_samples)
+                             _symbol_log_derivative, _transported_cone_samples)
 from cuspflow.flow import (_REJECTION_CAP, _STREAM_SAMPLE, CONTAINMENT_SLACK,
-                           REDUCTION_CAP, SURFACE_AREA, CorrelationRecord, _accept,
+                           REDUCTION_CAP, SURFACE_AREA, _accept,
                            _chunks, _eval_observable, _geodesic_step, _inside,
                            _philox_block, _reduce, _unit, flow_cusp_exact,
                            liouville_samples)
 from cuspflow.hadamard import _CUT_ANGLE, _POLE_GUARD, _angular_moment, pole_location, quad
 from cuspflow.geometry import direction_angle, splitting_frame_at
 from cuspflow.indicial import ModelOperator, mode_exponents
+
+
+# ---------------------------------------------------------------------------
+# cusp geometry: the cotangent norm
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CotangentVector:
+    """Covector ``Y dy + J . d theta`` at a base point ``(y, theta)``."""
+
+    base: tuple
+    Y: float
+    J: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "J", np.atleast_1d(np.asarray(self.J, dtype=float)))
+
+
+def cotangent_norm(base, v: CotangentVector) -> float:
+    """Riemannian norm ``y * sqrt(Y^2 + |J|^2)`` of a cotangent vector.
+
+    Parameters
+    ----------
+    base : (y, theta)
+        Base point; only ``y > 0`` enters the norm.
+    v : CotangentVector
+
+    Raises
+    ------
+    DomainError
+        If ``y <= 0`` (outside the upper half space / cusp).
+    """
+    y = float(base[0])
+    if y <= 0:
+        raise DomainError(f"cotangent norm needs y > 0, got y = {y}")
+    return y * float(np.sqrt(v.Y**2 + np.dot(v.J, v.J)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +163,7 @@ def apply_P(op: ModelOperator, f, point) -> complex:
     if isinstance(f, tuple):
         fval, fphi = f[0](phi, u), f[1](phi, u)
     else:
-        fval, fphi = f.value(phi, u), d_phi(f).value(phi, u)
+        fval, fphi = point_value(f, phi, u), point_value(d_phi(f), phi, u)
     lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
     return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
 
@@ -239,6 +287,26 @@ def constant_test_function(d: int, value=1.0) -> TestFunction:
     return TestFunction([(0, (0,) * d, 0.0, np.array([value], dtype=complex))], d)
 
 
+def point_value(psi, phi, u):
+    """psi at angles phi (array) and directions u (shape (..., d)).  A
+    TestFunction is summed term by term, each polynomial by numpy.polynomial's
+    polyval (the package evaluates only angular profiles, by an inline
+    Horner's rule); any other function evaluates itself."""
+    if not isinstance(psi, TestFunction):
+        return psi.value(phi, u)
+    phi = np.asarray(phi, dtype=float)
+    u = np.asarray(u, dtype=float)
+    z0, rho = np.cos(phi), np.sin(phi)
+    acc = np.zeros(np.broadcast(phi, u[..., 0]).shape, dtype=complex)
+    for q, mu, c, p in psi.terms:
+        upart = np.ones_like(acc, dtype=float)
+        for i, m in enumerate(mu):
+            if m:
+                upart = upart * u[..., i] ** m
+        acc = acc + npoly.polyval(z0 + 0j, p) * rho**q * np.exp(-c * (1.0 - z0**2)) * upart
+    return acc
+
+
 def d_phi(f: TestFunction) -> TestFunction:
     """d/dphi of a TestFunction, exactly.  The family is closed under it at
     the cost of odd rho-powers, which leave the smooth subfamily."""
@@ -311,7 +379,7 @@ def ck_norm(psi, k: int, n_phi: int = 200) -> float:
     out = 0.0
     f = psi
     for _ in range(k + 1):
-        vals = f.value(phi[:, None], nodes[None, :, :])
+        vals = point_value(f, phi[:, None], nodes[None, :, :])
         out = max(out, float(np.max(np.abs(vals))))
         f = d_phi(f)
     return out
@@ -623,11 +691,34 @@ def exact_midpoint_sphere(n_theta, n_phi, dps=30):
     return np.array(rows)
 
 
+def symbol_hat(symbol, xihat):
+    """The glued 0-homogeneous factor of a ``SymbolField`` at directions."""
+    return _glued_hat(_as_unit_rows(xihat), symbol.T_prime, symbol.step, symbol.grid.eps)
+
+
+def symbol_value(symbol, xihat, rho):
+    """The full 1-homogeneous symbol at directions ``xihat`` and radii ``rho``."""
+    return np.asarray(rho, dtype=float) * symbol_hat(symbol, xihat)
+
+
+def symbol_log_derivative(symbol, xihat):
+    """The step difference of log(symbol) along the lifted flow at directions
+    (radius-independent by homogeneity)."""
+    return _symbol_log_derivative(_as_unit_rows(xihat), symbol.T_prime, symbol.step,
+                                  symbol.grid.eps)
+
+
+def weight_symbol(data, xihat):
+    """The scaled 0-homogeneous weight of ``EscapeData`` at directions, in
+    [-C_G, C_G]."""
+    return data.C_G_prime * data.weight(xihat)
+
+
 def tiled_plateau_conditions(data):
     """The values of conditions iii and iv that ``verify`` reports, as it
     computed them: G on the plateau directions from one ``reduced_G`` batch,
     each direction repeated once per magnitude, and the plateau error from
-    ``weight_symbol`` family by family."""
+    :func:`weight_symbol` family by family."""
     plat = _plateau_samples(data.weight.plateau_radii)
     fit_lo = max(100.0, 2.0 * data.R * data.grid.delta, 2.0 * data.grid.delta)
     rhos = np.exp(np.linspace(math.log(fit_lo), math.log(fit_lo * 1e4), 9))
@@ -637,7 +728,7 @@ def tiled_plateau_conditions(data):
     n_u, n_s = len(plat["u"]), len(plat["s"])
     slopes = {fam: np.array([np.polyfit(np.log(rhos), row, 1)[0] for row in rows])
               for fam, rows in (("u", g[:n_u]), ("s", g[n_u:n_u + n_s]))}
-    plat_err = max(float(np.max(np.abs(data.weight_symbol(plat[fam]) - target)))
+    plat_err = max(float(np.max(np.abs(weight_symbol(data, plat[fam]) - target)))
                    for fam, target in (("u", data.C_G), ("s", -data.C_G),
                                        ("0", 0.0)))
     return {
@@ -780,6 +871,34 @@ def rho_max_prime(op: ModelOperator, tau: float) -> float:
     return max(0.0, complex(op.A).real - float(tau) - op.d / 2.0)
 
 
+def fd_residual(sol) -> float:
+    """sup of |(I - hs)f - g| over interior probes of a :func:`solve_indicial`
+    solution, via 7-point FD, relative to the largest input coefficient sum.
+
+    An independent check of the solve: the mode ODE is re-applied with
+    sixth-order central finite differences on fresh profile evaluations.
+    """
+    op, s, lam = sol.op, sol.s, sol.lam
+    scale = max(max(float(np.abs(np.asarray(t.poly)).sum()) for t in sol.terms), 1e-300)
+    # the profile oscillates on the x-scale 1/|lam/h|, so the probe step
+    # shrinks accordingly to keep the stencil truncation term flat in lam
+    n_probe = 24
+    delta = 1e-3 / (1.0 + abs(complex(lam)) / (4.0 * op.h))
+    probes = np.linspace(-0.92, 0.79, n_probe)
+    c6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    worst = 0.0
+    for t in sol.terms:
+        c, e, _, _ = mode_exponents(op, s, t.m, np.array([lam], complex))
+        stencil = np.concatenate([probes + k * delta for k in (-3, -2, -1, 0, 1, 2, 3)])
+        vals = bc._solve_mode_profiles(op, s, t.m, t.poly, [lam], stencil)[0].reshape(7, n_probe)
+        fx = vals[3]
+        dfx = (c6[:, None] * vals).sum(axis=0) / delta
+        lhs = -op.h * (1 - probes**2) * dfx + op.h * (c[0] * probes + e) * fx
+        res = lhs - npoly.polyval(probes, t.poly)
+        worst = max(worst, float(np.abs(res).max()))
+    return worst / scale
+
+
 def full_node_line(op: ModelOperator, s, contour, f, x_grid, r_span=30.0, n_r=4096):
     """The term values of ``resolvent_line`` on every row of the r-grid and
     its contour_tail_rel, from the complex transform on every eta-node of the
@@ -896,6 +1015,63 @@ def paired_mode_reference(op: ModelOperator, s, m, poly, lam, q_poly, x0=0.0, dp
 # ---------------------------------------------------------------------------
 # quotient flow: the frame-based reference step
 # ---------------------------------------------------------------------------
+
+
+def hyperbolic_distance(z1, z2):
+    """Hyperbolic distance on the upper half-plane.
+
+    ``cosh d = 1 + |z1 - z2|^2 / (2 Im z1 Im z2)``.  Accepts scalars or
+    arrays; both imaginary parts must be positive.
+    """
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    return np.arccosh(1.0 + np.abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag))
+
+
+class QuotientSurface:
+    """The thrice-punctured sphere as a quotient of the upper half-plane, one
+    point at a time: membership and the one-point reduction, as the package
+    exported them before ``correlate`` and ``flow_quotient`` became the only
+    callers of the array kernels.
+
+    The group is the level-2 congruence subgroup with the fixed generator set
+    ``[[1, 2], [0, 1]]`` (z -> z + 2) and ``[[1, 0], [2, 1]]``
+    (z -> z/(2z + 1)); it is torsion-free by construction of this generator
+    set.  The fundamental domain is ``|Re z| <= 1`` minus the two open disks
+    of radius 1/2 centered at -1/2 and 1/2; the reduction's moves are those
+    of this one group.  Membership allows ``CONTAINMENT_SLACK``; a reduction
+    takes at most ``REDUCTION_CAP`` rounds, as in the flow and ``correlate``.
+    """
+
+    # -- membership -------------------------------------------------------
+    def contains(self, z):
+        """Fundamental-domain membership (closed conditions, with slack)."""
+        z = np.asarray(z, dtype=complex)
+        ok = _inside(np.atleast_1d(z.real), np.atleast_1d(z.imag))
+        return bool(ok[0]) if z.ndim == 0 else ok
+
+    # -- reduction --------------------------------------------------------
+    def reduce(self, z, v=1.0 + 0.0j):
+        """Reduce (z, tangent v) to the fundamental domain.
+
+        The one-point case of ``_reduce``: v transforms by the derivative
+        1/(cz + d)^2 of each move.  A point inside is returned as given.
+
+        Raises
+        ------
+        NonterminationError
+            If ``REDUCTION_CAP`` rounds do not settle the point.
+        DomainError
+            If Im z <= 0.
+        """
+        z, v = complex(z), complex(v)
+        if self.contains(z):
+            return z, v
+        if not z.imag > 0.0:
+            raise DomainError(f"reduction needs Im z > 0, got z = {z}")
+        x, y, ux, uy = (np.array([a]) for a in (z.real, z.imag, v.real / z.imag,
+                                                v.imag / z.imag))
+        _reduce(x, y, ux, uy, np.zeros(1, dtype=int))
+        return complex(x[0], y[0]), complex(y[0] * ux[0], y[0] * uy[0])
 
 
 def _frame_matrix(z, alpha):
@@ -1180,12 +1356,3 @@ def four_branch_theta(p0, t):
             ep = math.exp(2.0 * t)
             drift = half * (ep - 1.0) / (ep + half * half)
     return p0.theta + (math.exp(p0.r) * drift) * p0.u
-
-
-def record_from_json(text):
-    """The CorrelationRecord that ``CorrelationRecord.to_json`` wrote."""
-    data = json.loads(text)
-    return CorrelationRecord(times=tuple(data["t"]), values=tuple(data["rho"]),
-                             stderrs=tuple(data["stderr"]),
-                             sample_count=int(data["sample_count"]),
-                             seed=int(data["seed"]))

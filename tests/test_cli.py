@@ -322,6 +322,29 @@ def test_manifest_fed_back_as_config_reproduces_every_artifact(tmp_path, sub):
     assert _artifacts(out) == first
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+@pytest.mark.parametrize("sub", [
+    pytest.param(sub, marks=pytest.mark.xfail(
+        strict=True, reason="resolvent.csv depends on the BLAS thread count: the "
+        "sums of _synthesis's dgemm and _series_eval's zgemm split by thread "
+        "(the CHANGES.md FOUND line on OPENBLAS_NUM_THREADS)"))
+    if sub == "resolvent" else sub for sub in cli.SCHEMAS])
+def test_default_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, sub):
+    # the config hash names no thread count, so two runs with one hash must
+    # write the same bytes; each run writes to ./out of its own directory, so
+    # the manifests agree as well
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        (tmp_path / threads).mkdir()
+        subprocess.run([sys.executable, "-m", "cuspflow.cli", "--output-dir=out", sub],
+                       cwd=tmp_path / threads, env=env, capture_output=True, check=True)
+        runs.append(_artifacts(tmp_path / threads / "out"))
+    assert runs[0] == runs[1]
+
+
 def _shift_report(out):
     (path,) = out.glob("*-shift_identity.json")
     return json.loads(path.read_text())
@@ -467,26 +490,13 @@ def test_cli_imports_no_private_name_from_the_package():
 
 # Definitions that no code in src/ references and that stay, with the reason.
 _UNREFERENCED_BY_DESIGN = {
-    "SphereSolution.residual": "library API: solve_indicial comes 'with its own "
-                               "residual, so the solve can be tested alone' "
-                               "(bcontinuation's docstring)",
-    "SphereFunction.monomial": "library API: the one-term constructor of the "
-                               "exported sphere input",
-    "SplittingFrame.matrix": "library API: the splitting frame as one matrix",
     "RootTable.visible": "library API: the visible levels of the paper's "
                          "continuation, read at one s",
     "EscapeData.G": "library API: the escape function in cusp coordinates; "
                     "the benchmark's traced run wraps it by name",
-    # the escape module passes its own unit rows to the kernels behind these
-    # three and normalizes only what a caller passes them
-    "EscapeData.weight_symbol": "library API: the scaled weight at caller-given "
-                                "directions",
     "WeightField.derivative": "library API: the weight's flow difference at "
                               "caller-given directions; the benchmark's traced "
                               "run wraps it by name",
-    "SymbolField.log_derivative": "library API: the symbol's logarithmic flow "
-                                  "difference at caller-given directions",
-    "FlowState.advance": "library API: the only behaviour of the exported FlowState",
     "_Parser.error": "argparse calls it; it overrides ArgumentParser.error",
 }
 

@@ -14,8 +14,8 @@ from scipy.integrate import solve_ivp
 from _oracles import (cone_integrand, exact_midpoint_sphere, lifted_flow,
                       reduced_flow, reflected_orbits, rounded_angle_sphere,
                       signed_glue_rings, signed_grid, signed_midpoint_sphere,
-                      stepped_tau_max, tiled_flow_conditions,
-                      tiled_plateau_conditions)
+                      stepped_tau_max, symbol_hat, symbol_log_derivative, symbol_value,
+                      tiled_flow_conditions, tiled_plateau_conditions, weight_symbol)
 from cuspflow import escape
 from cuspflow.errors import (ConfigurationError, UnsupportedDimensionError,
                              ValidationError)
@@ -786,23 +786,23 @@ def test_weight_bounds_hypothesis(weight, a, b, c):
 def test_symbol_exactly_one_homogeneous(symbol):
     rng = np.random.default_rng(2)
     x = _as_unit_rows(rng.normal(size=(32, 3)))
-    ratio = symbol(x, 2.0) / symbol(x, 1.0)
+    ratio = symbol_value(symbol, x, 2.0) / symbol_value(symbol, x, 1.0)
     assert np.max(np.abs(ratio - 2.0)) <= 1e-10
-    ratio = symbol(x, 3.5e4) / symbol(x, 1.75e4)
+    ratio = symbol_value(symbol, x, 3.5e4) / symbol_value(symbol, x, 1.75e4)
     assert np.max(np.abs(ratio - 2.0)) <= 1e-10
 
 
 def test_symbol_log_derivative_cone_bounds(symbol):
     deep_u = np.array([[1e-9, 1.0, 0.0], [0.0, 1.0, 1e-9],
                        [1e-7, 1.0, 1e-7], [0.0, 1.0, 0.0]])
-    du = symbol.log_derivative(_as_unit_rows(deep_u))
+    du = symbol_log_derivative(symbol, _as_unit_rows(deep_u))
     assert du.min() >= 0.5 * BETA - 1e-3
 
     deep_s = deep_u[:, [0, 2, 1]]
-    ds = symbol.log_derivative(_as_unit_rows(deep_s))
+    ds = symbol_log_derivative(symbol, _as_unit_rows(deep_s))
     assert ds.max() <= -0.5 * BETA + 1e-3
     # at the decaying-dual pole the rate is exactly -beta
-    pole = symbol.log_derivative(np.array([[0.0, 0.0, 1.0]]))
+    pole = symbol_log_derivative(symbol, np.array([[0.0, 0.0, 1.0]]))
     assert float(pole[0]) == pytest.approx(-BETA, abs=1e-6)
     assert float(pole[0]) <= -0.75 * BETA + 1e-3
 
@@ -813,7 +813,7 @@ def test_symbol_flow_invariant_near_flow_dual_poles(symbol, small_grid):
     for d0 in (0.0, 0.4 * eps, 0.95 * eps):
         dirs.append([math.cos(d0), math.sin(d0) * 0.6,
                      math.sin(d0) * 0.8])
-    fd = symbol.log_derivative(_as_unit_rows(np.array(dirs)))
+    fd = symbol_log_derivative(symbol, _as_unit_rows(np.array(dirs)))
     assert np.max(np.abs(fd)) < 1e-8
 
 
@@ -853,7 +853,7 @@ def test_assemble_constants(data):
     assert data.constants["weight_derivative_floor"] == pytest.approx(
         2.0, abs=1e-6)
     assert data.R == pytest.approx(0.5 * math.exp(0.75), rel=1e-3)
-    m = data.weight_symbol(signed_grid(data.grid))
+    m = weight_symbol(data, signed_grid(data.grid))
     assert m.shape == (data.grid.n_theta * data.grid.n_phi,)
     assert np.max(np.abs(m)) <= data.C_G * (1.0 + 1e-12)
 
@@ -1053,7 +1053,7 @@ def test_reduced_G_normalizes_its_batch_once(data, monkeypatch):
 def test_empty_direction_batches_give_empty_arrays(data):
     none = np.empty((0, 3))
     for values in (data.weight(none), data.weight.derivative(none),
-                   data.symbol.hat(none), data.symbol.log_derivative(none),
+                   symbol_hat(data.symbol, none), symbol_log_derivative(data.symbol, none),
                    data.reduced_G(none, 1.0)):
         assert values.shape == (0,)
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import AwaySupportedFunction, ck_norm, reference_pairing, sphere_quadrature
+from _oracles import (AwaySupportedFunction, ck_norm, point_value, reference_pairing,
+                      sphere_quadrature)
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._jets import RadialSeries
 from cuspflow._testfunctions import TestFunction, random_test_function
@@ -102,7 +103,7 @@ def _direct_pairing(d, h, k, upsilon, lam, psi):
 
     def integrand(phi):
         t_fac = 2.0 * (1.0 - math.cos(phi))
-        vals = psi.value(phi, nodes)
+        vals = point_value(psi, phi, nodes)
         return t_fac**sigma * math.sin(phi) ** (k + d - 1) * complex(
             np.sum(weights * ups * vals)
         )
@@ -204,7 +205,7 @@ def test_radial_taylor_reconstruction_remainder_order():
             w = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
             jfac = (1.0 - rho * rho) ** -0.5
             return complex(
-                np.asarray(psi.value(phi, u0[None, :])).ravel()[0]
+                np.asarray(point_value(psi, phi, u0[None, :])).ravel()[0]
             ) * w**sigma * jfac
 
         def taylor(rho):
@@ -297,7 +298,7 @@ def test_angular_profile_matches_sphere_quadrature(d):
         for psi, mu_max in psis:
             nodes, weights = sphere_quadrature(d, k + mu_max)
             ups = _upsilon_value(upsilon, k, nodes)
-            vals = psi.value(phi[:, None], nodes[None])
+            vals = point_value(psi, phi[:, None], nodes[None])
             want = vals @ (weights * ups)
             scale = np.abs(vals) @ np.abs(weights * ups)
             got = psi.angular_profile(phi, moment)

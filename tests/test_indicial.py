@@ -1,7 +1,6 @@
 """Tests for the model-operator module: exact roots, jets, shooting."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import apply_P, ck_norm, constant_test_function, numeric_roots_shooting
+from _oracles import (apply_P, ck_norm, constant_test_function, numeric_roots_shooting,
+                      point_value)
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import ValidationError
@@ -262,17 +262,6 @@ def test_root_table_strip_merges_a_coincident_pair():
     assert table.partner(0) is None and table.partner(1) is None
 
 
-def test_root_json_fields():
-    roots = indicial_roots(ModelOperator(d=2, h=1.0, lam=0.0), s=0.3 + 0.2j, n_max=1)
-    payload = json.dumps([r.to_json() for r in roots])
-    data = json.loads(payload)
-    for row in data:
-        assert set(row) == {"sign", "n", "a", "b_re", "b_im", "multiplicity", "jordan_index"}
-    r0 = next(r for r in roots if r.sign == 1 and r.n == 0)
-    assert r0.to_json()["a"] == pytest.approx(1.0)
-    assert r0.to_json()["b_re"] == pytest.approx(1.0)  # h(d/2+n) = 1
-
-
 def test_model_operator_validation():
     with pytest.raises(ValidationError):
         ModelOperator(d=0, h=1.0, lam=0.0)
@@ -289,7 +278,7 @@ def _pole_value(psi):
     """psi at the distinguished pole (phi = 0)."""
     u = np.zeros((1, psi.d))
     u[0, 0] = 1.0
-    return complex(np.asarray(psi.value(0.0, u)).ravel()[0])
+    return complex(np.asarray(point_value(psi, 0.0, u)).ravel()[0])
 
 
 def test_dirac_zeroth_jet_is_point_evaluation():
@@ -363,6 +352,85 @@ def test_radial_scaling_of_dirac_jets_weak():
                     lhs = -(d * flat + complex(deul.subs(subs0)))
                     rhs = -(order + d) * flat
                     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def _signed_zero_poly(rng, n):
+    """n random complex coefficients, some parts -0.0 or +0.0 and some whole
+    coefficients zero, the last ones among them."""
+    re, im = rng.normal(size=n), rng.normal(size=n)
+    for part in (re, im):
+        part[rng.random(n) < 0.3] = -0.0
+        part[rng.random(n) < 0.2] = 0.0
+    p = re + 1j * im
+    p[rng.random(n) < 0.15] = 0.0
+    p[n - int(rng.integers(0, 3)):] = complex(-0.0, -0.0)
+    return p
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_test_function_algebra_is_numpy_polynomial_bit_for_bit(seed):
+    # the plain-numpy products, sums, derivative and Horner evaluation of
+    # _testfunctions against numpy.polynomial, which they replace
+    from numpy.polynomial import polynomial as npoly
+    from numpy.polynomial import polyutils as pu
+
+    from cuspflow._testfunctions import _add, _mul, _trim
+
+    def top_cancelling(p):
+        # -p but for its constant, so that p plus it ends in zeros
+        out = -np.asarray(p)
+        out[0] += 1.0
+        return out
+
+    rng = np.random.default_rng(seed)
+    polys = [_signed_zero_poly(rng, int(n)) for n in rng.integers(1, 7, size=12)]
+    for a, b in itertools.product(polys, repeat=2):
+        assert _same_bits(_trim(a, 1), pu.trimseq(a))
+        a, b = pu.trimseq(a), pu.trimseq(b)
+        assert _same_bits(_mul(a, b), npoly.polymul(a, b))
+        for other in (b, -a, top_cancelling(a)):
+            assert _same_bits(_add(a, other), npoly.polyadd(a, other))
+
+    d, mus = 2, [(0, 0), (1, 0), (1, 1)]
+    terms = [(sum(mu) + 2 * int(rng.integers(0, 2)), mu, float(rng.choice([0.0, 0.7])), p)
+             for mu, p in zip(itertools.cycle(mus), polys)]
+    # merges of three series whose first two sum to trailing zeros
+    terms += ([(q, mu, c, top_cancelling(p)) for q, mu, c, p in terms[:4]]
+              + [(q, mu, c, other) for (q, mu, c, _), other in zip(terms[:4], polys[::-1])])
+    merged = {}
+    for q, mu, c, p in terms:
+        p = np.trim_zeros(p, "b")
+        if p.size:
+            key = (q, mu, c)
+            merged[key] = npoly.polyadd(merged[key], p) if key in merged else p
+    want = [(k, kept) for k, p in merged.items() if (kept := np.trim_zeros(p, "b")).size]
+    psi = TestFunction(terms, d)
+    assert [k for k, _ in want] == [(q, mu, c) for q, mu, c, _ in psi.terms]
+    assert all(_same_bits(p, w) for (_, w), (*_, p) in zip(want, psi.terms))
+
+    def x_gr(q, c, p):
+        newp = npoly.polymul([0.0, float(q)], p)
+        newp = npoly.polyadd(newp, npoly.polymul([-1.0, 0.0, 1.0], npoly.polyder(p)))
+        if c != 0.0:
+            newp = npoly.polyadd(newp, npoly.polymul([0.0, -2.0 * c, 0.0, 2.0 * c], p))
+        return newp
+
+    for got, reference in (
+            (psi.mult_z0(), [(q, mu, c, npoly.polymul([0.0, 1.0], p)) for q, mu, c, p in psi.terms]),
+            (psi.x_gr(), [(q, mu, c, x_gr(q, c, p)) for q, mu, c, p in psi.terms])):
+        want = TestFunction(reference, d).terms
+        assert [t[:3] for t in got.terms] == [t[:3] for t in want]
+        assert all(_same_bits(g[3], w[3]) for g, w in zip(got.terms, want))
+
+    phi = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.0, math.pi / 2, math.pi]])
+    z0 = np.cos(phi) + 0j
+    for (mu, radial), (q, mu_t, c, p) in zip(psi._radial_factors(phi), psi.terms):
+        want = npoly.polyval(z0, p) * np.sin(phi) ** q * np.exp(-c * (1.0 - np.cos(phi) ** 2))
+        assert mu == mu_t and _same_bits(radial, want)
 
 
 def test_weak_eigen_equation_dirac_jets():
