@@ -445,7 +445,6 @@ class SphereSolution:
     terms: tuple
     x_grid: np.ndarray
     profiles: tuple  # per-term arrays (n_x,)
-    meta: dict = field(default_factory=dict)
 
 
 def solve_indicial(
@@ -490,7 +489,6 @@ def solve_indicial(
         terms=g.terms,
         x_grid=xg,
         profiles=profiles,
-        meta={"root_distance": dist * op.h, "series_order": _N_SERIES},
     )
 
 

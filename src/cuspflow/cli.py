@@ -39,6 +39,12 @@ Exit codes: 0 success, 2 invalid configuration, 3 tolerance failure,
 4 internal error.  Diagnostics are emitted as single-line JSON on stderr.
 Non-finite values are rejected where they are parsed; a computation that
 leaves the float range raises a typed error or fails its gate.
+
+A run's gates, records (name, value, bound) passing when value <= bound (a
+NaN fails), alone decide its manifest ``status``; a failed gate exits 3 with
+a stderr line listing the failed names as ``failures`` and the failed records
+as ``gates``, each with the ``check`` that tells apart gates sharing a name.
+The manifest's ``tolerance_*`` values are reported whether they gate or not.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -430,16 +436,8 @@ def config_from_sources(subcommand=None, config_path=None, output_dir=None,
 # ---------------------------------------------------------------------------
 
 def _cell(v) -> str:
-    """One manifest tolerance value."""
-    if type(v) is float:
-        return repr(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt_float(v)
+    """One manifest tolerance value, a Python float or bool."""
+    return ("true" if v else "false") if isinstance(v, bool) else repr(v)
 
 
 def _csv_text(header, rows) -> str:
@@ -501,8 +499,7 @@ def _build_manifest(config: ExperimentConfig, tolerances: dict,
     section: hash, versions, artifacts, status and tolerance values."""
     entries = {"config_hash": config.config_hash(), **_versions()}
     entries["artifacts"] = " ".join(sorted(artifact_names))
-    entries["status"] = ("ok" if not failures
-                         else "tolerance_failure: " + " ".join(sorted(failures)))
+    entries["status"] = "tolerance_failure: " + " ".join(failures) if failures else "ok"
     entries.update({f"tolerance_{name}": _cell(v) for name, v in tolerances.items()})
     text = config.canonical_text().replace(
         "[run]\n", f"[run]\noutput_dir = {config.output_dir}\n", 1)
@@ -510,14 +507,30 @@ def _build_manifest(config: ExperimentConfig, tolerances: dict,
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (artifacts, tolerances, failures), the
+# subcommand runners: each returns (artifacts, tolerances, gates), the
 # artifacts keyed by bare file name
 # ---------------------------------------------------------------------------
 
 _GAUSSIAN_A = 4.0  # the resolvent input's radial factor e^{-a (r - r0)^2}
-_SHIFT_IDENTITY_TOL = 1e-6  # the largest shift-identity defect a resolvent run passes
-# the largest conservation defects a flow run passes
-_FLOW_TOLS = {"azimuth_drift": 1e-10, "semigroup_defect": 1e-8, "log_height_defect": 1e-9}
+# each gate's bound, which the JSON artifacts write too; escape's are its certificate's, and
+# mixing_limit_error's is of each bump's 2 pi |amplitude| (at order 3 exceeded from radius 18.27)
+_BOUNDS = {"jet_deviation": 1e-9, "eigen_residual": 1e-6, "shift_identity": 1e-6,
+           "residue_match": 1e-6, "azimuth_drift": 1e-10, "semigroup_defect": 1e-8,
+           "log_height_defect": 1e-9, "mixing_limit_error": 1e-9}
+
+
+@dataclass(frozen=True)
+class _Gate:
+    """A run's check, passing when value <= bound; ``check`` tells apart gates sharing a name."""
+
+    name: str
+    value: float
+    bound: float
+    check: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
 
 
 def _gaussian_radial(center: float):
@@ -564,9 +577,8 @@ def _run_roots(config: ExperimentConfig):
                              A=p["twist"])
         eigs = numeric_roots_jet(op_r, K=p["n_max"])
         deviation = _nanmax(deviation, np.min(np.abs(eigs - hs)))
-    tolerances = {"jet_deviation_max": deviation}
-    failures = [] if deviation <= 1e-9 else ["jet_deviation"]
-    return {"roots.csv": csv}, tolerances, failures
+    gates = [_Gate("jet_deviation", deviation, _BOUNDS["jet_deviation"])]
+    return {"roots.csv": csv}, {"jet_deviation_max": deviation}, gates
 
 
 def _run_eigendist(config: ExperimentConfig):
@@ -596,9 +608,8 @@ def _run_eigendist(config: ExperimentConfig):
     csv = _csv_text(
         ["sign", "n", "re_lambda", "im_lambda", "psi_index", "re_pairing",
          "im_pairing", "eigen_residual"], rows)
-    tolerances = {"eigen_residual_max": worst}
-    failures = [] if worst <= 1e-6 else ["eigen_residual"]
-    return {"pairings.csv": csv}, tolerances, failures
+    gates = [_Gate("eigen_residual", worst, _BOUNDS["eigen_residual"])]
+    return {"pairings.csv": csv}, {"eigen_residual_max": worst}, gates
 
 
 def _run_resolvent(config: ExperimentConfig):
@@ -642,23 +653,18 @@ def _run_resolvent(config: ExperimentConfig):
     # truncation tail they estimate
     tolerances = {f"{name}_{key}": line.meta[key] for name, line in lines.items()
                   for key in ("r_window", "contour_tail_rel", "tail_ok")}
-    failures: list = []
-
+    gates = []
     if shift is not None:
         tolerances["shift_identity_defect"] = shift.defect
-        passed = shift.defect <= _SHIFT_IDENTITY_TOL
-        if not passed:
-            failures.append("shift_identity")
+        gates.append(_Gate("shift_identity", shift.defect, _BOUNDS["shift_identity"]))
         artifacts["shift_identity.json"] = _json_text({
             "rho_low": lo,
             "rho_high": hi,
             "crossed_levels": [{"re": loc.value.real, "im": loc.value.imag}
                                for loc in shift.crossed],
-            "defect": shift.defect,
-            "tolerance": _SHIFT_IDENTITY_TOL,
-            "passed": passed,
+            "defect": shift.defect, "tolerance": gates[0].bound, "passed": gates[0].passed,
         })
-    return artifacts, tolerances, failures
+    return artifacts, tolerances, gates
 
 
 def _run_residue(config: ExperimentConfig):
@@ -689,9 +695,8 @@ def _run_residue(config: ExperimentConfig):
     csv = _csv_text(
         ["d", "k", "j", "pole_location", "re_closed", "im_closed",
          "re_contour", "im_contour", "abs_diff", "rel_diff"], rows)
-    tolerances = {"residue_rel_diff_max": worst}
-    failures = [] if worst <= 1e-6 else ["residue_match"]
-    return {"residues.csv": csv}, tolerances, failures
+    gates = [_Gate("residue_match", worst, _BOUNDS["residue_match"])]
+    return {"residues.csv": csv}, {"residue_rel_diff_max": worst}, gates
 
 
 def _run_escape(config: ExperimentConfig):
@@ -704,11 +709,15 @@ def _run_escape(config: ExperimentConfig):
                       R=p["r_small"], step=p["step"])
     cert = verify(data, seed=config.seed)
     text = cert.to_json() + "\n"
-    tolerances = {"certificate_passed": cert.passed}
-    for name, cond in sorted(cert.conditions.items()):
-        tolerances[f"margin_{name}"] = float(cond["margin"])
-    failures = [] if cert.passed else ["escape_certificate"]
-    return {"certificate.json": text}, tolerances, failures
+    tolerances = {"certificate_passed": cert.passed,
+                  **{f"margin_{k}": float(r["margin"]) for k, r in cert.conditions.items()}}
+    # the certificate's records; i and ii are lower bounds, gated as threshold <= margin
+    # so that stderr shows the numbers as the certificate wrote them (a NaN still fails)
+    c = cert.conditions
+    gates = [_Gate("escape_certificate", c[k][v], c[k][b], f"{k}: {v} <= {b}") for k, v, b in (
+        ("i", "threshold", "margin"), ("ii", "threshold", "margin"), ("iii", "margin", "threshold"),
+        ("iii", "flow_dual_max_abs", "flow_dual_threshold"), ("iv", "margin", "threshold"))]
+    return {"certificate.json": text}, tolerances, gates
 
 
 def _run_flow(config: ExperimentConfig):
@@ -744,20 +753,14 @@ def _run_flow(config: ExperimentConfig):
     else:
         bound = None
         height_defect = 0.0
-    report = {
-        "azimuth_drift": u_drift,
-        "semigroup_defect": semigroup,
-        "log_height_bound": bound,
-        "log_height_defect": height_defect,
-        "max_log_height_sampled": r_max,
-        "tolerances": _FLOW_TOLS,
-    }
     tolerances = {"azimuth_drift": u_drift, "semigroup_defect": semigroup,
                   "log_height_defect": height_defect}
-    failures = [key for key, value in tolerances.items() if not value <= _FLOW_TOLS[key]]
+    gates = [_Gate(key, value, _BOUNDS[key]) for key, value in tolerances.items()]
+    report = {**tolerances, "log_height_bound": bound, "max_log_height_sampled": r_max,
+              "tolerances": {gate.name: gate.bound for gate in gates}}
     return ({"trajectory.csv": csv,
              "conservation.json": _json_text(report)},
-            tolerances, failures)
+            tolerances, gates)
 
 
 def _run_correlate(config: ExperimentConfig):
@@ -780,11 +783,10 @@ def _run_correlate(config: ExperimentConfig):
     (mean_a, err_a), (mean_b, err_b) = A.integral(), B.integral()
     limit = mean_a * mean_b / total
     limit_err = (abs(mean_b) * err_a + abs(mean_a) * err_b + err_a * err_b) / total
-    # a bump's integral must hold to 1e-9 of its scale 2 pi |amplitude|
-    # (NaN fails); at order 3 the bound first exceeds it at radius 18.27
-    failures = ["mixing_limit_error"] if any(
-        not err <= 1e-9 * total * abs(p[f"{side}_amplitude"])
-        for side, err in (("a", err_a), ("b", err_b))) else []
+    # at amplitude 0 both a bump's bound and its integral's error are 0
+    bound = _BOUNDS["mixing_limit_error"] * total
+    gates = [_Gate("mixing_limit_error", err, bound * abs(amp), side) for side, err, amp in
+             (("a", err_a, A.amplitude), ("b", err_b, B.amplitude))]
 
     final = float(rec.values[-1])
     final_se = float(rec.stderrs[-1])
@@ -812,14 +814,11 @@ def _run_correlate(config: ExperimentConfig):
         "area_gap_z_score": (area - total) / area_se if area_se > 0 else 0.0,
         "sample_count": p["n"],
     }
-    tolerances = {
-        "final_gap_z_score": z_score,
-        "area_gap_z_score": probe["area_gap_z_score"],
-        "mixing_limit_error": limit_err,
-    }
+    tolerances = {key: probe[key] for key in
+                  ("final_gap_z_score", "area_gap_z_score", "mixing_limit_error")}
     return ({"correlation.csv": csv,
              "laplace.json": _json_text(probe)},
-            tolerances, failures)
+            tolerances, gates)
 
 
 _RUNNERS = {
@@ -840,16 +839,17 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Validate, compute, write artifacts atomically; return the exit code."""
     config.validate()
-    named, tolerances, failures = _RUNNERS[config.subcommand](config)
+    named, tolerances, gates = _RUNNERS[config.subcommand](config)
+    failed = [gate for gate in gates if not gate.passed]
+    failures = sorted({gate.name for gate in failed})
     prefix = config.hash_prefix()
     artifacts = {f"{prefix}-{name}": data for name, data in named.items()}
     manifest = _build_manifest(config, tolerances, list(artifacts), failures)
     artifacts[f"{prefix}-manifest.ini"] = manifest
     _write_artifacts(config.output_dir, artifacts)
-    if failures:
-        print(json.dumps({"error": "tolerance", "failures": sorted(failures),
-                          "tolerances": {k: repr(v) for k, v in
-                                         sorted(tolerances.items())}},
+    if failed:
+        print(json.dumps({"error": "tolerance", "failures": failures,
+                          "gates": [asdict(gate) for gate in failed]},
                          sort_keys=True), file=sys.stderr)
         return 3
     return 0

@@ -362,7 +362,7 @@ def eigendistribution(root: IndicialRoot, op: ModelOperator, selector) -> Distri
 # ---------------------------------------------------------------------------
 
 
-def jet_matrix(op: ModelOperator, K: int, exact: bool = False):
+def jet_matrix(op: ModelOperator, K: int):
     """(basis, matrix) of the transposed operator on jets of order <= K.
 
     Upper triangular in graded-ascending order with parity-preserving
@@ -370,18 +370,6 @@ def jet_matrix(op: ModelOperator, K: int, exact: bool = False):
     """
     if K < 0:
         raise ValidationError(f"need K >= 0, got {K}")
-    if exact:
-        from fractions import Fraction
-
-        if abs(complex(op.lam).imag) > 0 or abs(complex(op.A).imag) > 0:
-            raise ValidationError("exact jet matrix requires real lambda and A")
-        return transpose_matrix_on_volume_jets(
-            op.d,
-            Fraction(op.h).limit_denominator(10**12),
-            Fraction(complex(op.lam).real).limit_denominator(10**12),
-            Fraction(complex(op.A).real).limit_denominator(10**12),
-            K,
-        )
     return transpose_matrix_on_volume_jets(op.d, float(op.h), op.lam, op.A, K)
 
 
@@ -391,7 +379,7 @@ def numeric_roots_jet(op: ModelOperator, K: int) -> np.ndarray:
     The returned values must reproduce  hs = lambda + hA - h(n + d/2) for
     n = 0..K, with multiplicities.
     """
-    _, M = jet_matrix(op, K, exact=False)
+    _, M = jet_matrix(op, K)
     eig = np.linalg.eigvals(M)
     return eig[np.lexsort((eig.imag, -eig.real))]
 

@@ -3,9 +3,11 @@
 Each one checks a stage of the package by another route than the one the
 package takes:
 
-* :func:`apply_P` applies the model operator pointwise, and
+* :func:`apply_P` applies the model operator pointwise,
   :func:`numeric_roots_shooting` classifies a root by integrating the reduced
-  mode-m ODE with scipy (the package's roots are closed forms);
+  mode-m ODE with scipy (the package's roots are closed forms), and
+  :func:`exact_jet_matrix` is the jet matrix in Fraction arithmetic (the
+  package's is complex floats);
 * :class:`AwaySupportedFunction` is a smooth test function whose jets at the
   pole N all vanish, and :func:`ck_norm` is a surrogate C^k norm of a
   :class:`~cuspflow._testfunctions.TestFunction`;
@@ -84,12 +86,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from cuspflow import bcontinuation as bc
+from cuspflow._jets import transpose_matrix_on_volume_jets
 from cuspflow._testfunctions import TestFunction
 from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, PoleError, ToleranceError,
@@ -166,6 +170,19 @@ def apply_P(op: ModelOperator, f, point) -> complex:
         fval, fphi = point_value(f, phi, u), point_value(d_phi(f), phi, u)
     lam_eff = op.lam + op.h * op.d / 2.0 + op.h * op.A
     return complex(op.h * math.sin(phi) * fphi + lam_eff * math.cos(phi) * fval)
+
+
+def exact_jet_matrix(op: ModelOperator, K: int):
+    """(basis, matrix) of :func:`cuspflow.indicial.jet_matrix` with exact
+    Fraction entries, h, lambda and A each rounded to a denominator of at
+    most 1e12; lambda and A must be real."""
+    if complex(op.lam).imag != 0 or complex(op.A).imag != 0:
+        raise ValidationError("exact jet matrix requires real lambda and A")
+
+    def exact(v):
+        return Fraction(complex(v).real).limit_denominator(10**12)
+
+    return transpose_matrix_on_volume_jets(op.d, exact(op.h), exact(op.lam), exact(op.A), K)
 
 
 @dataclass(frozen=True)

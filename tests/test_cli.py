@@ -559,6 +559,7 @@ def test_every_package_definition_is_used_in_src_or_exported():
 # stay, with the reason.
 _UNREAD_FIELDS_BY_DESIGN = {
     "EscapeCertificate.notes": "dataclasses.asdict writes it to certificate.json",
+    "_Gate.check": "dataclasses.asdict writes it to the exit-3 stderr line",
 }
 
 
@@ -767,7 +768,7 @@ def test_non_finite_results_exit_3_naming_the_abscissa_or_time(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
-def test_flow_gates_fail_on_a_nan_defect(tmp_path, monkeypatch):
+def _nan_theta_at_t_max(monkeypatch):
     # Python's max(x, nan) is x: a NaN cross-section point at t_max must
     # still fail the semigroup gate
     import cuspflow.flow as fl
@@ -780,10 +781,31 @@ def test_flow_gates_fail_on_a_nan_defect(tmp_path, monkeypatch):
         return PhasePoint(q.r, q.theta * math.nan, q.phi, q.u) if t == 2.0 else q
 
     monkeypatch.setattr(fl, "flow_cusp_exact", nan_at_t_max)
+
+
+@pytest.mark.parametrize("argv, failure, checks, patch", [
+    (["eigendist", "--s=-1.5"], "eigen_residual", [""], None),
+    (["resolvent", "--m=1"], "shift_identity", [""], None),
+    (["escape", "--r-small=1e-3"], "escape_certificate", ["i: threshold <= margin"], None),
+    # the bump a integral's error fails, not the limit error it propagates into
+    (["correlate", "--n=200", "--t-max=1", "--a-radius=18.5"], "mixing_limit_error", ["a"],
+     None),
+    (["flow", "--t-max=2"], "semigroup_defect", [""], _nan_theta_at_t_max),
+], ids=["eigendist", "resolvent", "escape", "correlate", "flow-nan"])
+def test_a_failed_gate_exits_3_and_stderr_lists_only_the_failed_gates(
+        tmp_path, capsys, monkeypatch, argv, failure, checks, patch):
+    if patch is not None:
+        patch(monkeypatch)
     out = tmp_path / "out"
-    assert cli.main(["flow", "--t-max=2", f"--output-dir={out}"]) == 3
-    status = _manifest(out)["manifest"]["status"]
-    assert status == "tolerance_failure: semigroup_defect"
+    assert cli.main(argv + [f"--output-dir={out}"]) == 3
+    assert _manifest(out)["manifest"]["status"] == f"tolerance_failure: {failure}"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    diag = json.loads(err[0])
+    assert diag["error"] == "tolerance"
+    assert [gate["check"] for gate in diag["gates"]] == checks
+    assert all(not gate["value"] <= gate["bound"] for gate in diag["gates"])
+    assert diag["failures"] == sorted({gate["name"] for gate in diag["gates"]}) == [failure]
 
 
 def test_unknown_flag_exits_2_with_one_json_diagnostic_line(capsys):

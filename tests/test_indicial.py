@@ -9,8 +9,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (apply_P, ck_norm, constant_test_function, numeric_roots_shooting,
-                      point_value)
+from _oracles import (apply_P, ck_norm, constant_test_function, exact_jet_matrix,
+                      numeric_roots_shooting, point_value)
 from cuspflow._sphere import homogeneous_dimension, multi_indices
 from cuspflow._testfunctions import TestFunction, random_test_function
 from cuspflow.errors import ValidationError
@@ -554,7 +554,7 @@ def test_jet_matrix_zero_pattern():
     # entries couple nu to mu only when mu - nu is a nonnegative even
     # multi-index: block upper triangular in degree, diagonal within a degree
     op = ModelOperator(d=2, h=1.0, lam=0.3)
-    basis, M = jet_matrix(op, K=4, exact=False)
+    basis, M = jet_matrix(op, K=4)
     assert list(basis) == [mu for n in range(5) for mu in multi_indices(2, n)]
     for i, nu in enumerate(basis):
         for j, mu in enumerate(basis):
@@ -580,8 +580,8 @@ def test_jet_matrix_is_the_transpose_action_on_volume_jets(d):
 def test_jet_matrix_exact_vs_float_and_eigenvalues():
     op = ModelOperator(d=2, h=1.0, lam=0.25)
     K = 4
-    _, M_float = jet_matrix(op, K=K, exact=False)
-    _, M_exact = jet_matrix(op, K=K, exact=True)
+    _, M_float = jet_matrix(op, K=K)
+    _, M_exact = exact_jet_matrix(op, K=K)
     for i, row in enumerate(M_exact):
         for j, entry in enumerate(row):
             assert abs(complex(entry) - M_float[i, j]) < 1e-12
