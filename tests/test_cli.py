@@ -783,6 +783,17 @@ def _nan_theta_at_t_max(monkeypatch):
     monkeypatch.setattr(fl, "flow_cusp_exact", nan_at_t_max)
 
 
+def test_flow_gates_fail_on_a_nan_defect(tmp_path, capsys, monkeypatch):
+    _nan_theta_at_t_max(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--t-max=2", f"--output-dir={out}"]) == 3
+    status = _manifest(out)["manifest"]["status"]
+    assert status == "tolerance_failure: semigroup_defect"
+    # the failed gate carries the NaN itself, not a finite stand-in
+    [gate] = json.loads(capsys.readouterr().err)["gates"]
+    assert gate["name"] == "semigroup_defect" and math.isnan(gate["value"])
+
+
 @pytest.mark.parametrize("argv, failure, checks, patch", [
     (["eigendist", "--s=-1.5"], "eigen_residual", [""], None),
     (["resolvent", "--m=1"], "shift_identity", [""], None),
