@@ -179,24 +179,21 @@ def transpose_matrix_on_volume_jets(d: int, h, lam, A, K: int):
     where s_m are the coefficients of sqrt(1-t) and a_m those of
     -t (1-t)^{-1/2}.  Diagonal entries: lambda + hA - h(|mu| + d/2).
 
-    Returns (basis, M) with basis = multi_indices_upto(d, K).  M is an
-    object array of exact entries when h is a Fraction (lambda and A then
-    Fractions too), else a complex array.
+    Returns (basis, M) with basis = multi_indices_upto(d, K) and M a complex
+    array.
     """
-    exact = isinstance(h, Fraction)
-    half = Fraction(1, 2) if exact else 0.5
     order = K // 2
-    s = RadialSeries.binomial(half, order).coeffs
-    inv = RadialSeries.binomial(-half, order).coeffs
+    s = RadialSeries.binomial(0.5, order).coeffs
+    inv = RadialSeries.binomial(-0.5, order).coeffs
     # a(t) = -t (1-t)^{-1/2}:  a_0 = 0, a_m = -inv_{m-1}
-    a = [s[0] * 0] + [-inv[m - 1] for m in range(1, order + 1)]
+    a = [0.0] + [-inv[m - 1] for m in range(1, order + 1)]
 
     basis = multi_indices_upto(d, K)
     index = {mu: i for i, mu in enumerate(basis)}
-    M = np.zeros((len(basis),) * 2, dtype=object if exact else complex)
+    M = np.zeros((len(basis),) * 2, dtype=complex)
     for j, mu in enumerate(basis):
         g = RadialSeries(tuple(
-            (lam + h * A) * s[m] - h * (a[m] + s[m] * (sum(mu) - 2 * m + d * half))
+            (lam + h * A) * s[m] - h * (a[m] + s[m] * (sum(mu) - 2 * m + d * 0.5))
             for m in range(min(order, sum(mu) // 2) + 1)
         ))
         for nu, val in radial_multiply({mu: 1}, g).items():

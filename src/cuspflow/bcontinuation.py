@@ -30,25 +30,27 @@ here:
 ``solve_indicial``     one tempered sphere solve of (I(lambda) - h s) f = g,
 ``resolvent_line``     the contour transform along a regular abscissa,
 ``residue_apply``      the residue operator of one enclosed root, via a small
-                       circle in w, pointwise or in an optional
-                       distribution-paired channel that sees the rank
-                       concentrated at the north pole and the r e^{w0 r}
-                       Jordan component; both channels take the solve's one
-                       series form (a ring mean about a node near one of its
-                       resonances), the paired one as sums of its moments,
+                       circle in w, as x-profiles,
+``residue_pairing``    the same circle's residue paired with a polynomial
+                       probe, which sees the rank concentrated at the north
+                       pole and the r e^{w0 r} Jordan component; both
+                       channels take the solve's one series form (a ring mean
+                       about a node near one of its resonances), the paired
+                       one as sums of its moments,
 ``shift_identity``     the two lines at abscissae rho_lo <= rho_hi, the
                        residues of the roots crossed between them and the
                        defect of R_hi - R_lo = sum of those residues,
 ``continue_resolvent`` the visible-root continuation from one abscissa,
 ``rho_max``            the visibility radius at one s.
 
-``cuspflow resolvent`` calls ``resolvent_line`` and ``shift_identity``; the
-other four are library API.  ``continue_resolvent`` is the paper's continued
-resolvent, built from the residue sum whose shift identity the subcommand
-checks; ``solve_indicial`` is the paper's indicial solve at one lambda, so
-that the tests can check the solve alone; ``residue_apply`` gives one
-root's residue and the paired channel that the sums do not expose; and
-``rho_max`` is the visibility bound of the paper's continuation statement.
+``cuspflow resolvent`` calls ``resolvent_line`` and ``shift_identity``, whose
+residue sum calls ``residue_apply``; the other four are library API.
+``continue_resolvent`` is the paper's continued resolvent, built from the
+residue sum whose shift identity the subcommand checks; ``solve_indicial``
+is the paper's indicial solve at one lambda, so that the tests can check the
+solve alone; ``residue_pairing`` is the channel that the sums do not expose;
+and ``rho_max`` is the visibility bound of the paper's continuation
+statement.
 
 Both halves of the contour transform use e^{r w} = e^{r0_b w} e^{(r - r0_b) w}
 over blocks of L rows starting at r0_b: (L + n/L) n_w exponentials instead of
@@ -116,6 +118,7 @@ __all__ = [
     "solve_indicial",
     "resolvent_line",
     "residue_apply",
+    "residue_pairing",
     "ShiftIdentity",
     "shift_identity",
     "continue_resolvent",
@@ -253,27 +256,27 @@ def default_r_grid(span: float = 30.0, n: int = 4096) -> np.ndarray:
 class CuspField:
     """A gridded field on the half-cylinder, one value block per input term.
 
-    terms holds (m, mu, values) with values of shape (r_grid.size, n_x); the
-    full scalar field at an angular point u is the sum of
-    values * sin(phi)^m * u^mu over the terms, phi = arccos(x_grid).  A
-    contour line's r_grid is the rows of the transform grid that its
-    quadrature resolves (:func:`resolvent_line`).
+    keys holds the (m, mu) of each term and values its block, of shape
+    (r_grid.size, x_grid.size); the full scalar field at an angular point u
+    is the sum of values * sin(phi)^m * u^mu over the terms,
+    phi = arccos(x_grid).  A contour line's r_grid is the rows of the
+    transform grid that its quadrature resolves (:func:`resolvent_line`).
+    meta holds what a line or :func:`continue_resolvent` reports of itself; a
+    sum or difference of fields carries none.
     """
 
     d: int
     r_grid: np.ndarray
     x_grid: np.ndarray
-    terms: tuple
+    keys: tuple
+    values: tuple
     meta: dict = field(default_factory=dict)
-
-    def term_values(self, i: int) -> np.ndarray:
-        return self.terms[i][2]
 
     def scalar_values(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, float))
         sx = np.sqrt(np.maximum(0.0, 1.0 - self.x_grid**2))
         out = np.zeros((self.r_grid.size, self.x_grid.size), complex)
-        for m, mu, vals in self.terms:
+        for (m, mu), vals in zip(self.keys, self.values):
             ang = float(np.prod(u ** np.asarray(mu)))
             out += vals * (sx**m)[None, :] * ang
         return out
@@ -281,28 +284,14 @@ class CuspField:
     def _binary(self, other: "CuspField", sign: float) -> "CuspField":
         if not isinstance(other, CuspField):
             raise ValidationError("can only combine with another CuspField")
-        if self.d != other.d or len(self.terms) != len(other.terms):
+        if (self.d, self.keys) != (other.d, other.keys):
             raise ValidationError("field term structures differ")
-        if self.r_grid.shape != other.r_grid.shape or not np.allclose(
-            self.r_grid, other.r_grid
-        ):
-            raise ValidationError("field r-grids differ")
-        if self.x_grid.shape != other.x_grid.shape or not np.allclose(
-            self.x_grid, other.x_grid
-        ):
-            raise ValidationError("field x-grids differ")
-        terms = []
-        for (m1, mu1, v1), (m2, mu2, v2) in zip(self.terms, other.terms):
-            if m1 != m2 or mu1 != mu2:
-                raise ValidationError("field term structures differ")
-            terms.append((m1, mu1, v1 + sign * v2))
-        return CuspField(
-            d=self.d,
-            r_grid=self.r_grid,
-            x_grid=self.x_grid,
-            terms=tuple(terms),
-            meta={},
-        )
+        for name in ("r_grid", "x_grid"):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine.shape != theirs.shape or not np.allclose(mine, theirs):
+                raise ValidationError(f"field {name[0]}-grids differ")
+        return CuspField(d=self.d, r_grid=self.r_grid, x_grid=self.x_grid, keys=self.keys,
+                         values=tuple(v1 + sign * v2 for v1, v2 in zip(self.values, other.values)))
 
     def __add__(self, other):
         return self._binary(other, +1.0)
@@ -675,7 +664,7 @@ def resolvent_line(op: ModelOperator, s: complex, contour: ContourSpec, f: CuspF
     wl = contour.rho + 1j * eta
     tail_sel = np.abs(eta) >= contour.height - base_panel - 1e-12
     tail_rel = 0.0
-    terms_out = []
+    values = []
     table = _exp_table(r, wl)
     for term, a in zip(f.terms, samples):
         fh = _fhat(a, r, table)
@@ -693,15 +682,11 @@ def resolvent_line(op: ModelOperator, s: complex, contour: ContourSpec, f: CuspF
                 f"its rows, r={float(bad[0])!r} to r={float(bad[-1])!r}")
         scale = float(np.abs(vals).max()) or 1.0
         tail_rel = float(np.maximum(tail_rel, np.abs(tails).max() / scale))  # NaN propagates
-        terms_out.append((term.m, term.mu, vals))
-    meta = {
-        "abscissa": contour.rho,
-        "contour_tail_rel": tail_rel,
-        "tail_ok": tail_rel <= _TAIL_TOL,
-        "r_window": contour.r_window(),
-        "root_gap": gap,
-    }
-    return CuspField(d=op.d, r_grid=r_out, x_grid=xg, terms=tuple(terms_out), meta=meta)
+        values.append(vals)
+    meta = {"contour_tail_rel": tail_rel, "tail_ok": tail_rel <= _TAIL_TOL,
+            "r_window": contour.r_window()}
+    return CuspField(d=op.d, r_grid=r_out, x_grid=xg, keys=tuple((t.m, t.mu) for t in f.terms),
+                     values=tuple(values), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -729,45 +714,35 @@ class ResidueOperator:
 
 @dataclass
 class ResidueOutput:
-    """The residue operator applied to f:  e^{w0 r} (H0 + r H1) per term.
+    """The pointwise residue of f at one enclosed root:  e^{w0 r} (H0 + r H1)
+    per term, keys as in :class:`CuspField`, H0 and H1 x-profiles on x_grid.
 
-    Pointwise channel (paired=False): H0/H1 are x-profiles on x_grid.  The
-    part of the residue concentrated at the north pole (the Dirac-jet family
-    of the plus branch) has zero pointwise trace on interior grids, so plain
-    grids see only the south-branch rank; rank and Jordan structure carried
-    by the jets appear in the paired channel (paired=True), where H0/H1 are
-    scalars  <residue f, Q(x)>  against the weight (1-x^2)^{m + d/2 - 1}
-    continued across the pole.
+    The part of the residue concentrated at the north pole (the Dirac-jet
+    family of the plus branch) has zero pointwise trace on interior grids, so
+    these profiles see only the south-branch rank; :func:`residue_pairing`
+    sees the rank and Jordan structure that the jets carry.
+    third_moment_rel is that of :func:`_residue_moments`.
     """
 
     d: int
-    s: complex
     lambda0: complex
-    term_keys: tuple  # (m, mu) per input term
+    keys: tuple
+    x_grid: np.ndarray
     H0: tuple
     H1: tuple
-    paired: bool
-    x_grid: np.ndarray | None
-    meta: dict = field(default_factory=dict)
+    third_moment_rel: float
 
     def field(self, r_grid) -> CuspField:
-        if self.paired:
-            raise ValidationError("paired residue output has no gridded field")
         r = np.asarray(r_grid, float)
         ex = np.exp(self.lambda0 * r)
-        terms = []
-        for (m, mu), h0, h1 in zip(self.term_keys, self.H0, self.H1):
-            vals = ex[:, None] * (h0[None, :] + r[:, None] * h1[None, :])
-            terms.append((m, mu, vals))
-        return CuspField(
-            d=self.d, r_grid=r, x_grid=self.x_grid, terms=tuple(terms), meta={}
-        )
+        values = tuple(ex[:, None] * (h0[None, :] + r[:, None] * h1[None, :])
+                       for h0, h1 in zip(self.H0, self.H1))
+        return CuspField(d=self.d, r_grid=r, x_grid=self.x_grid, keys=self.keys, values=values)
 
 
-def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
+def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> None:
     """The circle must cleanly separate one root location, or one cluster of
-    locations closer than _CLUSTER_GAP, from the other roots; returns the
-    (sign, n) of the roots it encloses."""
+    locations closer than _CLUSTER_GAP, from the other roots."""
     w0, eps = complex(res_op.lambda0), res_op.eps
     inside = []
     for loc in RootTable(op, res_op.s).in_disc(w0, 2.0 * eps):
@@ -785,36 +760,31 @@ def _validate_enclosure(op: ModelOperator, res_op: ResidueOperator) -> list:
             f"circle of radius {eps} at w={w0} encloses {len(inside)} distinct "
             f"root locations at least {_CLUSTER_GAP} apart; shrink eps"
         )
-    return [member for loc in inside for member in loc.members]
 
 
-def residue_apply(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction, psi=None,
-                  x_grid=None, r_span: float = 30.0, n_r: int = 4096) -> ResidueOutput:
-    """Apply the residue operator of the enclosed root to f.
+def _residue_moments(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction,
+                     r_span: float, n_r: int, mode_values) -> tuple:
+    """(H0, H1, third_moment_rel) of the circle res_op applied to f: per term,
+    the first two circle moments of mode_values(term, lams) * fhat, one row
+    per node lambda (un-normalized), and the largest third moment relative
+    to them.
 
-    psi=None      : pointwise channel; H0/H1 gridded on x_grid.
-    psi=(q0,q1..) : paired channel against the polynomial probe Q(x) with the
-                    per-term weight (1-x^2)^{m + d/2 - 1}, meromorphically
-                    continued across the north pole; H0/H1 scalars per term.
-
-    A node near a resonance of the north particular series takes the ring
-    mean of :func:`_series_form` in either channel, so the nodes are fixed.
-
-    The circle moments are trapezoid sums over _CIRCLE_NODES nodes, spectrally
+    The moments are trapezoid sums over _CIRCLE_NODES nodes, spectrally
     accurate in the node count; H1 is nonzero exactly when the enclosed point
     carries a second-order pole (the Jordan crossings), producing the
     r e^{w0 r} component.  Around a cluster of roots closer than
-    _CLUSTER_GAP the output is the two-term expansion about lambda0, and
-    meta["third_moment_rel"] measures the first term it drops.
+    _CLUSTER_GAP they are the two-term expansion about lambda0, and
+    third_moment_rel measures the first term it drops.  A node near a
+    resonance of the north particular series takes the ring mean of
+    :func:`_series_form` in either channel, so the nodes are fixed.
     """
     if not isinstance(f, CuspFunction):
         raise ValidationError("f must be a CuspFunction")
     if f.d != op.d:
         raise ValidationError(f"dimension mismatch: f.d={f.d}, op.d={op.d}")
-    enclosed = _validate_enclosure(op, res_op)
-    s, w0, eps = res_op.s, complex(res_op.lambda0), res_op.eps
+    _validate_enclosure(op, res_op)
+    w0, eps = complex(res_op.lambda0), res_op.eps
     r = default_r_grid(r_span, n_r)
-    xg = _x_grid(x_grid)
 
     theta = 2.0 * math.pi * (np.arange(_CIRCLE_NODES) + 0.37) / _CIRCLE_NODES
     wl = w0 + eps * np.exp(1j * theta)
@@ -822,11 +792,7 @@ def residue_apply(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction, p
     H0, H1, m2_rel = [], [], 0.0
     for term in f.terms:
         fh = _fhat(_radial_samples(term, r), r, table)
-        if psi is None:
-            g_vals = _solve_mode_profiles(op, s, term.m, term.poly, op.h * wl, xg) * fh[:, None]
-        else:
-            paired = _paired_mode_values(op, s, term.m, term.poly, op.h * wl, tuple(psi))
-            g_vals = (paired * fh)[:, None]
+        g_vals = mode_values(term, op.h * wl) * fh[:, None]
         m0, m1, m2 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g_vals, axis=0)
                       for k in (1, 2, 3))
         # moments below 1e-12 of eps^k max |g| are roundoff of the mean (a
@@ -836,14 +802,36 @@ def residue_apply(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction, p
         scale = np.max([np.abs(m0).max(), np.abs(m1).max(), floor * eps, 1e-300])
         top = np.abs(m2).max()
         m2_rel = float(np.maximum(m2_rel, np.where(top <= floor * eps**3, 0.0, top) / scale))
-        H0.append(m0 if psi is None else complex(m0[0]))
-        H1.append(m1 if psi is None else complex(m1[0]))
-    return ResidueOutput(
-        d=op.d, s=complex(s), lambda0=w0, term_keys=tuple((t.m, t.mu) for t in f.terms),
-        H0=tuple(H0), H1=tuple(H1), paired=psi is not None,
-        x_grid=None if psi is not None else xg,
-        meta={"eps": eps, "order": _CIRCLE_NODES, "enclosed": enclosed,
-              "third_moment_rel": m2_rel})
+        H0.append(m0)
+        H1.append(m1)
+    return tuple(H0), tuple(H1), m2_rel
+
+
+def residue_apply(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction,
+                  x_grid=None, r_span: float = 30.0, n_r: int = 4096) -> ResidueOutput:
+    """The pointwise residue of the root that res_op encloses, applied to f:
+    H0/H1 gridded on x_grid (:func:`_residue_moments`)."""
+    xg = _x_grid(x_grid)
+    H0, H1, m2_rel = _residue_moments(
+        res_op, op, f, r_span, n_r,
+        lambda term, lams: _solve_mode_profiles(op, res_op.s, term.m, term.poly, lams, xg))
+    return ResidueOutput(d=op.d, lambda0=complex(res_op.lambda0),
+                         keys=tuple((t.m, t.mu) for t in f.terms), x_grid=xg,
+                         H0=H0, H1=H1, third_moment_rel=m2_rel)
+
+
+def residue_pairing(res_op: ResidueOperator, op: ModelOperator, f: CuspFunction, q_poly,
+                    r_span: float = 30.0, n_r: int = 4096) -> tuple:
+    """(H0, H1), one value per term of f: the residue of the root that res_op
+    encloses, applied to f and paired with the probe Q(x) (coefficients
+    q_poly, ascending) against the per-term weight (1-x^2)^{m + d/2 - 1},
+    continued across the north pole (:func:`_paired_mode_values`).  It sees
+    the rank at the north pole that :func:`residue_apply` misses."""
+    H0, H1, _ = _residue_moments(
+        res_op, op, f, r_span, n_r,
+        lambda term, lams: _paired_mode_values(op, res_op.s, term.m, term.poly, lams,
+                                               tuple(q_poly))[:, None])
+    return np.concatenate(H0), np.concatenate(H1)
 
 
 # -- the paired (distribution) channel --------------------------------------
@@ -952,17 +940,17 @@ def _residue_sum(op, s, f, locations, xg, r_span, n_r, r) -> CuspField:
         else:
             clusters.append([w])
     r_edge = _defect_window(r_span)
-    total = CuspField(d=op.d, r_grid=r, x_grid=xg, terms=tuple(
-        (t.m, t.mu, np.zeros((r.size, xg.size), complex)) for t in f.terms))
+    total = CuspField(d=op.d, r_grid=r, x_grid=xg, keys=tuple((t.m, t.mu) for t in f.terms),
+                      values=tuple(np.zeros((r.size, xg.size), complex) for _ in f.terms))
     for cluster in clusters:
         res = residue_apply(_auto_residue(op, s, cluster), op, f, x_grid=xg,
                             r_span=r_span, n_r=n_r)
-        dropped = 0.5 * r_edge**2 * res.meta["third_moment_rel"]
+        dropped = 0.5 * r_edge**2 * res.third_moment_rel
         if len(cluster) > 1 and not dropped <= _CLUSTER_TOL:
             raise ToleranceError(
                 f"the roots at w={cluster[0]:.12g} and w={cluster[-1]:.12g}, "
                 f"{abs(cluster[-1] - cluster[0]):.3e} apart, share one residue circle "
-                f"whose expansion drops a third moment of {res.meta['third_moment_rel']:.3e}, "
+                f"whose expansion drops a third moment of {res.third_moment_rel:.3e}, "
                 f"a field error of {dropped:.3e} at |r| = {r_edge:g}")
         total = total + res.field(r)
     return total
@@ -1009,7 +997,7 @@ def shift_identity(op: ModelOperator, s: complex, f: CuspFunction, rho_lo: float
     diff = hi - lo - residues
     window = np.abs(lo.r_grid) <= _defect_window(r_span)
     # rows diff, hi, residues; np.max propagates a NaN, which Python's max can drop
-    peaks = np.array([[np.abs(field.term_values(i)[window]).max() for i in range(len(f.terms))]
+    peaks = np.array([[np.abs(vals[window]).max() for vals in field.values]
                       for field in (diff, hi, residues)])
     defect = peaks[0].max() / np.maximum(peaks[1:].max(), 1e-300)
     return ShiftIdentity(lo, hi, crossed, residues, float(defect))
@@ -1048,6 +1036,5 @@ def continue_resolvent(op: ModelOperator, s: complex, f: CuspFunction, x_grid=No
     line = resolvent_line(op, s, replace(base, rho=rho), f, x_grid=xg, r_span=r_span, n_r=n_r)
     out = (line - _residue_sum(op, s, f, plus, xg, r_span, n_r, line.r_grid)
            + _residue_sum(op, s, f, minus, xg, r_span, n_r, line.r_grid))
-    out.meta = {"branch": branch, "abscissa": rho,
-                "corrections": len(plus) + len(minus), "contour_meta": line.meta}
+    out.meta = {"branch": branch, "abscissa": rho, "corrections": len(plus) + len(minus)}
     return out

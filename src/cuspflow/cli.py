@@ -732,11 +732,10 @@ def _run_flow(config: ExperimentConfig):
     d = p["d"]
     header = ["t", "r"] + [f"theta_{i}" for i in range(d)] + ["phi", "y"]
     rows, drifts = [], []
-    u0 = np.array(p["u0"], dtype=float)
     for t in times:
         q = flow_cusp_exact(p0, t)
         rows.append([t, q.r] + [float(v) for v in q.theta] + [q.phi, q.y])
-        drifts.append(q.u - u0)
+        drifts.append(q.u - p0.u)  # at a pole p0.u is e_1, not the configured u0
     csv = _csv_text(header, rows)
     u_drift = _nanmax(np.abs(drifts))
     r_max = _nanmax([row[1] for row in rows])

@@ -93,7 +93,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from cuspflow import bcontinuation as bc
-from cuspflow._jets import transpose_matrix_on_volume_jets
+from cuspflow._jets import RadialSeries, radial_multiply
+from cuspflow._sphere import multi_indices_upto
 from cuspflow._testfunctions import TestFunction
 from cuspflow.errors import (ConfigurationError, DomainError,
                              NonterminationError, PoleError, ToleranceError,
@@ -173,16 +174,33 @@ def apply_P(op: ModelOperator, f, point) -> complex:
 
 
 def exact_jet_matrix(op: ModelOperator, K: int):
-    """(basis, matrix) of :func:`cuspflow.indicial.jet_matrix` with exact
-    Fraction entries, h, lambda and A each rounded to a denominator of at
-    most 1e12; lambda and A must be real."""
+    """(basis, matrix) of :func:`cuspflow.indicial.jet_matrix` as an object
+    array of exact Fraction entries, h, lambda and A each rounded to a
+    denominator of at most 1e12; lambda and A must be real.  Column mu is the
+    jet functional of g_m = (lambda + hA) s_m - h (a_m + s_m (|mu| - 2m + d/2)),
+    s_m the coefficients of sqrt(1-t) and a_m those of -t (1-t)^{-1/2}, as in
+    :func:`cuspflow._jets.transpose_matrix_on_volume_jets`."""
     if complex(op.lam).imag != 0 or complex(op.A).imag != 0:
         raise ValidationError("exact jet matrix requires real lambda and A")
 
     def exact(v):
         return Fraction(complex(v).real).limit_denominator(10**12)
 
-    return transpose_matrix_on_volume_jets(op.d, exact(op.h), exact(op.lam), exact(op.A), K)
+    d, h, lam, A = op.d, exact(op.h), exact(op.lam), exact(op.A)
+    half, order = Fraction(1, 2), K // 2
+    s = RadialSeries.binomial(half, order).coeffs
+    inv = RadialSeries.binomial(-half, order).coeffs
+    a = [Fraction(0)] + [-inv[m - 1] for m in range(1, order + 1)]
+    basis = multi_indices_upto(d, K)
+    index = {mu: i for i, mu in enumerate(basis)}
+    M = np.zeros((len(basis),) * 2, dtype=object)
+    for j, mu in enumerate(basis):
+        g = RadialSeries(tuple(
+            (lam + h * A) * s[m] - h * (a[m] + s[m] * (sum(mu) - 2 * m + d * half))
+            for m in range(min(order, sum(mu) // 2) + 1)))
+        for nu, val in radial_multiply({mu: 1}, g).items():
+            M[index[nu], j] = val
+    return basis, M
 
 
 @dataclass(frozen=True)

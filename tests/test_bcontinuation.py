@@ -1,6 +1,7 @@
 """Tests for contour inversion, residue operators, and resolvent continuation."""
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from _oracles import (fd_residual, full_node_line, mode_profile_reference,
                       paired_mode_reference, rho_max_prime)
 from cuspflow.bcontinuation import (
     ContourSpec,
+    CuspField,
     CuspFunction,
     CuspTerm,
     ModeTerm,
@@ -22,6 +24,7 @@ from cuspflow.bcontinuation import (
     continue_resolvent,
     default_r_grid,
     residue_apply,
+    residue_pairing,
     resolvent_line,
     rho_max,
     shift_identity,
@@ -60,9 +63,19 @@ def line_rows(line, n_r=4096):
     return np.isin(default_r_grid(30.0, n_r), line.r_grid)
 
 
-def residue_max_abs(res):
-    """Largest |H0| or |H1| entry of a ResidueOutput, paired or pointwise."""
-    return max(float(np.abs(v).max()) for v in res.H0 + res.H1)
+def residue_max_abs(H0, H1):
+    """Largest |entry| of a residue's H0 and H1: per-term profiles of
+    residue_apply, or per-term values of residue_pairing."""
+    return float(np.abs(np.asarray([H0, H1])).max())
+
+
+def residue_channel(res_op, op, f, psi):
+    """(H0, H1) of f's residue at res_op: paired with the probe psi, or
+    pointwise on XG when psi is None."""
+    if psi is not None:
+        return residue_pairing(res_op, op, f, psi)
+    res = residue_apply(res_op, op, f, x_grid=XG)
+    return res.H0, res.H1
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +259,27 @@ def test_contour_spec_nodes_and_window():
     assert spec.r_window() > 0
 
 
+def test_fields_combine_only_with_a_field_of_the_same_terms_and_grids():
+    r, x = default_r_grid(1.0, 8), np.linspace(-0.5, 0.5, 3)
+
+    def field(keys=((0, (0,)),), r=r, x=x, d=1):
+        return CuspField(d=d, r_grid=r, x_grid=x, keys=keys,
+                         values=tuple(np.full((r.size, x.size), i + 1.0) for i in range(len(keys))))
+
+    two = field(((0, (0,)), (1, (1,))))
+    np.testing.assert_array_equal((two + two).values, [np.full((8, 3), 2.0), np.full((8, 3), 4.0)])
+    assert not np.any((two - two).values)
+    for other, what in [(1.0, "another CuspField"),
+                        (field(((1, (1,)),)), "term structures"),
+                        (two, "term structures"),
+                        (field(((0, (0, 0)),), d=2), "term structures"),
+                        (field(r=r + 0.5), "r-grids"), (field(r=r[1:]), "r-grids"),
+                        (field(x=x + 0.1), "x-grids"), (field(x=x[1:]), "x-grids")]:
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(ValidationError, match=what):
+                combine(field(), other)
+
+
 # ---------------------------------------------------------------------------
 # resolvent_line
 # ---------------------------------------------------------------------------
@@ -265,8 +299,8 @@ def test_root_free_abscissas_agree():
     U1 = resolvent_line(op, 1.3, ContourSpec(rho=0.2), f, x_grid=XG)
     U2 = resolvent_line(op, 1.3, ContourSpec(rho=0.9), f, x_grid=XG)
     win = np.abs(U1.r_grid) <= 6.0
-    rel = np.abs((U2 - U1).term_values(0)[win]).max() / np.abs(
-        U1.term_values(0)[win]
+    rel = np.abs((U2 - U1).values[0][win]).max() / np.abs(
+        U1.values[0][win]
     ).max()
     assert rel < 1e-6
 
@@ -276,7 +310,7 @@ def test_output_decay_is_governed_by_nearest_root():
     f = term(1, 0, (0,), gauss())
     U = resolvent_line(op, 5.0, ContourSpec(rho=0.0), f, x_grid=XG)
     r = U.r_grid
-    vals = U.term_values(0)
+    vals = U.values[0]
     col = int(np.argmin(np.abs(U.x_grid)))
     sel = (r >= 2.0) & (r <= 3.6)
     slope = np.polyfit(r[sel], np.log(np.abs(vals[sel, col])), 1)[0]
@@ -286,7 +320,7 @@ def test_output_decay_is_governed_by_nearest_root():
     B = residue_apply(ResidueOperator(s=5.0, lambda0=-5.5), op, f, x_grid=XG)
     Bf = B.field(r)
     i35 = int(np.argmin(np.abs(r - 3.5)))
-    ratio = np.abs(vals[i35] / Bf.term_values(0)[i35] - 1.0).max()
+    ratio = np.abs(vals[i35] / Bf.values[0][i35] - 1.0).max()
     assert ratio < 2e-2
 
 
@@ -308,9 +342,7 @@ def test_line_reports_error_estimates():
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
     U = resolvent_line(op, 5.0, ContourSpec(rho=0.0), f, x_grid=XG)
-    assert {"abscissa", "contour_tail_rel", "tail_ok", "r_window", "root_gap"} <= set(
-        U.meta
-    )
+    assert set(U.meta) == {"contour_tail_rel", "tail_ok", "r_window"}
     assert U.meta["contour_tail_rel"] < 1e-9
     assert U.meta["tail_ok"] is True
 
@@ -327,8 +359,8 @@ def test_linearity_in_f():
     u2 = resolvent_line(op, 5.0, spec, f2, x_grid=XG)
     u12 = resolvent_line(op, 5.0, spec, f12, x_grid=XG)
     win = np.abs(u1.r_grid) <= 10.0
-    diff = (u12.term_values(0) - (alpha * u1.term_values(0) + u2.term_values(0)))[win]
-    assert np.abs(diff).max() / np.abs(u12.term_values(0)[win]).max() < 1e-12
+    diff = (u12.values[0] - (alpha * u1.values[0] + u2.values[0]))[win]
+    assert np.abs(diff).max() / np.abs(u12.values[0][win]).max() < 1e-12
 
 
 def test_linearity_in_poly():
@@ -339,8 +371,8 @@ def test_linearity_in_poly():
     u1, ux, uc = (resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss(), poly), x_grid=XG)
                   for poly in ((1.0,), (0.0, 1.0), (1.0, 0.4j)))
     win = np.abs(u1.r_grid) <= 10.0
-    diff = (uc.term_values(0) - (u1.term_values(0) + 0.4j * ux.term_values(0)))[win]
-    assert np.abs(diff).max() / np.abs(uc.term_values(0)[win]).max() < 1e-12
+    diff = (uc.values[0] - (u1.values[0] + 0.4j * ux.values[0]))[win]
+    assert np.abs(diff).max() / np.abs(uc.values[0][win]).max() < 1e-12
 
 
 @pytest.mark.parametrize("A,s,s_alone", [(0.2j, 1.3, 1.3 - 0.2j), (0.2j, 1.3 + 0.2j, 1.3)])
@@ -351,8 +383,8 @@ def test_line_reads_s_and_A_through_s_minus_A(A, s, s_alone):
     spec = ContourSpec(rho=-1.3)
     U = resolvent_line(ModelOperator(d=1, A=A), s, spec, f, x_grid=XG)
     V = resolvent_line(ModelOperator(d=1), s_alone, spec, f, x_grid=XG)
-    np.testing.assert_array_equal(U.term_values(0), V.term_values(0))
-    assert U.term_values(0).imag.any() == bool(complex(s_alone).imag)
+    np.testing.assert_array_equal(U.values[0], V.values[0])
+    assert U.values[0].imag.any() == bool(complex(s_alone).imag)
 
 
 def _two_term(d):
@@ -374,7 +406,7 @@ def test_folded_line_matches_full_node_line(d, h, rho):
     values, _ = full_node_line(op, s, spec, _two_term(d), XG)
     win = np.abs(U.r_grid) <= 10.0
     for i, want in enumerate(values):
-        got, want = U.term_values(i), want[line_rows(U)]
+        got, want = U.values[i], want[line_rows(U)]
         assert not got.imag.any()
         assert np.abs(got - want)[win].max() < 1e-13 * np.abs(want[win]).max()
 
@@ -400,7 +432,7 @@ def test_non_real_line_is_the_full_node_line(A, s, poly, radial):
     f = term(1, 0, (0,), radial, poly)
     U = resolvent_line(op, s, spec, f, x_grid=XG)
     (want,), tail_rel = full_node_line(op, s, spec, f, XG)
-    np.testing.assert_array_equal(U.term_values(0), want[line_rows(U)])
+    np.testing.assert_array_equal(U.values[0], want[line_rows(U)])
     assert U.meta["contour_tail_rel"] == tail_rel
 
 
@@ -432,7 +464,7 @@ def test_a_nan_radial_sample_fails_the_line_naming_its_abscissa():
 def test_a_nan_radial_sample_gives_a_nan_third_moment():
     op, f = ModelOperator(d=1), term(1, 0, (0,), _one_nan_sample)
     res = residue_apply(ResidueOperator(s=1.3, lambda0=-1.8), op, f, x_grid=XG)
-    assert math.isnan(res.meta["third_moment_rel"])
+    assert math.isnan(res.third_moment_rel)
 
 
 def test_a_nan_residue_cell_gives_a_nan_shift_identity_defect(monkeypatch):
@@ -441,7 +473,7 @@ def test_a_nan_residue_cell_gives_a_nan_shift_identity_defect(monkeypatch):
 
     def one_nan_cell(*args):
         total = residue_sum(*args)
-        total.term_values(0)[len(total.r_grid) // 2, 0] = math.nan
+        total.values[0][len(total.r_grid) // 2, 0] = math.nan
         return total
 
     monkeypatch.setattr(bc, "_residue_sum", one_nan_cell)
@@ -457,10 +489,10 @@ def test_translation_equivariance_in_r():
     spec = ContourSpec(rho=0.0)
     U0 = resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss()), x_grid=XG)
     Us = resolvent_line(op, 5.0, spec, term(1, 0, (0,), gauss(r0)), x_grid=XG)
-    rolled = np.roll(U0.term_values(0), k, axis=0)
+    rolled = np.roll(U0.values[0], k, axis=0)
     win = np.abs(U0.r_grid) <= 10.0 - r0
-    rel = np.abs((Us.term_values(0) - rolled)[win]).max() / np.abs(
-        Us.term_values(0)[win]
+    rel = np.abs((Us.values[0] - rolled)[win]).max() / np.abs(
+        Us.values[0][win]
     ).max()
     assert rel < 1e-8
 
@@ -493,7 +525,7 @@ def test_windowed_line_is_the_full_grid_synthesis_bitwise(n_r):
     outermost = abs(2 * int(np.flatnonzero(rows)[0]) - n_r) // 2  # its index among the |r|
     assert (outermost + 1) % bc._R_BLOCK != 0
     np.testing.assert_array_equal(U.r_grid, default_r_grid(30.0, n_r)[rows])
-    np.testing.assert_array_equal(U.term_values(0), want[rows])
+    np.testing.assert_array_equal(U.values[0], want[rows])
     assert U.meta["contour_tail_rel"] == tail_rel
 
 
@@ -525,9 +557,9 @@ def test_written_rows_match_a_four_times_panel_reference(h, rho, band):
     # the reference's window is the whole grid, unpaired row r = -30 included
     assert ref.r_grid.size == 4096 and ref.r_grid[0] == -30.0
     assert U.r_grid[-1] <= U.meta["r_window"]
-    want = ref.term_values(0)[line_rows(U)]
+    want = ref.values[0][line_rows(U)]
     sel = (np.abs(U.r_grid) < 10.0) == (band == "inner")
-    err = np.abs(U.term_values(0) - want)[sel].max()
+    err = np.abs(U.values[0] - want)[sel].max()
     assert err <= 1e-9 * np.abs(want[sel]).max()
 
 
@@ -634,8 +666,8 @@ def test_separable_line_matches_dense(h, request):
     # the field (the mpmath test below), so the two agree to roundoff only
     # where that floor is low; measured 6.2e-12 inside |r| <= 8
     win = np.abs(dense.r_grid) <= 8.0
-    scale = np.abs(dense.term_values(0)[win]).max()
-    assert np.abs((sep - dense).term_values(0)[win]).max() / scale < 5e-11
+    scale = np.abs(dense.values[0][win]).max()
+    assert np.abs((sep - dense).values[0][win]).max() / scale < 5e-11
     assert sep.meta["tail_ok"] == dense.meta["tail_ok"]
 
 
@@ -644,11 +676,11 @@ def test_separable_residue_circle_matches_dense(s, w0, psi, request):
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
     res_op = ResidueOperator(s=s, lambda0=w0)
-    sep = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
+    sep = residue_channel(res_op, op, f, psi)
     request.getfixturevalue("dense_kernels")
-    dense = residue_apply(res_op, op, f, psi=psi, x_grid=XG)
-    scale = residue_max_abs(dense)
-    for a, b in zip(sep.H0 + sep.H1, dense.H0 + dense.H1):
+    dense = residue_channel(res_op, op, f, psi)
+    scale = residue_max_abs(*dense)
+    for a, b in zip(sep, dense):
         assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-12 * scale
 
 
@@ -699,7 +731,7 @@ def test_empty_enclosure_gives_zero():
     f = term(1, 0, (0,), gauss())
     U = resolvent_line(op, 1.3, ContourSpec(rho=0.2), f, x_grid=XG)
     res = residue_apply(ResidueOperator(s=1.3, lambda0=-2.5 + 0.3j), op, f, x_grid=XG)
-    assert residue_max_abs(res) < 1e-10 * np.abs(U.term_values(0)).max()
+    assert residue_max_abs(res.H0, res.H1) < 1e-10 * np.abs(U.values[0]).max()
 
 
 def test_rank_matches_multiplicity():
@@ -738,10 +770,10 @@ def test_one_root_strip_shift_identity(d):
     res = residue_apply(ResidueOperator(s=s, lambda0=-base), op, f, x_grid=XG)
     diff = Ub - Ua - res.field(Ua.r_grid)
     win = np.abs(Ua.r_grid) <= 10.0
-    num = np.abs(diff.term_values(0)[win]).max()
+    num = np.abs(diff.values[0][win]).max()
     den = max(
-        np.abs(Ub.term_values(0)[win]).max(),
-        np.abs(res.field(Ua.r_grid).term_values(0)[win]).max(),
+        np.abs(Ub.values[0][win]).max(),
+        np.abs(res.field(Ua.r_grid).values[0][win]).max(),
     )
     assert num / den < 1e-6
 
@@ -771,10 +803,10 @@ def test_multi_root_strip_sum_rule(d, n_roots):
         total = total - res.field(Ua.r_grid)
     win = np.abs(Ua.r_grid) <= 6.0
     for i in range(2):
-        num = np.abs(total.term_values(i)[win]).max()
+        num = np.abs(total.values[i][win]).max()
         den = max(
-            np.abs(Ub.term_values(i)[win]).max(),
-            np.abs(Ua.term_values(i)[win]).max(),
+            np.abs(Ub.values[i][win]).max(),
+            np.abs(Ua.values[i][win]).max(),
         )
         assert num / den < 1e-6
 
@@ -794,7 +826,7 @@ def test_simple_pole_structure():
     res = residue_apply(
         ResidueOperator(s=1.3, lambda0=-(1.3 + 2.0)), op, f, x_grid=XG
     )
-    assert res.meta["third_moment_rel"] < 1e-10
+    assert res.third_moment_rel < 1e-10
     h0 = max(np.abs(v).max() for v in res.H0)
     h1 = max(np.abs(v).max() for v in res.H1)
     assert h1 < 1e-8 * h0
@@ -809,22 +841,20 @@ def test_jordan_r_term_appears_exactly_at_crossing():
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
     # s0 = -3/2: the level-0 minus root meets the level-2 plus root at w = 1
-    at = residue_apply(ResidueOperator(s=-1.5, lambda0=1.0), op, f, psi=(1.0,))
-    assert abs(at.H1[0]) > 1e-3 * abs(at.H0[0])
-    away = residue_apply(
-        ResidueOperator(s=-1.3, lambda0=0.8), op, f, psi=(1.0,)
-    )
-    assert abs(away.H1[0]) < 1e-8 * abs(away.H0[0])
+    at_h0, at_h1 = residue_pairing(ResidueOperator(s=-1.5, lambda0=1.0), op, f, (1.0,))
+    assert abs(at_h1[0]) > 1e-3 * abs(at_h0[0])
+    away_h0, away_h1 = residue_pairing(ResidueOperator(s=-1.3, lambda0=0.8), op, f, (1.0,))
+    assert abs(away_h1[0]) < 1e-8 * abs(away_h0[0])
 
 
 def test_plus_root_residue_concentrates_at_north_pole():
     # pointwise the plus-root residue vanishes; the paired channel sees it
     op = ModelOperator(d=1)
     f = term(1, 0, (0,), gauss())
-    paired = residue_apply(ResidueOperator(s=-1.3, lambda0=-0.8), op, f, psi=(1.0,))
-    pointwise = residue_apply(ResidueOperator(s=-1.3, lambda0=-0.8), op, f, x_grid=XG)
-    assert abs(paired.H0[0]) > 1e-12
-    assert residue_max_abs(pointwise) < 1e-9 * abs(paired.H0[0])
+    res_op = ResidueOperator(s=-1.3, lambda0=-0.8)
+    paired_h0, _ = residue_channel(res_op, op, f, (1.0,))
+    assert abs(paired_h0[0]) > 1e-12
+    assert residue_max_abs(*residue_channel(res_op, op, f, None)) < 1e-9 * abs(paired_h0[0])
 
 
 @pytest.mark.parametrize("d,h,m,s,poly,q_poly,w0,gamma_band", [
@@ -873,7 +903,7 @@ def test_residue_circle_with_a_node_on_a_resonance_is_the_rotated_circle(psi):
     first = 2.0 * math.pi * 0.37 / bc._CIRCLE_NODES
     res_op = ResidueOperator(s=s, lambda0=lam - eps * np.exp(1j * first), eps=eps)
     assert abs(mode_exponents(op, s, 0, res_op.lambda0 + eps * np.exp(1j * first))[2] - 1) < 1e-15
-    out = residue_apply(res_op, op, term(1, 0, (0,), gauss()), psi=psi, x_grid=XG)
+    out_h0, out_h1 = residue_channel(res_op, op, term(1, 0, (0,), gauss()), psi)
     theta = 2.0 * math.pi * (np.arange(bc._CIRCLE_NODES) + 0.11) / bc._CIRCLE_NODES
     r = default_r_grid()
     wl = res_op.lambda0 + eps * np.exp(1j * theta)
@@ -884,8 +914,8 @@ def test_residue_circle_with_a_node_on_a_resonance_is_the_rotated_circle(psi):
     g = vals * bc._fhat(gauss()(r).astype(complex), r, bc._exp_table(r, wl))[:, None]
     h0, h1 = (eps**k * np.mean(np.exp(1j * k * theta)[:, None] * g, axis=0) for k in (1, 2))
     scale = np.abs(h0).max()
-    assert np.abs(out.H0[0] - h0).max() <= 1e-12 * scale
-    assert np.abs(out.H1[0] - h1).max() <= 1e-12 * scale
+    assert np.abs(out_h0[0] - h0).max() <= 1e-12 * scale
+    assert np.abs(out_h1[0] - h1).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -901,8 +931,8 @@ def test_continuation_equals_line_on_invertible_halfplane():
     assert Ur.meta["branch"] == "regular"
     assert Ur.meta["corrections"] == 0
     win = np.abs(Ur.r_grid) <= 10.0
-    rel = np.abs((Ur - Ul).term_values(0)[win]).max() / np.abs(
-        Ul.term_values(0)[win]
+    rel = np.abs((Ur - Ul).values[0][win]).max() / np.abs(
+        Ul.values[0][win]
     ).max()
     assert rel < 1e-8
 
@@ -930,11 +960,11 @@ def test_continued_resolvent_has_the_mean_value_property(centre, radius, n):
     mean, seen = 0.0, set()
     for k in range(n):
         U = continue_resolvent(op, centre + radius * np.exp(2j * math.pi * k / n), f, **grid)
-        mean = mean + U.term_values(0) / n
+        mean = mean + U.values[0] / n
         seen.add((U.meta["branch"], U.meta["corrections"]))
     assert len(seen) == 3
     win = np.abs(at_centre.r_grid) <= 10.0
-    ref = at_centre.term_values(0)[win]
+    ref = at_centre.values[0][win]
     assert np.abs(mean[win] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -965,9 +995,9 @@ def test_shift_identity_transforms_each_abscissa_once():
     shift = shift_identity(op, 1.3, f, -2.3, -1.3, x_grid=XG, n_r=1024)
     for rho, got in ((-2.3, shift.lo), (-1.3, shift.hi)):
         line = resolvent_line(op, 1.3, ContourSpec(rho=rho), f, x_grid=XG, n_r=1024)
-        assert np.array_equal(got.term_values(0), line.term_values(0))
+        assert np.array_equal(got.values[0], line.values[0])
     assert [loc.value for loc in shift.crossed] == [-1.8]
-    assert np.abs(shift.residues.term_values(0)).max() > 1e-3
+    assert np.abs(shift.residues.values[0]).max() > 1e-3
     assert shift.defect < 1e-9
     same = shift_identity(op, 1.3, f, -2.3, -2.3, x_grid=XG, n_r=1024)
     assert same.hi is same.lo and same.crossed == () and same.defect == 0.0
@@ -1001,7 +1031,7 @@ def test_vanishing_cluster_residue_drops_no_third_moment(gap):
     f = term(1, 0, (0,), gauss())
     res = residue_apply(ResidueOperator(s=-1.5 - gap / 2.0, lambda0=0.0), op, f, x_grid=XG,
                         n_r=1024)
-    assert res.meta["third_moment_rel"] == 0.0
+    assert res.third_moment_rel == 0.0
     shift = shift_identity(op, -1.5 - gap / 2.0, f, -0.3, 0.3, x_grid=XG, n_r=1024)
     assert len(shift.crossed) == 2 and shift.defect < 1e-9
 

@@ -794,6 +794,19 @@ def test_flow_gates_fail_on_a_nan_defect(tmp_path, capsys, monkeypatch):
     assert gate["name"] == "semigroup_defect" and math.isnan(gate["value"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--phi0=0", "--u0=-1"], ["--phi0=3.141592653589793", "--u0=-1"],
+    ["--d=2", "--phi0=0", "--u0=0,1"], ["--d=2", "--phi0=3.141592653589793", "--u0=0.6,-0.8"],
+], ids=["d1-north", "d1-south", "d2-north", "d2-south"])
+def test_flow_at_a_pole_passes_its_azimuth_gate_for_any_u0(tmp_path, argv):
+    # at a pole PhasePoint stores the azimuth as e_1; the drift used to be
+    # measured from the configured u0 and read 2.0 or 1.0 here, failing the run
+    out = tmp_path / "out"
+    assert cli.main(["flow", *argv, f"--output-dir={out}"]) == 0
+    (path,) = out.glob("*-conservation.json")
+    assert json.loads(path.read_text())["azimuth_drift"] == 0.0
+
+
 @pytest.mark.parametrize("argv, failure, checks, patch", [
     (["eigendist", "--s=-1.5"], "eigen_residual", [""], None),
     (["resolvent", "--m=1"], "shift_identity", [""], None),

@@ -63,6 +63,7 @@ _UNCALLED_BY_DESIGN = {
     "bcontinuation.rho_max": _CONTINUATION,
     "indicial.RootTable.visible": _CONTINUATION,
     "indicial.RootTable.collision": _CONTINUATION,
+    "bcontinuation.residue_pairing": _CONTINUATION,
     "bcontinuation._paired_mode_values": _CONTINUATION,
     "bcontinuation._binomial_series": _CONTINUATION,
     "bcontinuation._moments": _CONTINUATION,
